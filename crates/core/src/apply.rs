@@ -25,9 +25,9 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::diff::{DiffInstance, DiffKind, State};
-use idivm_reldb::{NetChange, Table, TableChanges, UndoLog};
+use idivm_reldb::{NetChange, Patched, Table, TableChanges, UndoLog};
 use idivm_types::{Error, Key, Result, Row, Value};
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
 /// Outcome counters of one APPLY.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -51,26 +51,21 @@ impl ApplyOutcome {
     }
 }
 
-/// First-touch pre-images of the caller's `changes` overlay map, so a
-/// failed APPLY can restore it alongside the table. Keys the APPLY
-/// never touched are never cloned.
+/// Pre-images of the caller's `changes` overlay map, one per touch in
+/// touch order, so a failed APPLY can restore it alongside the table.
+/// An append-only list replayed in reverse (like the table's undo
+/// journal): recording a touch hashes nothing, and a key touched twice
+/// ends on its oldest pre-image. Keys the APPLY never touched are never
+/// cloned.
 #[derive(Debug, Default)]
 struct ChangesJournal {
-    saved: HashMap<Key, Option<NetChange>>,
+    touched: Vec<(Key, Option<NetChange>)>,
 }
 
 impl ChangesJournal {
-    /// Remember `key`'s current overlay entry the first time the APPLY
-    /// touches it.
-    fn save(&mut self, changes: &TableChanges, key: &Key) {
-        if !self.saved.contains_key(key) {
-            self.saved.insert(key.clone(), changes.get(key).cloned());
-        }
-    }
-
-    /// Put every touched key back to its saved pre-image.
+    /// Put every touched key back to its pre-APPLY state.
     fn restore(self, changes: &mut TableChanges) {
-        for (k, pre) in self.saved {
+        for (k, pre) in self.touched.into_iter().rev() {
             match pre {
                 Some(net) => {
                     changes.insert(k, net);
@@ -91,13 +86,19 @@ struct ApplySession {
 }
 
 impl ApplySession {
-    fn begin(table: &Table) -> Self {
+    /// Open the scope, sizing `changes` and its journal for one touch
+    /// per diff tuple up front (rehash-on-grow would otherwise hash
+    /// every recorded key a second time).
+    fn begin(table: &Table, changes: &mut TableChanges, diff_tuples: usize) -> Self {
         let undo = table.undo_log().clone();
         let mark = undo.arm();
+        changes.reserve(diff_tuples);
         ApplySession {
             undo,
             mark,
-            journal: ChangesJournal::default(),
+            journal: ChangesJournal {
+                touched: Vec::with_capacity(diff_tuples),
+            },
         }
     }
 
@@ -135,7 +136,7 @@ pub fn apply(
     diff: &DiffInstance,
     changes: &mut TableChanges,
 ) -> Result<ApplyOutcome> {
-    let mut session = ApplySession::begin(table);
+    let mut session = ApplySession::begin(table, changes, diff.len());
     match apply_one(table, diff, changes, &mut session.journal) {
         Ok(out) => {
             session.commit();
@@ -176,7 +177,8 @@ pub fn apply_all(
     diffs: &[DiffInstance],
     changes: &mut TableChanges,
 ) -> Result<ApplyOutcome> {
-    let mut session = ApplySession::begin(table);
+    let diff_tuples = diffs.iter().map(DiffInstance::len).sum();
+    let mut session = ApplySession::begin(table, changes, diff_tuples);
     match apply_all_inner(table, diffs, changes, &mut session.journal) {
         Ok(out) => {
             session.commit();
@@ -218,7 +220,7 @@ fn apply_update(
     // The paper assumes a view index on the view IDs; ensure one exists
     // for this diff's Ī′ (creation is a setup cost, not counted).
     table.create_index_positions(diff.schema.id_cols.clone());
-    let pk_cols = table.schema().key().to_vec();
+    let mut assignments: Vec<(usize, Value)> = Vec::with_capacity(diff.schema.post_cols.len());
     for d in &diff.rows {
         let probe = diff.schema.id_key(d);
         let pks = table.pks_by(&diff.schema.id_cols, &probe);
@@ -226,7 +228,7 @@ fn apply_update(
             out.dummies += 1;
             continue;
         }
-        let mut assignments: Vec<(usize, Value)> = Vec::with_capacity(diff.schema.post_cols.len());
+        assignments.clear();
         for &c in &diff.schema.post_cols {
             let v = diff.schema.post_value(d, c).ok_or_else(|| {
                 Error::Internal(format!(
@@ -237,30 +239,22 @@ fn apply_update(
             })?;
             assignments.push((c, v));
         }
+        // The located primary key *is* the overlay key.
         for pk in pks {
-            if let Some(pre) = table.patch(&pk, &assignments) {
-                let post = table
-                    .get_uncounted(&pk)
-                    .ok_or_else(|| {
-                        Error::Internal(format!(
-                            "row {pk:?} vanished immediately after patch"
-                        ))
-                    })?
-                    .clone();
-                if pre != post {
-                    let key = pre.key(&pk_cols);
-                    journal.save(changes, &key);
-                    record_update(changes, key, pre, post);
+            match table.patch(&pk, &assignments) {
+                Some(Patched {
+                    pre: Some(pre),
+                    post,
+                }) => {
+                    record_update(changes, journal, pk, pre, post);
                     out.updated += 1;
-                } else {
-                    out.dummies += 1;
                 }
-            } else {
-                // The indexed pk points at a row that is no longer there
-                // (e.g. a delete applied earlier in the batch). The diff
-                // tuple had nothing to update: count it as a dummy
-                // rather than aborting a half-applied round.
-                out.dummies += 1;
+                // Either the diff tuple re-asserted the stored values,
+                // or the indexed pk points at a row that is no longer
+                // there (e.g. a delete applied earlier in the batch).
+                // It had nothing to update: count it as a dummy rather
+                // than aborting a half-applied round.
+                _ => out.dummies += 1,
             }
         }
     }
@@ -275,7 +269,6 @@ fn apply_insert(
 ) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
     let arity = table.schema().arity();
-    let pk_cols = table.schema().key().to_vec();
     for d in &diff.rows {
         let row = diff
             .schema
@@ -287,10 +280,8 @@ fn apply_insert(
                     diff.schema
                 ))
             })?;
-        let key = row.key(&pk_cols);
         if table.insert_if_absent(row.clone())? {
-            journal.save(changes, &key);
-            record_insert(changes, key, row);
+            record_insert(changes, journal, table.pk_of(&row), row);
             out.inserted += 1;
         } else {
             out.dummies += 1;
@@ -307,7 +298,6 @@ fn apply_delete(
 ) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
     table.create_index_positions(diff.schema.id_cols.clone());
-    let pk_cols = table.schema().key().to_vec();
     for d in &diff.rows {
         let probe = diff.schema.id_key(d);
         let pks = table.pks_by(&diff.schema.id_cols, &probe);
@@ -317,9 +307,7 @@ fn apply_delete(
         }
         for pk in pks {
             if let Some(pre) = table.delete_located(&pk) {
-                let key = pre.key(&pk_cols);
-                journal.save(changes, &key);
-                record_delete(changes, key, pre);
+                record_delete(changes, journal, pk, pre);
                 out.deleted += 1;
             }
         }
@@ -327,68 +315,107 @@ fn apply_delete(
     Ok(out)
 }
 
+/// Probe `changes` for `key` once — the `record_*` functions fold
+/// their tuple change in through the returned entry — journaling the
+/// entry's prior state on the way.
+fn touch<'a>(
+    changes: &'a mut TableChanges,
+    journal: &mut ChangesJournal,
+    key: Key,
+) -> Entry<'a, Key, NetChange> {
+    let entry = changes.entry(key);
+    let prior = match &entry {
+        Entry::Occupied(e) => Some(e.get().clone()),
+        Entry::Vacant(_) => None,
+    };
+    journal.touched.push((entry.key().clone(), prior));
+    entry
+}
+
 fn record_update(
     changes: &mut TableChanges,
-    key: idivm_types::Key,
+    journal: &mut ChangesJournal,
+    key: Key,
     pre: Row,
-    post: Row,
+    post: &Row,
 ) {
-    match changes.remove(&key) {
-        None => {
-            changes.insert(key, NetChange::Updated { pre, post });
+    match touch(changes, journal, key) {
+        Entry::Vacant(e) => {
+            e.insert(NetChange::Updated {
+                pre,
+                post: post.clone(),
+            });
         }
-        Some(NetChange::Inserted { .. }) => {
-            changes.insert(key, NetChange::Inserted { post });
-        }
-        Some(NetChange::Updated { pre: first, .. }) => {
-            if first == post {
-                // Round-tripped back: no net change.
-            } else {
-                changes.insert(key, NetChange::Updated { pre: first, post });
+        Entry::Occupied(mut e) => {
+            let round_tripped = match e.get_mut() {
+                NetChange::Inserted { post: p } => {
+                    *p = post.clone();
+                    false
+                }
+                NetChange::Updated {
+                    pre: first,
+                    post: p,
+                } => {
+                    if first == post {
+                        // Back to the first pre-image: no net change.
+                        true
+                    } else {
+                        *p = post.clone();
+                        false
+                    }
+                }
+                // Deleted then re-updated cannot happen with effective
+                // diffs; keep the delete (defensive).
+                NetChange::Deleted { .. } => false,
+            };
+            if round_tripped {
+                e.remove();
             }
-        }
-        Some(NetChange::Deleted { pre: del_pre }) => {
-            // Deleted then re-updated cannot happen with effective diffs;
-            // keep the delete (defensive).
-            changes.insert(key, NetChange::Deleted { pre: del_pre });
         }
     }
 }
 
-fn record_insert(changes: &mut TableChanges, key: idivm_types::Key, post: Row) {
-    match changes.remove(&key) {
-        None => {
-            changes.insert(key, NetChange::Inserted { post });
+fn record_insert(changes: &mut TableChanges, journal: &mut ChangesJournal, key: Key, post: Row) {
+    match touch(changes, journal, key) {
+        Entry::Vacant(e) => {
+            e.insert(NetChange::Inserted { post });
         }
-        Some(NetChange::Deleted { pre }) => {
+        Entry::Occupied(mut e) => {
             // delete + re-insert (an expanded condition-affected
             // update): net update, or nothing if the row came back
-            // identical.
-            if pre != post {
-                changes.insert(key, NetChange::Updated { pre, post });
+            // identical. Inserting over a live entry is prevented by
+            // insert_if_absent; such an entry is left as it is
+            // (defensive).
+            if let NetChange::Deleted { pre } = e.get_mut() {
+                if *pre == post {
+                    e.remove();
+                } else {
+                    let pre = std::mem::take(pre);
+                    e.insert(NetChange::Updated { pre, post });
+                }
             }
-        }
-        Some(other) => {
-            // Inserting over a live entry is prevented by
-            // insert_if_absent; restore (defensive).
-            changes.insert(key, other);
         }
     }
 }
 
-fn record_delete(changes: &mut TableChanges, key: idivm_types::Key, pre: Row) {
-    match changes.remove(&key) {
-        None => {
-            changes.insert(key, NetChange::Deleted { pre });
+fn record_delete(changes: &mut TableChanges, journal: &mut ChangesJournal, key: Key, pre: Row) {
+    match touch(changes, journal, key) {
+        Entry::Vacant(e) => {
+            e.insert(NetChange::Deleted { pre });
         }
-        Some(NetChange::Inserted { .. }) => {
-            // insert + delete in one round: net nothing.
-        }
-        Some(NetChange::Updated { pre: first, .. }) => {
-            changes.insert(key, NetChange::Deleted { pre: first });
-        }
-        Some(NetChange::Deleted { pre: first }) => {
-            changes.insert(key, NetChange::Deleted { pre: first });
+        Entry::Occupied(mut e) => {
+            match e.get_mut() {
+                // insert + delete in one round: net nothing.
+                NetChange::Inserted { .. } => {
+                    e.remove();
+                }
+                // The first pre-image stands.
+                NetChange::Updated { pre: first, .. } => {
+                    let pre = std::mem::take(first);
+                    e.insert(NetChange::Deleted { pre });
+                }
+                NetChange::Deleted { .. } => {}
+            }
         }
     }
 }
@@ -400,6 +427,7 @@ mod tests {
     use crate::diff::DiffSchema;
     use idivm_reldb::AccessStats;
     use idivm_types::{row, ColumnType, Schema};
+    use std::collections::HashMap;
 
     /// The running-example view V(did, pid, price) of Figure 2.
     fn view() -> Table {
@@ -627,6 +655,83 @@ mod tests {
         assert_eq!(out.updated, 0);
         assert_eq!(out.dummies, 1);
         assert_eq!(v.len(), 2);
+    }
+
+    /// Dummy accounting through the in-place patch, on a view whose
+    /// `price` column is indexed: a diff tuple that re-asserts the
+    /// stored values, one whose ID matches nothing, and one that flips
+    /// the indexed column. Each costs 1 lookup + m tuple accesses for
+    /// its m located tuples, whether or not they end up written.
+    #[test]
+    fn update_accounting_through_in_place_patch() {
+        let mut v = view();
+        v.create_index(&["pid"]).unwrap(); // the Ī′ index APPLY would add
+        v.create_index(&["price"]).unwrap();
+        let by_price = |v: &Table, p: i64| v.lookup(&[2], &Key(vec![Value::Int(p)])).len();
+        let update = |d: Row| DiffInstance::new(DiffSchema::update(&[1], &[2], &[2]), vec![d]);
+        let before = v.signature();
+        let mut ch = TableChanges::new();
+
+        // (diff tuple, updated, dummies, lookups, tuple accesses)
+        let cases = [
+            (row!["P1", 10, 10], 0, 2, 1, 2), // re-asserts both P1 rows
+            (row!["P3", 20, 21], 0, 1, 1, 0), // matches nothing
+            (row!["P1", 10, 11], 2, 0, 1, 2), // flips the indexed column
+        ];
+        for (d, updated, dummies, lookups, tuples) in cases {
+            v.stats().reset();
+            let out = apply(&mut v, &update(d.clone()), &mut ch).unwrap();
+            let cost = v.stats().snapshot();
+            assert_eq!(
+                (out.updated, out.dummies),
+                (updated, dummies),
+                "diff tuple {d:?}"
+            );
+            assert_eq!(
+                (cost.index_lookups, cost.tuple_accesses),
+                (lookups, tuples),
+                "diff tuple {d:?}"
+            );
+            if updated == 0 {
+                assert_eq!(v.signature(), before, "a dummy must write nothing");
+                assert!(ch.is_empty(), "a dummy must record nothing");
+            }
+        }
+        // The flip moved both P1 rows in the price index and recorded
+        // one net update per view tuple, keyed by its primary key.
+        assert_eq!((by_price(&v, 10), by_price(&v, 11)), (0, 2));
+        let d1p1 = Key(vec![Value::str("D1"), Value::str("P1")]);
+        assert_eq!(ch.len(), 2);
+        assert_eq!(
+            ch[&d1p1],
+            NetChange::Updated {
+                pre: row!["D1", "P1", 10],
+                post: row!["D1", "P1", 11],
+            }
+        );
+
+        // A later diff failing in the same `apply_all` takes an earlier
+        // indexed-column flip back with it: rows, index postings and
+        // the overlay entries the flip had already rewritten.
+        let flipped = v.signature();
+        let recorded = ch.clone();
+        let diffs = vec![
+            update(row!["P1", 11, 12]),
+            DiffInstance::new(
+                DiffSchema::insert(&[0, 1], 3),
+                vec![row!["D1", "P2", 999]], // conflicts with D1/P2
+            ),
+        ];
+        assert!(apply_all(&mut v, &diffs, &mut ch).is_err());
+        assert_eq!(v.signature(), flipped);
+        assert_eq!(ch, recorded);
+        assert_eq!((by_price(&v, 11), by_price(&v, 12)), (2, 0));
+
+        // Patching back to the first pre-image cancels the net change.
+        let out = apply(&mut v, &update(row!["P1", 11, 10]), &mut ch).unwrap();
+        assert_eq!((out.updated, out.dummies), (2, 0));
+        assert_eq!(v.signature(), before);
+        assert!(ch.is_empty());
     }
 
     #[test]

@@ -430,13 +430,14 @@ impl IdIvm {
                 round_keys,
             }
         });
-        let net = net.clone();
-        let mut base_diffs: HashMap<String, Vec<DiffInstance>> = HashMap::new();
-        for (table, changes) in &net {
+        let scans = self.plan.scans();
+        let mut base_diffs: HashMap<String, BaseDiffs> = HashMap::new();
+        for (table, changes) in net {
             if let Some(schemas) = self.schemas.tables.get(table) {
                 let diffs = populate(schemas, changes);
                 report.base_diff_tuples += diffs.iter().map(DiffInstance::len).sum::<usize>();
-                base_diffs.insert(table.clone(), diffs);
+                let scans_left = scans.iter().filter(|(_, t)| t == table).count();
+                base_diffs.insert(table.clone(), BaseDiffs { diffs, scans_left });
             }
         }
         let populate_done = started.elapsed();
@@ -501,13 +502,19 @@ impl IdIvm {
         node: &Plan,
         path: &PathId,
     ) -> Result<Vec<DiffInstance>> {
-        // Scan leaves consume the base-table i-diff instances.
+        // Scan leaves consume the base-table i-diff instances: moved
+        // out on the table's last scan, cloned only while another scan
+        // of the same table (a self-join) is still to come.
         if let Plan::Scan { table, .. } = node {
-            return Ok(state
-                .base_diffs
-                .get(table)
-                .cloned()
-                .unwrap_or_default());
+            let Some(base) = state.base_diffs.get_mut(table) else {
+                return Ok(Vec::new());
+            };
+            base.scans_left = base.scans_left.saturating_sub(1);
+            return Ok(if base.scans_left == 0 {
+                std::mem::take(&mut base.diffs)
+            } else {
+                base.diffs.clone()
+            });
         }
         // Shared-prefix boundary: another view maintained against the
         // same pending net may already have published this subtree's
@@ -562,7 +569,7 @@ impl IdIvm {
             let out = {
                 let access = AccessCtx {
                     db,
-                    base_changes: &state.net,
+                    base_changes: state.net,
                     caches: &self.cache_map,
                     cache_changes: &state.cache_changes,
                 };
@@ -648,9 +655,16 @@ impl IdIvm {
     }
 }
 
+/// One table's populated base i-diffs and how many `Scan` leaves of
+/// the plan have yet to consume them.
+struct BaseDiffs {
+    diffs: Vec<DiffInstance>,
+    scans_left: usize,
+}
+
 struct RoundState<'r> {
-    net: HashMap<String, TableChanges>,
-    base_diffs: HashMap<String, Vec<DiffInstance>>,
+    net: &'r HashMap<String, TableChanges>,
+    base_diffs: HashMap<String, BaseDiffs>,
     cache_changes: HashMap<String, TableChanges>,
     report: &'r mut MaintenanceReport,
     faults: &'r FaultState,

@@ -39,9 +39,10 @@ use crate::diff::DiffInstance;
 use crate::engine::IdIvm;
 use crate::trace::op_label;
 use idivm_algebra::Plan;
-use idivm_reldb::{StatsSnapshot, TableChanges};
+use idivm_reldb::{NetChange, StatsSnapshot, TableChanges};
 use idivm_types::Key;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::{Hash, Hasher};
 
 /// One designated shared-prefix boundary inside a view's plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -383,25 +384,38 @@ pub fn structure_key(minimize: bool, node: &Plan) -> String {
 }
 
 /// FNV-1a digest of the pending net restricted to `tables` (sorted
-/// key order — deterministic for any `HashMap` iteration order).
+/// key order — deterministic for any `HashMap` iteration order). Keys
+/// and changes are fed through their `Hash` impls, so equal nets digest
+/// equally with no text rendering on the way.
 pub fn net_digest(net: &HashMap<String, TableChanges>, tables: &[String]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |s: &str| {
-        for b in s.bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
     for t in tables {
         let Some(changes) = net.get(t) else { continue };
-        eat(t);
-        let mut items: Vec<(&Key, _)> = changes.iter().collect();
-        items.sort_by_key(|(k, _)| *k);
-        for (k, c) in items {
-            eat(&format!("{k:?}={c:?}"));
+        t.hash(&mut h);
+        let mut items: Vec<(&Key, &NetChange)> = changes.iter().collect();
+        items.sort_unstable_by_key(|(k, _)| *k);
+        for item in items {
+            item.hash(&mut h);
         }
     }
-    h
+    h.finish()
+}
+
+/// FNV-1a as a [`Hasher`]: unkeyed, so a digest repeats across
+/// processes and runs (the default `SipHash` state is per-map random).
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// One promotable subtree: an operator structure that occurs in at
@@ -587,7 +601,6 @@ fn rebuild(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use idivm_reldb::NetChange;
     use idivm_types::{row, Value};
 
     fn change(v: i64) -> NetChange {
@@ -620,6 +633,45 @@ mod tests {
             .unwrap()
             .insert(Key(vec![Value::Int(3)]), change(3));
         assert_ne!(net_digest(&a, &tables), net_digest(&c, &tables));
+    }
+
+    /// Equal nets digest equally whatever order their entries went in
+    /// (the two maps also draw different `SipHash` keys, so their
+    /// iteration orders differ); one differing post value is enough to
+    /// tell two nets apart.
+    #[test]
+    fn net_digest_sees_contents_not_insertion_order() {
+        let entry = |i: i64| {
+            let (pre, post) = (row![i, "old"], row![i, "new"]);
+            let change = match i % 3 {
+                0 => NetChange::Inserted { post },
+                1 => NetChange::Deleted { pre },
+                _ => NetChange::Updated { pre, post },
+            };
+            (Key(vec![Value::Int(i)]), change)
+        };
+        let net_of = |order: &mut dyn Iterator<Item = i64>| {
+            let mut net: HashMap<String, TableChanges> = HashMap::new();
+            net.insert("m".into(), order.map(entry).collect());
+            net
+        };
+        let tables = vec!["m".to_string()];
+        let forward = net_of(&mut (0..64));
+        // 37 is coprime to 64: a full-cycle shuffle of the same keys.
+        let shuffled = net_of(&mut (0..64).map(|i| (i * 37 + 11) % 64));
+        assert_eq!(forward, shuffled);
+        let digest = |net| net_digest(net, &tables);
+        assert_eq!(digest(&forward), digest(&shuffled));
+
+        let mut differing = forward.clone();
+        differing.get_mut("m").unwrap().insert(
+            Key(vec![Value::Int(5)]),
+            NetChange::Updated {
+                pre: row![5, "old"],
+                post: row![5, "newer"],
+            },
+        );
+        assert_ne!(digest(&forward), digest(&differing));
     }
 
     #[test]

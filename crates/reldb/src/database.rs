@@ -8,7 +8,7 @@
 //! [`Database::create_table`] and mutated through unlogged access
 //! ([`Database::table_mut`]) by the ∆-script executor.
 
-use crate::log::{LogEntry, ModificationLog, NetChange, TableChanges, UndoLog};
+use crate::log::{LogEntry, ModificationLog, TableChanges, UndoLog};
 use crate::overlay::PreState;
 use crate::stats::AccessStats;
 use crate::table::Table;
@@ -368,21 +368,7 @@ impl Database {
             keys.sort();
             for k in keys {
                 k.hash(&mut h);
-                match &changes[k] {
-                    NetChange::Inserted { post } => {
-                        0u8.hash(&mut h);
-                        post.hash(&mut h);
-                    }
-                    NetChange::Deleted { pre } => {
-                        1u8.hash(&mut h);
-                        pre.hash(&mut h);
-                    }
-                    NetChange::Updated { pre, post } => {
-                        2u8.hash(&mut h);
-                        pre.hash(&mut h);
-                        post.hash(&mut h);
-                    }
-                }
+                changes[k].hash(&mut h);
             }
         }
         crate::table::TableSignature {

@@ -8,6 +8,8 @@
 //! paper, which does not charge index maintenance to the baseline) index
 //! upkeep during DML is not counted in [`AccessStats`](crate::AccessStats).
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use idivm_types::{Key, Row};
 use std::collections::HashMap;
 
@@ -61,6 +63,17 @@ impl SecondaryIndex {
         }
     }
 
+    /// Re-file `pk` after its row changed from `before` to `after`.
+    /// Touches the map only when an indexed column actually differs:
+    /// an update that moves no indexed value costs the column compares
+    /// and nothing else — no key build, no hash, no postings scan.
+    pub fn refile(&mut self, pk: &Key, before: &Row, after: &Row) {
+        if self.cols.iter().any(|&c| before.0[c] != after.0[c]) {
+            self.remove(pk, before);
+            self.insert(pk.clone(), after);
+        }
+    }
+
     /// Primary keys of rows whose indexed columns equal `probe`.
     pub fn get(&self, probe: &Key) -> &[Key] {
         self.map.get(probe).map_or(&[], |v| v.as_slice())
@@ -92,6 +105,7 @@ impl SecondaryIndex {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use idivm_types::row;
 
@@ -120,6 +134,23 @@ mod tests {
         ix.remove(&pk(2), &r2);
         assert!(ix.get(&probe).is_empty());
         assert_eq!(ix.distinct_values(), 1);
+    }
+
+    #[test]
+    fn refile_moves_only_when_an_indexed_column_differs() {
+        let mut ix = SecondaryIndex::new(vec![1]);
+        ix.insert(pk(1), &row![1, "phone", 10]);
+        ix.insert(pk(2), &row![2, "phone", 20]);
+        let phone = Key(vec![idivm_types::Value::str("phone")]);
+        let before = ix.get(&phone).to_vec();
+        // Unindexed column moved: postings untouched, order included.
+        ix.refile(&pk(1), &row![1, "phone", 10], &row![1, "phone", 11]);
+        assert_eq!(ix.get(&phone), before.as_slice());
+        // Indexed column moved: pk re-filed under the new value.
+        ix.refile(&pk(1), &row![1, "phone", 11], &row![1, "tablet", 11]);
+        assert_eq!(ix.get(&phone), &[pk(2)]);
+        let tablet = Key(vec![idivm_types::Value::str("tablet")]);
+        assert_eq!(ix.get(&tablet), &[pk(1)]);
     }
 
     #[test]

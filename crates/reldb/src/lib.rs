@@ -31,4 +31,4 @@ pub use log::{
 };
 pub use overlay::PreState;
 pub use stats::{AccessStats, StatsSnapshot};
-pub use table::{Table, TableSignature};
+pub use table::{Patched, Table, TableSignature};

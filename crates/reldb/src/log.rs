@@ -20,7 +20,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use idivm_types::{Key, Row};
+use idivm_types::{Key, Row, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -59,7 +59,7 @@ impl LogEntry {
 /// The *net* effect of all logged modifications on one tuple, i.e. the
 /// effective single modification between the table's pre-state and
 /// post-state.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum NetChange {
     /// Tuple did not exist before and exists now.
     Inserted { post: Row },
@@ -363,17 +363,26 @@ pub fn table_delta(pre: &[Row], post: &[Row], key_cols: &[usize]) -> TableChange
 /// reverses the table mutation that recorded it — including secondary
 /// index maintenance — without touching the access counters (rollback
 /// is failure machinery, not a measured IVM path).
+///
+/// `table` is the owning table's shared name handle: recording an op
+/// bumps a reference count instead of allocating a `String`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UndoOp {
     /// A row was inserted; undo by removing `pk`.
-    Insert { table: String, pk: Key },
+    Insert { table: Arc<str>, pk: Key },
     /// A row was deleted; undo by re-inserting `row`.
-    Delete { table: String, row: Row },
-    /// A row was overwritten; undo by restoring the pre-image.
-    Update { table: String, pk: Key, pre: Row },
+    Delete { table: Arc<str>, row: Row },
+    /// Columns of a row were overwritten; undo by writing the `old`
+    /// `(column, value)` pairs back. Only the columns whose value
+    /// changed are carried, not the whole pre-image.
+    Update {
+        table: Arc<str>,
+        pk: Key,
+        old: Vec<(usize, Value)>,
+    },
     /// A secondary index was created mid-round; undo by dropping it so
     /// a rolled-back first round leaves the table bit-identical.
-    CreateIndex { table: String, cols: Vec<usize> },
+    CreateIndex { table: Arc<str>, cols: Vec<usize> },
 }
 
 impl UndoOp {
@@ -922,7 +931,7 @@ mod tests {
         u.record(UndoOp::Update {
             table: "v".into(),
             pk: k(3),
-            pre: row![3, 30],
+            old: vec![(1, Value::Int(30))],
         });
         // Inner session fails: only its suffix comes back.
         let suffix = u.split_off(inner);

@@ -8,11 +8,14 @@
 //! accounting as the paper's cost model: an index probe retrieving `m`
 //! rows costs `1 + m`.
 
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
 use crate::index::SecondaryIndex;
 use crate::log::{UndoLog, UndoOp};
 use crate::stats::AccessStats;
 use idivm_types::{Error, Key, Result, Row, Schema, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Order-insensitive structural fingerprint of a table: sorted rows
 /// plus sorted secondary-index contents. Two tables with equal
@@ -32,10 +35,22 @@ pub struct TableSignature {
 /// positions and the sorted `(index key -> posting keys)` entries.
 pub type IndexSignature = (Vec<usize>, Vec<(Key, Vec<Key>)>);
 
+/// What [`Table::patch`] did to a located row.
+#[derive(Debug)]
+pub struct Patched<'a> {
+    /// The row as it was before the patch — `None` when every assigned
+    /// value already equalled the stored one, in which case nothing was
+    /// written, journaled or re-indexed.
+    pub pre: Option<Row>,
+    /// The stored row after the patch.
+    pub post: &'a Row,
+}
+
 /// A stored relation (base table, materialized view, or IVM cache).
 #[derive(Clone)]
 pub struct Table {
-    name: String,
+    /// Shared with every [`UndoOp`] this table journals.
+    name: Arc<str>,
     schema: Schema,
     rows: HashMap<Key, Row>,
     indexes: Vec<SecondaryIndex>,
@@ -45,7 +60,7 @@ pub struct Table {
 
 impl Table {
     /// Create an empty table with its own (disarmed) undo journal.
-    pub fn new(name: impl Into<String>, schema: Schema, stats: AccessStats) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, schema: Schema, stats: AccessStats) -> Self {
         Table::with_undo(name, schema, stats, UndoLog::new())
     }
 
@@ -53,7 +68,7 @@ impl Table {
     /// how [`Database`](crate::Database) wires every table into the
     /// per-round undo machinery (the same sharing pattern as `stats`).
     pub fn with_undo(
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         schema: Schema,
         stats: AccessStats,
         undo: UndoLog,
@@ -283,14 +298,7 @@ impl Table {
             )));
         }
         self.stats.tuples(1);
-        self.journal(|| UndoOp::Insert {
-            table: self.name.clone(),
-            pk: pk.clone(),
-        });
-        for ix in &mut self.indexes {
-            ix.insert(pk.clone(), &row);
-        }
-        self.rows.insert(pk, row);
+        self.store(pk, row);
         Ok(())
     }
 
@@ -307,6 +315,12 @@ impl Table {
                 self.name, pk
             )));
         }
+        self.store(pk, row);
+        Ok(())
+    }
+
+    /// Journal, index and store a row whose key is known to be free.
+    fn store(&mut self, pk: Key, row: Row) {
         self.journal(|| UndoOp::Insert {
             table: self.name.clone(),
             pk: pk.clone(),
@@ -315,23 +329,13 @@ impl Table {
             ix.insert(pk.clone(), &row);
         }
         self.rows.insert(pk, row);
-        Ok(())
     }
 
     /// Delete by primary key, returning the removed row. Costs 1 index
     /// lookup plus 1 tuple access when the row existed.
     pub fn delete(&mut self, key: &Key) -> Option<Row> {
         self.stats.index_lookup();
-        let row = self.rows.remove(key)?;
-        self.stats.tuples(1);
-        self.journal(|| UndoOp::Delete {
-            table: self.name.clone(),
-            row: row.clone(),
-        });
-        for ix in &mut self.indexes {
-            ix.remove(key, &row);
-        }
-        Some(row)
+        self.delete_located(key)
     }
 
     /// Overwrite the non-key attributes of the row with primary key
@@ -351,22 +355,11 @@ impl Table {
             )));
         }
         self.stats.index_lookup();
-        let slot = self.rows.get_mut(key).ok_or_else(|| {
-            Error::NotFound(format!("table `{}`, key {:?}", self.name, key))
-        })?;
-        self.stats.tuples(1);
-        let pre = std::mem::replace(slot, post);
-        self.journal(|| UndoOp::Update {
-            table: self.name.clone(),
-            pk: key.clone(),
-            pre: pre.clone(),
-        });
-        let post_ref = &self.rows[key];
-        for ix in &mut self.indexes {
-            ix.remove(key, &pre);
-            ix.insert(key.clone(), post_ref);
+        let assignments: Vec<(usize, Value)> = post.0.into_iter().enumerate().collect();
+        match self.patch(key, &assignments) {
+            Some(p) => Ok(p.pre.unwrap_or_else(|| p.post.clone())),
+            None => Err(self.not_found(key)),
         }
-        Ok(pre)
     }
 
     /// Update selected columns of the row with primary key `key`,
@@ -389,44 +382,57 @@ impl Table {
                 )));
             }
         }
-        let pre = self
-            .get_uncounted(key)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("table `{}`, key {:?}", self.name, key)))?;
-        let mut post = pre.clone();
-        for (col, v) in assignments {
-            post.0[*col] = v.clone();
-        }
-        let pre = self.update(key, post.clone())?;
+        let Some(p) = self.patch(key, assignments) else {
+            return Err(self.not_found(key));
+        };
+        let post = p.post.clone();
+        let pre = p.pre.unwrap_or_else(|| post.clone());
+        self.stats.index_lookup();
         Ok((pre, post))
     }
 
     /// Patch the non-key columns of an already-located row (by primary
-    /// key). Costs 1 tuple access and **no** index lookup — the caller
-    /// located the row via [`Table::pks_by`]. Returns the pre-state row,
-    /// or `None` if the row vanished. Key-column assignments are ignored
-    /// (keys are immutable).
-    pub fn patch(&mut self, pk: &Key, assignments: &[(usize, Value)]) -> Option<Row> {
+    /// key), in place. Costs 1 tuple access and **no** index lookup —
+    /// the caller located the row via [`Table::pks_by`]. `None` if the
+    /// row vanished. Key-column assignments are ignored (keys are
+    /// immutable).
+    ///
+    /// The work is proportional to what changed: an assignment that
+    /// re-asserts the stored value writes nothing, a row none of whose
+    /// values moved is neither cloned nor journaled, the undo record
+    /// carries only the overwritten values, and a secondary index is
+    /// re-filed only when one of its columns actually differs.
+    pub fn patch(&mut self, pk: &Key, assignments: &[(usize, Value)]) -> Option<Patched<'_>> {
         let slot = self.rows.get_mut(pk)?;
         self.stats.tuples(1);
-        let mut post = slot.clone();
+        let armed = self.undo.is_armed();
+        let mut pre: Option<Row> = None;
+        let mut old = Vec::new();
         for (col, v) in assignments {
-            if !self.schema.is_key_col(*col) {
-                post.0[*col] = v.clone();
+            if self.schema.is_key_col(*col) || slot.0[*col] == *v {
+                continue;
+            }
+            if pre.is_none() {
+                pre = Some(slot.clone());
+            }
+            let was = std::mem::replace(&mut slot.0[*col], v.clone());
+            if armed {
+                old.push((*col, was));
             }
         }
-        let pre = std::mem::replace(slot, post);
-        self.journal(|| UndoOp::Update {
-            table: self.name.clone(),
-            pk: pk.clone(),
-            pre: pre.clone(),
-        });
-        let post_ref = &self.rows[pk];
-        for ix in &mut self.indexes {
-            ix.remove(pk, &pre);
-            ix.insert(pk.clone(), post_ref);
+        if let Some(pre) = &pre {
+            if armed {
+                self.undo.record(UndoOp::Update {
+                    table: self.name.clone(),
+                    pk: pk.clone(),
+                    old,
+                });
+            }
+            for ix in &mut self.indexes {
+                ix.refile(pk, pre, slot);
+            }
         }
-        Some(pre)
+        Some(Patched { pre, post: slot })
     }
 
     /// Insert `row` unless an identical row is already present — the
@@ -452,14 +458,7 @@ impl Table {
             ))),
             None => {
                 self.stats.tuples(1);
-                self.journal(|| UndoOp::Insert {
-                    table: self.name.clone(),
-                    pk: pk.clone(),
-                });
-                for ix in &mut self.indexes {
-                    ix.insert(pk.clone(), &row);
-                }
-                self.rows.insert(pk, row);
+                self.store(pk, row);
                 Ok(true)
             }
         }
@@ -523,25 +522,19 @@ impl Table {
                 }
                 self.rows.insert(pk, row);
             }
-            UndoOp::Update { pk, pre, .. } => match self.rows.get_mut(&pk) {
-                Some(slot) => {
-                    let post = std::mem::replace(slot, pre);
-                    let pre_ref = &self.rows[&pk];
+            UndoOp::Update { pk, old, .. } => {
+                if let Some(slot) = self.rows.get_mut(&pk) {
+                    let post = slot.clone();
+                    // Reverse order: should one column ever be
+                    // recorded twice, its oldest value lands last.
+                    for (col, v) in old.into_iter().rev() {
+                        slot.0[col] = v;
+                    }
                     for ix in &mut self.indexes {
-                        ix.remove(&pk, &post);
-                        ix.insert(pk.clone(), pre_ref);
+                        ix.refile(&pk, &post, slot);
                     }
                 }
-                None => {
-                    // Reverse replay never hits this (the row the
-                    // update touched is restored before earlier ops),
-                    // but stay total: resurrect the pre-image.
-                    for ix in &mut self.indexes {
-                        ix.insert(pk.clone(), &pre);
-                    }
-                    self.rows.insert(pk, pre);
-                }
-            },
+            }
             UndoOp::CreateIndex { cols, .. } => {
                 self.indexes.retain(|ix| ix.cols() != cols.as_slice());
             }
@@ -563,6 +556,10 @@ impl Table {
             .collect();
         indexes.sort();
         TableSignature { rows, indexes }
+    }
+
+    fn not_found(&self, key: &Key) -> Error {
+        Error::NotFound(format!("table `{}`, key {:?}", self.name, key))
     }
 
     fn check_arity(&self, row: &Row) -> Result<()> {
@@ -593,6 +590,7 @@ impl std::fmt::Debug for Table {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
     use idivm_types::{row, ColumnType};
 
@@ -765,8 +763,8 @@ mod tests {
         let mut t = parts_table();
         t.load(row!["P1", 10]).unwrap();
         let s0 = t.stats().snapshot();
-        let pre = t.patch(&key("P1"), &[(1, Value::Int(99))]).unwrap();
-        assert_eq!(pre, row!["P1", 10]);
+        let pre = t.patch(&key("P1"), &[(1, Value::Int(99))]).unwrap().pre;
+        assert_eq!(pre, Some(row!["P1", 10]));
         let d = t.stats().snapshot().since(&s0);
         assert_eq!((d.index_lookups, d.tuple_accesses), (0, 1));
         assert_eq!(t.get_uncounted(&key("P1")).unwrap(), &row!["P1", 99]);

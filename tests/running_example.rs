@@ -169,6 +169,59 @@ fn figure5_aggregate_with_cache() {
     assert_eq!(rows, sorted(recompute_rows(&db, ivm.plan()).unwrap()));
 }
 
+/// A self-join scans `parts` twice, so both `Scan` leaves must see the
+/// table's base i-diffs: the first takes a copy, the last takes them
+/// over. Same-price pairs, maintained through updates, an insert and a
+/// delete, against the recompute oracle.
+#[test]
+fn self_join_feeds_both_scans_of_one_table() {
+    let mut db = figure1_database();
+    db.insert("parts", row!["P3", 10]).unwrap();
+    db.clear_log();
+    let cat = DbCatalog(&db);
+    let plan = PlanBuilder::scan_as(&cat, "parts", "p1")
+        .unwrap()
+        .join(
+            PlanBuilder::scan_as(&cat, "parts", "p2").unwrap(),
+            &[("p1.price", "p2.price")],
+        )
+        .unwrap()
+        .build()
+        .unwrap();
+    let ivm = IdIvm::setup(&mut db, "Vpairs", plan, IvmOptions::default()).unwrap();
+    let pairs = |db: &Database| -> Vec<(String, String)> {
+        sorted(db.table("Vpairs").unwrap().rows_uncounted())
+            .into_iter()
+            .map(|r| (r[0].to_string(), r[2].to_string()))
+            .collect()
+    };
+    assert_eq!(pairs(&db).len(), 5, "P1/P3 share a price: 2x2 pairs + P2");
+
+    // P2 joins the price-10 group, P3 leaves it; P4 arrives, P1 goes.
+    let price = |v: i64| [("price", Value::Int(v))];
+    db.update_named("parts", &Key(vec![Value::str("P2")]), &price(10))
+        .unwrap();
+    db.update_named("parts", &Key(vec![Value::str("P3")]), &price(30))
+        .unwrap();
+    db.insert("parts", row!["P4", 30]).unwrap();
+    db.delete("parts", &Key(vec![Value::str("P1")])).unwrap();
+    let report = ivm.maintain(&mut db).unwrap();
+    assert_eq!(report.base_diff_tuples, 4);
+
+    let rows = sorted(db.table("Vpairs").unwrap().rows_uncounted());
+    assert_eq!(rows, sorted(recompute_rows(&db, ivm.plan()).unwrap()));
+    assert_eq!(
+        pairs(&db),
+        vec![
+            ("'P2'".to_string(), "'P2'".to_string()),
+            ("'P3'".to_string(), "'P3'".to_string()),
+            ("'P3'".to_string(), "'P4'".to_string()),
+            ("'P4'".to_string(), "'P3'".to_string()),
+            ("'P4'".to_string(), "'P4'".to_string()),
+        ]
+    );
+}
+
 /// The umbrella crate re-exports the whole stack.
 #[test]
 fn umbrella_reexports_work() {
