@@ -38,6 +38,7 @@ use idivm_reldb::{Database, StatsSnapshot, TableChanges};
 use idivm_types::{Error, Result, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// What a maintenance round does after an error forced a rollback.
@@ -472,7 +473,7 @@ impl IdIvm {
         let outcome = apply_all(db.table_mut(&self.view_name)?, &root_diffs, &mut view_changes)?;
         report.view_update = db.stats().snapshot().since(&before);
         report.view_outcome = outcome;
-        report.view_changes = view_changes;
+        report.view_changes = Arc::new(view_changes);
         if faults.wants_access() {
             faults.on_access(db.stats().snapshot().since(&round0).total())?;
         }

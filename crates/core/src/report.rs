@@ -5,6 +5,7 @@ use crate::apply::ApplyOutcome;
 use crate::trace::RoundTrace;
 use idivm_reldb::{StatsSnapshot, TableChanges};
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Cost and outcome of one maintenance round.
@@ -54,8 +55,10 @@ pub struct MaintenanceReport {
     /// intermediate maintenance O(Δ) for the whole consumer set (no
     /// recompute, no table diff). Empty after a recompute recovery (the
     /// repair rewrites the table wholesale; callers must fall back to a
-    /// table-level diff in that case).
-    pub view_changes: TableChanges,
+    /// table-level diff in that case). Shared, so whoever keeps a
+    /// round's Δ (the catalog's read snapshots) holds a reference, not
+    /// a copy of every row image.
+    pub view_changes: Arc<TableChanges>,
 }
 
 impl MaintenanceReport {

@@ -56,6 +56,8 @@ pub struct Table {
     indexes: Vec<SecondaryIndex>,
     stats: AccessStats,
     undo: UndoLog,
+    /// See [`Table::version`].
+    version: u64,
 }
 
 impl Table {
@@ -80,7 +82,19 @@ impl Table {
             indexes: Vec::new(),
             stats,
             undo,
+            version: 0,
         }
+    }
+
+    /// Mutation version: strictly increases on every change to the
+    /// stored rows — a stored insert, a patch that moved a value, a
+    /// delete, a [`Table::clear`], an undo replay. Reads, refused
+    /// writes and patches that re-assert the stored values leave it
+    /// alone. Whoever caches something derived from the rows keeps the
+    /// version it was derived at: while the table still reports that
+    /// version it holds the same rows, whoever had access to it since.
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// The shared undo journal this table records into.
@@ -329,6 +343,7 @@ impl Table {
             ix.insert(pk.clone(), &row);
         }
         self.rows.insert(pk, row);
+        self.version += 1;
     }
 
     /// Delete by primary key, returning the removed row. Costs 1 index
@@ -431,6 +446,7 @@ impl Table {
             for ix in &mut self.indexes {
                 ix.refile(pk, pre, slot);
             }
+            self.version += 1;
         }
         Some(Patched { pre, post: slot })
     }
@@ -477,6 +493,7 @@ impl Table {
         for ix in &mut self.indexes {
             ix.remove(pk, &row);
         }
+        self.version += 1;
         Some(row)
     }
 
@@ -485,6 +502,7 @@ impl Table {
     /// repair after rollback), but journaled defensively: with a
     /// session open, each removed row is recorded for restoration.
     pub fn clear(&mut self) {
+        self.version += 1;
         if self.undo.is_armed() {
             for row in self.rows.values() {
                 self.undo.record(UndoOp::Delete {
@@ -507,6 +525,7 @@ impl Table {
     /// machinery, not a measured IVM path — and never re-journaled
     /// (the ops below bypass the recording mutators).
     pub fn apply_undo(&mut self, op: UndoOp) {
+        self.version += 1;
         match op {
             UndoOp::Insert { pk, .. } => {
                 if let Some(row) = self.rows.remove(&pk) {

@@ -9,6 +9,14 @@
 //! pre-round signature. The table carries one index on a column no
 //! operation assigns, one on an assigned column, and one composite
 //! spanning both.
+//!
+//! The same interleavings pin [`Table::version`], which everything
+//! cached from a table's rows is checked against: it strictly
+//! increases across every step that changes the signature (undo replay
+//! and `clear` included), a DML call that changes nothing — a refused
+//! duplicate insert, an `insert_if_absent` of the identical row, a
+//! patch or update that re-asserts the stored values, a delete of a
+//! missing key — leaves it alone, and so does every read.
 
 use idivm_reldb::{AccessStats, Database, Table, TableSignature};
 use idivm_types::{row, ColumnType, Key, Schema, Value};
@@ -24,6 +32,7 @@ enum Op {
     Patch(i64, Option<i64>, Option<i64>),
     Delete(i64),
     DeleteLocated(i64),
+    Clear,
     Begin,
     Abort,
     Commit,
@@ -161,6 +170,7 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
                 Op::DeleteLocated(id) => {
                     let _ = t.delete_located(&key(*id));
                 }
+                Op::Clear => t.clear(),
                 Op::Begin | Op::Abort | Op::Commit => unreachable!(),
             }
         }
@@ -174,13 +184,28 @@ proptest! {
     fn indexes_and_rollback_stay_exact(ops in proptest::collection::vec(op(), 0..60)) {
         let mut db = db();
         let mut round = None;
-        for o in &ops {
+        // Every generated step, a closing abort, then a `clear` inside
+        // a round that is aborted in turn.
+        let tail = [Op::Abort, Op::Begin, Op::Clear, Op::Abort];
+        for o in ops.iter().chain(&tail) {
+            let before = db.table("t").unwrap();
+            let (sig, version) = (before.signature(), before.version());
             apply_op(&mut db, &mut round, o);
             let t = db.table("t").unwrap();
             prop_assert_eq!(t.signature(), rebuilt_signature(t));
+            if t.signature() != sig {
+                prop_assert!(t.version() > version, "{:?} changed the table unversioned", o);
+            } else if !matches!(o, Op::Abort | Op::Clear) {
+                // An abort whose round netted to nothing still replays
+                // its journal, and `clear` does not look first: both
+                // may move the version over equal rows. No other step.
+                prop_assert_eq!(t.version(), version, "{:?} changed nothing", o);
+            }
+            let version = t.version();
+            let probe = Key(vec![Value::Int(1)]);
+            let _ = (t.get(&probe), t.lookup(&[2], &probe), t.pks_by(&[1, 2], &probe));
+            let _ = (t.rows_uncounted(), t.contains_key(&probe));
+            prop_assert_eq!(t.version(), version, "a read moved the version");
         }
-        apply_op(&mut db, &mut round, &Op::Abort);
-        let t = db.table("t").unwrap();
-        prop_assert_eq!(t.signature(), rebuilt_signature(t));
     }
 }

@@ -10,16 +10,19 @@
 //! accumulation, and failure routing — lives on top of it in
 //! [`crate::scheduler::MaintenanceScheduler`].
 
+use crate::snapshot::Snapshot;
 use idivm_algebra::{ensure_ids, Plan};
 use idivm_core::supervisor::{MaintenanceSupervisor, SupervisorConfig, SupervisorReport};
 use idivm_core::{
-    detect_shared_prefixes, promotion_candidates, substitute_scan, substitute_structures, IdIvm,
-    IvmOptions, MaintenanceReport, PromotionCandidate, SharedDiffCache, SharedPrefixes,
+    detect_shared_prefixes, promotion_candidates, substitute_scan, substitute_structures,
+    EngineConfig, IdIvm, IvmOptions, MaintenanceReport, PromotionCandidate, RecoveryPolicy,
+    SharedDiffCache, SharedPrefixes,
 };
-use idivm_exec::executor::sorted;
 use idivm_reldb::{table_delta, Database, TableChanges, TableSignature};
 use idivm_types::{Error, Result, Row};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One registered view: its engine, its shared-prefix designations
 /// (recomputed whenever the registered set changes), and the base
@@ -147,6 +150,20 @@ pub struct ViewCatalog {
     /// Monotone counter for backing-table names — promotion order is
     /// deterministic, so the names are byte-identical across runs.
     next_backing: u64,
+    /// Sorted row snapshots of the tables that have been read (views,
+    /// and backings whose pre-image a round needed), keyed by table
+    /// name. Interior: reading a view is `&self`, and bringing its
+    /// snapshot forward is part of reading it.
+    snapshots: RefCell<HashMap<String, Snapshot>>,
+}
+
+/// What serving one read cost.
+pub(crate) struct ReadCost {
+    /// The snapshot was missing or refused and the rows were cloned out
+    /// of the table and sorted.
+    pub(crate) rebuilt: bool,
+    /// Row images of earlier rounds merged into the snapshot.
+    pub(crate) merged: usize,
 }
 
 impl ViewCatalog {
@@ -158,6 +175,7 @@ impl ViewCatalog {
             views: BTreeMap::new(),
             intermediates: BTreeMap::new(),
             next_backing: 0,
+            snapshots: RefCell::new(HashMap::new()),
         }
     }
 
@@ -340,6 +358,7 @@ impl ViewCatalog {
             self.db.drop_table(&def.name);
         }
         self.db.drop_table(name);
+        self.snapshots.get_mut().remove(name);
         for iv in self.intermediates.values_mut() {
             iv.consumers.remove(name);
         }
@@ -495,8 +514,12 @@ impl ViewCatalog {
             .views
             .get(name)
             .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))?;
-        view.engine
-            .maintain_with_changes_shared(&mut self.db, net, &view.prefixes, cache)
+        let pre = self.db.table(name)?.version();
+        let report =
+            view.engine
+                .maintain_with_changes_shared(&mut self.db, net, &view.prefixes, cache)?;
+        self.advance_snapshot(name, pre, &report);
+        Ok(report)
     }
 
     /// Run one atomic maintenance round for `name` without prefix
@@ -513,7 +536,10 @@ impl ViewCatalog {
             .views
             .get(name)
             .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))?;
-        view.engine.maintain_with_changes(&mut self.db, net)
+        let pre = self.db.table(name)?.version();
+        let report = view.engine.maintain_with_changes(&mut self.db, net)?;
+        self.advance_snapshot(name, pre, &report);
+        Ok(report)
     }
 
     /// Drive `name`'s pending changes through a per-view
@@ -752,6 +778,7 @@ impl ViewCatalog {
             }
         }
         self.db.drop_table(backing);
+        self.snapshots.get_mut().remove(backing);
         self.refresh_prefixes();
         Ok(())
     }
@@ -773,21 +800,8 @@ impl ViewCatalog {
         &mut self,
         backing: &str,
         net: &HashMap<String, TableChanges>,
-    ) -> Result<(MaintenanceReport, TableChanges)> {
-        let iv = self
-            .intermediates
-            .get(backing)
-            .ok_or_else(|| Error::Config(format!("intermediate `{backing}` does not exist")))?;
-        let pre_rows = sorted(self.db.table(backing)?.rows_uncounted());
-        let report = iv.engine.maintain_with_changes(&mut self.db, net)?;
-        let delta = if report.recovered {
-            let key = self.db.table(backing)?.schema().key().to_vec();
-            let post_rows = sorted(self.db.table(backing)?.rows_uncounted());
-            table_delta(&pre_rows, &post_rows, &key)
-        } else {
-            report.view_changes.clone()
-        };
-        Ok((report, delta))
+    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
+        self.intermediate_round(backing, net, None)
     }
 
     /// [`ViewCatalog::maintain_intermediate`] with shared-prefix reuse
@@ -804,21 +818,42 @@ impl ViewCatalog {
         backing: &str,
         net: &HashMap<String, TableChanges>,
         cache: &mut SharedDiffCache,
-    ) -> Result<(MaintenanceReport, TableChanges)> {
+    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
+        self.intermediate_round(backing, net, Some(cache))
+    }
+
+    fn intermediate_round(
+        &mut self,
+        backing: &str,
+        net: &HashMap<String, TableChanges>,
+        cache: Option<&mut SharedDiffCache>,
+    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
         let iv = self
             .intermediates
             .get(backing)
             .ok_or_else(|| Error::Config(format!("intermediate `{backing}` does not exist")))?;
-        let pre_rows = sorted(self.db.table(backing)?.rows_uncounted());
-        let report = iv
-            .engine
-            .maintain_with_changes_shared(&mut self.db, net, &iv.prefixes, cache)?;
-        let delta = if report.recovered {
-            let key = self.db.table(backing)?.schema().key().to_vec();
-            let post_rows = sorted(self.db.table(backing)?.rows_uncounted());
-            table_delta(&pre_rows, &post_rows, &key)
-        } else {
-            report.view_changes.clone()
+        // Only a recompute recovery rewrites the backing without
+        // reporting a Δ, and only an engine set to recover can do one:
+        // under the default `Abort` no pre-image is taken at all.
+        let pre_rows = match iv.engine.recovery() {
+            RecoveryPolicy::RecomputeOnError => Some(self.read(backing)?.0),
+            RecoveryPolicy::Abort => None,
+        };
+        let pre = self.db.table(backing)?.version();
+        let report = match cache {
+            Some(cache) => {
+                iv.engine
+                    .maintain_with_changes_shared(&mut self.db, net, &iv.prefixes, cache)?
+            }
+            None => iv.engine.maintain_with_changes(&mut self.db, net)?,
+        };
+        self.advance_snapshot(backing, pre, &report);
+        let delta = match pre_rows {
+            Some(pre_rows) if report.recovered => {
+                let key = self.db.table(backing)?.schema().key().to_vec();
+                Arc::new(table_delta(&pre_rows, &self.read(backing)?.0, &key))
+            }
+            _ => Arc::clone(&report.view_changes),
         };
         Ok((report, delta))
     }
@@ -839,7 +874,7 @@ impl ViewCatalog {
         config: SupervisorConfig,
     ) -> Result<(SupervisorReport, TableChanges)> {
         self.intermediate(backing)?;
-        let pre_rows = sorted(self.db.table(backing)?.rows_uncounted());
+        let pre_rows = self.read(backing)?.0;
         let iv = self
             .intermediates
             .get_mut(backing)
@@ -847,8 +882,7 @@ impl ViewCatalog {
         let mut supervisor = MaintenanceSupervisor::new(&mut iv.engine, config);
         let report = supervisor.run_with_changes(&mut self.db, net);
         let key = self.db.table(backing)?.schema().key().to_vec();
-        let post_rows = sorted(self.db.table(backing)?.rows_uncounted());
-        let delta = table_delta(&pre_rows, &post_rows, &key);
+        let delta = table_delta(&pre_rows, &self.read(backing)?.0, &key);
         Ok((report, delta))
     }
 
@@ -903,13 +937,57 @@ impl ViewCatalog {
     }
 
     /// The materialized rows of a view, sorted (uncounted — reads are
-    /// not maintenance cost).
+    /// not maintenance cost). Served from the view's sorted snapshot,
+    /// brought forward by the Δs of the rounds since the last read;
+    /// always equal to sorting `table(name).rows_uncounted()`.
     ///
     /// # Errors
     /// Unknown view name.
     pub fn rows(&self, name: &str) -> Result<Vec<Row>> {
         self.view(name)?;
-        Ok(sorted(self.db.table(name)?.rows_uncounted()))
+        Ok(self.read(name)?.0)
+    }
+
+    /// The one read path: `table`'s rows, sorted, out of its snapshot.
+    /// A snapshot that is missing (first read) or no longer describes
+    /// the table (see [`Snapshot::settle`]) is rebuilt by clone-and-sort
+    /// in the same call.
+    pub(crate) fn read(&self, table: &str) -> Result<(Vec<Row>, ReadCost)> {
+        let stored = self.db.table(table)?;
+        let mut snapshots = self.snapshots.borrow_mut();
+        if let Some((rows, merged)) = snapshots.get_mut(table).and_then(|s| s.settle(stored)) {
+            let cost = ReadCost {
+                rebuilt: false,
+                merged,
+            };
+            return Ok((rows.to_vec(), cost));
+        }
+        let snapshot = Snapshot::build(stored);
+        let rows = snapshot.rows().to_vec();
+        snapshots.insert(table.to_string(), snapshot);
+        let cost = ReadCost {
+            rebuilt: true,
+            merged: 0,
+        };
+        Ok((rows, cost))
+    }
+
+    /// After a clean round on `table` that started at version `pre`:
+    /// hand its snapshot (if the table has one) the round's Δ, or drop
+    /// it when it cannot follow — a recompute recovery reports no Δ.
+    fn advance_snapshot(&self, table: &str, pre: u64, report: &MaintenanceReport) {
+        let mut snapshots = self.snapshots.borrow_mut();
+        let Some(snapshot) = snapshots.get_mut(table) else {
+            return;
+        };
+        let follows = !report.recovered
+            && self
+                .db
+                .table(table)
+                .is_ok_and(|t| snapshot.advance(pre, t.version(), &report.view_changes));
+        if !follows {
+            snapshots.remove(table);
+        }
     }
 
     /// Bit-identity fingerprint of a view's materialized table.
@@ -934,6 +1012,7 @@ fn scanned_tables(plan: &Plan) -> Vec<String> {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use idivm_exec::executor::sorted;
     use idivm_workloads::MultiView;
 
     fn suite() -> (MultiView, ViewCatalog) {
@@ -1044,5 +1123,55 @@ mod tests {
             .unwrap()
             .prefixes()
             .is_empty());
+    }
+
+    /// A backing round that ends in a recompute recovery reports no Δ
+    /// of its own; consumers must still be handed exactly what changed
+    /// in the backing table. Under the default `Abort` policy that
+    /// cannot happen, and the round takes no pre-image at all.
+    #[test]
+    fn recovered_backing_round_still_hands_consumers_the_exact_delta() {
+        use idivm_core::FaultPlan;
+        let (cfg, mut catalog) = suite();
+        let candidate = catalog
+            .promotion_candidates()
+            .into_iter()
+            .find(|c| c.label == "join[mentions,microblog,users]")
+            .unwrap();
+        let backing = catalog.promote(&candidate).unwrap();
+        let backing_rows =
+            |catalog: &ViewCatalog| sorted(catalog.db().table(&backing).unwrap().rows_uncounted());
+        let key = catalog
+            .db()
+            .table(&backing)
+            .unwrap()
+            .schema()
+            .key()
+            .to_vec();
+
+        // Clean round under `Abort`: the Δ is the round's own, and the
+        // backing was never read.
+        cfg.tweet_batch(catalog.db_mut(), 24, 1).unwrap();
+        let net = catalog.db().fold_log();
+        catalog.db_mut().clear_log();
+        let before = backing_rows(&catalog);
+        let (report, delta) = catalog.maintain_intermediate(&backing, &net).unwrap();
+        assert!(!report.recovered && !delta.is_empty());
+        assert_eq!(*delta, table_delta(&before, &backing_rows(&catalog), &key));
+        assert!(!catalog.snapshots.borrow().contains_key(&backing));
+
+        // Every incremental attempt fails; the engine repairs the
+        // backing by recompute.
+        let engine = catalog.intermediate_mut(&backing).unwrap().engine_mut();
+        engine.set_recovery(RecoveryPolicy::RecomputeOnError);
+        engine.set_faults(FaultPlan::at_operator(1, 2015).permanent());
+        cfg.tweet_batch(catalog.db_mut(), 24, 2).unwrap();
+        let net = catalog.db().fold_log();
+        catalog.db_mut().clear_log();
+        let before = backing_rows(&catalog);
+        let (report, delta) = catalog.maintain_intermediate(&backing, &net).unwrap();
+        assert!(report.recovered && report.view_changes.is_empty());
+        assert!(!delta.is_empty(), "the batch did not change the backing");
+        assert_eq!(*delta, table_delta(&before, &backing_rows(&catalog), &key));
     }
 }

@@ -36,6 +36,7 @@
 
 pub mod catalog;
 pub mod scheduler;
+mod snapshot;
 
 pub use catalog::{CatalogView, IntermediateView, ViewCatalog};
 pub use scheduler::{

@@ -44,6 +44,7 @@ use idivm_exec::ParallelConfig;
 use idivm_reldb::{compose_changes, Database, StatsSnapshot, TableChanges};
 use idivm_types::{Error, Result, Row};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// When a view's pending changes are propagated into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,6 +114,20 @@ pub struct ViewStats {
     pub last_report: Option<MaintenanceReport>,
     /// Report of the most recent supervised round, if any.
     pub last_supervisor: Option<SupervisorReport>,
+    /// [`MaintenanceScheduler::read_view`] calls that returned rows.
+    pub reads: u64,
+    /// Reads served from the view's sorted snapshot.
+    pub snapshot_hits: u64,
+    /// Reads that had to clone and sort the whole table: the first one,
+    /// and every one after something the snapshot could not follow (a
+    /// recompute, an aborted round's rollback, a write that went around
+    /// the engine, more pending Δ than the view has rows). A rebuild on
+    /// every read means something outside the engine keeps writing the
+    /// view.
+    pub snapshot_rebuilds: u64,
+    /// Row images (pre and post) of earlier rounds merged into the
+    /// snapshot by reads.
+    pub rows_merged: u64,
 }
 
 /// A promotion-state transition applied at the end of a tick (or by a
@@ -349,6 +364,12 @@ pub struct MaintenanceScheduler {
     recovery_note: Option<String>,
 }
 
+/// A supervised round consumed its pending net: every verdict but
+/// `Degraded` (nothing committed) and `Idle` (nothing to do).
+fn converged(verdict: SupervisorVerdict) -> bool {
+    verdict.healthy() && verdict != SupervisorVerdict::Idle
+}
+
 /// What one intermediate-sync pass (start of tick/barrier) did.
 #[derive(Default)]
 struct IntermediateRound {
@@ -575,8 +596,10 @@ impl MaintenanceScheduler {
             .map(|s| s.to_string())
             .collect();
         for backing in backings {
-            let net = match self.intermediate_pending.get(&backing) {
-                Some(net) if !net.is_empty() => net.clone(),
+            // The round runs on the pending net itself; it goes back
+            // only if the backing did not converge.
+            let net = match self.intermediate_pending.get_mut(&backing) {
+                Some(net) if !net.is_empty() => std::mem::take(net),
                 _ => continue,
             };
             let before = self.catalog.db().stats().snapshot();
@@ -598,11 +621,15 @@ impl MaintenanceScheduler {
                     // recompute ladder. Its delta is an exact snapshot
                     // diff of the backing (empty if it degraded —
                     // everything rolled back).
-                    let (mut report, delta) = self.catalog.maintain_intermediate_supervised(
+                    let supervised = self.catalog.maintain_intermediate_supervised(
                         &backing,
                         &net,
                         self.config.supervisor,
-                    )?;
+                    );
+                    if !supervised.as_ref().is_ok_and(|(r, _)| converged(r.verdict)) {
+                        self.intermediate_pending.insert(backing.clone(), net);
+                    }
+                    let (mut report, delta) = supervised?;
                     report.recovered_from = self.recovery_note.clone();
                     let verdict = report.verdict;
                     let stats = self.intermediate_stats.entry(backing.clone()).or_default();
@@ -610,26 +637,18 @@ impl MaintenanceScheduler {
                     stats.quarantined_changes += report.quarantine.len() as u64;
                     stats.last_verdict = Some(verdict);
                     stats.last_supervisor = Some(report);
-                    (delta, Some(verdict))
+                    (Arc::new(delta), Some(verdict))
                 }
             };
             let spent = self.catalog.db().stats().snapshot().since(&before);
             let stats = self.intermediate_stats.entry(backing.clone()).or_default();
             stats.rounds += 1;
             stats.accesses = stats.accesses.merge(spent);
-            let converged = match verdict {
-                None => true,
-                Some(v) => {
-                    round.verdicts.push((backing.clone(), v));
-                    v.healthy() && v != SupervisorVerdict::Idle
+            if let Some(v) = verdict {
+                round.verdicts.push((backing.clone(), v));
+                if !converged(v) {
+                    round.failed.insert(backing.clone());
                 }
-            };
-            if converged {
-                if let Some(pending) = self.intermediate_pending.get_mut(&backing) {
-                    pending.clear();
-                }
-            } else {
-                round.failed.insert(backing.clone());
             }
             let delta_tuples = delta.len() as u64;
             if !delta.is_empty() {
@@ -643,7 +662,7 @@ impl MaintenanceScheduler {
                 for consumer in consumers {
                     if let Some(state) = self.states.get_mut(&consumer) {
                         let mut slice = HashMap::new();
-                        slice.insert(backing.clone(), delta.clone());
+                        slice.insert(backing.clone(), TableChanges::clone(&delta));
                         compose_changes(&mut state.pending, slice);
                     }
                 }
@@ -767,7 +786,16 @@ impl MaintenanceScheduler {
                 )));
             }
         }
-        self.catalog.rows(name)
+        let (rows, cost) = self.catalog.read(name)?;
+        let stats = &mut self.state_mut(name)?.stats;
+        stats.reads += 1;
+        if cost.rebuilt {
+            stats.snapshot_rebuilds += 1;
+        } else {
+            stats.snapshot_hits += 1;
+        }
+        stats.rows_merged += cost.merged as u64;
+        Ok(rows)
     }
 
     /// Drain barrier: bring *every* view fully up to date (one shared
@@ -806,7 +834,9 @@ impl MaintenanceScheduler {
         let mut due = due.to_vec();
         due.sort();
         for name in &due {
-            let net = self.state(name)?.pending.clone();
+            // The round runs on the pending net itself; it goes back
+            // only if the view did not converge.
+            let net = std::mem::take(&mut self.state_mut(name)?.pending);
             if net.is_empty() {
                 continue;
             }
@@ -820,7 +850,6 @@ impl MaintenanceScheduler {
                 Ok(report) => {
                     let spent = self.catalog.db().stats().snapshot().since(&before);
                     let state = self.state_mut(name)?;
-                    state.pending.clear();
                     state.staleness = 0;
                     state.stats.rounds += 1;
                     state.stats.accesses = state.stats.accesses.merge(spent);
@@ -832,17 +861,20 @@ impl MaintenanceScheduler {
                     // The failed round has been rolled back; escalate
                     // to the per-view supervisor, which owns retries,
                     // bisection/quarantine, and the recompute ladder.
-                    let mut report =
+                    let supervised =
                         self.catalog
-                            .maintain_supervised(name, &net, self.config.supervisor)?;
-                    report.recovered_from = self.recovery_note.clone();
+                            .maintain_supervised(name, &net, self.config.supervisor);
                     let spent = self.catalog.db().stats().snapshot().since(&before);
-                    let verdict = report.verdict;
+                    let recovered_from = self.recovery_note.clone();
                     let state = self.state_mut(name)?;
-                    if verdict.healthy() && verdict != SupervisorVerdict::Idle {
-                        state.pending.clear();
+                    if supervised.as_ref().is_ok_and(|r| converged(r.verdict)) {
                         state.staleness = 0;
+                    } else {
+                        state.pending = net;
                     }
+                    let mut report = supervised?;
+                    report.recovered_from = recovered_from;
+                    let verdict = report.verdict;
                     state.stats.rounds += 1;
                     state.stats.supervised_rounds += 1;
                     state.stats.accesses = state.stats.accesses.merge(spent);
@@ -1271,5 +1303,60 @@ impl MaintenanceScheduler {
     /// The current recovery-provenance note, if any.
     pub fn recovery_note(&self) -> Option<&str> {
         self.recovery_note.as_deref()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used)]
+    use super::*;
+    use idivm_workloads::bsma::Bsma;
+    use idivm_workloads::MultiView;
+
+    /// hit → invalidate → rebuild → hit, as `ViewStats` tells it.
+    #[test]
+    fn read_counters_tell_hits_from_rebuilds() {
+        let cfg = MultiView {
+            bsma: Bsma {
+                scale: 0.05,
+                seed: 11,
+            },
+        };
+        let view = "mention_timeline";
+        let mut sched = MaintenanceScheduler::new(cfg.build().unwrap(), SchedulerConfig::default());
+        let plan = cfg.plan(sched.db(), view).unwrap();
+        sched
+            .register(view, plan, RefreshPolicy::Eager, IvmOptions::default())
+            .unwrap();
+        let counters = |sched: &MaintenanceScheduler| {
+            let s = sched.stats(view).unwrap();
+            (s.reads, s.snapshot_hits, s.snapshot_rebuilds)
+        };
+
+        // First read: nothing to serve from yet.
+        let first = sched.read_view(view).unwrap();
+        assert_eq!(counters(&sched), (1, 0, 1));
+        assert_eq!(sched.stats(view).unwrap().rows_merged, 0);
+
+        // A clean round later: served by merging that round's images.
+        cfg.tweet_batch(sched.db_mut(), 24, 1).unwrap();
+        sched.tick().unwrap();
+        let second = sched.read_view(view).unwrap();
+        assert_ne!(second, first, "the round did not change the view");
+        assert_eq!(counters(&sched), (2, 1, 1));
+        let merged = sched.stats(view).unwrap().rows_merged;
+        assert!(merged > 0, "a hit after a round merged nothing");
+
+        // A write that went around the engine: the next read rebuilds.
+        let table = sched.db_mut().table_mut(view).unwrap();
+        let pk = table.pk_of(&second[0]);
+        table.delete_located(&pk);
+        assert_eq!(sched.read_view(view).unwrap(), second[1..]);
+        assert_eq!(counters(&sched), (3, 1, 2));
+
+        // And the rebuilt snapshot serves the read after it.
+        sched.read_view(view).unwrap();
+        assert_eq!(counters(&sched), (4, 2, 2));
+        assert_eq!(sched.stats(view).unwrap().rows_merged, merged);
     }
 }

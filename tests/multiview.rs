@@ -307,3 +307,52 @@ fn poisoned_view_is_quarantined_without_corrupting_or_blocking_siblings() {
         assert_matches_oracle(&sched, name, "post-heal tick");
     }
 }
+
+/// A view whose round cannot converge — not incrementally, not bisected,
+/// not by recompute — keeps its pending net exactly as it was: the
+/// scheduler runs the round on the net itself (no copy), so a failed
+/// round has to hand it back whole.
+#[test]
+fn degraded_view_keeps_its_pending_net_exactly() {
+    let cfg = suite();
+    let stuck = "mention_users";
+    let mut sched = scheduler(&cfg, true, |name| match name {
+        "mention_users" => RefreshPolicy::OnRead,
+        _ => RefreshPolicy::Eager,
+    });
+    for round in 1..=2 {
+        cfg.tweet_batch(sched.db_mut(), DIFFS, round).unwrap();
+        sched.tick().unwrap();
+    }
+    let pending = sched.pending(stuck).unwrap().clone();
+    assert!(!pending.is_empty(), "OnRead view accumulated nothing");
+
+    // Take away the view's own table: the round, every bisected
+    // sub-round and the recompute escalation all fail on it.
+    sched.db_mut().drop_table(stuck);
+    let err = sched.read_view(stuck).unwrap_err();
+    assert!(
+        err.to_string().contains("degraded"),
+        "unexpected error: {err}"
+    );
+    assert_eq!(
+        sched.stats(stuck).unwrap().last_verdict,
+        Some(SupervisorVerdict::Degraded)
+    );
+    assert_eq!(
+        sched.pending(stuck).unwrap(),
+        &pending,
+        "read barrier lost pending changes"
+    );
+
+    let summary = sched.drain().unwrap();
+    assert_eq!(
+        summary.verdicts,
+        vec![(stuck.to_string(), SupervisorVerdict::Degraded)]
+    );
+    assert_eq!(
+        sched.pending(stuck).unwrap(),
+        &pending,
+        "drain lost pending changes"
+    );
+}
