@@ -26,75 +26,17 @@
 
 use idivm_bench::fmt_row;
 use idivm_core::{
-    EngineConfig, EngineKnobs, FaultKind, FaultPlan, FaultSite, IdIvm, IvmOptions,
-    MaintenanceReport, MaintenanceSupervisor, RoundBudget, SupervisedEngine, SupervisorConfig,
-    SupervisorReport, SupervisorVerdict, TraceConfig,
+    Engine, EngineConfig, FaultKind, FaultPlan, FaultSite, IdIvm, IvmOptions,
+    MaintenanceSupervisor, RoundBudget, SupervisorConfig, SupervisorReport, SupervisorVerdict,
+    TraceConfig,
 };
 use idivm_exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_reldb::{Database, TableChanges};
 use idivm_sdbt::{Sdbt, SdbtVariant};
 use idivm_tuple::TupleIvm;
-use idivm_types::{Result, Row};
 use idivm_workloads::RunningExample;
-use std::collections::HashMap;
 
-/// [`SupervisedEngine`] plus the oracle/actual accessors the guards
-/// diff against.
-trait ChaosEngine: SupervisedEngine {
-    fn oracle(&self, db: &Database) -> Vec<Row>;
-    fn actual(&self, db: &Database) -> Vec<Row>;
-}
-
-impl ChaosEngine for IdIvm {
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).expect("oracle")
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).expect("view").rows_uncounted()
-    }
-}
-
-impl ChaosEngine for TupleIvm {
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).expect("oracle")
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).expect("view").rows_uncounted()
-    }
-}
-
-impl ChaosEngine for Sdbt {
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).expect("oracle")
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        self.visible_rows(db).expect("view")
-    }
-}
-
-impl EngineConfig for Box<dyn ChaosEngine> {
-    fn knobs(&self) -> &EngineKnobs {
-        (**self).knobs()
-    }
-    fn knobs_mut(&mut self) -> &mut EngineKnobs {
-        (**self).knobs_mut()
-    }
-}
-
-impl SupervisedEngine for Box<dyn ChaosEngine> {
-    fn label(&self) -> &'static str {
-        (**self).label()
-    }
-    fn maintain_with_changes(
-        &self,
-        db: &mut Database,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        (**self).maintain_with_changes(db, net)
-    }
-}
-
-type BoxedEngine = Box<dyn ChaosEngine>;
+type BoxedEngine = Box<dyn Engine>;
 
 #[derive(Clone, Copy)]
 struct EngineSpec {
@@ -380,8 +322,8 @@ fn main() {
                             report.errors
                         );
                         assert_eq!(
-                            sorted(ivm.actual(&db)),
-                            sorted(ivm.oracle(&db)),
+                            sorted(ivm.visible_rows(&db).expect("view")),
+                            sorted(recompute_rows(&db, ivm.plan()).expect("oracle")),
                             "{} {site:?} transient diverged from the oracle",
                             spec.name()
                         );
@@ -424,8 +366,8 @@ fn main() {
                             report.errors
                         );
                         assert_eq!(
-                            sorted(ivm.actual(&db)),
-                            sorted(ivm.oracle(&db)),
+                            sorted(ivm.visible_rows(&db).expect("view")),
+                            sorted(recompute_rows(&db, ivm.plan()).expect("oracle")),
                             "{} {site:?} recompute repair diverged from the oracle",
                             spec.name()
                         );
@@ -494,8 +436,8 @@ fn main() {
                 spec.name()
             );
             assert_eq!(
-                sorted(ivm.actual(&db)),
-                sorted(ivm.oracle(&db)),
+                sorted(ivm.visible_rows(&db).expect("view")),
+                sorted(recompute_rows(&db, ivm.plan()).expect("oracle")),
                 "{} budget {pct}% diverged from the oracle",
                 spec.name()
             );

@@ -12,7 +12,10 @@
 //! 1. **WAL overhead** — the same maintenance round sequence under
 //!    [`DurabilityPolicy::Always`] (journal + fsync every round) vs
 //!    [`DurabilityPolicy::Off`] must converge to bit-identical
-//!    signatures and cost < 15% extra wall-clock.
+//!    signatures. The extra wall-clock is printed and recorded, not
+//!    asserted: a single-shot timing trips on host noise, and the gated
+//!    statement of durability cost is the `durable-multiview` workload
+//!    of `benchmark/` measured in alternated pairs.
 //! 2. **Recovery determinism** — the same seeded kill recovers to a
 //!    bit-identical signature across repeat runs and across
 //!    `ParallelConfig` thread counts (P=1 vs P=4).
@@ -319,10 +322,6 @@ fn main() {
     assert_eq!(
         off_digest, wal_digest,
         "journaling changed the maintenance result"
-    );
-    assert!(
-        overhead_pct < 15.0,
-        "WAL overhead {overhead_pct:.2}% exceeds the 15% guard"
     );
 
     // ── Guard 2: recovery determinism across runs and P=1/P=4. ─────

@@ -15,7 +15,8 @@
 //! lookups) and wall time; access counts are deterministic and
 //! machine-independent, wall time is indicative.
 
-use idivm_core::{EngineConfig, IdIvm, IvmOptions, MaintenanceReport, RoundTrace, TraceConfig};
+use idivm_algebra::Plan;
+use idivm_core::{Engine, IdIvm, IvmOptions, MaintenanceReport, RoundTrace, TraceConfig};
 use idivm_reldb::Database;
 use idivm_sdbt::{Sdbt, SdbtVariant};
 use idivm_tuple::TupleIvm;
@@ -84,108 +85,56 @@ pub fn run_running_example_round_configured(
     trace: TraceConfig,
     round_undo: bool,
 ) -> Result<Vec<Measured>> {
+    let fresh = || -> Result<(Database, Plan)> {
+        let mut db = cfg.build()?;
+        db.set_round_undo(round_undo);
+        let plan = if aggregate {
+            cfg.agg_plan(&db)?
+        } else {
+            cfg.spj_plan(&db)?
+        };
+        Ok((db, plan))
+    };
     let mut out = Vec::new();
 
-    // idIVM.
-    {
-        let mut db = cfg.build()?;
-        db.set_round_undo(round_undo);
-        let plan = if aggregate {
-            cfg.agg_plan(&db)?
-        } else {
-            cfg.spj_plan(&db)?
-        };
-        let options = IvmOptions {
-            trace,
-            ..IvmOptions::default()
-        };
-        let ivm = IdIvm::setup(&mut db, "V", plan, options)?;
-        warmup(&mut db, cfg, diff_size)?;
-        let _ = ivm.maintain(&mut db)?;
-        cfg.price_update_batch(&mut db, diff_size, 1)?;
-        db.stats().reset();
-        let report = ivm.maintain(&mut db)?;
-        out.push(Measured {
-            label: "ID-based IVM",
-            report,
-        });
-    }
-    // Tuple-based.
-    {
-        let mut db = cfg.build()?;
-        db.set_round_undo(round_undo);
-        let plan = if aggregate {
-            cfg.agg_plan(&db)?
-        } else {
-            cfg.spj_plan(&db)?
-        };
-        let mut ivm = TupleIvm::setup(&mut db, "V", plan)?;
-        ivm.set_trace(trace);
-        warmup(&mut db, cfg, diff_size)?;
-        let _ = ivm.maintain(&mut db)?;
-        cfg.price_update_batch(&mut db, diff_size, 1)?;
-        db.stats().reset();
-        let report = ivm.maintain(&mut db)?;
-        out.push(Measured {
-            label: "Tuple-based IVM",
-            report,
-        });
-    }
-    // SDBT-fixed.
-    {
-        let mut db = cfg.build()?;
-        db.set_round_undo(round_undo);
-        let plan = if aggregate {
-            cfg.agg_plan(&db)?
-        } else {
-            cfg.spj_plan(&db)?
-        };
-        let partial = cfg.sdbt_parts_partial(&db)?;
-        let mut sdbt = Sdbt::setup(
-            &mut db,
-            "V",
-            plan,
-            vec![partial],
-            SdbtVariant::Fixed("parts".to_string()),
-        )?;
-        sdbt.set_trace(trace);
-        warmup(&mut db, cfg, diff_size)?;
-        let _ = sdbt.maintain(&mut db)?;
-        cfg.price_update_batch(&mut db, diff_size, 1)?;
-        db.stats().reset();
-        let report = sdbt.maintain(&mut db)?;
-        out.push(Measured {
-            label: "SDBT-fixed",
-            report,
-        });
-    }
-    // SDBT-streams.
-    {
-        let mut db = cfg.build()?;
-        db.set_round_undo(round_undo);
-        let plan = if aggregate {
-            cfg.agg_plan(&db)?
-        } else {
-            cfg.spj_plan(&db)?
-        };
-        let partials = cfg.sdbt_all_partials(&db)?;
-        let mut sdbt = Sdbt::setup(&mut db, "V", plan, partials, SdbtVariant::Streams)?;
-        sdbt.set_trace(trace);
-        warmup(&mut db, cfg, diff_size)?;
-        let _ = sdbt.maintain(&mut db)?;
-        cfg.price_update_batch(&mut db, diff_size, 1)?;
-        db.stats().reset();
-        let report = sdbt.maintain(&mut db)?;
-        out.push(Measured {
-            label: "SDBT-streams",
-            report,
-        });
-    }
+    let (mut db, plan) = fresh()?;
+    let ivm = IdIvm::setup(&mut db, "V", plan, IvmOptions::default())?;
+    out.push(measure("ID-based IVM", db, ivm, cfg, diff_size, trace)?);
+
+    let (mut db, plan) = fresh()?;
+    let ivm = TupleIvm::setup(&mut db, "V", plan)?;
+    out.push(measure("Tuple-based IVM", db, ivm, cfg, diff_size, trace)?);
+
+    let (mut db, plan) = fresh()?;
+    let partial = cfg.sdbt_parts_partial(&db)?;
+    let fixed = SdbtVariant::Fixed("parts".to_string());
+    let sdbt = Sdbt::setup(&mut db, "V", plan, vec![partial], fixed)?;
+    out.push(measure("SDBT-fixed", db, sdbt, cfg, diff_size, trace)?);
+
+    let (mut db, plan) = fresh()?;
+    let partials = cfg.sdbt_all_partials(&db)?;
+    let sdbt = Sdbt::setup(&mut db, "V", plan, partials, SdbtVariant::Streams)?;
+    out.push(measure("SDBT-streams", db, sdbt, cfg, diff_size, trace)?);
     Ok(out)
 }
 
-fn warmup(db: &mut Database, cfg: &RunningExample, diff_size: usize) -> Result<()> {
-    cfg.price_update_batch(db, diff_size, 0)
+/// Warm `ivm` up with one round, then measure the next one from reset
+/// access counters.
+fn measure<E: Engine>(
+    label: &'static str,
+    mut db: Database,
+    mut ivm: E,
+    cfg: &RunningExample,
+    diff_size: usize,
+    trace: TraceConfig,
+) -> Result<Measured> {
+    ivm.set_trace(trace);
+    cfg.price_update_batch(&mut db, diff_size, 0)?;
+    let _ = ivm.maintain(&mut db)?;
+    cfg.price_update_batch(&mut db, diff_size, 1)?;
+    db.stats().reset();
+    let report = ivm.maintain(&mut db)?;
+    Ok(Measured { label, report })
 }
 
 /// Bundle the traces of several measured systems into one JSON

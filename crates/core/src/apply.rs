@@ -43,7 +43,8 @@ pub struct ApplyOutcome {
 }
 
 impl ApplyOutcome {
-    fn absorb(&mut self, other: ApplyOutcome) {
+    /// Add `other`'s counters to these.
+    pub(crate) fn absorb(&mut self, other: ApplyOutcome) {
         self.inserted += other.inserted;
         self.deleted += other.deleted;
         self.updated += other.updated;

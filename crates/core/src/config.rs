@@ -118,6 +118,15 @@ pub trait EngineConfig {
     }
 }
 
+impl<E: EngineConfig + ?Sized> EngineConfig for Box<E> {
+    fn knobs(&self) -> &EngineKnobs {
+        (**self).knobs()
+    }
+    fn knobs_mut(&mut self) -> &mut EngineKnobs {
+        (**self).knobs_mut()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

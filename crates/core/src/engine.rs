@@ -22,16 +22,17 @@
 //! boundaries), and apply the final i-diffs to the view.
 
 use crate::access::{AccessCtx, PathId};
-use crate::apply::{apply_all, ApplyOutcome};
+use crate::apply::apply_all;
 use crate::cache::{plan_caches, CacheDef};
 use crate::config::{EngineConfig, EngineKnobs};
 use crate::diff::DiffInstance;
-use crate::faults::{FaultPlan, FaultState, RoundBudget};
+use crate::faults::{FaultPlan, RoundBudget};
 use crate::report::MaintenanceReport;
+use crate::round::{drive, Engine, Round};
 use crate::rules::{propagate, IncomingDiff, RuleCtx};
 use crate::schema_gen::{generate, populate, BaseDiffSchemas};
 use crate::shared::{SharedDiffCache, SharedPrefixes};
-use crate::trace::{op_label, OpTrace, RoundTrace, TraceConfig, TracePhase};
+use crate::trace::{op_label, TraceConfig, TracePhase};
 use idivm_algebra::{ensure_ids, Plan};
 use idivm_exec::{materialize_view, refresh_view, view_schema, ParallelConfig};
 use idivm_reldb::{Database, StatsSnapshot, TableChanges};
@@ -39,7 +40,6 @@ use idivm_types::{Error, Result, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// What a maintenance round does after an error forced a rollback.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -268,38 +268,20 @@ impl IdIvm {
 
     /// Run one deferred maintenance round: consume the modification
     /// log, bring caches and the view up to date, and report costs.
-    ///
-    /// The round is **atomic**: on any `Err` every view, cache, and
-    /// secondary index is rolled back to its exact pre-round state and
-    /// the modification log is preserved, so a clean retry (or a
-    /// recompute) starts from consistent state. With
-    /// [`RecoveryPolicy::RecomputeOnError`] the error is repaired
-    /// in-place and reported instead of returned.
+    /// The round is atomic — see [`Engine::maintain`] and DESIGN.md §6.
     ///
     /// # Errors
     /// Propagation or application failures (each indicates an engine
     /// bug — the paper's algorithm never fails on valid input) or an
     /// injected fault.
     pub fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        // i-diff instance generation: fold the log (effective diffs).
-        // The log is cleared only after the round commits (or recovery
-        // repairs), keeping failed rounds retryable.
-        let fold_started = Instant::now();
-        let net = db.fold_log();
-        let fold = fold_started.elapsed();
-        let mut report = self.maintain_with_changes(db, &net)?;
-        db.clear_log();
-        if let Some(trace) = report.trace.as_mut() {
-            trace.timings.fold = fold;
-        }
-        Ok(report)
+        Engine::maintain(self, db)
     }
 
     /// Like [`IdIvm::maintain`], but over an externally folded change
     /// set — several views maintained from one shared modification log
-    /// fold it once and pass it to each engine. The modification log is
-    /// untouched (the caller owns it); atomicity is as in
-    /// [`IdIvm::maintain`].
+    /// fold it once and pass it to each engine
+    /// ([`Engine::maintain_with_changes`]).
     ///
     /// # Errors
     /// Propagation or application failures, or an injected fault.
@@ -308,7 +290,7 @@ impl IdIvm {
         db: &mut Database,
         net: &HashMap<String, TableChanges>,
     ) -> Result<MaintenanceReport> {
-        self.maintain_inner(db, net, None)
+        Engine::maintain_with_changes(self, db, net)
     }
 
     /// Like [`IdIvm::maintain_with_changes`], with cross-view
@@ -331,91 +313,21 @@ impl IdIvm {
         prefixes: &SharedPrefixes,
         cache: &mut SharedDiffCache,
     ) -> Result<MaintenanceReport> {
-        self.maintain_inner(db, net, Some((prefixes, cache)))
+        drive(self, db, net, |round, db| {
+            self.body(round, db, net, Some((prefixes, cache)))
+        })
     }
 
-    fn maintain_inner(
+    /// The i-diff strategy: populate base i-diff instances, propagate
+    /// bottom-up (applying cache diffs at cache boundaries), apply the
+    /// final i-diffs to the view.
+    fn body(
         &self,
+        round: &mut Round<'_>,
         db: &mut Database,
         net: &HashMap<String, TableChanges>,
         shared: Option<(&SharedPrefixes, &mut SharedDiffCache)>,
-    ) -> Result<MaintenanceReport> {
-        let owner = db.begin_round();
-        match self.round_body(db, net, shared) {
-            Ok(report) => {
-                if owner {
-                    db.commit_round();
-                } else {
-                    db.end_nested_round();
-                }
-                Ok(report)
-            }
-            Err(e) => {
-                if owner {
-                    db.abort_round();
-                    if self.knobs.recovery == RecoveryPolicy::RecomputeOnError {
-                        return self.recover(db, &e);
-                    }
-                } else {
-                    // Nested under someone else's round: the owner's
-                    // abort (and recovery policy) handles the outcome.
-                    db.end_nested_round();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Repair the view and caches by full recompute after a rollback.
-    fn recover(&self, db: &mut Database, cause: &Error) -> Result<MaintenanceReport> {
-        let started = Instant::now();
-        let before = db.stats().snapshot();
-        refresh_view(db, &self.view_name, &self.plan)?;
-        for def in &self.cache_defs {
-            let sub = crate::access::node_at(&self.plan, &def.path)?.clone();
-            refresh_view(db, &def.name, &sub)?;
-        }
-        let recovery = db.stats().snapshot().since(&before);
-        let mut report = MaintenanceReport {
-            recovered: true,
-            recovery,
-            recovery_cause: Some(cause.to_string()),
-            ..MaintenanceReport::default()
-        };
-        if self.knobs.trace.enabled {
-            let mut trace = RoundTrace::default();
-            trace.operators.push(OpTrace {
-                path: PathId::new(),
-                op: format!("recompute `{}`", self.view_name),
-                phase: TracePhase::Recovery,
-                diffs_in: 0,
-                diffs_out: 0,
-                dummies: 0,
-                accesses: recovery,
-            });
-            report.trace = Some(trace);
-        }
-        report.wall = started.elapsed();
-        Ok(report)
-    }
-
-    /// The incremental round itself (no commit/abort handling).
-    fn round_body(
-        &self,
-        db: &mut Database,
-        net: &HashMap<String, TableChanges>,
-        shared: Option<(&SharedPrefixes, &mut SharedDiffCache)>,
-    ) -> Result<MaintenanceReport> {
-        let started = Instant::now();
-        let faults = FaultState::with_budget(self.knobs.faults, self.knobs.budget);
-        // Content-dependent failpoint: a poison key in the pending
-        // batch fails the round before any propagation.
-        faults.on_batch(net)?;
-        let round0 = db.stats().snapshot();
-        let mut report = MaintenanceReport::default();
-        if self.knobs.trace.enabled {
-            report.trace = Some(RoundTrace::default());
-        }
+    ) -> Result<()> {
         // Round keys bind each designated prefix to this round's
         // pending net; the net is constant for the whole round, so
         // they are computed once up front.
@@ -436,70 +348,56 @@ impl IdIvm {
         for (table, changes) in net {
             if let Some(schemas) = self.schemas.tables.get(table) {
                 let diffs = populate(schemas, changes);
-                report.base_diff_tuples += diffs.iter().map(DiffInstance::len).sum::<usize>();
+                round.report.base_diff_tuples +=
+                    diffs.iter().map(DiffInstance::len).sum::<usize>();
                 let scans_left = scans.iter().filter(|(_, t)| t == table).count();
                 base_diffs.insert(table.clone(), BaseDiffs { diffs, scans_left });
             }
         }
-        let populate_done = started.elapsed();
+        round.phase(|t| &mut t.populate);
         if base_diffs.is_empty() {
-            if let Some(trace) = report.trace.as_mut() {
-                trace.timings.populate = populate_done;
-            }
-            report.wall = started.elapsed();
-            return Ok(report);
+            return Ok(());
         }
         let rescans = AtomicU64::new(0);
-        let mut state = RoundState {
+        let mut state = WalkState {
             net,
             base_diffs,
             cache_changes: HashMap::new(),
-            report: &mut report,
-            faults: &faults,
             rescans: &rescans,
-            round0,
             shared,
         };
-        let propagate_started = Instant::now();
-        let root_diffs = self.walk(db, &mut state, &self.plan, &PathId::new())?;
-        let propagate_done = propagate_started.elapsed();
-        report.rescans = rescans.load(Ordering::Relaxed);
+        let root_diffs = self.walk(db, round, &mut state, &self.plan, &PathId::new())?;
+        round.phase(|t| &mut t.propagate);
+        round.report.rescans = rescans.load(Ordering::Relaxed);
         // Apply the final i-diffs to the view.
-        report.view_diff_tuples = root_diffs.iter().map(DiffInstance::len).sum();
-        faults.on_apply(&self.view_name)?;
-        let apply_started = Instant::now();
+        round.report.view_diff_tuples = root_diffs.iter().map(DiffInstance::len).sum();
+        round.faults().on_apply(&self.view_name)?;
         let before = db.stats().snapshot();
         let mut view_changes = TableChanges::new();
         let outcome = apply_all(db.table_mut(&self.view_name)?, &root_diffs, &mut view_changes)?;
-        report.view_update = db.stats().snapshot().since(&before);
-        report.view_outcome = outcome;
-        report.view_changes = Arc::new(view_changes);
-        if faults.wants_access() {
-            faults.on_access(db.stats().snapshot().since(&round0).total())?;
-        }
-        if let Some(trace) = report.trace.as_mut() {
-            trace.operators.push(OpTrace {
-                path: PathId::new(),
-                op: op_label(&self.plan).to_string(),
-                phase: TracePhase::ViewApply,
-                diffs_in: report.view_diff_tuples as u64,
-                diffs_out: 0,
-                dummies: outcome.dummies,
-                accesses: report.view_update,
-            });
-            trace.timings.populate = populate_done;
-            trace.timings.propagate = propagate_done;
-            trace.timings.apply = apply_started.elapsed();
-        }
-        report.wall = started.elapsed();
-        Ok(report)
+        round.report.view_update = db.stats().snapshot().since(&before);
+        round.report.view_outcome = outcome;
+        round.report.view_changes = Arc::new(view_changes);
+        round.checkpoint(db)?;
+        round.op(
+            &PathId::new(),
+            op_label(&self.plan),
+            TracePhase::ViewApply,
+            round.report.view_diff_tuples as u64,
+            0,
+            outcome.dummies,
+            round.report.view_update,
+        );
+        round.phase(|t| &mut t.apply);
+        Ok(())
     }
 
     /// Bottom-up propagation. Returns the diffs over `node`'s output.
     fn walk(
         &self,
         db: &mut Database,
-        state: &mut RoundState<'_>,
+        round: &mut Round<'_>,
+        state: &mut WalkState<'_>,
         node: &Plan,
         path: &PathId,
     ) -> Result<Vec<DiffInstance>> {
@@ -533,17 +431,15 @@ impl IdIvm {
             }
         }
         let out = if let Some(out) = reused {
-            if let Some(trace) = state.report.trace.as_mut() {
-                trace.operators.push(OpTrace {
-                    path: path.clone(),
-                    op: format!("{} (shared-prefix reuse)", op_label(node)),
-                    phase: TracePhase::Propagate,
-                    diffs_in: 0,
-                    diffs_out: out.iter().map(|d| d.len() as u64).sum(),
-                    dummies: 0,
-                    accesses: StatsSnapshot::default(),
-                });
-            }
+            round.op(
+                path,
+                format_args!("{} (shared-prefix reuse)", op_label(node)),
+                TracePhase::Propagate,
+                0,
+                diff_tuples(&out),
+                0,
+                StatsSnapshot::default(),
+            );
             out
         } else {
             // Children first. The subtree-entry snapshot prices the
@@ -556,14 +452,14 @@ impl IdIvm {
                     p.push(i);
                     p
                 };
-                for diff in self.walk(db, state, c, &child_path)? {
+                for diff in self.walk(db, round, state, c, &child_path)? {
                     incoming.push(IncomingDiff { side: i, diff });
                 }
             }
             if incoming.is_empty() {
                 return Ok(Vec::new());
             }
-            state.faults.on_operator(op_label(node))?;
+            round.faults().on_operator(op_label(node))?;
             let diffs_in: u64 = incoming.iter().map(|i| i.diff.len() as u64).sum();
             // Rule application (counted as diff-computation cost).
             let before = db.stats().snapshot();
@@ -578,29 +474,23 @@ impl IdIvm {
                     access: &access,
                     minimize: self.minimize,
                     parallel: self.knobs.parallel,
-                    faults: Some(state.faults),
+                    faults: Some(round.faults()),
                     rescans: Some(state.rescans),
                 };
                 propagate(&ctx, node, path, incoming)?
             };
             let spent = db.stats().snapshot().since(&before);
-            state.report.diff_compute = state.report.diff_compute.merge(spent);
-            if let Some(trace) = state.report.trace.as_mut() {
-                trace.operators.push(OpTrace {
-                    path: path.clone(),
-                    op: op_label(node).to_string(),
-                    phase: TracePhase::Propagate,
-                    diffs_in,
-                    diffs_out: out.iter().map(|d| d.len() as u64).sum(),
-                    dummies: 0,
-                    accesses: spent,
-                });
-            }
-            if state.faults.wants_access() {
-                state
-                    .faults
-                    .on_access(db.stats().snapshot().since(&state.round0).total())?;
-            }
+            round.report.diff_compute = round.report.diff_compute.merge(spent);
+            round.op(
+                path,
+                op_label(node),
+                TracePhase::Propagate,
+                diffs_in,
+                diff_tuples(&out),
+                0,
+                spent,
+            );
+            round.checkpoint(db)?;
             if let Some(key) = publish_key {
                 if let Some(shared) = state.shared.as_mut() {
                     let (label, structure) = shared
@@ -620,7 +510,7 @@ impl IdIvm {
         // cache in post-state (pre-state through the overlay).
         if let Some(cache_name) = self.cache_map.get(path) {
             if !path.is_empty() {
-                state.faults.on_apply(cache_name)?;
+                round.faults().on_apply(cache_name)?;
                 let before = db.stats().snapshot();
                 let mut changes = state
                     .cache_changes
@@ -629,31 +519,62 @@ impl IdIvm {
                 let outcome = apply_all(db.table_mut(cache_name)?, &out, &mut changes)?;
                 state.cache_changes.insert(cache_name.clone(), changes);
                 let spent = db.stats().snapshot().since(&before);
-                state.report.cache_update = state.report.cache_update.merge(spent);
-                state.report.cache_outcome = merge_outcomes(state.report.cache_outcome, outcome);
-                if let Some(trace) = state.report.trace.as_mut() {
-                    trace.operators.push(OpTrace {
-                        path: path.clone(),
-                        op: op_label(node).to_string(),
-                        phase: TracePhase::CacheApply,
-                        diffs_in: out.iter().map(|d| d.len() as u64).sum(),
-                        diffs_out: 0,
-                        dummies: outcome.dummies,
-                        accesses: spent,
-                    });
-                }
+                round.report.cache_update = round.report.cache_update.merge(spent);
+                round.report.cache_outcome.absorb(outcome);
+                round.op(
+                    path,
+                    op_label(node),
+                    TracePhase::CacheApply,
+                    diff_tuples(&out),
+                    0,
+                    outcome.dummies,
+                    spent,
+                );
                 // Checkpoint after the cache-boundary apply, so access
                 // faults and round budgets observe cache-maintenance
                 // accesses too — not just the propagation spine.
-                if state.faults.wants_access() {
-                    state
-                        .faults
-                        .on_access(db.stats().snapshot().since(&state.round0).total())?;
-                }
+                round.checkpoint(db)?;
             }
         }
         Ok(out)
     }
+}
+
+impl Engine for IdIvm {
+    fn label(&self) -> &'static str {
+        "id-ivm"
+    }
+
+    fn view_name(&self) -> &str {
+        &self.view_name
+    }
+
+    fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    fn round_body(
+        &self,
+        round: &mut Round<'_>,
+        db: &mut Database,
+        net: &HashMap<String, TableChanges>,
+    ) -> Result<()> {
+        self.body(round, db, net, None)
+    }
+
+    /// The view and every intermediate cache.
+    fn recompute(&self, db: &mut Database) -> Result<()> {
+        refresh_view(db, &self.view_name, &self.plan)?;
+        for def in &self.cache_defs {
+            let sub = crate::access::node_at(&self.plan, &def.path)?.clone();
+            refresh_view(db, &def.name, &sub)?;
+        }
+        Ok(())
+    }
+}
+
+fn diff_tuples(diffs: &[DiffInstance]) -> u64 {
+    diffs.iter().map(|d| d.len() as u64).sum()
 }
 
 /// One table's populated base i-diffs and how many `Scan` leaves of
@@ -663,14 +584,13 @@ struct BaseDiffs {
     scans_left: usize,
 }
 
-struct RoundState<'r> {
+/// What one round's walk threads through the plan besides the
+/// [`Round`] itself.
+struct WalkState<'r> {
     net: &'r HashMap<String, TableChanges>,
     base_diffs: HashMap<String, BaseDiffs>,
     cache_changes: HashMap<String, TableChanges>,
-    report: &'r mut MaintenanceReport,
-    faults: &'r FaultState,
     rescans: &'r AtomicU64,
-    round0: StatsSnapshot,
     shared: Option<SharedCtx<'r>>,
 }
 
@@ -681,15 +601,6 @@ struct SharedCtx<'r> {
     /// Designated path → this round's cache key (structural
     /// fingerprint ⊕ pending-net digest), precomputed at round start.
     round_keys: HashMap<PathId, String>,
-}
-
-fn merge_outcomes(a: ApplyOutcome, b: ApplyOutcome) -> ApplyOutcome {
-    ApplyOutcome {
-        inserted: a.inserted + b.inserted,
-        deleted: a.deleted + b.deleted,
-        updated: a.updated + b.updated,
-        dummies: a.dummies + b.dummies,
-    }
 }
 
 /// Create the base-table secondary indexes the diff-driven probe paths

@@ -33,6 +33,9 @@
 //!   [`maintain`](engine::IdIvm::maintain) (modification log → i-diff
 //!   instances → propagation → application), with a per-phase cost
 //!   report.
+//! * [`round`] — the round spine: the [`round::Engine`] trait (strategy
+//!   required, atomic-round protocol provided) and the [`round::Round`]
+//!   context, shared by all three engines.
 //! * [`script`] — a human-readable rendering of the generated ∆-script
 //!   (paper Figure 7).
 //! * [`supervisor`] — the self-healing maintenance supervisor: drives
@@ -54,6 +57,7 @@ pub mod engine;
 pub mod faults;
 pub mod minimize;
 pub mod report;
+pub mod round;
 pub mod rules;
 pub mod schema_gen;
 pub mod script;
@@ -66,6 +70,7 @@ pub use diff::{DiffInstance, DiffKind, DiffSchema};
 pub use engine::{IdIvm, IvmOptions, RecoveryPolicy};
 pub use faults::{FaultKind, FaultPlan, FaultSite, FaultState, RoundBudget};
 pub use report::MaintenanceReport;
+pub use round::{Engine, Round};
 pub use shared::{
     detect_shared_prefixes, promotion_candidates, structure_key, substitute_scan,
     substitute_structures, PrefixSpec, PromotionCandidate, SharedDiffCache, SharedPrefixStat,

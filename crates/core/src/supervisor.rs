@@ -48,17 +48,20 @@
 //! the engine directly (same access counts, same trace).
 
 use crate::config::EngineConfig;
-use crate::engine::{IdIvm, RecoveryPolicy};
+use crate::engine::RecoveryPolicy;
 use crate::faults::{FaultPlan, RoundBudget};
 use crate::report::MaintenanceReport;
+use crate::round::Engine;
+use crate::trace::json_escape;
 use idivm_reldb::{Database, NetChange, TableChanges};
 use idivm_types::{Error, Key, Result};
 use std::collections::HashMap;
 
-/// The engine surface the supervisor drives. Implemented by `IdIvm`
-/// (here), `TupleIvm`, and `Sdbt` (in their own crates). The fault,
-/// recovery, and budget knobs the supervisor saves and restores come
-/// from the [`EngineConfig`] supertrait.
+/// The engine surface the supervisor drives: every [`Engine`] has it
+/// (the blanket impl below), and a scripted test double can implement
+/// just these two methods. The fault, recovery, and budget knobs the
+/// supervisor saves and restores come from the [`EngineConfig`]
+/// supertrait.
 pub trait SupervisedEngine: EngineConfig {
     /// Stable engine label for reports and JSON.
     fn label(&self) -> &'static str;
@@ -77,9 +80,9 @@ pub trait SupervisedEngine: EngineConfig {
     ) -> Result<MaintenanceReport>;
 }
 
-impl SupervisedEngine for IdIvm {
+impl<E: Engine + ?Sized> SupervisedEngine for E {
     fn label(&self) -> &'static str {
-        "id-ivm"
+        Engine::label(self)
     }
 
     fn maintain_with_changes(
@@ -87,7 +90,7 @@ impl SupervisedEngine for IdIvm {
         db: &mut Database,
         net: &HashMap<String, TableChanges>,
     ) -> Result<MaintenanceReport> {
-        IdIvm::maintain_with_changes(self, db, net)
+        Engine::maintain_with_changes(self, db, net)
     }
 }
 
@@ -461,21 +464,6 @@ impl SupervisorReport {
                 .map_or("null".to_string(), |s| format!("\"{}\"", json_escape(s)))
         )
     }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Drives an engine's pending modification log to convergence with the

@@ -189,8 +189,9 @@ impl RoundTrace {
         Some(self.dummy_diffs() as f64 / applied as f64)
     }
 
-    /// Render the trace as a JSON object (no external dependencies —
-    /// all values are numbers, fixed labels, or integer arrays).
+    /// Render the trace as a JSON object (no external dependencies).
+    /// Values are numbers, fixed labels and integer arrays, except
+    /// `op`, which can embed a caller-chosen view name and is escaped.
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
         s.push_str(&format!(
@@ -217,7 +218,7 @@ impl RoundTrace {
                  \"diffs_in\": {}, \"diffs_out\": {}, \"dummies\": {}, \
                  \"tuple_accesses\": {}, \"index_lookups\": {}}}{}\n",
                 path.join(","),
-                o.op,
+                json_escape(&o.op),
                 o.phase.label(),
                 o.diffs_in,
                 o.diffs_out,
@@ -230,6 +231,23 @@ impl RoundTrace {
         s.push_str("  ]\n}");
         s
     }
+}
+
+/// Escape `s` for embedding in a JSON string literal — the one
+/// escaper of this crate's hand-rolled JSON writers.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Stable label for a plan node, used in trace entries.

@@ -7,16 +7,15 @@ use idivm_algebra::{ensure_ids, AggFunc, AggSpec, Plan};
 use idivm_core::access::{self, AccessCtx, PathId};
 use idivm_core::config::{EngineConfig, EngineKnobs};
 use idivm_core::diff::State;
-use idivm_core::engine::{ensure_probe_indexes, RecoveryPolicy};
-use idivm_core::faults::FaultState;
-use idivm_core::trace::{OpTrace, RoundTrace, TracePhase};
+use idivm_core::engine::ensure_probe_indexes;
+use idivm_core::round::{Engine, Round};
+use idivm_core::trace::TracePhase;
 use idivm_core::MaintenanceReport;
 use idivm_exec::{execute, materialize_view, refresh_view, view_schema};
 use idivm_reldb::{Database, NetChange, TableChanges};
 use idivm_tuple::TupleIvm;
 use idivm_types::{Column, ColumnType, Error, Key, Result, Row, Schema, Value};
 use std::collections::{BTreeSet, HashMap};
-use std::time::Instant;
 
 /// Which change pattern the engine is configured for (paper §7.3).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,16 +126,8 @@ impl Sdbt {
                 cols.push(Column::new("__count", ColumnType::Int));
                 let key_names: Vec<&str> = base_schema.key_names().to_vec();
                 let schema = Schema::new(cols, &key_names)?;
-                let rows = execute(db, &plan)?;
-                let counts = group_counts(db, &plan)?;
                 db.create_table(view_name, schema)?;
-                let t = db.table_mut(view_name)?;
-                for mut r in rows {
-                    let gk = r.key(&(0..keys.len()).collect::<Vec<_>>());
-                    let n = counts.get(&gk).copied().unwrap_or(0);
-                    r.0.push(Value::Int(n));
-                    t.load(r)?;
-                }
+                load_counted(db, view_name, &plan, keys.len())?;
             }
         }
         // Materialize the maps of every partial.
@@ -194,46 +185,22 @@ impl Sdbt {
     /// # Errors
     /// Unknown view.
     pub fn visible_rows(&self, db: &Database) -> Result<Vec<Row>> {
-        let rows = db.table(&self.view_name)?.rows_uncounted();
-        Ok(match self.shape {
-            RootShape::Spj => rows,
-            RootShape::Aggregate { .. } => rows
-                .into_iter()
-                .map(|mut r| {
-                    r.0.pop();
-                    r
-                })
-                .collect(),
-        })
+        Engine::visible_rows(self, db)
     }
 
-    /// Run one maintenance round.
-    ///
-    /// The round is **atomic**: on any `Err` the view, every map, and
-    /// all indexes are rolled back to their exact pre-round state
-    /// (including the nested map-maintenance rounds of the Streams
-    /// variant) and the modification log is preserved. With
-    /// [`RecoveryPolicy::RecomputeOnError`] the error is repaired
-    /// in-place and reported instead of returned.
+    /// Run one maintenance round. The round is atomic (the nested
+    /// map-maintenance rounds of the Streams variant included) — see
+    /// [`Engine::maintain`] and DESIGN.md §6.
     ///
     /// # Errors
     /// `Unsupported` when a Fixed engine sees changes on other tables;
     /// propagation failures or injected faults otherwise.
     pub fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        let fold_started = Instant::now();
-        let net = db.fold_log();
-        let fold = fold_started.elapsed();
-        let mut report = self.maintain_with_changes(db, &net)?;
-        db.clear_log();
-        if let Some(trace) = report.trace.as_mut() {
-            trace.timings.fold = fold;
-        }
-        Ok(report)
+        Engine::maintain(self, db)
     }
 
     /// Like [`Sdbt::maintain`], but over an externally folded change
-    /// set. The modification log is untouched (the caller owns it);
-    /// atomicity is as in [`Sdbt::maintain`].
+    /// set — [`Engine::maintain_with_changes`].
     ///
     /// # Errors
     /// As in [`Sdbt::maintain`].
@@ -242,232 +209,7 @@ impl Sdbt {
         db: &mut Database,
         net: &HashMap<String, TableChanges>,
     ) -> Result<MaintenanceReport> {
-        let owner = db.begin_round();
-        match self.round_body(db, net) {
-            Ok(report) => {
-                if owner {
-                    db.commit_round();
-                } else {
-                    db.end_nested_round();
-                }
-                Ok(report)
-            }
-            Err(e) => {
-                if owner {
-                    db.abort_round();
-                    if self.knobs.recovery == RecoveryPolicy::RecomputeOnError {
-                        return self.recover(db, &e);
-                    }
-                } else {
-                    db.end_nested_round();
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Repair the view and every maintained map by full recompute after
-    /// a rollback. The aggregate shape recomputes its hidden `__count`
-    /// multiplicity column alongside the visible attributes.
-    fn recover(&self, db: &mut Database, cause: &Error) -> Result<MaintenanceReport> {
-        let started = Instant::now();
-        let before = db.stats().snapshot();
-        // Streams maps are maintained incrementally, so a failed round
-        // leaves them behind the base tables; refresh them from their
-        // plans. Fixed maps are static by construction — nothing to do.
-        for p in &self.partials {
-            for m in &p.maps {
-                if let Some(t) = &m.maintainer {
-                    refresh_view(db, &m.name, t.plan())?;
-                }
-            }
-        }
-        match &self.shape {
-            RootShape::Spj => refresh_view(db, &self.view_name, &self.view_plan)?,
-            RootShape::Aggregate { keys, .. } => {
-                // `refresh_view` recomputes the plan's schema, which
-                // lacks the hidden `__count` column — redo the setup
-                // loading path instead.
-                let rows = execute(db, &self.view_plan)?;
-                let counts = group_counts(db, &self.view_plan)?;
-                let key_positions: Vec<usize> = (0..keys.len()).collect();
-                let t = db.table_mut(&self.view_name)?;
-                t.clear();
-                for mut r in rows {
-                    let gk = r.key(&key_positions);
-                    let n = counts.get(&gk).copied().unwrap_or(0);
-                    r.0.push(Value::Int(n));
-                    t.load(r)?;
-                }
-            }
-        }
-        let recovery = db.stats().snapshot().since(&before);
-        let mut report = MaintenanceReport {
-            recovered: true,
-            recovery,
-            recovery_cause: Some(cause.to_string()),
-            ..MaintenanceReport::default()
-        };
-        if self.knobs.trace.enabled {
-            let mut trace = RoundTrace::default();
-            trace.operators.push(OpTrace {
-                path: PathId::new(),
-                op: format!("recompute `{}`", self.view_name),
-                phase: TracePhase::Recovery,
-                diffs_in: 0,
-                diffs_out: 0,
-                dummies: 0,
-                accesses: recovery,
-            });
-            report.trace = Some(trace);
-        }
-        report.wall = started.elapsed();
-        Ok(report)
-    }
-
-    /// The incremental round itself (no commit/abort handling).
-    fn round_body(
-        &self,
-        db: &mut Database,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        let started = Instant::now();
-        let faults = FaultState::with_budget(self.knobs.faults, self.knobs.budget);
-        // Content-dependent failpoint: a poison key in the pending
-        // batch fails the round before any propagation.
-        faults.on_batch(net)?;
-        let round0 = db.stats().snapshot();
-        let mut report = MaintenanceReport::default();
-        if self.knobs.trace.enabled {
-            report.trace = Some(RoundTrace::default());
-        }
-        if net.is_empty() {
-            report.wall = started.elapsed();
-            return Ok(report);
-        }
-        if let SdbtVariant::Fixed(t) = &self.variant {
-            if net.keys().any(|k| k != t) {
-                return Err(Error::Unsupported(format!(
-                    "SDBT-fixed({t}) received changes on other tables"
-                )));
-            }
-        }
-        report.base_diff_tuples = net.values().map(TableChanges::len).sum();
-
-        // Phase 2 first: compose deltas against the *pre-round* maps, so
-        // map maintenance (phase 1, Streams) cannot double-apply other
-        // tables' changes. In the paper's experiments only one table
-        // changes per round, making the order immaterial for results —
-        // but not for cost: Streams still pays the map maintenance.
-        let propagate_started = Instant::now();
-        let before = db.stats().snapshot();
-        let mut composed = ComposedDiffs::default();
-        for p in &self.partials {
-            let Some(changes) = net.get(&p.def.table) else {
-                continue;
-            };
-            faults.on_operator("compose")?;
-            self.compose_table(db, p, changes, &mut composed)?;
-        }
-        report.diff_compute = db.stats().snapshot().since(&before);
-        report.view_diff_tuples = composed.len();
-        if faults.wants_access() {
-            faults.on_access(db.stats().snapshot().since(&round0).total())?;
-        }
-
-        // Phase 1 (Streams): maintain every map — the overhead that
-        // makes SDBT-streams slow (Figure 12, column D).
-        let before = db.stats().snapshot();
-        for p in &self.partials {
-            for m in &p.maps {
-                if let Some(t) = &m.maintainer {
-                    faults.on_operator("map_maintain")?;
-                    t.maintain_with_changes(db, net)?;
-                    // Checkpoint after each map's maintenance, so access
-                    // faults and round budgets observe map-maintenance
-                    // accesses as they accrue — not just at the phase
-                    // boundary.
-                    if faults.wants_access() {
-                        faults.on_access(db.stats().snapshot().since(&round0).total())?;
-                    }
-                }
-            }
-        }
-        report.cache_update = db.stats().snapshot().since(&before);
-        let propagate_done = propagate_started.elapsed();
-        if faults.wants_access() {
-            faults.on_access(db.stats().snapshot().since(&round0).total())?;
-        }
-
-        // Phase 3: apply to the view.
-        faults.on_apply(&self.view_name)?;
-        let apply_started = Instant::now();
-        let before = db.stats().snapshot();
-        match &self.shape {
-            RootShape::Spj => {
-                let d = idivm_tuple::TDiffs {
-                    inserts: composed.inserts,
-                    deletes: composed.deletes,
-                    updates: composed.updates,
-                };
-                let out = idivm_tuple::tdiff::apply(db.table_mut(&self.view_name)?, &d)?;
-                report.view_outcome.inserted = out.inserted;
-                report.view_outcome.deleted = out.deleted;
-                report.view_outcome.updated = out.updated;
-                report.view_outcome.dummies = out.dummies;
-            }
-            RootShape::Aggregate { keys, aggs } => {
-                let (keys, aggs) = (keys.clone(), aggs.clone());
-                self.apply_aggregate(db, &keys, &aggs, composed, &faults, &mut report)?;
-            }
-        }
-        report.view_update = db.stats().snapshot().since(&before);
-        if faults.wants_access() {
-            faults.on_access(db.stats().snapshot().since(&round0).total())?;
-        }
-        // SDBT has no operator tree to attribute to; emit one pseudo
-        // entry per phase (delta composition, map maintenance, view
-        // apply) so its rounds carry the same trace schema.
-        if report.trace.is_some() {
-            let view_diff_tuples = report.view_diff_tuples as u64;
-            let base_diff_tuples = report.base_diff_tuples as u64;
-            let (diff_compute, cache_update, view_update) =
-                (report.diff_compute, report.cache_update, report.view_update);
-            let view_dummies = report.view_outcome.dummies;
-            if let Some(trace) = report.trace.as_mut() {
-                trace.operators.push(OpTrace {
-                    path: vec![],
-                    op: "compose".to_string(),
-                    phase: TracePhase::Propagate,
-                    diffs_in: base_diff_tuples,
-                    diffs_out: view_diff_tuples,
-                    dummies: 0,
-                    accesses: diff_compute,
-                });
-                trace.operators.push(OpTrace {
-                    path: vec![],
-                    op: "map_maintain".to_string(),
-                    phase: TracePhase::CacheApply,
-                    diffs_in: base_diff_tuples,
-                    diffs_out: 0,
-                    dummies: 0,
-                    accesses: cache_update,
-                });
-                trace.operators.push(OpTrace {
-                    path: vec![],
-                    op: "view_apply".to_string(),
-                    phase: TracePhase::ViewApply,
-                    diffs_in: view_diff_tuples,
-                    diffs_out: 0,
-                    dummies: view_dummies,
-                    accesses: view_update,
-                });
-                trace.timings.propagate = propagate_done;
-                trace.timings.apply = apply_started.elapsed();
-            }
-        }
-        report.wall = started.elapsed();
-        Ok(report)
+        Engine::maintain_with_changes(self, db, net)
     }
 
     /// Run the probe chain for one base row, accumulating matches.
@@ -569,8 +311,7 @@ impl Sdbt {
         keys: &[usize],
         aggs: &[AggSpec],
         composed: ComposedDiffs,
-        faults: &FaultState,
-        report: &mut MaintenanceReport,
+        round: &mut Round<'_>,
     ) -> Result<()> {
         let Plan::GroupBy { input, .. } = &self.view_plan else {
             return Err(Error::Internal(
@@ -743,8 +484,8 @@ impl Sdbt {
                             // The failpoint fires before the member
                             // lookup: an aborted round rolls back with
                             // the rescan unperformed.
-                            faults.on_operator("rescan")?;
-                            report.rescans += 1;
+                            round.faults().on_operator("rescan")?;
+                            round.report.rescans += 1;
                             let members = access::lookup(
                                 &access,
                                 input,
@@ -793,15 +534,15 @@ impl Sdbt {
             match act {
                 Act::Delete(pk) => {
                     view.delete_located(&pk);
-                    report.view_outcome.deleted += 1;
+                    round.report.view_outcome.deleted += 1;
                 }
                 Act::Patch(pk, assignments) => {
                     view.patch(&pk, &assignments);
-                    report.view_outcome.updated += 1;
+                    round.report.view_outcome.updated += 1;
                 }
                 Act::Insert(r) => {
                     view.insert_if_absent(r)?;
-                    report.view_outcome.inserted += 1;
+                    round.report.view_outcome.inserted += 1;
                 }
             }
         }
@@ -809,17 +550,173 @@ impl Sdbt {
     }
 }
 
-impl idivm_core::SupervisedEngine for Sdbt {
+impl Engine for Sdbt {
     fn label(&self) -> &'static str {
         "sdbt"
     }
 
-    fn maintain_with_changes(
+    fn view_name(&self) -> &str {
+        &self.view_name
+    }
+
+    fn plan(&self) -> &Plan {
+        &self.view_plan
+    }
+
+    /// The partial-map strategy: compose deltas through the probe
+    /// chains, maintain the maps (Streams), apply to the view.
+    fn round_body(
         &self,
+        round: &mut Round<'_>,
         db: &mut Database,
         net: &HashMap<String, TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        Sdbt::maintain_with_changes(self, db, net)
+    ) -> Result<()> {
+        if let SdbtVariant::Fixed(t) = &self.variant {
+            if net.keys().any(|k| k != t) {
+                return Err(Error::Unsupported(format!(
+                    "SDBT-fixed({t}) received changes on other tables"
+                )));
+            }
+        }
+        // No diff instances to populate: the net changes are the input.
+        round.report.base_diff_tuples = net.values().map(TableChanges::len).sum();
+        round.phase(|t| &mut t.populate);
+        if net.is_empty() {
+            return Ok(());
+        }
+        let faults = round.faults();
+        // SDBT has no operator tree to attribute to; each phase (delta
+        // composition, map maintenance, view apply) emits one pseudo
+        // entry so its rounds carry the same trace schema.
+        let root = PathId::new();
+        let base = round.report.base_diff_tuples as u64;
+
+        // Phase 2 first: compose deltas against the *pre-round* maps, so
+        // map maintenance (phase 1, Streams) cannot double-apply other
+        // tables' changes. In the paper's experiments only one table
+        // changes per round, making the order immaterial for results —
+        // but not for cost: Streams still pays the map maintenance.
+        let before = db.stats().snapshot();
+        let mut composed = ComposedDiffs::default();
+        for p in &self.partials {
+            let Some(changes) = net.get(&p.def.table) else {
+                continue;
+            };
+            faults.on_operator("compose")?;
+            self.compose_table(db, p, changes, &mut composed)?;
+        }
+        round.report.diff_compute = db.stats().snapshot().since(&before);
+        round.report.view_diff_tuples = composed.len();
+        let view = composed.len() as u64;
+        round.op(
+            &root,
+            "compose",
+            TracePhase::Propagate,
+            base,
+            view,
+            0,
+            round.report.diff_compute,
+        );
+        round.checkpoint(db)?;
+
+        // Phase 1 (Streams): maintain every map — the overhead that
+        // makes SDBT-streams slow (Figure 12, column D).
+        let before = db.stats().snapshot();
+        for p in &self.partials {
+            for m in &p.maps {
+                if let Some(t) = &m.maintainer {
+                    faults.on_operator("map_maintain")?;
+                    t.maintain_with_changes(db, net)?;
+                    // Checkpoint after each map's maintenance, so access
+                    // faults and round budgets observe map-maintenance
+                    // accesses as they accrue — not just at the phase
+                    // boundary.
+                    round.checkpoint(db)?;
+                }
+            }
+        }
+        round.report.cache_update = db.stats().snapshot().since(&before);
+        round.op(
+            &root,
+            "map_maintain",
+            TracePhase::CacheApply,
+            base,
+            0,
+            0,
+            round.report.cache_update,
+        );
+        round.phase(|t| &mut t.propagate);
+        round.checkpoint(db)?;
+
+        // Phase 3: apply to the view.
+        faults.on_apply(&self.view_name)?;
+        let before = db.stats().snapshot();
+        match &self.shape {
+            RootShape::Spj => {
+                let d = idivm_tuple::TDiffs {
+                    inserts: composed.inserts,
+                    deletes: composed.deletes,
+                    updates: composed.updates,
+                };
+                round.report.view_outcome =
+                    idivm_tuple::tdiff::apply(db.table_mut(&self.view_name)?, &d)?;
+            }
+            RootShape::Aggregate { keys, aggs } => {
+                self.apply_aggregate(db, keys, aggs, composed, round)?;
+            }
+        }
+        round.report.view_update = db.stats().snapshot().since(&before);
+        round.checkpoint(db)?;
+        round.op(
+            &root,
+            "view_apply",
+            TracePhase::ViewApply,
+            view,
+            0,
+            round.report.view_outcome.dummies,
+            round.report.view_update,
+        );
+        round.phase(|t| &mut t.apply);
+        Ok(())
+    }
+
+    /// The view (with its hidden `__count` column, for the aggregate
+    /// shape) and every maintained map.
+    fn recompute(&self, db: &mut Database) -> Result<()> {
+        // Streams maps are maintained incrementally, so a failed round
+        // leaves them behind the base tables; refresh them from their
+        // plans. Fixed maps are static by construction — nothing to do.
+        for p in &self.partials {
+            for m in &p.maps {
+                if let Some(t) = &m.maintainer {
+                    refresh_view(db, &m.name, t.plan())?;
+                }
+            }
+        }
+        match &self.shape {
+            RootShape::Spj => refresh_view(db, &self.view_name, &self.view_plan),
+            // `refresh_view` recomputes the plan's schema, which lacks
+            // the hidden `__count` column — redo the setup loading path
+            // instead.
+            RootShape::Aggregate { keys, .. } => {
+                load_counted(db, &self.view_name, &self.view_plan, keys.len())
+            }
+        }
+    }
+
+    /// Drops the hidden multiplicity column of the aggregate shape.
+    fn visible_rows(&self, db: &Database) -> Result<Vec<Row>> {
+        let rows = db.table(&self.view_name)?.rows_uncounted();
+        Ok(match self.shape {
+            RootShape::Spj => rows,
+            RootShape::Aggregate { .. } => rows
+                .into_iter()
+                .map(|mut r| {
+                    r.0.pop();
+                    r
+                })
+                .collect(),
+        })
     }
 }
 
@@ -841,6 +738,22 @@ impl ComposedDiffs {
 fn contains_left_outer_join(node: &Plan) -> bool {
     matches!(node, Plan::LeftOuterJoin { .. })
         || node.children().into_iter().any(contains_left_outer_join)
+}
+
+/// (Re)load an aggregate-shaped view table: the plan's rows, each with
+/// its group's hidden `__count` multiplicity appended.
+fn load_counted(db: &mut Database, view_name: &str, plan: &Plan, n_keys: usize) -> Result<()> {
+    let rows = execute(db, plan)?;
+    let counts = group_counts(db, plan)?;
+    let key_positions: Vec<usize> = (0..n_keys).collect();
+    let t = db.table_mut(view_name)?;
+    t.clear();
+    for mut r in rows {
+        let n = counts.get(&r.key(&key_positions)).copied().unwrap_or(0);
+        r.0.push(Value::Int(n));
+        t.load(r)?;
+    }
+    Ok(())
 }
 
 /// Per-group input-row multiplicities of an aggregate plan.

@@ -23,6 +23,8 @@
 //! view); the engine maintains the partials with the tuple-based
 //! machinery and turns base diffs into view deltas via partial probes.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod engine;
 pub mod partial;
 

@@ -1,20 +1,19 @@
 //! The tuple-based IVM engine (the paper's `D`-script executor).
 
 use crate::propagate::{propagate, TupleCtx};
-use crate::tdiff::{apply, TApplyOutcome, TDiffs};
+use crate::tdiff::{apply, TDiffs};
 use idivm_algebra::{ensure_ids, Plan};
 use idivm_core::access::{AccessCtx, PathId};
 use idivm_core::config::{EngineConfig, EngineKnobs};
-use idivm_core::engine::{ensure_probe_indexes, RecoveryPolicy};
-use idivm_core::faults::FaultState;
-use idivm_core::trace::{op_label, OpTrace, RoundTrace, TracePhase};
+use idivm_core::engine::ensure_probe_indexes;
+use idivm_core::round::{Engine, Round};
+use idivm_core::trace::{op_label, TracePhase};
 use idivm_core::MaintenanceReport;
 use idivm_exec::{materialize_view, refresh_view};
-use idivm_reldb::{Database, StatsSnapshot};
-use idivm_types::{Error, Result};
+use idivm_reldb::{Database, TableChanges};
+use idivm_types::Result;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
 /// An incrementally maintained view under classical tuple-based IVM.
 ///
@@ -65,128 +64,65 @@ impl TupleIvm {
         &self.plan
     }
 
-    /// Run one deferred maintenance round with the D-script.
-    ///
-    /// The round is **atomic**: on any `Err` the view and its indexes
-    /// are rolled back to their exact pre-round state and the
-    /// modification log is preserved, so a clean retry (or a recompute)
-    /// starts from consistent state. With
-    /// [`RecoveryPolicy::RecomputeOnError`] the error is repaired
-    /// in-place and reported instead of returned.
+    /// Run one deferred maintenance round with the D-script. The round
+    /// is atomic — see [`Engine::maintain`] and DESIGN.md §6.
     ///
     /// # Errors
     /// Propagation or application failures, or an injected fault.
     pub fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        let fold_started = Instant::now();
-        let net = db.fold_log();
-        let fold = fold_started.elapsed();
-        let mut report = self.maintain_with_changes(db, &net)?;
-        db.clear_log();
-        if let Some(trace) = report.trace.as_mut() {
-            trace.timings.fold = fold;
-        }
-        Ok(report)
+        Engine::maintain(self, db)
     }
 
     /// Like [`TupleIvm::maintain`], but over an externally folded change
     /// set (several engines can share one round without consuming the
-    /// log twice). The modification log is untouched (the caller owns
-    /// it); atomicity is as in [`TupleIvm::maintain`].
+    /// log twice) — [`Engine::maintain_with_changes`].
     ///
     /// # Errors
     /// Propagation or application failures, or an injected fault.
     pub fn maintain_with_changes(
         &self,
         db: &mut Database,
-        net: &HashMap<String, idivm_reldb::TableChanges>,
+        net: &HashMap<String, TableChanges>,
     ) -> Result<MaintenanceReport> {
-        let owner = db.begin_round();
-        match self.round_body(db, net) {
-            Ok(report) => {
-                if owner {
-                    db.commit_round();
-                } else {
-                    db.end_nested_round();
-                }
-                Ok(report)
-            }
-            Err(e) => {
-                if owner {
-                    db.abort_round();
-                    if self.knobs.recovery == RecoveryPolicy::RecomputeOnError {
-                        return self.recover(db, &e);
-                    }
-                } else {
-                    db.end_nested_round();
-                }
-                Err(e)
-            }
-        }
+        Engine::maintain_with_changes(self, db, net)
+    }
+}
+
+impl Engine for TupleIvm {
+    fn label(&self) -> &'static str {
+        "tuple-ivm"
     }
 
-    /// Repair the view by full recompute after a rollback.
-    fn recover(&self, db: &mut Database, cause: &Error) -> Result<MaintenanceReport> {
-        let started = Instant::now();
-        let before = db.stats().snapshot();
-        refresh_view(db, &self.view_name, &self.plan)?;
-        let recovery = db.stats().snapshot().since(&before);
-        let mut report = MaintenanceReport {
-            recovered: true,
-            recovery,
-            recovery_cause: Some(cause.to_string()),
-            ..MaintenanceReport::default()
-        };
-        if self.knobs.trace.enabled {
-            let mut trace = RoundTrace::default();
-            trace.operators.push(OpTrace {
-                path: PathId::new(),
-                op: format!("recompute `{}`", self.view_name),
-                phase: TracePhase::Recovery,
-                diffs_in: 0,
-                diffs_out: 0,
-                dummies: 0,
-                accesses: recovery,
-            });
-            report.trace = Some(trace);
-        }
-        report.wall = started.elapsed();
-        Ok(report)
+    fn view_name(&self) -> &str {
+        &self.view_name
     }
 
-    /// The incremental round itself (no commit/abort handling).
+    fn plan(&self) -> &Plan {
+        &self.plan
+    }
+
+    /// The t-diff strategy: one t-diff per changed base row, the
+    /// D-script bottom-up, the view-level t-diffs applied to the view.
     fn round_body(
         &self,
+        round: &mut Round<'_>,
         db: &mut Database,
-        net: &HashMap<String, idivm_reldb::TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        let started = Instant::now();
-        let faults = FaultState::with_budget(self.knobs.faults, self.knobs.budget);
-        // Content-dependent failpoint: a poison key in the pending
-        // batch fails the round before any propagation.
-        faults.on_batch(net)?;
-        let round0 = db.stats().snapshot();
-        let mut report = MaintenanceReport::default();
-        if self.knobs.trace.enabled {
-            report.trace = Some(RoundTrace::default());
-        }
-        if net.is_empty() {
-            report.wall = started.elapsed();
-            return Ok(report);
-        }
-        let populate_started = Instant::now();
+        net: &HashMap<String, TableChanges>,
+    ) -> Result<()> {
         let base_diffs: HashMap<String, TDiffs> = net
             .iter()
             .map(|(t, ch)| (t.clone(), TDiffs::from_changes(ch)))
             .collect();
-        report.base_diff_tuples = base_diffs.values().map(TDiffs::len).sum();
-        let populate_done = populate_started.elapsed();
+        round.report.base_diff_tuples = base_diffs.values().map(TDiffs::len).sum();
+        round.phase(|t| &mut t.populate);
+        if net.is_empty() {
+            return Ok(());
+        }
 
         // Compute the view-level t-diffs (counted as diff computation).
-        let propagate_started = Instant::now();
         let before = db.stats().snapshot();
         let empty_caches: HashMap<PathId, String> = HashMap::new();
-        let empty_changes: HashMap<String, idivm_reldb::TableChanges> = HashMap::new();
-        let mut op_traces = self.knobs.trace.enabled.then(Vec::new);
+        let empty_changes: HashMap<String, TableChanges> = HashMap::new();
         let rescans = AtomicU64::new(0);
         let view_diffs = {
             let access = AccessCtx {
@@ -199,77 +135,48 @@ impl TupleIvm {
                 access: &access,
                 view_name: &self.view_name,
                 parallel: self.knobs.parallel,
-                faults: Some(&faults),
+                faults: Some(round.faults()),
                 rescans: Some(&rescans),
             };
-            walk(
-                &ctx,
-                &self.plan,
-                &PathId::new(),
-                &base_diffs,
-                &mut op_traces,
-                &faults,
-                &round0,
-            )?
+            walk(&ctx, round, &self.plan, &PathId::new(), &base_diffs)?
         };
-        report.diff_compute = db.stats().snapshot().since(&before);
-        report.view_diff_tuples = view_diffs.len();
-        report.rescans = rescans.load(Ordering::Relaxed);
-        let propagate_done = propagate_started.elapsed();
+        round.report.diff_compute = db.stats().snapshot().since(&before);
+        round.report.view_diff_tuples = view_diffs.len();
+        round.report.rescans = rescans.load(Ordering::Relaxed);
+        round.phase(|t| &mut t.propagate);
 
         // Apply them.
-        faults.on_apply(&self.view_name)?;
-        let apply_started = Instant::now();
+        round.faults().on_apply(&self.view_name)?;
         let before = db.stats().snapshot();
         let outcome = apply(db.table_mut(&self.view_name)?, &view_diffs)?;
-        report.view_update = db.stats().snapshot().since(&before);
-        report.view_outcome = to_outcome(outcome);
-        if faults.wants_access() {
-            faults.on_access(db.stats().snapshot().since(&round0).total())?;
-        }
-        if let Some(trace) = report.trace.as_mut() {
-            trace.operators = op_traces.unwrap_or_default();
-            trace.operators.push(OpTrace {
-                path: PathId::new(),
-                op: op_label(&self.plan).to_string(),
-                phase: TracePhase::ViewApply,
-                diffs_in: report.view_diff_tuples as u64,
-                diffs_out: 0,
-                dummies: outcome.dummies,
-                accesses: report.view_update,
-            });
-            trace.timings.populate = populate_done;
-            trace.timings.propagate = propagate_done;
-            trace.timings.apply = apply_started.elapsed();
-        }
-        report.wall = started.elapsed();
-        Ok(report)
+        round.report.view_update = db.stats().snapshot().since(&before);
+        round.report.view_outcome = outcome;
+        round.checkpoint(db)?;
+        round.op(
+            &PathId::new(),
+            op_label(&self.plan),
+            TracePhase::ViewApply,
+            round.report.view_diff_tuples as u64,
+            0,
+            outcome.dummies,
+            round.report.view_update,
+        );
+        round.phase(|t| &mut t.apply);
+        Ok(())
+    }
+
+    /// The view only (no caches).
+    fn recompute(&self, db: &mut Database) -> Result<()> {
+        refresh_view(db, &self.view_name, &self.plan)
     }
 }
 
-impl idivm_core::SupervisedEngine for TupleIvm {
-    fn label(&self) -> &'static str {
-        "tuple-ivm"
-    }
-
-    fn maintain_with_changes(
-        &self,
-        db: &mut Database,
-        net: &HashMap<String, idivm_reldb::TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        TupleIvm::maintain_with_changes(self, db, net)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
 fn walk(
     ctx: &TupleCtx<'_>,
+    round: &mut Round<'_>,
     node: &Plan,
     path: &PathId,
     base: &HashMap<String, TDiffs>,
-    traces: &mut Option<Vec<OpTrace>>,
-    faults: &FaultState,
-    round0: &StatsSnapshot,
 ) -> Result<TDiffs> {
     if let Plan::Scan { table, .. } = node {
         return Ok(base.get(table).cloned().unwrap_or_default());
@@ -278,36 +185,24 @@ fn walk(
     for (i, c) in node.children().into_iter().enumerate() {
         let mut p = path.clone();
         p.push(i);
-        sides.push(walk(ctx, c, &p, base, traces, faults, round0)?);
+        sides.push(walk(ctx, round, c, &p, base)?);
     }
-    faults.on_operator(op_label(node))?;
+    round.faults().on_operator(op_label(node))?;
     let diffs_in: u64 = sides.iter().map(|s| s.len() as u64).sum();
-    let before = traces
-        .is_some()
-        .then(|| ctx.access.db.stats().snapshot());
+    let stats = ctx.access.db.stats();
+    let before = round.report.trace.is_some().then(|| stats.snapshot());
     let out = propagate(ctx, node, path, sides)?;
-    if let (Some(ts), Some(before)) = (traces.as_mut(), before) {
-        ts.push(OpTrace {
-            path: path.clone(),
-            op: op_label(node).to_string(),
-            phase: TracePhase::Propagate,
+    if let Some(before) = before {
+        round.op(
+            path,
+            op_label(node),
+            TracePhase::Propagate,
             diffs_in,
-            diffs_out: out.len() as u64,
-            dummies: 0,
-            accesses: ctx.access.db.stats().snapshot().since(&before),
-        });
+            out.len() as u64,
+            0,
+            stats.snapshot().since(&before),
+        );
     }
-    if faults.wants_access() {
-        faults.on_access(ctx.access.db.stats().snapshot().since(round0).total())?;
-    }
+    round.checkpoint(ctx.access.db)?;
     Ok(out)
-}
-
-fn to_outcome(o: TApplyOutcome) -> idivm_core::apply::ApplyOutcome {
-    idivm_core::apply::ApplyOutcome {
-        inserted: o.inserted,
-        deleted: o.deleted,
-        updated: o.updated,
-        dummies: o.dummies,
-    }
 }

@@ -17,6 +17,8 @@
 //! ([`engine::TupleIvm::setup`] creates them; index maintenance is not
 //! charged).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod engine;
 pub mod propagate;
 pub mod tdiff;

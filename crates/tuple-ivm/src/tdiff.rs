@@ -1,6 +1,7 @@
 //! Tuple-based diffs: full-row insert/delete/update sets over one
 //! relation, and their application to a materialized view.
 
+use idivm_core::apply::ApplyOutcome;
 use idivm_reldb::{NetChange, Table, TableChanges};
 use idivm_types::{Result, Row, Value};
 
@@ -48,24 +49,14 @@ impl TDiffs {
     }
 }
 
-/// Outcome counters of applying t-diffs to a view.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TApplyOutcome {
-    pub inserted: u64,
-    pub deleted: u64,
-    pub updated: u64,
-    /// Diff tuples that matched nothing (stale/duplicate assertions).
-    pub dummies: u64,
-}
-
 /// Apply view-level t-diffs: per diff tuple one view index lookup (the
 /// primary key probe) plus one tuple access when a row is actually
 /// written — the view-modification cost of the paper's Table 2.
 ///
 /// # Errors
 /// Arity mismatches.
-pub fn apply(view: &mut Table, diffs: &TDiffs) -> Result<TApplyOutcome> {
-    let mut out = TApplyOutcome::default();
+pub fn apply(view: &mut Table, diffs: &TDiffs) -> Result<ApplyOutcome> {
+    let mut out = ApplyOutcome::default();
     let key_cols = view.schema().key().to_vec();
     for pre in &diffs.deletes {
         let pk = pre.key(&key_cols);

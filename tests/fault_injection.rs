@@ -31,14 +31,13 @@
 //! at P = 4.
 
 use idivm_repro::core::{
-    EngineConfig, FaultPlan, IdIvm, IvmOptions, MaintenanceReport, RecoveryPolicy, TraceConfig,
-    TracePhase,
+    Engine, EngineConfig, FaultPlan, IdIvm, IvmOptions, RecoveryPolicy, TraceConfig, TracePhase,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_repro::reldb::Database;
 use idivm_repro::sdbt::{Sdbt, SdbtVariant};
 use idivm_repro::tuple::TupleIvm;
-use idivm_repro::types::{Error, Result, Row};
+use idivm_repro::types::Error;
 use idivm_repro::workloads::RunningExample;
 
 const DIFF: usize = 25;
@@ -74,51 +73,6 @@ fn four_threads() -> ParallelConfig {
     }
 }
 
-/// The engine surface the sweep needs: one maintenance round and the
-/// maintained rows to diff against the recompute oracle (fault plan
-/// and recovery knobs come from the shared `EngineConfig` supertrait).
-trait EngineUnderTest: EngineConfig {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport>;
-    fn oracle(&self, db: &Database) -> Vec<Row>;
-    fn actual(&self, db: &Database) -> Vec<Row>;
-}
-
-impl EngineUnderTest for IdIvm {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        IdIvm::maintain(self, db)
-    }
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).unwrap().rows_uncounted()
-    }
-}
-
-impl EngineUnderTest for TupleIvm {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        TupleIvm::maintain(self, db)
-    }
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).unwrap().rows_uncounted()
-    }
-}
-
-impl EngineUnderTest for Sdbt {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        Sdbt::maintain(self, db)
-    }
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        self.visible_rows(db).unwrap()
-    }
-}
-
 #[derive(Clone, Copy, Debug)]
 enum Site {
     Operator,
@@ -147,7 +101,7 @@ impl Site {
 /// and every failpoint index, inject, assert bit-identical rollback and
 /// a preserved log; on the terminating clean run, assert the view
 /// equals the recompute oracle and the log was consumed.
-fn sweep(db: &mut Database, ivm: &mut dyn EngineUnderTest, label: &str) {
+fn sweep(db: &mut Database, ivm: &mut dyn Engine, label: &str) {
     let cfg = example();
     // Warmup: one clean round so caches/maps have seen maintenance.
     cfg.price_update_batch(db, DIFF, 0).unwrap();
@@ -196,8 +150,8 @@ fn sweep(db: &mut Database, ivm: &mut dyn EngineUnderTest, label: &str) {
             "{label} {site:?}: committed round left the log unconsumed"
         );
         assert_eq!(
-            sorted(ivm.actual(db)),
-            sorted(ivm.oracle(db)),
+            sorted(ivm.visible_rows(db).unwrap()),
+            sorted(recompute_rows(db, ivm.plan()).unwrap()),
             "{label} {site:?}: clean re-run diverged from the recompute oracle"
         );
     }
@@ -277,7 +231,7 @@ fn fault_sweep_sdbt_streams() {
 /// recompute, and reports the repair — on every engine.
 #[test]
 fn recompute_on_error_repairs_and_reports() {
-    type EngineBuilder = Box<dyn Fn(&mut Database) -> Box<dyn EngineUnderTest>>;
+    type EngineBuilder = Box<dyn Fn(&mut Database) -> Box<dyn Engine>>;
     let cfg = example();
     let engines: Vec<(&str, EngineBuilder)> = vec![
         (
@@ -325,8 +279,8 @@ fn recompute_on_error_repairs_and_reports() {
             "{label}: recovered round left the log unconsumed"
         );
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: recompute repair diverged from the oracle"
         );
 
@@ -337,8 +291,8 @@ fn recompute_on_error_repairs_and_reports() {
         let report = ivm.maintain(&mut db).unwrap();
         assert!(!report.recovered);
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: post-recovery round diverged from the oracle"
         );
     }
@@ -351,7 +305,7 @@ fn recompute_on_error_repairs_and_reports() {
 /// serial and at P = 4.
 #[test]
 fn double_fault_retry_preserves_log_and_converges_third_attempt() {
-    type EngineBuilder = Box<dyn Fn(&mut Database) -> Box<dyn EngineUnderTest>>;
+    type EngineBuilder = Box<dyn Fn(&mut Database) -> Box<dyn Engine>>;
     let cfg = example();
     let engines: Vec<(&str, EngineBuilder)> = vec![
         (
@@ -443,8 +397,8 @@ fn double_fault_retry_preserves_log_and_converges_third_attempt() {
         assert!(!report.recovered, "{label}");
         assert!(db.fold_log().is_empty(), "{label}: log not consumed");
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: third attempt diverged from the oracle"
         );
     }

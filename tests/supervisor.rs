@@ -22,21 +22,19 @@
 //!   byte-identical [`SupervisorReport`] JSON across repeated runs
 //!   and across `ParallelConfig` thread counts.
 //!
-//! The supervised engines are exercised through the same
-//! [`SupervisedEngine`] object surface the chaos bench uses, via a
-//! boxed test-local subtrait that adds the oracle/actual accessors.
+//! The supervised engines are exercised through the same boxed
+//! [`Engine`] object surface the chaos bench uses.
 
 use idivm_repro::core::{
-    EngineConfig, FaultPlan, IdIvm, IvmOptions, MaintenanceReport, MaintenanceSupervisor,
-    RecoveryPolicy, RoundBudget, SupervisedEngine, SupervisorConfig, SupervisorVerdict,
+    Engine, EngineConfig, FaultPlan, IdIvm, IvmOptions, MaintenanceSupervisor, RecoveryPolicy,
+    RoundBudget, SupervisorConfig, SupervisorVerdict,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_repro::reldb::{Database, NetChange, TableChanges};
 use idivm_repro::sdbt::{Sdbt, SdbtVariant};
 use idivm_repro::tuple::TupleIvm;
-use idivm_repro::types::{Key, Result, Row};
+use idivm_repro::types::{Key, Row};
 use idivm_repro::workloads::RunningExample;
-use std::collections::HashMap;
 
 const DIFF: usize = 25;
 
@@ -67,64 +65,7 @@ fn four_threads() -> ParallelConfig {
     }
 }
 
-/// [`SupervisedEngine`] plus the differential-test accessors.
-trait ChaosEngine: SupervisedEngine {
-    fn oracle(&self, db: &Database) -> Vec<Row>;
-    fn actual(&self, db: &Database) -> Vec<Row>;
-}
-
-impl ChaosEngine for IdIvm {
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).unwrap().rows_uncounted()
-    }
-}
-
-impl ChaosEngine for TupleIvm {
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).unwrap().rows_uncounted()
-    }
-}
-
-impl ChaosEngine for Sdbt {
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        self.visible_rows(db).unwrap()
-    }
-}
-
-/// Forward the supervised surface through the box so a
-/// `MaintenanceSupervisor<Box<dyn ChaosEngine>>` drives any engine.
-impl EngineConfig for Box<dyn ChaosEngine> {
-    fn knobs(&self) -> &idivm_repro::core::EngineKnobs {
-        (**self).knobs()
-    }
-    fn knobs_mut(&mut self) -> &mut idivm_repro::core::EngineKnobs {
-        (**self).knobs_mut()
-    }
-}
-
-impl SupervisedEngine for Box<dyn ChaosEngine> {
-    fn label(&self) -> &'static str {
-        (**self).label()
-    }
-    fn maintain_with_changes(
-        &self,
-        db: &mut Database,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        (**self).maintain_with_changes(db, net)
-    }
-}
-
-type BoxedEngine = Box<dyn ChaosEngine>;
+type BoxedEngine = Box<dyn Engine>;
 type EngineBuilder = Box<dyn Fn(&mut Database) -> BoxedEngine>;
 
 /// All engine configurations under supervision: the ID and tuple
@@ -237,7 +178,7 @@ fn oracle_excluding(
             }
         }
     }
-    let rows = ivm.oracle(db);
+    let rows = recompute_rows(db, ivm.plan()).unwrap();
     for (table, key, change) in quarantined {
         match change {
             NetChange::Inserted { post } => {
@@ -327,8 +268,8 @@ fn transient_faults_converge_within_retry_bound() {
             assert!(report.quarantine.is_empty(), "{label} site={site}");
             assert!(db.fold_log().is_empty(), "{label} site={site}");
             assert_eq!(
-                sorted(ivm.actual(&db)),
-                sorted(ivm.oracle(&db)),
+                sorted(ivm.visible_rows(&db).unwrap()),
+                sorted(recompute_rows(&db, ivm.plan()).unwrap()),
                 "{label} site={site}: healed run diverged from the oracle"
             );
         }
@@ -390,7 +331,7 @@ fn poison_diffs_quarantined_minimally() {
             .collect();
         let healthy_oracle = oracle_excluding(&mut db, &ivm, &quarantined);
         assert_eq!(
-            sorted(ivm.actual(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
             sorted(healthy_oracle),
             "{label}: committed remainder diverged from the healthy-subset oracle"
         );
@@ -426,8 +367,8 @@ fn permanent_site_fault_escalates_to_recompute() {
         assert!(last.recovered, "{label}: escalation did not recompute");
         assert!(db.fold_log().is_empty(), "{label}: log not consumed");
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: recompute repair diverged from the full oracle"
         );
         // The supervisor restored the engine's own knobs.
@@ -478,8 +419,8 @@ fn budget_overrun_bisects_and_converges() {
         assert!(report.quarantine.is_empty(), "{label}");
         assert!(db.fold_log().is_empty(), "{label}: log not consumed");
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: budget-split run diverged from the oracle"
         );
         // The supervisor's budget did not stick to the engine.

@@ -14,16 +14,15 @@
 
 use idivm_repro::algebra::AggFunc;
 use idivm_repro::core::{
-    EngineConfig, FaultPlan, IdIvm, IvmOptions, MaintenanceReport, MaintenanceSupervisor,
-    SupervisedEngine, SupervisorConfig, SupervisorVerdict,
+    Engine, EngineConfig, FaultPlan, IdIvm, IvmOptions, MaintenanceSupervisor, SupervisorConfig,
+    SupervisorVerdict,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, DbCatalog, ParallelConfig};
-use idivm_repro::reldb::{Database, TableChanges};
+use idivm_repro::reldb::Database;
 use idivm_repro::sdbt::{Partial, Sdbt, SdbtVariant};
 use idivm_repro::tuple::TupleIvm;
-use idivm_repro::types::{row, ColumnType, Error, Key, Result, Row, Schema, Value};
+use idivm_repro::types::{row, ColumnType, Error, Key, Schema, Value};
 use idivm_repro::workloads::Tpch;
-use std::collections::HashMap;
 
 /// Fault seed, overridable via `IDIVM_FAULT_SEED` (shared with the
 /// fault-sweep suite and the CI chaos matrix).
@@ -51,78 +50,11 @@ fn tiny(extremum_pct: u32) -> Tpch {
     }
 }
 
-/// The engine surface the suite needs (mirrors `fault_injection.rs`,
-/// plus the supervised surface so [`MaintenanceSupervisor`] can drive
-/// a boxed engine).
-trait EngineUnderTest: SupervisedEngine {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport>;
-    fn oracle(&self, db: &Database) -> Vec<Row>;
-    fn actual(&self, db: &Database) -> Vec<Row>;
-}
-
-impl EngineConfig for Box<dyn EngineUnderTest> {
-    fn knobs(&self) -> &idivm_repro::core::EngineKnobs {
-        (**self).knobs()
-    }
-    fn knobs_mut(&mut self) -> &mut idivm_repro::core::EngineKnobs {
-        (**self).knobs_mut()
-    }
-}
-
-impl SupervisedEngine for Box<dyn EngineUnderTest> {
-    fn label(&self) -> &'static str {
-        (**self).label()
-    }
-    fn maintain_with_changes(
-        &self,
-        db: &mut Database,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        (**self).maintain_with_changes(db, net)
-    }
-}
-
-impl EngineUnderTest for IdIvm {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        IdIvm::maintain(self, db)
-    }
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).unwrap().rows_uncounted()
-    }
-}
-
-impl EngineUnderTest for TupleIvm {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        TupleIvm::maintain(self, db)
-    }
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        db.table(self.view_name()).unwrap().rows_uncounted()
-    }
-}
-
-impl EngineUnderTest for Sdbt {
-    fn maintain(&self, db: &mut Database) -> Result<MaintenanceReport> {
-        Sdbt::maintain(self, db)
-    }
-    fn oracle(&self, db: &Database) -> Vec<Row> {
-        recompute_rows(db, self.plan()).unwrap()
-    }
-    fn actual(&self, db: &Database) -> Vec<Row> {
-        self.visible_rows(db).unwrap()
-    }
-}
-
 /// All three engines on the extremes view, each on its own database.
 fn extremes_trio(
     cfg: &Tpch,
-) -> Vec<(&'static str, Database, Box<dyn EngineUnderTest>)> {
-    let mut out: Vec<(&'static str, Database, Box<dyn EngineUnderTest>)> = Vec::new();
+) -> Vec<(&'static str, Database, Box<dyn Engine>)> {
+    let mut out: Vec<(&'static str, Database, Box<dyn Engine>)> = Vec::new();
     let mut db = cfg.build().unwrap();
     let plan = cfg.extremes_plan(&db).unwrap();
     let ivm = IdIvm::setup(&mut db, "V", plan, IvmOptions::default()).unwrap();
@@ -160,8 +92,8 @@ fn extremes_engines_agree_under_skewed_churn() {
             let report = ivm.maintain(db).unwrap();
             rescans[i] += report.rescans;
             assert_eq!(
-                sorted(ivm.actual(db)),
-                sorted(ivm.oracle(db)),
+                sorted(ivm.visible_rows(db).unwrap()),
+                sorted(recompute_rows(db, ivm.plan()).unwrap()),
                 "{label}: diverged from the recompute oracle in round {round}"
             );
         }
@@ -215,7 +147,7 @@ fn extremes_parallel_p4_bit_identical_to_serial() {
 #[test]
 fn left_outer_join_engines_agree_under_padding_churn() {
     let cfg = tiny(0);
-    type Setup = fn(&mut Database, &Tpch) -> Box<dyn EngineUnderTest>;
+    type Setup = fn(&mut Database, &Tpch) -> Box<dyn Engine>;
     let setups: Vec<(&str, Setup)> = vec![
         ("id-ivm serial", |db, cfg| {
             let plan = cfg.loj_plan(db).unwrap();
@@ -254,9 +186,9 @@ fn left_outer_join_engines_agree_under_padding_churn() {
         for round in 0..5u64 {
             cfg.order_churn_batch(&mut db, 8, round).unwrap();
             ivm.maintain(&mut db).unwrap();
-            let oracle = sorted(ivm.oracle(&db));
+            let oracle = sorted(recompute_rows(&db, ivm.plan()).unwrap());
             assert_eq!(
-                sorted(ivm.actual(&db)),
+                sorted(ivm.visible_rows(&db).unwrap()),
                 oracle,
                 "{label}: outer join diverged from the oracle in round {round}"
             );
@@ -344,8 +276,8 @@ fn grouped_plan(db: &Database) -> idivm_repro::algebra::Plan {
 /// All three engines on the single-table grouped view.
 fn grouped_trio(
     rows: &[(i64, i64, i64)],
-) -> Vec<(&'static str, Database, Box<dyn EngineUnderTest>)> {
-    let mut out: Vec<(&'static str, Database, Box<dyn EngineUnderTest>)> = Vec::new();
+) -> Vec<(&'static str, Database, Box<dyn Engine>)> {
+    let mut out: Vec<(&'static str, Database, Box<dyn Engine>)> = Vec::new();
     let mut db = grouped_db(rows);
     let plan = grouped_plan(&db);
     let ivm = IdIvm::setup(&mut db, "V", plan, IvmOptions::default()).unwrap();
@@ -395,7 +327,8 @@ fn deleting_the_extremum_row_yields_the_runner_up_not_a_stale_or_zeroed_min() {
             "{label}: extremum deletion resolved without a rescan"
         );
         let g7 = ivm
-            .actual(&db)
+            .visible_rows(&db)
+            .unwrap()
             .into_iter()
             .find(|r| r[0] == Value::Int(7))
             .unwrap_or_else(|| panic!("{label}: group 7 vanished"));
@@ -411,8 +344,8 @@ fn deleting_the_extremum_row_yields_the_runner_up_not_a_stale_or_zeroed_min() {
         );
         assert_eq!(g7[1], Value::Int(50), "{label}: runner-up not promoted");
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: view diverged from the oracle"
         );
 
@@ -422,13 +355,18 @@ fn deleting_the_extremum_row_yields_the_runner_up_not_a_stale_or_zeroed_min() {
             .unwrap();
         ivm.maintain(&mut db).unwrap();
         let g7 = ivm
-            .actual(&db)
+            .visible_rows(&db)
+            .unwrap()
             .into_iter()
             .find(|r| r[0] == Value::Int(7))
             .unwrap();
         assert_eq!(g7[1], Value::Int(90), "{label}: MIN after the move");
         assert_eq!(g7[2], Value::Int(95), "{label}: MAX after the move");
-        assert_eq!(sorted(ivm.actual(&db)), sorted(ivm.oracle(&db)), "{label}");
+        assert_eq!(
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
+            "{label}"
+        );
     }
 }
 
@@ -488,8 +426,8 @@ fn mid_rescan_fault_rolls_back_to_pre_round_signature() {
         );
         assert!(db.fold_log().is_empty(), "{label}: log not consumed");
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: clean run diverged from the oracle"
         );
         ivm.set_faults(FaultPlan::disabled());
@@ -521,8 +459,8 @@ fn supervisor_heals_transient_faults_through_rescan_rounds() {
         assert_eq!(report.retries, 2, "{label}");
         assert!(db.fold_log().is_empty(), "{label}: log not consumed");
         assert_eq!(
-            sorted(ivm.actual(&db)),
-            sorted(ivm.oracle(&db)),
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
             "{label}: healed run diverged from the oracle"
         );
     }

@@ -13,7 +13,9 @@
 //! `maintain()` on malformed predicates.
 
 use idivm_repro::algebra::{Expr, PlanBuilder};
-use idivm_repro::core::{EngineConfig, IdIvm, IvmOptions, RoundTrace, TraceConfig, TracePhase};
+use idivm_repro::core::{
+    EngineConfig, FaultPlan, IdIvm, IvmOptions, RecoveryPolicy, RoundTrace, TraceConfig, TracePhase,
+};
 use idivm_repro::exec::{DbCatalog, ParallelConfig};
 use idivm_repro::reldb::{Database, StatsSnapshot};
 use idivm_repro::sdbt::{Sdbt, SdbtVariant};
@@ -260,5 +262,64 @@ fn malformed_predicate_yields_err_not_panic() {
     assert!(
         matches!(err, Error::Type(_)),
         "expected a typed error, got {err:?}"
+    );
+}
+
+/// Walk `json` the way a parser would: strings may hold anything but
+/// raw control characters (escapes skipped), everything outside a
+/// string must be JSON structure, a number or a bare literal.
+fn assert_json_scans(json: &str) {
+    let (mut in_string, mut escaped, mut depth) = (false, false, 0i64);
+    for c in json.chars() {
+        if in_string {
+            assert!(
+                c >= ' ',
+                "raw control character {c:?} inside a string:\n{json}"
+            );
+            match c {
+                _ if escaped => escaped = false,
+                '\\' => escaped = true,
+                '"' => in_string = false,
+                _ => {}
+            }
+            continue;
+        }
+        match c {
+            '"' => in_string = true,
+            '{' | '[' => depth += 1,
+            '}' | ']' => depth -= 1,
+            _ => assert!(
+                c.is_ascii_whitespace() || c.is_ascii_digit() || ":,-+.eEtrufalsn".contains(c),
+                "stray {c:?} outside any string:\n{json}"
+            ),
+        }
+        assert!(depth >= 0, "unbalanced close:\n{json}");
+    }
+    assert!(!in_string && depth == 0, "unterminated JSON:\n{json}");
+}
+
+/// View names are caller-chosen and reach the trace through the
+/// recovery entry's label (`` recompute `<view>` ``): a hostile name
+/// must be escaped, not spliced into the document.
+#[test]
+fn recovered_trace_of_hostile_view_name_is_well_formed_json() {
+    let cfg = example();
+    let mut db = cfg.build().unwrap();
+    let plan = cfg.agg_plan(&db).unwrap();
+    let options = IvmOptions {
+        trace: TraceConfig::enabled(),
+        faults: FaultPlan::at_operator(1, 7),
+        recovery: RecoveryPolicy::RecomputeOnError,
+        ..IvmOptions::default()
+    };
+    let ivm = IdIvm::setup(&mut db, "we\"ird\n", plan, options).unwrap();
+    cfg.price_update_batch(&mut db, 10, 0).unwrap();
+    let report = ivm.maintain(&mut db).unwrap();
+    assert!(report.recovered);
+    let json = report.trace.expect("traced recovery").to_json();
+    assert_json_scans(&json);
+    assert!(
+        json.contains(r#""op": "recompute `we\"ird\n`""#),
+        "view name not carried (escaped) into the trace:\n{json}"
     );
 }
