@@ -9,6 +9,8 @@
 //! are executed by `idivm-exec` and incrementally maintained by
 //! `idivm-core` / `idivm-tuple`.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod aggregate;
 pub mod builder;
 pub mod display;

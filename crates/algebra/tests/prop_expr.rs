@@ -49,12 +49,11 @@ proptest! {
     fn columns_is_complete(e in expr_strategy(), r in row4(), noise in -100i64..100) {
         let cols = e.columns();
         prop_assert!(cols.iter().all(|&c| c < 4));
-        let mut scrambled = r.clone();
-        for c in 0..4 {
-            if !cols.contains(&c) {
-                scrambled.0[c] = Value::Int(noise);
-            }
-        }
+        let noisy: Vec<(usize, Value)> = (0..4)
+            .filter(|c| !cols.contains(c))
+            .map(|c| (c, Value::Int(noise)))
+            .collect();
+        let scrambled = r.with(&noisy);
         prop_assert_eq!(e.eval(&scrambled).unwrap(), e.eval(&r).unwrap());
     }
 
@@ -67,7 +66,7 @@ proptest! {
                 left: Box::new(Expr::Col(0)),
                 right: Box::new(Expr::Col(1)),
             };
-            let r = Row(vec![Value::Int(a), Value::Int(b)]);
+            let r = Row::new(vec![Value::Int(a), Value::Int(b)]);
             let neg = e.clone().negate();
             prop_assert_eq!(e.eval_pred(&r).unwrap(), !neg.eval_pred(&r).unwrap());
         }

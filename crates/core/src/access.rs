@@ -22,7 +22,7 @@ use idivm_exec::executor::{
     hash_aggregate, hash_join, hash_left_outer_join, project_row, semi_or_anti,
 };
 use idivm_reldb::{Database, PreState, TableChanges};
-use idivm_types::{Error, Key, Result, Row, Value};
+use idivm_types::{Error, Result, Row, Value};
 use std::collections::HashMap;
 
 /// Identifies a plan node by the child indices from the root (root =
@@ -127,9 +127,8 @@ pub fn scan(ctx: &AccessCtx<'_>, plan: &Plan, path: &PathId, state: State) -> Re
         Plan::UnionAll { left, right } => {
             let mut out = Vec::new();
             for (branch, side, idx) in [(0i64, left, 0usize), (1, right, 1)] {
-                for mut row in scan(ctx, side, &child(path, idx), state)? {
-                    row.0.push(Value::Int(branch));
-                    out.push(row);
+                for row in scan(ctx, side, &child(path, idx), state)? {
+                    out.push(row.extended(Value::Int(branch)));
                 }
             }
             Ok(out)
@@ -141,9 +140,11 @@ pub fn scan(ctx: &AccessCtx<'_>, plan: &Plan, path: &PathId, state: State) -> Re
     }
 }
 
-/// Equality probe: rows of the subview whose `cols` equal `probe`.
-/// Pushed down to index lookups wherever the operator structure allows;
-/// falls back to counted scans otherwise.
+/// Equality probe: rows of the subview whose `cols` equal `probe` (a
+/// borrowed `[Value]`: a key's values, a diff row's ID slots, a reused
+/// scratch vector — no `Key` is built to ask). Pushed down to index
+/// lookups wherever the operator structure allows; falls back to
+/// counted scans otherwise.
 ///
 /// # Errors
 /// Unknown tables or malformed plans.
@@ -153,9 +154,9 @@ pub fn lookup(
     path: &PathId,
     state: State,
     cols: &[usize],
-    probe: &Key,
+    probe: &[Value],
 ) -> Result<Vec<Row>> {
-    debug_assert_eq!(cols.len(), probe.arity());
+    debug_assert_eq!(cols.len(), probe.len());
     if cols.is_empty() {
         return scan(ctx, plan, path, state);
     }
@@ -217,7 +218,7 @@ pub fn lookup(
             residual,
         } => {
             let la = left.arity();
-            let right_vals = probe_values(cols, probe, |c| c >= la);
+            let right_vals = sub_probe(cols, probe, |c| c >= la);
             if right_vals.iter().any(|v| !v.is_null()) {
                 // A non-NULL constraint on a right column excludes
                 // NULL-padded rows, so the result coincides with the
@@ -244,13 +245,15 @@ pub fn lookup(
             let lprobe = sub_probe(cols, probe, |c| c < la);
             let lrows = lookup(ctx, left, lp, state, &left_part, &lprobe)?;
             let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-            let pad = Row(vec![Value::Null; right.arity()]);
+            let pad: Row = std::iter::repeat_n(Value::Null, right.arity()).collect();
             let mut out = Vec::new();
+            let mut vals: Vec<Value> = Vec::with_capacity(on.len());
             for l in lrows {
-                let vals: Vec<Value> = on.iter().map(|&(lc, _)| l[lc].clone()).collect();
+                vals.clear();
+                vals.extend(on.iter().map(|&(lc, _)| l[lc].clone()));
                 let mut matched = false;
                 if !vals.iter().any(Value::is_null) {
-                    for r in lookup(ctx, right, rp, state, &rcols, &Key(vals))? {
+                    for r in lookup(ctx, right, rp, state, &rcols, &vals)? {
                         let joined = l.concat(&r);
                         if idivm_algebra::opt_pred(residual.as_ref(), &joined)? {
                             out.push(joined);
@@ -287,7 +290,7 @@ pub fn lookup(
             let branch_filter = cols
                 .iter()
                 .position(|&c| c == branch_pos)
-                .map(|i| probe.0[i].clone());
+                .map(|i| probe[i].clone());
             let mut out = Vec::new();
             for (branch, side, idx) in [(0i64, left, 0usize), (1, right, 1)] {
                 if let Some(b) = &branch_filter {
@@ -295,11 +298,10 @@ pub fn lookup(
                         continue;
                     }
                 }
-                for mut row in
+                for row in
                     lookup(ctx, side, &child(path, idx), state, &inner_cols, &inner_probe)?
                 {
-                    row.0.push(Value::Int(branch));
-                    out.push(row);
+                    out.push(row.extended(Value::Int(branch)));
                 }
             }
             Ok(out)
@@ -332,7 +334,7 @@ pub fn exists(
     path: &PathId,
     state: State,
     cols: &[usize],
-    probe: &Key,
+    probe: &[Value],
 ) -> Result<bool> {
     Ok(!lookup(ctx, plan, path, state, cols, probe)?.is_empty())
 }
@@ -345,7 +347,7 @@ fn probe_join(
     path: &PathId,
     state: State,
     cols: &[usize],
-    probe: &Key,
+    probe: &[Value],
     left: &Plan,
     right: &Plan,
     on: &[(usize, usize)],
@@ -369,7 +371,7 @@ fn probe_join(
         for &c in &right_part {
             rcols.push(c - la);
         }
-        let right_vals = probe_values(cols, probe, |c| c >= la);
+        let right_vals = sub_probe(cols, probe, |c| c >= la);
         let mut out = Vec::new();
         for l in lrows {
             let mut vals: Vec<Value> = on.iter().map(|&(lc, _)| l[lc].clone()).collect();
@@ -380,7 +382,7 @@ fn probe_join(
             let Some((dcols, dvals)) = dedupe_probe(&rcols, vals) else {
                 continue; // contradictory duplicate constraints
             };
-            let rrows = lookup(ctx, right, rp, state, &dcols, &Key(dvals))?;
+            let rrows = lookup(ctx, right, rp, state, &dcols, &dvals)?;
             for r in rrows {
                 let joined = l.concat(&r);
                 if idivm_algebra::opt_pred(residual, &joined)? {
@@ -396,12 +398,14 @@ fn probe_join(
         let rrows = lookup(ctx, right, rp, state, &rprobe_cols, &rprobe)?;
         let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
         let mut out = Vec::new();
+        let mut vals: Vec<Value> = Vec::with_capacity(on.len());
         for r in rrows {
-            let vals: Vec<Value> = on.iter().map(|&(_, rc)| r[rc].clone()).collect();
+            vals.clear();
+            vals.extend(on.iter().map(|&(_, rc)| r[rc].clone()));
             if vals.iter().any(Value::is_null) {
                 continue;
             }
-            let lrows = lookup(ctx, left, lp, state, &lcols, &Key(vals))?;
+            let lrows = lookup(ctx, left, lp, state, &lcols, &vals)?;
             for l in lrows {
                 let joined = l.concat(&r);
                 if idivm_algebra::opt_pred(residual, &joined)? {
@@ -420,7 +424,7 @@ fn probe_semi(
     path: &PathId,
     state: State,
     cols: &[usize],
-    probe: &Key,
+    probe: &[Value],
     left: &Plan,
     right: &Plan,
     on: &[(usize, usize)],
@@ -432,12 +436,14 @@ fn probe_semi(
     let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
     let rp = &child(path, 1);
     let mut out = Vec::new();
+    let mut vals: Vec<Value> = Vec::with_capacity(on.len());
     for l in lrows {
-        let vals: Vec<Value> = on.iter().map(|&(lc, _)| l[lc].clone()).collect();
+        vals.clear();
+        vals.extend(on.iter().map(|&(lc, _)| l[lc].clone()));
         let matched = if vals.iter().any(Value::is_null) {
             false
         } else {
-            let rrows = lookup(ctx, right, rp, state, &rcols, &Key(vals))?;
+            let rrows = lookup(ctx, right, rp, state, &rcols, &vals)?;
             let mut hit = false;
             for r in &rrows {
                 if idivm_algebra::opt_pred(residual.as_ref(), &l.concat(r))? {
@@ -460,14 +466,9 @@ fn child(path: &[usize], idx: usize) -> PathId {
     p
 }
 
-fn filter_by(rows: Vec<Row>, cols: &[usize], probe: &Key) -> Vec<Row> {
-    rows.into_iter()
-        .filter(|r| &r.key(cols) == probe)
-        .collect()
-}
-
-fn sub_probe(cols: &[usize], probe: &Key, keep: impl Fn(usize) -> bool) -> Key {
-    Key(probe_values(cols, probe, keep))
+fn filter_by(mut rows: Vec<Row>, cols: &[usize], probe: &[Value]) -> Vec<Row> {
+    rows.retain(|r| r.matches(cols, probe));
+    rows
 }
 
 /// Remove duplicate probe columns and sort the probe by column position
@@ -491,9 +492,10 @@ fn dedupe_probe(cols: &[usize], vals: Vec<Value>) -> Option<(Vec<usize>, Vec<Val
     Some(pairs.into_iter().unzip())
 }
 
-fn probe_values(cols: &[usize], probe: &Key, keep: impl Fn(usize) -> bool) -> Vec<Value> {
+/// The probe values whose column passes `keep`.
+fn sub_probe(cols: &[usize], probe: &[Value], keep: impl Fn(usize) -> bool) -> Vec<Value> {
     cols.iter()
-        .zip(probe.0.iter())
+        .zip(probe)
         .filter(|(c, _)| keep(**c))
         .map(|(_, v)| v.clone())
         .collect()
@@ -591,7 +593,7 @@ mod tests {
             &vec![],
             State::Post,
             &[0],
-            &Key(vec![Value::str("P1")]),
+            &[Value::str("P1")],
         )
         .unwrap();
         assert_eq!(rows.len(), 2); // joins with D1 and D2
@@ -623,7 +625,7 @@ mod tests {
             &vec![],
             State::Post,
             &[0],
-            &Key(vec![Value::str("D1")]),
+            &[Value::str("D1")],
         )
         .unwrap();
         assert_eq!(rows, vec![row!["D1", 2]]);
@@ -636,7 +638,7 @@ mod tests {
         // Update P1's price 10 → 99 with logging on.
         db.update_named(
             "parts",
-            &Key(vec![Value::str("P1")]),
+            &idivm_types::Key(vec![Value::str("P1")]),
             &[("price", Value::Int(99))],
         )
         .unwrap();
@@ -658,7 +660,7 @@ mod tests {
             &vec![],
             State::Post,
             &[0],
-            &Key(vec![Value::str("P1")]),
+            &[Value::str("P1")],
         )
         .unwrap();
         assert!(post.is_empty());
@@ -669,7 +671,7 @@ mod tests {
             &vec![],
             State::Pre,
             &[0],
-            &Key(vec![Value::str("P1")]),
+            &[Value::str("P1")],
         )
         .unwrap();
         assert_eq!(pre, vec![row!["P1", 10]]);
@@ -744,7 +746,7 @@ mod tests {
             &vec![],
             State::Post,
             &[0],
-            &Key(vec![Value::str("P3")]),
+            &[Value::str("P3")],
         )
         .unwrap();
         assert_eq!(rows, vec![row!["P3", 30]]);
@@ -754,7 +756,7 @@ mod tests {
             &vec![],
             State::Post,
             &[0],
-            &Key(vec![Value::str("P1")]),
+            &[Value::str("P1")],
         )
         .unwrap();
         assert!(used.is_empty());
@@ -778,7 +780,7 @@ mod tests {
             &vec![],
             State::Post,
             &[0, 2],
-            &Key(vec![Value::str("P1"), Value::Int(1)]),
+            &[Value::str("P1"), Value::Int(1)],
         )
         .unwrap();
         assert_eq!(rows, vec![row!["P1", 10, 1]]);
@@ -789,7 +791,7 @@ mod tests {
             &vec![],
             State::Post,
             &[0],
-            &Key(vec![Value::str("P1")]),
+            &[Value::str("P1")],
         )
         .unwrap();
         assert_eq!(rows.len(), 2);

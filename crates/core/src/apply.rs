@@ -12,6 +12,12 @@
 //! by overestimating rules) cost only their index lookup — the effect
 //! the paper's compression factor `p` measures.
 //!
+//! Update and delete diffs locate and write in one step
+//! ([`Table::patch_where`] / [`Table::delete_where`]), probing with the
+//! diff row's leading ID slots as a borrowed `[Value]`: a modified view
+//! tuple costs the post row it becomes and the overlay key that must
+//! own it, nothing per probe.
+//!
 //! **Atomicity.** Each public entry point ([`apply`], [`apply_all`])
 //! is all-or-nothing: mutations journal their inverses into the
 //! table's shared [`UndoLog`](idivm_reldb::UndoLog) and an `Err`
@@ -25,7 +31,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::diff::{DiffInstance, DiffKind, State};
-use idivm_reldb::{NetChange, Patched, Table, TableChanges, UndoLog};
+use idivm_reldb::{NetChange, Table, TableChanges, UndoLog};
 use idivm_types::{Error, Key, Result, Row, Value};
 use std::collections::hash_map::Entry;
 
@@ -55,24 +61,38 @@ impl ApplyOutcome {
 /// Pre-images of the caller's `changes` overlay map, one per touch in
 /// touch order, so a failed APPLY can restore it alongside the table.
 /// An append-only list replayed in reverse (like the table's undo
-/// journal): recording a touch hashes nothing, and a key touched twice
-/// ends on its oldest pre-image. Keys the APPLY never touched are never
-/// cloned.
+/// journal): recording a touch hashes nothing and allocates nothing —
+/// the entries hold shared rows, and the overlay key (the tuple's
+/// primary key) is derived from them only if the APPLY fails — and a key
+/// touched twice ends on its oldest pre-image.
 #[derive(Debug, Default)]
 struct ChangesJournal {
-    touched: Vec<(Key, Option<NetChange>)>,
+    touched: Vec<Touched>,
+}
+
+/// What `changes` held for a tuple before one touch.
+#[derive(Debug)]
+enum Touched {
+    /// No entry; the row is any image of the tuple (for its key).
+    Absent(Row),
+    /// This entry.
+    Was(NetChange),
 }
 
 impl ChangesJournal {
-    /// Put every touched key back to its pre-APPLY state.
-    fn restore(self, changes: &mut TableChanges) {
-        for (k, pre) in self.touched.into_iter().rev() {
-            match pre {
-                Some(net) => {
-                    changes.insert(k, net);
+    /// Put every touched key back to its pre-APPLY state. `key_cols`
+    /// are the table's primary-key positions.
+    fn restore(self, changes: &mut TableChanges, key_cols: &[usize]) {
+        for touched in self.touched.into_iter().rev() {
+            match touched {
+                Touched::Was(net) => {
+                    let (NetChange::Inserted { post: image }
+                    | NetChange::Deleted { pre: image }
+                    | NetChange::Updated { pre: image, .. }) = &net;
+                    changes.insert(image.key(key_cols), net);
                 }
-                None => {
-                    changes.remove(&k);
+                Touched::Absent(image) => {
+                    changes.remove(&image.key(key_cols));
                 }
             }
         }
@@ -120,7 +140,7 @@ impl ApplySession {
         for op in self.undo.split_off(self.mark).into_iter().rev() {
             table.apply_undo(op);
         }
-        self.journal.restore(changes);
+        self.journal.restore(changes, table.schema().key());
     }
 }
 
@@ -218,46 +238,45 @@ fn apply_update(
     journal: &mut ChangesJournal,
 ) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
-    // The paper assumes a view index on the view IDs; ensure one exists
-    // for this diff's Ī′ (creation is a setup cost, not counted).
-    table.create_index_positions(diff.schema.id_cols.clone());
-    let mut assignments: Vec<(usize, Value)> = Vec::with_capacity(diff.schema.post_cols.len());
-    for d in &diff.rows {
-        let probe = diff.schema.id_key(d);
-        let pks = table.pks_by(&diff.schema.id_cols, &probe);
-        if pks.is_empty() {
-            out.dummies += 1;
-            continue;
-        }
-        assignments.clear();
-        for &c in &diff.schema.post_cols {
-            let v = diff.schema.post_value(d, c).ok_or_else(|| {
+    let schema = &diff.schema;
+    ensure_id_index(table, &schema.id_cols);
+    // Which slot of a diff row carries each assigned column's post
+    // value — resolved once per diff, not per tuple.
+    let sources: Vec<(usize, usize)> = schema
+        .post_cols
+        .iter()
+        .map(|&c| {
+            schema.post_source(c).map(|slot| (c, slot)).ok_or_else(|| {
                 Error::Internal(format!(
                     "update i-diff carries no post value for column #{c} \
-                     (schema {:?})",
-                    diff.schema
+                     (schema {schema:?})"
                 ))
-            })?;
-            assignments.push((c, v));
-        }
-        // The located primary key *is* the overlay key.
-        for pk in pks {
-            match table.patch(&pk, &assignments) {
-                Some(Patched {
-                    pre: Some(pre),
-                    post,
-                }) => {
-                    record_update(changes, journal, pk, pre, post);
-                    out.updated += 1;
+            })
+        })
+        .collect::<Result<_>>()?;
+    let mut assignments: Vec<(usize, Value)> = Vec::with_capacity(sources.len());
+    for d in &diff.rows {
+        assignments.clear();
+        assignments.extend(sources.iter().map(|&(c, slot)| (c, d[slot].clone())));
+        let mut updated = 0;
+        let located = table.patch_where(
+            &schema.id_cols,
+            schema.id_slice(d),
+            &assignments,
+            |pk, patched| {
+                if let Some(pre) = patched.pre {
+                    record_update(changes, journal, pk, pre, patched.post);
+                    updated += 1;
                 }
-                // Either the diff tuple re-asserted the stored values,
-                // or the indexed pk points at a row that is no longer
-                // there (e.g. a delete applied earlier in the batch).
-                // It had nothing to update: count it as a dummy rather
-                // than aborting a half-applied round.
-                _ => out.dummies += 1,
-            }
-        }
+            },
+        );
+        out.updated += updated;
+        // A diff tuple that located nothing is one dummy; a located
+        // tuple it did not change — it re-asserted the stored values,
+        // or the indexed key points at a row that is no longer there —
+        // had nothing to update and is a dummy too, rather than an
+        // abort of a half-applied round.
+        out.dummies += (located as u64).max(1) - updated;
     }
     Ok(out)
 }
@@ -298,49 +317,54 @@ fn apply_delete(
     journal: &mut ChangesJournal,
 ) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
-    table.create_index_positions(diff.schema.id_cols.clone());
+    let schema = &diff.schema;
+    ensure_id_index(table, &schema.id_cols);
     for d in &diff.rows {
-        let probe = diff.schema.id_key(d);
-        let pks = table.pks_by(&diff.schema.id_cols, &probe);
-        if pks.is_empty() {
+        let located = table.delete_where(&schema.id_cols, schema.id_slice(d), |pk, pre| {
+            record_delete(changes, journal, pk, pre);
+            out.deleted += 1;
+        });
+        if located == 0 {
             out.dummies += 1;
-            continue;
-        }
-        for pk in pks {
-            if let Some(pre) = table.delete_located(&pk) {
-                record_delete(changes, journal, pk, pre);
-                out.deleted += 1;
-            }
         }
     }
     Ok(out)
 }
 
+/// The paper assumes a view index on the view IDs; ensure one exists
+/// for a diff's Ī′ (creation is a setup cost, not counted).
+fn ensure_id_index(table: &mut Table, id_cols: &[usize]) {
+    if !table.has_index(id_cols) {
+        table.create_index_positions(id_cols.to_vec());
+    }
+}
+
 /// Probe `changes` for `key` once — the `record_*` functions fold
 /// their tuple change in through the returned entry — journaling the
-/// entry's prior state on the way.
+/// entry's prior state on the way (`image` is any image of the tuple).
 fn touch<'a>(
     changes: &'a mut TableChanges,
     journal: &mut ChangesJournal,
     key: Key,
+    image: &Row,
 ) -> Entry<'a, Key, NetChange> {
     let entry = changes.entry(key);
-    let prior = match &entry {
-        Entry::Occupied(e) => Some(e.get().clone()),
-        Entry::Vacant(_) => None,
-    };
-    journal.touched.push((entry.key().clone(), prior));
+    journal.touched.push(match &entry {
+        Entry::Occupied(e) => Touched::Was(e.get().clone()),
+        Entry::Vacant(_) => Touched::Absent(image.clone()),
+    });
     entry
 }
 
+/// The located primary key *is* the overlay key; the map must own it.
 fn record_update(
     changes: &mut TableChanges,
     journal: &mut ChangesJournal,
-    key: Key,
+    pk: &[Value],
     pre: Row,
     post: &Row,
 ) {
-    match touch(changes, journal, key) {
+    match touch(changes, journal, Key(pk.to_vec()), post) {
         Entry::Vacant(e) => {
             e.insert(NetChange::Updated {
                 pre,
@@ -377,7 +401,7 @@ fn record_update(
 }
 
 fn record_insert(changes: &mut TableChanges, journal: &mut ChangesJournal, key: Key, post: Row) {
-    match touch(changes, journal, key) {
+    match touch(changes, journal, key, &post) {
         Entry::Vacant(e) => {
             e.insert(NetChange::Inserted { post });
         }
@@ -400,7 +424,7 @@ fn record_insert(changes: &mut TableChanges, journal: &mut ChangesJournal, key: 
 }
 
 fn record_delete(changes: &mut TableChanges, journal: &mut ChangesJournal, key: Key, pre: Row) {
-    match touch(changes, journal, key) {
+    match touch(changes, journal, key, &pre) {
         Entry::Vacant(e) => {
             e.insert(NetChange::Deleted { pre });
         }
@@ -570,7 +594,7 @@ mod tests {
         let diffs = vec![
             DiffInstance::new(
                 DiffSchema::delete(&[1], &[]),
-                vec![Row(vec![Value::str("P2")])], // applies first, succeeds
+                vec![row!["P2"]], // applies first, succeeds
             ),
             DiffInstance::new(
                 DiffSchema::insert(&[0, 1], 3),
@@ -601,7 +625,7 @@ mod tests {
         let diffs = vec![
             DiffInstance::new(
                 DiffSchema::delete(&[1], &[]),
-                vec![Row(vec![Value::str("P2")])], // touches the journaled key
+                vec![row!["P2"]], // touches the journaled key
             ),
             DiffInstance::new(
                 DiffSchema::insert(&[0, 1], 3),
@@ -623,7 +647,7 @@ mod tests {
             ),
             DiffInstance::new(
                 DiffSchema::delete(&[1], &[]),
-                vec![Row(vec![Value::str("P2")])],
+                vec![row!["P2"]],
             ),
         ];
         let out = apply_all(&mut v, &diffs, &mut ch).unwrap();
@@ -646,7 +670,7 @@ mod tests {
             ),
             DiffInstance::new(
                 DiffSchema::delete(&[1], &[]),
-                vec![Row(vec![Value::str("P2")])],
+                vec![row!["P2"]],
             ),
         ];
         // apply_all orders deletes first, so the update probes a key

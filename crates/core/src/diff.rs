@@ -89,11 +89,6 @@ impl DiffSchema {
         self.id_cols.len() + self.pre_cols.len() + self.post_cols.len()
     }
 
-    /// Position (within diff rows) of the `k`-th ID column.
-    pub fn id_slot(&self, k: usize) -> usize {
-        k
-    }
-
     /// Position of the pre-state value for target column `c`, if carried.
     pub fn pre_slot(&self, c: usize) -> Option<usize> {
         self.pre_cols
@@ -149,55 +144,72 @@ impl DiffSchema {
         s
     }
 
-    /// Pre-state value of target column `c` in `row`, if derivable.
-    pub fn pre_value(&self, row: &Row, c: usize) -> Option<Value> {
+    /// The slot of a diff row holding the **pre-state** value of target
+    /// column `c`, if derivable: an ID slot (IDs are immutable) or the
+    /// carried pre value. Insert diffs have no pre-state.
+    pub fn pre_source(&self, c: usize) -> Option<usize> {
         if self.kind == DiffKind::Insert {
             return None;
         }
-        if let Some(k) = self.id_cols.iter().position(|&i| i == c) {
-            return Some(row[self.id_slot(k)].clone());
+        self.id_cols
+            .iter()
+            .position(|&i| i == c)
+            .or_else(|| self.pre_slot(c))
+    }
+
+    /// The slot of a diff row holding the **post-state** value of target
+    /// column `c`, if derivable: an ID slot, the carried post value, or
+    /// (updates) the carried pre value of a column that is not being
+    /// set — unchanged, so pre = post. Delete diffs have no post-state.
+    pub fn post_source(&self, c: usize) -> Option<usize> {
+        if self.kind == DiffKind::Delete {
+            return None;
         }
-        self.pre_slot(c).map(|s| row[s].clone())
+        self.id_cols
+            .iter()
+            .position(|&i| i == c)
+            .or_else(|| self.post_slot(c))
+            .or_else(|| {
+                (self.kind == DiffKind::Update)
+                    .then(|| self.pre_slot(c))
+                    .flatten()
+            })
+    }
+
+    fn source(&self, c: usize, state: State) -> Option<usize> {
+        match state {
+            State::Pre => self.pre_source(c),
+            State::Post => self.post_source(c),
+        }
+    }
+
+    /// Pre-state value of target column `c` in `row`, if derivable.
+    pub fn pre_value(&self, row: &Row, c: usize) -> Option<Value> {
+        self.pre_source(c).map(|s| row[s].clone())
     }
 
     /// Post-state value of target column `c` in `row`, if derivable.
     pub fn post_value(&self, row: &Row, c: usize) -> Option<Value> {
-        if self.kind == DiffKind::Delete {
-            return None;
-        }
-        if let Some(k) = self.id_cols.iter().position(|&i| i == c) {
-            return Some(row[self.id_slot(k)].clone());
-        }
-        if let Some(s) = self.post_slot(c) {
-            return Some(row[s].clone());
-        }
-        if self.kind == DiffKind::Update {
-            // Carried pre value of a non-updated column is also its post
-            // value.
-            if let Some(s) = self.pre_slot(c) {
-                return Some(row[s].clone());
-            }
-        }
-        None
+        self.post_source(c).map(|s| row[s].clone())
     }
 
-    /// The ID key of a diff row.
+    /// The ID key of a diff row, owned. Probes use [`Self::id_slice`].
     pub fn id_key(&self, row: &Row) -> Key {
-        Key(row.0[..self.id_cols.len()].to_vec())
+        Key(self.id_slice(row).to_vec())
+    }
+
+    /// The ID values of a diff row, borrowed: IDs lead by layout, so
+    /// this is what probes a `HashMap<Key, _>` or a table without
+    /// building a `Key`.
+    pub fn id_slice<'r>(&self, row: &'r Row) -> &'r [Value] {
+        &row.0[..self.id_cols.len()]
     }
 
     /// Assemble a full target row in the given state, if every column in
     /// `0..arity` is derivable.
     pub fn full_row(&self, row: &Row, arity: usize, state: State) -> Option<Row> {
-        let mut out = Vec::with_capacity(arity);
-        for c in 0..arity {
-            let v = match state {
-                State::Pre => self.pre_value(row, c),
-                State::Post => self.post_value(row, c),
-            };
-            out.push(v?);
-        }
-        Some(Row(out))
+        Row::try_collect((0..arity).map(|c| self.source(c, state).map(|s| row[s].clone()).ok_or(())))
+            .ok()
     }
 
     /// Assemble a *scratch* target row with derivable values filled in
@@ -206,17 +218,9 @@ impl DiffSchema {
     /// [`DiffSchema::pre_available`] / [`DiffSchema::post_available`]
     /// first).
     pub fn scratch_row(&self, row: &Row, arity: usize, state: State) -> Row {
-        let mut out = vec![Value::Null; arity];
-        for (c, slot) in (0..arity).filter_map(|c| {
-            let v = match state {
-                State::Pre => self.pre_value(row, c),
-                State::Post => self.post_value(row, c),
-            };
-            v.map(|v| (c, v))
-        }) {
-            out[c] = slot;
-        }
-        Row(out)
+        (0..arity)
+            .map(|c| self.source(c, state).map_or(Value::Null, |s| row[s].clone()))
+            .collect()
     }
 }
 
@@ -262,39 +266,27 @@ impl DiffInstance {
     /// Build an insert-diff instance from full target rows.
     pub fn insert_from_rows(ids: &[usize], arity: usize, rows: &[Row]) -> Self {
         let schema = DiffSchema::insert(ids, arity);
-        let diff_rows = rows
-            .iter()
-            .map(|r| {
-                let mut v: Vec<Value> =
-                    schema.id_cols.iter().map(|&c| r[c].clone()).collect();
-                v.extend(schema.post_cols.iter().map(|&c| r[c].clone()));
-                Row(v)
-            })
-            .collect();
-        DiffInstance {
-            schema,
-            rows: diff_rows,
-        }
+        let rows = layout_rows(rows, &schema.id_cols, &schema.post_cols);
+        DiffInstance { schema, rows }
     }
 
     /// Build a delete-diff instance (full pre rows) from target rows.
     pub fn delete_from_rows(ids: &[usize], arity: usize, rows: &[Row]) -> Self {
         let pre: Vec<usize> = (0..arity).filter(|c| !ids.contains(c)).collect();
         let schema = DiffSchema::delete(ids, &pre);
-        let diff_rows = rows
-            .iter()
-            .map(|r| {
-                let mut v: Vec<Value> =
-                    schema.id_cols.iter().map(|&c| r[c].clone()).collect();
-                v.extend(schema.pre_cols.iter().map(|&c| r[c].clone()));
-                Row(v)
-            })
-            .collect();
-        DiffInstance {
-            schema,
-            rows: diff_rows,
-        }
+        let rows = layout_rows(rows, &schema.id_cols, &schema.pre_cols);
+        DiffInstance { schema, rows }
     }
+}
+
+/// A target row re-laid as the diff row `[ids…, rest…]` (one
+/// allocation).
+pub(crate) fn laid_out(row: &Row, ids: &[usize], rest: &[usize]) -> Row {
+    ids.iter().chain(rest).map(|&c| row[c].clone()).collect()
+}
+
+fn layout_rows(rows: &[Row], ids: &[usize], rest: &[usize]) -> Vec<Row> {
+    rows.iter().map(|r| laid_out(r, ids, rest)).collect()
 }
 
 /// Check effectiveness of a diff instance w.r.t. the target's post-state
@@ -313,14 +305,14 @@ pub fn is_effective(diff: &DiffInstance, post_rows: &[Row]) -> bool {
                 .is_some_and(|r| post_rows.contains(&r))
         }),
         DiffKind::Delete => diff.rows.iter().all(|d| {
-            let dk = diff.schema.id_key(d);
-            !post_rows.iter().any(|r| r.key(&diff.schema.id_cols) == dk)
+            let dk = diff.schema.id_slice(d);
+            !post_rows.iter().any(|r| r.matches(&diff.schema.id_cols, dk))
         }),
         DiffKind::Update => diff.rows.iter().all(|d| {
-            let dk = diff.schema.id_key(d);
+            let dk = diff.schema.id_slice(d);
             post_rows
                 .iter()
-                .filter(|r| r.key(&diff.schema.id_cols) == dk)
+                .filter(|r| r.matches(&diff.schema.id_cols, dk))
                 .all(|r| {
                     diff.schema.post_cols.iter().all(|&c| {
                         diff.schema.post_value(d, c).is_some_and(|v| v == r[c])

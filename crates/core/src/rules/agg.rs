@@ -29,8 +29,9 @@ use crate::rules::{IncomingDiff, RuleCtx};
 use idivm_algebra::aggregate::{aggregate_rows, ExtremumDelta, ExtremumOutcome};
 use idivm_algebra::{AggFunc, AggSpec, Plan};
 use idivm_exec::partition::{run_sharded, shard_by, stable_hash_key};
+use idivm_reldb::{NetChange, Table};
 use idivm_types::{Error, Key, Result, Row, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 /// Propagate a batch of diffs through a group-by.
 ///
@@ -39,7 +40,6 @@ use std::collections::{BTreeSet, HashMap};
 /// (the engine always provides one), or on access failures.
 pub fn propagate(
     ctx: &RuleCtx<'_>,
-    node: &Plan,
     input: &Plan,
     keys: &[usize],
     aggs: &[AggSpec],
@@ -75,31 +75,226 @@ pub fn propagate(
         .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
         && groups_stable;
     if incremental_ok {
-        incremental(ctx, node, input, keys, aggs, path, &incoming)
+        incremental(ctx, input, keys, aggs, path, &incoming)
     } else if extremum_ok {
-        extremum(ctx, node, input, keys, aggs, path, &incoming)
+        extremum(ctx, input, keys, aggs, path, &incoming)
     } else {
-        general(ctx, node, input, keys, aggs, path, &incoming)
+        general(ctx, input, keys, aggs, path, &incoming)
     }
+}
+
+// ---------------------------------------------------------------------
+// Shared by the delta strategies: the batch as per-input-row events
+// ---------------------------------------------------------------------
+
+/// One net change of an input row, in fold form.
+enum Ev<'a> {
+    Ins(&'a Row),
+    Del(&'a Row),
+    Upd(&'a Row, &'a Row),
+}
+
+impl Ev<'_> {
+    /// The row whose group columns say which group the event folds into.
+    fn grouped_by(&self) -> &Row {
+        match self {
+            Ev::Ins(row) | Ev::Del(row) | Ev::Upd(_, row) => row,
+        }
+    }
+
+    /// The event's delta contribution to one SUM/COUNT aggregate.
+    fn delta(&self, a: &AggSpec) -> Result<Value> {
+        match self {
+            Ev::Ins(post) => delta_insert(a, post),
+            Ev::Del(pre) => delta_delete(a, pre),
+            Ev::Upd(pre, post) => delta_update(a, pre, post),
+        }
+    }
+}
+
+/// Feed `on` every net change of the group-by's input this round.
+fn for_each_input_change(
+    ctx: &RuleCtx<'_>,
+    input: &Plan,
+    keys: &[usize],
+    ipath: &PathId,
+    incoming: &[IncomingDiff],
+    mut on: impl FnMut(Ev<'_>) -> Result<()>,
+) -> Result<()> {
+    if let Some(cache) = ctx.access.caches.get(ipath) {
+        // Cached input: the engine has already applied the child diffs
+        // to the cache, and the apply recorded the actual per-row net
+        // changes — the paper's UPDATE-RETURNING optimization ("∆u_Vspj
+        // is obtained without additional accesses over cache
+        // modification costs", Appendix A.2). Folding the recorded
+        // changes costs zero accesses and is immune to dummy diff tuples
+        // (dummies modified nothing).
+        let Some(changes) = ctx.access.cache_changes.get(cache.as_str()) else {
+            return Ok(());
+        };
+        for change in changes.values() {
+            match change {
+                NetChange::Updated { pre, post } => {
+                    if keys.iter().all(|&k| pre[k] == post[k]) {
+                        on(Ev::Upd(pre, post))?;
+                    } else {
+                        // The row moved between groups: −x at the old
+                        // group, +x at the new one.
+                        on(Ev::Del(pre))?;
+                        on(Ev::Ins(post))?;
+                    }
+                }
+                NetChange::Deleted { pre } => on(Ev::Del(pre))?,
+                NetChange::Inserted { post } => on(Ev::Ins(post))?,
+            }
+        }
+        return Ok(());
+    }
+    // No cache: materialize the affected input rows by probing the
+    // input subview — "without cache both approaches would perform
+    // identically" (Section 6.2). Dedupe by input ID within each diff
+    // kind (effective diffs agree on final values).
+    let input_ids = idivm_algebra::infer_ids(input)?;
+    let in_arity = input.arity();
+    let mut seen: HashSet<(u8, Key)> = HashSet::new();
+    for inc in incoming {
+        let diff = &inc.diff;
+        match diff.schema.kind {
+            DiffKind::Update => {
+                // ∆₁ = π_{Ī, x_post − x_pre → x∆}(∆u ⋈ Input_pre)
+                for p in update_row_pairs(ctx.access, input, ipath, &input_ids, diff)? {
+                    if seen.insert((b'u', p.post.key(&input_ids))) {
+                        on(Ev::Upd(&p.pre, &p.post))?;
+                    }
+                }
+            }
+            DiffKind::Delete => {
+                // ∆₂ = π_{Ī, 0 − x_pre → x∆}(∆− ⋈ Input_pre)
+                for pre in delete_rows(ctx.access, input, ipath, diff)? {
+                    if seen.insert((b'-', pre.key(&input_ids))) {
+                        on(Ev::Del(&pre))?;
+                    }
+                }
+            }
+            DiffKind::Insert => {
+                // ∆₃ = π_{Ī, x → x∆}(∆⁺ ▷ Input_pre): skip rows that
+                // already existed identically in the pre-state
+                // (repeated assertions of the same insert).
+                for post in insert_rows(diff, in_arity) {
+                    let id = post.key(&input_ids);
+                    if !seen.insert((b'+', id.clone())) {
+                        continue;
+                    }
+                    let pre_hit =
+                        access::lookup(ctx.access, input, ipath, State::Pre, &input_ids, &id.0)?;
+                    if !pre_hit.contains(&post) {
+                        on(Ev::Ins(&post))?;
+                    }
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Run `fold` on the state of the group `row` belongs to, creating it
+/// with `fresh` on the group's first sight. The probe goes through the
+/// reused `scratch` projection, so a `Key` is built once per group, not
+/// once per folded row.
+fn fold_into<G>(
+    groups: &mut HashMap<Key, G>,
+    scratch: &mut Vec<Value>,
+    row: &Row,
+    keys: &[usize],
+    fresh: impl FnOnce() -> G,
+    fold: impl FnOnce(&mut G) -> Result<()>,
+) -> Result<()> {
+    scratch.clear();
+    scratch.extend(keys.iter().map(|&k| row[k].clone()));
+    match groups.get_mut(scratch.as_slice()) {
+        Some(g) => fold(g),
+        None => fold(groups.entry(Key(scratch.clone())).or_insert_with(fresh)),
+    }
+}
+
+/// The groups in a canonical order: `HashMap` iteration order varies
+/// per process, and the sharded runner needs a serial order to be
+/// compared against.
+fn sorted_groups<G>(groups: HashMap<Key, G>) -> Vec<(Key, G)> {
+    let mut entries: Vec<(Key, G)> = groups.into_iter().collect();
+    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    entries
+}
+
+/// `Output`'s table: the node's own materialization, which `propagate`
+/// has checked exists. Resolved once per operator call.
+fn output_table<'a>(ctx: &RuleCtx<'a>, path: &PathId) -> Result<&'a Table> {
+    let name = ctx
+        .access
+        .caches
+        .get(path)
+        .ok_or_else(|| Error::Internal(format!("no materialization at plan path {path:?}")))?;
+    ctx.access.db.table(name)
+}
+
+/// `Output`'s stored row of group `gk`. `Output` is always provided in
+/// pre-state (Section 4); the node's materialization has not been
+/// touched this round, so its physical content *is* the pre-state.
+/// Counted as the point read it is: 1 index lookup, plus 1 tuple access
+/// on a hit.
+fn output_row(out: &Table, key_cols: &[usize], gk: &[Value]) -> Option<Row> {
+    if key_cols == out.schema().key() {
+        out.get(gk).cloned()
+    } else {
+        out.lookup(key_cols, gk).into_iter().next()
+    }
+}
+
+/// The diffs a group-by emits, in APPLY order.
+fn group_diffs(
+    keys: &[usize],
+    aggs: &[AggSpec],
+    del_rows: Vec<Row>,
+    upd_rows: Vec<Row>,
+    ins_rows: Vec<Row>,
+) -> Vec<DiffInstance> {
+    let out_arity = keys.len() + aggs.len();
+    let out_ids: Vec<usize> = (0..keys.len()).collect();
+    let agg_cols: Vec<usize> = (keys.len()..out_arity).collect();
+    let mut out = Vec::new();
+    if !del_rows.is_empty() {
+        out.push(DiffInstance::new(
+            DiffSchema::delete(&out_ids, &[]),
+            del_rows,
+        ));
+    }
+    if !upd_rows.is_empty() {
+        out.push(DiffInstance::new(
+            DiffSchema::update(&out_ids, &agg_cols, &agg_cols),
+            upd_rows,
+        ));
+    }
+    if !ins_rows.is_empty() {
+        out.push(DiffInstance::insert_from_rows(&out_ids, out_arity, &ins_rows));
+    }
+    out
+}
+
+/// An update diff row `[group…, stored aggregates…, new aggregates…]`.
+fn update_row(gk: &Key, old: &Row, vals: impl Iterator<Item = Value>) -> Row {
+    gk.0.iter()
+        .chain(&old.0[gk.0.len()..])
+        .cloned()
+        .chain(vals)
+        .collect()
 }
 
 // ---------------------------------------------------------------------
 // Incremental strategy (Tables 9 and 11)
 // ---------------------------------------------------------------------
 
-/// Per-input-row delta contribution, keyed by the input's full ID.
-struct Delta {
-    group: Key,
-    /// Per aggregate: (value delta, count-of-rows delta).
-    per_agg: Vec<Value>,
-    /// +1 for inserts, −1 for deletes, 0 for updates: used to detect
-    /// possibly-emptied groups.
-    membership: i64,
-}
-
 fn incremental(
     ctx: &RuleCtx<'_>,
-    node: &Plan,
     input: &Plan,
     keys: &[usize],
     aggs: &[AggSpec],
@@ -107,176 +302,37 @@ fn incremental(
     incoming: &[IncomingDiff],
 ) -> Result<Vec<DiffInstance>> {
     let ipath = child_path(path, 0);
-    let input_ids = idivm_algebra::infer_ids(input)?;
-    let in_arity = input.arity();
-    let mut deltas: Vec<Delta> = Vec::new();
-    if let Some(cache) = ctx.access.caches.get(&ipath) {
-        // Cached input: the engine has already applied the child diffs
-        // to the cache, and the apply recorded the actual per-row net
-        // changes — the paper's UPDATE-RETURNING optimization ("∆u_Vspj
-        // is obtained without additional accesses over cache
-        // modification costs", Appendix A.2). Deriving the deltas from
-        // the recorded changes costs zero accesses and is immune to
-        // dummy diff tuples (dummies modified nothing).
-        if let Some(changes) = ctx.access.cache_changes.get(cache.as_str()) {
-            for change in changes.values() {
-                match change {
-                    idivm_reldb::NetChange::Updated { pre, post } => {
-                        if pre.key(keys) == post.key(keys) {
-                            deltas.push(Delta {
-                                group: post.key(keys),
-                                per_agg: aggs
-                                    .iter()
-                                    .map(|a| delta_update(a, pre, post))
-                                    .collect::<Result<_>>()?,
-                                membership: 0,
-                            });
-                        } else {
-                            // The row moved between groups: −x at the
-                            // old group, +x at the new one.
-                            deltas.push(Delta {
-                                group: pre.key(keys),
-                                per_agg: aggs
-                                    .iter()
-                                    .map(|a| delta_delete(a, pre))
-                                    .collect::<Result<_>>()?,
-                                membership: -1,
-                            });
-                            deltas.push(Delta {
-                                group: post.key(keys),
-                                per_agg: aggs
-                                    .iter()
-                                    .map(|a| delta_insert(a, post))
-                                    .collect::<Result<_>>()?,
-                                membership: 1,
-                            });
-                        }
-                    }
-                    idivm_reldb::NetChange::Deleted { pre } => deltas.push(Delta {
-                        group: pre.key(keys),
-                        per_agg: aggs
-                            .iter()
-                            .map(|a| delta_delete(a, pre))
-                            .collect::<Result<_>>()?,
-                        membership: -1,
-                    }),
-                    idivm_reldb::NetChange::Inserted { post } => deltas.push(Delta {
-                        group: post.key(keys),
-                        per_agg: aggs
-                            .iter()
-                            .map(|a| delta_insert(a, post))
-                            .collect::<Result<_>>()?,
-                        membership: 1,
-                    }),
-                }
-            }
-        }
-    } else {
-        // No cache: materialize the affected input rows by probing the
-        // input subview — "without cache both approaches would perform
-        // identically" (Section 6.2). Dedupe by input ID within each
-        // diff kind (effective diffs agree on final values).
-        let mut seen: HashMap<(u8, Key), ()> = HashMap::new();
-        for inc in incoming {
-            let diff = &inc.diff;
-            match diff.schema.kind {
-                DiffKind::Update => {
-                    // ∆₁ = π_{Ī, x_post − x_pre → x∆}(∆u ⋈ Input_pre)
-                    for p in
-                        update_row_pairs(ctx.access, input, &ipath, &input_ids, diff)?
-                    {
-                        let id = p.post.key(&input_ids);
-                        if seen.insert((b'u', id), ()).is_some() {
-                            continue;
-                        }
-                        deltas.push(Delta {
-                            group: p.post.key(keys),
-                            per_agg: aggs
-                                .iter()
-                                .map(|a| delta_update(a, &p.pre, &p.post))
-                                .collect::<Result<_>>()?,
-                            membership: 0,
-                        });
-                    }
-                }
-                DiffKind::Delete => {
-                    // ∆₂ = π_{Ī, 0 − x_pre → x∆}(∆− ⋈ Input_pre)
-                    for pre in delete_rows(ctx.access, input, &ipath, diff)? {
-                        let id = pre.key(&input_ids);
-                        if seen.insert((b'-', id), ()).is_some() {
-                            continue;
-                        }
-                        deltas.push(Delta {
-                            group: pre.key(keys),
-                            per_agg: aggs
-                                .iter()
-                                .map(|a| delta_delete(a, &pre))
-                                .collect::<Result<_>>()?,
-                            membership: -1,
-                        });
-                    }
-                }
-                DiffKind::Insert => {
-                    // ∆₃ = π_{Ī, x → x∆}(∆⁺ ▷ Input_pre): skip rows that
-                    // already existed identically in the pre-state
-                    // (repeated assertions of the same insert).
-                    for post in insert_rows(diff, in_arity) {
-                        let id = post.key(&input_ids);
-                        if seen.insert((b'+', id.clone()), ()).is_some() {
-                            continue;
-                        }
-                        let pre_hit = access::lookup(
-                            ctx.access,
-                            input,
-                            &ipath,
-                            State::Pre,
-                            &input_ids,
-                            &id,
-                        )?;
-                        if pre_hit.contains(&post) {
-                            continue;
-                        }
-                        deltas.push(Delta {
-                            group: post.key(keys),
-                            per_agg: aggs
-                                .iter()
-                                .map(|a| delta_insert(a, &post))
-                                .collect::<Result<_>>()?,
-                            membership: 1,
-                        });
-                    }
-                }
-            }
-        }
-    }
-    // γ_{Ḡ,sum(x∆)}: aggregate the deltas per group. Delta folding is
-    // cross-row and stays serial; the per-group emission below is the
-    // parallelizable part.
+    // γ_{Ḡ,sum(x∆)}: fold every input change's delta contribution (`x∆`)
+    // straight into its group. Folding is cross-row and stays serial;
+    // the per-group emission below is the parallelizable part.
     let mut groups: HashMap<Key, GroupDelta> = HashMap::new();
-    for d in deltas {
-        let g = groups.entry(d.group).or_insert_with(|| GroupDelta {
-            per_agg: vec![Value::Int(0); aggs.len()],
-            had_delete: false,
-        });
-        for (slot, v) in g.per_agg.iter_mut().zip(&d.per_agg) {
-            *slot = slot.add(v);
-        }
-        if d.membership < 0 {
-            g.had_delete = true;
-        }
-    }
-    let mut entries: Vec<(Key, GroupDelta)> = groups.into_iter().collect();
-    // Sort for deterministic emission order: `HashMap` iteration order
-    // varies per process, and the sharded runner needs a canonical
-    // serial order to be compared against.
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-
-    emit_group_diffs(ctx, node, input, keys, aggs, path, entries)
+    let mut scratch = Vec::with_capacity(keys.len());
+    for_each_input_change(ctx, input, keys, &ipath, incoming, |ev| {
+        fold_into(
+            &mut groups,
+            &mut scratch,
+            ev.grouped_by(),
+            keys,
+            || GroupDelta {
+                per_agg: vec![Value::Int(0); aggs.len()],
+                had_delete: false,
+            },
+            |g| {
+                for (slot, a) in g.per_agg.iter_mut().zip(aggs) {
+                    *slot = slot.add(&ev.delta(a)?);
+                }
+                g.had_delete |= matches!(ev, Ev::Del(_));
+                Ok(())
+            },
+        )
+    })?;
+    emit_group_diffs(ctx, input, keys, aggs, path, sorted_groups(groups))
 }
 
 /// Net delta of one group across all contributions.
 struct GroupDelta {
     per_agg: Vec<Value>,
+    /// Some contribution removed a member: the group may have emptied.
     had_delete: bool,
 }
 
@@ -334,13 +390,6 @@ struct ExtGroup {
     had_delete: bool,
 }
 
-/// One input-row event, in fold form.
-enum Ev<'a> {
-    Ins(&'a Row),
-    Del(&'a Row),
-    Upd(&'a Row, &'a Row),
-}
-
 fn ext_fold(g: &mut ExtGroup, aggs: &[AggSpec], ev: &Ev<'_>) -> Result<()> {
     for (i, a) in aggs.iter().enumerate() {
         if matches!(a.func, AggFunc::Min | AggFunc::Max) {
@@ -353,12 +402,7 @@ fn ext_fold(g: &mut ExtGroup, aggs: &[AggSpec], ev: &Ev<'_>) -> Result<()> {
                 }
             }
         } else {
-            let d = match ev {
-                Ev::Ins(post) => delta_insert(a, post)?,
-                Ev::Del(pre) => delta_delete(a, pre)?,
-                Ev::Upd(pre, post) => delta_update(a, pre, post)?,
-            };
-            g.nums[i] = g.nums[i].add(&d);
+            g.nums[i] = g.nums[i].add(&ev.delta(a)?);
         }
     }
     if matches!(ev, Ev::Del(_)) {
@@ -375,7 +419,6 @@ fn ext_fold(g: &mut ExtGroup, aggs: &[AggSpec], ev: &Ev<'_>) -> Result<()> {
 /// reuse the rescan's members when the group is dirty anyway.
 fn extremum(
     ctx: &RuleCtx<'_>,
-    node: &Plan,
     input: &Plan,
     keys: &[usize],
     aggs: &[AggSpec],
@@ -383,128 +426,52 @@ fn extremum(
     incoming: &[IncomingDiff],
 ) -> Result<Vec<DiffInstance>> {
     let ipath = child_path(path, 0);
-    let input_ids = idivm_algebra::infer_ids(input)?;
-    let in_arity = input.arity();
     let mut groups: HashMap<Key, ExtGroup> = HashMap::new();
-    let n_aggs = aggs.len();
-    let fresh = move || ExtGroup {
-        nums: vec![Value::Int(0); n_aggs],
-        exts: vec![ExtremumDelta::default(); n_aggs],
-        had_delete: false,
-    };
-    if let Some(cache) = ctx.access.caches.get(&ipath) {
-        // Cached input: fold the recorded per-row net changes — zero
-        // accesses, immune to dummies (see `incremental`).
-        if let Some(changes) = ctx.access.cache_changes.get(cache.as_str()) {
-            for change in changes.values() {
-                match change {
-                    idivm_reldb::NetChange::Updated { pre, post } => {
-                        if pre.key(keys) == post.key(keys) {
-                            let g = groups.entry(post.key(keys)).or_insert_with(fresh);
-                            ext_fold(g, aggs, &Ev::Upd(pre, post))?;
-                        } else {
-                            let g = groups.entry(pre.key(keys)).or_insert_with(fresh);
-                            ext_fold(g, aggs, &Ev::Del(pre))?;
-                            let g = groups.entry(post.key(keys)).or_insert_with(fresh);
-                            ext_fold(g, aggs, &Ev::Ins(post))?;
-                        }
-                    }
-                    idivm_reldb::NetChange::Deleted { pre } => {
-                        let g = groups.entry(pre.key(keys)).or_insert_with(fresh);
-                        ext_fold(g, aggs, &Ev::Del(pre))?;
-                    }
-                    idivm_reldb::NetChange::Inserted { post } => {
-                        let g = groups.entry(post.key(keys)).or_insert_with(fresh);
-                        ext_fold(g, aggs, &Ev::Ins(post))?;
-                    }
-                }
-            }
-        }
-    } else {
-        // No cache: materialize the affected input rows by probing the
-        // input subview, deduped by input ID per diff kind (as in
-        // `incremental`).
-        let mut seen: HashMap<(u8, Key), ()> = HashMap::new();
-        for inc in incoming {
-            let diff = &inc.diff;
-            match diff.schema.kind {
-                DiffKind::Update => {
-                    for p in update_row_pairs(ctx.access, input, &ipath, &input_ids, diff)? {
-                        if seen.insert((b'u', p.post.key(&input_ids)), ()).is_some() {
-                            continue;
-                        }
-                        let g = groups.entry(p.post.key(keys)).or_insert_with(fresh);
-                        ext_fold(g, aggs, &Ev::Upd(&p.pre, &p.post))?;
-                    }
-                }
-                DiffKind::Delete => {
-                    for pre in delete_rows(ctx.access, input, &ipath, diff)? {
-                        if seen.insert((b'-', pre.key(&input_ids)), ()).is_some() {
-                            continue;
-                        }
-                        let g = groups.entry(pre.key(keys)).or_insert_with(fresh);
-                        ext_fold(g, aggs, &Ev::Del(&pre))?;
-                    }
-                }
-                DiffKind::Insert => {
-                    for post in insert_rows(diff, in_arity) {
-                        let id = post.key(&input_ids);
-                        if seen.insert((b'+', id.clone()), ()).is_some() {
-                            continue;
-                        }
-                        let pre_hit = access::lookup(
-                            ctx.access,
-                            input,
-                            &ipath,
-                            State::Pre,
-                            &input_ids,
-                            &id,
-                        )?;
-                        if pre_hit.contains(&post) {
-                            continue;
-                        }
-                        let g = groups.entry(post.key(keys)).or_insert_with(fresh);
-                        ext_fold(g, aggs, &Ev::Ins(&post))?;
-                    }
-                }
-            }
-        }
-    }
-    let mut entries: Vec<(Key, ExtGroup)> = groups.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
+    let mut scratch = Vec::with_capacity(keys.len());
+    for_each_input_change(ctx, input, keys, &ipath, incoming, |ev| {
+        fold_into(
+            &mut groups,
+            &mut scratch,
+            ev.grouped_by(),
+            keys,
+            || ExtGroup {
+                nums: vec![Value::Int(0); aggs.len()],
+                exts: vec![ExtremumDelta::default(); aggs.len()],
+                had_delete: false,
+            },
+            |g| ext_fold(g, aggs, &ev),
+        )
+    })?;
 
     // Per-group conversion. Deliberately **serial** (unlike the other
     // strategies): each dirty group fires the mid-rescan failpoint and
     // bumps the rescan counter through `RuleCtx::on_rescan`, and those
     // must happen in a canonical order for any thread count.
-    let out_arity = keys.len() + aggs.len();
-    let out_ids: Vec<usize> = (0..keys.len()).collect();
+    let out_table = output_table(ctx, path)?;
     let out_key_cols: Vec<usize> = (0..keys.len()).collect();
-    let agg_cols: Vec<usize> = (keys.len()..out_arity).collect();
+    let is_ext = |a: &AggSpec| matches!(a.func, AggFunc::Min | AggFunc::Max);
     let mut del_rows = Vec::new();
     let mut upd_rows = Vec::new();
     let mut ins_rows = Vec::new();
-    for (gk, g) in entries {
-        let out_pre = access::lookup(ctx.access, node, path, State::Post, &out_key_cols, &gk)?;
-        match out_pre.first() {
+    for (gk, g) in sorted_groups(groups) {
+        match output_row(out_table, &out_key_cols, &gk.0) {
             None => {
                 // Group creation: the deltas start from empty, so every
                 // slot resolves without the stored row.
-                let mut r = gk.into_row();
-                for (i, a) in aggs.iter().enumerate() {
-                    r.0.push(if matches!(a.func, AggFunc::Min | AggFunc::Max) {
+                let created = aggs.iter().enumerate().map(|(i, a)| {
+                    if is_ext(a) {
                         g.exts[i].created()
                     } else {
                         g.nums[i].clone()
-                    });
-                }
-                ins_rows.push(r);
+                    }
+                });
+                ins_rows.push(gk.0.iter().cloned().chain(created).collect());
             }
             Some(old) => {
                 let mut dirty = false;
                 let mut vals: Vec<Value> = Vec::with_capacity(aggs.len());
                 for (i, a) in aggs.iter().enumerate() {
-                    if matches!(a.func, AggFunc::Min | AggFunc::Max) {
+                    if is_ext(a) {
                         match g.exts[i].resolve(a.func, &old[keys.len() + i]) {
                             ExtremumOutcome::Clean(v) => vals.push(v),
                             ExtremumOutcome::Rescan => {
@@ -525,7 +492,7 @@ fn extremum(
                         ctx.on_rescan()?;
                     }
                     let members =
-                        access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk)?;
+                        access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk.0)?;
                     if members.is_empty() {
                         del_rows.push(gk.into_row());
                         continue;
@@ -538,36 +505,13 @@ fn extremum(
                     }
                 }
                 // σ_isupd: skip groups whose aggregates did not change.
-                let changed = vals
-                    .iter()
-                    .enumerate()
-                    .any(|(i, v)| *v != old[keys.len() + i]);
-                if changed {
-                    let mut r = gk.into_row();
-                    r.0.extend(old.0[keys.len()..].iter().cloned());
-                    r.0.extend(vals);
-                    upd_rows.push(r);
+                if vals.iter().ne(&old.0[keys.len()..]) {
+                    upd_rows.push(update_row(&gk, &old, vals.into_iter()));
                 }
             }
         }
     }
-    let mut out = Vec::new();
-    if !del_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::delete(&out_ids, &[]),
-            del_rows,
-        ));
-    }
-    if !upd_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::update(&out_ids, &agg_cols, &agg_cols),
-            upd_rows,
-        ));
-    }
-    if !ins_rows.is_empty() {
-        out.push(DiffInstance::insert_from_rows(&out_ids, out_arity, &ins_rows));
-    }
-    Ok(out)
+    Ok(group_diffs(keys, aggs, del_rows, upd_rows, ins_rows))
 }
 
 // ---------------------------------------------------------------------
@@ -576,7 +520,6 @@ fn extremum(
 
 fn general(
     ctx: &RuleCtx<'_>,
-    node: &Plan,
     input: &Plan,
     keys: &[usize],
     aggs: &[AggSpec],
@@ -653,7 +596,7 @@ fn general(
                 &ipath,
                 State::Post,
                 &in_key_cols,
-                &gk,
+                &gk.0,
             )?;
             out.push((
                 gk,
@@ -674,7 +617,7 @@ fn general(
     }) {
         groups.extend(shard_out?);
     }
-    emit_recomputed(ctx, node, keys, aggs, path, groups)
+    emit_recomputed(ctx, keys, aggs, path, groups)
 }
 
 struct Recomputed {
@@ -684,16 +627,13 @@ struct Recomputed {
 
 fn emit_recomputed(
     ctx: &RuleCtx<'_>,
-    node: &Plan,
     keys: &[usize],
     aggs: &[AggSpec],
     path: &PathId,
     groups: Vec<(Key, Recomputed)>,
 ) -> Result<Vec<DiffInstance>> {
-    let out_arity = keys.len() + aggs.len();
-    let out_ids: Vec<usize> = (0..keys.len()).collect();
+    let out_table = output_table(ctx, path)?;
     let out_key_cols: Vec<usize> = (0..keys.len()).collect();
-    let agg_cols: Vec<usize> = (keys.len()..out_arity).collect();
     // Per-group emission (one `Output` probe each) fans out over
     // hash-sharded groups; shard outputs merge in shard order.
     let shards_n = ctx.parallel.effective_shards(groups.len());
@@ -706,38 +646,15 @@ fn emit_recomputed(
         let mut upd = Vec::new();
         let mut ins = Vec::new();
         for (gk, rec) in entries {
-            // `Output` is always provided in pre-state (Section 4); the
-            // node's materialization has not been touched this round, so
-            // its physical content *is* the pre-state.
-            let out_pre = access::lookup(
-                ctx.access,
-                node,
-                path,
-                State::Post,
-                &out_key_cols,
-                &gk,
-            )?;
-            match (rec.values, out_pre.first()) {
+            match (rec.values, output_row(out_table, &out_key_cols, &gk.0)) {
                 (None, Some(_)) => del.push(gk.into_row()),
                 (None, None) => {}
-                (Some(vals), None) => {
-                    let mut r = gk.into_row();
-                    r.0.extend(vals);
-                    ins.push(r);
-                }
+                (Some(vals), None) => ins.push(gk.0.into_iter().chain(vals).collect()),
                 (Some(vals), Some(old)) => {
                     // σ_isupd: skip groups whose aggregates did not
                     // change.
-                    let changed = vals
-                        .iter()
-                        .enumerate()
-                        .any(|(i, v)| *v != old[keys.len() + i]);
-                    if changed {
-                        let mut r = gk.into_row();
-                        // pre values then post values.
-                        r.0.extend(old.0[keys.len()..].iter().cloned());
-                        r.0.extend(vals);
-                        upd.push(r);
+                    if vals.iter().ne(&old.0[keys.len()..]) {
+                        upd.push(update_row(&gk, &old, vals.into_iter()));
                     }
                 }
             }
@@ -749,23 +666,7 @@ fn emit_recomputed(
         upd_rows.extend(upd);
         ins_rows.extend(ins);
     }
-    let mut out = Vec::new();
-    if !del_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::delete(&out_ids, &[]),
-            del_rows,
-        ));
-    }
-    if !upd_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::update(&out_ids, &agg_cols, &agg_cols),
-            upd_rows,
-        ));
-    }
-    if !ins_rows.is_empty() {
-        out.push(DiffInstance::insert_from_rows(&out_ids, out_arity, &ins_rows));
-    }
-    Ok(out)
+    Ok(group_diffs(keys, aggs, del_rows, upd_rows, ins_rows))
 }
 
 /// Emission for the incremental path: join group deltas with `Output`,
@@ -774,7 +675,6 @@ fn emit_recomputed(
 /// 9/11: `c_post = c_pre + c∆`.
 fn emit_group_diffs(
     ctx: &RuleCtx<'_>,
-    node: &Plan,
     input: &Plan,
     keys: &[usize],
     aggs: &[AggSpec],
@@ -782,10 +682,8 @@ fn emit_group_diffs(
     groups: Vec<(Key, GroupDelta)>,
 ) -> Result<Vec<DiffInstance>> {
     let ipath = child_path(path, 0);
-    let out_arity = keys.len() + aggs.len();
-    let out_ids: Vec<usize> = (0..keys.len()).collect();
+    let out_table = output_table(ctx, path)?;
     let out_key_cols: Vec<usize> = (0..keys.len()).collect();
-    let agg_cols: Vec<usize> = (keys.len()..out_arity).collect();
     // Per-group conversion (one or two probes each, no cross-group
     // state) fans out over hash-sharded groups; shard outputs merge in
     // shard order.
@@ -799,16 +697,7 @@ fn emit_group_diffs(
         let mut upd = Vec::new();
         let mut ins = Vec::new();
         for (gk, gd) in entries {
-            let deltas_row = &gd.per_agg;
-            let out_pre = access::lookup(
-                ctx.access,
-                node,
-                path,
-                State::Post,
-                &out_key_cols,
-                &gk,
-            )?;
-            match out_pre.first() {
+            match output_row(out_table, &out_key_cols, &gk.0) {
                 Some(old) => {
                     if gd.had_delete {
                         // The group may have emptied: probe Input_post.
@@ -818,33 +707,26 @@ fn emit_group_diffs(
                             &ipath,
                             State::Post,
                             keys,
-                            &gk,
+                            &gk.0,
                         )?;
                         if still.is_empty() {
                             del.push(gk.into_row());
                             continue;
                         }
                     }
-                    if deltas_row.iter().all(is_zero) {
+                    if gd.per_agg.iter().all(is_zero) {
                         continue; // σ_isupd
                     }
                     // c_post = c_pre + c∆ per aggregate.
-                    let vals: Vec<Value> = deltas_row
+                    let posts = gd
+                        .per_agg
                         .iter()
                         .enumerate()
-                        .map(|(i, d)| old[keys.len() + i].add(d))
-                        .collect();
-                    let mut r = gk.into_row();
-                    r.0.extend(old.0[keys.len()..].iter().cloned());
-                    r.0.extend(vals);
-                    upd.push(r);
+                        .map(|(i, d)| old[keys.len() + i].add(d));
+                    upd.push(update_row(&gk, &old, posts));
                 }
-                None => {
-                    // Group creation: the deltas start from empty.
-                    let mut r = gk.into_row();
-                    r.0.extend(deltas_row.iter().cloned());
-                    ins.push(r);
-                }
+                // Group creation: the deltas start from empty.
+                None => ins.push(gk.0.into_iter().chain(gd.per_agg).collect()),
             }
         }
         Ok::<_, idivm_types::Error>((del, upd, ins))
@@ -854,23 +736,7 @@ fn emit_group_diffs(
         upd_rows.extend(upd);
         ins_rows.extend(ins);
     }
-    let mut out = Vec::new();
-    if !del_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::delete(&out_ids, &[]),
-            del_rows,
-        ));
-    }
-    if !upd_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::update(&out_ids, &agg_cols, &agg_cols),
-            upd_rows,
-        ));
-    }
-    if !ins_rows.is_empty() {
-        out.push(DiffInstance::insert_from_rows(&out_ids, out_arity, &ins_rows));
-    }
-    Ok(out)
+    Ok(group_diffs(keys, aggs, del_rows, upd_rows, ins_rows))
 }
 
 fn is_zero(v: &Value) -> bool {

@@ -76,14 +76,14 @@ pub fn update_row_pairs(
         match (full_pre, full_post) {
             (Some(pre), Some(post)) => out.push(RowPair { pre, post }),
             _ => {
-                let probe = diff.schema.id_key(d);
+                let probe = diff.schema.id_slice(d);
                 let pre_rows = access::lookup(
                     ctx,
                     input,
                     input_path,
                     State::Pre,
                     &diff.schema.id_cols,
-                    &probe,
+                    probe,
                 )?;
                 let post_rows = access::lookup(
                     ctx,
@@ -91,14 +91,14 @@ pub fn update_row_pairs(
                     input_path,
                     State::Post,
                     &diff.schema.id_cols,
-                    &probe,
+                    probe,
                 )?;
                 // Pair by the input's full ID key; unmatched rows are
                 // inserts/deletes masquerading as updates (cannot happen
                 // with effective diffs) and are skipped defensively.
                 for post in post_rows {
-                    let pk = post.key(input_ids);
-                    if let Some(pre) = pre_rows.iter().find(|r| r.key(input_ids) == pk) {
+                    let same_id = |r: &&Row| input_ids.iter().all(|&c| r[c] == post[c]);
+                    if let Some(pre) = pre_rows.iter().find(same_id) {
                         // Overlay post columns the diff dictates (the
                         // probed post row already reflects them — the
                         // diff is effective — but the diff's values are
@@ -141,14 +141,13 @@ pub fn delete_rows(
         if let Some(pre) = diff.schema.full_row(d, arity, State::Pre) {
             out.push(pre);
         } else {
-            let probe = diff.schema.id_key(d);
             out.extend(access::lookup(
                 ctx,
                 input,
                 input_path,
                 State::Pre,
                 &diff.schema.id_cols,
-                &probe,
+                diff.schema.id_slice(d),
             )?);
         }
     }

@@ -13,7 +13,7 @@
 //! (there is no way around reading it), exactly as Table 10 prescribes.
 
 use crate::access::{self, PathId};
-use crate::diff::{DiffInstance, DiffKind, State};
+use crate::diff::{laid_out, DiffInstance, DiffKind, State};
 use crate::rules::common::{child_path, shift_schema, untouched, update_row_pairs};
 use crate::rules::RuleCtx;
 use idivm_algebra::{Expr, Plan};
@@ -114,13 +114,8 @@ pub fn propagate(
                     diff.schema.post_cols.iter().map(|c| c + offset).collect();
                 let schema = crate::diff::DiffSchema::update(&out_idset, &[], &post_cols);
                 let rows = joined
-                    .into_iter()
-                    .map(|j| {
-                        let mut v: Vec<Value> =
-                            schema.id_cols.iter().map(|&c| j[c].clone()).collect();
-                        v.extend(schema.post_cols.iter().map(|&c| j[c].clone()));
-                        Row(v)
-                    })
+                    .iter()
+                    .map(|j| laid_out(j, &schema.id_cols, &schema.post_cols))
                     .collect();
                 return Ok(vec![DiffInstance::new(schema, rows)]);
             }
@@ -170,12 +165,7 @@ pub fn propagate(
                     crate::diff::DiffSchema::update(&out_idset, &[], &post_cols);
                 let rows: Vec<Row> = new_matches
                     .iter()
-                    .map(|j| {
-                        let mut v: Vec<Value> =
-                            schema.id_cols.iter().map(|&c| j[c].clone()).collect();
-                        v.extend(schema.post_cols.iter().map(|&c| j[c].clone()));
-                        Row(v)
-                    })
+                    .map(|j| laid_out(j, &schema.id_cols, &schema.post_cols))
                     .collect();
                 out.push(DiffInstance::new(schema, rows));
                 out.push(DiffInstance::insert_from_rows(
@@ -213,8 +203,11 @@ fn join_rows(
         )
     };
     let mut out = Vec::new();
+    // One probe vector for the whole diff, refilled per row.
+    let mut vals: Vec<Value> = Vec::with_capacity(this_keys.len());
     for row in rows {
-        let vals: Vec<Value> = this_keys.iter().map(|&c| row[c].clone()).collect();
+        vals.clear();
+        vals.extend(this_keys.iter().map(|&c| row[c].clone()));
         if vals.iter().any(Value::is_null) {
             continue;
         }
@@ -224,7 +217,7 @@ fn join_rows(
             other_path,
             State::Post,
             &other_keys,
-            &Key(vals),
+            &vals,
         )?;
         for m in matches {
             let joined = if side == 0 {

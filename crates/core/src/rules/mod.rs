@@ -288,7 +288,7 @@ pub fn propagate(
             Ok(out)
         }
         Plan::GroupBy { input, keys, aggs } => {
-            agg::propagate(ctx, node, input, keys, aggs, path, incoming)
+            agg::propagate(ctx, input, keys, aggs, path, incoming)
         }
     }
 }

@@ -17,7 +17,7 @@
 //! subset of the output IDs and address joined and padded rows alike.
 
 use crate::access::PathId;
-use crate::diff::{DiffInstance, DiffKind, State};
+use crate::diff::{laid_out, DiffInstance, DiffKind, State};
 use crate::rules::common::{
     child_path, delete_rows, insert_rows, shift_schema, untouched, update_row_pairs,
 };
@@ -137,12 +137,7 @@ fn left_side(
                 );
                 let rows = post_out
                     .iter()
-                    .map(|j| {
-                        let mut v: Vec<Value> =
-                            schema.id_cols.iter().map(|&c| j[c].clone()).collect();
-                        v.extend(schema.post_cols.iter().map(|&c| j[c].clone()));
-                        Row(v)
-                    })
+                    .map(|j| laid_out(j, &schema.id_cols, &schema.post_cols))
                     .collect();
                 return Ok(vec![DiffInstance::new(schema, rows)]);
             }
@@ -301,12 +296,7 @@ fn emit_transition(
         let schema = crate::diff::DiffSchema::update(out_idset, &[], &post_cols);
         let rows: Vec<Row> = post_out
             .iter()
-            .map(|j| {
-                let mut v: Vec<Value> =
-                    schema.id_cols.iter().map(|&c| j[c].clone()).collect();
-                v.extend(schema.post_cols.iter().map(|&c| j[c].clone()));
-                Row(v)
-            })
+            .map(|j| laid_out(j, &schema.id_cols, &schema.post_cols))
             .collect();
         out.push(DiffInstance::new(schema, rows));
         out.push(DiffInstance::insert_from_rows(
@@ -334,7 +324,7 @@ fn outer_outputs(
     let vals: Vec<Value> = on.iter().map(|&(lc, _)| l[lc].clone()).collect();
     let mut out = Vec::new();
     if !vals.iter().any(Value::is_null) {
-        for r in crate::access::lookup(ctx.access, right, rpath, state, &rcols, &Key(vals))? {
+        for r in crate::access::lookup(ctx.access, right, rpath, state, &rcols, &vals)? {
             let joined = l.concat(&r);
             if idivm_algebra::opt_pred(residual, &joined)? {
                 out.push(joined);
@@ -342,7 +332,7 @@ fn outer_outputs(
         }
     }
     if out.is_empty() {
-        out.push(l.concat(&Row(vec![Value::Null; ra])));
+        out.push(l.iter().cloned().chain(std::iter::repeat_n(Value::Null, ra)).collect());
     }
     Ok(out)
 }

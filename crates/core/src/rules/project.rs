@@ -9,11 +9,11 @@
 //! actually change.
 
 use crate::access::{self, PathId};
-use crate::diff::{DiffInstance, DiffKind, DiffSchema, State};
-use crate::rules::common::{child_path, eval_diff, evaluable};
+use crate::diff::{laid_out, DiffInstance, DiffKind, DiffSchema, State};
+use crate::rules::common::{child_path, evaluable};
 use crate::rules::RuleCtx;
 use idivm_algebra::{Expr, Plan};
-use idivm_types::{Error, Result, Row, Value};
+use idivm_types::{Error, Result, Row};
 
 /// Propagate one diff through a generalized projection.
 ///
@@ -61,11 +61,7 @@ pub fn propagate(
                     .ok_or_else(|| {
                         Error::Internal("insert diff lacks full coverage".into())
                     })?;
-                let vals: Vec<Value> = cols
-                    .iter()
-                    .map(|(_, e)| e.eval(&full))
-                    .collect::<Result<_>>()?;
-                rows.push(Row(vals));
+                rows.push(Row::try_collect(cols.iter().map(|(_, e)| e.eval(&full)))?);
             }
             Ok(vec![DiffInstance::insert_from_rows(
                 &node_ids, out_arity, &rows,
@@ -82,20 +78,15 @@ pub fn propagate(
             let schema = DiffSchema::delete(&out_ids, &pre_outs);
             let mut rows = Vec::with_capacity(diff.rows.len());
             for d in &diff.rows {
-                let mut v: Vec<Value> = diff
-                    .schema
-                    .id_cols
-                    .iter()
-                    .map(|&c| {
-                        diff.schema.pre_value(d, c).ok_or_else(|| {
-                            Error::Internal(format!("delete diff lacks id column {c}"))
-                        })
+                // One scratch input row serves every carried expression.
+                let pre = diff.schema.scratch_row(d, in_arity, State::Pre);
+                let ids = diff.schema.id_cols.iter().map(|&c| {
+                    diff.schema.pre_value(d, c).ok_or_else(|| {
+                        Error::Internal(format!("delete diff lacks id column {c}"))
                     })
-                    .collect::<Result<_>>()?;
-                for &o in &pre_outs {
-                    v.push(eval_diff(&diff.schema, d, &cols[o].1, State::Pre, in_arity)?);
-                }
-                rows.push(Row(v));
+                });
+                let pres = pre_outs.iter().map(|&o| cols[o].1.eval(&pre));
+                rows.push(Row::try_collect(ids.chain(pres))?);
             }
             Ok(vec![DiffInstance::new(schema, rows)])
         }
@@ -154,27 +145,16 @@ pub fn propagate(
                 let ipath = child_path(path, 0);
                 let mut fine_rows = Vec::new();
                 for d in &diff.rows {
-                    let probe = diff.schema.id_key(d);
                     for post in access::lookup(
                         ctx.access,
                         input,
                         &ipath,
                         State::Post,
                         &diff.schema.id_cols,
-                        &probe,
+                        diff.schema.id_slice(d),
                     )? {
-                        let projected = Row(
-                            cols.iter()
-                                .map(|(_, e)| e.eval(&post))
-                                .collect::<Result<Vec<_>>>()?,
-                        );
-                        let mut v: Vec<Value> = fine
-                            .id_cols
-                            .iter()
-                            .map(|&o| projected[o].clone())
-                            .collect();
-                        v.extend(fine.post_cols.iter().map(|&o| projected[o].clone()));
-                        fine_rows.push(Row(v));
+                        let projected = Row::try_collect(cols.iter().map(|(_, e)| e.eval(&post)))?;
+                        fine_rows.push(laid_out(&projected, &fine.id_cols, &fine.post_cols));
                     }
                 }
                 return Ok(vec![DiffInstance::new(fine, fine_rows)]);
@@ -203,20 +183,15 @@ fn build_update_row(
     touched: &[usize],
     in_arity: usize,
 ) -> Result<Row> {
-    let mut v: Vec<Value> = in_schema
-        .id_cols
-        .iter()
-        .map(|&c| {
-            in_schema
-                .pre_value(d, c)
-                .ok_or_else(|| Error::Internal(format!("update diff lacks id column {c}")))
-        })
-        .collect::<Result<_>>()?;
-    for &o in pre_outs {
-        v.push(eval_diff(in_schema, d, &cols[o].1, State::Pre, in_arity)?);
-    }
-    for &o in touched {
-        v.push(eval_diff(in_schema, d, &cols[o].1, State::Post, in_arity)?);
-    }
-    Ok(Row(v))
+    // One scratch input row per state serves every carried expression.
+    let pre = in_schema.scratch_row(d, in_arity, State::Pre);
+    let post = in_schema.scratch_row(d, in_arity, State::Post);
+    let ids = in_schema.id_cols.iter().map(|&c| {
+        in_schema
+            .pre_value(d, c)
+            .ok_or_else(|| Error::Internal(format!("update diff lacks id column {c}")))
+    });
+    let pres = pre_outs.iter().map(|&o| cols[o].1.eval(&pre));
+    let posts = touched.iter().map(|&o| cols[o].1.eval(&post));
+    Row::try_collect(ids.chain(pres).chain(posts))
 }

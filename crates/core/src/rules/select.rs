@@ -124,7 +124,7 @@ pub fn propagate(
                         &child_path(path, 0),
                         State::Post,
                         &ids,
-                        &probe,
+                        &probe.0,
                     )?;
                     if !present.is_empty() {
                         confirmed.push(r);
@@ -150,11 +150,10 @@ pub fn propagate(
                 let rows = staying
                     .into_iter()
                     .map(|p| {
-                        let mut v: Vec<idivm_types::Value> =
-                            schema.id_cols.iter().map(|&c| p.post[c].clone()).collect();
-                        v.extend(schema.pre_cols.iter().map(|&c| p.pre[c].clone()));
-                        v.extend(schema.post_cols.iter().map(|&c| p.post[c].clone()));
-                        Row(v)
+                        let ids = schema.id_cols.iter().map(|&c| &p.post[c]);
+                        let pres = schema.pre_cols.iter().map(|&c| &p.pre[c]);
+                        let posts = schema.post_cols.iter().map(|&c| &p.post[c]);
+                        ids.chain(pres).chain(posts).cloned().collect()
                     })
                     .collect();
                 out.push(DiffInstance::new(schema, rows));

@@ -10,11 +10,11 @@
 //! inserts into it).
 
 use crate::access::{self, PathId};
-use crate::diff::{DiffInstance, DiffKind, State};
+use crate::diff::{laid_out, DiffInstance, DiffKind, State};
 use crate::rules::common::{child_path, delete_rows, insert_rows, untouched, update_row_pairs};
 use crate::rules::RuleCtx;
 use idivm_algebra::{Expr, Plan};
-use idivm_types::{Key, Result, Row, Value};
+use idivm_types::{Result, Row, Value};
 use std::collections::BTreeSet;
 
 /// Semijoin or antisemijoin.
@@ -127,12 +127,7 @@ fn propagate_left(
                 let schema = crate::diff::DiffSchema::update(&left_ids, &[], &post_cols);
                 let rows = staying
                     .iter()
-                    .map(|r| {
-                        let mut v: Vec<Value> =
-                            schema.id_cols.iter().map(|&c| r[c].clone()).collect();
-                        v.extend(schema.post_cols.iter().map(|&c| r[c].clone()));
-                        Row(v)
-                    })
+                    .map(|r| laid_out(r, &schema.id_cols, &schema.post_cols))
                     .collect();
                 out.push(DiffInstance::new(schema, rows));
             }
@@ -227,7 +222,7 @@ fn matches(
     if vals.iter().any(Value::is_null) {
         return Ok(false);
     }
-    let rrows = access::lookup(ctx.access, right, rpath, state, &rcols, &Key(vals))?;
+    let rrows = access::lookup(ctx.access, right, rpath, state, &rcols, &vals)?;
     for r in &rrows {
         if idivm_algebra::opt_pred(residual, &row.concat(r))? {
             return Ok(true);
@@ -249,19 +244,14 @@ pub(crate) fn matching_left(
     let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
     let mut out = Vec::new();
     let mut seen: BTreeSet<Row> = BTreeSet::new();
+    let mut vals: Vec<Value> = Vec::with_capacity(on.len());
     for r in right_rows {
-        let vals: Vec<Value> = on.iter().map(|&(_, rc)| r[rc].clone()).collect();
+        vals.clear();
+        vals.extend(on.iter().map(|&(_, rc)| r[rc].clone()));
         if vals.iter().any(Value::is_null) {
             continue;
         }
-        for l in access::lookup(
-            ctx.access,
-            left,
-            lpath,
-            State::Post,
-            &lcols,
-            &Key(vals),
-        )? {
+        for l in access::lookup(ctx.access, left, lpath, State::Post, &lcols, &vals)? {
             if idivm_algebra::opt_pred(residual, &l.concat(r))? && seen.insert(l.clone()) {
                 out.push(l);
             }

@@ -7,7 +7,7 @@
 
 use crate::diff::{DiffInstance, DiffKind, DiffSchema};
 use idivm_algebra::Plan;
-use idivm_types::{Result, Row, Value};
+use idivm_types::{Result, Value};
 
 /// Propagate one diff through a union-all node of output arity
 /// `out_arity` (child arity + 1 for the branch column).
@@ -52,9 +52,12 @@ pub fn propagate(
         .into_iter()
         .map(|r| {
             // Insert the branch value right after the existing IDs.
-            let mut v = r.0;
-            v.insert(n_ids, branch_val.clone());
-            Row(v)
+            let (ids, rest) = r.0.split_at(n_ids);
+            ids.iter()
+                .chain(std::iter::once(&branch_val))
+                .chain(rest)
+                .cloned()
+                .collect()
         })
         .collect();
     Ok(DiffInstance::new(schema, rows))

@@ -20,11 +20,11 @@
 //! log (effective net changes) into instances: an update lands in
 //! *every* update schema that covers at least one modified attribute.
 
-use crate::diff::{DiffInstance, DiffSchema};
+use crate::diff::{laid_out, DiffInstance, DiffSchema};
 use idivm_algebra::Plan;
 use idivm_reldb::{NetChange, TableChanges};
-use idivm_types::{Result, Row, Schema, Value};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use idivm_types::{Result, Row, Schema};
+use std::collections::{BTreeSet, HashMap};
 
 /// Update-diff schema for one attribute group of one base table.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,34 +240,35 @@ pub fn populate(
     schemas: &TableDiffSchemas,
     changes: &TableChanges,
 ) -> Vec<DiffInstance> {
-    let mut inserts: Vec<Row> = Vec::new();
-    let mut deletes: Vec<Row> = Vec::new();
-    let mut per_group: BTreeMap<usize, Vec<Row>> = BTreeMap::new();
+    // Each list is sized for the whole change set up front: one
+    // allocation per list and one per diff row, none to grow.
+    let sized = || Vec::<Row>::with_capacity(changes.len());
+    let mut inserts = sized();
+    let mut deletes = sized();
+    let mut per_group: Vec<Vec<Row>> = schemas.updates.iter().map(|_| sized()).collect();
+    // Diff rows lead with the key, then every non-key column.
+    let leading = |image: &Row| laid_out(image, &schemas.key, &schemas.non_key);
     for change in changes.values() {
         match change {
             NetChange::Inserted { post } => {
-                let mut v: Vec<Value> =
-                    schemas.key.iter().map(|&c| post[c].clone()).collect();
-                v.extend(schemas.non_key.iter().map(|&c| post[c].clone()));
-                inserts.push(Row(v));
+                inserts.push(leading(post));
             }
             NetChange::Deleted { pre } => {
-                let mut v: Vec<Value> =
-                    schemas.key.iter().map(|&c| pre[c].clone()).collect();
-                v.extend(schemas.non_key.iter().map(|&c| pre[c].clone()));
-                deletes.push(Row(v));
+                deletes.push(leading(pre));
             }
             NetChange::Updated { pre, post } => {
-                let changed: BTreeSet<usize> = (0..pre.arity())
-                    .filter(|&c| pre[c] != post[c])
-                    .collect();
-                for (gi, g) in schemas.updates.iter().enumerate() {
-                    if g.post_attrs.iter().any(|c| changed.contains(c)) {
-                        let mut v: Vec<Value> =
-                            schemas.key.iter().map(|&c| pre[c].clone()).collect();
-                        v.extend(schemas.non_key.iter().map(|&c| pre[c].clone()));
-                        v.extend(g.post_attrs.iter().map(|&c| post[c].clone()));
-                        per_group.entry(gi).or_default().push(Row(v));
+                for (g, rows) in schemas.updates.iter().zip(&mut per_group) {
+                    if g.post_attrs.iter().any(|&c| pre[c] != post[c]) {
+                        rows.push(
+                            schemas
+                                .key
+                                .iter()
+                                .chain(&schemas.non_key)
+                                .map(|&c| &pre[c])
+                                .chain(g.post_attrs.iter().map(|&c| &post[c]))
+                                .cloned()
+                                .collect(),
+                        );
                     }
                 }
             }
@@ -280,11 +281,10 @@ pub fn populate(
     if !deletes.is_empty() {
         out.push(DiffInstance::new(schemas.delete_schema(), deletes));
     }
-    for (gi, rows) in per_group {
-        out.push(DiffInstance::new(
-            schemas.update_schema(&schemas.updates[gi]),
-            rows,
-        ));
+    for (g, rows) in schemas.updates.iter().zip(per_group) {
+        if !rows.is_empty() {
+            out.push(DiffInstance::new(schemas.update_schema(g), rows));
+        }
     }
     out
 }
@@ -300,7 +300,7 @@ pub fn layout_matches_scan(_schema: &Schema) -> bool {
 mod tests {
     use super::*;
     use idivm_algebra::PlanBuilder;
-    use idivm_types::{row, ColumnType, Key};
+    use idivm_types::{row, ColumnType, Key, Value};
 
     fn catalog() -> HashMap<String, Schema> {
         let mut m = HashMap::new();

@@ -18,6 +18,8 @@
 //! [`MaintenanceReport`](idivm_reldb::StatsSnapshot)-style counters so
 //! experiments can confront prediction with observation.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod agg;
 pub mod measure;
 pub mod promote;

@@ -79,9 +79,8 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
         Plan::UnionAll { left, right } => {
             let mut out = Vec::new();
             for (branch, side) in [(0i64, left), (1i64, right)] {
-                for mut r in execute(db, side)? {
-                    r.0.push(Value::Int(branch));
-                    out.push(r);
+                for r in execute(db, side)? {
+                    out.push(r.extended(Value::Int(branch)));
                 }
             }
             Ok(out)
@@ -98,11 +97,7 @@ pub fn execute(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
 /// # Errors
 /// Expression evaluation failures.
 pub fn project_row(row: &Row, cols: &[(String, Expr)]) -> Result<Row> {
-    let vals: Vec<Value> = cols
-        .iter()
-        .map(|(_, e)| e.eval(row))
-        .collect::<Result<_>>()?;
-    Ok(Row(vals))
+    Row::try_collect(cols.iter().map(|(_, e)| e.eval(row)))
 }
 
 /// Hash equi-join with optional residual θ filter. Rows whose join key
@@ -171,7 +166,7 @@ pub fn hash_left_outer_join(
     on: &[(usize, usize)],
     residual: Option<&Expr>,
 ) -> Result<Vec<Row>> {
-    let pad = Row(vec![Value::Null; right_arity]);
+    let pad: Row = std::iter::repeat_n(Value::Null, right_arity).collect();
     let mut out = Vec::new();
     let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
     let lkeys: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
@@ -299,9 +294,9 @@ pub fn hash_aggregate(
     Ok(groups
         .into_iter()
         .map(|(k, accs)| {
-            let mut row = k.into_row();
-            row.0.extend(accs.iter().map(Accumulator::finish));
-            row
+            k.0.into_iter()
+                .chain(accs.iter().map(Accumulator::finish))
+                .collect()
         })
         .collect())
 }
@@ -514,8 +509,8 @@ mod tests {
             .unwrap(),
         )
         .unwrap();
-        db.insert("a", Row(vec![Value::Int(1), Value::Null])).unwrap();
-        db.insert("b", Row(vec![Value::Int(2), Value::Null])).unwrap();
+        db.insert("a", Row::new(vec![Value::Int(1), Value::Null])).unwrap();
+        db.insert("b", Row::new(vec![Value::Int(2), Value::Null])).unwrap();
         let cat = crate::DbCatalog(&db);
         let j = PlanBuilder::scan(&cat, "a")
             .unwrap()

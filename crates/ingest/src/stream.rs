@@ -186,7 +186,7 @@ mod tests {
         ];
         apply_log(&mut d, &entries).unwrap();
         let t = d.table("t").unwrap();
-        assert_eq!(t.get_uncounted(&row![1].key(&[0])), Some(&Row(vec![
+        assert_eq!(t.get_uncounted(&row![1].key(&[0])), Some(&Row::new(vec![
             idivm_types::Value::Int(1),
             idivm_types::Value::Int(11)
         ])));

@@ -201,11 +201,11 @@ impl Database {
         key: &Key,
         assignments: &[(&str, Value)],
     ) -> Result<(Row, Row)> {
-        let schema = self.table(table)?.schema().clone();
-        let mut resolved = Vec::with_capacity(assignments.len());
-        for (name, v) in assignments {
-            resolved.push((schema.index_of(name)?, v.clone()));
-        }
+        let schema = self.table(table)?.schema();
+        let resolved = assignments
+            .iter()
+            .map(|(name, v)| Ok((schema.index_of(name)?, v.clone())))
+            .collect::<Result<Vec<_>>>()?;
         self.update(table, key, &resolved)
     }
 
@@ -372,7 +372,7 @@ impl Database {
             }
         }
         crate::table::TableSignature {
-            rows: vec![(Key(vec![Value::Int(h.finish() as i64)]), Row(Vec::new()))],
+            rows: vec![(Key(vec![Value::Int(h.finish() as i64)]), Row::default())],
             indexes: Vec::new(),
         }
     }

@@ -10,7 +10,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use idivm_types::{Key, Row};
+use idivm_types::{Key, Row, Value};
 use std::collections::HashMap;
 
 /// A hash index over a fixed set of column positions of one table.
@@ -49,12 +49,12 @@ impl SecondaryIndex {
     /// hash via the entry API: the postings `Vec` is dropped in place
     /// when it empties instead of being re-found and removed by a
     /// second probe.
-    pub fn remove(&mut self, pk: &Key, row: &Row) {
+    pub fn remove(&mut self, pk: &[Value], row: &Row) {
         if let std::collections::hash_map::Entry::Occupied(mut e) =
             self.map.entry(row.key(&self.cols))
         {
             let v = e.get_mut();
-            if let Some(pos) = v.iter().position(|p| p == pk) {
+            if let Some(pos) = v.iter().position(|p| p.0 == pk) {
                 v.swap_remove(pos);
             }
             if v.is_empty() {
@@ -67,16 +67,23 @@ impl SecondaryIndex {
     /// Touches the map only when an indexed column actually differs:
     /// an update that moves no indexed value costs the column compares
     /// and nothing else — no key build, no hash, no postings scan.
-    pub fn refile(&mut self, pk: &Key, before: &Row, after: &Row) {
-        if self.cols.iter().any(|&c| before.0[c] != after.0[c]) {
+    pub fn refile(&mut self, pk: &[Value], before: &Row, after: &Row) {
+        if self.cols.iter().any(|&c| before[c] != after[c]) {
             self.remove(pk, before);
-            self.insert(pk.clone(), after);
+            self.insert(Key(pk.to_vec()), after);
         }
     }
 
     /// Primary keys of rows whose indexed columns equal `probe`.
-    pub fn get(&self, probe: &Key) -> &[Key] {
+    pub fn get(&self, probe: &[Value]) -> &[Key] {
         self.map.get(probe).map_or(&[], |v| v.as_slice())
+    }
+
+    /// Remove and return the whole postings list of `probe` — for a
+    /// caller about to delete every row on it, which would otherwise
+    /// copy the list and then empty it one `remove` at a time.
+    pub fn take(&mut self, probe: &[Value]) -> Vec<Key> {
+        self.map.remove(probe).unwrap_or_default()
     }
 
     /// Number of distinct indexed values.
@@ -124,15 +131,15 @@ mod tests {
         ix.insert(pk(3), &r3);
 
         let probe = Key(vec![idivm_types::Value::str("phone")]);
-        let mut hits: Vec<_> = ix.get(&probe).to_vec();
+        let mut hits: Vec<_> = ix.get(&probe.0).to_vec();
         hits.sort();
         assert_eq!(hits, vec![pk(1), pk(2)]);
         assert_eq!(ix.distinct_values(), 2);
 
-        ix.remove(&pk(1), &r1);
-        assert_eq!(ix.get(&probe), &[pk(2)]);
-        ix.remove(&pk(2), &r2);
-        assert!(ix.get(&probe).is_empty());
+        ix.remove(&pk(1).0, &r1);
+        assert_eq!(ix.get(&probe.0), &[pk(2)]);
+        ix.remove(&pk(2).0, &r2);
+        assert!(ix.get(&probe.0).is_empty());
         assert_eq!(ix.distinct_values(), 1);
     }
 
@@ -142,21 +149,21 @@ mod tests {
         ix.insert(pk(1), &row![1, "phone", 10]);
         ix.insert(pk(2), &row![2, "phone", 20]);
         let phone = Key(vec![idivm_types::Value::str("phone")]);
-        let before = ix.get(&phone).to_vec();
+        let before = ix.get(&phone.0).to_vec();
         // Unindexed column moved: postings untouched, order included.
-        ix.refile(&pk(1), &row![1, "phone", 10], &row![1, "phone", 11]);
-        assert_eq!(ix.get(&phone), before.as_slice());
+        ix.refile(&pk(1).0, &row![1, "phone", 10], &row![1, "phone", 11]);
+        assert_eq!(ix.get(&phone.0), before.as_slice());
         // Indexed column moved: pk re-filed under the new value.
-        ix.refile(&pk(1), &row![1, "phone", 11], &row![1, "tablet", 11]);
-        assert_eq!(ix.get(&phone), &[pk(2)]);
+        ix.refile(&pk(1).0, &row![1, "phone", 11], &row![1, "tablet", 11]);
+        assert_eq!(ix.get(&phone.0), &[pk(2)]);
         let tablet = Key(vec![idivm_types::Value::str("tablet")]);
-        assert_eq!(ix.get(&tablet), &[pk(1)]);
+        assert_eq!(ix.get(&tablet.0), &[pk(1)]);
     }
 
     #[test]
     fn missing_probe_is_empty() {
         let ix = SecondaryIndex::new(vec![0]);
-        assert!(ix.get(&pk(9)).is_empty());
+        assert!(ix.get(&pk(9).0).is_empty());
     }
 
     #[test]
@@ -165,6 +172,6 @@ mod tests {
         let r = row![1, "a", 10];
         ix.insert(pk(7), &r);
         let probe = Key(vec![idivm_types::Value::Int(1), idivm_types::Value::str("a")]);
-        assert_eq!(ix.get(&probe), &[pk(7)]);
+        assert_eq!(ix.get(&probe.0), &[pk(7)]);
     }
 }

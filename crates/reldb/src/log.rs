@@ -20,12 +20,14 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use idivm_types::{Key, Row, Value};
+use idivm_types::{Key, Row};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// One logged base-table modification, with pre-images where applicable.
+/// The rows are shared with whoever produced them (the table's displaced
+/// and stored rows, the caller's inserted row): logging copies no tuple.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogEntry {
     Insert {
@@ -252,7 +254,11 @@ pub fn fold_keyed(
 ) -> HashMap<String, TableChanges> {
     let mut out: HashMap<String, TableChanges> = HashMap::new();
     for e in entries {
-        let per_table = out.entry(e.table().to_string()).or_default();
+        // A table's name is copied on its first entry only.
+        let per_table = match out.get_mut(e.table()) {
+            Some(changes) => changes,
+            None => out.entry(e.table().to_string()).or_default(),
+        };
         match e {
             LogEntry::Insert { table, row } => {
                 apply_insert(per_table, key_of(table, row), row.clone());
@@ -364,22 +370,21 @@ pub fn table_delta(pre: &[Row], post: &[Row], key_cols: &[usize]) -> TableChange
 /// index maintenance — without touching the access counters (rollback
 /// is failure machinery, not a measured IVM path).
 ///
-/// `table` is the owning table's shared name handle: recording an op
-/// bumps a reference count instead of allocating a `String`.
+/// `table` is the owning table's shared name handle and every `row` is
+/// shared with the table that stored it: recording an op bumps
+/// reference counts and allocates nothing. Where replay needs a primary
+/// key it derives it from the row and the table's schema.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UndoOp {
-    /// A row was inserted; undo by removing `pk`.
-    Insert { table: Arc<str>, pk: Key },
+    /// `row` was inserted; undo by removing the row stored under its
+    /// primary key.
+    Insert { table: Arc<str>, row: Row },
     /// A row was deleted; undo by re-inserting `row`.
     Delete { table: Arc<str>, row: Row },
-    /// Columns of a row were overwritten; undo by writing the `old`
-    /// `(column, value)` pairs back. Only the columns whose value
-    /// changed are carried, not the whole pre-image.
-    Update {
-        table: Arc<str>,
-        pk: Key,
-        old: Vec<(usize, Value)>,
-    },
+    /// A stored row was replaced by a patched copy; `row` is the
+    /// displaced one. Undo by putting it back in the slot of its
+    /// primary key (keys are immutable, so that is the slot it left).
+    Update { table: Arc<str>, row: Row },
     /// A secondary index was created mid-round; undo by dropping it so
     /// a rolled-back first round leaves the table bit-identical.
     CreateIndex { table: Arc<str>, cols: Vec<usize> },
@@ -901,14 +906,14 @@ mod tests {
         let u = UndoLog::new();
         u.record(UndoOp::Insert {
             table: "v".into(),
-            pk: k(1),
+            row: row![1, 10],
         });
         assert!(u.is_empty(), "disarmed journal must drop records");
         let mark = u.arm();
         assert_eq!(mark, 0);
         u.record(UndoOp::Insert {
             table: "v".into(),
-            pk: k(1),
+            row: row![1, 10],
         });
         assert_eq!(u.len(), 1);
         u.disarm();
@@ -921,7 +926,7 @@ mod tests {
         let outer = u.arm();
         u.record(UndoOp::Insert {
             table: "v".into(),
-            pk: k(1),
+            row: row![1, 10],
         });
         let inner = u.arm();
         u.record(UndoOp::Delete {
@@ -930,8 +935,7 @@ mod tests {
         });
         u.record(UndoOp::Update {
             table: "v".into(),
-            pk: k(3),
-            old: vec![(1, Value::Int(30))],
+            row: row![3, 30],
         });
         // Inner session fails: only its suffix comes back.
         let suffix = u.split_off(inner);

@@ -19,12 +19,27 @@
 
 use crate::log::{NetChange, TableChanges};
 use crate::table::Table;
-use idivm_types::{Key, Row};
+use idivm_types::{Row, Value};
+use std::borrow::Borrow;
 
-/// A read-only view of a table's pre-state.
+/// A read-only view of a table's pre-state. Every row it returns is
+/// shared with the table or with the change map, never copied.
 pub struct PreState<'a> {
     table: &'a Table,
     changes: Option<&'a TableChanges>,
+}
+
+/// The net change recorded for `row`'s primary key, if any. The key is
+/// projected into `scratch`, so a loop over many rows builds no `Key`.
+fn change_of<'c>(
+    changes: &'c TableChanges,
+    key_cols: &[usize],
+    row: &Row,
+    scratch: &mut Vec<Value>,
+) -> Option<&'c NetChange> {
+    scratch.clear();
+    scratch.extend(key_cols.iter().map(|&c| row[c].clone()));
+    changes.get(scratch.as_slice())
 }
 
 impl<'a> PreState<'a> {
@@ -40,7 +55,8 @@ impl<'a> PreState<'a> {
     }
 
     /// Point lookup by primary key in the pre-state.
-    pub fn get(&self, key: &Key) -> Option<Row> {
+    pub fn get(&self, key: &(impl Borrow<[Value]> + ?Sized)) -> Option<Row> {
+        let key = key.borrow();
         if let Some(changes) = self.changes {
             match changes.get(key) {
                 Some(NetChange::Inserted { .. }) => return None,
@@ -63,17 +79,17 @@ impl<'a> PreState<'a> {
         let Some(changes) = self.changes else {
             return self.table.scan();
         };
-        let key_cols = self.table.schema().key().to_vec();
+        let key_cols = self.table.schema().key();
+        let mut scratch = Vec::with_capacity(key_cols.len());
         let mut out: Vec<Row> = Vec::with_capacity(self.table.len());
-        for row in self.table.scan() {
-            let k = row.key(&key_cols);
-            match changes.get(&k) {
+        for row in self.table.iter() {
+            match change_of(changes, key_cols, row, &mut scratch) {
                 Some(NetChange::Inserted { .. }) => {}
                 Some(NetChange::Updated { pre, .. }) => out.push(pre.clone()),
-                Some(NetChange::Deleted { .. }) | None => out.push(row),
+                Some(NetChange::Deleted { .. }) | None => out.push(row.clone()),
             }
         }
-        for (_, c) in changes.iter() {
+        for c in changes.values() {
             if let NetChange::Deleted { pre } = c {
                 self.table.stats().tuples(1);
                 out.push(pre.clone());
@@ -87,30 +103,32 @@ impl<'a> PreState<'a> {
     /// Uses the post-state access path, then patches with the change map:
     /// post-state hits whose key was inserted are dropped, updated rows
     /// are re-checked against their pre-image, and deleted/updated
-    /// pre-images matching the probe are added.
-    pub fn lookup(&self, positions: &[usize], probe: &Key) -> Vec<Row> {
+    /// pre-images matching the probe are added. The pass over the change
+    /// map compares columns in place: a probe allocates for the rows it
+    /// returns, not for the round's changes it looks at.
+    pub fn lookup(&self, positions: &[usize], probe: &(impl Borrow<[Value]> + ?Sized)) -> Vec<Row> {
+        let probe = probe.borrow();
         let Some(changes) = self.changes else {
             return self.table.lookup(positions, probe);
         };
-        let key_cols = self.table.schema().key().to_vec();
-        let mut out = Vec::new();
-        for row in self.table.lookup(positions, probe) {
-            let k = row.key(&key_cols);
-            match changes.get(&k) {
-                Some(NetChange::Inserted { .. }) => {}
-                Some(NetChange::Updated { .. }) => {
-                    // pre-image handled below (it may or may not match).
-                }
-                Some(NetChange::Deleted { .. }) | None => out.push(row),
-            }
-        }
-        for (_, c) in changes.iter() {
+        let key_cols = self.table.schema().key();
+        let mut scratch = Vec::with_capacity(key_cols.len());
+        let mut out = self.table.lookup(positions, probe);
+        // Inserted: not in the pre-state. Updated: the pre-image is
+        // handled below (it may or may not match).
+        out.retain(|row| {
+            matches!(
+                change_of(changes, key_cols, row, &mut scratch),
+                Some(NetChange::Deleted { .. }) | None
+            )
+        });
+        for c in changes.values() {
             let pre = match c {
                 NetChange::Deleted { pre } => pre,
                 NetChange::Updated { pre, .. } => pre,
                 NetChange::Inserted { .. } => continue,
             };
-            if &pre.key(positions) == probe {
+            if pre.matches(positions, probe) {
                 self.table.stats().tuples(1);
                 out.push(pre.clone());
             }
@@ -123,21 +141,21 @@ impl<'a> PreState<'a> {
         let Some(changes) = self.changes else {
             return self.table.rows_uncounted();
         };
-        let key_cols = self.table.schema().key().to_vec();
-        let mut out = Vec::new();
-        for row in self.table.rows_uncounted() {
-            let k = row.key(&key_cols);
-            match changes.get(&k) {
-                Some(NetChange::Inserted { .. }) => {}
-                Some(NetChange::Updated { pre, .. }) => out.push(pre.clone()),
-                Some(NetChange::Deleted { .. }) | None => out.push(row),
+        let key_cols = self.table.schema().key();
+        let mut scratch = Vec::with_capacity(key_cols.len());
+        let mut out = self.table.rows_uncounted();
+        out.retain_mut(|row| match change_of(changes, key_cols, row, &mut scratch) {
+            Some(NetChange::Inserted { .. }) => false,
+            Some(NetChange::Updated { pre, .. }) => {
+                *row = pre.clone();
+                true
             }
-        }
-        for c in changes.values() {
-            if let NetChange::Deleted { pre } = c {
-                out.push(pre.clone());
-            }
-        }
+            Some(NetChange::Deleted { .. }) | None => true,
+        });
+        out.extend(changes.values().filter_map(|c| match c {
+            NetChange::Deleted { pre } => Some(pre.clone()),
+            _ => None,
+        }));
         out
     }
 }
@@ -146,7 +164,7 @@ impl<'a> PreState<'a> {
 mod tests {
     use super::*;
     use crate::stats::AccessStats;
-    use idivm_types::{row, ColumnType, Schema, Value};
+    use idivm_types::{row, ColumnType, Key, Schema, Value};
     use std::collections::HashMap;
 
     fn table() -> Table {
@@ -228,5 +246,79 @@ mod tests {
         let mut rows = pre.scan();
         rows.sort();
         assert_eq!(rows, vec![row![1, 11], row![2, 20], row![3, 30]]);
+    }
+
+    /// A pre-state probe reads what it returns, whatever the size of the
+    /// round: over a 100-change map (40 updates, 30 inserts, 30 deletes)
+    /// the counts are the post-state access path's plus one tuple access
+    /// per pre-image that matches — none per change merely looked at.
+    #[test]
+    fn pre_state_probe_counts_over_a_hundred_changes() {
+        let schema = Schema::from_pairs(
+            &[("pid", ColumnType::Int), ("grp", ColumnType::Int)],
+            &["pid"],
+        )
+        .unwrap();
+        let mut t = Table::new("parts", schema, AccessStats::new());
+        t.create_index(&["grp"]).unwrap();
+        let k = |pid: i64| Key(vec![Value::Int(pid)]);
+        let mut ch = TableChanges::new();
+        // Untouched rows 0..50, grp = pid % 5.
+        for pid in 0..50 {
+            t.load(row![pid, pid % 5]).unwrap();
+        }
+        // Updated rows 100..140: moved from grp (pid % 5) to grp 9.
+        for pid in 100..140 {
+            t.load(row![pid, 9]).unwrap();
+            ch.insert(
+                k(pid),
+                NetChange::Updated {
+                    pre: row![pid, pid % 5],
+                    post: row![pid, 9],
+                },
+            );
+        }
+        // Inserted rows 200..230 (grp 3) and deleted rows 300..330
+        // (were in grp pid % 5, no longer stored).
+        for pid in 200..230 {
+            t.load(row![pid, 3]).unwrap();
+            ch.insert(k(pid), NetChange::Inserted { post: row![pid, 3] });
+        }
+        for pid in 300..330 {
+            ch.insert(k(pid), NetChange::Deleted { pre: row![pid, pid % 5] });
+        }
+        assert_eq!(ch.len(), 100);
+        let pre = PreState::new(&t, Some(&ch));
+
+        // grp = 3 in the post-state: 10 untouched + 30 inserted = 40
+        // index hits. Pre-state: the 10 untouched, 8 updated pre-images
+        // (pid % 5 == 3 in 100..140) and 6 deleted ones (300..330).
+        let s0 = t.stats().snapshot();
+        let mut hits = pre.lookup(&[1], &[Value::Int(3)]);
+        let d = t.stats().snapshot().since(&s0);
+        assert_eq!((d.index_lookups, d.tuple_accesses), (1, 40 + 8 + 6));
+        hits.sort();
+        let mut expect: Vec<Row> = (0..50)
+            .chain(100..140)
+            .chain(300..330)
+            .filter(|pid| pid % 5 == 3)
+            .map(|pid| row![pid, 3])
+            .collect();
+        expect.sort();
+        assert_eq!(hits, expect);
+
+        // grp = 9 exists only in the post-state: 40 index hits, all of
+        // them updated rows whose pre-image does not match.
+        let s0 = t.stats().snapshot();
+        assert!(pre.lookup(&[1], &[Value::Int(9)]).is_empty());
+        let d = t.stats().snapshot().since(&s0);
+        assert_eq!((d.index_lookups, d.tuple_accesses), (1, 40));
+
+        // A primary-key probe of a deleted row: the post-state miss (1
+        // lookup) plus its one matching pre-image.
+        let s0 = t.stats().snapshot();
+        assert_eq!(pre.lookup(&[0], &k(300)), vec![row![300, 0]]);
+        let d = t.stats().snapshot().since(&s0);
+        assert_eq!((d.index_lookups, d.tuple_accesses), (1, 1));
     }
 }

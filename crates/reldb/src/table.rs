@@ -14,6 +14,7 @@ use crate::index::SecondaryIndex;
 use crate::log::{UndoLog, UndoOp};
 use crate::stats::AccessStats;
 use idivm_types::{Error, Key, Result, Row, Schema, Value};
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -38,11 +39,13 @@ pub type IndexSignature = (Vec<usize>, Vec<(Key, Vec<Key>)>);
 /// What [`Table::patch`] did to a located row.
 #[derive(Debug)]
 pub struct Patched<'a> {
-    /// The row as it was before the patch — `None` when every assigned
-    /// value already equalled the stored one, in which case nothing was
-    /// written, journaled or re-indexed.
+    /// The *displaced* row — the very allocation the table stored
+    /// before the patch, handed over instead of copied — or `None` when
+    /// every assigned value already equalled the stored one, in which
+    /// case nothing was written, journaled or re-indexed.
     pub pre: Option<Row>,
-    /// The stored row after the patch.
+    /// The stored row after the patch (a newly built row when `pre` is
+    /// `Some`, the untouched one otherwise).
     pub post: &'a Row,
 }
 
@@ -103,8 +106,8 @@ impl Table {
     }
 
     /// Record an inverse operation if a round/session is open. The
-    /// closure defers building the op (with its clones) until we know
-    /// the journal is armed, so the disarmed cost is one relaxed load.
+    /// closure defers building the op until we know the journal is
+    /// armed, so the disarmed cost is one relaxed load.
     fn journal(&self, op: impl FnOnce() -> UndoOp) {
         if self.undo.is_armed() {
             self.undo.record(op());
@@ -193,9 +196,9 @@ impl Table {
 
     /// Point lookup by primary key. Costs 1 index lookup, plus 1 tuple
     /// access when the row exists.
-    pub fn get(&self, key: &Key) -> Option<&Row> {
+    pub fn get(&self, key: &(impl Borrow<[Value]> + ?Sized)) -> Option<&Row> {
         self.stats.index_lookup();
-        let hit = self.rows.get(key);
+        let hit = self.rows.get(key.borrow());
         if hit.is_some() {
             self.stats.tuples(1);
         }
@@ -204,12 +207,13 @@ impl Table {
 
     /// Existence probe by primary key. Costs 1 index lookup only (no
     /// tuple needs to be read to answer membership from the index).
-    pub fn contains_key(&self, key: &Key) -> bool {
+    pub fn contains_key(&self, key: &(impl Borrow<[Value]> + ?Sized)) -> bool {
         self.stats.index_lookup();
-        self.rows.contains_key(key)
+        self.rows.contains_key(key.borrow())
     }
 
-    /// Full scan. Costs one tuple access per stored row.
+    /// Full scan. Costs one tuple access per stored row. The rows are
+    /// shared with the table, not copied.
     pub fn scan(&self) -> Vec<Row> {
         self.stats.tuples(self.rows.len() as u64);
         self.rows.values().cloned().collect()
@@ -221,37 +225,34 @@ impl Table {
         self.rows.values()
     }
 
-    /// Equality lookup on an arbitrary column subset.
+    /// Equality lookup on an arbitrary column subset; `probe` is a
+    /// [`Key`] or any borrowed `[Value]` (a diff row's leading ID slots,
+    /// a reused scratch vector).
     ///
     /// With a matching index (or the primary key) this costs
     /// `1 + m` for `m` hits — the paper's index access model. Without one
     /// it degrades to a counted full scan, mirroring a DBMS that lacks the
     /// index.
-    pub fn lookup(&self, positions: &[usize], probe: &Key) -> Vec<Row> {
+    pub fn lookup(
+        &self,
+        positions: &[usize],
+        probe: &(impl Borrow<[Value]> + ?Sized),
+    ) -> Vec<Row> {
+        let probe = probe.borrow();
         if positions == self.schema.key() {
-            self.stats.index_lookup();
-            return match self.rows.get(probe) {
-                Some(r) => {
-                    self.stats.tuples(1);
-                    vec![r.clone()]
-                }
-                None => Vec::new(),
-            };
+            return self.get(probe).cloned().into_iter().collect();
         }
         if let Some(ix) = self.find_index(positions) {
             self.stats.index_lookup();
             let pks = ix.get(probe);
             self.stats.tuples(pks.len() as u64);
-            return pks
-                .iter()
-                .map(|pk| self.rows[pk].clone())
-                .collect();
+            return pks.iter().map(|pk| self.rows[pk].clone()).collect();
         }
         // No index: counted scan with a filter.
         self.stats.tuples(self.rows.len() as u64);
         self.rows
             .values()
-            .filter(|r| &r.key(positions) == probe)
+            .filter(|r| r.matches(positions, probe))
             .cloned()
             .collect()
     }
@@ -260,36 +261,45 @@ impl Table {
     /// Costs exactly 1 index lookup (the paper's unit for locating
     /// to-be-modified view tuples) — the rows themselves are not read.
     /// Falls back to a counted scan when no index covers `positions`.
-    pub fn pks_by(&self, positions: &[usize], probe: &Key) -> Vec<Key> {
+    /// Inspection only: writers locate and write in one step through
+    /// [`Table::patch_where`] / [`Table::delete_where`].
+    pub fn pks_by(&self, positions: &[usize], probe: &(impl Borrow<[Value]> + ?Sized)) -> Vec<Key> {
+        let probe = probe.borrow();
         if positions == self.schema.key() {
             self.stats.index_lookup();
-            return if self.rows.contains_key(probe) {
-                vec![probe.clone()]
-            } else {
-                Vec::new()
+            return match self.rows.get_key_value(probe) {
+                Some((pk, _)) => vec![pk.clone()],
+                None => Vec::new(),
             };
         }
         if let Some(ix) = self.find_index(positions) {
             self.stats.index_lookup();
             return ix.get(probe).to_vec();
         }
+        self.scan_pks(positions, probe)
+    }
+
+    /// The no-index way to locate: a counted scan with an in-place
+    /// column compare.
+    fn scan_pks(&self, positions: &[usize], probe: &[Value]) -> Vec<Key> {
         self.stats.tuples(self.rows.len() as u64);
         self.rows
             .iter()
-            .filter(|(_, r)| &r.key(positions) == probe)
+            .filter(|(_, r)| r.matches(positions, probe))
             .map(|(k, _)| k.clone())
             .collect()
     }
 
-    /// Uncounted read of all rows — for test assertions and oracle
-    /// comparisons only, never inside measured IVM paths.
+    /// Uncounted read of all rows (shared, not copied) — for test
+    /// assertions and oracle comparisons only, never inside measured
+    /// IVM paths.
     pub fn rows_uncounted(&self) -> Vec<Row> {
         self.rows.values().cloned().collect()
     }
 
     /// Uncounted point read — for test assertions and internal plumbing.
-    pub fn get_uncounted(&self, key: &Key) -> Option<&Row> {
-        self.rows.get(key)
+    pub fn get_uncounted(&self, key: &(impl Borrow<[Value]> + ?Sized)) -> Option<&Row> {
+        self.rows.get(key.borrow())
     }
 
     // ------------------------------------------------------------------
@@ -337,7 +347,7 @@ impl Table {
     fn store(&mut self, pk: Key, row: Row) {
         self.journal(|| UndoOp::Insert {
             table: self.name.clone(),
-            pk: pk.clone(),
+            row: row.clone(),
         });
         for ix in &mut self.indexes {
             ix.insert(pk.clone(), &row);
@@ -363,15 +373,14 @@ impl Table {
     /// disagrees with the key or has wrong arity.
     pub fn update(&mut self, key: &Key, post: Row) -> Result<Row> {
         self.check_arity(&post)?;
-        if &self.pk_of(&post) != key {
+        if !post.matches(self.schema.key(), &key.0) {
             return Err(Error::Schema(format!(
                 "update must not change key columns (table `{}`)",
                 self.name
             )));
         }
         self.stats.index_lookup();
-        let assignments: Vec<(usize, Value)> = post.0.into_iter().enumerate().collect();
-        match self.patch(key, &assignments) {
+        match self.replace(&key.0, |_, stored| (post != *stored).then_some(post)) {
             Some(p) => Ok(p.pre.unwrap_or_else(|| p.post.clone())),
             None => Err(self.not_found(key)),
         }
@@ -407,48 +416,118 @@ impl Table {
     }
 
     /// Patch the non-key columns of an already-located row (by primary
-    /// key), in place. Costs 1 tuple access and **no** index lookup —
-    /// the caller located the row via [`Table::pks_by`]. `None` if the
-    /// row vanished. Key-column assignments are ignored (keys are
-    /// immutable).
+    /// key). Costs 1 tuple access and **no** index lookup — the caller
+    /// accounts for how it located the row. `None` if the row vanished.
+    /// Key-column assignments are ignored (keys are immutable).
     ///
-    /// The work is proportional to what changed: an assignment that
-    /// re-asserts the stored value writes nothing, a row none of whose
-    /// values moved is neither cloned nor journaled, the undo record
-    /// carries only the overwritten values, and a secondary index is
-    /// re-filed only when one of its columns actually differs.
-    pub fn patch(&mut self, pk: &Key, assignments: &[(usize, Value)]) -> Option<Patched<'_>> {
+    /// Copy-on-write: rows are immutable and shared, so a patch that
+    /// moves a value builds the post row once, swaps it into the slot
+    /// and hands back the displaced row as the pre-image — readers that
+    /// still hold the old row keep seeing it unchanged. The work is
+    /// proportional to what changed: a patch that re-asserts the stored
+    /// values builds, journals and re-indexes nothing; the undo record
+    /// is the displaced row (a reference-count bump); a secondary index
+    /// is re-filed only when one of its columns actually differs.
+    pub fn patch(
+        &mut self,
+        pk: &(impl Borrow<[Value]> + ?Sized),
+        assignments: &[(usize, Value)],
+    ) -> Option<Patched<'_>> {
+        self.replace(pk.borrow(), |schema, stored| {
+            patched_row(schema, stored, assignments)
+        })
+    }
+
+    /// The one write to a stored row: look the slot up once, let
+    /// `post_of` say which (different) row replaces the stored one —
+    /// `None`: nothing to write —, swap, then journal / re-index / bump
+    /// the version. Counts the 1 tuple access of a located write.
+    fn replace(
+        &mut self,
+        pk: &[Value],
+        post_of: impl FnOnce(&Schema, &Row) -> Option<Row>,
+    ) -> Option<Patched<'_>> {
         let slot = self.rows.get_mut(pk)?;
         self.stats.tuples(1);
-        let armed = self.undo.is_armed();
-        let mut pre: Option<Row> = None;
-        let mut old = Vec::new();
-        for (col, v) in assignments {
-            if self.schema.is_key_col(*col) || slot.0[*col] == *v {
+        let Some(post) = post_of(&self.schema, slot) else {
+            return Some(Patched { pre: None, post: slot });
+        };
+        let pre = displace(slot, post, &self.undo, &self.name, &mut self.version);
+        for ix in &mut self.indexes {
+            ix.refile(pk, &pre, slot);
+        }
+        Some(Patched {
+            pre: Some(pre),
+            post: slot,
+        })
+    }
+
+    /// Locate the rows whose `positions` columns equal `probe` and patch
+    /// each in place, calling `each(pk, patched)` per located row;
+    /// returns how many keys the locate produced. Costs 1 index lookup for the
+    /// locate (the paper's unit for reaching to-be-modified view tuples
+    /// through the ID index) plus 1 tuple access per located row, written
+    /// or not — exactly a [`Table::pks_by`] followed by one
+    /// [`Table::patch`] per key, in **one** probe when `positions` is
+    /// the primary key, and otherwise walking the index postings by
+    /// reference: the key list is copied only when an assignment touches
+    /// an indexed column, the one case in which postings can move under
+    /// the walk. Without a covering index the locate is a counted scan.
+    pub fn patch_where(
+        &mut self,
+        positions: &[usize],
+        probe: &[Value],
+        assignments: &[(usize, Value)],
+        mut each: impl FnMut(&[Value], Patched<'_>),
+    ) -> usize {
+        if positions == self.schema.key() {
+            self.stats.index_lookup();
+            return match self.patch(probe, assignments) {
+                Some(p) => {
+                    each(probe, p);
+                    1
+                }
+                None => 0,
+            };
+        }
+        let Some(at) = self.indexes.iter().position(|ix| ix.cols() == positions) else {
+            let pks = self.scan_pks(positions, probe);
+            return self.patch_each(&pks, assignments, each);
+        };
+        self.stats.index_lookup();
+        let refiles = assignments.iter().any(|(c, _)| {
+            !self.schema.is_key_col(*c) && self.indexes.iter().any(|ix| ix.cols().contains(c))
+        });
+        if refiles {
+            let pks = self.indexes[at].get(probe).to_vec();
+            return self.patch_each(&pks, assignments, each);
+        }
+        // No index can be affected: walk the postings where they are.
+        let pks = self.indexes[at].get(probe);
+        for pk in pks {
+            let Some(slot) = self.rows.get_mut(pk) else {
                 continue;
-            }
-            if pre.is_none() {
-                pre = Some(slot.clone());
-            }
-            let was = std::mem::replace(&mut slot.0[*col], v.clone());
-            if armed {
-                old.push((*col, was));
+            };
+            self.stats.tuples(1);
+            let pre = patched_row(&self.schema, slot, assignments)
+                .map(|post| displace(slot, post, &self.undo, &self.name, &mut self.version));
+            each(&pk.0, Patched { pre, post: slot });
+        }
+        pks.len()
+    }
+
+    fn patch_each(
+        &mut self,
+        pks: &[Key],
+        assignments: &[(usize, Value)],
+        mut each: impl FnMut(&[Value], Patched<'_>),
+    ) -> usize {
+        for pk in pks {
+            if let Some(p) = self.patch(pk, assignments) {
+                each(&pk.0, p);
             }
         }
-        if let Some(pre) = &pre {
-            if armed {
-                self.undo.record(UndoOp::Update {
-                    table: self.name.clone(),
-                    pk: pk.clone(),
-                    old,
-                });
-            }
-            for ix in &mut self.indexes {
-                ix.refile(pk, pre, slot);
-            }
-            self.version += 1;
-        }
-        Some(Patched { pre, post: slot })
+        pks.len()
     }
 
     /// Insert `row` unless an identical row is already present — the
@@ -483,18 +562,70 @@ impl Table {
     /// Delete an already-located row (by primary key). Costs 1 tuple
     /// access and no index lookup (see [`Table::patch`]). Returns the
     /// removed row.
-    pub fn delete_located(&mut self, pk: &Key) -> Option<Row> {
-        let row = self.rows.remove(pk)?;
+    pub fn delete_located(&mut self, pk: &(impl Borrow<[Value]> + ?Sized)) -> Option<Row> {
+        self.remove_located(pk.borrow(), None).map(|(_, row)| row)
+    }
+
+    /// Remove the row stored under `pk` and everything that points at
+    /// it, except the postings of index `skip` (whose list the caller
+    /// has already taken out whole).
+    fn remove_located(&mut self, pk: &[Value], skip: Option<usize>) -> Option<(Key, Row)> {
+        let (key, row) = self.rows.remove_entry(pk)?;
         self.stats.tuples(1);
         self.journal(|| UndoOp::Delete {
             table: self.name.clone(),
             row: row.clone(),
         });
-        for ix in &mut self.indexes {
-            ix.remove(pk, &row);
+        for (i, ix) in self.indexes.iter_mut().enumerate() {
+            if Some(i) != skip {
+                ix.remove(pk, &row);
+            }
         }
         self.version += 1;
-        Some(row)
+        Some((key, row))
+    }
+
+    /// Locate the rows whose `positions` columns equal `probe` and
+    /// delete them, handing each removed `(primary key, row)` to `each`;
+    /// returns how many keys the locate produced. Costs 1 index lookup plus 1 tuple
+    /// access per removed row — a [`Table::pks_by`] followed by one
+    /// [`Table::delete_located`] per key, in one probe when `positions`
+    /// is the primary key; through an index the postings list (every
+    /// row on it is going away) is taken out whole instead of being
+    /// copied and then emptied entry by entry. The keys handed to `each`
+    /// are the table's own, moved out. Without a covering index the
+    /// locate is a counted scan.
+    pub fn delete_where(
+        &mut self,
+        positions: &[usize],
+        probe: &[Value],
+        mut each: impl FnMut(Key, Row),
+    ) -> usize {
+        if positions == self.schema.key() {
+            self.stats.index_lookup();
+            return match self.remove_located(probe, None) {
+                Some((pk, row)) => {
+                    each(pk, row);
+                    1
+                }
+                None => 0,
+            };
+        }
+        let at = self.indexes.iter().position(|ix| ix.cols() == positions);
+        let pks = match at {
+            Some(at) => {
+                self.stats.index_lookup();
+                self.indexes[at].take(probe)
+            }
+            None => self.scan_pks(positions, probe),
+        };
+        let located = pks.len();
+        for pk in pks {
+            if let Some((_, row)) = self.remove_located(&pk.0, at) {
+                each(pk, row);
+            }
+        }
+        located
     }
 
     /// Remove all rows (indexes are kept, emptied). Uncounted. Only
@@ -527,10 +658,11 @@ impl Table {
     pub fn apply_undo(&mut self, op: UndoOp) {
         self.version += 1;
         match op {
-            UndoOp::Insert { pk, .. } => {
+            UndoOp::Insert { row, .. } => {
+                let pk = self.pk_of(&row);
                 if let Some(row) = self.rows.remove(&pk) {
                     for ix in &mut self.indexes {
-                        ix.remove(&pk, &row);
+                        ix.remove(&pk.0, &row);
                     }
                 }
             }
@@ -541,16 +673,14 @@ impl Table {
                 }
                 self.rows.insert(pk, row);
             }
-            UndoOp::Update { pk, old, .. } => {
+            UndoOp::Update { row, .. } => {
+                // The displaced row goes back into its slot; its key is
+                // the one it was stored under (keys are immutable).
+                let pk = self.pk_of(&row);
                 if let Some(slot) = self.rows.get_mut(&pk) {
-                    let post = slot.clone();
-                    // Reverse order: should one column ever be
-                    // recorded twice, its oldest value lands last.
-                    for (col, v) in old.into_iter().rev() {
-                        slot.0[col] = v;
-                    }
+                    let post = std::mem::replace(slot, row);
                     for ix in &mut self.indexes {
-                        ix.refile(&pk, &post, slot);
+                        ix.refile(&pk.0, &post, slot);
                     }
                 }
             }
@@ -592,6 +722,46 @@ impl Table {
         }
         Ok(())
     }
+}
+
+/// Swap `post` into a stored row's slot: journal the displaced row (if
+/// a round is open), move the table's version, and hand the displaced
+/// row back. Index upkeep is the caller's.
+fn displace(
+    slot: &mut Row,
+    post: Row,
+    undo: &UndoLog,
+    table: &Arc<str>,
+    version: &mut u64,
+) -> Row {
+    let displaced = std::mem::replace(slot, post);
+    if undo.is_armed() {
+        undo.record(UndoOp::Update {
+            table: table.clone(),
+            row: displaced.clone(),
+        });
+    }
+    *version += 1;
+    displaced
+}
+
+/// `stored` with the non-key `assignments` applied — `None` when that is
+/// the stored row again, which is decided without building anything when
+/// every assignment re-asserts the stored value.
+fn patched_row(schema: &Schema, stored: &Row, assignments: &[(usize, Value)]) -> Option<Row> {
+    let is_key = |(c, _): &(usize, Value)| schema.is_key_col(*c);
+    if !assignments.iter().any(|a| !is_key(a) && stored[a.0] != a.1) {
+        return None;
+    }
+    let post = if assignments.iter().any(is_key) {
+        // Keys are immutable: assignments to them are dropped.
+        let non_key: Vec<(usize, Value)> =
+            assignments.iter().filter(|a| !is_key(a)).cloned().collect();
+        stored.with(&non_key)
+    } else {
+        stored.with(assignments)
+    };
+    (post != *stored).then_some(post)
 }
 
 impl std::fmt::Debug for Table {
@@ -775,6 +945,69 @@ mod tests {
         assert_eq!(pks.len(), 3);
         let d = t.stats().snapshot().since(&s0);
         assert_eq!((d.index_lookups, d.tuple_accesses), (1, 0));
+    }
+
+    /// The located writers cost what `pks_by` + one `patch` /
+    /// `delete_located` per key cost: 1 lookup for the locate, 1 tuple
+    /// access per located row — by primary key, through an index whose
+    /// postings stay put, and through one an assignment re-files.
+    #[test]
+    fn located_writes_cost_one_lookup_plus_one_access_per_row() {
+        let schema = Schema::from_pairs(
+            &[
+                ("id", ColumnType::Int),
+                ("grp", ColumnType::Int),
+                ("val", ColumnType::Int),
+            ],
+            &["id"],
+        )
+        .unwrap();
+        let mut t = Table::new("t", schema, AccessStats::new());
+        t.create_index(&["grp"]).unwrap();
+        for i in 0..6 {
+            t.load(row![i, i % 2, 0]).unwrap();
+        }
+        let cost = |t: &Table, s0: &crate::StatsSnapshot| {
+            let d = t.stats().snapshot().since(s0);
+            (d.index_lookups, d.tuple_accesses)
+        };
+        let grp = |t: &Table, g: i64| t.pks_by(&[1], &[Value::Int(g)]).len();
+
+        // By primary key: one probe; a miss costs only the lookup.
+        let s0 = t.stats().snapshot();
+        let mut seen = Vec::new();
+        let n = t.patch_where(&[0], &[Value::Int(2)], &[(2, Value::Int(7))], |pk, p| {
+            seen.push((pk.to_vec(), p.pre.clone(), p.post.clone()));
+        });
+        assert_eq!((n, cost(&t, &s0)), (1, (1, 1)));
+        assert_eq!(seen, vec![(vec![Value::Int(2)], Some(row![2, 0, 0]), row![2, 0, 7])]);
+        let s0 = t.stats().snapshot();
+        assert_eq!(t.patch_where(&[0], &[Value::Int(99)], &[(2, Value::Int(7))], |_, _| {}), 0);
+        assert_eq!(cost(&t, &s0), (1, 0));
+
+        // Through the index, assigning an un-indexed column (postings
+        // walked in place) and then the indexed one (rows re-filed).
+        let s0 = t.stats().snapshot();
+        let mut changed = 0;
+        let n = t.patch_where(&[1], &[Value::Int(0)], &[(2, Value::Int(7))], |_, p| {
+            changed += usize::from(p.pre.is_some());
+        });
+        assert_eq!((n, changed, cost(&t, &s0)), (3, 2, (1, 3))); // id 2 re-asserts
+        let s0 = t.stats().snapshot();
+        let n = t.patch_where(&[1], &[Value::Int(0)], &[(1, Value::Int(5))], |_, _| {});
+        assert_eq!((n, cost(&t, &s0)), (3, (1, 3)));
+        assert_eq!((grp(&t, 0), grp(&t, 5)), (0, 3));
+
+        // Deletes: the whole postings list goes with its rows.
+        let s0 = t.stats().snapshot();
+        let mut gone = Vec::new();
+        let n = t.delete_where(&[1], &[Value::Int(5)], |pk, row| gone.push((pk, row)));
+        assert_eq!((n, gone.len(), cost(&t, &s0)), (3, 3, (1, 3)));
+        assert_eq!((t.len(), grp(&t, 5)), (3, 0));
+        let s0 = t.stats().snapshot();
+        assert_eq!(t.delete_where(&[0], &[Value::Int(1)], |_, _| {}), 1);
+        assert_eq!(t.delete_where(&[0], &[Value::Int(1)], |_, _| {}), 0);
+        assert_eq!(cost(&t, &s0), (2, 1));
     }
 
     #[test]

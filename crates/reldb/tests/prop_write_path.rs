@@ -17,11 +17,20 @@
 //! duplicate insert, an `insert_if_absent` of the identical row, a
 //! patch or update that re-asserts the stored values, a delete of a
 //! missing key — leaves it alone, and so does every read.
+//!
+//! Rows are immutable and shared: a patch builds the post row, swaps it
+//! into the slot and hands back the *displaced* allocation, and reads,
+//! net changes, log entries and undo records hold reference-count
+//! copies of stored rows. `sharing_is_invisible` pins what makes that
+//! safe — no write, abort replay included, ever shows through a row
+//! that was handed out before it — and the `Patch` step pins the
+//! copy-on-write contract by pointer identity.
 
-use idivm_reldb::{AccessStats, Database, Table, TableSignature};
-use idivm_types::{row, ColumnType, Key, Schema, Value};
+use idivm_reldb::{AccessStats, Database, LogEntry, NetChange, Table, TableSignature, UndoOp};
+use idivm_types::{row, ColumnType, Key, Row, Schema, Value};
 use proptest::prelude::*;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -32,11 +41,20 @@ enum Op {
     Patch(i64, Option<i64>, Option<i64>),
     Delete(i64),
     DeleteLocated(i64),
+    /// Locate by `LOCATORS[.0]` = `.1` and assign `grp` and/or `val`.
+    PatchWhere(usize, i64, Option<i64>, Option<i64>),
+    /// Locate by `LOCATORS[.0]` = `.1` and delete.
+    DeleteWhere(usize, i64),
     Clear,
     Begin,
     Abort,
     Commit,
 }
+
+/// What the located writers address rows by: the primary key, each
+/// index (one no operation re-files, one on an assigned column, the
+/// composite over both) and an un-indexed column (the scan fallback).
+const LOCATORS: [&[usize]; 5] = [&[0], &[1], &[2], &[1, 2], &[3]];
 
 fn op() -> impl Strategy<Value = Op> {
     let id = || 0i64..12;
@@ -53,6 +71,9 @@ fn op() -> impl Strategy<Value = Op> {
         (id(), maybe(grp()), maybe(val())).prop_map(|(i, g, v)| Op::Patch(i, g, v)),
         id().prop_map(Op::Delete),
         id().prop_map(Op::DeleteLocated),
+        (0..LOCATORS.len(), 0i64..4, maybe(grp()), maybe(val()))
+            .prop_map(|(l, p, g, v)| Op::PatchWhere(l, p, g, v)),
+        (0..LOCATORS.len(), 0i64..4).prop_map(|(l, p)| Op::DeleteWhere(l, p)),
         Just(Op::Begin),
         Just(Op::Abort),
         Just(Op::Commit),
@@ -74,7 +95,7 @@ fn schema() -> Schema {
 
 /// `shard` is a function of the key: no operation ever assigns it a
 /// different value.
-fn full_row(id: i64, grp: i64, val: i64) -> idivm_types::Row {
+fn full_row(id: i64, grp: i64, val: i64) -> Row {
     row![id, id % 3, grp, val]
 }
 
@@ -160,6 +181,13 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
                             assert_eq!(p.pre.is_some(), changed);
                             assert_eq!(p.pre.as_ref().unwrap_or(p.post), stored);
                             assert!(assignments.iter().all(|(c, x)| p.post[*c] == *x));
+                            // Copy-on-write: `pre` is the displaced
+                            // allocation itself, `post` a new one; a
+                            // patch that moved nothing left the stored
+                            // allocation in place.
+                            let displaced = p.pre.as_ref().unwrap_or(p.post);
+                            assert!(Arc::ptr_eq(&displaced.0, &stored.0));
+                            assert_eq!(Arc::ptr_eq(&p.post.0, &stored.0), !changed);
                         }
                         _ => panic!("patch disagrees with the stored row on existence"),
                     }
@@ -170,6 +198,36 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
                 Op::DeleteLocated(id) => {
                     let _ = t.delete_located(&key(*id));
                 }
+                Op::PatchWhere(l, p, g, v) => {
+                    let (cols, probe) = locator(*l, *p);
+                    let assignments = assignments(*g, *v);
+                    let expect = matching(t, cols, &probe);
+                    let mut seen = Vec::new();
+                    let located = t.patch_where(cols, &probe, &assignments, |pk, patched| {
+                        let stored = &expect[&Key(pk.to_vec())];
+                        let changed = assignments.iter().any(|(c, x)| stored[*c] != *x);
+                        assert_eq!(patched.pre.is_some(), changed);
+                        assert_eq!(patched.pre.as_ref().unwrap_or(patched.post), stored);
+                        assert!(assignments.iter().all(|(c, x)| patched.post[*c] == *x));
+                        seen.push(Key(pk.to_vec()));
+                    });
+                    seen.sort();
+                    assert_eq!(located, expect.len());
+                    assert_eq!(seen, sorted_keys(&expect), "every located row patched once");
+                }
+                Op::DeleteWhere(l, p) => {
+                    let (cols, probe) = locator(*l, *p);
+                    let expect = matching(t, cols, &probe);
+                    let mut seen = Vec::new();
+                    let located = t.delete_where(cols, &probe, |pk, row| {
+                        assert_eq!(row, expect[&pk]);
+                        seen.push(pk);
+                    });
+                    seen.sort();
+                    assert_eq!(located, expect.len());
+                    assert_eq!(seen, sorted_keys(&expect), "every located row deleted once");
+                    assert!(matching(t, cols, &probe).is_empty());
+                }
                 Op::Clear => t.clear(),
                 Op::Begin | Op::Abort | Op::Commit => unreachable!(),
             }
@@ -177,8 +235,126 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
     }
 }
 
+fn assignments(g: Option<i64>, v: Option<i64>) -> Vec<(usize, Value)> {
+    [(2, g), (3, v)]
+        .into_iter()
+        .filter_map(|(c, x)| x.map(|x| (c, Value::Int(x))))
+        .collect()
+}
+
+/// Locator `l` probed with `p` in every column.
+fn locator(l: usize, p: i64) -> (&'static [usize], Vec<Value>) {
+    let cols = LOCATORS[l];
+    (cols, vec![Value::Int(p); cols.len()])
+}
+
+/// The rows a located write must reach, by primary key.
+fn matching(t: &Table, cols: &[usize], probe: &[Value]) -> HashMap<Key, Row> {
+    t.rows_uncounted()
+        .into_iter()
+        .filter(|r| r.matches(cols, probe))
+        .map(|r| (t.pk_of(&r), r))
+        .collect()
+}
+
+fn sorted_keys(rows: &HashMap<Key, Row>) -> Vec<Key> {
+    let mut keys: Vec<Key> = rows.keys().cloned().collect();
+    keys.sort();
+    keys
+}
+
+/// A handed-out row next to a deep copy of its values taken at the same
+/// moment.
+type Captured = Vec<(Row, Vec<Value>)>;
+
+fn capture(held: &mut Captured, rows: impl IntoIterator<Item = Row>) {
+    held.extend(rows.into_iter().map(|r| {
+        let deep = r.0.to_vec();
+        (r, deep)
+    }));
+}
+
+/// Everything the database hands out that shares rows with its tables.
+fn capture_all(held: &mut Captured, db: &Database) {
+    let t = db.table("t").unwrap();
+    capture(held, t.scan());
+    capture(held, t.rows_uncounted());
+    capture(held, t.lookup(&[2], &[Value::Int(1)]));
+    capture(held, t.lookup(&[0], &[Value::Int(2)]));
+    for changes in db.fold_log().into_values() {
+        for change in changes.into_values() {
+            match change {
+                NetChange::Inserted { post } => capture(held, [post]),
+                NetChange::Deleted { pre } => capture(held, [pre]),
+                NetChange::Updated { pre, post } => capture(held, [pre, post]),
+            }
+        }
+    }
+    for entry in db.log().entries() {
+        match entry.clone() {
+            LogEntry::Insert { row, .. } => capture(held, [row]),
+            LogEntry::Delete { pre, .. } => capture(held, [pre]),
+            LogEntry::Update { pre, post, .. } => capture(held, [pre, post]),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Rows obtained from reads, net changes and log entries *before* a
+    /// write compare equal to deep copies taken at capture time
+    /// *after* it — through logged DML, unlogged patches and deletes,
+    /// located writes and abort replay alike.
+    #[test]
+    fn sharing_is_invisible(ops in proptest::collection::vec(op(), 0..40)) {
+        let mut db = db();
+        db.set_logging(true);
+        // An open round: the table's signature and the log's length at
+        // `begin_round` (an abort un-logs the round's DML, as ingest does).
+        let mut round: Option<(TableSignature, usize)> = None;
+        let mut held = Captured::new();
+        let key = |id: i64| Key(vec![Value::Int(id)]);
+        for o in ops.iter().chain(&[Op::Abort]) {
+            capture_all(&mut held, &db);
+            match o {
+                // The logged twins of the table-level steps, so the
+                // modification log and its fold hold shared rows too.
+                Op::Insert(id, g, v) => {
+                    let _ = db.insert("t", full_row(*id, *g, *v));
+                }
+                Op::Update(id, g, v) => {
+                    let _ = db.update("t", &key(*id), &assignments(Some(*g), Some(*v)));
+                }
+                Op::Delete(id) => {
+                    let _ = db.delete("t", &key(*id));
+                }
+                Op::Begin => {
+                    if round.is_none() {
+                        round = Some((db.table("t").unwrap().signature(), db.log().len()));
+                        prop_assert!(db.begin_round());
+                    }
+                }
+                Op::Abort => {
+                    if let Some((before, logged)) = round.take() {
+                        db.abort_round();
+                        db.truncate_log(logged);
+                        prop_assert_eq!(db.table("t").unwrap().signature(), before);
+                    }
+                }
+                Op::Commit => {
+                    if round.take().is_some() {
+                        db.commit_round();
+                    }
+                }
+                unlogged => apply_op(&mut db, &mut None, unlogged),
+            }
+        }
+        capture_all(&mut held, &db);
+        for (row, deep) in &held {
+            prop_assert_eq!(&row.0[..], &deep[..], "a write showed through a handed-out row");
+        }
+    }
 
     #[test]
     fn indexes_and_rollback_stay_exact(ops in proptest::collection::vec(op(), 0..60)) {
@@ -208,4 +384,40 @@ proptest! {
             prop_assert_eq!(t.version(), version, "a read moved the version");
         }
     }
+}
+
+/// The undo record of a patch is the displaced row itself, and replaying
+/// it puts exactly that row back: rows, index postings and all.
+#[test]
+fn aborted_patch_replays_the_displaced_row() {
+    let mut db = db();
+    let before = db.signature();
+    let key = Key(vec![Value::Int(4)]);
+    let stored = db.table("t").unwrap().get_uncounted(&key).unwrap().clone();
+
+    assert!(db.begin_round());
+    let t = db.table_mut("t").unwrap();
+    // Moves `grp`, so two of the three indexes re-file the row.
+    let patched = t.patch(&key, &[(2, Value::Int(2)), (3, Value::Int(3))]).unwrap();
+    assert!(Arc::ptr_eq(&patched.pre.as_ref().unwrap().0, &stored.0));
+    assert_eq!(patched.post, &full_row(4, 2, 3));
+    assert_ne!(db.signature(), before);
+
+    // Look at the journal and put it back as it was.
+    let journal = db.undo_log().split_off(0);
+    match journal.as_slice() {
+        [UndoOp::Update { row, .. }] => assert!(
+            Arc::ptr_eq(&row.0, &stored.0),
+            "the undo record must carry the displaced row, not a copy or the post row"
+        ),
+        other => panic!("expected one Update record, got {other:?}"),
+    }
+    for op in journal {
+        db.undo_log().record(op);
+    }
+
+    db.abort_round();
+    assert_eq!(db.signature(), before, "replay must restore the displaced row exactly");
+    let restored = db.table("t").unwrap().get_uncounted(&key).unwrap();
+    assert!(Arc::ptr_eq(&restored.0, &stored.0));
 }

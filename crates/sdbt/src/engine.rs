@@ -289,8 +289,8 @@ impl Sdbt {
                         // One chain walk reconstructs both states: the
                         // accumulated non-table part is identical.
                         for acc_post in self.chain(db, p, post)? {
-                            let mut acc_pre = acc_post.clone();
-                            acc_pre.0[..arity].clone_from_slice(&pre.0);
+                            let acc_pre: Row =
+                                pre.iter().chain(&acc_post.0[arity..]).cloned().collect();
                             let rp = p.def.compose_row(&acc_pre);
                             let rq = p.def.compose_row(&acc_post);
                             if p.def.passes(&rq)?
@@ -492,7 +492,7 @@ impl Sdbt {
                                 &ipath,
                                 State::Post,
                                 keys,
-                                &gk,
+                                &gk.0,
                             )?;
                             vals = aggs
                                 .iter()
@@ -514,15 +514,15 @@ impl Sdbt {
                     }
                     None => {
                         if g.mult > 0 {
-                            let mut r = gk.into_row();
-                            for (i, a) in aggs.iter().enumerate() {
-                                r.0.push(if matches!(a.func, AggFunc::Min | AggFunc::Max) {
+                            let created = aggs.iter().enumerate().map(|(i, a)| {
+                                if matches!(a.func, AggFunc::Min | AggFunc::Max) {
                                     g.exts[i].created()
                                 } else {
                                     g.nums[i].clone()
-                                });
-                            }
-                            r.0.push(Value::Int(g.mult));
+                                }
+                            });
+                            let count = std::iter::once(Value::Int(g.mult));
+                            let r = gk.0.iter().cloned().chain(created).chain(count).collect();
                             acts.push(Act::Insert(r));
                         }
                     }
@@ -711,10 +711,7 @@ impl Engine for Sdbt {
             RootShape::Spj => rows,
             RootShape::Aggregate { .. } => rows
                 .into_iter()
-                .map(|mut r| {
-                    r.0.pop();
-                    r
-                })
+                .map(|r| r.0[..r.arity().saturating_sub(1)].iter().cloned().collect())
                 .collect(),
         })
     }
@@ -748,10 +745,9 @@ fn load_counted(db: &mut Database, view_name: &str, plan: &Plan, n_keys: usize) 
     let key_positions: Vec<usize> = (0..n_keys).collect();
     let t = db.table_mut(view_name)?;
     t.clear();
-    for mut r in rows {
+    for r in rows {
         let n = counts.get(&r.key(&key_positions)).copied().unwrap_or(0);
-        r.0.push(Value::Int(n));
-        t.load(r)?;
+        t.load(r.extended(Value::Int(n)))?;
     }
     Ok(())
 }

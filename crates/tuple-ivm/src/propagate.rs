@@ -208,9 +208,8 @@ fn one(sides: Vec<TDiffs>) -> TDiffs {
     out
 }
 
-fn push(mut r: Row, tag: &Value) -> Row {
-    r.0.push(tag.clone());
-    r
+fn push(r: Row, tag: &Value) -> Row {
+    r.extended(tag.clone())
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -249,7 +248,7 @@ fn join_side(
         if vals.iter().any(Value::is_null) {
             return Ok(Vec::new());
         }
-        access::lookup(ctx.access, other, &other_path, state, &other_keys, &Key(vals))
+        access::lookup(ctx.access, other, &other_path, state, &other_keys, &vals)
     };
     let combine = |this: &Row, m: &Row| -> Result<Option<Row>> {
         let joined = if side == 0 {
@@ -396,7 +395,7 @@ fn outer_join(
         let vals: Vec<Value> = lcols.iter().map(|&c| l[c].clone()).collect();
         let mut out = Vec::new();
         if !vals.iter().any(Value::is_null) {
-            for m in access::lookup(ctx.access, right, &rpath, state, &rcols, &Key(vals))? {
+            for m in access::lookup(ctx.access, right, &rpath, state, &rcols, &vals)? {
                 let j = l.concat(&m);
                 if idivm_algebra::opt_pred(residual, &j)? {
                     out.push(j);
@@ -404,7 +403,7 @@ fn outer_join(
             }
         }
         if out.is_empty() {
-            out.push(l.concat(&Row(vec![Value::Null; ra])));
+            out.push(l.iter().cloned().chain(std::iter::repeat_n(Value::Null, ra)).collect());
         }
         Ok(out)
     };
@@ -444,7 +443,7 @@ fn outer_join(
                 // Right side untouched: matching and padding are fixed,
                 // so one probe reconstructs both states.
                 for q in outer_rows(post, State::Post)? {
-                    let p = pre.concat(&Row(q.0[la..].to_vec()));
+                    let p = pre.iter().chain(&q.0[la..]).cloned().collect();
                     o.updates.push((p, q));
                 }
             }
@@ -464,7 +463,7 @@ fn outer_join(
             if vals.iter().any(Value::is_null) {
                 continue;
             }
-            for l in access::lookup(ctx.access, left, &lpath, State::Post, &lcols, &Key(vals))? {
+            for l in access::lookup(ctx.access, left, &lpath, State::Post, &lcols, &vals)? {
                 if idivm_algebra::opt_pred(residual, &l.concat(r))? && seen.insert(l.clone()) {
                     affected.push(l);
                 }
@@ -547,7 +546,7 @@ fn semi_side(
             // NULL keys never match: membership = ¬matched for anti.
             return Ok(!keep_matched);
         }
-        let hits = access::lookup(ctx.access, right, &rpath, state, &rcols, &Key(vals))?;
+        let hits = access::lookup(ctx.access, right, &rpath, state, &rcols, &vals)?;
         let mut matched = false;
         for m in &hits {
             if idivm_algebra::opt_pred(residual, &row.concat(m))? {
@@ -603,7 +602,7 @@ fn semi_side(
                 &lpath,
                 State::Post,
                 &lcols,
-                &Key(vals),
+                &vals,
             )? {
                 if seen.insert(l.clone()) {
                     affected.push(l);
@@ -691,15 +690,12 @@ fn group_by(
             let mut o = TDiffs::default();
             for gk in chunk {
                 let pre_members =
-                    access::lookup(ctx.access, input, &ipath, State::Pre, keys, &gk)?;
+                    access::lookup(ctx.access, input, &ipath, State::Pre, keys, &gk.0)?;
                 let post_members =
-                    access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk)?;
+                    access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk.0)?;
                 let mk = |members: &[Row]| -> Result<Row> {
-                    let mut r = gk.clone().into_row();
-                    for a in aggs {
-                        r.0.push(aggregate_rows(a, members)?);
-                    }
-                    Ok(r)
+                    let group = gk.0.iter().cloned().map(Ok);
+                    Row::try_collect(group.chain(aggs.iter().map(|a| aggregate_rows(a, members))))
                 };
                 match (pre_members.is_empty(), post_members.is_empty()) {
                     (true, true) => {}
@@ -834,7 +830,7 @@ fn group_by_deltas(
                                 ipath,
                                 State::Post,
                                 keys,
-                                &gk,
+                                &gk.0,
                             )?;
                             if members.is_empty() {
                                 o.deletes.push(old_row.clone());
@@ -844,16 +840,19 @@ fn group_by_deltas(
                         if delta.iter().all(is_zero) {
                             continue;
                         }
-                        let mut post = old_row.clone();
-                        for (i, dv) in delta.iter().enumerate() {
-                            post.0[keys.len() + i] = old_row[keys.len() + i].add(dv);
-                        }
+                        let aggregate = |c: usize| c.checked_sub(keys.len());
+                        let post = old_row
+                            .iter()
+                            .enumerate()
+                            .map(|(c, v)| match aggregate(c).and_then(|i| delta.get(i)) {
+                                Some(dv) => v.add(dv),
+                                None => v.clone(),
+                            })
+                            .collect();
                         o.updates.push((old_row.clone(), post));
                     }
                     None => {
-                        let mut r = gk.into_row();
-                        r.0.extend(delta);
-                        o.inserts.push(r);
+                        o.inserts.push(gk.0.into_iter().chain(delta).collect());
                     }
                 }
             }
@@ -994,7 +993,7 @@ fn group_by_extremum(
                         ctx.on_rescan()?;
                     }
                     let members =
-                        access::lookup(ctx.access, input, ipath, State::Post, keys, &gk)?;
+                        access::lookup(ctx.access, input, ipath, State::Post, keys, &gk.0)?;
                     if members.is_empty() {
                         out.deletes.push(old_row.clone());
                         continue;
@@ -1011,23 +1010,24 @@ fn group_by_extremum(
                     .enumerate()
                     .any(|(i, v)| *v != old_row[keys.len() + i]);
                 if changed {
-                    let mut post = old_row.clone();
-                    for (i, v) in vals.into_iter().enumerate() {
-                        post.0[keys.len() + i] = v;
-                    }
+                    let aggregate = |c: usize| c.checked_sub(keys.len());
+                    let post = old_row
+                        .iter()
+                        .enumerate()
+                        .map(|(c, v)| aggregate(c).and_then(|i| vals.get(i)).unwrap_or(v).clone())
+                        .collect();
                     out.updates.push((old_row.clone(), post));
                 }
             }
             None => {
-                let mut r = gk.into_row();
-                for (i, a) in aggs.iter().enumerate() {
-                    r.0.push(if matches!(a.func, AggFunc::Min | AggFunc::Max) {
+                let created = aggs.iter().enumerate().map(|(i, a)| {
+                    if matches!(a.func, AggFunc::Min | AggFunc::Max) {
                         g.exts[i].created()
                     } else {
                         g.nums[i].clone()
-                    });
-                }
-                out.inserts.push(r);
+                    }
+                });
+                out.inserts.push(gk.0.iter().cloned().chain(created).collect());
             }
         }
     }

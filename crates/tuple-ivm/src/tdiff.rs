@@ -58,29 +58,31 @@ impl TDiffs {
 pub fn apply(view: &mut Table, diffs: &TDiffs) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
     let key_cols = view.schema().key().to_vec();
+    // The probe key is projected into one reused vector.
+    let mut pk: Vec<Value> = Vec::with_capacity(key_cols.len());
     for pre in &diffs.deletes {
-        let pk = pre.key(&key_cols);
-        let found = view.pks_by(&key_cols, &pk);
-        if found.is_empty() {
+        pk.clear();
+        pk.extend(key_cols.iter().map(|&c| pre[c].clone()));
+        if view.delete_where(&key_cols, &pk, |_, _| {}) == 0 {
             out.dummies += 1;
         } else {
-            view.delete_located(&pk);
             out.deleted += 1;
         }
     }
+    let mut assignments: Vec<(usize, Value)> = Vec::new();
     for (pre, post) in &diffs.updates {
         debug_assert_eq!(pre.key(&key_cols), post.key(&key_cols));
-        let pk = post.key(&key_cols);
-        let found = view.pks_by(&key_cols, &pk);
-        if found.is_empty() {
+        pk.clear();
+        pk.extend(key_cols.iter().map(|&c| post[c].clone()));
+        assignments.clear();
+        assignments.extend(
+            (0..post.arity())
+                .filter(|c| !key_cols.contains(c))
+                .map(|c| (c, post[c].clone())),
+        );
+        if view.patch_where(&key_cols, &pk, &assignments, |_, _| {}) == 0 {
             out.dummies += 1;
-            continue;
-        }
-        let assignments: Vec<(usize, Value)> = (0..post.arity())
-            .filter(|c| !key_cols.contains(c))
-            .map(|c| (c, post[c].clone()))
-            .collect();
-        if view.patch(&pk, &assignments).is_some() {
+        } else {
             out.updated += 1;
         }
     }

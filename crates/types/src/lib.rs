@@ -7,6 +7,8 @@
 //! primary key*; the key columns of a relation are recorded in its
 //! [`Schema`] and are what i-diffs use to identify tuples.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod error;
 pub mod row;
 pub mod schema;

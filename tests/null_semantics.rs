@@ -56,14 +56,14 @@ fn setup_db() -> Database {
     // A NULL price and a NULL join column exist from the start.
     db.insert("parts", row!["P0", 5]).unwrap();
     db.insert("parts", row!["P1", 40]).unwrap();
-    db.insert("parts", Row(vec![Value::str("P2"), Value::Null]))
+    db.insert("parts", Row::new(vec![Value::str("P2"), Value::Null]))
         .unwrap();
     db.insert("parts", row!["P3", 90]).unwrap();
     db.insert("links", row!["L0", "P0", 2]).unwrap();
     db.insert("links", row!["L1", "P1", 1]).unwrap();
     db.insert(
         "links",
-        Row(vec![Value::str("L2"), Value::Null, Value::Int(3)]),
+        Row::new(vec![Value::str("L2"), Value::Null, Value::Int(3)]),
     )
     .unwrap();
     db.set_logging(true);
@@ -129,11 +129,11 @@ fn rounds() -> Vec<Vec<Mutation>> {
         // un-NULL P1.
         vec![
             Box::new(|db| {
-                db.insert("parts", Row(vec![Value::str("P4"), Value::Null]))
+                db.insert("parts", Row::new(vec![Value::str("P4"), Value::Null]))
                     .unwrap();
                 db.insert(
                     "links",
-                    Row(vec![Value::str("L3"), Value::Null, Value::Int(7)]),
+                    Row::new(vec![Value::str("L3"), Value::Null, Value::Int(7)]),
                 )
                 .unwrap();
             }),
@@ -246,7 +246,7 @@ fn agg_rounds() -> Vec<Vec<Mutation>> {
             Box::new(|db| {
                 db.insert(
                     "links",
-                    Row(vec![Value::str("L4"), Value::str("P0"), Value::Null]),
+                    Row::new(vec![Value::str("L4"), Value::str("P0"), Value::Null]),
                 )
                 .unwrap();
                 db.insert("links", row!["L5", "P3", 4]).unwrap();

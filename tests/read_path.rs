@@ -355,7 +355,7 @@ fn row_that_comes_and_goes_between_two_reads_is_settled_not_rebuilt() {
         .db_mut()
         .insert(
             "orders",
-            Row(vec![order.0[0].clone(), custkey, Value::str("O")]),
+            Row::new(vec![order.0[0].clone(), custkey, Value::str("O")]),
         )
         .unwrap();
     sched.tick().unwrap();

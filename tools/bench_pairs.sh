@@ -18,6 +18,11 @@
 # the median, and how many pairs the change won (ties count for
 # neither). A gain is claimed only on >= 9/10 wins and a median shift
 # larger than the parent's own interquartile range.
+#
+# `accesses_per_event` is a count that repeats exactly for a seed: a
+# CPU-only change must leave it equal in every pair. Each pair whose two
+# sides disagree prints a `WARNING: accesses_per_event differs ...` line
+# and the script exits 1 after the table.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -56,10 +61,10 @@ for ((i = 0; i < pairs; i++)); do
     echo "pair $((i + 1))/$pairs (seed $seed) done" >&2
 done
 
-python3 - "$root/BENCHMARK.json" "$workload" <<'PY'
+python3 - "$root/BENCHMARK.json" "$workload" "$first_seed" <<'PY'
 import json, statistics, sys
 
-manifest, workload = json.load(open(sys.argv[1])), sys.argv[2]
+manifest, workload, first_seed = json.load(open(sys.argv[1])), sys.argv[2], int(sys.argv[3])
 sides = {s: [json.loads(l) for l in open(f"{s}.jsonl")] for s in ("parent", "change")}
 
 def quartiles(xs):
@@ -85,4 +90,11 @@ for m in manifest["end_to_end"]:
     fmt = lambda lo, mid, hi: f"{num(mid)} [{num(lo)}, {num(hi)}]"
     tied = f" ({ties} tied)" if ties else ""
     print(f"  {name:<20}{fmt(p1, p2, p3):>30}{fmt(c1, c2, c3):>30}{shift:>9}{wins:>4}/{len(p)}{tied}")
+
+count = lambda r: r["metrics"]["accesses_per_event"]["value"]
+differing = [i for i, (a, b) in enumerate(zip(sides["parent"], sides["change"])) if count(a) != count(b)]
+for i in differing:
+    a, b = count(sides["parent"][i]), count(sides["change"][i])
+    print(f"WARNING: accesses_per_event differs in pair {i + 1} (seed {first_seed + i}): parent {a!r}, change {b!r}")
+sys.exit(1 if differing else 0)
 PY
