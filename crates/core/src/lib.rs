@@ -80,4 +80,6 @@ pub use supervisor::{
     BackoffPolicy, BisectNode, BisectOutcome, MaintenanceSupervisor, QuarantineEntry,
     QuarantineLog, SupervisedEngine, SupervisorConfig, SupervisorReport, SupervisorVerdict,
 };
-pub use trace::{IngestTrace, OpTrace, PhaseTimings, RoundTrace, TraceConfig, TracePhase};
+pub use trace::{
+    json_escape, IngestTrace, OpTrace, PhaseTimings, RoundTrace, TraceConfig, TracePhase,
+};

@@ -234,8 +234,8 @@ impl RoundTrace {
 }
 
 /// Escape `s` for embedding in a JSON string literal — the one
-/// escaper of this crate's hand-rolled JSON writers.
-pub(crate) fn json_escape(s: &str) -> String {
+/// escaper of the workspace's hand-rolled JSON writers.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

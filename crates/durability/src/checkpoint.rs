@@ -29,7 +29,7 @@
 //! restart from zero and only bias future promotion decisions) and the
 //! shared-prefix registry (recomputed deterministically on reattach).
 
-use crate::codec::{self, Reader};
+use crate::codec::{self, Encode, Reader};
 use idivm_algebra::Plan;
 use idivm_core::FaultState;
 use idivm_ingest::{DeadLetter, IngestPipeline, IngestTotals};
@@ -67,6 +67,13 @@ pub struct TableSnapshot {
     pub indexes: Vec<Vec<usize>>,
 }
 
+codec::record!(TableSnapshot {
+    name,
+    schema,
+    rows,
+    indexes
+});
+
 /// One registered view's catalog + scheduler state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewManifest {
@@ -82,6 +89,14 @@ pub struct ViewManifest {
     /// Rounds since last refresh.
     pub staleness: u32,
 }
+
+codec::record!(ViewManifest {
+    name,
+    plan,
+    policy,
+    pending,
+    staleness
+});
 
 /// One promoted intermediate's catalog + scheduler state.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,6 +115,15 @@ pub struct IntermediateManifest {
     pub pending: HashMap<String, TableChanges>,
 }
 
+codec::record!(IntermediateManifest {
+    backing,
+    subtree,
+    structure,
+    label,
+    consumers,
+    pending
+});
+
 /// The ingest pipeline's durable state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IngestSnapshot {
@@ -110,6 +134,12 @@ pub struct IngestSnapshot {
     /// Lifetime totals.
     pub totals: IngestTotals,
 }
+
+codec::record!(IngestSnapshot {
+    expected_seq,
+    dead_letters,
+    totals
+});
 
 /// A decoded full-state snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -132,6 +162,17 @@ pub struct Checkpoint {
     /// Ingest state, when a pipeline was attached.
     pub ingest: Option<IngestSnapshot>,
 }
+
+codec::record!(Checkpoint {
+    last_lsn,
+    tables,
+    views,
+    intermediates,
+    next_backing,
+    round,
+    trackers,
+    ingest
+});
 
 impl Checkpoint {
     /// Snapshot the live stack. Requires a quiescent modification log
@@ -213,214 +254,28 @@ impl Checkpoint {
         })
     }
 
-    fn encode_body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        codec::put_u64(&mut out, self.last_lsn);
-
-        codec::put_u32(&mut out, self.tables.len() as u32);
-        for t in &self.tables {
-            codec::put_str(&mut out, &t.name);
-            codec::put_schema(&mut out, &t.schema);
-            codec::put_u32(&mut out, t.rows.len() as u32);
-            for row in &t.rows {
-                codec::put_row(&mut out, row);
-            }
-            codec::put_u32(&mut out, t.indexes.len() as u32);
-            for cols in &t.indexes {
-                codec::put_u32(&mut out, cols.len() as u32);
-                for c in cols {
-                    codec::put_usize(&mut out, *c);
-                }
-            }
-        }
-
-        codec::put_u32(&mut out, self.views.len() as u32);
-        for v in &self.views {
-            codec::put_str(&mut out, &v.name);
-            codec::put_plan(&mut out, &v.plan);
-            codec::put_policy(&mut out, v.policy);
-            codec::put_net(&mut out, &v.pending);
-            codec::put_u32(&mut out, v.staleness);
-        }
-
-        codec::put_u32(&mut out, self.intermediates.len() as u32);
-        for iv in &self.intermediates {
-            codec::put_str(&mut out, &iv.backing);
-            codec::put_plan(&mut out, &iv.subtree);
-            codec::put_str(&mut out, &iv.structure);
-            codec::put_str(&mut out, &iv.label);
-            codec::put_u32(&mut out, iv.consumers.len() as u32);
-            for c in &iv.consumers {
-                codec::put_str(&mut out, c);
-            }
-            codec::put_net(&mut out, &iv.pending);
-        }
-
-        codec::put_u64(&mut out, self.next_backing);
-        codec::put_u64(&mut out, self.round);
-        codec::put_u32(&mut out, self.trackers.len() as u32);
-        for (structure, promote, demote) in &self.trackers {
-            codec::put_str(&mut out, structure);
-            codec::put_u32(&mut out, *promote);
-            codec::put_u32(&mut out, *demote);
-        }
-
-        match &self.ingest {
-            None => codec::put_u8(&mut out, 0),
-            Some(ing) => {
-                codec::put_u8(&mut out, 1);
-                codec::put_seq_baselines(&mut out, &ing.expected_seq);
-                codec::put_dead_letters(&mut out, &ing.dead_letters);
-                codec::put_totals(&mut out, &ing.totals);
-            }
-        }
-        out
-    }
-
-    fn decode_body(body: &[u8]) -> Result<Checkpoint> {
-        let mut r = Reader::new(body);
-        let last_lsn = r.u64()?;
-
-        let ntables = r.count(1)?;
-        let mut tables = Vec::with_capacity(ntables);
-        for _ in 0..ntables {
-            let name = r.str()?;
-            let schema = codec::get_schema(&mut r)?;
-            let nrows = r.count(1)?;
-            let mut rows = Vec::with_capacity(nrows);
-            for _ in 0..nrows {
-                rows.push(codec::get_row(&mut r)?);
-            }
-            let nix = r.count(1)?;
-            let mut indexes = Vec::with_capacity(nix);
-            for _ in 0..nix {
-                let ncols = r.count(8)?;
-                let mut cols = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    cols.push(r.usize()?);
-                }
-                indexes.push(cols);
-            }
-            tables.push(TableSnapshot {
-                name,
-                schema,
-                rows,
-                indexes,
-            });
-        }
-
-        let nviews = r.count(1)?;
-        let mut views = Vec::with_capacity(nviews);
-        for _ in 0..nviews {
-            let name = r.str()?;
-            let plan = codec::get_plan(&mut r)?;
-            let policy = codec::get_policy(&mut r)?;
-            let pending = codec::get_net(&mut r)?;
-            let staleness = r.u32()?;
-            views.push(ViewManifest {
-                name,
-                plan,
-                policy,
-                pending,
-                staleness,
-            });
-        }
-
-        let nints = r.count(1)?;
-        let mut intermediates = Vec::with_capacity(nints);
-        for _ in 0..nints {
-            let backing = r.str()?;
-            let subtree = codec::get_plan(&mut r)?;
-            let structure = r.str()?;
-            let label = r.str()?;
-            let nc = r.count(4)?;
-            let mut consumers = Vec::with_capacity(nc);
-            for _ in 0..nc {
-                consumers.push(r.str()?);
-            }
-            let pending = codec::get_net(&mut r)?;
-            intermediates.push(IntermediateManifest {
-                backing,
-                subtree,
-                structure,
-                label,
-                consumers,
-                pending,
-            });
-        }
-
-        let next_backing = r.u64()?;
-        let round = r.u64()?;
-        let ntrackers = r.count(1)?;
-        let mut trackers = Vec::with_capacity(ntrackers);
-        for _ in 0..ntrackers {
-            let structure = r.str()?;
-            let promote = r.u32()?;
-            let demote = r.u32()?;
-            trackers.push((structure, promote, demote));
-        }
-
-        let ingest = match r.u8()? {
-            0 => None,
-            1 => {
-                let expected_seq = codec::get_seq_baselines(&mut r)?;
-                let dead_letters = codec::get_dead_letters(&mut r)?;
-                let totals = codec::get_totals(&mut r)?;
-                Some(IngestSnapshot {
-                    expected_seq,
-                    dead_letters,
-                    totals,
-                })
-            }
-            t => return Err(Error::Corrupt(format!("ingest snapshot tag {t}"))),
-        };
-        r.finish()?;
-
-        Ok(Checkpoint {
-            last_lsn,
-            tables,
-            views,
-            intermediates,
-            next_backing,
-            round,
-            trackers,
-            ingest,
-        })
-    }
-
     /// Serialize to the full file image (magic + checksum + body).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let body = self.encode_body();
-        let mut file = Vec::with_capacity(16 + body.len());
-        file.extend_from_slice(CHECKPOINT_MAGIC);
-        codec::put_u64(&mut file, codec::fnv1a(&body));
-        file.extend_from_slice(&body);
+        let mut file = CHECKPOINT_MAGIC.to_vec();
+        codec::frame(&mut file, false, |out| self.encode(out));
         file
     }
 
     /// Decode a full file image.
     ///
     /// # Errors
-    /// [`Error::Corrupt`] on bad magic, checksum, or structure.
+    /// [`Error::Corrupt`] on bad magic, checksum, or structure; decode
+    /// errors give offsets into the body (the file offset less 16).
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint> {
-        if bytes.len() < 16 {
-            return Err(Error::Corrupt(format!(
-                "checkpoint too short: {} bytes",
-                bytes.len()
-            )));
-        }
-        if &bytes[..8] != CHECKPOINT_MAGIC {
+        let mut r = Reader::new(bytes);
+        if r.take(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
             return Err(Error::Corrupt("checkpoint magic mismatch".into()));
         }
-        let crc = u64::from_le_bytes([
-            bytes[8], bytes[9], bytes[10], bytes[11], bytes[12], bytes[13], bytes[14],
-            bytes[15],
-        ]);
-        let body = &bytes[16..];
-        if codec::fnv1a(body) != crc {
+        let sum: u64 = r.read()?;
+        if codec::fnv1a(r.rest()) != sum {
             return Err(Error::Corrupt("checkpoint checksum mismatch".into()));
         }
-        Checkpoint::decode_body(body)
+        codec::from_bytes(r.rest())
     }
 
     /// Atomically publish this snapshot into `dir`: write
@@ -502,6 +357,7 @@ impl Checkpoint {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::codec::tests::{contract, every_dead_letter};
     use idivm_types::{row, ColumnType, Value};
 
     fn sample() -> Checkpoint {
@@ -550,7 +406,7 @@ mod tests {
             trackers: vec![("J(t,s)".into(), 2, 0)],
             ingest: Some(IngestSnapshot {
                 expected_seq: [(0u32, 5u64)].into_iter().collect(),
-                dead_letters: Vec::new(),
+                dead_letters: every_dead_letter(),
                 totals: IngestTotals {
                     admitted: 4,
                     dead_lettered: 0,
@@ -564,6 +420,7 @@ mod tests {
     #[test]
     fn checkpoint_round_trips() {
         let ckpt = sample();
+        contract(&ckpt);
         let back = Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
         assert_eq!(ckpt, back);
     }

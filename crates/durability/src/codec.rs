@@ -1,9 +1,14 @@
-//! Hand-rolled binary codec for WAL records and checkpoint manifests.
+//! The on-disk format of WAL records and checkpoints, stated once.
 //!
-//! Layout conventions: all integers little-endian; `f64` by
-//! [`f64::to_bits`] (bit-exact round-trip — `Display` would lose NaN
-//! payloads and signed zeros); strings and sequences length-prefixed
-//! with `u32`; enums as a leading tag byte.
+//! Two traits — [`Encode`] writes a value into a byte buffer,
+//! [`Decode`] reads one back through a [`Reader`] — and their
+//! composition: integers little-endian; `f64` by [`f64::to_bits`]
+//! (bit-exact round-trip — `Display` would lose NaN payloads and signed
+//! zeros); `usize` as `u64`; strings and sequences length-prefixed with
+//! `u32`; maps as sequences of pairs in key order, so equal maps give
+//! equal bytes; enums as a leading tag byte. Every type the two files
+//! hold gets its impl pair in this crate and nowhere else: the format
+//! is one decision behind one module.
 //!
 //! Every decode goes through [`Reader`], whose reads are
 //! bounds-checked and return [`Error::Corrupt`] — never a panic — on
@@ -15,61 +20,110 @@
 
 use idivm_algebra::{AggFunc, AggSpec, BinOp, CmpOp, Expr, Plan, ScalarFn};
 use idivm_ingest::{DeadLetter, DeadLetterCause, IngestTotals};
-use idivm_reldb::{NetChange, TableChanges};
+use idivm_reldb::NetChange;
 use idivm_sched::RefreshPolicy;
 use idivm_types::{Column, ColumnType, Error, Key, Result, Row, Schema, Value};
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
+use std::sync::Arc;
 
-/// Recursion ceiling for [`Expr`]/[`Plan`] decoding. Real plans are a
-/// few dozen operators deep; a corrupt length field must not be able
-/// to drive the decoder into a stack overflow (which would be a panic,
-/// not a typed error).
-const MAX_DEPTH: usize = 200;
+/// Ceiling on [`Reader::nested`] levels within one tree. Real plans
+/// are a few dozen operators deep; a corrupt length field must not be
+/// able to drive the decoder into a stack overflow (which would be a
+/// panic, not a typed error).
+const MAX_DEPTH: usize = 201;
 
-// ---------------------------------------------------------------------
-// Writer primitives (infallible — encoding owned, well-formed state)
-// ---------------------------------------------------------------------
-
-/// Append a `u8`.
-pub fn put_u8(out: &mut Vec<u8>, v: u8) {
-    out.push(v);
+/// A value with an on-disk form. Infallible: encoding reads owned,
+/// well-formed state.
+pub trait Encode {
+    /// Append the value's bytes to `out`.
+    fn encode(&self, out: &mut Vec<u8>);
 }
 
-/// Append a bool as one byte.
-pub fn put_bool(out: &mut Vec<u8>, v: bool) {
-    out.push(u8::from(v));
+/// A value that can be read back from its on-disk form.
+pub trait Decode: Sized {
+    /// The fewest bytes any encoding of the type occupies. A sequence
+    /// of `n` elements needs at least `n * MIN_BYTES` more bytes, so a
+    /// corrupt count is refused before anything is allocated for it.
+    const MIN_BYTES: usize = 1;
+
+    /// Read one value.
+    ///
+    /// # Errors
+    /// [`Error::Corrupt`] on a short buffer, a bad tag, an impossible
+    /// count, over-deep nesting, or a structurally invalid value.
+    fn decode(r: &mut Reader<'_>) -> Result<Self>;
 }
 
-/// Append a little-endian `u32`.
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Decode a buffer that holds exactly one `T` (a valid payload has no
+/// trailing junk).
+///
+/// # Errors
+/// [`Error::Corrupt`] on malformed or trailing bytes.
+pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T> {
+    let mut r = Reader::new(bytes);
+    let value = r.read()?;
+    r.finish()?;
+    Ok(value)
 }
 
-/// Append a little-endian `u64`.
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Both directions of a plain struct from one field list; the fields
+/// are written, and read back, in the order listed.
+macro_rules! record {
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::codec::Encode::encode(&self.$field, out);)+
+            }
+        }
+        impl $crate::codec::Decode for $ty {
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> idivm_types::Result<Self> {
+                Ok($ty { $($field: r.read()?),+ })
+            }
+        }
+    };
 }
+pub(crate) use record;
 
-/// Append a little-endian `i64`.
-pub fn put_i64(out: &mut Vec<u8>, v: i64) {
-    out.extend_from_slice(&v.to_le_bytes());
+/// Both directions of an enum from one table. A row is `tag => Variant`,
+/// `tag => Variant(a, ..)` or `tag => Variant { field, .. }`: the tag
+/// byte, then the variant's fields in the order listed. `nested` marks
+/// a type that contains itself: each level of it decodes through
+/// [`Reader::nested`].
+macro_rules! tagged {
+    ($ty:ident $(: $nested:ident)?, $what:literal, {
+        $($tag:literal => $variant:ident $(($($elem:ident),+))? $({ $($field:ident),+ })?),+ $(,)?
+    }) => {
+        impl $crate::codec::Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($($elem),+))? $({ $($field),+ })? => {
+                        out.push($tag);
+                        $($($crate::codec::Encode::encode($elem, out);)+)?
+                        $($($crate::codec::Encode::encode($field, out);)+)?
+                    })+
+                }
+            }
+        }
+        impl $crate::codec::Decode for $ty {
+            fn decode(r: &mut $crate::codec::Reader<'_>) -> idivm_types::Result<Self> {
+                let body = |r: &mut $crate::codec::Reader<'_>| {
+                    Ok(match r.read::<u8>()? {
+                        $($tag => $ty::$variant
+                            $(($($crate::codec::tagged!(@read r $elem)),+))?
+                            $({ $($field: r.read()?),+ })?,)+
+                        tag => return Err(r.no_variant($what, tag)),
+                    })
+                };
+                $crate::codec::tagged!(@run r body $what $($nested)?)
+            }
+        }
+    };
+    (@read $r:ident $elem:ident) => { $r.read()? };
+    (@run $r:ident $body:ident $what:literal) => { $body($r) };
+    (@run $r:ident $body:ident $what:literal nested) => { $r.nested($what, $body) };
 }
-
-/// Append an `f64` by bit pattern (exact round-trip).
-pub fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
-/// Append a `usize` as `u64`.
-pub fn put_usize(out: &mut Vec<u8>, v: usize) {
-    put_u64(out, v as u64);
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
+pub(crate) use tagged;
 
 // ---------------------------------------------------------------------
 // Reader
@@ -79,12 +133,25 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// The self-containing type being decoded, and how deep in it.
+    tree: &'static str,
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
     /// Wrap a buffer.
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            tree: "",
+            depth: 0,
+        }
+    }
+
+    /// Bytes consumed so far: the offset of the next read.
+    pub fn offset(&self) -> usize {
+        self.pos
     }
 
     /// Bytes not yet consumed.
@@ -97,11 +164,31 @@ impl<'a> Reader<'a> {
         self.remaining() == 0
     }
 
-    fn corrupt(&self, what: &str) -> Error {
-        Error::Corrupt(format!("decode at byte {}: {what}", self.pos))
+    /// The unconsumed bytes, left in place.
+    pub fn rest(&self) -> &'a [u8] {
+        &self.buf[self.pos..]
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    fn corrupt_at(&self, at: usize, what: &str) -> Error {
+        Error::Corrupt(format!("decode at byte {at}: {what}"))
+    }
+
+    /// A structure error at the next unread byte.
+    fn corrupt(&self, what: &str) -> Error {
+        self.corrupt_at(self.pos, what)
+    }
+
+    /// The error for a tag byte no variant of `what` owns, reported at
+    /// the tag itself — the byte just read.
+    pub(crate) fn no_variant(&self, what: &str, tag: u8) -> Error {
+        self.corrupt_at(self.pos.saturating_sub(1), &format!("{what} tag {tag}"))
+    }
+
+    /// Consume the next `n` bytes.
+    ///
+    /// # Errors
+    /// [`Error::Corrupt`] when fewer than `n` remain.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(self.corrupt(&format!(
                 "need {n} bytes, {} remain",
@@ -113,81 +200,26 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    /// Read a `u8`.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on a short buffer.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let mut bytes = [0; N];
+        bytes.copy_from_slice(self.take(N)?);
+        Ok(bytes)
     }
 
-    /// Read a bool byte (`0`/`1` only).
+    /// Read one `T`.
     ///
     /// # Errors
-    /// [`Error::Corrupt`] on a short buffer or any other byte value.
-    pub fn bool(&mut self) -> Result<bool> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(self.corrupt(&format!("bool byte {b}"))),
-        }
-    }
-
-    /// Read a little-endian `u32`.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on a short buffer.
-    pub fn u32(&mut self) -> Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    /// Read a little-endian `u64`.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on a short buffer.
-    pub fn u64(&mut self) -> Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    /// Read a little-endian `i64`.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on a short buffer.
-    pub fn i64(&mut self) -> Result<i64> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// Read an `f64` by bit pattern.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on a short buffer.
-    pub fn f64(&mut self) -> Result<f64> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Read a `usize` (stored as `u64`).
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on a short buffer or a value exceeding the
-    /// platform's `usize`.
-    pub fn usize(&mut self) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.corrupt(&format!("usize {v} overflows")))
+    /// Whatever [`Decode::decode`] reports for `T`.
+    pub fn read<T: Decode>(&mut self) -> Result<T> {
+        T::decode(self)
     }
 
     /// Read an element count whose items occupy at least
     /// `min_item_bytes` each — rejects counts that could not fit in the
     /// remaining buffer, so corrupt lengths cannot trigger huge
     /// allocations.
-    ///
-    /// # Errors
-    /// [`Error::Corrupt`] on a short buffer or an impossible count.
-    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize> {
-        let n = self.u32()? as usize;
+    fn count(&mut self, min_item_bytes: usize) -> Result<usize> {
+        let n = self.read::<u32>()? as usize;
         if n.saturating_mul(min_item_bytes.max(1)) > self.remaining() {
             return Err(self.corrupt(&format!(
                 "count {n} exceeds {} remaining bytes",
@@ -197,14 +229,35 @@ impl<'a> Reader<'a> {
         Ok(n)
     }
 
-    /// Read a length-prefixed UTF-8 string.
+    fn str(&mut self) -> Result<&'a str> {
+        let n = self.count(u8::MIN_BYTES)?;
+        let at = self.pos;
+        std::str::from_utf8(self.take(n)?).map_err(|_| self.corrupt_at(at, "invalid utf-8"))
+    }
+
+    /// Run `f` one level down the `tree` being decoded. Every type that
+    /// contains itself decodes through here, which is where the depth
+    /// ceiling is enforced. A tree of another type rooted inside this
+    /// one (a [`Plan`]'s [`Expr`]s) has a budget of its own.
     ///
     /// # Errors
-    /// [`Error::Corrupt`] on a short buffer or invalid UTF-8.
-    pub fn str(&mut self) -> Result<String> {
-        let n = self.count(1)?;
-        let b = self.take(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| self.corrupt("invalid utf-8"))
+    /// [`Error::Corrupt`] past the ceiling; otherwise what `f` returns.
+    pub fn nested<T>(
+        &mut self,
+        tree: &'static str,
+        f: impl FnOnce(&mut Self) -> Result<T>,
+    ) -> Result<T> {
+        let outer = (self.tree, self.depth);
+        if self.tree != tree {
+            (self.tree, self.depth) = (tree, 0);
+        }
+        if self.depth == MAX_DEPTH {
+            return Err(self.corrupt(&format!("{tree} nesting exceeds limit")));
+        }
+        self.depth += 1;
+        let value = f(self);
+        (self.tree, self.depth) = outer;
+        value
     }
 
     /// Require full consumption (a valid payload has no trailing junk).
@@ -221,937 +274,412 @@ impl<'a> Reader<'a> {
 }
 
 // ---------------------------------------------------------------------
-// Values, rows, keys
+// Primitives and containers: the composition, written once
 // ---------------------------------------------------------------------
 
-/// Encode a [`Value`] (tag byte + body).
-pub fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => put_u8(out, 0),
-        Value::Bool(b) => {
-            put_u8(out, 1);
-            put_bool(out, *b);
-        }
-        Value::Int(i) => {
-            put_u8(out, 2);
-            put_i64(out, *i);
-        }
-        Value::Float(f) => {
-            put_u8(out, 3);
-            put_f64(out, *f);
-        }
-        Value::Str(s) => {
-            put_u8(out, 4);
-            put_str(out, s);
-        }
-    }
-}
-
-/// Decode a [`Value`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on a bad tag or short buffer.
-pub fn get_value(r: &mut Reader<'_>) -> Result<Value> {
-    match r.u8()? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Bool(r.bool()?)),
-        2 => Ok(Value::Int(r.i64()?)),
-        3 => Ok(Value::Float(r.f64()?)),
-        4 => Ok(Value::str(r.str()?)),
-        t => Err(Error::Corrupt(format!("value tag {t}"))),
-    }
-}
-
-fn put_values(out: &mut Vec<u8>, vs: &[Value]) {
-    put_u32(out, vs.len() as u32);
-    for v in vs {
-        put_value(out, v);
-    }
-}
-
-fn get_values(r: &mut Reader<'_>) -> Result<Vec<Value>> {
-    let n = r.count(1)?;
-    let mut vs = Vec::with_capacity(n);
-    for _ in 0..n {
-        vs.push(get_value(r)?);
-    }
-    Ok(vs)
-}
-
-/// Encode a [`Row`].
-pub fn put_row(out: &mut Vec<u8>, row: &Row) {
-    put_values(out, &row.0);
-}
-
-/// Decode a [`Row`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_row(r: &mut Reader<'_>) -> Result<Row> {
-    // Through a `Vec`: measured faster here than `Row::try_collect`
-    // (27 vs 37 ms for a 5 MB checkpoint), the extra allocation included.
-    Ok(Row::new(get_values(r)?))
-}
-
-/// Encode a [`Key`].
-pub fn put_key(out: &mut Vec<u8>, key: &Key) {
-    put_values(out, &key.0);
-}
-
-/// Decode a [`Key`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_key(r: &mut Reader<'_>) -> Result<Key> {
-    Ok(Key(get_values(r)?))
-}
-
-// ---------------------------------------------------------------------
-// Schemas
-// ---------------------------------------------------------------------
-
-fn type_tag(ty: ColumnType) -> u8 {
-    match ty {
-        ColumnType::Bool => 0,
-        ColumnType::Int => 1,
-        ColumnType::Float => 2,
-        ColumnType::Str => 3,
-    }
-}
-
-fn type_from_tag(r: &Reader<'_>, tag: u8) -> Result<ColumnType> {
-    match tag {
-        0 => Ok(ColumnType::Bool),
-        1 => Ok(ColumnType::Int),
-        2 => Ok(ColumnType::Float),
-        3 => Ok(ColumnType::Str),
-        t => Err(Error::Corrupt(format!(
-            "column type tag {t} (at byte {})",
-            r.remaining()
-        ))),
-    }
-}
-
-/// Encode a [`Schema`] as (name, type) pairs plus key column names.
-pub fn put_schema(out: &mut Vec<u8>, schema: &Schema) {
-    put_u32(out, schema.arity() as u32);
-    for c in schema.columns() {
-        put_str(out, &c.name);
-        put_u8(out, type_tag(c.ty));
-    }
-    let key = schema.key_names();
-    put_u32(out, key.len() as u32);
-    for k in key {
-        put_str(out, k);
-    }
-}
-
-/// Decode a [`Schema`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes or a structurally invalid
-/// schema (duplicate columns, unknown key names).
-pub fn get_schema(r: &mut Reader<'_>) -> Result<Schema> {
-    let ncols = r.count(5)?;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let name = r.str()?;
-        let tag = r.u8()?;
-        columns.push(Column::new(name, type_from_tag(r, tag)?));
-    }
-    let nkeys = r.count(4)?;
-    let mut keys = Vec::with_capacity(nkeys);
-    for _ in 0..nkeys {
-        keys.push(r.str()?);
-    }
-    let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-    Schema::new(columns, &key_refs)
-        .map_err(|e| Error::Corrupt(format!("invalid schema: {e}")))
-}
-
-// ---------------------------------------------------------------------
-// Expressions
-// ---------------------------------------------------------------------
-
-fn bin_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-    }
-}
-
-fn bin_from_tag(tag: u8) -> Result<BinOp> {
-    match tag {
-        0 => Ok(BinOp::Add),
-        1 => Ok(BinOp::Sub),
-        2 => Ok(BinOp::Mul),
-        3 => Ok(BinOp::Div),
-        t => Err(Error::Corrupt(format!("binop tag {t}"))),
-    }
-}
-
-fn cmp_tag(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn cmp_from_tag(tag: u8) -> Result<CmpOp> {
-    match tag {
-        0 => Ok(CmpOp::Eq),
-        1 => Ok(CmpOp::Ne),
-        2 => Ok(CmpOp::Lt),
-        3 => Ok(CmpOp::Le),
-        4 => Ok(CmpOp::Gt),
-        5 => Ok(CmpOp::Ge),
-        t => Err(Error::Corrupt(format!("cmpop tag {t}"))),
-    }
-}
-
-fn scalar_tag(f: ScalarFn) -> u8 {
-    match f {
-        ScalarFn::Abs => 0,
-        ScalarFn::Mod => 1,
-        ScalarFn::Concat => 2,
-        ScalarFn::Least => 3,
-        ScalarFn::Greatest => 4,
-    }
-}
-
-fn scalar_from_tag(tag: u8) -> Result<ScalarFn> {
-    match tag {
-        0 => Ok(ScalarFn::Abs),
-        1 => Ok(ScalarFn::Mod),
-        2 => Ok(ScalarFn::Concat),
-        3 => Ok(ScalarFn::Least),
-        4 => Ok(ScalarFn::Greatest),
-        t => Err(Error::Corrupt(format!("scalarfn tag {t}"))),
-    }
-}
-
-/// Encode an [`Expr`].
-pub fn put_expr(out: &mut Vec<u8>, e: &Expr) {
-    match e {
-        Expr::Col(i) => {
-            put_u8(out, 0);
-            put_usize(out, *i);
-        }
-        Expr::Lit(v) => {
-            put_u8(out, 1);
-            put_value(out, v);
-        }
-        Expr::Bin { op, left, right } => {
-            put_u8(out, 2);
-            put_u8(out, bin_tag(*op));
-            put_expr(out, left);
-            put_expr(out, right);
-        }
-        Expr::Cmp { op, left, right } => {
-            put_u8(out, 3);
-            put_u8(out, cmp_tag(*op));
-            put_expr(out, left);
-            put_expr(out, right);
-        }
-        Expr::And(es) => {
-            put_u8(out, 4);
-            put_u32(out, es.len() as u32);
-            for e in es {
-                put_expr(out, e);
+macro_rules! little_endian {
+    ($($ty:ty),+) => {$(
+        impl Encode for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
             }
         }
-        Expr::Or(es) => {
-            put_u8(out, 5);
-            put_u32(out, es.len() as u32);
-            for e in es {
-                put_expr(out, e);
+        impl Decode for $ty {
+            const MIN_BYTES: usize = std::mem::size_of::<$ty>();
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(<$ty>::from_le_bytes(r.array()?))
             }
         }
-        Expr::Not(inner) => {
-            put_u8(out, 6);
-            put_expr(out, inner);
+    )+};
+}
+little_endian!(u8, u32, u64, i64);
+
+impl Encode for bool {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(u8::from(*self));
+    }
+}
+
+impl Decode for bool {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        match r.read::<u8>()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(r.no_variant("bool", tag)),
         }
-        Expr::IsNull(inner) => {
-            put_u8(out, 7);
-            put_expr(out, inner);
-        }
-        Expr::Func { f, args } => {
-            put_u8(out, 8);
-            put_u8(out, scalar_tag(*f));
-            put_u32(out, args.len() as u32);
-            for a in args {
-                put_expr(out, a);
+    }
+}
+
+impl Encode for f64 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.to_bits().encode(out);
+    }
+}
+
+impl Decode for f64 {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(f64::from_bits(r.read()?))
+    }
+}
+
+impl Encode for usize {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (*self as u64).encode(out);
+    }
+}
+
+impl Decode for usize {
+    const MIN_BYTES: usize = u64::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let at = r.pos;
+        let v: u64 = r.read()?;
+        usize::try_from(v).map_err(|_| r.corrupt_at(at, &format!("usize {v} overflows")))
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for &T {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Encode + ?Sized> Encode for Box<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Box<T> {
+    const MIN_BYTES: usize = T::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(Box::new(r.read()?))
+    }
+}
+
+impl Encode for str {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).encode(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+}
+
+impl Encode for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_str().encode(out);
+    }
+}
+
+impl Decode for String {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(r.str()?.to_owned())
+    }
+}
+
+impl Encode for Arc<str> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl Decode for Arc<str> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(Arc::from(r.str()?))
+    }
+}
+
+impl<T: Encode> Encode for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => 0u8.encode(out),
+            Some(value) => {
+                1u8.encode(out);
+                value.encode(out);
             }
         }
     }
 }
 
-/// Decode an [`Expr`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes or over-deep nesting.
-pub fn get_expr(r: &mut Reader<'_>) -> Result<Expr> {
-    get_expr_depth(r, 0)
-}
-
-fn get_expr_depth(r: &mut Reader<'_>, depth: usize) -> Result<Expr> {
-    if depth > MAX_DEPTH {
-        return Err(Error::Corrupt("expr nesting exceeds limit".into()));
-    }
-    match r.u8()? {
-        0 => Ok(Expr::Col(r.usize()?)),
-        1 => Ok(Expr::Lit(get_value(r)?)),
-        2 => {
-            let op = bin_from_tag(r.u8()?)?;
-            let left = Box::new(get_expr_depth(r, depth + 1)?);
-            let right = Box::new(get_expr_depth(r, depth + 1)?);
-            Ok(Expr::Bin { op, left, right })
-        }
-        3 => {
-            let op = cmp_from_tag(r.u8()?)?;
-            let left = Box::new(get_expr_depth(r, depth + 1)?);
-            let right = Box::new(get_expr_depth(r, depth + 1)?);
-            Ok(Expr::Cmp { op, left, right })
-        }
-        4 => {
-            let n = r.count(1)?;
-            let mut es = Vec::with_capacity(n);
-            for _ in 0..n {
-                es.push(get_expr_depth(r, depth + 1)?);
-            }
-            Ok(Expr::And(es))
-        }
-        5 => {
-            let n = r.count(1)?;
-            let mut es = Vec::with_capacity(n);
-            for _ in 0..n {
-                es.push(get_expr_depth(r, depth + 1)?);
-            }
-            Ok(Expr::Or(es))
-        }
-        6 => Ok(Expr::Not(Box::new(get_expr_depth(r, depth + 1)?))),
-        7 => Ok(Expr::IsNull(Box::new(get_expr_depth(r, depth + 1)?))),
-        8 => {
-            let f = scalar_from_tag(r.u8()?)?;
-            let n = r.count(1)?;
-            let mut args = Vec::with_capacity(n);
-            for _ in 0..n {
-                args.push(get_expr_depth(r, depth + 1)?);
-            }
-            Ok(Expr::Func { f, args })
-        }
-        t => Err(Error::Corrupt(format!("expr tag {t}"))),
-    }
-}
-
-fn put_opt_expr(out: &mut Vec<u8>, e: &Option<Expr>) {
-    match e {
-        None => put_u8(out, 0),
-        Some(e) => {
-            put_u8(out, 1);
-            put_expr(out, e);
+impl<T: Decode> Decode for Option<T> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        match r.read::<u8>()? {
+            0 => Ok(None),
+            1 => Ok(Some(r.read()?)),
+            tag => Err(r.no_variant("option", tag)),
         }
     }
 }
 
-fn get_opt_expr(r: &mut Reader<'_>) -> Result<Option<Expr>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_expr(r)?)),
-        t => Err(Error::Corrupt(format!("option tag {t}"))),
+macro_rules! tuple {
+    ($($name:ident),+) => {
+        impl<$($name: Encode),+> Encode for ($($name,)+) {
+            #[allow(non_snake_case)]
+            fn encode(&self, out: &mut Vec<u8>) {
+                let ($($name,)+) = self;
+                $($name.encode(out);)+
+            }
+        }
+        impl<$($name: Decode),+> Decode for ($($name,)+) {
+            const MIN_BYTES: usize = 0 $(+ $name::MIN_BYTES)+;
+            fn decode(r: &mut Reader<'_>) -> Result<Self> {
+                Ok(($(r.read::<$name>()?,)+))
+            }
+        }
+    };
+}
+tuple!(A, B);
+tuple!(A, B, C);
+
+/// A `u32` count, then the items.
+fn encode_seq<T: Encode>(out: &mut Vec<u8>, len: usize, items: impl IntoIterator<Item = T>) {
+    (len as u32).encode(out);
+    for item in items {
+        item.encode(out);
+    }
+}
+
+impl<T: Encode> Encode for [T] {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(out, self.len(), self);
+    }
+}
+
+impl<T: Encode> Encode for Vec<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.as_slice().encode(out);
+    }
+}
+
+impl<T: Decode> Decode for Vec<T> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let n = r.count(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(r.read()?);
+        }
+        Ok(items)
+    }
+}
+
+impl<K: Encode, V: Encode> Encode for BTreeMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        encode_seq(out, self.len(), self);
+    }
+}
+
+impl<K: Decode + Ord, V: Decode> Decode for BTreeMap<K, V> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(r.read::<Vec<(K, V)>>()?.into_iter().collect())
+    }
+}
+
+/// Encoded in key order — the encoding is canonical, so equal maps
+/// (a round's net, one table's changes) produce identical bytes.
+impl<K: Encode + Ord, V: Encode> Encode for HashMap<K, V> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let mut entries: Vec<(&K, &V)> = self.iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(b.0));
+        entries.encode(out);
+    }
+}
+
+impl<K: Decode + Eq + Hash, V: Decode> Decode for HashMap<K, V> {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(r.read::<Vec<(K, V)>>()?.into_iter().collect())
     }
 }
 
 // ---------------------------------------------------------------------
-// Aggregates and plans
+// Values, rows, keys, schemas
 // ---------------------------------------------------------------------
 
-fn agg_tag(f: AggFunc) -> u8 {
-    match f {
-        AggFunc::Sum => 0,
-        AggFunc::Count => 1,
-        AggFunc::Avg => 2,
-        AggFunc::Min => 3,
-        AggFunc::Max => 4,
+tagged!(Value, "value", {
+    0 => Null,
+    1 => Bool(b),
+    2 => Int(i),
+    3 => Float(f),
+    4 => Str(s),
+});
+
+impl Encode for Row {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
     }
 }
 
-fn agg_from_tag(tag: u8) -> Result<AggFunc> {
-    match tag {
-        0 => Ok(AggFunc::Sum),
-        1 => Ok(AggFunc::Count),
-        2 => Ok(AggFunc::Avg),
-        3 => Ok(AggFunc::Min),
-        4 => Ok(AggFunc::Max),
-        t => Err(Error::Corrupt(format!("aggfunc tag {t}"))),
+impl Decode for Row {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        // Through a `Vec`: measured faster here than `Row::try_collect`
+        // (27 vs 37 ms for a 5 MB checkpoint), the extra allocation included.
+        Ok(Row::new(r.read()?))
     }
 }
 
-/// Encode an [`AggSpec`].
-pub fn put_agg(out: &mut Vec<u8>, a: &AggSpec) {
-    put_u8(out, agg_tag(a.func));
-    put_expr(out, &a.arg);
-    put_str(out, &a.name);
-}
-
-/// Decode an [`AggSpec`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_agg(r: &mut Reader<'_>) -> Result<AggSpec> {
-    let func = agg_from_tag(r.u8()?)?;
-    let arg = get_expr(r)?;
-    let name = r.str()?;
-    Ok(AggSpec::new(func, arg, name))
-}
-
-fn put_on(out: &mut Vec<u8>, on: &[(usize, usize)]) {
-    put_u32(out, on.len() as u32);
-    for (l, r) in on {
-        put_usize(out, *l);
-        put_usize(out, *r);
+impl Encode for Key {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.0.encode(out);
     }
 }
 
-fn get_on(r: &mut Reader<'_>) -> Result<Vec<(usize, usize)>> {
-    let n = r.count(16)?;
-    let mut on = Vec::with_capacity(n);
-    for _ in 0..n {
-        let l = r.usize()?;
-        let rr = r.usize()?;
-        on.push((l, rr));
-    }
-    Ok(on)
-}
-
-/// Encode a [`Plan`].
-pub fn put_plan(out: &mut Vec<u8>, p: &Plan) {
-    match p {
-        Plan::Scan {
-            table,
-            alias,
-            schema,
-        } => {
-            put_u8(out, 0);
-            put_str(out, table);
-            put_str(out, alias);
-            put_schema(out, schema);
-        }
-        Plan::Select { input, pred } => {
-            put_u8(out, 1);
-            put_plan(out, input);
-            put_expr(out, pred);
-        }
-        Plan::Project { input, cols } => {
-            put_u8(out, 2);
-            put_plan(out, input);
-            put_u32(out, cols.len() as u32);
-            for (name, e) in cols {
-                put_str(out, name);
-                put_expr(out, e);
-            }
-        }
-        Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            put_u8(out, 3);
-            put_plan(out, left);
-            put_plan(out, right);
-            put_on(out, on);
-            put_opt_expr(out, residual);
-        }
-        Plan::LeftOuterJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            put_u8(out, 4);
-            put_plan(out, left);
-            put_plan(out, right);
-            put_on(out, on);
-            put_opt_expr(out, residual);
-        }
-        Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            put_u8(out, 5);
-            put_plan(out, left);
-            put_plan(out, right);
-            put_on(out, on);
-            put_opt_expr(out, residual);
-        }
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            put_u8(out, 6);
-            put_plan(out, left);
-            put_plan(out, right);
-            put_on(out, on);
-            put_opt_expr(out, residual);
-        }
-        Plan::UnionAll { left, right } => {
-            put_u8(out, 7);
-            put_plan(out, left);
-            put_plan(out, right);
-        }
-        Plan::GroupBy { input, keys, aggs } => {
-            put_u8(out, 8);
-            put_plan(out, input);
-            put_u32(out, keys.len() as u32);
-            for k in keys {
-                put_usize(out, *k);
-            }
-            put_u32(out, aggs.len() as u32);
-            for a in aggs {
-                put_agg(out, a);
-            }
-        }
+impl Decode for Key {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(Key(r.read()?))
     }
 }
 
-/// Decode a [`Plan`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes or over-deep nesting.
-pub fn get_plan(r: &mut Reader<'_>) -> Result<Plan> {
-    get_plan_depth(r, 0)
+tagged!(ColumnType, "column type", { 0 => Bool, 1 => Int, 2 => Float, 3 => Str });
+
+impl Encode for Column {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.name.encode(out);
+        self.ty.encode(out);
+    }
 }
 
-fn get_plan_depth(r: &mut Reader<'_>, depth: usize) -> Result<Plan> {
-    if depth > MAX_DEPTH {
-        return Err(Error::Corrupt("plan nesting exceeds limit".into()));
+impl Decode for Column {
+    const MIN_BYTES: usize = <Arc<str>>::MIN_BYTES + ColumnType::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(Column {
+            name: r.read()?,
+            ty: r.read()?,
+        })
     }
-    match r.u8()? {
-        0 => {
-            let table = r.str()?;
-            let alias = r.str()?;
-            let schema = get_schema(r)?;
-            Ok(Plan::Scan {
-                table,
-                alias,
-                schema,
-            })
-        }
-        1 => {
-            let input = Box::new(get_plan_depth(r, depth + 1)?);
-            let pred = get_expr(r)?;
-            Ok(Plan::Select { input, pred })
-        }
-        2 => {
-            let input = Box::new(get_plan_depth(r, depth + 1)?);
-            let n = r.count(5)?;
-            let mut cols = Vec::with_capacity(n);
-            for _ in 0..n {
-                let name = r.str()?;
-                let e = get_expr(r)?;
-                cols.push((name, e));
-            }
-            Ok(Plan::Project { input, cols })
-        }
-        tag @ (3..=6) => {
-            let left = Box::new(get_plan_depth(r, depth + 1)?);
-            let right = Box::new(get_plan_depth(r, depth + 1)?);
-            let on = get_on(r)?;
-            let residual = get_opt_expr(r)?;
-            Ok(match tag {
-                3 => Plan::Join {
-                    left,
-                    right,
-                    on,
-                    residual,
-                },
-                4 => Plan::LeftOuterJoin {
-                    left,
-                    right,
-                    on,
-                    residual,
-                },
-                5 => Plan::SemiJoin {
-                    left,
-                    right,
-                    on,
-                    residual,
-                },
-                _ => Plan::AntiJoin {
-                    left,
-                    right,
-                    on,
-                    residual,
-                },
-            })
-        }
-        7 => {
-            let left = Box::new(get_plan_depth(r, depth + 1)?);
-            let right = Box::new(get_plan_depth(r, depth + 1)?);
-            Ok(Plan::UnionAll { left, right })
-        }
-        8 => {
-            let input = Box::new(get_plan_depth(r, depth + 1)?);
-            let nk = r.count(8)?;
-            let mut keys = Vec::with_capacity(nk);
-            for _ in 0..nk {
-                keys.push(r.usize()?);
-            }
-            let na = r.count(1)?;
-            let mut aggs = Vec::with_capacity(na);
-            for _ in 0..na {
-                aggs.push(get_agg(r)?);
-            }
-            Ok(Plan::GroupBy { input, keys, aggs })
-        }
-        t => Err(Error::Corrupt(format!("plan tag {t}"))),
+}
+
+/// (name, type) pairs, then the key column names.
+impl Encode for Schema {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.columns().encode(out);
+        self.key_names().encode(out);
+    }
+}
+
+/// Fails also on a structurally invalid schema (duplicate columns,
+/// unknown key names).
+impl Decode for Schema {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let at = r.pos;
+        let columns = r.read()?;
+        let keys: Vec<String> = r.read()?;
+        let key_refs: Vec<&str> = keys.iter().map(String::as_str).collect();
+        Schema::new(columns, &key_refs)
+            .map_err(|e| r.corrupt_at(at, &format!("invalid schema: {e}")))
     }
 }
 
 // ---------------------------------------------------------------------
-// Net changes
+// Expressions, aggregates, plans
 // ---------------------------------------------------------------------
 
-/// Encode a [`NetChange`].
-pub fn put_net_change(out: &mut Vec<u8>, c: &NetChange) {
-    match c {
-        NetChange::Inserted { post } => {
-            put_u8(out, 0);
-            put_row(out, post);
-        }
-        NetChange::Deleted { pre } => {
-            put_u8(out, 1);
-            put_row(out, pre);
-        }
-        NetChange::Updated { pre, post } => {
-            put_u8(out, 2);
-            put_row(out, pre);
-            put_row(out, post);
-        }
-    }
-}
+tagged!(BinOp, "binop", { 0 => Add, 1 => Sub, 2 => Mul, 3 => Div });
+tagged!(CmpOp, "cmpop", { 0 => Eq, 1 => Ne, 2 => Lt, 3 => Le, 4 => Gt, 5 => Ge });
+tagged!(ScalarFn, "scalarfn", { 0 => Abs, 1 => Mod, 2 => Concat, 3 => Least, 4 => Greatest });
+tagged!(AggFunc, "aggfunc", { 0 => Sum, 1 => Count, 2 => Avg, 3 => Min, 4 => Max });
 
-/// Decode a [`NetChange`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_net_change(r: &mut Reader<'_>) -> Result<NetChange> {
-    match r.u8()? {
-        0 => Ok(NetChange::Inserted { post: get_row(r)? }),
-        1 => Ok(NetChange::Deleted { pre: get_row(r)? }),
-        2 => {
-            let pre = get_row(r)?;
-            let post = get_row(r)?;
-            Ok(NetChange::Updated { pre, post })
-        }
-        t => Err(Error::Corrupt(format!("net change tag {t}"))),
-    }
-}
+tagged!(Expr: nested, "expr", {
+    0 => Col(i),
+    1 => Lit(v),
+    2 => Bin { op, left, right },
+    3 => Cmp { op, left, right },
+    4 => And(es),
+    5 => Or(es),
+    6 => Not(inner),
+    7 => IsNull(inner),
+    8 => Func { f, args },
+});
 
-/// Encode one table's [`TableChanges`], sorted by key — the encoding
-/// is canonical, so equal nets produce identical bytes.
-pub fn put_table_changes(out: &mut Vec<u8>, changes: &TableChanges) {
-    let mut entries: Vec<(&Key, &NetChange)> = changes.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    put_u32(out, entries.len() as u32);
-    for (key, change) in entries {
-        put_key(out, key);
-        put_net_change(out, change);
-    }
-}
+record!(AggSpec { func, arg, name });
 
-/// Decode one table's [`TableChanges`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_table_changes(r: &mut Reader<'_>) -> Result<TableChanges> {
-    let n = r.count(1)?;
-    let mut changes = TableChanges::with_capacity(n);
-    for _ in 0..n {
-        let key = get_key(r)?;
-        let change = get_net_change(r)?;
-        changes.insert(key, change);
-    }
-    Ok(changes)
-}
-
-/// Encode a folded net (table → changes), sorted by table name.
-pub fn put_net(out: &mut Vec<u8>, net: &HashMap<String, TableChanges>) {
-    let mut tables: Vec<&String> = net.keys().collect();
-    tables.sort();
-    put_u32(out, tables.len() as u32);
-    for t in tables {
-        put_str(out, t);
-        put_table_changes(out, &net[t]);
-    }
-}
-
-/// Decode a folded net.
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_net(r: &mut Reader<'_>) -> Result<HashMap<String, TableChanges>> {
-    let n = r.count(1)?;
-    let mut net = HashMap::with_capacity(n);
-    for _ in 0..n {
-        let table = r.str()?;
-        let changes = get_table_changes(r)?;
-        net.insert(table, changes);
-    }
-    Ok(net)
-}
+tagged!(Plan: nested, "plan", {
+    0 => Scan { table, alias, schema },
+    1 => Select { input, pred },
+    2 => Project { input, cols },
+    3 => Join { left, right, on, residual },
+    4 => LeftOuterJoin { left, right, on, residual },
+    5 => SemiJoin { left, right, on, residual },
+    6 => AntiJoin { left, right, on, residual },
+    7 => UnionAll { left, right },
+    8 => GroupBy { input, keys, aggs },
+});
 
 // ---------------------------------------------------------------------
-// Refresh policies
+// Net changes, refresh policies
 // ---------------------------------------------------------------------
 
-/// Encode a [`RefreshPolicy`].
-pub fn put_policy(out: &mut Vec<u8>, p: RefreshPolicy) {
-    match p {
-        RefreshPolicy::Eager => put_u8(out, 0),
-        RefreshPolicy::Deferred {
-            max_staleness_rounds,
-        } => {
-            put_u8(out, 1);
-            put_u32(out, max_staleness_rounds);
-        }
-        RefreshPolicy::OnRead => put_u8(out, 2),
-    }
-}
+tagged!(NetChange, "net change", {
+    0 => Inserted { post },
+    1 => Deleted { pre },
+    2 => Updated { pre, post },
+});
 
-/// Decode a [`RefreshPolicy`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_policy(r: &mut Reader<'_>) -> Result<RefreshPolicy> {
-    match r.u8()? {
-        0 => Ok(RefreshPolicy::Eager),
-        1 => Ok(RefreshPolicy::Deferred {
-            max_staleness_rounds: r.u32()?,
-        }),
-        2 => Ok(RefreshPolicy::OnRead),
-        t => Err(Error::Corrupt(format!("policy tag {t}"))),
-    }
-}
+tagged!(RefreshPolicy, "policy", {
+    0 => Eager,
+    1 => Deferred { max_staleness_rounds },
+    2 => OnRead,
+});
 
 // ---------------------------------------------------------------------
 // Ingest state
 // ---------------------------------------------------------------------
 
-fn put_opt_row(out: &mut Vec<u8>, row: &Option<Row>) {
-    match row {
-        None => put_u8(out, 0),
-        Some(row) => {
-            put_u8(out, 1);
-            put_row(out, row);
+/// The one `&'static str` the format holds is the column-type label of
+/// [`DeadLetterCause::TypeMismatch`]: a persisted label reads back as
+/// the static string admission uses, so a decoded cause compares equal
+/// to a fresh one.
+impl Decode for &'static str {
+    const MIN_BYTES: usize = u32::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        let at = r.pos;
+        match r.str()? {
+            "bool" => Ok("bool"),
+            "int" => Ok("int"),
+            "float" => Ok("float"),
+            "str" => Ok("str"),
+            other => Err(r.corrupt_at(at, &format!("type label `{other}`"))),
         }
     }
 }
 
-fn get_opt_row(r: &mut Reader<'_>) -> Result<Option<Row>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(get_row(r)?)),
-        t => Err(Error::Corrupt(format!("option tag {t}"))),
-    }
-}
+tagged!(DeadLetterCause, "dead-letter cause", {
+    0 => Decode(message),
+    1 => UnknownTable,
+    2 => WrongArity { expected, got },
+    3 => TypeMismatch { column, expected },
+    4 => SequenceGap { expected },
+    5 => SequenceRegression { expected },
+    6 => DuplicateKey,
+    7 => MissingRow,
+    8 => StalePreImage { actual },
+    9 => KeyChanged,
+    10 => Storage(message),
+});
 
-/// Map a persisted type label back to the static string admission
-/// uses, so a decoded `TypeMismatch` compares equal to a fresh one.
-fn static_type_label(s: &str) -> Result<&'static str> {
-    match s {
-        "bool" => Ok("bool"),
-        "int" => Ok("int"),
-        "float" => Ok("float"),
-        "str" => Ok("str"),
-        other => Err(Error::Corrupt(format!("type label `{other}`"))),
-    }
-}
+record!(DeadLetter {
+    producer,
+    seq,
+    table,
+    cause,
+    pre,
+    post,
+    wire
+});
 
-fn put_cause(out: &mut Vec<u8>, cause: &DeadLetterCause) {
-    match cause {
-        DeadLetterCause::Decode(m) => {
-            put_u8(out, 0);
-            put_str(out, m);
-        }
-        DeadLetterCause::UnknownTable => put_u8(out, 1),
-        DeadLetterCause::WrongArity { expected, got } => {
-            put_u8(out, 2);
-            put_usize(out, *expected);
-            put_usize(out, *got);
-        }
-        DeadLetterCause::TypeMismatch { column, expected } => {
-            put_u8(out, 3);
-            put_usize(out, *column);
-            put_str(out, expected);
-        }
-        DeadLetterCause::SequenceGap { expected } => {
-            put_u8(out, 4);
-            put_u64(out, *expected);
-        }
-        DeadLetterCause::SequenceRegression { expected } => {
-            put_u8(out, 5);
-            put_u64(out, *expected);
-        }
-        DeadLetterCause::DuplicateKey => put_u8(out, 6),
-        DeadLetterCause::MissingRow => put_u8(out, 7),
-        DeadLetterCause::StalePreImage { actual } => {
-            put_u8(out, 8);
-            put_row(out, actual);
-        }
-        DeadLetterCause::KeyChanged => put_u8(out, 9),
-        DeadLetterCause::Storage(m) => {
-            put_u8(out, 10);
-            put_str(out, m);
-        }
-    }
-}
-
-fn get_cause(r: &mut Reader<'_>) -> Result<DeadLetterCause> {
-    match r.u8()? {
-        0 => Ok(DeadLetterCause::Decode(r.str()?)),
-        1 => Ok(DeadLetterCause::UnknownTable),
-        2 => {
-            let expected = r.usize()?;
-            let got = r.usize()?;
-            Ok(DeadLetterCause::WrongArity { expected, got })
-        }
-        3 => {
-            let column = r.usize()?;
-            let label = r.str()?;
-            Ok(DeadLetterCause::TypeMismatch {
-                column,
-                expected: static_type_label(&label)?,
-            })
-        }
-        4 => Ok(DeadLetterCause::SequenceGap { expected: r.u64()? }),
-        5 => Ok(DeadLetterCause::SequenceRegression { expected: r.u64()? }),
-        6 => Ok(DeadLetterCause::DuplicateKey),
-        7 => Ok(DeadLetterCause::MissingRow),
-        8 => Ok(DeadLetterCause::StalePreImage { actual: get_row(r)? }),
-        9 => Ok(DeadLetterCause::KeyChanged),
-        10 => Ok(DeadLetterCause::Storage(r.str()?)),
-        t => Err(Error::Corrupt(format!("dead-letter cause tag {t}"))),
-    }
-}
-
-/// Encode one [`DeadLetter`].
-pub fn put_dead_letter(out: &mut Vec<u8>, letter: &DeadLetter) {
-    put_u32(out, letter.producer);
-    put_u64(out, letter.seq);
-    put_str(out, &letter.table);
-    put_cause(out, &letter.cause);
-    put_opt_row(out, &letter.pre);
-    put_opt_row(out, &letter.post);
-    put_str(out, &letter.wire);
-}
-
-/// Decode one [`DeadLetter`].
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_dead_letter(r: &mut Reader<'_>) -> Result<DeadLetter> {
-    let producer = r.u32()?;
-    let seq = r.u64()?;
-    let table = r.str()?;
-    let cause = get_cause(r)?;
-    let pre = get_opt_row(r)?;
-    let post = get_opt_row(r)?;
-    let wire = r.str()?;
-    Ok(DeadLetter {
-        producer,
-        seq,
-        table,
-        cause,
-        pre,
-        post,
-        wire,
-    })
-}
-
-/// Encode a batch of dead letters in order.
-pub fn put_dead_letters(out: &mut Vec<u8>, letters: &[DeadLetter]) {
-    put_u32(out, letters.len() as u32);
-    for letter in letters {
-        put_dead_letter(out, letter);
-    }
-}
-
-/// Decode a batch of dead letters.
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_dead_letters(r: &mut Reader<'_>) -> Result<Vec<DeadLetter>> {
-    let n = r.count(1)?;
-    let mut letters = Vec::with_capacity(n);
-    for _ in 0..n {
-        letters.push(get_dead_letter(r)?);
-    }
-    Ok(letters)
-}
-
-/// Encode per-producer sequence baselines.
-pub fn put_seq_baselines(out: &mut Vec<u8>, seq: &BTreeMap<u32, u64>) {
-    put_u32(out, seq.len() as u32);
-    for (producer, next) in seq {
-        put_u32(out, *producer);
-        put_u64(out, *next);
-    }
-}
-
-/// Decode per-producer sequence baselines.
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_seq_baselines(r: &mut Reader<'_>) -> Result<BTreeMap<u32, u64>> {
-    let n = r.count(12)?;
-    let mut seq = BTreeMap::new();
-    for _ in 0..n {
-        let producer = r.u32()?;
-        let next = r.u64()?;
-        seq.insert(producer, next);
-    }
-    Ok(seq)
-}
-
-/// Encode lifetime ingest totals.
-pub fn put_totals(out: &mut Vec<u8>, t: &IngestTotals) {
-    put_u64(out, t.admitted);
-    put_u64(out, t.dead_lettered);
-    put_u64(out, t.shed);
-    put_u64(out, t.cuts);
-}
-
-/// Decode lifetime ingest totals.
-///
-/// # Errors
-/// [`Error::Corrupt`] on malformed bytes.
-pub fn get_totals(r: &mut Reader<'_>) -> Result<IngestTotals> {
-    let admitted = r.u64()?;
-    let dead_lettered = r.u64()?;
-    let shed = r.u64()?;
-    let cuts = r.u64()?;
-    Ok(IngestTotals {
-        admitted,
-        dead_lettered,
-        shed,
-        cuts,
-    })
-}
+record!(IngestTotals {
+    admitted,
+    dead_lettered,
+    shed,
+    cuts
+});
 
 // ---------------------------------------------------------------------
-// Checksums
+// Checksums and frames
 // ---------------------------------------------------------------------
 
 /// FNV-1a-64 over a byte slice — the record and manifest checksum.
@@ -1164,42 +692,150 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// Append one checksummed frame, `[u32 len]?[u64 fnv1a(payload)][payload]`,
+/// to `out`: the header is reserved, `payload` encodes in place behind
+/// it, and the header is patched once the payload's extent is known. A
+/// WAL record carries the length (records follow one another); a
+/// checkpoint body runs to the end of its file and does not.
+pub fn frame(out: &mut Vec<u8>, length_prefixed: bool, payload: impl FnOnce(&mut Vec<u8>)) {
+    let len_at = out.len();
+    if length_prefixed {
+        0u32.encode(out);
+    }
+    let sum_at = out.len();
+    0u64.encode(out);
+    let body_at = out.len();
+    payload(out);
+    let sum = fnv1a(&out[body_at..]);
+    out[sum_at..body_at].copy_from_slice(&sum.to_le_bytes());
+    if length_prefixed {
+        let len = (out.len() - body_at) as u32;
+        out[len_at..sum_at].copy_from_slice(&len.to_le_bytes());
+    }
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use idivm_reldb::TableChanges;
     use idivm_types::row;
+    use std::fmt::Debug;
 
-    fn roundtrip_value(v: Value) {
+    pub(crate) fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
         let mut out = Vec::new();
-        put_value(&mut out, &v);
-        let mut r = Reader::new(&out);
-        let back = get_value(&mut r).unwrap();
-        r.finish().unwrap();
-        // Bit-exact for floats: compare the re-encoding, not PartialEq
-        // (NaN != NaN but its bits round-trip).
-        let mut out2 = Vec::new();
-        put_value(&mut out2, &back);
-        assert_eq!(out, out2);
+        value.encode(&mut out);
+        out
     }
 
-    #[test]
-    fn values_round_trip_bit_exactly() {
-        roundtrip_value(Value::Null);
-        roundtrip_value(Value::Bool(true));
-        roundtrip_value(Value::Int(-42));
-        roundtrip_value(Value::Int(i64::MIN));
-        roundtrip_value(Value::Float(0.1 + 0.2));
-        roundtrip_value(Value::Float(-0.0));
-        roundtrip_value(Value::Float(f64::NAN));
-        roundtrip_value(Value::Float(f64::INFINITY));
-        roundtrip_value(Value::str("héllo|,\\world\n"));
-        roundtrip_value(Value::str(""));
+    /// The codec contract, for any one value: it round-trips, nothing
+    /// shorter decodes, and no damaged image panics the decoder.
+    pub(crate) fn contract<T: Encode + Decode + PartialEq + Debug>(value: &T) {
+        let bytes = to_bytes(value);
+        let back: T = from_bytes(&bytes).unwrap();
+        // Bit-exact: compare the re-encoding as well as `PartialEq` (a
+        // raw NaN is not `==` to itself but its bits round-trip). Equal
+        // bytes from a rebuilt map also prove the map order canonical.
+        assert_eq!(to_bytes(&back), bytes);
+        #[allow(clippy::eq_op)]
+        if value == value {
+            assert_eq!(&back, value);
+        }
+        for cut in 0..bytes.len() {
+            match from_bytes::<T>(&bytes[..cut]) {
+                Err(Error::Corrupt(_)) => {}
+                Err(e) => panic!("truncation at {cut}: unexpected error class: {e}"),
+                Ok(_) => panic!("truncation at {cut} decoded"),
+            }
+        }
+        // Every single-bit flip either still decodes (flips inside a
+        // string payload) or fails with Corrupt — never panics.
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                match from_bytes::<T>(&flipped) {
+                    Ok(_) | Err(Error::Corrupt(_)) => {}
+                    Err(e) => panic!("flip of byte {i} bit {bit}: unexpected error class: {e}"),
+                }
+            }
+        }
     }
 
-    #[test]
-    fn schema_round_trips() {
-        let s = Schema::from_pairs(
+    // One table per enum. Each ends in a match without a wildcard, so
+    // a new variant does not compile until its table holds it.
+
+    fn every_value() -> Vec<Value> {
+        let all = vec![
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(-42),
+            Value::Int(i64::MIN),
+            Value::Float(0.1 + 0.2),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::str("héllo|,\\world\n"),
+            Value::str(""),
+        ];
+        match all[0] {
+            Value::Null | Value::Bool(_) | Value::Int(_) | Value::Float(_) | Value::Str(_) => all,
+        }
+    }
+
+    /// The table of a fieldless enum.
+    macro_rules! every {
+        ($name:ident: $ty:ident { $($variant:ident),+ }) => {
+            fn $name() -> Vec<$ty> {
+                let all = vec![$($ty::$variant),+];
+                match all[0] {
+                    $($ty::$variant)|+ => all,
+                }
+            }
+        };
+    }
+    every!(every_column_type: ColumnType { Bool, Int, Float, Str });
+    every!(every_bin_op: BinOp { Add, Sub, Mul, Div });
+    every!(every_cmp_op: CmpOp { Eq, Ne, Lt, Le, Gt, Ge });
+    every!(every_scalar_fn: ScalarFn { Abs, Mod, Concat, Least, Greatest });
+    every!(every_agg_func: AggFunc { Sum, Count, Avg, Min, Max });
+
+    fn every_expr() -> Vec<Expr> {
+        let col = |i| Box::new(Expr::Col(i));
+        let mut all = vec![Expr::Col(3), Expr::And(Vec::new())];
+        all.extend(every_value().into_iter().map(Expr::Lit));
+        all.extend(every_bin_op().into_iter().map(|op| Expr::Bin {
+            op,
+            left: col(0),
+            right: col(1),
+        }));
+        all.extend(every_cmp_op().into_iter().map(|op| Expr::Cmp {
+            op,
+            left: col(1),
+            right: Box::new(Expr::Lit(Value::Int(3))),
+        }));
+        all.extend(every_scalar_fn().into_iter().map(|f| Expr::Func {
+            f,
+            args: vec![Expr::Col(0), Expr::Lit(Value::Float(1.5))],
+        }));
+        all.push(Expr::Not(Box::new(Expr::IsNull(col(1)))));
+        all.push(Expr::Or(vec![Expr::IsNull(col(0)), Expr::Col(2)]));
+        all.push(Expr::And(all.clone()));
+        match all[0] {
+            Expr::Col(_)
+            | Expr::Lit(_)
+            | Expr::Bin { .. }
+            | Expr::Cmp { .. }
+            | Expr::And(_)
+            | Expr::Or(_)
+            | Expr::Not(_)
+            | Expr::IsNull(_)
+            | Expr::Func { .. } => all,
+        }
+    }
+
+    fn sample_schema() -> Schema {
+        Schema::from_pairs(
             &[
                 ("did", ColumnType::Str),
                 ("price", ColumnType::Int),
@@ -1208,209 +844,285 @@ mod tests {
             ],
             &["did", "price"],
         )
-        .unwrap();
-        let mut out = Vec::new();
-        put_schema(&mut out, &s);
-        let mut r = Reader::new(&out);
-        let back = get_schema(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(s, back);
+        .unwrap()
     }
 
-    #[test]
-    fn exprs_and_plans_round_trip() {
-        let schema =
-            Schema::from_pairs(&[("a", ColumnType::Int), ("b", ColumnType::Str)], &["a"])
-                .unwrap();
-        let scan = Plan::Scan {
-            table: "t".into(),
-            alias: "t".into(),
-            schema: schema.clone(),
-        };
-        let pred = Expr::And(vec![
-            Expr::Cmp {
-                op: CmpOp::Ge,
-                left: Box::new(Expr::Col(0)),
-                right: Box::new(Expr::Lit(Value::Int(3))),
-            },
-            Expr::Not(Box::new(Expr::IsNull(Box::new(Expr::Col(1))))),
-            Expr::Func {
-                f: ScalarFn::Least,
-                args: vec![Expr::Col(0), Expr::Lit(Value::Float(1.5))],
-            },
-        ]);
-        let plan = Plan::GroupBy {
-            input: Box::new(Plan::Join {
-                left: Box::new(Plan::Select {
-                    input: Box::new(scan.clone()),
-                    pred,
-                }),
-                right: Box::new(scan),
-                on: vec![(0, 0)],
-                residual: Some(Expr::Cmp {
-                    op: CmpOp::Ne,
-                    left: Box::new(Expr::Col(1)),
-                    right: Box::new(Expr::Col(3)),
-                }),
-            }),
-            keys: vec![0],
-            aggs: vec![AggSpec::new(
-                AggFunc::Sum,
-                Expr::Bin {
-                    op: BinOp::Mul,
-                    left: Box::new(Expr::Col(0)),
-                    right: Box::new(Expr::Lit(Value::Int(2))),
-                },
-                "s",
-            )],
-        };
-        let mut out = Vec::new();
-        put_plan(&mut out, &plan);
-        let mut r = Reader::new(&out);
-        let back = get_plan(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(plan, back);
-    }
-
-    #[test]
-    fn nets_encode_canonically_and_round_trip() {
-        let mut a: HashMap<String, TableChanges> = HashMap::new();
-        let mut b: HashMap<String, TableChanges> = HashMap::new();
-        for net in [&mut a, &mut b] {
-            let mut tc = TableChanges::new();
-            tc.insert(
-                Key(vec![Value::Int(2)]),
-                NetChange::Deleted { pre: row![2, "x"] },
-            );
-            tc.insert(
-                Key(vec![Value::Int(1)]),
-                NetChange::Updated {
-                    pre: row![1, "a"],
-                    post: row![1, "b"],
-                },
-            );
-            net.insert("t".into(), tc);
-            let mut tc2 = TableChanges::new();
-            tc2.insert(
-                Key(vec![Value::Int(9)]),
-                NetChange::Inserted { post: row![9, "z"] },
-            );
-            net.insert("s".into(), tc2);
-        }
-        let mut ea = Vec::new();
-        let mut eb = Vec::new();
-        put_net(&mut ea, &a);
-        put_net(&mut eb, &b);
-        assert_eq!(ea, eb, "encoding is canonical regardless of map order");
-        let mut r = Reader::new(&ea);
-        let back = get_net(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(a, back);
-    }
-
-    #[test]
-    fn dead_letters_round_trip_including_static_labels() {
-        let letters = vec![
-            DeadLetter {
-                producer: 3,
-                seq: 17,
-                table: "parts".into(),
-                cause: DeadLetterCause::TypeMismatch {
-                    column: 1,
-                    expected: "int",
-                },
-                pre: None,
-                post: Some(row![1, "x"]),
-                wire: "3|17|parts|ins|i:1,s:x".into(),
-            },
-            DeadLetter {
-                producer: 0,
-                seq: 0,
-                table: String::new(),
-                cause: DeadLetterCause::Decode("junk".into()),
-                pre: None,
-                post: None,
-                wire: "###".into(),
-            },
-            DeadLetter {
-                producer: 1,
-                seq: 5,
+    pub(crate) fn every_plan() -> Vec<Plan> {
+        let scan = |alias: &str| {
+            Box::new(Plan::Scan {
                 table: "t".into(),
-                cause: DeadLetterCause::StalePreImage { actual: row![5, 6] },
-                pre: Some(row![5, 7]),
-                post: Some(row![5, 8]),
-                wire: "w".into(),
+                alias: alias.into(),
+                schema: sample_schema(),
+            })
+        };
+        let residual = Some(Expr::Cmp {
+            op: CmpOp::Ne,
+            left: Box::new(Expr::Col(1)),
+            right: Box::new(Expr::Col(5)),
+        });
+        let (left, right, on) = (scan("l"), scan("r"), vec![(0, 0), (1, 1)]);
+        let mut all = vec![
+            *scan("t"),
+            Plan::Select {
+                input: scan("t"),
+                pred: every_expr().pop().unwrap(),
+            },
+            Plan::Project {
+                input: scan("t"),
+                cols: vec![("d".into(), Expr::Col(0)), ("p2".into(), Expr::Col(1))],
+            },
+            Plan::Join {
+                left: left.clone(),
+                right: right.clone(),
+                on: on.clone(),
+                residual: residual.clone(),
+            },
+            Plan::LeftOuterJoin {
+                left: left.clone(),
+                right: right.clone(),
+                on: on.clone(),
+                residual: None,
+            },
+            Plan::SemiJoin {
+                left: left.clone(),
+                right: right.clone(),
+                on: Vec::new(),
+                residual: residual.clone(),
+            },
+            Plan::AntiJoin {
+                left: left.clone(),
+                right: right.clone(),
+                on,
+                residual,
+            },
+            Plan::UnionAll { left, right },
+        ];
+        all.push(Plan::GroupBy {
+            input: Box::new(Plan::UnionAll {
+                left: Box::new(all[5].clone()),
+                right: Box::new(all[6].clone()),
+            }),
+            keys: vec![0, 3],
+            aggs: every_agg_func()
+                .into_iter()
+                .map(|f| AggSpec::new(f, Expr::Col(1), format!("{f:?}")))
+                .collect(),
+        });
+        match all[0] {
+            Plan::Scan { .. }
+            | Plan::Select { .. }
+            | Plan::Project { .. }
+            | Plan::Join { .. }
+            | Plan::LeftOuterJoin { .. }
+            | Plan::SemiJoin { .. }
+            | Plan::AntiJoin { .. }
+            | Plan::UnionAll { .. }
+            | Plan::GroupBy { .. } => all,
+        }
+    }
+
+    fn every_net_change() -> Vec<NetChange> {
+        let all = vec![
+            NetChange::Inserted { post: row![9, "z"] },
+            NetChange::Deleted { pre: row![2, "x"] },
+            NetChange::Updated {
+                pre: row![1, "a"],
+                post: row![1, "b"],
             },
         ];
-        let mut out = Vec::new();
-        put_dead_letters(&mut out, &letters);
-        let mut r = Reader::new(&out);
-        let back = get_dead_letters(&mut r).unwrap();
-        r.finish().unwrap();
-        assert_eq!(letters, back);
+        match all[0] {
+            NetChange::Inserted { .. } | NetChange::Deleted { .. } | NetChange::Updated { .. } => {
+                all
+            }
+        }
     }
 
-    #[test]
-    fn policies_round_trip() {
-        for p in [
+    /// A two-table net holding every kind of change.
+    pub(crate) fn sample_net() -> HashMap<String, TableChanges> {
+        let mut changes = every_net_change().into_iter();
+        let mut tc = TableChanges::new();
+        tc.insert(Key(vec![Value::Int(2)]), changes.next_back().unwrap());
+        tc.insert(Key(vec![Value::Int(1)]), changes.next_back().unwrap());
+        let mut tc2 = TableChanges::new();
+        tc2.insert(Key(vec![Value::Int(9)]), changes.next_back().unwrap());
+        HashMap::from([("t".to_string(), tc), ("s".to_string(), tc2)])
+    }
+
+    pub(crate) fn every_policy() -> Vec<RefreshPolicy> {
+        let all = vec![
             RefreshPolicy::Eager,
             RefreshPolicy::Deferred {
                 max_staleness_rounds: 7,
             },
             RefreshPolicy::OnRead,
-        ] {
-            let mut out = Vec::new();
-            put_policy(&mut out, p);
-            let mut r = Reader::new(&out);
-            assert_eq!(get_policy(&mut r).unwrap(), p);
+        ];
+        match all[0] {
+            RefreshPolicy::Eager | RefreshPolicy::Deferred { .. } | RefreshPolicy::OnRead => all,
         }
+    }
+
+    fn every_cause() -> Vec<DeadLetterCause> {
+        let all = vec![
+            DeadLetterCause::Decode("junk".into()),
+            DeadLetterCause::UnknownTable,
+            DeadLetterCause::WrongArity {
+                expected: 3,
+                got: 1,
+            },
+            DeadLetterCause::TypeMismatch {
+                column: 1,
+                expected: "int",
+            },
+            DeadLetterCause::SequenceGap { expected: 4 },
+            DeadLetterCause::SequenceRegression { expected: 9 },
+            DeadLetterCause::DuplicateKey,
+            DeadLetterCause::MissingRow,
+            DeadLetterCause::StalePreImage { actual: row![5, 6] },
+            DeadLetterCause::KeyChanged,
+            DeadLetterCause::Storage("refused".into()),
+        ];
+        match all[0] {
+            DeadLetterCause::Decode(_)
+            | DeadLetterCause::UnknownTable
+            | DeadLetterCause::WrongArity { .. }
+            | DeadLetterCause::TypeMismatch { .. }
+            | DeadLetterCause::SequenceGap { .. }
+            | DeadLetterCause::SequenceRegression { .. }
+            | DeadLetterCause::DuplicateKey
+            | DeadLetterCause::MissingRow
+            | DeadLetterCause::StalePreImage { .. }
+            | DeadLetterCause::KeyChanged
+            | DeadLetterCause::Storage(_) => all,
+        }
+    }
+
+    /// One dead letter per cause, with every shape of pre/post image.
+    pub(crate) fn every_dead_letter() -> Vec<DeadLetter> {
+        let images = [
+            (None, Some(row![1, "x"])),
+            (None, None),
+            (Some(row![5, 7]), Some(row![5, 8])),
+            (Some(row![5, 7]), None),
+        ];
+        every_cause()
+            .into_iter()
+            .zip(images.into_iter().cycle())
+            .zip(0..)
+            .map(|((cause, (pre, post)), seq)| DeadLetter {
+                producer: 3,
+                seq,
+                table: if seq == 0 { String::new() } else { "parts".into() },
+                cause,
+                pre,
+                post,
+                wire: format!("3|{seq}|parts|ins|i:1,s:x"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn values_round_trip_bit_exactly() {
+        every_value().iter().for_each(contract);
+        contract(&f64::NAN);
+        contract(&row![1, "x", -0.0, Value::Null, true]);
+        contract(&Key(every_value()));
+    }
+
+    #[test]
+    fn fieldless_enums_round_trip_through_their_tag_tables() {
+        every_column_type().iter().for_each(contract);
+        every_bin_op().iter().for_each(contract);
+        every_cmp_op().iter().for_each(contract);
+        every_scalar_fn().iter().for_each(contract);
+        every_agg_func().iter().for_each(contract);
+    }
+
+    #[test]
+    fn schema_round_trips() {
+        contract(&sample_schema());
+    }
+
+    #[test]
+    fn exprs_and_plans_round_trip() {
+        every_expr().iter().for_each(contract);
+        every_plan().iter().for_each(contract);
+    }
+
+    #[test]
+    fn nets_encode_canonically_and_round_trip() {
+        every_net_change().iter().for_each(contract);
+        let (a, b) = (sample_net(), sample_net());
+        assert_eq!(
+            to_bytes(&a),
+            to_bytes(&b),
+            "encoding is canonical regardless of map order"
+        );
+        contract(&a);
+    }
+
+    #[test]
+    fn dead_letters_round_trip_including_static_labels() {
+        every_cause().iter().for_each(contract);
+        contract(&every_dead_letter());
+        contract(&IngestTotals {
+            admitted: 10,
+            dead_lettered: 1,
+            shed: 2,
+            cuts: 3,
+        });
+    }
+
+    #[test]
+    fn policies_round_trip() {
+        every_policy().iter().for_each(contract);
     }
 
     #[test]
     fn truncated_and_garbage_buffers_yield_corrupt_not_panic() {
-        let mut out = Vec::new();
-        put_plan(
-            &mut out,
-            &Plan::Scan {
-                table: "t".into(),
-                alias: "t".into(),
-                schema: Schema::from_pairs(&[("a", ColumnType::Int)], &["a"]).unwrap(),
-            },
-        );
-        for cut in 0..out.len() {
-            let mut r = Reader::new(&out[..cut]);
-            match get_plan(&mut r) {
-                Err(Error::Corrupt(_)) => {}
-                Err(e) => panic!("unexpected error class: {e}"),
-                Ok(_) => panic!("truncation at {cut} decoded"),
-            }
-        }
-        // Every single-byte flip either still decodes (flips inside a
-        // string payload) or fails with Corrupt — never panics.
-        for i in 0..out.len() {
-            for bit in 0..8 {
-                let mut bytes = out.clone();
-                bytes[i] ^= 1 << bit;
-                let mut r = Reader::new(&bytes);
-                match get_plan(&mut r) {
-                    Ok(_) | Err(Error::Corrupt(_)) => {}
-                    Err(e) => panic!("unexpected error class: {e}"),
-                }
-            }
-        }
+        contract(&Plan::Scan {
+            table: "t".into(),
+            alias: "t".into(),
+            schema: Schema::from_pairs(&[("a", ColumnType::Int)], &["a"]).unwrap(),
+        });
     }
 
     #[test]
     fn deep_nesting_is_rejected_typed() {
         // 300 Not() wrappers: over the decoder's depth ceiling.
-        let mut out = Vec::new();
-        for _ in 0..300 {
-            put_u8(&mut out, 6);
+        let mut out = vec![6u8; 300];
+        (0u8, 0usize).encode(&mut out);
+        assert!(matches!(from_bytes::<Expr>(&out), Err(Error::Corrupt(_))));
+    }
+
+    /// `plans` nested Selects over a Scan, the innermost's predicate
+    /// `exprs` Not() wrappers deep.
+    fn select_chain(plans: usize, exprs: usize) -> Vec<u8> {
+        let mut out = vec![1u8; plans];
+        every_plan()[0].encode(&mut out);
+        out.extend_from_slice(&vec![6u8; exprs]);
+        (0..plans).for_each(|_| (0u8, 0usize).encode(&mut out));
+        out
+    }
+
+    #[test]
+    fn deep_plans_are_rejected_typed_and_the_deepest_format_01_payload_decodes() {
+        // A 1 000-deep Select chain is refused by the ceiling, not by
+        // running out of stack.
+        match from_bytes::<Plan>(&select_chain(1_000, 0)) {
+            Err(Error::Corrupt(m)) => assert!(m.contains("plan nesting"), "{m}"),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
-        put_u8(&mut out, 0);
-        put_usize(&mut out, 0);
-        let mut r = Reader::new(&out);
-        assert!(matches!(get_expr(&mut r), Err(Error::Corrupt(_))));
+        // What the format has always accepted still decodes: 201 plan
+        // levels, and 201 expression levels inside the deepest holder.
+        // One level more of either is refused.
+        let deepest = std::thread::Builder::new()
+            .stack_size(8 << 20) // a main thread's, whatever the test harness gives its own
+            .spawn(|| from_bytes::<Plan>(&select_chain(200, 200)).is_ok())
+            .unwrap();
+        assert!(deepest.join().unwrap());
+        for over in [select_chain(201, 0), select_chain(200, 201)] {
+            assert!(matches!(from_bytes::<Plan>(&over), Err(Error::Corrupt(_))));
+        }
     }
 
     #[test]
@@ -1418,10 +1130,50 @@ mod tests {
         // A 4 GiB element count over a 12-byte buffer must be refused
         // before any allocation happens.
         let mut out = Vec::new();
-        put_u32(&mut out, u32::MAX);
+        u32::MAX.encode(&mut out);
         out.extend_from_slice(&[0u8; 8]);
         let mut r = Reader::new(&out);
-        assert!(matches!(r.count(1), Err(Error::Corrupt(_))));
+        assert!(matches!(r.count(u8::MIN_BYTES), Err(Error::Corrupt(_))));
+    }
+
+    #[test]
+    fn the_count_guard_scales_with_the_element_type() {
+        assert_eq!(<(usize, usize)>::MIN_BYTES, 16);
+        assert_eq!(<(String, u32, u32)>::MIN_BYTES, 12);
+        assert_eq!(Column::MIN_BYTES, 5);
+        // Sixty bytes could hold sixty one-byte items, but not four
+        // 16-byte pairs: the count itself is refused, before any
+        // allocation is sized from it.
+        for count in [4, u32::MAX] {
+            let mut out = Vec::new();
+            count.encode(&mut out);
+            out.extend_from_slice(&[0u8; 60]);
+            match from_bytes::<Vec<(usize, usize)>>(&out) {
+                Err(Error::Corrupt(m)) => assert!(m.contains(&format!("count {count}")), "{m}"),
+                other => panic!("expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn structure_errors_report_the_offset_of_the_offending_byte() {
+        let message = |bytes: Vec<u8>| match from_bytes::<Schema>(&bytes) {
+            Err(Error::Corrupt(m)) => m,
+            other => panic!("expected Corrupt, got {other:?}"),
+        };
+        let good = to_bytes(&Schema::from_pairs(&[("a", ColumnType::Int)], &["a"]).unwrap());
+        // [u32 1]["a": u32 1, 'a'][type tag] — the tag is byte 9, the key name byte 18.
+        let mut no_variant = good.clone();
+        no_variant[9] = 9;
+        assert_eq!(message(no_variant), "decode at byte 9: column type tag 9");
+        // The key names "b", a column the schema does not have: the
+        // fault is the schema's, which starts at byte 0.
+        let mut bad_key = good.clone();
+        bad_key[18] = b'b';
+        assert!(message(bad_key).starts_with("decode at byte 0: invalid schema"));
+        let mut bad_utf8 = good;
+        bad_utf8[8] = 0xff;
+        assert_eq!(message(bad_utf8), "decode at byte 8: invalid utf-8");
     }
 
     #[test]

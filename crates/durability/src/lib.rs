@@ -25,10 +25,11 @@
 //!   replay through the ordinary deterministic tick machinery, landing
 //!   on a [`idivm_reldb::Database::signature`] bit-identical to the
 //!   pre-crash committed state.
-//! * [`codec`] — the hand-rolled binary codec both files share. Every
-//!   read is bounds-checked and returns a typed
-//!   [`idivm_types::Error::Corrupt`]; garbage bytes can never panic
-//!   the recovery path.
+//! * [`codec`] — the on-disk format both files share, stated once: an
+//!   `Encode`/`Decode` trait pair, the containers composed generically,
+//!   one table per type. Every read is bounds-checked and returns a
+//!   typed [`idivm_types::Error::Corrupt`]; garbage bytes can never
+//!   panic the recovery path.
 //!
 //! **Torn vs corrupt.** A crash mid-append leaves a *torn tail*: the
 //! last record extends past EOF or fails its checksum with nothing

@@ -33,7 +33,7 @@
 //! last synced offset (the unflushed page-cache bytes a real kill
 //! loses).
 
-use crate::codec::{self, Reader};
+use crate::codec::{self, Encode, Reader};
 use idivm_core::FaultState;
 use idivm_ingest::{DeadLetter, IngestTotals};
 use idivm_reldb::TableChanges;
@@ -49,8 +49,6 @@ use std::sync::Arc;
 pub const WAL_MAGIC: &[u8; 8] = b"IVMWAL01";
 
 const HEADER: u64 = 8;
-/// Per-record frame prefix: u32 length + u64 checksum.
-const FRAME: usize = 12;
 
 fn io_err(what: &str, e: &std::io::Error) -> Error {
     Error::Internal(format!("wal {what}: {e}"))
@@ -124,104 +122,22 @@ pub enum WalRecord {
     },
 }
 
-fn encode_round_kind(out: &mut Vec<u8>, kind: &RoundKind) {
-    match kind {
-        RoundKind::Tick => codec::put_u8(out, 0),
-        RoundKind::Drain => codec::put_u8(out, 1),
-        RoundKind::ReadView(name) => {
-            codec::put_u8(out, 2);
-            codec::put_str(out, name);
-        }
-        RoundKind::Ingest {
-            expected_seq,
-            dlq_appended,
-            totals,
-        } => {
-            codec::put_u8(out, 3);
-            codec::put_seq_baselines(out, expected_seq);
-            codec::put_dead_letters(out, dlq_appended);
-            codec::put_totals(out, totals);
-        }
-    }
-}
+codec::tagged!(RoundKind, "round kind", {
+    0 => Tick,
+    1 => Drain,
+    2 => ReadView(view),
+    3 => Ingest { expected_seq, dlq_appended, totals },
+});
 
-fn decode_round_kind(r: &mut Reader<'_>) -> Result<RoundKind> {
-    match r.u8()? {
-        0 => Ok(RoundKind::Tick),
-        1 => Ok(RoundKind::Drain),
-        2 => Ok(RoundKind::ReadView(r.str()?)),
-        3 => {
-            let expected_seq = codec::get_seq_baselines(r)?;
-            let dlq_appended = codec::get_dead_letters(r)?;
-            let totals = codec::get_totals(r)?;
-            Ok(RoundKind::Ingest {
-                expected_seq,
-                dlq_appended,
-                totals,
-            })
-        }
-        t => Err(Error::Corrupt(format!("round kind tag {t}"))),
-    }
-}
-
-impl WalRecord {
-    /// Encode the payload for `lsn` (everything the checksum covers).
-    fn encode(&self, lsn: u64) -> Vec<u8> {
-        let mut out = Vec::new();
-        codec::put_u64(&mut out, lsn);
-        match self {
-            WalRecord::Register { name, plan, policy } => {
-                codec::put_u8(&mut out, 1);
-                codec::put_str(&mut out, name);
-                codec::put_plan(&mut out, plan);
-                codec::put_policy(&mut out, *policy);
-            }
-            WalRecord::Unregister { name } => {
-                codec::put_u8(&mut out, 2);
-                codec::put_str(&mut out, name);
-            }
-            WalRecord::Round { kind, net } => {
-                codec::put_u8(&mut out, 3);
-                encode_round_kind(&mut out, kind);
-                codec::put_net(&mut out, net);
-            }
-            WalRecord::Promote { label } => {
-                codec::put_u8(&mut out, 4);
-                codec::put_str(&mut out, label);
-            }
-            WalRecord::Demote { backing } => {
-                codec::put_u8(&mut out, 5);
-                codec::put_str(&mut out, backing);
-            }
-        }
-        out
-    }
-
-    /// Decode one payload; returns `(lsn, record)`.
-    fn decode(payload: &[u8]) -> Result<(u64, WalRecord)> {
-        let mut r = Reader::new(payload);
-        let lsn = r.u64()?;
-        let record = match r.u8()? {
-            1 => {
-                let name = r.str()?;
-                let plan = codec::get_plan(&mut r)?;
-                let policy = codec::get_policy(&mut r)?;
-                WalRecord::Register { name, plan, policy }
-            }
-            2 => WalRecord::Unregister { name: r.str()? },
-            3 => {
-                let kind = decode_round_kind(&mut r)?;
-                let net = codec::get_net(&mut r)?;
-                WalRecord::Round { kind, net }
-            }
-            4 => WalRecord::Promote { label: r.str()? },
-            5 => WalRecord::Demote { backing: r.str()? },
-            t => return Err(Error::Corrupt(format!("wal record type {t}"))),
-        };
-        r.finish()?;
-        Ok((lsn, record))
-    }
-}
+// The record's type byte, then its body. A log payload is the pair
+// `(lsn, record)` — everything the frame's checksum covers.
+codec::tagged!(WalRecord, "wal record type", {
+    1 => Register { name, plan, policy },
+    2 => Unregister { name },
+    3 => Round { kind, net },
+    4 => Promote { label },
+    5 => Demote { backing },
+});
 
 /// Result of scanning a WAL file at recovery.
 #[derive(Debug)]
@@ -246,6 +162,9 @@ pub struct Wal {
     synced_len: u64,
     next_lsn: u64,
     faults: Arc<FaultState>,
+    /// The frame being appended; kept so an append allocates nothing
+    /// once the buffer has grown to the largest record.
+    frame: Vec<u8>,
 }
 
 impl Wal {
@@ -271,6 +190,7 @@ impl Wal {
             synced_len: HEADER,
             next_lsn,
             faults,
+            frame: Vec::new(),
         })
     }
 
@@ -304,6 +224,7 @@ impl Wal {
             synced_len: valid_len,
             next_lsn,
             faults,
+            frame: Vec::new(),
         })
     }
 
@@ -329,7 +250,8 @@ impl Wal {
             }
             Err(e) => return Err(io_err("open", &e)),
         }
-        if bytes.len() < WAL_MAGIC.len() {
+        let mut r = Reader::new(&bytes);
+        let Ok(magic) = r.take(WAL_MAGIC.len()) else {
             // Crash between create and header sync: nothing was ever
             // acknowledged, so an incomplete header is a torn tail.
             return Ok(ScanOutcome {
@@ -337,71 +259,56 @@ impl Wal {
                 valid_len: 0,
                 torn: !bytes.is_empty(),
             });
-        }
-        if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
+        };
+        if magic != WAL_MAGIC {
             return Err(Error::Corrupt("wal magic mismatch".into()));
         }
 
         let mut records = Vec::new();
-        let mut offset = WAL_MAGIC.len();
         let mut prev_lsn: Option<u64> = None;
         loop {
-            if offset == bytes.len() {
+            let offset = r.offset();
+            if r.is_empty() {
                 return Ok(ScanOutcome {
                     records,
                     valid_len: offset as u64,
                     torn: false,
                 });
             }
-            let torn = |records: Vec<(u64, WalRecord)>, offset: usize| {
+            let torn = |records: Vec<(u64, WalRecord)>| {
                 Ok(ScanOutcome {
                     records,
                     valid_len: offset as u64,
                     torn: true,
                 })
             };
-            if bytes.len() - offset < FRAME {
-                return torn(records, offset);
-            }
-            let len = u32::from_le_bytes([
-                bytes[offset],
-                bytes[offset + 1],
-                bytes[offset + 2],
-                bytes[offset + 3],
-            ]) as usize;
-            let crc = u64::from_le_bytes([
-                bytes[offset + 4],
-                bytes[offset + 5],
-                bytes[offset + 6],
-                bytes[offset + 7],
-                bytes[offset + 8],
-                bytes[offset + 9],
-                bytes[offset + 10],
-                bytes[offset + 11],
-            ]);
-            let body_start = offset + FRAME;
-            let Some(body_end) = body_start.checked_add(len) else {
-                return torn(records, offset);
+            // A frame whose header or payload extends past EOF: torn tail.
+            let Ok((len, sum)) = r.read::<(u32, u64)>() else {
+                return torn(records);
             };
-            if body_end > bytes.len() {
-                // Frame extends past EOF: torn tail.
-                return torn(records, offset);
-            }
-            let payload = &bytes[body_start..body_end];
-            if codec::fnv1a(payload) != crc {
-                if body_end == bytes.len() {
+            let Ok(payload) = r.take(len as usize) else {
+                return torn(records);
+            };
+            if codec::fnv1a(payload) != sum {
+                if r.is_empty() {
                     // Checksum failure on the very last record: the
                     // append was cut mid-flight. Torn.
-                    return torn(records, offset);
+                    return torn(records);
                 }
                 return Err(Error::Corrupt(format!(
                     "wal checksum mismatch at byte {offset} (lsn slot {}), \
                      {} bytes of later history follow",
                     records.len(),
-                    bytes.len() - body_end
+                    r.remaining()
                 )));
             }
-            let (lsn, record) = WalRecord::decode(payload)?;
+            let (lsn, record) = codec::from_bytes(payload).map_err(|e| match e {
+                Error::Corrupt(what) => Error::Corrupt(format!(
+                    "wal record {} at byte {offset}: {what}",
+                    records.len()
+                )),
+                other => other,
+            })?;
             if let Some(prev) = prev_lsn {
                 if lsn != prev + 1 {
                     return Err(Error::Corrupt(format!(
@@ -411,7 +318,6 @@ impl Wal {
             }
             prev_lsn = Some(lsn);
             records.push((lsn, record));
-            offset = body_end;
         }
     }
 
@@ -428,11 +334,8 @@ impl Wal {
     /// The injected fault, or [`Error::Internal`] on I/O failure.
     pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
         let lsn = self.next_lsn;
-        let payload = record.encode(lsn);
-        let mut frame = Vec::with_capacity(FRAME + payload.len());
-        codec::put_u32(&mut frame, payload.len() as u32);
-        codec::put_u64(&mut frame, codec::fnv1a(&payload));
-        frame.extend_from_slice(&payload);
+        self.frame.clear();
+        codec::frame(&mut self.frame, true, |out| (lsn, record).encode(out));
 
         if let Err(fault) = self.faults.on_wal_append(lsn) {
             // Simulated kill mid-append: leave a deterministic torn
@@ -443,9 +346,9 @@ impl Wal {
                 .seed()
                 .wrapping_mul(0x9e37_79b9_7f4a_7c15)
                 .wrapping_add(lsn)) as usize
-                % frame.len();
+                % self.frame.len();
             self.file
-                .write_all(&frame[..tear])
+                .write_all(&self.frame[..tear])
                 .map_err(|e| io_err("torn write", &e))?;
             self.file.flush().map_err(|e| io_err("flush", &e))?;
             self.len += tear as u64;
@@ -453,9 +356,9 @@ impl Wal {
         }
 
         self.file
-            .write_all(&frame)
+            .write_all(&self.frame)
             .map_err(|e| io_err("append", &e))?;
-        self.len += frame.len() as u64;
+        self.len += self.frame.len() as u64;
         self.next_lsn += 1;
         Ok(lsn)
     }
@@ -516,9 +419,15 @@ impl Wal {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::codec::tests::{
+        contract, every_dead_letter, every_plan, every_policy, sample_net, to_bytes,
+    };
     use idivm_core::FaultPlan;
     use idivm_reldb::NetChange;
     use idivm_types::{row, Key, Value};
+
+    /// Per-record frame prefix: u32 length + u64 checksum.
+    const FRAME: usize = 12;
 
     fn no_faults() -> Arc<FaultState> {
         Arc::new(FaultState::new(FaultPlan::disabled()))
@@ -644,11 +553,8 @@ mod tests {
         drop(wal);
         // Forge a second record that skips an LSN, with a valid crc.
         let rec = sample_round(1);
-        let payload = rec.encode(9);
         let mut bytes = std::fs::read(&path).unwrap();
-        codec::put_u32(&mut bytes, payload.len() as u32);
-        codec::put_u64(&mut bytes, codec::fnv1a(&payload));
-        bytes.extend_from_slice(&payload);
+        codec::frame(&mut bytes, true, |out| (9u64, rec).encode(out));
         std::fs::write(&path, &bytes).unwrap();
         match Wal::scan(&path) {
             Err(Error::Corrupt(m)) => assert!(m.contains("discontinuity"), "{m}"),
@@ -658,32 +564,98 @@ mod tests {
     }
 
     #[test]
-    fn ingest_round_kind_round_trips() {
-        let kind = RoundKind::Ingest {
-            expected_seq: [(0u32, 7u64), (3, 1)].into_iter().collect(),
-            dlq_appended: vec![DeadLetter {
-                producer: 3,
-                seq: 0,
-                table: "t".into(),
-                cause: idivm_ingest::DeadLetterCause::SequenceRegression { expected: 1 },
-                pre: None,
-                post: Some(row![1]),
-                wire: "w".into(),
-            }],
-            totals: IngestTotals {
-                admitted: 10,
-                dead_lettered: 1,
-                shed: 2,
-                cuts: 3,
+    fn a_decode_failure_names_the_record_its_file_offset_and_the_payload_offset() {
+        let dir = std::env::temp_dir().join("idivm_wal_offsets");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let mut wal = Wal::create(&path, 1, no_faults()).unwrap();
+        let mut third_at = 0;
+        for i in 0..5 {
+            if i == 2 {
+                third_at = wal.len() as usize;
+            }
+            wal.append(&sample_round(i)).unwrap();
+        }
+        drop(wal);
+        // A payload is [u64 lsn][u8 record type][u8 round kind]…: give
+        // the third record a round kind no variant owns, and a checksum
+        // to match, so the ladder lets it through to the decoder.
+        let mut bytes = std::fs::read(&path).unwrap();
+        let len = u32::from_le_bytes(bytes[third_at..third_at + 4].try_into().unwrap()) as usize;
+        let payload = third_at + FRAME..third_at + FRAME + len;
+        bytes[payload.start + 9] = 0x7f;
+        let sum = codec::fnv1a(&bytes[payload.clone()]);
+        bytes[third_at + 4..payload.start].copy_from_slice(&sum.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        match Wal::scan(&path) {
+            Err(Error::Corrupt(m)) => assert_eq!(
+                m,
+                format!("wal record 2 at byte {third_at}: decode at byte 9: round kind tag 127")
+            ),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    fn every_round_kind() -> Vec<RoundKind> {
+        let all = vec![
+            RoundKind::Tick,
+            RoundKind::Drain,
+            RoundKind::ReadView("v".into()),
+            RoundKind::Ingest {
+                expected_seq: [(0u32, 7u64), (3, 1)].into_iter().collect(),
+                dlq_appended: every_dead_letter(),
+                totals: IngestTotals {
+                    admitted: 10,
+                    dead_lettered: 1,
+                    shed: 2,
+                    cuts: 3,
+                },
             },
-        };
-        let rec = WalRecord::Round {
+        ];
+        match all[0] {
+            RoundKind::Tick
+            | RoundKind::Drain
+            | RoundKind::ReadView(_)
+            | RoundKind::Ingest { .. } => all,
+        }
+    }
+
+    fn every_record() -> Vec<WalRecord> {
+        let mut all = vec![
+            WalRecord::Register {
+                name: "v".into(),
+                plan: every_plan().pop().unwrap(),
+                policy: every_policy()[1],
+            },
+            WalRecord::Unregister { name: "v".into() },
+            WalRecord::Promote { label: "j0".into() },
+            WalRecord::Demote {
+                backing: "__ivm0".into(),
+            },
+        ];
+        all.extend(every_round_kind().into_iter().map(|kind| WalRecord::Round {
             kind,
-            net: HashMap::new(),
-        };
-        let payload = rec.encode(42);
-        let (lsn, back) = WalRecord::decode(&payload).unwrap();
-        assert_eq!(lsn, 42);
-        assert_eq!(back, rec);
+            net: sample_net(),
+        }));
+        match all[0] {
+            WalRecord::Register { .. }
+            | WalRecord::Unregister { .. }
+            | WalRecord::Round { .. }
+            | WalRecord::Promote { .. }
+            | WalRecord::Demote { .. } => all,
+        }
+    }
+
+    #[test]
+    fn ingest_round_kind_round_trips() {
+        every_round_kind().iter().for_each(contract);
+        for rec in every_record() {
+            let entry = (42u64, rec);
+            contract(&entry);
+            let (lsn, back): (u64, WalRecord) = codec::from_bytes(&to_bytes(&entry)).unwrap();
+            assert_eq!(lsn, 42);
+            assert_eq!(back, entry.1);
+        }
     }
 }

@@ -16,6 +16,7 @@
 //! the quarantine-log determinism of the maintenance supervisor.
 
 use crate::event::{ChangeEvent, ChangeOp};
+use idivm_core::json_escape;
 use idivm_types::Row;
 
 /// Why an event was dead-lettered. Labels are stable; details carry
@@ -173,40 +174,24 @@ impl DeadLetter {
     /// Render as a JSON object (deterministic field order).
     pub fn to_json(&self) -> String {
         fn opt_row(r: &Option<Row>) -> String {
-            r.as_ref()
-                .map_or_else(|| "null".to_string(), |r| json_str(&format!("{r:?}")))
+            r.as_ref().map_or_else(
+                || "null".to_string(),
+                |r| format!("\"{}\"", json_escape(&format!("{r:?}"))),
+            )
         }
         format!(
-            "{{\"producer\": {}, \"seq\": {}, \"table\": {}, \"cause\": \"{}\", \
-             \"detail\": {}, \"pre\": {}, \"post\": {}, \"wire\": {}}}",
+            "{{\"producer\": {}, \"seq\": {}, \"table\": \"{}\", \"cause\": \"{}\", \
+             \"detail\": \"{}\", \"pre\": {}, \"post\": {}, \"wire\": \"{}\"}}",
             self.producer,
             self.seq,
-            json_str(&self.table),
+            json_escape(&self.table),
             self.cause.label(),
-            json_str(&self.cause.detail()),
+            json_escape(&self.cause.detail()),
             opt_row(&self.pre),
             opt_row(&self.post),
-            json_str(&self.wire)
+            json_escape(&self.wire)
         )
     }
-}
-
-/// Escape a string for embedding as a JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Append-only dead-letter store for one pipeline.

@@ -216,92 +216,6 @@ impl RoundSummary {
             .map(|(_, s)| s.total())
             .sum()
     }
-
-    /// Render the summary as a deterministic JSON object (hand-rolled;
-    /// labels and names contain no characters requiring escapes).
-    pub fn to_json(&self) -> String {
-        fn views(items: &[(String, StatsSnapshot)]) -> String {
-            let parts: Vec<String> = items
-                .iter()
-                .map(|(n, s)| format!("{{\"name\":\"{n}\",\"accesses\":{}}}", s.total()))
-                .collect();
-            format!("[{}]", parts.join(","))
-        }
-        let deferred: Vec<String> = self
-            .deferred
-            .iter()
-            .map(|(n, st)| format!("{{\"name\":\"{n}\",\"staleness\":{st}}}"))
-            .collect();
-        let prefixes: Vec<String> = self
-            .prefix_stats
-            .iter()
-            .map(|p| {
-                format!(
-                    "{{\"label\":\"{}\",\"compute_accesses\":{},\"diff_tuples\":{},\"hits\":{},\"saved_accesses\":{}}}",
-                    p.label,
-                    p.compute_accesses.total(),
-                    p.diff_tuples,
-                    p.hits,
-                    p.saved_accesses()
-                )
-            })
-            .collect();
-        let verdicts: Vec<String> = self
-            .verdicts
-            .iter()
-            .map(|(n, v)| format!("{{\"name\":\"{n}\",\"verdict\":\"{}\"}}", v.label()))
-            .collect();
-        let promotions: Vec<String> = self
-            .promotions
-            .iter()
-            .map(|e| {
-                let consumers: Vec<String> =
-                    e.consumers.iter().map(|c| format!("\"{c}\"")).collect();
-                format!(
-                    "{{\"action\":\"{}\",\"backing\":\"{}\",\"label\":\"{}\",\"consumers\":[{}]}}",
-                    e.action,
-                    e.backing,
-                    e.label,
-                    consumers.join(",")
-                )
-            })
-            .collect();
-        let cost: Vec<String> = self
-            .cost
-            .iter()
-            .map(|c| {
-                format!(
-                    "{{\"label\":\"{}\",\"promoted\":{},\"consumers\":{},\"observed_compute\":{},\"observed_diff_tuples\":{},\"predicted_maintain_milli\":{},\"predicted_recompute_milli\":{},\"decision\":\"{}\"}}",
-                    c.label,
-                    c.promoted,
-                    c.consumers,
-                    c.observed_compute,
-                    c.observed_diff_tuples,
-                    c.predicted_maintain_milli,
-                    c.predicted_recompute_milli,
-                    c.decision.label()
-                )
-            })
-            .collect();
-        let ingest = self
-            .ingest
-            .as_ref()
-            .map_or_else(|| "null".to_string(), IngestTrace::to_json);
-        format!(
-            "{{\"round\":{},\"total_accesses\":{},\"maintained\":{},\"intermediates\":{},\"deferred\":[{}],\"shared\":{{\"hits\":{},\"saved_accesses\":{},\"prefixes\":[{}]}},\"verdicts\":[{}],\"promotions\":[{}],\"cost\":[{}],\"ingest\":{ingest}}}",
-            self.round,
-            self.total_accesses(),
-            views(&self.maintained),
-            views(&self.intermediates),
-            deferred.join(","),
-            self.shared_hits,
-            self.shared_saved_accesses,
-            prefixes.join(","),
-            verdicts.join(","),
-            promotions.join(","),
-            cost.join(",")
-        )
-    }
 }
 
 struct ViewState {

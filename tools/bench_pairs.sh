@@ -16,17 +16,25 @@
 # ones, `--seconds` as BENCHMARK.json's run_seconds, `--trace 0`. Prints,
 # per end-to-end metric: each side's median and quartiles, the change of
 # the median, and how many pairs the change won (ties count for
-# neither). A gain is claimed only on >= 9/10 wins and a median shift
-# larger than the parent's own interquartile range.
+# neither), and a verdict from BENCHMARK.json's `bound` for the metric:
+#
+#   worse       the change's median is worse than the parent's by more
+#               than the bound (the script then exits 1 after the table)
+#   unresolved  the parent's own interquartile range is wider than the
+#               bound, and not every run of the change reads better than
+#               every run of the parent: the pairs cannot tell
+#   better      >= 9/10 wins and a median shift larger than the parent's
+#               interquartile range — the only ground for claiming a gain
+#   not moved   none of the above
 #
 # `accesses_per_event` is a count that repeats exactly for a seed: a
 # CPU-only change must leave it equal in every pair. Each pair whose two
 # sides disagree prints a `WARNING: accesses_per_event differs ...` line
-# and the script exits 1 after the table.
+# and the script exits 1 after the table, as it does on any `worse`.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,33p' "$0" >&2
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -77,9 +85,10 @@ print(f"{workload}: {len(sides['parent'])} pairs")
 for side, runs in sides.items():
     bad = [r for r in runs if not r["correct"] or r["failed"]]
     print(f"  {side}: {len(bad)} of {len(runs)} runs incorrect or with failed operations")
-print(f"  {'metric':<20}{'parent med [q1, q3]':>30}{'change med [q1, q3]':>30}{'median':>9}{'wins':>7}")
+print(f"  {'metric':<20}{'parent med [q1, q3]':>30}{'change med [q1, q3]':>30}{'median':>9}{'wins':>7}  verdict")
+worse = []
 for m in manifest["end_to_end"]:
-    name, lower = m["name"], m["better"] == "lower"
+    name, lower, bound = m["name"], m["better"] == "lower", m["bound"]
     p = [r["metrics"][name]["value"] for r in sides["parent"]]
     c = [r["metrics"][name]["value"] for r in sides["change"]]
     wins = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
@@ -89,12 +98,25 @@ for m in manifest["end_to_end"]:
     num = lambda x: f"{x:.0f}" if abs(x) >= 1000 else f"{x:.1f}" if abs(x) >= 100 else f"{x:.4g}"
     fmt = lambda lo, mid, hi: f"{num(mid)} [{num(lo)}, {num(hi)}]"
     tied = f" ({ties} tied)" if ties else ""
-    print(f"  {name:<20}{fmt(p1, p2, p3):>30}{fmt(c1, c2, c3):>30}{shift:>9}{wins:>4}/{len(p)}{tied}")
+    loss = ((c2 - p2) if lower else (p2 - c2)) / abs(p2) if p2 else 0.0
+    apart = max(c) < min(p) if lower else min(c) > max(p)
+    if loss > bound:
+        verdict = "worse"
+        worse.append(name)
+    elif p2 and (p3 - p1) / abs(p2) > bound and not apart:
+        verdict = "unresolved"
+    elif wins >= 0.9 * len(p) and -loss * abs(p2) > p3 - p1:
+        verdict = "better"
+    else:
+        verdict = "not moved"
+    print(f"  {name:<20}{fmt(p1, p2, p3):>30}{fmt(c1, c2, c3):>30}{shift:>9}{wins:>4}/{len(p)}  {verdict}{tied}")
 
 count = lambda r: r["metrics"]["accesses_per_event"]["value"]
 differing = [i for i, (a, b) in enumerate(zip(sides["parent"], sides["change"])) if count(a) != count(b)]
 for i in differing:
     a, b = count(sides["parent"][i]), count(sides["change"][i])
     print(f"WARNING: accesses_per_event differs in pair {i + 1} (seed {first_seed + i}): parent {a!r}, change {b!r}")
-sys.exit(1 if differing else 0)
+for name in worse:
+    print(f"WARNING: {name} is worse than the parent by more than its bound")
+sys.exit(1 if differing or worse else 0)
 PY
