@@ -23,21 +23,35 @@
 //!    checkpoint attempt of the lifecycle recovers to an acknowledged
 //!    state (the last acknowledged signature for append/fsync kills,
 //!    the at-failure signature for checkpoint kills) and the recovered
-//!    store keeps accepting rounds.
+//!    store keeps accepting rounds. Automatic checkpoints are published
+//!    by a worker and joined later, so a checkpoint kill surfaces at
+//!    the next due round or when the lifecycle closes the store — with
+//!    every round journaled in between still in the log.
 //!
 //! Kill offsets are seeded (`IDIVM_FAULT_SEED` overrides the default)
 //! so CI explores different torn-prefix lengths deterministically.
 //!
-//! Output: one row per swept kill site, plus `BENCH_crash.json`
-//! (schema in `EXPERIMENTS.md`).
+//! A fourth section, the **size sweep**, takes no guard's place: the
+//! BSMA multi-view store at three state sizes, what an incremental
+//! automatic checkpoint costs the round's thread (stall) and the worker
+//! (publish), and what `Checkpoint::load` and `Durable::open` cost
+//! against table rows and WAL records. Counts must repeat across two
+//! passes; timings are printed, not asserted.
+//!
+//! Output: one row per swept kill site and per state size, plus
+//! `BENCH_crash.json` (schema in `EXPERIMENTS.md`).
 
 use idivm_bench::fmt_row;
 use idivm_core::{FaultPlan, FaultState, IvmOptions};
-use idivm_durability::{Durable, DurabilityConfig, DurabilityPolicy};
+use idivm_durability::{
+    Checkpoint, CheckpointStats, Durable, DurabilityConfig, DurabilityPolicy, Wal, WAL_FILE,
+};
 use idivm_exec::ParallelConfig;
 use idivm_reldb::TableSignature;
 use idivm_sched::{RefreshPolicy, SchedulerConfig};
 use idivm_types::Error;
+use idivm_workloads::bsma::Bsma;
+use idivm_workloads::multiview::{MultiView, VIEW_NAMES};
 use idivm_workloads::RunningExample;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -194,6 +208,17 @@ fn run_lifecycle(
             };
         }
     }
+    // An automatic checkpoint may still be in flight; closing the
+    // store is where its kill, if any, comes out.
+    let at_close = store.signature();
+    if let Err(err) = store.close() {
+        assert!(matches!(err, Error::Injected(_)), "close: got {err:?}");
+        return Run {
+            acks,
+            at_failure: Some(at_close),
+            completed: false,
+        };
+    }
     Run {
         acks,
         at_failure: None,
@@ -210,6 +235,121 @@ fn reopen(dir: &Path, dcfg: DurabilityConfig, threads: usize) -> Result<Durable,
         no_faults(),
         None,
     )
+}
+
+/// One state size of the size sweep. Everything but the four timings
+/// is a count that must repeat exactly.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SizeCounts {
+    table_rows: usize,
+    wal_records: usize,
+    checkpoint_bytes: u64,
+    /// Of the incremental checkpoint alone (the second automatic one).
+    tables_reused: u64,
+    tables_encoded: u64,
+    bytes_reused: u64,
+    bytes_encoded: u64,
+    cut_bytes: u64,
+}
+
+struct SizeRow {
+    scale: f64,
+    counts: SizeCounts,
+    stall_ms: f64,
+    publish_ms: f64,
+    load_ms: f64,
+    open_ms: f64,
+}
+
+/// Rounds between automatic checkpoints in the size sweep.
+const SIZE_EVERY: u32 = 16;
+
+/// One pass at one state size: five eager views over BSMA at `scale`,
+/// 3.5 checkpoint intervals of 64-tweet rounds. The third due round
+/// joins the second automatic checkpoint — the first whose static
+/// tables come from the section cache — so the stats read afterwards
+/// are that checkpoint's; the half interval on top leaves the log with
+/// records for `open` to replay.
+fn size_pass(scale: f64) -> SizeRow {
+    let cfg = MultiView {
+        bsma: Bsma { scale, seed: 7 },
+    };
+    let dcfg = DurabilityConfig {
+        policy: DurabilityPolicy::EveryNRounds(8),
+        checkpoint_every_rounds: SIZE_EVERY,
+    };
+    let dir = fresh_dir("size");
+    let mut store = Durable::create(
+        &dir,
+        cfg.build().expect("build"),
+        SchedulerConfig::default(),
+        IvmOptions::default(),
+        dcfg,
+        no_faults(),
+    )
+    .expect("store");
+    for name in VIEW_NAMES {
+        let plan = cfg.plan(store.db(), name).expect("plan");
+        store.register(name, plan, RefreshPolicy::Eager).expect("register");
+    }
+    let mut before_second = CheckpointStats::default();
+    for round in 1..=u64::from(SIZE_EVERY) * 7 / 2 {
+        cfg.tweet_batch(store.db_mut(), 64, round).expect("batch");
+        store.tick().expect("tick");
+        if round == u64::from(SIZE_EVERY) * 2 {
+            // The first automatic checkpoint was joined just now.
+            before_second = store.checkpoint_stats();
+        }
+    }
+    let stats = store.checkpoint_stats();
+    assert_eq!(stats.taken, before_second.taken + 1, "the second automatic checkpoint");
+    let table_rows = store
+        .db()
+        .table_names()
+        .iter()
+        .map(|t| store.db().table(t).expect("table").len())
+        .sum();
+    let live = store.signature();
+    store.close().expect("close");
+
+    let started = Instant::now();
+    let last_lsn = Checkpoint::load(&dir).expect("load").last_lsn;
+    let load_ms = started.elapsed().as_secs_f64() * 1e3;
+    std::hint::black_box(last_lsn);
+    let started = Instant::now();
+    let reopened = Durable::open(
+        &dir,
+        SchedulerConfig::default(),
+        IvmOptions::default(),
+        dcfg,
+        no_faults(),
+        None,
+    )
+    .expect("open");
+    let open_ms = started.elapsed().as_secs_f64() * 1e3;
+    assert!(reopened.signature() == live, "scale {scale}: recovery diverged");
+    drop(reopened);
+    let counts = SizeCounts {
+        table_rows,
+        wal_records: Wal::scan(&dir.join(WAL_FILE)).expect("scan").records.len(),
+        checkpoint_bytes: std::fs::metadata(dir.join(idivm_durability::CHECKPOINT_FILE))
+            .expect("checkpoint file")
+            .len(),
+        tables_reused: stats.tables_reused - before_second.tables_reused,
+        tables_encoded: stats.tables_encoded - before_second.tables_encoded,
+        bytes_reused: stats.bytes_reused - before_second.bytes_reused,
+        bytes_encoded: stats.bytes_encoded - before_second.bytes_encoded,
+        cut_bytes: stats.last_cut_bytes,
+    };
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    SizeRow {
+        scale,
+        counts,
+        stall_ms: stats.last_stall_us as f64 / 1e3,
+        publish_ms: stats.last_publish_us as f64 / 1e3,
+        load_ms,
+        open_ms,
+    }
 }
 
 /// One swept kill's record for the JSON document.
@@ -417,9 +557,15 @@ fn main() {
             rto_samples_ms.push(rto_start.elapsed().as_secs_f64() * 1e3);
             let sig = recovered.signature();
             let last_ack = run.acks.last().expect("at least the created store was acknowledged");
-            let outcome = if sig == *last_ack {
+            // A checkpoint kill that comes out when the store is closed
+            // finds the two states equal; it is the at-failure one that
+            // the site's contract names.
+            let at_failure = run.at_failure.as_ref() == Some(&sig);
+            let outcome = if site == "checkpoint" && at_failure {
+                "at_failure"
+            } else if sig == *last_ack {
                 "last_ack"
-            } else if run.at_failure.as_ref() == Some(&sig) {
+            } else if at_failure {
                 "at_failure"
             } else {
                 panic!(
@@ -491,6 +637,72 @@ fn main() {
         "recovery took {rto_max_ms:.1} ms, above the {RTO_GUARD_MS:.0} ms guard"
     );
 
+    // ── Size sweep: checkpoint and recovery cost against state size. ─
+    let size_scales: [f64; 3] = if smoke { [0.025, 0.1, 0.4] } else { [0.25, 1.0, 4.0] };
+    println!(
+        "\nsize sweep (BSMA multi-view, checkpoint every {SIZE_EVERY} rounds; the second \
+         automatic checkpoint; two passes, counts equal, second pass's timings):"
+    );
+    println!(
+        "{}",
+        fmt_row(
+            &[
+                "scale", "rows", "wal recs", "ckpt bytes", "reused", "encoded", "stall ms",
+                "publish ms", "load ms", "open ms",
+            ]
+            .map(String::from),
+            SIZE_WIDTHS
+        )
+    );
+    let mut size_json: Vec<String> = Vec::new();
+    for scale in size_scales {
+        let first = size_pass(scale);
+        let row = size_pass(scale);
+        assert_eq!(
+            first.counts, row.counts,
+            "scale {scale}: counts differ between two passes"
+        );
+        let c = row.counts;
+        println!(
+            "{}",
+            fmt_row(
+                &[
+                    format!("{scale}"),
+                    c.table_rows.to_string(),
+                    c.wal_records.to_string(),
+                    c.checkpoint_bytes.to_string(),
+                    format!("{} / {} B", c.tables_reused, c.bytes_reused),
+                    format!("{} / {} B", c.tables_encoded, c.bytes_encoded),
+                    format!("{:.2}", row.stall_ms),
+                    format!("{:.2}", row.publish_ms),
+                    format!("{:.2}", row.load_ms),
+                    format!("{:.2}", row.open_ms),
+                ],
+                SIZE_WIDTHS
+            )
+        );
+        size_json.push(format!(
+            "    {{\"scale\": {}, \"table_rows\": {}, \"wal_records\": {}, \
+             \"checkpoint_bytes\": {}, \"tables_reused\": {}, \"tables_encoded\": {}, \
+             \"bytes_reused\": {}, \"bytes_encoded\": {}, \"cut_bytes\": {}, \
+             \"stall_ms\": {:.3}, \"publish_ms\": {:.3}, \"load_ms\": {:.3}, \
+             \"open_ms\": {:.3}}}",
+            row.scale,
+            c.table_rows,
+            c.wal_records,
+            c.checkpoint_bytes,
+            c.tables_reused,
+            c.tables_encoded,
+            c.bytes_reused,
+            c.bytes_encoded,
+            c.cut_bytes,
+            row.stall_ms,
+            row.publish_ms,
+            row.load_ms,
+            row.open_ms
+        ));
+    }
+
     // ── BENCH_crash.json ───────────────────────────────────────────
     let sweep_json: Vec<String> = sweep_rows
         .iter()
@@ -507,13 +719,16 @@ fn main() {
          \"always_ms\": {wal_ms:.3}, \"overhead_pct\": {overhead_pct:.3}}},\n  \
          \"rto\": {{\"samples\": {}, \"mean_ms\": {rto_mean_ms:.3}, \
          \"max_ms\": {rto_max_ms:.3}, \"guard_ms\": {RTO_GUARD_MS:.0}}},\n  \
-         \"determinism\": [\n{}\n  ],\n  \"sweep\": [\n{}\n  ]\n}}\n",
+         \"determinism\": [\n{}\n  ],\n  \"sweep\": [\n{}\n  ],\n  \
+         \"size_sweep\": [\n{}\n  ]\n}}\n",
         rto_samples_ms.len(),
         determinism_rows.join(",\n"),
-        sweep_json.join(",\n")
+        sweep_json.join(",\n"),
+        size_json.join(",\n")
     );
     std::fs::write("BENCH_crash.json", &json).expect("write BENCH_crash.json");
     println!("\nwrote BENCH_crash.json ({} kill sites swept)", sweep_rows.len());
 }
 
 const WIDTHS: &[usize] = &[12, 4, 13, 44];
+const SIZE_WIDTHS: &[usize] = &[6, 8, 9, 11, 14, 14, 9, 11, 8, 8];

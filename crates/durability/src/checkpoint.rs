@@ -25,6 +25,14 @@
 //! [`FaultSite::Checkpoint`](idivm_core::FaultSite::Checkpoint)
 //! failpoint fires *before* the rename, leaving exactly that torn tmp.
 //!
+//! Within the body each table is a self-contained *section* — the
+//! encoding of its [`TableSnapshot`] — and a file [`Image`] is put
+//! together from sections ([`Checkpoint::image`]).
+//! [`Checkpoint::to_bytes`] encodes every section on the spot; the
+//! store's own checkpoints ([`crate::checkpointer`]) hand the same
+//! routine the sections of the tables that did not change since the
+//! previous one.
+//!
 //! Deliberately **not** captured: per-table access statistics (they
 //! restart from zero and only bias future promotion decisions) and the
 //! shared-prefix registry (recomputed deterministically on reattach).
@@ -33,13 +41,14 @@ use crate::codec::{self, Encode, Reader};
 use idivm_algebra::Plan;
 use idivm_core::FaultState;
 use idivm_ingest::{DeadLetter, IngestPipeline, IngestTotals};
-use idivm_reldb::TableChanges;
+use idivm_reldb::{Table, TableChanges};
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy};
 use idivm_types::{Error, Result, Row, Schema};
 use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::Path;
+use std::sync::Arc;
 
 /// File magic: idIVM checkpoint, format 01.
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"IVMCKP01";
@@ -73,6 +82,31 @@ codec::record!(TableSnapshot {
     rows,
     indexes
 });
+
+impl TableSnapshot {
+    /// `table` as it stands, its rows **not yet sorted**: rows are
+    /// immutable and shared, so this takes handles and copies nothing.
+    pub(crate) fn of(table: &Table) -> TableSnapshot {
+        TableSnapshot {
+            name: table.name().to_string(),
+            schema: table.schema().clone(),
+            rows: table.rows_uncounted(),
+            indexes: table.index_positions(),
+        }
+    }
+
+    /// Put the rows in canonical order. Rows of one table differ in
+    /// their key, so an unstable sort has one possible outcome.
+    pub(crate) fn sorted(mut self) -> TableSnapshot {
+        self.rows.sort_unstable();
+        self
+    }
+
+    /// The table's section of a checkpoint body.
+    pub(crate) fn section(&self) -> Arc<[u8]> {
+        codec::to_vec(self).into()
+    }
+}
 
 /// One registered view's catalog + scheduler state.
 #[derive(Debug, Clone, PartialEq)]
@@ -163,16 +197,30 @@ pub struct Checkpoint {
     pub ingest: Option<IngestSnapshot>,
 }
 
-codec::record!(Checkpoint {
-    last_lsn,
-    tables,
-    views,
-    intermediates,
-    next_backing,
-    round,
-    trackers,
-    ingest
-});
+impl Encode for Checkpoint {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.encode_head(self.tables.len(), out);
+        for table in &self.tables {
+            table.encode(out);
+        }
+        self.encode_tail(out);
+    }
+}
+
+impl codec::Decode for Checkpoint {
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(Checkpoint {
+            last_lsn: r.read()?,
+            tables: r.read()?,
+            views: r.read()?,
+            intermediates: r.read()?,
+            next_backing: r.read()?,
+            round: r.read()?,
+            trackers: r.read()?,
+            ingest: r.read()?,
+        })
+    }
+}
 
 impl Checkpoint {
     /// Snapshot the live stack. Requires a quiescent modification log
@@ -186,28 +234,31 @@ impl Checkpoint {
         pipeline: Option<&IngestPipeline>,
         last_lsn: u64,
     ) -> Result<Checkpoint> {
+        let mut ckpt = Checkpoint::manifest(sched, pipeline, last_lsn)?;
         let db = sched.db();
-        if !db.fold_log().is_empty() {
+        for name in db.table_names() {
+            ckpt.tables.push(TableSnapshot::of(db.table(name)?).sorted());
+        }
+        Ok(ckpt)
+    }
+
+    /// Everything of [`Checkpoint::capture`] but the tables (`tables`
+    /// is left empty): the part that is cloned rather than shared, and
+    /// small — plans, policies, pending nets, streaks, ingest state.
+    ///
+    /// # Errors
+    /// As [`Checkpoint::capture`].
+    pub(crate) fn manifest(
+        sched: &MaintenanceScheduler,
+        pipeline: Option<&IngestPipeline>,
+        last_lsn: u64,
+    ) -> Result<Checkpoint> {
+        if !sched.db().fold_log().is_empty() {
             return Err(Error::Config(
                 "checkpoint requires a quiescent modification log; \
                  tick or drain before snapshotting"
                     .into(),
             ));
-        }
-        let mut table_names: Vec<String> =
-            db.table_names().into_iter().map(String::from).collect();
-        table_names.sort();
-        let mut tables = Vec::with_capacity(table_names.len());
-        for name in table_names {
-            let t = db.table(&name)?;
-            let mut rows = t.rows_uncounted();
-            rows.sort();
-            tables.push(TableSnapshot {
-                name,
-                schema: t.schema().clone(),
-                rows,
-                indexes: t.index_positions(),
-            });
         }
 
         let catalog = sched.catalog();
@@ -240,7 +291,7 @@ impl Checkpoint {
 
         Ok(Checkpoint {
             last_lsn,
-            tables,
+            tables: Vec::new(),
             views,
             intermediates,
             next_backing: catalog.next_backing(),
@@ -254,10 +305,55 @@ impl Checkpoint {
         })
     }
 
+    /// The body up to the first table: the LSN and the table count.
+    fn encode_head(&self, tables: usize, out: &mut Vec<u8>) {
+        self.last_lsn.encode(out);
+        (tables as u32).encode(out);
+    }
+
+    /// The body behind the last table.
+    fn encode_tail(&self, out: &mut Vec<u8>) {
+        self.views.encode(out);
+        self.intermediates.encode(out);
+        self.next_backing.encode(out);
+        self.round.encode(out);
+        self.trackers.encode(out);
+        self.ingest.encode(out);
+    }
+
+    /// The sections of `tables`, in order.
+    fn sections(&self) -> Vec<Arc<[u8]>> {
+        self.tables.iter().map(TableSnapshot::section).collect()
+    }
+
+    /// The file image (magic + checksum + body) of this checkpoint with
+    /// `sections` standing for `tables`, which is not looked at.
+    pub(crate) fn image<'a>(&self, sections: &'a [Arc<[u8]>]) -> Image<'a> {
+        let mut front = CHECKPOINT_MAGIC.to_vec();
+        0u64.encode(&mut front);
+        let body_at = front.len();
+        self.encode_head(sections.len(), &mut front);
+        let mut back = Vec::new();
+        self.encode_tail(&mut back);
+        let sum = sections
+            .iter()
+            .map(|s| &s[..])
+            .chain([back.as_slice()])
+            .fold(codec::fnv1a(&front[body_at..]), codec::fnv1a_more);
+        front[CHECKPOINT_MAGIC.len()..body_at].copy_from_slice(&sum.to_le_bytes());
+        Image {
+            front,
+            sections,
+            back,
+        }
+    }
+
     /// Serialize to the full file image (magic + checksum + body).
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut file = CHECKPOINT_MAGIC.to_vec();
-        codec::frame(&mut file, false, |out| self.encode(out));
+        let sections = self.sections();
+        let image = self.image(&sections);
+        let mut file = Vec::with_capacity(image.len());
+        image.runs().for_each(|run| file.extend_from_slice(run));
         file
     }
 
@@ -278,55 +374,12 @@ impl Checkpoint {
         codec::from_bytes(r.rest())
     }
 
-    /// Atomically publish this snapshot into `dir`: write
-    /// `checkpoint.tmp`, fsync, rename over `checkpoint.bin`, fsync
-    /// the directory.
-    ///
-    /// If the armed [`FaultSite::Checkpoint`](idivm_core::FaultSite::Checkpoint)
-    /// failpoint fires, a seeded partial prefix is left in the tmp file
-    /// (the torn staging file a pre-rename kill produces — ignored by
-    /// [`Checkpoint::load`]) and the fault error is returned.
+    /// Atomically publish this snapshot into `dir` — see [`publish`].
     ///
     /// # Errors
     /// The injected fault, or [`Error::Internal`] on I/O failure.
     pub fn write(&self, dir: &Path, faults: &FaultState) -> Result<()> {
-        let bytes = self.to_bytes();
-        let tmp = dir.join(CHECKPOINT_TMP);
-        let dst = dir.join(CHECKPOINT_FILE);
-
-        if let Err(fault) = faults.on_checkpoint(self.last_lsn) {
-            let tear = (faults
-                .seed()
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(self.last_lsn)) as usize
-                % bytes.len().max(1);
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)
-                .map_err(|e| io_err("tmp create", &e))?;
-            f.write_all(&bytes[..tear])
-                .map_err(|e| io_err("torn tmp write", &e))?;
-            return Err(fault);
-        }
-
-        let mut f = OpenOptions::new()
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&tmp)
-            .map_err(|e| io_err("tmp create", &e))?;
-        f.write_all(&bytes).map_err(|e| io_err("tmp write", &e))?;
-        f.sync_data().map_err(|e| io_err("tmp sync", &e))?;
-        drop(f);
-        std::fs::rename(&tmp, &dst).map_err(|e| io_err("rename", &e))?;
-        if let Ok(d) = File::open(dir) {
-            // Directory fsync makes the rename itself durable; best
-            // effort on filesystems that refuse to sync directories.
-            d.sync_all().ok();
-        }
-        Ok(())
+        publish(dir, faults, self.last_lsn, &self.image(&self.sections()))
     }
 
     /// Load the published snapshot from `dir`.
@@ -351,6 +404,88 @@ impl Checkpoint {
         }
         Checkpoint::from_bytes(&bytes)
     }
+}
+
+/// A checkpoint file held as the runs of bytes it is made of — what
+/// comes before the tables, each table's section where it already is,
+/// what comes behind — so that publishing one copies no section.
+pub(crate) struct Image<'a> {
+    /// Magic, checksum, and the body up to the first table.
+    front: Vec<u8>,
+    sections: &'a [Arc<[u8]>],
+    back: Vec<u8>,
+}
+
+impl Image<'_> {
+    fn runs(&self) -> impl Iterator<Item = &[u8]> {
+        std::iter::once(self.front.as_slice())
+            .chain(self.sections.iter().map(|s| &s[..]))
+            .chain(std::iter::once(self.back.as_slice()))
+    }
+
+    /// The file's length.
+    pub(crate) fn len(&self) -> usize {
+        self.runs().map(<[u8]>::len).sum()
+    }
+}
+
+/// Atomically publish the file `image` of a checkpoint at
+/// `last_lsn` into `dir`: write `checkpoint.tmp`, fsync, rename over
+/// `checkpoint.bin`, fsync the directory.
+///
+/// If the armed [`FaultSite::Checkpoint`](idivm_core::FaultSite::Checkpoint)
+/// failpoint fires, a seeded partial prefix is left in the tmp file
+/// (the torn staging file a pre-rename kill produces — ignored by
+/// [`Checkpoint::load`]) and the fault error is returned.
+///
+/// # Errors
+/// The injected fault, or [`Error::Internal`] on I/O failure.
+pub(crate) fn publish(
+    dir: &Path,
+    faults: &FaultState,
+    last_lsn: u64,
+    image: &Image<'_>,
+) -> Result<()> {
+    let tmp = dir.join(CHECKPOINT_TMP);
+    let dst = dir.join(CHECKPOINT_FILE);
+    let create_tmp = || {
+        OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)
+            .map_err(|e| io_err("tmp create", &e))
+    };
+
+    if let Err(fault) = faults.on_checkpoint(last_lsn) {
+        let mut tear = (faults
+            .seed()
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .wrapping_add(last_lsn)) as usize
+            % image.len();
+        let mut f = create_tmp()?;
+        for run in image.runs() {
+            let torn = &run[..run.len().min(tear)];
+            f.write_all(torn)
+                .map_err(|e| io_err("torn tmp write", &e))?;
+            tear -= torn.len();
+        }
+        return Err(fault);
+    }
+
+    let mut f = create_tmp()?;
+    for run in image.runs() {
+        f.write_all(run).map_err(|e| io_err("tmp write", &e))?;
+    }
+    f.sync_data().map_err(|e| io_err("tmp sync", &e))?;
+    drop(f);
+    std::fs::rename(&tmp, &dst).map_err(|e| io_err("rename", &e))?;
+    if let Ok(d) = File::open(dir) {
+        // Directory fsync makes the rename itself durable; best
+        // effort on filesystems that refuse to sync directories.
+        d.sync_all().ok();
+    }
+    Ok(())
 }
 
 #[cfg(test)]

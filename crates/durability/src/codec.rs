@@ -67,6 +67,13 @@ pub fn from_bytes<T: Decode>(bytes: &[u8]) -> Result<T> {
     Ok(value)
 }
 
+/// The bytes of one value.
+pub fn to_vec<T: Encode + ?Sized>(value: &T) -> Vec<u8> {
+    let mut out = Vec::new();
+    value.encode(&mut out);
+    out
+}
+
 /// Both directions of a plain struct from one field list; the fields
 /// are written, and read back, in the order listed.
 macro_rules! record {
@@ -684,7 +691,12 @@ record!(IngestTotals {
 
 /// FNV-1a-64 over a byte slice — the record and manifest checksum.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_more(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a-64 that stands at `h` over `bytes`: the checksum
+/// of a buffer held in several runs is the fold of this over the runs.
+pub fn fnv1a_more(mut h: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         h ^= u64::from(*b);
         h = h.wrapping_mul(0x100_0000_01b3);
@@ -692,26 +704,22 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Append one checksummed frame, `[u32 len]?[u64 fnv1a(payload)][payload]`,
+/// Append one checksummed WAL frame, `[u32 len][u64 fnv1a(payload)][payload]`,
 /// to `out`: the header is reserved, `payload` encodes in place behind
-/// it, and the header is patched once the payload's extent is known. A
-/// WAL record carries the length (records follow one another); a
-/// checkpoint body runs to the end of its file and does not.
-pub fn frame(out: &mut Vec<u8>, length_prefixed: bool, payload: impl FnOnce(&mut Vec<u8>)) {
+/// it, and the header is patched once the payload's extent is known.
+/// (A checkpoint body runs to the end of its file, carries no length,
+/// and is framed by [`crate::checkpoint::Image`].)
+pub fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
     let len_at = out.len();
-    if length_prefixed {
-        0u32.encode(out);
-    }
+    0u32.encode(out);
     let sum_at = out.len();
     0u64.encode(out);
     let body_at = out.len();
     payload(out);
     let sum = fnv1a(&out[body_at..]);
     out[sum_at..body_at].copy_from_slice(&sum.to_le_bytes());
-    if length_prefixed {
-        let len = (out.len() - body_at) as u32;
-        out[len_at..sum_at].copy_from_slice(&len.to_le_bytes());
-    }
+    let len = (out.len() - body_at) as u32;
+    out[len_at..sum_at].copy_from_slice(&len.to_le_bytes());
 }
 
 #[cfg(test)]
@@ -722,11 +730,7 @@ pub(crate) mod tests {
     use idivm_types::row;
     use std::fmt::Debug;
 
-    pub(crate) fn to_bytes<T: Encode>(value: &T) -> Vec<u8> {
-        let mut out = Vec::new();
-        value.encode(&mut out);
-        out
-    }
+    pub(crate) use super::to_vec as to_bytes;
 
     /// The codec contract, for any one value: it round-trips, nothing
     /// shorter decodes, and no damaged image panics the decoder.

@@ -21,6 +21,29 @@
 //! first; the call errors with [`Error::Config`] otherwise. DDL
 //! records are always fsynced immediately (they are rare and cheap).
 //!
+//! ## Checkpoint protocol
+//!
+//! A checkpoint is *capture → worker → publish → cut*. The capture
+//! (on the round's thread, see [`crate::checkpointer`]) hands a
+//! consistent snapshot to one worker thread, which publishes it while
+//! rounds keep appending to the same WAL. The worker's result is looked
+//! at only at three **join points** — when the next automatic
+//! checkpoint falls due, in [`Durable::checkpoint`], and in `Drop`
+//! (or [`Durable::close`], which is `Drop` with a return value) —
+//! so which call reports a checkpoint error, and when the log shrinks,
+//! follow from the call sequence, not from timing. At a join point a
+//! published checkpoint lets the WAL be cut behind its LSN
+//! ([`Wal::cut`]: the newer records go to a temp file that is renamed
+//! over the log); a failed one leaves the previous checkpoint and the
+//! whole log in place and is the error of that call.
+//!
+//! Invariant: **every acknowledged round is in the newest published
+//! checkpoint or in the log beside it, at every instant.** Records are
+//! dropped from the log only after a checkpoint that covers them was
+//! renamed into place, and only by a rename. [`Durable::open`] needs to
+//! know none of this: it skips records at or below the checkpoint's
+//! LSN, and "checkpoint published, log not yet cut" is simply that.
+//!
 //! ## Error contract
 //!
 //! When any durable call returns an error from the journaling path,
@@ -29,6 +52,7 @@
 //! That is exactly what the crash-injection tests do.
 
 use crate::checkpoint::Checkpoint;
+use crate::checkpointer::{CheckpointStats, Checkpointer};
 use crate::wal::{RoundKind, Wal, WalRecord};
 use idivm_core::{FaultState, IvmOptions};
 use idivm_ingest::{IngestOutcome, IngestPipeline, PipelineConfig, RawEvent};
@@ -91,6 +115,7 @@ pub struct Durable {
     /// registers (recovery re-applies it; it is not journaled).
     options: IvmOptions,
     faults: Arc<FaultState>,
+    checkpointer: Checkpointer,
 }
 
 impl Durable {
@@ -112,7 +137,7 @@ impl Durable {
             .map_err(|e| Error::Internal(format!("store dir create: {e}")))?;
         let sched = MaintenanceScheduler::new(db, sched_config);
         let wal = Wal::create(&dir.join(WAL_FILE), 1, Arc::clone(&faults))?;
-        let store = Durable {
+        let mut store = Durable {
             dir: dir.to_path_buf(),
             wal,
             config,
@@ -122,8 +147,9 @@ impl Durable {
             pipeline: None,
             options,
             faults,
+            checkpointer: Checkpointer::default(),
         };
-        Checkpoint::capture(&store.sched, None, 0)?.write(&store.dir, &store.faults)?;
+        store.checkpoint()?;
         Ok(store)
     }
 
@@ -159,6 +185,7 @@ impl Durable {
         for t in &ckpt.tables {
             db.create_table(&t.name, t.schema.clone())?;
             let table = db.table_mut(&t.name)?;
+            table.reserve(t.rows.len());
             for row in &t.rows {
                 table.load(row.clone())?;
             }
@@ -211,6 +238,7 @@ impl Durable {
         // --- Replay the WAL tail -----------------------------------
         let mut expected = ckpt.last_lsn + 1;
         let mut replayed = 0u64;
+        let log_end = scan.records.last().map(|(lsn, _)| *lsn);
         for (lsn, record) in scan.records {
             if lsn <= ckpt.last_lsn {
                 // A checkpoint published just before a crash killed the
@@ -277,12 +305,21 @@ impl Durable {
         );
         sched.set_recovery_note(Some(note));
 
-        let wal = Wal::reopen(
-            &dir.join(WAL_FILE),
-            scan.valid_len,
-            expected,
-            Arc::clone(&faults),
-        )?;
+        let wal = if log_end.is_some_and(|end| end < ckpt.last_lsn) {
+            // The log stops short of the checkpoint: it was published
+            // while the newest records were unsynced, and they died
+            // with the process. Every record left is covered, and
+            // appending `expected` behind them would leave an LSN gap —
+            // start the log afresh.
+            Wal::create(&dir.join(WAL_FILE), expected, Arc::clone(&faults))?
+        } else {
+            Wal::reopen(
+                &dir.join(WAL_FILE),
+                scan.valid_len,
+                expected,
+                Arc::clone(&faults),
+            )?
+        };
         Ok(Durable {
             dir: dir.to_path_buf(),
             wal,
@@ -293,6 +330,7 @@ impl Durable {
             pipeline,
             options,
             faults,
+            checkpointer: Checkpointer::default(),
         })
     }
 
@@ -418,26 +456,57 @@ impl Durable {
         Ok(rows)
     }
 
-    /// Take a checkpoint now and truncate the WAL behind it.
+    /// Take a checkpoint now and cut the WAL behind it: returns once
+    /// the checkpoint is published and the log holds no record it
+    /// covers. (The automatic checkpoints go the same way but are
+    /// joined later — see the module's checkpoint protocol.)
     ///
     /// # Errors
     /// [`Error::Config`] with pending DML; capture/write/injected-fault
-    /// errors (on error the previous checkpoint and full WAL remain
+    /// errors, of this checkpoint or of an automatic one still in
+    /// flight (on error the previous checkpoint and full WAL remain
     /// valid on disk).
     pub fn checkpoint(&mut self) -> Result<()> {
-        let last_lsn = self.wal.next_lsn() - 1;
-        Checkpoint::capture(&self.sched, self.pipeline.as_ref(), last_lsn)?
-            .write(&self.dir, &self.faults)?;
-        // The snapshot is published; trailing records are now folded
-        // in. Truncate by recreating the log — LSNs keep counting.
-        self.wal = Wal::create(
-            &self.dir.join(WAL_FILE),
-            self.wal.next_lsn(),
-            Arc::clone(&self.faults),
+        self.finish_checkpoint()?;
+        self.start_checkpoint()?;
+        self.finish_checkpoint()
+    }
+
+    /// Capture the stack as of the last journaled record and hand it to
+    /// the worker.
+    fn start_checkpoint(&mut self) -> Result<()> {
+        self.checkpointer.start(
+            &self.sched,
+            self.pipeline.as_ref(),
+            self.wal.next_lsn() - 1,
+            self.wal.len(),
+            &self.dir,
+            &self.faults,
         )?;
         self.rounds_since_ckpt = 0;
-        self.rounds_since_fsync = 0;
         Ok(())
+    }
+
+    /// Join point: wait for the checkpoint in flight, if any, and cut
+    /// the WAL behind it.
+    fn finish_checkpoint(&mut self) -> Result<()> {
+        self.checkpointer.join(|covered| self.wal.cut(covered))
+    }
+
+    /// Shut the handle: `Drop`'s join point, for a caller that wants to
+    /// know. Waits for an automatic checkpoint still in flight and cuts
+    /// the WAL behind it.
+    ///
+    /// # Errors
+    /// Whatever failed that checkpoint; the previous one and the full
+    /// WAL are then what the directory holds.
+    pub fn close(mut self) -> Result<()> {
+        self.finish_checkpoint()
+    }
+
+    /// What this handle's checkpoints cost so far.
+    pub fn checkpoint_stats(&self) -> CheckpointStats {
+        self.checkpointer.stats()
     }
 
     // ------------------------------------------------------------------
@@ -554,7 +623,8 @@ impl Durable {
         if self.config.checkpoint_every_rounds > 0 {
             self.rounds_since_ckpt += 1;
             if self.rounds_since_ckpt >= self.config.checkpoint_every_rounds {
-                self.checkpoint()?;
+                self.finish_checkpoint()?;
+                self.start_checkpoint()?;
             }
         }
         Ok(())
@@ -607,6 +677,15 @@ impl Durable {
     /// indistinguishable to maintenance.
     pub fn signature(&self) -> HashMap<String, idivm_reldb::TableSignature> {
         self.sched.db().signature()
+    }
+}
+
+/// The last join point. A checkpoint error has no one to go to here
+/// ([`Durable::close`] returns it); the disk holds a valid pair either
+/// way.
+impl Drop for Durable {
+    fn drop(&mut self) {
+        let _ = self.finish_checkpoint();
     }
 }
 

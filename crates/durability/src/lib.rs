@@ -48,10 +48,12 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod checkpoint;
+pub mod checkpointer;
 pub mod codec;
 pub mod durable;
 pub mod wal;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_FILE};
+pub use checkpointer::CheckpointStats;
 pub use durable::{Durable, DurabilityConfig, DurabilityPolicy, WAL_FILE};
 pub use wal::{RoundKind, Wal, WalRecord};

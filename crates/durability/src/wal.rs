@@ -32,6 +32,9 @@
 //! real kill leaves); an armed fsync fault drops everything past the
 //! last synced offset (the unflushed page-cache bytes a real kill
 //! loses).
+//!
+//! The log shrinks only through [`Wal::cut`], behind a published
+//! checkpoint, by renaming a file of the newer records over it.
 
 use crate::codec::{self, Encode, Reader};
 use idivm_core::FaultState;
@@ -52,6 +55,20 @@ const HEADER: u64 = 8;
 
 fn io_err(what: &str, e: &std::io::Error) -> Error {
     Error::Internal(format!("wal {what}: {e}"))
+}
+
+/// A new (or emptied) log file at `path`: the magic, then `records` —
+/// whole frames, or nothing. Written, not synced.
+fn start_file(path: &Path, records: &[u8]) -> std::io::Result<File> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)?;
+    file.write_all(WAL_MAGIC)?;
+    file.write_all(records)?;
+    Ok(file)
 }
 
 /// What kind of scheduler round a [`WalRecord::Round`] journals. The
@@ -174,14 +191,7 @@ impl Wal {
     /// # Errors
     /// [`Error::Internal`] on I/O failure.
     pub fn create(path: &Path, next_lsn: u64, faults: Arc<FaultState>) -> Result<Wal> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)
-            .map_err(|e| io_err("create", &e))?;
-        file.write_all(WAL_MAGIC).map_err(|e| io_err("write magic", &e))?;
+        let file = start_file(path, &[]).map_err(|e| io_err("create", &e))?;
         file.sync_data().map_err(|e| io_err("sync magic", &e))?;
         Ok(Wal {
             path: path.to_path_buf(),
@@ -335,7 +345,7 @@ impl Wal {
     pub fn append(&mut self, record: &WalRecord) -> Result<u64> {
         let lsn = self.next_lsn;
         self.frame.clear();
-        codec::frame(&mut self.frame, true, |out| (lsn, record).encode(out));
+        codec::frame(&mut self.frame, |out| (lsn, record).encode(out));
 
         if let Err(fault) = self.faults.on_wal_append(lsn) {
             // Simulated kill mid-append: leave a deterministic torn
@@ -387,6 +397,55 @@ impl Wal {
         self.file.sync_data().map_err(|e| io_err("fsync", &e))?;
         self.synced_len = self.len;
         Ok(())
+    }
+
+    /// Drop the records that end at or before byte offset `at` — those a
+    /// published checkpoint now covers — and keep the rest, returning
+    /// how many bytes went. The kept records are written behind a fresh
+    /// header to `wal.tmp`, which is synced if any of them had been
+    /// (a cut never moves synced records into an unsynced file) and
+    /// then renamed over the log, so at every instant the name holds
+    /// either the whole old log or the whole new one; a crash in
+    /// between leaves a temp file that [`Wal::scan`] never looks at.
+    /// LSNs keep counting.
+    ///
+    /// Nothing happens when no record ends before `at`, or when the log
+    /// no longer reaches `at` (a killed fsync dropped its tail; the
+    /// handle is dead and recovery will sort the file out).
+    ///
+    /// # Errors
+    /// [`Error::Internal`] on I/O failure; the log is then as it was.
+    pub fn cut(&mut self, at: u64) -> Result<u64> {
+        if at <= HEADER || at > self.len {
+            return Ok(0);
+        }
+        let mut kept = vec![0; (self.len - at) as usize];
+        let read = self
+            .file
+            .seek(SeekFrom::Start(at))
+            .and_then(|_| self.file.read_exact(&mut kept));
+        self.file
+            .seek(SeekFrom::End(0))
+            .map_err(|e| io_err("seek", &e))?;
+        read.map_err(|e| io_err("cut read", &e))?;
+
+        let tmp = self.path.with_extension("tmp");
+        let file = start_file(&tmp, &kept).map_err(|e| io_err("cut write", &e))?;
+        let had_synced = self.synced_len > at;
+        if had_synced {
+            file.sync_data().map_err(|e| io_err("cut sync", &e))?;
+        }
+        std::fs::rename(&tmp, &self.path).map_err(|e| io_err("cut rename", &e))?;
+        if let Some(Ok(dir)) = self.path.parent().map(File::open) {
+            // Later fsyncs go to the new file: they promise nothing
+            // until the name points at it durably. Best effort, as for
+            // the checkpoint's rename.
+            dir.sync_all().ok();
+        }
+        self.file = file;
+        self.len = HEADER + kept.len() as u64;
+        self.synced_len = if had_synced { self.len } else { HEADER };
+        Ok(at - HEADER)
     }
 
     /// The LSN the next append will use.
@@ -544,6 +603,52 @@ mod tests {
     }
 
     #[test]
+    fn cut_keeps_the_newer_records_their_sync_state_and_the_lsn_count() {
+        let dir = std::env::temp_dir().join("idivm_wal_cut");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal.log");
+        let lsns = |path: &Path| -> Vec<u64> {
+            let scan = Wal::scan(path).unwrap();
+            assert!(!scan.torn);
+            scan.records.iter().map(|(lsn, _)| *lsn).collect()
+        };
+        let mut wal = Wal::create(&path, 1, no_faults()).unwrap();
+        wal.append(&sample_round(0)).unwrap();
+        wal.append(&sample_round(1)).unwrap();
+        let after_two = wal.len();
+        wal.append(&sample_round(2)).unwrap();
+        wal.fsync().unwrap();
+        wal.append(&sample_round(3)).unwrap();
+        let full = wal.len();
+
+        // Nothing ends before the header; the log does not reach 999.
+        assert_eq!(wal.cut(HEADER).unwrap(), 0);
+        assert_eq!(wal.cut(999_999).unwrap(), 0);
+        assert_eq!(lsns(&path), [1, 2, 3, 4]);
+
+        // LSN 3 had been synced: the kept records are all synced now.
+        assert_eq!(wal.cut(after_two).unwrap(), after_two - HEADER);
+        assert_eq!(wal.len(), full - (after_two - HEADER));
+        assert_eq!(wal.synced_len(), wal.len());
+        assert_eq!(lsns(&path), [3, 4]);
+        assert!(!dir.join("wal.tmp").exists());
+        assert_eq!(wal.append(&sample_round(4)).unwrap(), 5);
+        assert_eq!(lsns(&path), [3, 4, 5]);
+
+        // None of the kept records was synced: neither is the new file.
+        let synced = wal.synced_len();
+        wal.cut(synced).unwrap();
+        assert_eq!(wal.synced_len(), HEADER);
+        assert_eq!(lsns(&path), [5]);
+        // Cutting at the end leaves an empty log that keeps counting.
+        wal.cut(wal.len()).unwrap();
+        assert!(wal.is_empty());
+        assert_eq!(wal.append(&sample_round(5)).unwrap(), 6);
+        assert_eq!(lsns(&path), [6]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn lsn_discontinuity_is_corrupt() {
         let dir = std::env::temp_dir().join("idivm_wal_lsn");
         std::fs::create_dir_all(&dir).unwrap();
@@ -554,7 +659,7 @@ mod tests {
         // Forge a second record that skips an LSN, with a valid crc.
         let rec = sample_round(1);
         let mut bytes = std::fs::read(&path).unwrap();
-        codec::frame(&mut bytes, true, |out| (9u64, rec).encode(out));
+        codec::frame(&mut bytes, |out| (9u64, rec).encode(out));
         std::fs::write(&path, &bytes).unwrap();
         match Wal::scan(&path) {
             Err(Error::Corrupt(m)) => assert!(m.contains("discontinuity"), "{m}"),

@@ -16,6 +16,13 @@
 //!   attempt is already durable; recovery lands on the at-failure
 //!   signature (the previous checkpoint + full WAL stay valid).
 //!
+//! Automatic checkpoints are published by a worker thread and looked
+//! at again only at the store's join points (the next due checkpoint,
+//! an explicit one, `Drop`), so a checkpoint kill *surfaces* rounds
+//! after it struck — with every round journaled in between still in
+//! the log — and an append/fsync kill can strike with a checkpoint in
+//! flight. The second half of this file pins those windows.
+//!
 //! Kill offsets are seeded (`IDIVM_FAULT_SEED` overrides the default
 //! pair) so CI explores different torn-prefix lengths deterministically.
 
@@ -25,7 +32,7 @@ mod common;
 
 use common::{armed, fresh_dir, mv_policy, reopen, suite, sweep_seeds, Sig};
 use idivm_core::{FaultPlan, FaultState, IvmOptions};
-use idivm_durability::{Durable, DurabilityConfig, DurabilityPolicy};
+use idivm_durability::{Durable, DurabilityConfig, DurabilityPolicy, WAL_FILE};
 use idivm_sched::SchedulerConfig;
 use idivm_types::Error;
 use idivm_workloads::multiview::VIEW_NAMES;
@@ -267,4 +274,168 @@ fn killed_runs_are_reproducible() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
     assert_eq!(sigs[0], sigs[1]);
+}
+
+// ---------------------------------------------------------------------
+// Checkpoints in flight
+// ---------------------------------------------------------------------
+//
+// In `run_scenario` under `sweep_cfg` the five registrations are WAL
+// appends / fsyncs 0..=4 (LSNs 1..=5); tick 1 is append 5; tick 2
+// (append 6, LSN 7) is the first due round and starts checkpoint 1,
+// which is joined — published, the log cut behind LSN 7 — when tick 4
+// falls due, or when the store is dropped.
+
+/// A kill of checkpoint 1 strikes on the worker after tick 2 and is
+/// reported by tick 4, two acknowledged rounds later. Recovery replays
+/// all of them from the untouched log onto the creation checkpoint.
+#[test]
+fn checkpoint_kill_surfaces_at_the_next_join_point_and_loses_nothing() {
+    for seed in sweep_seeds() {
+        let dir = fresh_dir("late_ckpt_kill");
+        let run = run_scenario(&dir, sweep_cfg(), armed(FaultPlan::at_checkpoint(1, seed)));
+        assert!(!run.completed);
+        // create + 5 registrations + ticks 1..=3 were acknowledged.
+        assert_eq!(run.acks.len(), 9, "seed {seed}: the kill surfaced at another call");
+        let recovered = reopen(&dir, sweep_cfg()).unwrap();
+        assert_eq!(Some(recovered.signature()), run.at_failure, "seed {seed}");
+        assert_eq!(
+            recovered.recovered_from().unwrap(),
+            "checkpoint (lsn 0) + 9 wal record(s)",
+            "seed {seed}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// Tick 3 dies in its WAL append / fsync with checkpoint 1 in flight.
+/// Dropping the store joins the worker, so the new checkpoint is there
+/// and the log is cut behind it; the round that died was never
+/// acknowledged and is not in either.
+#[test]
+fn wal_kill_with_a_checkpoint_in_flight_recovers_the_last_acknowledged_round() {
+    type PlanFor = fn(u64, u64) -> FaultPlan;
+    let sites: [(&str, PlanFor); 2] = [
+        ("append", FaultPlan::at_wal_append),
+        ("fsync", FaultPlan::at_wal_fsync),
+    ];
+    for (site, plan_for) in sites {
+        for seed in sweep_seeds() {
+            let dir = fresh_dir("inflight_kill");
+            let run = run_scenario(&dir, sweep_cfg(), armed(plan_for(7, seed)));
+            assert!(!run.completed);
+            assert_eq!(run.acks.len(), 8, "{site} seed {seed}: tick 3 is the one that dies");
+            let recovered = reopen(&dir, sweep_cfg()).unwrap();
+            assert_eq!(&recovered.signature(), run.acks.last().unwrap(), "{site} seed {seed}");
+            let note = recovered.recovered_from().unwrap();
+            assert!(
+                note.starts_with("checkpoint (lsn 7) + 0 wal record(s)"),
+                "{site} seed {seed}: {note}"
+            );
+            drop(recovered);
+            assert_recovers(&dir, &run, &format!("in-flight {site} seed={seed}"));
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// The store after ticks 1 and 2 (checkpoint 1 just started) and
+/// `more` further ticks, none of which is due.
+fn store_with_a_checkpoint_in_flight(dir: &Path, dcfg: DurabilityConfig, more: u64) -> Durable {
+    let cfg = suite();
+    let mut store = common::mv_store(dir, dcfg, common::no_faults());
+    for round in 1..=2 + more {
+        cfg.tweet_batch(store.db_mut(), DIFFS, round).unwrap();
+        store.tick().unwrap();
+    }
+    store
+}
+
+/// Dropping the store is a join point: the checkpoint in flight is
+/// published and the log cut, whatever the worker had got to.
+#[test]
+fn drop_with_a_checkpoint_in_flight_then_open() {
+    let dir = fresh_dir("inflight_drop");
+    let store = store_with_a_checkpoint_in_flight(&dir, sweep_cfg(), 1);
+    let live = store.signature();
+    drop(store);
+    let recovered = reopen(&dir, sweep_cfg()).unwrap();
+    assert_eq!(recovered.signature(), live);
+    assert_eq!(
+        recovered.recovered_from().unwrap(),
+        "checkpoint (lsn 7) + 1 wal record(s)"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A kill between the cut's temp write and its rename: the new
+/// checkpoint is published, the log is still the uncut one, and a torn
+/// `wal.tmp` lies beside it. Recovery reads the log, skips what the
+/// checkpoint covers, and never looks at the temp file.
+#[test]
+fn kill_between_the_cuts_temp_write_and_its_rename() {
+    let dir = fresh_dir("cut_kill");
+    let store = store_with_a_checkpoint_in_flight(&dir, sweep_cfg(), 1);
+    let live = store.signature();
+    let uncut = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    drop(store); // publishes checkpoint 1 and cuts
+    let cut = std::fs::read(dir.join(WAL_FILE)).unwrap();
+    assert!(cut.len() < uncut.len());
+    // Put the disk back to where the kill would have left it.
+    std::fs::write(dir.join(WAL_FILE), &uncut).unwrap();
+    std::fs::write(dir.join("wal.tmp"), &cut[..cut.len() / 2]).unwrap();
+
+    let mut recovered = reopen(&dir, sweep_cfg()).unwrap();
+    assert_eq!(recovered.signature(), live);
+    assert_eq!(
+        recovered.recovered_from().unwrap(),
+        "checkpoint (lsn 7) + 1 wal record(s)"
+    );
+    // The next cut writes over the leftover temp file.
+    suite().tweet_batch(recovered.db_mut(), DIFFS, 9).unwrap();
+    recovered.tick().unwrap();
+    recovered.checkpoint().unwrap();
+    let live = recovered.signature();
+    drop(recovered);
+    assert_eq!(reopen(&dir, sweep_cfg()).unwrap().signature(), live);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Under `EveryNRounds` a checkpoint can be captured past the log's
+/// synced prefix. If an fsync kill then drops the unsynced tail, the
+/// published checkpoint is *ahead* of the log: recovery lands on it (an
+/// acknowledged state), and the log restarts behind it — appending to
+/// the short log would leave an LSN gap for the next recovery to trip
+/// over.
+#[test]
+fn checkpoint_ahead_of_a_log_that_lost_its_tail() {
+    let dcfg = DurabilityConfig {
+        policy: DurabilityPolicy::EveryNRounds(3),
+        checkpoint_every_rounds: 2,
+    };
+    let dir = fresh_dir("ckpt_ahead");
+    // Ticks 1 and 2 are appended unsynced; checkpoint 1 captures LSN 7;
+    // tick 3 brings the batched fsync (the sixth: five DDL ones before
+    // it), which dies and takes LSNs 6..=8 with it.
+    let run = run_scenario(&dir, dcfg, armed(FaultPlan::at_wal_fsync(5, 2015)));
+    assert!(!run.completed);
+    assert_eq!(run.acks.len(), 8);
+
+    let mut recovered = reopen(&dir, dcfg).unwrap();
+    assert_eq!(recovered.signature(), run.acks[7], "the state checkpoint 1 captured");
+    assert_eq!(
+        recovered.recovered_from().unwrap(),
+        "checkpoint (lsn 7) + 0 wal record(s)"
+    );
+    suite().tweet_batch(recovered.db_mut(), DIFFS, 3).unwrap();
+    recovered.tick().unwrap();
+    let live = recovered.signature();
+    drop(recovered);
+    let again = reopen(&dir, dcfg).unwrap();
+    assert_eq!(again.signature(), live);
+    assert_eq!(
+        again.recovered_from().unwrap(),
+        "checkpoint (lsn 7) + 1 wal record(s)"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -64,6 +64,7 @@ pub fn materialize_view(db: &mut Database, name: &str, plan: &Plan) -> Result<()
     let rows = execute(db, plan)?;
     db.create_table(name, schema)?;
     let table = db.table_mut(name)?;
+    table.reserve(rows.len());
     for r in rows {
         table.load(r).map_err(|e| match e {
             Error::DuplicateKey(m) => Error::Plan(format!(
@@ -84,6 +85,7 @@ pub fn refresh_view(db: &mut Database, name: &str, plan: &Plan) -> Result<()> {
     let rows = execute(db, plan)?;
     let table = db.table_mut(name)?;
     table.clear();
+    table.reserve(rows.len());
     for r in rows {
         table.load(r)?;
     }

@@ -478,6 +478,39 @@ mod tests {
         assert!(r.is_err());
     }
 
+    /// A version counts writes from zero, so it cannot tell two
+    /// incarnations of one name apart; the id can.
+    #[test]
+    fn recreated_table_with_equal_write_count_is_a_different_table() {
+        let mut d = db();
+        d.insert("parts", row!["P1", 10]).unwrap();
+        d.insert("parts", row!["P2", 20]).unwrap();
+        let old = d.table("parts").unwrap();
+        let (old_id, old_version) = (old.id(), old.version());
+        let schema = old.schema().clone();
+
+        d.drop_table("parts").unwrap();
+        d.create_table("parts", schema).unwrap();
+        d.insert("parts", row!["P8", 80]).unwrap();
+        d.insert("parts", row!["P9", 90]).unwrap();
+        let new = d.table("parts").unwrap();
+        assert_eq!(new.version(), old_version, "same number of writes");
+        assert_ne!(new.id(), old_id, "a re-created table must not pass for the dropped one");
+    }
+
+    /// Creating an index leaves the version alone (the rows did not
+    /// change); `index_positions` is what tells.
+    #[test]
+    fn index_creation_shows_in_positions_not_in_version() {
+        let mut d = db();
+        d.insert("parts", row!["P1", 10]).unwrap();
+        let t = d.table_mut("parts").unwrap();
+        let (id, version) = (t.id(), t.version());
+        t.create_index(&["price"]).unwrap();
+        assert_eq!((t.id(), t.version()), (id, version));
+        assert_eq!(t.index_positions(), vec![vec![1]]);
+    }
+
     #[test]
     fn update_named_resolves_columns() {
         let mut d = db();

@@ -16,7 +16,12 @@ use crate::stats::AccessStats;
 use idivm_types::{Error, Key, Result, Row, Schema, Value};
 use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// The next [`Table::id`]. Process-wide, so no two tables — of one
+/// database or of two — are ever handed the same one.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
 /// Order-insensitive structural fingerprint of a table: sorted rows
 /// plus sorted secondary-index contents. Two tables with equal
@@ -59,6 +64,8 @@ pub struct Table {
     indexes: Vec<SecondaryIndex>,
     stats: AccessStats,
     undo: UndoLog,
+    /// See [`Table::id`].
+    id: u64,
     /// See [`Table::version`].
     version: u64,
 }
@@ -85,17 +92,30 @@ impl Table {
             indexes: Vec::new(),
             stats,
             undo,
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             version: 0,
         }
+    }
+
+    /// Identity of this incarnation: never handed out twice, so a table
+    /// dropped and created again under its old name is a different
+    /// table to whoever remembers the id. (A clone keeps the id of the
+    /// table it was cloned from.)
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// Mutation version: strictly increases on every change to the
     /// stored rows — a stored insert, a patch that moved a value, a
     /// delete, a [`Table::clear`], an undo replay. Reads, refused
     /// writes and patches that re-assert the stored values leave it
-    /// alone. Whoever caches something derived from the rows keeps the
-    /// version it was derived at: while the table still reports that
+    /// alone; so does creating or rolling back a secondary index
+    /// ([`Table::index_positions`] tells). Whoever caches something
+    /// derived from the rows keeps the [`Table::id`] and the version it
+    /// was derived at: while the table of that id still reports that
     /// version it holds the same rows, whoever had access to it since.
+    /// The version alone does not say so — every table starts at 0, and
+    /// two incarnations of one name can count the same number of writes.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -341,6 +361,16 @@ impl Table {
         }
         self.store(pk, row);
         Ok(())
+    }
+
+    /// Make room for `additional` more rows, so a bulk load of known
+    /// size grows the row map once instead of one doubling at a time.
+    /// Secondary indexes are left to grow: their maps are keyed by
+    /// distinct indexed values, which may be far fewer than the rows,
+    /// and a hash table reserved for rows it never sees is never given
+    /// back.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
     }
 
     /// Journal, index and store a row whose key is known to be free.
