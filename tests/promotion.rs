@@ -26,6 +26,7 @@ use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_repro::workloads::bsma::Bsma;
 use idivm_repro::workloads::multiview::VIEW_NAMES;
 use idivm_repro::workloads::MultiView;
+use idivm_repro::types::row;
 
 const DIFFS: usize = 24;
 const DEEP: &str = "join[mentions,microblog,users]";
@@ -326,4 +327,270 @@ fn promotion_decisions_are_deterministic_across_runs_and_thread_counts() {
     let (_, parallel, _) = run_with_promotion(&cfg, four_threads(), 5);
     assert_eq!(first, parallel, "serial and P=4 decision logs diverged");
     assert!(!first.is_empty(), "cost model produced no decisions");
+}
+
+/// A promoted intermediate lives in the catalog and is scheduled, but
+/// it is not a view: every by-name entry point a user reaches views
+/// through refuses its `__ivm{n}` name with `Error::Config`, and the
+/// intermediate accessors refuse a view's name.
+#[test]
+fn a_backing_is_not_addressable_as_a_view() {
+    use idivm_repro::types::Error;
+    let cfg = suite();
+    let mut sched = scheduler(&cfg, SchedulerConfig::default());
+    cfg.tweet_batch(sched.db_mut(), DIFFS, 1).unwrap();
+    sched.tick().unwrap();
+    let backing = sched.force_promote(DEEP).unwrap();
+    let b = backing.as_str();
+    // Leave the backing and its consumers with something pending.
+    cfg.tweet_batch(sched.db_mut(), DIFFS, 2).unwrap();
+
+    fn refused<T>(what: &str, result: Result<T, Error>) {
+        match result {
+            Err(Error::Config(_)) => {}
+            Err(e) => panic!("{what}: expected Error::Config, got {e}"),
+            Ok(_) => panic!("{what}: a backing name was accepted as a view"),
+        }
+    }
+    refused("read_view", sched.read_view(b));
+    refused("stats", sched.stats(b).map(|_| ()));
+    refused("policy", sched.policy(b));
+    refused("set_policy", sched.set_policy(b, RefreshPolicy::OnRead));
+    refused("staleness", sched.staleness(b));
+    refused("pending", sched.pending(b).map(|_| ()));
+    refused("unregister", sched.unregister(b));
+    let plan = cfg.plan(sched.db(), "mention_users").unwrap();
+    refused(
+        "register",
+        sched.register(b, plan, RefreshPolicy::Eager, IvmOptions::default()),
+    );
+    refused("catalog.view", sched.catalog().view(b).map(|_| ()));
+    refused(
+        "catalog.intermediate(view)",
+        sched.catalog().intermediate("mention_users").map(|_| ()),
+    );
+    refused(
+        "intermediate_stats(view)",
+        sched.intermediate_stats("mention_users").map(|_| ()),
+    );
+    assert_eq!(sched.catalog().names(), VIEW_NAMES.to_vec());
+    assert_eq!(sched.catalog().len(), VIEW_NAMES.len());
+    assert_eq!(sched.intermediates(), vec![backing.clone()]);
+
+    // None of the refusals touched anything: the round still runs the
+    // backing first, then every view, and all of them reach the oracle.
+    let summary = sched.tick().unwrap();
+    assert_eq!(summary.intermediates.len(), 1);
+    assert_eq!(summary.intermediates[0].0, backing);
+    assert_eq!(summary.maintained.len(), VIEW_NAMES.len());
+    assert!(sched.catalog().intermediate(b).is_ok());
+    assert!(sched.intermediate_stats(b).unwrap().rounds >= 1);
+    for name in VIEW_NAMES {
+        assert_matches_source_oracle(&sched, name, "after refusals");
+    }
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every field of a `RoundSummary` a caller can observe, as text.
+fn render_summary(what: &str, s: &idivm_repro::catalog::RoundSummary, out: &mut String) {
+    use std::fmt::Write;
+    let nodes = |v: &[(String, idivm_repro::reldb::StatsSnapshot)]| {
+        v.iter()
+            .map(|(n, a)| format!("{n}={}+{}", a.tuple_accesses, a.index_lookups))
+            .collect::<Vec<_>>()
+            .join(",")
+    };
+    writeln!(out, "{what} round={}", s.round).unwrap();
+    writeln!(out, "  intermediates [{}]", nodes(&s.intermediates)).unwrap();
+    writeln!(out, "  maintained [{}]", nodes(&s.maintained)).unwrap();
+    writeln!(out, "  deferred {:?}", s.deferred).unwrap();
+    let verdicts: Vec<String> = s
+        .verdicts
+        .iter()
+        .map(|(n, v)| format!("{n}:{}", v.label()))
+        .collect();
+    writeln!(out, "  verdicts [{}]", verdicts.join(",")).unwrap();
+    for e in &s.promotions {
+        writeln!(out, "  {} {} {} {:?}", e.action, e.backing, e.label, e.consumers).unwrap();
+    }
+    for c in &s.cost {
+        writeln!(
+            out,
+            "  cost {} promoted={} n={} C={} D={} maintain={} recompute={} {}",
+            c.label,
+            c.promoted,
+            c.consumers,
+            c.observed_compute,
+            c.observed_diff_tuples,
+            c.predicted_maintain_milli,
+            c.predicted_recompute_milli,
+            c.decision.label()
+        )
+        .unwrap();
+    }
+    writeln!(
+        out,
+        "  shared hits={} saved={}",
+        s.shared_hits, s.shared_saved_accesses
+    )
+    .unwrap();
+}
+
+/// One seeded run through every path a scheduler round can take — the
+/// cost model promoting, a backing whose round heals under its
+/// supervisor, one that quarantines, one that degrades and blocks its
+/// consumers, a `Deferred` and an `OnRead` consumer, read barriers
+/// mid-stream, a final drain — with every
+/// `RoundSummary` rendered to text. The length and FNV-1a hash below
+/// were recorded before the scheduler was rebuilt around one node type
+/// (PR 21): the rounds a caller observes, the order nodes run in, what
+/// is deferred, every counted access and every cost-model entry must
+/// not move.
+#[test]
+fn round_summary_transcript_is_pinned() {
+    use std::fmt::Write;
+    let cfg = suite();
+    let mut sched = MaintenanceScheduler::new(
+        cfg.build().unwrap(),
+        SchedulerConfig {
+            promotion: Some(PromotionConfig::default()),
+            ..SchedulerConfig::default()
+        },
+    );
+    for name in VIEW_NAMES {
+        let policy = match name {
+            "mention_reach" => RefreshPolicy::Deferred {
+                max_staleness_rounds: 2,
+            },
+            "mention_topic_counts" => RefreshPolicy::OnRead,
+            _ => RefreshPolicy::Eager,
+        };
+        let plan = cfg.plan(sched.db(), name).unwrap();
+        sched
+            .register(name, plan, policy, IvmOptions::default())
+            .unwrap();
+    }
+
+    let mut out = String::new();
+    let mut faulted = 0;
+    for round in 1..=14u64 {
+        // Round 12 takes `users` away under the deep backing: its round,
+        // every bisected sub-round and the recompute all fail on the
+        // missing table, so it degrades, keeps its pending net and its
+        // consumers sit the round out. (The batch is hand-made: folding
+        // a logged `users` change without the table would panic.)
+        let users = (round == 12).then(|| {
+            let db = sched.db_mut();
+            for i in 0..6i64 {
+                let mid = 9_000_000 + i;
+                db.insert("microblog", row![mid, i, 500_000 + i, 7]).unwrap();
+                db.insert("mentions", row![mid, i + 1]).unwrap();
+            }
+            db.drop_table("users").unwrap()
+        });
+        if users.is_none() {
+            cfg.tweet_batch(sched.db_mut(), DIFFS, round).unwrap();
+        }
+        // The first backing also faults once and heals on the
+        // supervisor's retry (round 4), and faults at one operator on
+        // every attempt, so its round is bisected down to a quarantine
+        // (round 7).
+        if let Some(backing) = sched.intermediates().first().cloned() {
+            faulted += 1;
+            let plan = match faulted {
+                2 => FaultPlan::at_operator(1, 0x5eed_2015).healing_after(1),
+                5 => FaultPlan::at_operator(1, 0x5eed_2015).permanent(),
+                _ => FaultPlan::disabled(),
+            };
+            sched
+                .catalog_mut()
+                .intermediate_mut(&backing)
+                .unwrap()
+                .engine_mut()
+                .set_faults(plan);
+        }
+        let summary = sched.tick().unwrap();
+        render_summary("tick", &summary, &mut out);
+        if round % 4 == 0 {
+            for name in ["mention_topic_counts", "mention_reach"] {
+                match sched.read_view(name) {
+                    Ok(rows) => writeln!(out, "read {name} rows={}", rows.len()).unwrap(),
+                    Err(e) => writeln!(out, "read {name} refused: {e}").unwrap(),
+                }
+            }
+        }
+        if let Some(users) = users {
+            let db = sched.db_mut();
+            db.create_table("users", users.schema().clone()).unwrap();
+            let table = db.table_mut("users").unwrap();
+            for row in users.rows_uncounted() {
+                table.load(row).unwrap();
+            }
+            for columns in users.index_positions() {
+                table.create_index_positions(columns);
+            }
+        }
+    }
+    let summary = sched.drain().unwrap();
+    render_summary("drain", &summary, &mut out);
+    for name in VIEW_NAMES {
+        let s = sched.stats(name).unwrap();
+        writeln!(
+            out,
+            "{name} rounds={} accesses={} diffs={} supervised={} quarantined={} reads={} hits={} rebuilds={} merged={} staleness={} sig={:016x}",
+            s.rounds,
+            s.accesses.total(),
+            s.view_diff_tuples,
+            s.supervised_rounds,
+            s.quarantined_changes,
+            s.reads,
+            s.snapshot_hits,
+            s.snapshot_rebuilds,
+            s.rows_merged,
+            sched.staleness(name).unwrap(),
+            fnv1a(format!("{:?}", sched.catalog().signature(name).unwrap()).as_bytes())
+        )
+        .unwrap();
+        // The quarantined changes stay dropped (supervisor contract),
+        // so only the views off the faulted backing equal the oracle.
+        if !DEEP_CONSUMERS.contains(&name) {
+            assert_matches_source_oracle(&sched, name, "transcript end");
+        }
+    }
+    for backing in sched.intermediates() {
+        let s = sched.intermediate_stats(&backing).unwrap();
+        writeln!(
+            out,
+            "{backing} rounds={} accesses={} diffs={} supervised={} quarantined={}",
+            s.rounds,
+            s.accesses.total(),
+            s.view_diff_tuples,
+            s.supervised_rounds,
+            s.quarantined_changes
+        )
+        .unwrap();
+    }
+
+    // The transcript must actually have gone where the doc comment says.
+    for needle in [
+        "promote __ivm0",
+        "__ivm0:converged]",
+        "__ivm0:converged_quarantined]",
+        "__ivm0:degraded]",
+        "deferred [(\"mention_reach\"",
+        "read mention_reach refused",
+    ] {
+        assert!(out.contains(needle), "transcript never shows `{needle}`:\n{out}");
+    }
+    assert_eq!(
+        (out.len(), fnv1a(out.as_bytes())),
+        (7551, 0x54dc_bd79_8525_d79c),
+        "round-summary transcript moved:\n{out}"
+    );
 }
