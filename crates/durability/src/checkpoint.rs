@@ -280,7 +280,7 @@ impl Checkpoint {
             let iv = catalog.intermediate(backing)?;
             intermediates.push(IntermediateManifest {
                 backing: backing.to_string(),
-                subtree: iv.subtree().clone(),
+                subtree: iv.source_plan().clone(),
                 structure: iv.structure().to_string(),
                 label: iv.label().to_string(),
                 consumers: iv.consumers().iter().cloned().collect(),

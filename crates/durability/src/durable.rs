@@ -57,9 +57,9 @@ use crate::wal::{RoundKind, Wal, WalRecord};
 use idivm_core::{FaultState, IvmOptions};
 use idivm_ingest::{IngestOutcome, IngestPipeline, PipelineConfig, RawEvent};
 use idivm_reldb::{Database, NetChange, TableChanges};
-use idivm_sched::{MaintenanceScheduler, RefreshPolicy, RoundSummary, SchedulerConfig};
+use idivm_sched::{Backing, MaintenanceScheduler, RefreshPolicy, RoundSummary, SchedulerConfig};
 use idivm_types::{Error, Key, Result, Row, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -199,20 +199,23 @@ impl Durable {
         // intermediates to reproduce the rewired (substituted) plans.
         let mut sched = MaintenanceScheduler::new(db, sched_config);
         for iv in &ckpt.intermediates {
-            let consumers: BTreeSet<String> = iv.consumers.iter().cloned().collect();
-            sched.reattach_intermediate(
+            let backing = Backing {
+                structure: iv.structure.clone(),
+                label: iv.label.clone(),
+                consumers: iv.consumers.iter().cloned().collect(),
+            };
+            sched.reattach(
                 &iv.backing,
                 iv.subtree.clone(),
-                iv.structure.clone(),
-                iv.label.clone(),
-                consumers,
+                RefreshPolicy::Eager,
+                Some(backing),
                 options,
             )?;
-            sched.restore_intermediate_pending(&iv.backing, iv.pending.clone())?;
+            sched.restore_runtime(&iv.backing, iv.pending.clone(), 0)?;
         }
         for v in &ckpt.views {
-            sched.reattach(&v.name, v.plan.clone(), v.policy, options)?;
-            sched.restore_view_runtime(&v.name, v.pending.clone(), v.staleness)?;
+            sched.reattach(&v.name, v.plan.clone(), v.policy, None, options)?;
+            sched.restore_runtime(&v.name, v.pending.clone(), v.staleness)?;
         }
         sched.catalog_mut().set_next_backing(ckpt.next_backing);
         sched.restore_round(ckpt.round);

@@ -1,13 +1,19 @@
-//! The multi-view catalog: many named [`IdIvm`] views registered over
-//! one shared [`Database`], with the base-table → view dependency DAG
-//! and the cross-view shared-prefix designations kept current on every
-//! registration.
+//! The multi-view catalog: many named [`IdIvm`] engines over one shared
+//! [`Database`], with the table → node dependency DAG and the
+//! cross-node shared-prefix designations kept current on every change
+//! to the registered set.
 //!
-//! The catalog is the *structural* layer: it knows which views exist,
-//! which base tables each one depends on, and which operator subtrees
-//! are shared (so one i-diff computation can serve several views). The
-//! *temporal* layer — per-view refresh policies, pending-change
-//! accumulation, and failure routing — lives on top of it in
+//! There is one kind of node, [`CatalogView`], in one of two roles: a
+//! view somebody registered, or the hidden backing table of a promoted
+//! shared prefix that other views scan. Both are attached, maintained,
+//! supervised and read through the same code; a backing differs only in
+//! who may address it by name and in handing its Δ on to its consumers.
+//!
+//! The catalog is the *structural* layer: it knows which nodes exist,
+//! which tables each one scans, and which operator subtrees are shared
+//! (so one i-diff computation can serve several nodes). The *temporal*
+//! layer — refresh policies, pending-change accumulation, and failure
+//! routing — lives on top of it in
 //! [`crate::scheduler::MaintenanceScheduler`].
 
 use crate::snapshot::Snapshot;
@@ -18,23 +24,52 @@ use idivm_core::{
     EngineConfig, IdIvm, IvmOptions, MaintenanceReport, PromotionCandidate, RecoveryPolicy,
     SharedDiffCache, SharedPrefixes,
 };
-use idivm_reldb::{table_delta, Database, TableChanges, TableSignature};
+use idivm_reldb::{table_delta, Database, Table, TableChanges, TableSignature};
 use idivm_types::{Error, Result, Row};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// One registered view: its engine, its shared-prefix designations
-/// (recomputed whenever the registered set changes), and the base
-/// tables it scans.
+/// What makes a node a promoted shared prefix rather than a user's
+/// view: a hidden backing table materializing one operator subtree,
+/// maintained once per round by its own i-diff engine while every
+/// consumer view scans the backing instead of recomputing the subtree.
+/// Created by [`ViewCatalog::promote`], dropped by
+/// [`ViewCatalog::demote`], handed back by a checkpoint to
+/// [`ViewCatalog::reattach`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Backing {
+    /// Structure-only fingerprint of the subtree
+    /// (`idivm_core::structure_key`).
+    pub structure: String,
+    /// Human-readable label (`op[tables…]`).
+    pub label: String,
+    /// Views currently rewritten to scan the backing.
+    pub consumers: BTreeSet<String>,
+}
+
+enum Role {
+    /// A registered view. `source` is the plan as the user registered
+    /// it, before any adaptive intermediate rewrites — the demotion
+    /// restore target and the promotion-transparency oracle.
+    User { source: Plan },
+    /// A promoted intermediate. The subtree it materializes is its
+    /// engine's plan.
+    Backing(Backing),
+}
+
+/// One catalog node: its engine, its shared-prefix designations
+/// (recomputed whenever the registered set changes), the tables it
+/// scans, and its role.
 pub struct CatalogView {
     engine: IdIvm,
     prefixes: SharedPrefixes,
     tables: Vec<String>,
-    /// The plan as the user registered it, before any adaptive
-    /// intermediate rewrites — the demotion restore target and the
-    /// promotion-transparency oracle.
-    source: Plan,
+    /// Sorted rows of the node's table, once it has been read (a view,
+    /// or a backing whose pre-image a round needed). Interior: reading
+    /// is `&self`, and bringing the snapshot forward is part of reading.
+    snapshot: RefCell<Option<Snapshot>>,
+    role: Role,
 }
 
 impl CatalogView {
@@ -49,112 +84,95 @@ impl CatalogView {
         &mut self.engine
     }
 
-    /// The view's current shared-prefix designations.
+    /// The node's current shared-prefix designations. A backing has
+    /// them too: a deep intermediate can contain a shallower designated
+    /// prefix (its own, or one still inlined in unpromoted views), and
+    /// its maintenance walk publishes/reuses those diffs through the
+    /// same per-round cache as the views.
     pub fn prefixes(&self) -> &SharedPrefixes {
         &self.prefixes
     }
 
-    /// Base tables the view scans, sorted and deduplicated. After a
-    /// promotion rewrite this includes the backing tables the view now
+    /// Tables the node scans, sorted and deduplicated. After a
+    /// promotion rewrite a view's include the backing tables it now
     /// scans instead of the promoted subtrees.
     pub fn tables(&self) -> &[String] {
         &self.tables
     }
 
-    /// The registered (pre-rewrite) plan — what the view *means*,
-    /// independent of which prefixes are currently materialized.
+    /// What the node *means*, independent of which prefixes are
+    /// currently materialized: a view's registered (pre-rewrite) plan;
+    /// a backing's (ID-extended) subtree — the demotion restore source.
     pub fn source_plan(&self) -> &Plan {
-        &self.source
-    }
-}
-
-/// A promoted shared prefix: a hidden backing table materializing one
-/// operator subtree, maintained once per round by its own i-diff engine
-/// while every consumer view scans the backing instead of recomputing
-/// the subtree. Created by [`ViewCatalog::promote`], dropped by
-/// [`ViewCatalog::demote`].
-pub struct IntermediateView {
-    engine: IdIvm,
-    /// Shared-prefix designations inside the backing's own subtree —
-    /// a deep intermediate can contain a shallower designated prefix
-    /// (its own, or one still inlined in unpromoted views), and its
-    /// maintenance walk publishes/reuses those diffs through the same
-    /// per-round cache as the views.
-    prefixes: SharedPrefixes,
-    /// The (ID-extended) subtree the backing table replaced — the
-    /// demotion restore source.
-    subtree: Plan,
-    /// Structure-only fingerprint of the subtree
-    /// (`idivm_core::structure_key`).
-    structure: String,
-    /// Human-readable label (`op[tables…]`).
-    label: String,
-    /// Base tables the subtree scans, sorted and deduplicated.
-    tables: Vec<String>,
-    /// Views currently rewritten to scan the backing.
-    consumers: BTreeSet<String>,
-}
-
-impl IntermediateView {
-    /// The backing table's maintenance engine.
-    pub fn engine(&self) -> &IdIvm {
-        &self.engine
+        match &self.role {
+            Role::User { source } => source,
+            Role::Backing(_) => self.engine.plan(),
+        }
     }
 
-    /// Mutable engine access (knobs — trace, faults — for tests and
-    /// benches; same surface as [`CatalogView::engine_mut`]).
-    pub fn engine_mut(&mut self) -> &mut IdIvm {
-        &mut self.engine
-    }
-
-    /// The materialized subtree.
-    pub fn subtree(&self) -> &Plan {
-        &self.subtree
-    }
-
-    /// Shared-prefix designations inside the backing's subtree.
-    pub fn prefixes(&self) -> &SharedPrefixes {
-        &self.prefixes
-    }
-
-    /// Structure-only fingerprint of the subtree.
+    /// Structure-only fingerprint of a backing's subtree (empty for a
+    /// registered view, which is not reached through
+    /// [`ViewCatalog::intermediate`]).
     pub fn structure(&self) -> &str {
-        &self.structure
+        self.backing().map_or("", |b| &b.structure)
     }
 
-    /// Human-readable label.
+    /// A backing's human-readable label (empty for a registered view).
     pub fn label(&self) -> &str {
-        &self.label
+        self.backing().map_or("", |b| &b.label)
     }
 
-    /// Base tables the subtree scans.
-    pub fn tables(&self) -> &[String] {
-        &self.tables
-    }
-
-    /// Views currently consuming the backing table.
+    /// Views currently consuming a backing's table (none for a
+    /// registered view: views over views are expanded at registration).
     pub fn consumers(&self) -> &BTreeSet<String> {
-        &self.consumers
+        static NONE: BTreeSet<String> = BTreeSet::new();
+        self.backing().map_or(&NONE, |b| &b.consumers)
+    }
+
+    fn backing(&self) -> Option<&Backing> {
+        match &self.role {
+            Role::User { .. } => None,
+            Role::Backing(backing) => Some(backing),
+        }
+    }
+
+    fn backing_mut(&mut self) -> Option<&mut Backing> {
+        match &mut self.role {
+            Role::User { .. } => None,
+            Role::Backing(backing) => Some(backing),
+        }
+    }
+
+    /// After a clean round on the node's table (`stored`, as it is now)
+    /// that started at version `pre`: hand the snapshot, if there is
+    /// one, the round's Δ, or drop it when it cannot follow — a
+    /// recompute recovery reports no Δ.
+    fn advance_snapshot(&self, stored: Option<&Table>, pre: u64, report: &MaintenanceReport) {
+        let mut slot = self.snapshot.borrow_mut();
+        let follows = !report.recovered
+            && slot
+                .as_mut()
+                .zip(stored)
+                .is_some_and(|(s, t)| s.advance(pre, t.version(), &report.view_changes));
+        if !follows {
+            *slot = None;
+        }
     }
 }
 
-/// Many named views over one shared database. Registration keeps the
-/// dependency DAG and the shared-prefix designations current; views are
-/// always iterated in name order, so every catalog operation is
-/// deterministic for any `HashMap` iteration order or thread count.
+/// Many named nodes over one shared database. Registration keeps the
+/// dependency DAG and the shared-prefix designations current; nodes are
+/// always visited in a fixed order — by name within a role — so every
+/// catalog operation is deterministic for any `HashMap` iteration order
+/// or thread count.
 pub struct ViewCatalog {
     db: Database,
-    views: BTreeMap<String, CatalogView>,
-    /// Promoted intermediates, keyed by backing table name.
-    intermediates: BTreeMap<String, IntermediateView>,
+    /// Registered views and promoted backings alike, keyed by the name
+    /// of the table each one maintains.
+    nodes: BTreeMap<String, CatalogView>,
     /// Monotone counter for backing-table names — promotion order is
     /// deterministic, so the names are byte-identical across runs.
     next_backing: u64,
-    /// Sorted row snapshots of the tables that have been read (views,
-    /// and backings whose pre-image a round needed), keyed by table
-    /// name. Interior: reading a view is `&self`, and bringing its
-    /// snapshot forward is part of reading it.
-    snapshots: RefCell<HashMap<String, Snapshot>>,
 }
 
 /// What serving one read cost.
@@ -166,16 +184,22 @@ pub(crate) struct ReadCost {
     pub(crate) merged: usize,
 }
 
+/// The lookup error for `name` in the role asked for (`None`: either).
+fn missing(name: &str, backing: Option<bool>) -> Error {
+    Error::Config(match backing {
+        Some(true) => format!("intermediate `{name}` does not exist"),
+        _ => format!("view `{name}` is not registered"),
+    })
+}
+
 impl ViewCatalog {
     /// Wrap an existing database (the catalog takes ownership; base
     /// modifications go through [`ViewCatalog::db_mut`]).
     pub fn new(db: Database) -> Self {
         ViewCatalog {
             db,
-            views: BTreeMap::new(),
-            intermediates: BTreeMap::new(),
+            nodes: BTreeMap::new(),
             next_backing: 0,
-            snapshots: RefCell::new(HashMap::new()),
         }
     }
 
@@ -193,136 +217,90 @@ impl ViewCatalog {
     /// in [`ViewCatalog::reattach`]: reattach is the recovery path,
     /// where the view's backing table legitimately already exists.
     pub fn register(&mut self, name: &str, plan: Plan, options: IvmOptions) -> Result<()> {
-        if self.views.contains_key(name) {
-            return Err(Error::Config(format!(
-                "view `{name}` is already registered"
-            )));
-        }
-        if self.db.has_table(name) {
+        if !self.nodes.contains_key(name) && self.db.has_table(name) {
             return Err(Error::Config(format!(
                 "view name `{name}` collides with an existing table"
             )));
         }
-        let source = plan.clone();
-        let plan = if self.intermediates.is_empty() {
-            plan
-        } else {
-            // Structure fingerprints are taken over ID-extended plans,
-            // so extend before matching (setup re-runs `ensure_ids`,
-            // which is idempotent).
-            let plan = ensure_ids(plan)?;
-            let map = self.backing_substitutions()?;
-            substitute_structures(&plan, options.minimize, &map)
-        };
-        let engine = IdIvm::setup(&mut self.db, name, plan, options)?;
-        let tables = scanned_tables(engine.plan());
-        for (backing, iv) in &mut self.intermediates {
-            if tables.iter().any(|t| t == backing) {
-                iv.consumers.insert(name.to_string());
-            }
-        }
-        self.views.insert(
-            name.to_string(),
-            CatalogView {
-                engine,
-                prefixes: SharedPrefixes::none(),
-                tables,
-                source,
-            },
-        );
-        self.refresh_prefixes();
-        Ok(())
+        self.attach(name, plan, None, true, options)
     }
 
-    /// Re-register a view over tables that **already hold its
-    /// materialized state** — the crash-recovery path. Identical to
-    /// [`ViewCatalog::register`] except the engine is rebuilt with
-    /// [`IdIvm::setup_over`], which reuses every shape-matched table
-    /// (the view table and its caches) instead of re-materializing from
-    /// current base state. Re-materializing would be wrong for a
-    /// recovered deferred/`OnRead` view with a non-empty pending net:
-    /// its table holds `Q(base at last drain)`, not `Q(current base)`.
+    /// Re-register a node over tables that **already hold its
+    /// materialized state** — the crash-recovery path. The engine is
+    /// rebuilt with [`IdIvm::setup_over`], which reuses every
+    /// shape-matched table (the node's table and its caches) instead of
+    /// re-materializing from current base state. Re-materializing would
+    /// be wrong for a recovered deferred/`OnRead` view with a non-empty
+    /// pending net: its table holds `Q(base at last drain)`, not
+    /// `Q(current base)`.
     ///
-    /// Promoted intermediates must be reattached (in the checkpoint's
-    /// backing order) *before* the views, so the same
-    /// structure-substitution rewrite that [`ViewCatalog::register`]
-    /// applies reproduces each view's rewired plan.
+    /// `backing` is `None` for a view, and for a promoted intermediate
+    /// the checkpointed [`Backing`] (`plan` is then its subtree; the
+    /// consumer set is taken verbatim). Intermediates must be
+    /// reattached (in the checkpoint's backing order) *before* the
+    /// views, so the same structure-substitution rewrite that
+    /// [`ViewCatalog::register`] applies reproduces each view's rewired
+    /// plan.
     ///
     /// # Errors
     /// Duplicate name ([`Error::Config`]) or any [`IdIvm::setup_over`]
     /// failure.
-    pub fn reattach(&mut self, name: &str, plan: Plan, options: IvmOptions) -> Result<()> {
-        if self.views.contains_key(name) {
-            return Err(Error::Config(format!(
-                "view `{name}` is already registered"
-            )));
+    pub fn reattach(
+        &mut self,
+        name: &str,
+        plan: Plan,
+        backing: Option<Backing>,
+        options: IvmOptions,
+    ) -> Result<()> {
+        self.attach(name, plan, backing, false, options)
+    }
+
+    /// The one way a node enters the catalog: `fresh` materializes it
+    /// ([`IdIvm::setup`]), otherwise its tables are taken as they stand
+    /// ([`IdIvm::setup_over`]).
+    fn attach(
+        &mut self,
+        name: &str,
+        plan: Plan,
+        backing: Option<Backing>,
+        fresh: bool,
+        options: IvmOptions,
+    ) -> Result<()> {
+        if self.nodes.contains_key(name) {
+            return Err(Error::Config(format!("`{name}` is already registered")));
         }
-        let source = plan.clone();
-        let plan = if self.intermediates.is_empty() {
-            plan
-        } else {
-            let plan = ensure_ids(plan)?;
-            let map = self.backing_substitutions()?;
-            substitute_structures(&plan, options.minimize, &map)
+        let (plan, role) = match backing {
+            Some(backing) => (plan, Role::Backing(backing)),
+            None => {
+                let source = plan.clone();
+                (
+                    self.over_backings(plan, options.minimize)?,
+                    Role::User { source },
+                )
+            }
         };
-        let engine = IdIvm::setup_over(&mut self.db, name, plan, options)?;
+        let engine = if fresh {
+            IdIvm::setup(&mut self.db, name, plan, options)?
+        } else {
+            IdIvm::setup_over(&mut self.db, name, plan, options)?
+        };
         let tables = scanned_tables(engine.plan());
-        for (backing, iv) in &mut self.intermediates {
-            if tables.iter().any(|t| t == backing) {
-                iv.consumers.insert(name.to_string());
+        if matches!(role, Role::User { .. }) {
+            for table in &tables {
+                if let Some(scanned) = self.nodes.get_mut(table).and_then(CatalogView::backing_mut)
+                {
+                    scanned.consumers.insert(name.to_string());
+                }
             }
         }
-        self.views.insert(
+        self.nodes.insert(
             name.to_string(),
             CatalogView {
                 engine,
                 prefixes: SharedPrefixes::none(),
                 tables,
-                source,
-            },
-        );
-        self.refresh_prefixes();
-        Ok(())
-    }
-
-    /// Recovery-path counterpart of [`ViewCatalog::promote`]: rebuild a
-    /// promoted intermediate's registration over its **already
-    /// populated** backing table. The engine is reattached with
-    /// [`IdIvm::setup_over`] (no re-materialization) and the consumer
-    /// set is taken verbatim from the checkpoint — consumer views are
-    /// reattached afterwards and rewired through the substitution map
-    /// this entry feeds.
-    ///
-    /// # Errors
-    /// Duplicate backing name ([`Error::Config`]) or any
-    /// [`IdIvm::setup_over`] failure.
-    pub fn reattach_intermediate(
-        &mut self,
-        backing: &str,
-        subtree: Plan,
-        structure: String,
-        label: String,
-        consumers: BTreeSet<String>,
-        options: IvmOptions,
-    ) -> Result<()> {
-        if self.intermediates.contains_key(backing) {
-            return Err(Error::Config(format!(
-                "intermediate `{backing}` is already registered"
-            )));
-        }
-        let engine = IdIvm::setup_over(&mut self.db, backing, subtree, options)?;
-        let subtree = engine.plan().clone();
-        let tables = scanned_tables(&subtree);
-        self.intermediates.insert(
-            backing.to_string(),
-            IntermediateView {
-                engine,
-                prefixes: SharedPrefixes::none(),
-                subtree,
-                structure,
-                label,
-                tables,
-                consumers,
+                snapshot: RefCell::new(None),
+                role,
             },
         );
         self.refresh_prefixes();
@@ -341,7 +319,7 @@ impl ViewCatalog {
     }
 
     /// Drop a view: its materialized table, its caches, and its
-    /// registration. Remaining views' shared-prefix designations are
+    /// registration. Remaining nodes' shared-prefix designations are
     /// recomputed (a prefix shared only with the dropped view loses its
     /// designation). Intermediates the view consumed lose it from their
     /// consumer sets — the scheduler's cost model demotes an
@@ -350,43 +328,40 @@ impl ViewCatalog {
     /// # Errors
     /// Unknown view name ([`Error::Config`]).
     pub fn unregister(&mut self, name: &str) -> Result<()> {
-        let view = self
-            .views
-            .remove(name)
-            .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))?;
-        for def in view.engine.caches() {
-            self.db.drop_table(&def.name);
-        }
-        self.db.drop_table(name);
-        self.snapshots.get_mut().remove(name);
-        for iv in self.intermediates.values_mut() {
-            iv.consumers.remove(name);
+        self.view(name)?;
+        self.drop_node(name);
+        for backing in self.nodes.values_mut().filter_map(CatalogView::backing_mut) {
+            backing.consumers.remove(name);
         }
         self.refresh_prefixes();
         Ok(())
     }
 
-    /// Recompute shared-prefix designations across every view *and*
-    /// every promoted intermediate (name order — deterministic).
-    /// Intermediates participate because a deep backing's subtree can
-    /// contain a shallower designated prefix — e.g. the deep
-    /// `⋈ users` backing contains the `σ_ts(⋈)` subtree that a second
-    /// backing (or an unpromoted view) also computes; intermediates
-    /// run first in every round, so their publishes are consumable by
-    /// both the other backings and the views.
-    fn refresh_prefixes(&mut self) {
-        let engines: Vec<&IdIvm> = self
-            .views
-            .values()
-            .map(|v| &v.engine)
-            .chain(self.intermediates.values().map(|iv| &iv.engine))
-            .collect();
-        let mut prefixes = detect_shared_prefixes(&engines).into_iter();
-        for view in self.views.values_mut() {
-            view.prefixes = prefixes.next().unwrap_or_else(SharedPrefixes::none);
+    /// Forget a node and drop its table and caches.
+    fn drop_node(&mut self, name: &str) {
+        if let Some(node) = self.nodes.remove(name) {
+            for def in node.engine.caches() {
+                self.db.drop_table(&def.name);
+            }
         }
-        for iv in self.intermediates.values_mut() {
-            iv.prefixes = prefixes.next().unwrap_or_else(SharedPrefixes::none);
+        self.db.drop_table(name);
+    }
+
+    /// Recompute shared-prefix designations across every node: the
+    /// views in name order, then the backings in name order. Backings
+    /// participate because a deep backing's subtree can contain a
+    /// shallower designated prefix — e.g. the deep `⋈ users` backing
+    /// contains the `σ_ts(⋈)` subtree that a second backing (or an
+    /// unpromoted view) also computes; backings run first in every
+    /// round, so their publishes are consumable by both the other
+    /// backings and the views.
+    fn refresh_prefixes(&mut self) {
+        let mut nodes: Vec<&mut CatalogView> = self.nodes.values_mut().collect();
+        nodes.sort_by_key(|node| node.backing().is_some());
+        let engines: Vec<&IdIvm> = nodes.iter().map(|node| &node.engine).collect();
+        let mut prefixes = detect_shared_prefixes(&engines).into_iter();
+        for node in nodes {
+            node.prefixes = prefixes.next().unwrap_or_else(SharedPrefixes::none);
         }
     }
 
@@ -402,35 +377,77 @@ impl ViewCatalog {
         &mut self.db
     }
 
-    /// Tear down the catalog, returning the database (views stay
-    /// materialized as plain tables).
-    pub fn into_db(self) -> Database {
-        self.db
-    }
-
     /// Registered view names, sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.views.keys().map(String::as_str).collect()
+        self.names_in(false)
+    }
+
+    /// Backing-table names of the current intermediates, sorted.
+    pub fn intermediate_names(&self) -> Vec<&str> {
+        self.names_in(true)
+    }
+
+    fn names_in(&self, backing: bool) -> Vec<&str> {
+        self.nodes
+            .iter()
+            .filter(|(_, node)| node.backing().is_some() == backing)
+            .map(|(name, _)| name.as_str())
+            .collect()
+    }
+
+    /// Every node in the order a round maintains them — backings by
+    /// name, then views by name — with whether it is a backing. Plain
+    /// name order would not do: `__ivm0` sorts after `V` but before
+    /// `a`, and a backing's Δ must reach its consumers' pending nets
+    /// before any of them runs.
+    pub(crate) fn maintenance_order(&self) -> Vec<(String, bool)> {
+        let mut order: Vec<(String, bool)> = self
+            .nodes
+            .iter()
+            .map(|(name, node)| (name.clone(), node.backing().is_some()))
+            .collect();
+        order.sort_by_key(|(_, backing)| !backing);
+        order
+    }
+
+    /// Every node's engine (knobs that apply to all of them).
+    pub(crate) fn engines_mut(&mut self) -> impl Iterator<Item = &mut IdIvm> {
+        self.nodes.values_mut().map(|node| &mut node.engine)
     }
 
     /// Number of registered views.
     pub fn len(&self) -> usize {
-        self.views.len()
+        self.nodes
+            .values()
+            .filter(|node| node.backing().is_none())
+            .count()
     }
 
     /// True iff no view is registered.
     pub fn is_empty(&self) -> bool {
-        self.views.is_empty()
+        self.len() == 0
+    }
+
+    fn get(&self, name: &str, backing: Option<bool>) -> Result<&CatalogView> {
+        self.nodes
+            .get(name)
+            .filter(|node| backing.is_none_or(|b| node.backing().is_some() == b))
+            .ok_or_else(|| missing(name, backing))
+    }
+
+    fn get_mut(&mut self, name: &str, backing: Option<bool>) -> Result<&mut CatalogView> {
+        self.nodes
+            .get_mut(name)
+            .filter(|node| backing.is_none_or(|b| node.backing().is_some() == b))
+            .ok_or_else(|| missing(name, backing))
     }
 
     /// Look up a registered view.
     ///
     /// # Errors
-    /// Unknown view name ([`Error::Config`]).
+    /// Unknown view name ([`Error::Config`]) — a backing's included.
     pub fn view(&self, name: &str) -> Result<&CatalogView> {
-        self.views
-            .get(name)
-            .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))
+        self.get(name, Some(false))
     }
 
     /// Mutable view access (engine knob configuration).
@@ -438,169 +455,172 @@ impl ViewCatalog {
     /// # Errors
     /// Unknown view name ([`Error::Config`]).
     pub fn view_mut(&mut self, name: &str) -> Result<&mut CatalogView> {
-        self.views
-            .get_mut(name)
-            .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))
-    }
-
-    /// The table → dependent-views DAG: every table scanned by at
-    /// least one view or intermediate, mapped to the (sorted) names of
-    /// the views that scan it. Promoted intermediates appear as
-    /// *internal nodes*: their backing table is a dependent of the base
-    /// tables its subtree scans, and consumer views are dependents of
-    /// the backing table — views-over-intermediates.
-    pub fn dependency_dag(&self) -> BTreeMap<String, Vec<String>> {
-        let mut dag: BTreeMap<String, Vec<String>> = BTreeMap::new();
-        for (name, view) in &self.views {
-            for t in &view.tables {
-                dag.entry(t.clone()).or_default().push(name.clone());
-            }
-        }
-        for (backing, iv) in &self.intermediates {
-            for t in &iv.tables {
-                dag.entry(t.clone()).or_default().push(backing.clone());
-            }
-        }
-        for dependents in dag.values_mut() {
-            dependents.sort();
-        }
-        dag
-    }
-
-    /// The (sorted) views that scan `table` — the fan-out set of one
-    /// base-table modification.
-    pub fn dependents(&self, table: &str) -> Vec<&str> {
-        self.views
-            .iter()
-            .filter(|(_, v)| v.tables.iter().any(|t| t == table))
-            .map(|(n, _)| n.as_str())
-            .collect()
-    }
-
-    /// Restrict a folded net-change set to the tables `view` scans —
-    /// the per-view slice of a shared modification batch.
-    ///
-    /// # Errors
-    /// Unknown view name ([`Error::Config`]).
-    pub fn restrict_net(
-        &self,
-        name: &str,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<HashMap<String, TableChanges>> {
-        let view = self.view(name)?;
-        Ok(net
-            .iter()
-            .filter(|(t, _)| view.tables.contains(t))
-            .map(|(t, c)| (t.clone(), c.clone()))
-            .collect())
-    }
-
-    /// Run one atomic maintenance round for `name` over an externally
-    /// folded change set, with shared-prefix reuse through `cache`
-    /// (create one [`SharedDiffCache`] per scheduler round and share it
-    /// between every view maintained in that round).
-    ///
-    /// # Errors
-    /// Unknown view name, or any
-    /// [`IdIvm::maintain_with_changes_shared`] failure (the round has
-    /// been rolled back; the caller still owns `net`).
-    pub fn maintain_shared(
-        &mut self,
-        name: &str,
-        net: &HashMap<String, TableChanges>,
-        cache: &mut SharedDiffCache,
-    ) -> Result<MaintenanceReport> {
-        let view = self
-            .views
-            .get(name)
-            .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))?;
-        let pre = self.db.table(name)?.version();
-        let report =
-            view.engine
-                .maintain_with_changes_shared(&mut self.db, net, &view.prefixes, cache)?;
-        self.advance_snapshot(name, pre, &report);
-        Ok(report)
-    }
-
-    /// Run one atomic maintenance round for `name` without prefix
-    /// sharing (the independent-maintenance baseline).
-    ///
-    /// # Errors
-    /// Same conditions as [`ViewCatalog::maintain_shared`].
-    pub fn maintain_independent(
-        &mut self,
-        name: &str,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<MaintenanceReport> {
-        let view = self
-            .views
-            .get(name)
-            .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))?;
-        let pre = self.db.table(name)?.version();
-        let report = view.engine.maintain_with_changes(&mut self.db, net)?;
-        self.advance_snapshot(name, pre, &report);
-        Ok(report)
-    }
-
-    /// Drive `name`'s pending changes through a per-view
-    /// [`MaintenanceSupervisor`] (retry → bisect/quarantine → recompute
-    /// → degrade). Never returns `Err` for maintenance failures — the
-    /// verdict in the report is the signal; the view's quarantine and
-    /// rollback machinery cannot touch sibling views (each round only
-    /// mutates this view's table and caches).
-    ///
-    /// # Errors
-    /// Unknown view name ([`Error::Config`]) only.
-    pub fn maintain_supervised(
-        &mut self,
-        name: &str,
-        net: &HashMap<String, TableChanges>,
-        config: SupervisorConfig,
-    ) -> Result<SupervisorReport> {
-        let view = self
-            .views
-            .get_mut(name)
-            .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))?;
-        let mut supervisor = MaintenanceSupervisor::new(&mut view.engine, config);
-        Ok(supervisor.run_with_changes(&mut self.db, net))
-    }
-
-    // ------------------------------------------------------------------
-    // Adaptive intermediate views (promotion / demotion)
-    // ------------------------------------------------------------------
-
-    /// Backing-table names of the current intermediates, sorted.
-    pub fn intermediate_names(&self) -> Vec<&str> {
-        self.intermediates.keys().map(String::as_str).collect()
+        self.get_mut(name, Some(false))
     }
 
     /// Look up an intermediate by backing-table name.
     ///
     /// # Errors
-    /// Unknown backing name ([`Error::Config`]).
-    pub fn intermediate(&self, backing: &str) -> Result<&IntermediateView> {
-        self.intermediates
-            .get(backing)
-            .ok_or_else(|| Error::Config(format!("intermediate `{backing}` does not exist")))
+    /// Unknown backing name ([`Error::Config`]) — a view's included.
+    pub fn intermediate(&self, backing: &str) -> Result<&CatalogView> {
+        self.get(backing, Some(true))
     }
 
     /// Mutable intermediate access (engine knobs — trace, faults).
     ///
     /// # Errors
     /// Unknown backing name ([`Error::Config`]).
-    pub fn intermediate_mut(&mut self, backing: &str) -> Result<&mut IntermediateView> {
-        self.intermediates
-            .get_mut(backing)
-            .ok_or_else(|| Error::Config(format!("intermediate `{backing}` does not exist")))
+    pub fn intermediate_mut(&mut self, backing: &str) -> Result<&mut CatalogView> {
+        self.get_mut(backing, Some(true))
     }
+
+    /// The table → dependents DAG: every table scanned by at least one
+    /// node, mapped to the (sorted) names of the nodes that scan it —
+    /// the fan-out set of one base-table modification. Promoted
+    /// intermediates appear as *internal nodes*: their backing table is
+    /// a dependent of the base tables its subtree scans, and consumer
+    /// views are dependents of the backing table —
+    /// views-over-intermediates.
+    pub fn dependency_dag(&self) -> BTreeMap<String, Vec<String>> {
+        let mut dag: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for (name, node) in &self.nodes {
+            for t in &node.tables {
+                dag.entry(t.clone()).or_default().push(name.clone());
+            }
+        }
+        dag
+    }
+
+    /// Restrict a folded net-change set to the tables node `name` scans
+    /// — its slice of a shared modification batch.
+    ///
+    /// # Errors
+    /// Unknown name ([`Error::Config`]).
+    pub fn restrict_net(
+        &self,
+        name: &str,
+        net: &HashMap<String, TableChanges>,
+    ) -> Result<HashMap<String, TableChanges>> {
+        let node = self.get(name, None)?;
+        Ok(net
+            .iter()
+            .filter(|(t, _)| node.tables.contains(t))
+            .map(|(t, c)| (t.clone(), c.clone()))
+            .collect())
+    }
+
+    /// Run one atomic maintenance round for node `name` over an
+    /// externally folded change set. With `cache`, designated shared
+    /// prefixes are published to and reused from it (create one
+    /// [`SharedDiffCache`] per scheduler round and share it between
+    /// every node maintained in that round — a deep backing and a
+    /// shallow backing over the same inner subtree compute that
+    /// subtree's i-diffs once per round between them); without, this is
+    /// the independent-maintenance baseline.
+    ///
+    /// Returns the report plus the **Δ of the node's table** — for a
+    /// backing, the net changes consumers must compose into their
+    /// pendings under the backing table's name. The Δ comes straight
+    /// from the round's [`MaintenanceReport::view_changes`]; after a
+    /// backing's recompute recovery (which rewrites the table
+    /// wholesale) it falls back to a snapshot diff.
+    ///
+    /// # Errors
+    /// Unknown name, or any maintenance failure (the round has been
+    /// rolled back; the caller still owns `net` — escalate to
+    /// [`ViewCatalog::maintain_supervised`]).
+    pub fn maintain(
+        &mut self,
+        name: &str,
+        net: &HashMap<String, TableChanges>,
+        cache: Option<&mut SharedDiffCache>,
+    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
+        let node = self.nodes.get(name).ok_or_else(|| missing(name, None))?;
+        // Only a recompute recovery rewrites a table without reporting
+        // a Δ, only an engine set to recover can do one, and only a
+        // backing's Δ has readers: under the default `Abort`, and for
+        // any view, no pre-image is taken at all.
+        let pre_rows = match (node.backing(), node.engine.recovery()) {
+            (Some(_), RecoveryPolicy::RecomputeOnError) => Some(self.read(name)?.0),
+            _ => None,
+        };
+        let pre = self.db.table(name)?.version();
+        let report = match cache {
+            Some(cache) => node.engine.maintain_with_changes_shared(
+                &mut self.db,
+                net,
+                &node.prefixes,
+                cache,
+            )?,
+            None => node.engine.maintain_with_changes(&mut self.db, net)?,
+        };
+        node.advance_snapshot(self.db.table(name).ok(), pre, &report);
+        let delta = match pre_rows {
+            Some(pre_rows) if report.recovered => Arc::new(self.delta_since(name, &pre_rows)?),
+            _ => Arc::clone(&report.view_changes),
+        };
+        Ok((report, delta))
+    }
+
+    /// Drive node `name`'s pending changes through a per-node
+    /// [`MaintenanceSupervisor`] (retry → bisect/quarantine → recompute
+    /// → degrade). Never returns `Err` for maintenance failures — the
+    /// verdict in the report is the signal; the node's quarantine and
+    /// rollback machinery cannot touch its siblings (each round only
+    /// mutates this node's table and caches).
+    ///
+    /// A supervised run only guarantees the final table state, so a
+    /// backing's Δ is always recovered by snapshot diff: consumers stay
+    /// exact even across quarantines and recompute escalations. A
+    /// view's table has no readers of its Δ and none is computed.
+    ///
+    /// # Errors
+    /// Unknown name ([`Error::Config`]) only.
+    pub fn maintain_supervised(
+        &mut self,
+        name: &str,
+        net: &HashMap<String, TableChanges>,
+        config: SupervisorConfig,
+    ) -> Result<(SupervisorReport, TableChanges)> {
+        let pre_rows = match self.get(name, None)?.backing() {
+            Some(_) => Some(self.read(name)?.0),
+            None => None,
+        };
+        let node = self
+            .nodes
+            .get_mut(name)
+            .ok_or_else(|| missing(name, None))?;
+        let report = MaintenanceSupervisor::new(&mut node.engine, config)
+            .run_with_changes(&mut self.db, net);
+        let delta = match pre_rows {
+            Some(pre_rows) => self.delta_since(name, &pre_rows)?,
+            None => TableChanges::default(),
+        };
+        Ok((report, delta))
+    }
+
+    /// What changed in `name`'s table since it held `pre_rows` — the
+    /// one place a backing's Δ is worked out when no round reported it.
+    fn delta_since(&self, name: &str, pre_rows: &[Row]) -> Result<TableChanges> {
+        let key = self.db.table(name)?.schema().key().to_vec();
+        Ok(table_delta(pre_rows, &self.read(name)?.0, &key))
+    }
+
+    // ------------------------------------------------------------------
+    // Adaptive intermediate views (promotion / demotion)
+    // ------------------------------------------------------------------
 
     /// Backing table name of the intermediate materializing
     /// `structure`, if one exists.
     pub fn promoted_backing(&self, structure: &str) -> Option<&str> {
-        self.intermediates
+        self.nodes
             .iter()
-            .find(|(_, iv)| iv.structure == structure)
-            .map(|(b, _)| b.as_str())
+            .find(|(_, node)| node.backing().is_some_and(|b| b.structure == structure))
+            .map(|(name, _)| name.as_str())
+    }
+
+    fn is_backing(&self, table: &str) -> bool {
+        self.intermediate(table).is_ok()
     }
 
     /// Promotable subtrees across the current (possibly already
@@ -611,16 +631,15 @@ impl ViewCatalog {
     /// deterministic.
     pub fn promotion_candidates(&self) -> Vec<PromotionCandidate> {
         let views: Vec<(&str, &Plan, bool)> = self
-            .views
+            .nodes
             .iter()
+            .filter(|(_, node)| node.backing().is_none())
             .map(|(n, v)| (n.as_str(), v.engine.plan(), v.engine.options().minimize))
             .collect();
         promotion_candidates(&views)
             .into_iter()
             .filter(|c| {
-                c.tables
-                    .iter()
-                    .all(|t| !self.intermediates.contains_key(t))
+                c.tables.iter().all(|t| !self.is_backing(t))
                     && self.promoted_backing(&c.structure).is_none()
             })
             .collect()
@@ -644,11 +663,7 @@ impl ViewCatalog {
     /// backing), or any setup failure — in which case already-rewired
     /// consumers are restored and the backing dropped before returning.
     pub fn promote(&mut self, candidate: &PromotionCandidate) -> Result<String> {
-        if candidate
-            .tables
-            .iter()
-            .any(|t| self.intermediates.contains_key(t))
-        {
+        if candidate.tables.iter().any(|t| self.is_backing(t)) {
             return Err(Error::Config(format!(
                 "cannot promote `{}`: its subtree scans another backing table",
                 candidate.label
@@ -660,11 +675,10 @@ impl ViewCatalog {
                 candidate.label
             )));
         }
-        let consumers: Vec<String> = candidate
+        let consumers: Vec<&String> = candidate
             .consumers
             .iter()
-            .filter(|c| self.views.contains_key(*c))
-            .cloned()
+            .filter(|c| self.view(c).is_ok())
             .collect();
         let Some(first) = consumers.first() else {
             return Err(Error::Config(format!(
@@ -676,7 +690,7 @@ impl ViewCatalog {
         // (minimize is part of the structure fingerprint, so all
         // consumers agree on it) but never their fault/trace/budget
         // state.
-        let base_opts = self.views[first].engine.options();
+        let base_opts = self.view(first)?.engine.options();
         let options = IvmOptions {
             minimize: base_opts.minimize,
             use_input_caches: base_opts.use_input_caches,
@@ -689,67 +703,47 @@ impl ViewCatalog {
             backing = format!("__ivm{}", self.next_backing);
         }
         self.next_backing += 1;
-        let engine = IdIvm::setup(&mut self.db, &backing, candidate.subtree.clone(), options)?;
-        // `setup` re-runs `ensure_ids`; keep the subtree it actually
-        // materialized so demotion restores exactly what consumers get
-        // rewritten against.
-        let subtree = engine.plan().clone();
-        let schema = match self.db.table(&backing) {
-            Ok(t) => t.schema().clone(),
-            Err(e) => return Err(e),
+        let role = Backing {
+            structure: candidate.structure.clone(),
+            label: candidate.label.clone(),
+            consumers: BTreeSet::new(),
         };
-        let scan = Plan::Scan {
-            table: backing.clone(),
-            alias: backing.clone(),
-            schema,
-        };
-        let mut map = BTreeMap::new();
-        map.insert(candidate.structure.clone(), scan);
-        let mut rewired: Vec<String> = Vec::new();
-        let mut rewired_consumers = BTreeSet::new();
-        for name in &consumers {
-            let minimize = self.views[name].engine.options().minimize;
-            let new_plan = substitute_structures(self.views[name].engine.plan(), minimize, &map);
-            if &new_plan == self.views[name].engine.plan() {
+        self.attach(
+            &backing,
+            candidate.subtree.clone(),
+            Some(role),
+            true,
+            options,
+        )?;
+        let map = BTreeMap::from([(candidate.structure.clone(), self.backing_scan(&backing)?)]);
+        for name in consumers {
+            let view = self.view(name)?;
+            let new_plan =
+                substitute_structures(view.engine.plan(), view.engine.options().minimize, &map);
+            if &new_plan == view.engine.plan() {
                 continue;
             }
             if let Err(e) = self.rewire(name, new_plan) {
-                // Roll the promotion back: restore every consumer
-                // already rewired, then drop the backing.
-                for done in &rewired {
-                    let restored =
-                        substitute_scan(self.views[done].engine.plan(), &backing, &subtree);
-                    let _ = self.rewire(done, restored);
-                }
-                for def in engine.caches() {
-                    self.db.drop_table(&def.name);
-                }
-                self.db.drop_table(&backing);
-                self.refresh_prefixes();
+                // Roll the promotion back: demoting restores every
+                // consumer rewired so far and drops the backing.
+                let _ = self.demote(&backing);
                 return Err(e);
             }
-            rewired.push(name.clone());
-            rewired_consumers.insert(name.clone());
+            if let Some(role) = self
+                .nodes
+                .get_mut(&backing)
+                .and_then(CatalogView::backing_mut)
+            {
+                role.consumers.insert(name.clone());
+            }
         }
-        let tables = scanned_tables(&subtree);
-        self.intermediates.insert(
-            backing.clone(),
-            IntermediateView {
-                engine,
-                prefixes: SharedPrefixes::none(),
-                subtree,
-                structure: candidate.structure.clone(),
-                label: candidate.label.clone(),
-                tables,
-                consumers: rewired_consumers,
-            },
-        );
         self.refresh_prefixes();
         Ok(backing)
     }
 
     /// Demote an intermediate: restore every consumer's plan (the
-    /// backing scan is substituted back for the materialized subtree),
+    /// backing scan is substituted back for the materialized subtree —
+    /// the one `setup` actually materialized, after its `ensure_ids`),
     /// then drop the backing table and its caches. The same quiescence
     /// precondition as [`ViewCatalog::promote`] applies.
     ///
@@ -758,149 +752,34 @@ impl ViewCatalog {
     /// restored so far stay restored; the intermediate stays
     /// registered for a retry).
     pub fn demote(&mut self, backing: &str) -> Result<()> {
-        let (subtree, consumers) = {
-            let iv = self.intermediate(backing)?;
-            (iv.subtree.clone(), iv.consumers.clone())
-        };
+        let node = self.intermediate(backing)?;
+        let (subtree, consumers) = (node.engine.plan().clone(), node.consumers().clone());
         for name in &consumers {
-            if !self.views.contains_key(name) {
+            let Ok(view) = self.view(name) else {
                 continue;
-            }
-            let restored = substitute_scan(self.views[name].engine.plan(), backing, &subtree);
+            };
+            let restored = substitute_scan(view.engine.plan(), backing, &subtree);
             self.rewire(name, restored)?;
-            if let Some(iv) = self.intermediates.get_mut(backing) {
-                iv.consumers.remove(name);
+            if let Some(role) = self
+                .nodes
+                .get_mut(backing)
+                .and_then(CatalogView::backing_mut)
+            {
+                role.consumers.remove(name);
             }
         }
-        if let Some(iv) = self.intermediates.remove(backing) {
-            for def in iv.engine.caches() {
-                self.db.drop_table(&def.name);
-            }
-        }
-        self.db.drop_table(backing);
-        self.snapshots.get_mut().remove(backing);
+        self.drop_node(backing);
         self.refresh_prefixes();
         Ok(())
-    }
-
-    /// Run one atomic maintenance round for the intermediate `backing`
-    /// over `net` (the folded base changes restricted to the subtree's
-    /// tables). Returns the report plus the **backing Δ** — the net
-    /// changes consumers must compose into their pendings under the
-    /// backing table's name. The Δ comes straight from the round's
-    /// [`MaintenanceReport::view_changes`]; after a recompute recovery
-    /// (which rewrites the table wholesale) it falls back to a
-    /// snapshot diff.
-    ///
-    /// # Errors
-    /// Unknown backing name, or any maintenance failure (the round has
-    /// been rolled back; escalate to
-    /// [`ViewCatalog::maintain_intermediate_supervised`]).
-    pub fn maintain_intermediate(
-        &mut self,
-        backing: &str,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
-        self.intermediate_round(backing, net, None)
-    }
-
-    /// [`ViewCatalog::maintain_intermediate`] with shared-prefix reuse
-    /// through the round's `cache` — the backing publishes (and
-    /// consumes) designated sub-prefix diffs exactly like a view does,
-    /// so a deep backing and a shallow backing over the same inner
-    /// subtree compute that subtree's i-diffs once per round between
-    /// them.
-    ///
-    /// # Errors
-    /// Same conditions as [`ViewCatalog::maintain_intermediate`].
-    pub fn maintain_intermediate_shared(
-        &mut self,
-        backing: &str,
-        net: &HashMap<String, TableChanges>,
-        cache: &mut SharedDiffCache,
-    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
-        self.intermediate_round(backing, net, Some(cache))
-    }
-
-    fn intermediate_round(
-        &mut self,
-        backing: &str,
-        net: &HashMap<String, TableChanges>,
-        cache: Option<&mut SharedDiffCache>,
-    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
-        let iv = self
-            .intermediates
-            .get(backing)
-            .ok_or_else(|| Error::Config(format!("intermediate `{backing}` does not exist")))?;
-        // Only a recompute recovery rewrites the backing without
-        // reporting a Δ, and only an engine set to recover can do one:
-        // under the default `Abort` no pre-image is taken at all.
-        let pre_rows = match iv.engine.recovery() {
-            RecoveryPolicy::RecomputeOnError => Some(self.read(backing)?.0),
-            RecoveryPolicy::Abort => None,
-        };
-        let pre = self.db.table(backing)?.version();
-        let report = match cache {
-            Some(cache) => {
-                iv.engine
-                    .maintain_with_changes_shared(&mut self.db, net, &iv.prefixes, cache)?
-            }
-            None => iv.engine.maintain_with_changes(&mut self.db, net)?,
-        };
-        self.advance_snapshot(backing, pre, &report);
-        let delta = match pre_rows {
-            Some(pre_rows) if report.recovered => {
-                let key = self.db.table(backing)?.schema().key().to_vec();
-                Arc::new(table_delta(&pre_rows, &self.read(backing)?.0, &key))
-            }
-            _ => Arc::clone(&report.view_changes),
-        };
-        Ok((report, delta))
-    }
-
-    /// Drive an intermediate's pending changes through a per-view
-    /// [`MaintenanceSupervisor`] — same isolation contract as
-    /// [`ViewCatalog::maintain_supervised`]. The backing Δ is always
-    /// recovered by snapshot diff (a supervised run only guarantees
-    /// the final table state), so consumers stay exact even across
-    /// quarantines and recompute escalations.
-    ///
-    /// # Errors
-    /// Unknown backing name ([`Error::Config`]) only.
-    pub fn maintain_intermediate_supervised(
-        &mut self,
-        backing: &str,
-        net: &HashMap<String, TableChanges>,
-        config: SupervisorConfig,
-    ) -> Result<(SupervisorReport, TableChanges)> {
-        self.intermediate(backing)?;
-        let pre_rows = self.read(backing)?.0;
-        let iv = self
-            .intermediates
-            .get_mut(backing)
-            .ok_or_else(|| Error::Config(format!("intermediate `{backing}` does not exist")))?;
-        let mut supervisor = MaintenanceSupervisor::new(&mut iv.engine, config);
-        let report = supervisor.run_with_changes(&mut self.db, net);
-        let key = self.db.table(backing)?.schema().key().to_vec();
-        let delta = table_delta(&pre_rows, &self.read(backing)?.0, &key);
-        Ok((report, delta))
     }
 
     /// Rebuild one view's engine over a content-equivalent plan
     /// rewrite, keeping the view table and every shape-stable cache,
     /// and dropping caches the rewritten plan no longer defines.
     fn rewire(&mut self, name: &str, new_plan: Plan) -> Result<()> {
-        let (old_caches, options) = {
-            let view = self.view(name)?;
-            (
-                view.engine
-                    .caches()
-                    .iter()
-                    .map(|d| d.name.clone())
-                    .collect::<Vec<String>>(),
-                view.engine.options(),
-            )
-        };
+        let old = &self.view(name)?.engine;
+        let options = old.options();
+        let old_caches: Vec<String> = old.caches().iter().map(|d| d.name.clone()).collect();
         let engine = IdIvm::setup_over(&mut self.db, name, new_plan, options)?;
         let keep: BTreeSet<&str> = engine.caches().iter().map(|d| d.name.as_str()).collect();
         for cache in &old_caches {
@@ -909,31 +788,37 @@ impl ViewCatalog {
             }
         }
         let tables = scanned_tables(engine.plan());
-        let view = self
-            .views
-            .get_mut(name)
-            .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))?;
+        let view = self.view_mut(name)?;
         view.engine = engine;
         view.tables = tables;
         Ok(())
     }
 
-    /// structure → backing-scan substitution map over the current
-    /// intermediates.
-    fn backing_substitutions(&self) -> Result<BTreeMap<String, Plan>> {
+    /// A scan of `backing`'s table, as consumers' plans carry it.
+    fn backing_scan(&self, backing: &str) -> Result<Plan> {
+        Ok(Plan::Scan {
+            table: backing.to_string(),
+            alias: backing.to_string(),
+            schema: self.db.table(backing)?.schema().clone(),
+        })
+    }
+
+    /// `plan` with every subtree a current intermediate materializes
+    /// replaced by a scan of its backing.
+    fn over_backings(&self, plan: Plan, minimize: bool) -> Result<Plan> {
         let mut map = BTreeMap::new();
-        for (backing, iv) in &self.intermediates {
-            let schema = self.db.table(backing)?.schema().clone();
-            map.insert(
-                iv.structure.clone(),
-                Plan::Scan {
-                    table: backing.clone(),
-                    alias: backing.clone(),
-                    schema,
-                },
-            );
+        for (name, node) in &self.nodes {
+            if let Some(backing) = node.backing() {
+                map.insert(backing.structure.clone(), self.backing_scan(name)?);
+            }
         }
-        Ok(map)
+        if map.is_empty() {
+            return Ok(plan);
+        }
+        // Structure fingerprints are taken over ID-extended plans, so
+        // extend before matching (setup re-runs `ensure_ids`, which is
+        // idempotent).
+        Ok(substitute_structures(&ensure_ids(plan)?, minimize, &map))
     }
 
     /// The materialized rows of a view, sorted (uncounted — reads are
@@ -948,14 +833,14 @@ impl ViewCatalog {
         Ok(self.read(name)?.0)
     }
 
-    /// The one read path: `table`'s rows, sorted, out of its snapshot.
-    /// A snapshot that is missing (first read) or no longer describes
-    /// the table (see [`Snapshot::settle`]) is rebuilt by clone-and-sort
-    /// in the same call.
-    pub(crate) fn read(&self, table: &str) -> Result<(Vec<Row>, ReadCost)> {
-        let stored = self.db.table(table)?;
-        let mut snapshots = self.snapshots.borrow_mut();
-        if let Some((rows, merged)) = snapshots.get_mut(table).and_then(|s| s.settle(stored)) {
+    /// The one read path: node `name`'s rows, sorted, out of its
+    /// snapshot. A snapshot that is missing (first read) or no longer
+    /// describes the table (see [`Snapshot::settle`]) is rebuilt by
+    /// clone-and-sort in the same call.
+    pub(crate) fn read(&self, name: &str) -> Result<(Vec<Row>, ReadCost)> {
+        let stored = self.db.table(name)?;
+        let mut slot = self.get(name, None)?.snapshot.borrow_mut();
+        if let Some((rows, merged)) = slot.as_mut().and_then(|s| s.settle(stored)) {
             let cost = ReadCost {
                 rebuilt: false,
                 merged,
@@ -964,30 +849,12 @@ impl ViewCatalog {
         }
         let snapshot = Snapshot::build(stored);
         let rows = snapshot.rows().to_vec();
-        snapshots.insert(table.to_string(), snapshot);
+        *slot = Some(snapshot);
         let cost = ReadCost {
             rebuilt: true,
             merged: 0,
         };
         Ok((rows, cost))
-    }
-
-    /// After a clean round on `table` that started at version `pre`:
-    /// hand its snapshot (if the table has one) the round's Δ, or drop
-    /// it when it cannot follow — a recompute recovery reports no Δ.
-    fn advance_snapshot(&self, table: &str, pre: u64, report: &MaintenanceReport) {
-        let mut snapshots = self.snapshots.borrow_mut();
-        let Some(snapshot) = snapshots.get_mut(table) else {
-            return;
-        };
-        let follows = !report.recovered
-            && self
-                .db
-                .table(table)
-                .is_ok_and(|t| snapshot.advance(pre, t.version(), &report.view_changes));
-        if !follows {
-            snapshots.remove(table);
-        }
     }
 
     /// Bit-identity fingerprint of a view's materialized table.
@@ -1048,10 +915,6 @@ mod tests {
                 "mention_reach".to_string(),
                 "mention_users".to_string()
             ]
-        );
-        assert_eq!(
-            catalog.dependents("users"),
-            vec!["mention_favor", "mention_reach", "mention_users"]
         );
     }
 
@@ -1155,10 +1018,10 @@ mod tests {
         let net = catalog.db().fold_log();
         catalog.db_mut().clear_log();
         let before = backing_rows(&catalog);
-        let (report, delta) = catalog.maintain_intermediate(&backing, &net).unwrap();
+        let (report, delta) = catalog.maintain(&backing, &net, None).unwrap();
         assert!(!report.recovered && !delta.is_empty());
         assert_eq!(*delta, table_delta(&before, &backing_rows(&catalog), &key));
-        assert!(!catalog.snapshots.borrow().contains_key(&backing));
+        assert!(catalog.nodes[&backing].snapshot.borrow().is_none());
 
         // Every incremental attempt fails; the engine repairs the
         // backing by recompute.
@@ -1169,7 +1032,7 @@ mod tests {
         let net = catalog.db().fold_log();
         catalog.db_mut().clear_log();
         let before = backing_rows(&catalog);
-        let (report, delta) = catalog.maintain_intermediate(&backing, &net).unwrap();
+        let (report, delta) = catalog.maintain(&backing, &net, None).unwrap();
         assert!(report.recovered && report.view_changes.is_empty());
         assert!(!delta.is_empty(), "the batch did not change the backing");
         assert_eq!(*delta, table_delta(&before, &backing_rows(&catalog), &key));

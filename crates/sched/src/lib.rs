@@ -38,7 +38,7 @@ pub mod catalog;
 pub mod scheduler;
 mod snapshot;
 
-pub use catalog::{CatalogView, IntermediateView, ViewCatalog};
+pub use catalog::{Backing, CatalogView, ViewCatalog};
 pub use scheduler::{
     CostEntry, MaintenanceScheduler, PromotionEvent, RefreshPolicy, RoundSummary, SchedulerConfig,
     ViewStats,

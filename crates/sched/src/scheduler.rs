@@ -1,28 +1,40 @@
 //! Per-view refresh policies and round scheduling over a
 //! [`ViewCatalog`].
 //!
-//! A [`MaintenanceScheduler`] owns the catalog and, for each view, a
-//! **refresh policy**, a **pending net** (the composed effective
-//! changes the view has not seen yet), and a staleness counter. One
-//! [`MaintenanceScheduler::tick`] is the unit of time:
+//! A [`MaintenanceScheduler`] owns the catalog and, for each of its
+//! nodes, a **pending net** (the composed effective changes the node
+//! has not seen yet); for each view also a **refresh policy** and a
+//! staleness counter. A promoted intermediate is a node like any other
+//! that is always due. One [`MaintenanceScheduler::tick`] is the unit
+//! of time:
 //!
 //! 1. Fold the database's modification log once and clear it — from
 //!    here the scheduler owns the changes.
-//! 2. Compose the folded net onto every dependent view's pending net
+//! 2. Compose the folded net onto every dependent node's pending net
 //!    ([`compose_changes`]): pendings accumulated over several ticks
 //!    are exactly what folding the concatenated log would have
 //!    produced, so a deferred round is one bigger — not different —
 //!    round.
-//! 3. Maintain every *due* view (policy decides), all against one
-//!    fresh [`SharedDiffCache`]: the first due view to walk a
-//!    designated shared prefix publishes its i-diffs, every later due
-//!    view with the same pending horizon reuses them at zero counted
+//! 3. Maintain every intermediate with pending changes (backing-name
+//!    order), composing each one's Δ into its consumers' pending nets,
+//!    then every *due* view (policy decides; name order), all against
+//!    one fresh [`SharedDiffCache`]: the first node to walk a
+//!    designated shared prefix publishes its i-diffs, every later one
+//!    with the same pending horizon reuses them at zero counted
 //!    accesses.
-//! 4. Route any maintenance failure through a per-view
+//! 4. Route any maintenance failure through a per-node
 //!    [`MaintenanceSupervisor`] (retry → bisect/quarantine → recompute
 //!    → degrade). A failing or degraded view never blocks or corrupts
-//!    its siblings: each round is atomic over that view's table and
+//!    its siblings: each round is atomic over that node's table and
 //!    caches only, and its pending net stays queued for the next tick.
+//!    Only the consumers of an intermediate that did not converge wait
+//!    for it.
+//!
+//! [`MaintenanceScheduler::read_view`], [`MaintenanceScheduler::drain`]
+//! and the forced promote/demote barriers are the same round with a
+//! different answer to "which views are due".
+//!
+//! [`MaintenanceSupervisor`]: idivm_core::supervisor::MaintenanceSupervisor
 //!
 //! **Staleness semantics.** A view's staleness is the number of ticks
 //! its pending net has been non-empty. `Eager` refreshes at staleness
@@ -33,7 +45,7 @@
 //! it. Once drained, a view's contents are bit-identical under any
 //! policy: composition is exact and maintenance is deterministic.
 
-use crate::catalog::ViewCatalog;
+use crate::catalog::{Backing, CatalogView, ViewCatalog};
 use idivm_core::supervisor::{SupervisorConfig, SupervisorReport, SupervisorVerdict};
 use idivm_core::{
     IngestTrace, IvmOptions, MaintenanceReport, PromotionCandidate, SharedDiffCache,
@@ -218,11 +230,36 @@ impl RoundSummary {
     }
 }
 
+/// The scheduler's side of one catalog node, either role: a backing is
+/// an always-eager node that no policy accessor reaches.
 struct ViewState {
     policy: RefreshPolicy,
     pending: HashMap<String, TableChanges>,
     staleness: u32,
     stats: ViewStats,
+}
+
+impl ViewState {
+    fn new(policy: RefreshPolicy) -> Self {
+        ViewState {
+            policy,
+            pending: HashMap::new(),
+            staleness: 0,
+            stats: ViewStats::default(),
+        }
+    }
+
+    /// Whether a tick refreshes a view with this (non-empty) pending
+    /// net now.
+    fn due(&self) -> bool {
+        match self.policy {
+            RefreshPolicy::Eager => true,
+            RefreshPolicy::Deferred {
+                max_staleness_rounds,
+            } => self.staleness >= max_staleness_rounds,
+            RefreshPolicy::OnRead => false,
+        }
+    }
 }
 
 /// Scheduler-level knobs.
@@ -259,15 +296,11 @@ impl Default for SchedulerConfig {
 /// module docs for the tick protocol.
 pub struct MaintenanceScheduler {
     catalog: ViewCatalog,
+    /// One entry per catalog node — registered views and promoted
+    /// backings alike — keyed by node name.
     states: BTreeMap<String, ViewState>,
     config: SchedulerConfig,
     round: u64,
-    /// Pending base-table nets per promoted backing (keyed by backing
-    /// table name). Intermediates are effectively eager: drained at the
-    /// start of every tick/barrier, before any consumer runs.
-    intermediate_pending: BTreeMap<String, HashMap<String, TableChanges>>,
-    /// Cumulative maintenance accounting per promoted backing.
-    intermediate_stats: BTreeMap<String, ViewStats>,
     /// Hysteresis trackers keyed by prefix *structure* — they survive
     /// promote/demote transitions so re-promotion uses the same state
     /// machine.
@@ -284,20 +317,9 @@ fn converged(verdict: SupervisorVerdict) -> bool {
     verdict.healthy() && verdict != SupervisorVerdict::Idle
 }
 
-/// What one intermediate-sync pass (start of tick/barrier) did.
-#[derive(Default)]
-struct IntermediateRound {
-    /// Backings maintained, in name order, with attributed accesses.
-    maintained: Vec<(String, StatsSnapshot)>,
-    /// Supervised backings with their verdicts.
-    verdicts: Vec<(String, SupervisorVerdict)>,
-    /// Net backing-delta tuples produced per backing (`D` for the cost
-    /// model).
-    deltas: BTreeMap<String, u64>,
-    /// Backings whose supervised round did not converge — their
-    /// consumers are deferred this tick.
-    failed: BTreeSet<String>,
-}
+/// Net Δ tuples each backing produced in a round, by backing name (`D`
+/// for the cost model).
+type BackingDeltas = BTreeMap<String, u64>;
 
 impl MaintenanceScheduler {
     /// Wrap a database under `config` with no views registered yet.
@@ -307,8 +329,6 @@ impl MaintenanceScheduler {
             states: BTreeMap::new(),
             config,
             round: 0,
-            intermediate_pending: BTreeMap::new(),
-            intermediate_stats: BTreeMap::new(),
             trackers: BTreeMap::new(),
             recovery_note: None,
         }
@@ -327,15 +347,7 @@ impl MaintenanceScheduler {
     ) -> Result<()> {
         policy.validate()?;
         self.catalog.register(name, plan, options)?;
-        self.states.insert(
-            name.to_string(),
-            ViewState {
-                policy,
-                pending: HashMap::new(),
-                staleness: 0,
-                stats: ViewStats::default(),
-            },
-        );
+        self.states.insert(name.to_string(), ViewState::new(policy));
         Ok(())
     }
 
@@ -386,7 +398,8 @@ impl MaintenanceScheduler {
     /// Unknown view name or invalid policy.
     pub fn set_policy(&mut self, name: &str, policy: RefreshPolicy) -> Result<()> {
         policy.validate()?;
-        self.state_mut(name)?.policy = policy;
+        self.catalog.view(name)?;
+        self.node_state_mut(name)?.policy = policy;
         Ok(())
     }
 
@@ -398,23 +411,9 @@ impl MaintenanceScheduler {
     /// Invalid thread count.
     pub fn set_parallel_all(&mut self, parallel: ParallelConfig) -> Result<()> {
         use idivm_core::EngineConfig;
-        let names: Vec<String> = self.states.keys().cloned().collect();
-        for name in names {
-            self.catalog.view_mut(&name)?.engine_mut().set_parallel(parallel)?;
-        }
-        let backings: Vec<String> = self
-            .catalog
-            .intermediate_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for backing in backings {
-            self.catalog
-                .intermediate_mut(&backing)?
-                .engine_mut()
-                .set_parallel(parallel)?;
-        }
-        Ok(())
+        self.catalog
+            .engines_mut()
+            .try_for_each(|engine| engine.set_parallel(parallel))
     }
 
     /// A view's cumulative maintenance statistics.
@@ -446,190 +445,201 @@ impl MaintenanceScheduler {
         self.round
     }
 
+    /// A *view's* state: both roles share the map, and a backing is not
+    /// addressable as a view.
     fn state(&self, name: &str) -> Result<&ViewState> {
+        self.catalog.view(name)?;
+        self.node_state(name)
+    }
+
+    fn node_state(&self, name: &str) -> Result<&ViewState> {
         self.states
             .get(name)
             .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))
     }
 
-    fn state_mut(&mut self, name: &str) -> Result<&mut ViewState> {
+    fn node_state_mut(&mut self, name: &str) -> Result<&mut ViewState> {
         self.states
             .get_mut(name)
             .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))
     }
 
-    /// Fold the database log once, clear it, and compose the per-view
-    /// slices onto every dependent view's pending net. Advances
-    /// staleness for every view left with a non-empty pending.
+    /// Fold the database log once, clear it, and compose each node's
+    /// slice onto its pending net. The log is cleared even when it
+    /// folds to nothing (an insert and its delete in one window): left
+    /// in place it would be folded again by every later round.
     fn distribute(&mut self) -> Result<()> {
+        if self.catalog.db().log().is_empty() {
+            return Ok(());
+        }
         let net = self.catalog.db().fold_log();
-        if !net.is_empty() {
-            self.catalog.db_mut().clear_log();
-            for name in self.states.keys().cloned().collect::<Vec<_>>() {
-                let slice = self.catalog.restrict_net(&name, &net)?;
-                if !slice.is_empty() {
-                    let state = self.state_mut(&name)?;
-                    compose_changes(&mut state.pending, slice);
-                }
-            }
-            let backings: Vec<String> = self
-                .catalog
-                .intermediate_names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            for backing in backings {
-                let tables = self.catalog.intermediate(&backing)?.tables().to_vec();
-                let slice: HashMap<String, TableChanges> = net
-                    .iter()
-                    .filter(|(t, _)| tables.contains(t))
-                    .map(|(t, c)| (t.clone(), c.clone()))
-                    .collect();
-                if !slice.is_empty() {
-                    let pending = self.intermediate_pending.entry(backing).or_default();
-                    compose_changes(pending, slice);
-                }
+        self.catalog.db_mut().clear_log();
+        for (name, state) in &mut self.states {
+            let slice = self.catalog.restrict_net(name, &net)?;
+            if !slice.is_empty() {
+                compose_changes(&mut state.pending, slice);
             }
         }
         Ok(())
     }
 
-    /// Maintain every promoted intermediate with a non-empty pending
-    /// net, in backing-name order, before any consumer view runs this
-    /// round. Each backing's net delta is composed (under the backing
-    /// table's name) into every consumer's pending net, so consumers
-    /// pick it up at O(Δ) through their rewritten `Scan`. Failures are
-    /// routed through the supervisor; a backing that does not converge
-    /// keeps its pending net and its consumers are deferred this tick.
-    fn sync_intermediates(&mut self, cache: &mut SharedDiffCache) -> Result<IntermediateRound> {
-        let mut round = IntermediateRound::default();
-        let backings: Vec<String> = self
-            .catalog
-            .intermediate_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for backing in backings {
-            // The round runs on the pending net itself; it goes back
-            // only if the backing did not converge.
-            let net = match self.intermediate_pending.get_mut(&backing) {
-                Some(net) if !net.is_empty() => std::mem::take(net),
-                _ => continue,
-            };
-            let before = self.catalog.db().stats().snapshot();
-            let result = if self.config.share_prefixes {
-                self.catalog.maintain_intermediate_shared(&backing, &net, cache)
+    /// The one scheduler round behind every entry point: distribute
+    /// freshly logged changes, then maintain the backings and the views
+    /// `due` picks ([`MaintenanceScheduler::maintain_due`]).
+    fn run_round(
+        &mut self,
+        tick: bool,
+        due: impl Fn(&str, &ViewState) -> bool,
+    ) -> Result<(RoundSummary, BackingDeltas)> {
+        self.distribute()?;
+        self.maintain_due(true, tick, due)
+    }
+
+    /// Maintain nodes in the catalog's maintenance order — backings by
+    /// name, then views by name — against one fresh shared-prefix
+    /// cache, each through [`MaintenanceScheduler::run_node`].
+    ///
+    /// A backing with a non-empty pending net always runs (when
+    /// `backings` — the surgery barrier inside a tick passes `false`
+    /// and maintains views only). Its Δ is composed, under the backing
+    /// table's name, into every consumer's pending net before any view
+    /// runs, so consumers pick it up at O(Δ) through their rewritten
+    /// `Scan` in the same round; a backing that does not converge keeps
+    /// its pending net and its consumers sit the round out.
+    ///
+    /// A view with a non-empty pending net runs if `due` says so. On a
+    /// `tick` its staleness advances first — after the backings' Δs
+    /// have landed, so a consumer's clock starts the tick its backing
+    /// changed.
+    fn maintain_due(
+        &mut self,
+        backings: bool,
+        tick: bool,
+        due: impl Fn(&str, &ViewState) -> bool,
+    ) -> Result<(RoundSummary, BackingDeltas)> {
+        let mut cache = SharedDiffCache::new();
+        let mut summary = RoundSummary {
+            round: self.round,
+            ..RoundSummary::default()
+        };
+        let mut deltas = BackingDeltas::new();
+        let mut blocked: BTreeSet<String> = BTreeSet::new();
+        for (name, is_backing) in self.catalog.maintenance_order() {
+            let state = self.node_state_mut(&name)?;
+            if state.pending.is_empty() {
+                continue;
+            }
+            if is_backing {
+                if !backings {
+                    continue;
+                }
             } else {
-                self.catalog.maintain_intermediate(&backing, &net)
-            };
-            let (delta, verdict) = match result {
-                Ok((report, delta)) => {
-                    let stats = self.intermediate_stats.entry(backing.clone()).or_default();
-                    stats.view_diff_tuples += report.view_diff_tuples as u64;
-                    stats.last_report = Some(report);
-                    (delta, None)
+                if tick {
+                    state.staleness += 1;
                 }
-                Err(_) => {
-                    // The failed round has been rolled back; the
-                    // supervisor owns retries, quarantine, and the
-                    // recompute ladder. Its delta is an exact snapshot
-                    // diff of the backing (empty if it degraded —
-                    // everything rolled back).
-                    let supervised = self.catalog.maintain_intermediate_supervised(
-                        &backing,
-                        &net,
-                        self.config.supervisor,
-                    );
-                    if !supervised.as_ref().is_ok_and(|(r, _)| converged(r.verdict)) {
-                        self.intermediate_pending.insert(backing.clone(), net);
-                    }
-                    let (mut report, delta) = supervised?;
-                    report.recovered_from = self.recovery_note.clone();
-                    let verdict = report.verdict;
-                    let stats = self.intermediate_stats.entry(backing.clone()).or_default();
-                    stats.supervised_rounds += 1;
-                    stats.quarantined_changes += report.quarantine.len() as u64;
-                    stats.last_verdict = Some(verdict);
-                    stats.last_supervisor = Some(report);
-                    (Arc::new(delta), Some(verdict))
-                }
-            };
-            let spent = self.catalog.db().stats().snapshot().since(&before);
-            let stats = self.intermediate_stats.entry(backing.clone()).or_default();
-            stats.rounds += 1;
-            stats.accesses = stats.accesses.merge(spent);
-            if let Some(v) = verdict {
-                round.verdicts.push((backing.clone(), v));
-                if !converged(v) {
-                    round.failed.insert(backing.clone());
+                if !due(&name, state) || blocked.contains(&name) {
+                    summary.deferred.push((name, state.staleness));
+                    continue;
                 }
             }
-            let delta_tuples = delta.len() as u64;
+            let (spent, verdict, delta) = self.run_node(&name, &mut cache)?;
+            if let Some(verdict) = verdict {
+                summary.verdicts.push((name.clone(), verdict));
+            }
+            if !is_backing {
+                summary.maintained.push((name, spent));
+                continue;
+            }
+            let consumers = self.catalog.intermediate(&name)?.consumers();
+            if verdict.is_some_and(|v| !converged(v)) {
+                blocked.extend(consumers.iter().cloned());
+            }
             if !delta.is_empty() {
-                let consumers: Vec<String> = self
-                    .catalog
-                    .intermediate(&backing)?
-                    .consumers()
-                    .iter()
-                    .cloned()
-                    .collect();
                 for consumer in consumers {
-                    if let Some(state) = self.states.get_mut(&consumer) {
-                        let mut slice = HashMap::new();
-                        slice.insert(backing.clone(), TableChanges::clone(&delta));
+                    if let Some(state) = self.states.get_mut(consumer) {
+                        let slice = HashMap::from([(name.clone(), TableChanges::clone(&delta))]);
                         compose_changes(&mut state.pending, slice);
                     }
                 }
             }
-            round.deltas.insert(backing.clone(), delta_tuples);
-            round.maintained.push((backing, spent));
+            deltas.insert(name.clone(), delta.len() as u64);
+            summary.intermediates.push((name, spent));
         }
-        Ok(round)
+        summary.shared_hits = cache.total_hits();
+        summary.shared_saved_accesses = cache.total_saved_accesses();
+        summary.prefix_stats = cache.stats();
+        Ok((summary, deltas))
+    }
+
+    /// One node's round on its own pending net: the clean attempt, the
+    /// per-node supervisor if that fails, and the books. Returns the
+    /// accesses spent, the supervisor's verdict if it was needed, and
+    /// the Δ of the node's table.
+    fn run_node(
+        &mut self,
+        name: &str,
+        cache: &mut SharedDiffCache,
+    ) -> Result<(StatsSnapshot, Option<SupervisorVerdict>, Arc<TableChanges>)> {
+        // The round runs on the pending net itself; it goes back only
+        // if the node did not converge.
+        let net = std::mem::take(&mut self.node_state_mut(name)?.pending);
+        let before = self.catalog.db().stats().snapshot();
+        let shared = self.config.share_prefixes.then_some(cache);
+        match self.catalog.maintain(name, &net, shared) {
+            Ok((report, delta)) => {
+                let spent = self.catalog.db().stats().snapshot().since(&before);
+                let state = self.node_state_mut(name)?;
+                state.staleness = 0;
+                state.stats.rounds += 1;
+                state.stats.accesses = state.stats.accesses.merge(spent);
+                state.stats.view_diff_tuples += report.view_diff_tuples as u64;
+                state.stats.last_report = Some(report);
+                Ok((spent, None, delta))
+            }
+            Err(_) => {
+                // The failed round has been rolled back; escalate to
+                // the per-node supervisor, which owns retries,
+                // bisection/quarantine, and the recompute ladder. A
+                // backing's Δ is then an exact snapshot diff (empty if
+                // it degraded — everything rolled back).
+                let supervised =
+                    self.catalog
+                        .maintain_supervised(name, &net, self.config.supervisor);
+                let spent = self.catalog.db().stats().snapshot().since(&before);
+                let recovered_from = self.recovery_note.clone();
+                let state = self.node_state_mut(name)?;
+                if supervised.as_ref().is_ok_and(|(r, _)| converged(r.verdict)) {
+                    state.staleness = 0;
+                } else {
+                    state.pending = net;
+                }
+                let (mut report, delta) = supervised?;
+                report.recovered_from = recovered_from;
+                let verdict = report.verdict;
+                state.stats.rounds += 1;
+                state.stats.supervised_rounds += 1;
+                state.stats.accesses = state.stats.accesses.merge(spent);
+                state.stats.quarantined_changes += report.quarantine.len() as u64;
+                state.stats.last_verdict = Some(verdict);
+                state.stats.last_supervisor = Some(report);
+                Ok((spent, Some(verdict), Arc::new(delta)))
+            }
+        }
     }
 
     /// One scheduler round: distribute freshly logged changes, then
-    /// maintain every due view against one fresh shared-prefix cache.
-    /// Never fails on maintenance errors — those are routed through the
-    /// per-view supervisor and surface as verdicts in the summary.
+    /// maintain every promoted intermediate and every due view against
+    /// one fresh shared-prefix cache. Never fails on maintenance errors
+    /// — those are routed through the per-node supervisor and surface
+    /// as verdicts in the summary.
     ///
     /// # Errors
     /// Catalog inconsistencies only (unknown view — a bug).
     pub fn tick(&mut self) -> Result<RoundSummary> {
         self.round += 1;
-        self.distribute()?;
-        // Promoted intermediates drain first (they are upstream of
-        // every consumer in the maintenance DAG); their net deltas land
-        // in consumer pendings before staleness advances, so an eager
-        // consumer sees backing changes the same tick they happen.
-        let mut cache = SharedDiffCache::new();
-        let inter = self.sync_intermediates(&mut cache)?;
-        // Staleness advances on ticks (barriers reuse it as-is).
-        for state in self.states.values_mut() {
-            if !state.pending.is_empty() {
-                state.staleness += 1;
-            }
-        }
-        let skip = self.consumers_of(&inter.failed)?;
-        let due: Vec<String> = self
-            .states
-            .iter()
-            .filter(|(n, _)| !skip.contains(*n))
-            .filter(|(_, s)| match s.policy {
-                RefreshPolicy::Eager => !s.pending.is_empty(),
-                RefreshPolicy::Deferred {
-                    max_staleness_rounds,
-                } => !s.pending.is_empty() && s.staleness >= max_staleness_rounds,
-                RefreshPolicy::OnRead => false,
-            })
-            .map(|(n, _)| n.clone())
-            .collect();
-        let mut summary = self.maintain_views(&due, &mut cache)?;
-        summary.intermediates = inter.maintained.clone();
-        let mut verdicts = inter.verdicts.clone();
-        verdicts.append(&mut summary.verdicts);
-        summary.verdicts = verdicts;
-        if self.config.promotion.is_some() {
-            self.apply_promotion_decisions(&inter, &mut summary)?;
+        let (mut summary, deltas) = self.run_round(true, |_, state| state.due())?;
+        if let Some(cfg) = self.config.promotion {
+            self.apply_promotion_decisions(&cfg, &deltas, &mut summary)?;
         }
         Ok(summary)
     }
@@ -660,48 +670,34 @@ impl MaintenanceScheduler {
         Ok(summary)
     }
 
-    /// Views consuming any backing in `failed`.
-    fn consumers_of(&self, failed: &BTreeSet<String>) -> Result<BTreeSet<String>> {
-        let mut out = BTreeSet::new();
-        for backing in failed {
-            out.extend(self.catalog.intermediate(backing)?.consumers().iter().cloned());
-        }
-        Ok(out)
-    }
-
     /// Read barrier: bring `name` fully up to date (distributing any
-    /// freshly logged changes first), then return its sorted rows.
-    /// This is how `OnRead` views are served; it is equally valid for
-    /// any policy.
+    /// freshly logged changes and maintaining the intermediates first),
+    /// then return its sorted rows. This is how `OnRead` views are
+    /// served; it is equally valid for any policy.
     ///
     /// # Errors
-    /// Unknown view name, or a degraded view (its supervisor could not
-    /// converge — pending changes are preserved for the next attempt).
+    /// Unknown view name, or a degraded view or intermediate under it
+    /// (its supervisor could not converge — pending changes are
+    /// preserved for the next attempt).
     pub fn read_view(&mut self, name: &str) -> Result<Vec<Row>> {
         self.state(name)?;
-        self.distribute()?;
-        let mut cache = SharedDiffCache::new();
-        let inter = self.sync_intermediates(&mut cache)?;
-        if self.consumers_of(&inter.failed)?.contains(name) {
-            return Err(Error::Config(format!(
-                "view `{name}` consumes a degraded intermediate — pending changes preserved"
-            )));
-        }
-        if !self.state(name)?.pending.is_empty() {
-            let summary = self.maintain_views(&[name.to_string()], &mut cache)?;
-            if let Some((_, verdict)) = summary
-                .verdicts
-                .iter()
-                .find(|(n, v)| n == name && !v.healthy())
-            {
+        let (summary, _) = self.run_round(false, |view, _| view == name)?;
+        for (node, verdict) in &summary.verdicts {
+            if node == name && !verdict.healthy() {
                 return Err(Error::Config(format!(
                     "view `{name}` is degraded ({}) — pending changes preserved",
                     verdict.label()
                 )));
             }
+            let feeds = |b: &CatalogView| b.consumers().contains(name);
+            if !converged(*verdict) && self.catalog.intermediate(node).is_ok_and(feeds) {
+                return Err(Error::Config(format!(
+                    "view `{name}` consumes a degraded intermediate — pending changes preserved"
+                )));
+            }
         }
         let (rows, cost) = self.catalog.read(name)?;
-        let stats = &mut self.state_mut(name)?.stats;
+        let stats = &mut self.node_state_mut(name)?.stats;
         stats.reads += 1;
         if cost.rebuilt {
             stats.snapshot_rebuilds += 1;
@@ -719,96 +715,30 @@ impl MaintenanceScheduler {
     /// Catalog inconsistencies only; per-view failures surface as
     /// verdicts in the summary.
     pub fn drain(&mut self) -> Result<RoundSummary> {
-        self.distribute()?;
-        let mut cache = SharedDiffCache::new();
-        let inter = self.sync_intermediates(&mut cache)?;
-        let skip = self.consumers_of(&inter.failed)?;
-        let due: Vec<String> = self
-            .states
-            .iter()
-            .filter(|(n, s)| !s.pending.is_empty() && !skip.contains(*n))
-            .map(|(n, _)| n.clone())
-            .collect();
-        let mut summary = self.maintain_views(&due, &mut cache)?;
-        summary.intermediates = inter.maintained.clone();
-        let mut verdicts = inter.verdicts;
-        verdicts.append(&mut summary.verdicts);
-        summary.verdicts = verdicts;
-        Ok(summary)
+        Ok(self.run_round(false, |_, _| true)?.0)
     }
 
-    /// Maintain `due` views (name order) against one fresh shared
-    /// cache, attributing accesses per view and routing failures
-    /// through the per-view supervisor.
-    fn maintain_views(&mut self, due: &[String], cache: &mut SharedDiffCache) -> Result<RoundSummary> {
-        let mut summary = RoundSummary {
-            round: self.round,
-            ..RoundSummary::default()
-        };
-        let mut due = due.to_vec();
-        due.sort();
-        for name in &due {
-            // The round runs on the pending net itself; it goes back
-            // only if the view did not converge.
-            let net = std::mem::take(&mut self.state_mut(name)?.pending);
-            if net.is_empty() {
-                continue;
-            }
-            let before = self.catalog.db().stats().snapshot();
-            let result = if self.config.share_prefixes {
-                self.catalog.maintain_shared(name, &net, cache)
-            } else {
-                self.catalog.maintain_independent(name, &net)
-            };
-            match result {
-                Ok(report) => {
-                    let spent = self.catalog.db().stats().snapshot().since(&before);
-                    let state = self.state_mut(name)?;
-                    state.staleness = 0;
-                    state.stats.rounds += 1;
-                    state.stats.accesses = state.stats.accesses.merge(spent);
-                    state.stats.view_diff_tuples += report.view_diff_tuples as u64;
-                    state.stats.last_report = Some(report);
-                    summary.maintained.push((name.clone(), spent));
-                }
-                Err(_) => {
-                    // The failed round has been rolled back; escalate
-                    // to the per-view supervisor, which owns retries,
-                    // bisection/quarantine, and the recompute ladder.
-                    let supervised =
-                        self.catalog
-                            .maintain_supervised(name, &net, self.config.supervisor);
-                    let spent = self.catalog.db().stats().snapshot().since(&before);
-                    let recovered_from = self.recovery_note.clone();
-                    let state = self.state_mut(name)?;
-                    if supervised.as_ref().is_ok_and(|r| converged(r.verdict)) {
-                        state.staleness = 0;
-                    } else {
-                        state.pending = net;
-                    }
-                    let mut report = supervised?;
-                    report.recovered_from = recovered_from;
-                    let verdict = report.verdict;
-                    state.stats.rounds += 1;
-                    state.stats.supervised_rounds += 1;
-                    state.stats.accesses = state.stats.accesses.merge(spent);
-                    state.stats.quarantined_changes += report.quarantine.len() as u64;
-                    state.stats.last_verdict = Some(verdict);
-                    state.stats.last_supervisor = Some(report);
-                    summary.maintained.push((name.clone(), spent));
-                    summary.verdicts.push((name.clone(), verdict));
-                }
-            }
+    /// Run one prefix observation through its crossover tracker and
+    /// record the comparison.
+    fn observe(
+        &mut self,
+        cfg: &PromotionConfig,
+        structure: &str,
+        label: &str,
+        promoted: bool,
+        obs: PrefixObservation,
+    ) -> CostEntry {
+        let tracker = self.trackers.entry(structure.to_string()).or_default();
+        CostEntry {
+            label: label.to_string(),
+            promoted,
+            consumers: obs.consumers,
+            observed_compute: obs.compute_accesses,
+            observed_diff_tuples: obs.diff_tuples,
+            predicted_maintain_milli: cfg.maintain_milli(&obs),
+            predicted_recompute_milli: cfg.recompute_milli(&obs),
+            decision: tracker.observe(cfg, promoted, &obs),
         }
-        for (name, state) in &self.states {
-            if !state.pending.is_empty() && !due.contains(name) {
-                summary.deferred.push((name.clone(), state.staleness));
-            }
-        }
-        summary.shared_hits = cache.total_hits();
-        summary.shared_saved_accesses = cache.total_saved_accesses();
-        summary.prefix_stats = cache.stats();
-        Ok(summary)
     }
 
     /// Feed this tick's per-prefix observations into the crossover
@@ -819,132 +749,90 @@ impl MaintenanceScheduler {
     /// runs and thread counts.
     fn apply_promotion_decisions(
         &mut self,
-        inter: &IntermediateRound,
+        cfg: &PromotionConfig,
+        deltas: &BackingDeltas,
         summary: &mut RoundSummary,
     ) -> Result<()> {
-        let Some(cfg) = self.config.promotion else {
-            return Ok(());
-        };
         // Unpromoted candidate prefixes are observed through the
         // round's shared cache: one stat per pending horizon may exist
         // for a structure, so compute sums and the diff width is the
         // widest horizon's.
         let candidates = self.catalog.promotion_candidates();
-        let mut observed: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+        let mut observed: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
         for stat in &summary.prefix_stats {
             if candidates.iter().any(|c| c.structure == stat.structure) {
-                let entry = observed.entry(stat.structure.clone()).or_insert((0, 0));
+                let entry = observed.entry(&stat.structure).or_insert((0, 0));
                 entry.0 += stat.compute_accesses.total();
                 entry.1 = entry.1.max(stat.diff_tuples as u64);
             }
         }
-        let mut to_promote: Vec<PromotionCandidate> = Vec::new();
-        for (structure, (compute, diff_tuples)) in &observed {
-            let Some(candidate) = candidates.iter().find(|c| &c.structure == structure) else {
+        let mut to_promote: Vec<&PromotionCandidate> = Vec::new();
+        for (structure, (compute_accesses, diff_tuples)) in observed {
+            let Some(candidate) = candidates.iter().find(|c| c.structure == structure) else {
                 continue;
             };
             let obs = PrefixObservation {
-                compute_accesses: *compute,
-                diff_tuples: *diff_tuples,
+                compute_accesses,
+                diff_tuples,
                 consumers: candidate.consumers.len() as u64,
             };
-            let tracker = self.trackers.entry(structure.clone()).or_default();
-            let decision = tracker.observe(&cfg, false, &obs);
-            summary.cost.push(CostEntry {
-                label: candidate.label.clone(),
-                promoted: false,
-                consumers: obs.consumers,
-                observed_compute: obs.compute_accesses,
-                observed_diff_tuples: obs.diff_tuples,
-                predicted_maintain_milli: cfg.maintain_milli(&obs),
-                predicted_recompute_milli: cfg.recompute_milli(&obs),
-                decision,
-            });
-            if decision == PromotionDecision::Promote {
-                to_promote.push(candidate.clone());
+            let entry = self.observe(cfg, structure, &candidate.label, false, obs);
+            if entry.decision == PromotionDecision::Promote {
+                to_promote.push(candidate);
             }
+            summary.cost.push(entry);
         }
         // Promoted prefixes are observed through their own maintenance
-        // round this tick (failed rounds are not observations).
-        let mut to_demote: Vec<String> = Vec::new();
-        for (backing, spent) in &inter.maintained {
-            if inter.failed.contains(backing) {
+        // round this tick (rounds that did not converge are not
+        // observations).
+        let failed = |backing: &str| {
+            let unconverged = |(n, v): &(String, SupervisorVerdict)| n == backing && !converged(*v);
+            summary.verdicts.iter().any(unconverged)
+        };
+        let mut to_demote: BTreeSet<String> = BTreeSet::new();
+        for (backing, spent) in &summary.intermediates {
+            if failed(backing) {
                 continue;
             }
-            let iv = self.catalog.intermediate(backing)?;
+            let node = self.catalog.intermediate(backing)?;
             let obs = PrefixObservation {
                 compute_accesses: spent.total(),
-                diff_tuples: inter.deltas.get(backing).copied().unwrap_or(0),
-                consumers: iv.consumers().len() as u64,
+                diff_tuples: deltas.get(backing).copied().unwrap_or(0),
+                consumers: node.consumers().len() as u64,
             };
-            let structure = iv.structure().to_string();
-            let label = iv.label().to_string();
-            let tracker = self.trackers.entry(structure).or_default();
-            let decision = tracker.observe(&cfg, true, &obs);
-            summary.cost.push(CostEntry {
-                label,
-                promoted: true,
-                consumers: obs.consumers,
-                observed_compute: obs.compute_accesses,
-                observed_diff_tuples: obs.diff_tuples,
-                predicted_maintain_milli: cfg.maintain_milli(&obs),
-                predicted_recompute_milli: cfg.recompute_milli(&obs),
-                decision,
-            });
-            if decision == PromotionDecision::Demote {
-                to_demote.push(backing.clone());
+            let (structure, label) = (node.structure().to_string(), node.label().to_string());
+            let entry = self.observe(cfg, &structure, &label, true, obs);
+            if entry.decision == PromotionDecision::Demote {
+                to_demote.insert(backing.clone());
             }
+            summary.cost.push(entry);
         }
         // Collapse rule: an intermediate whose consumer set shrank
         // below the floor (views unregistered) no longer pays for
         // itself even if it had no round to observe this tick.
-        let idle: Vec<String> = self
-            .catalog
-            .intermediate_names()
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        for backing in idle {
-            if to_demote.contains(&backing) || inter.failed.contains(&backing) {
-                continue;
-            }
-            let consumers = self.catalog.intermediate(&backing)?.consumers().len() as u64;
-            if consumers < cfg.min_consumers {
-                to_demote.push(backing);
+        for backing in self.catalog.intermediate_names() {
+            let consumers = self.catalog.intermediate(backing)?.consumers().len() as u64;
+            if consumers < cfg.min_consumers && !failed(backing) {
+                to_demote.insert(backing.to_string());
             }
         }
-        to_demote.sort();
-        to_demote.dedup();
         for candidate in to_promote {
-            if let Some(event) = self.promote_candidate(&candidate)? {
-                summary.promotions.push(event);
-            }
+            summary
+                .promotions
+                .extend(self.promote_candidate(candidate)?);
         }
         for backing in to_demote {
-            if let Some(event) = self.demote_backing(&backing)? {
-                summary.promotions.push(event);
-            }
+            summary.promotions.extend(self.demote_backing(&backing)?);
         }
         Ok(())
     }
 
-    /// Bring `names` fully up to date ahead of catalog surgery.
-    /// Returns `false` (surgery must be skipped) if any of them could
-    /// not converge — their pendings are preserved.
+    /// Bring the views in `names` fully up to date ahead of catalog
+    /// surgery (views only: a backing left dirty by this tick is not
+    /// retried here). Returns `false` (surgery must be skipped) if any
+    /// of them could not converge — their pendings are preserved.
     fn drain_views(&mut self, names: &BTreeSet<String>) -> Result<bool> {
-        let due: Vec<String> = names
-            .iter()
-            .filter(|n| {
-                self.states
-                    .get(n.as_str())
-                    .is_some_and(|s| !s.pending.is_empty())
-            })
-            .cloned()
-            .collect();
-        if !due.is_empty() {
-            let mut cache = SharedDiffCache::new();
-            self.maintain_views(&due, &mut cache)?;
-        }
+        self.maintain_due(false, false, |view, _| names.contains(view))?;
         Ok(names.iter().all(|n| {
             self.states
                 .get(n.as_str())
@@ -959,27 +847,23 @@ impl MaintenanceScheduler {
     /// plan to scan it, and start scheduling its maintenance. Returns
     /// `None` if a consumer could not be drained (promotion is retried
     /// on a later tick — the tracker keeps firing).
-    fn promote_candidate(&mut self, candidate: &PromotionCandidate) -> Result<Option<PromotionEvent>> {
+    fn promote_candidate(
+        &mut self,
+        candidate: &PromotionCandidate,
+    ) -> Result<Option<PromotionEvent>> {
         let consumers: BTreeSet<String> = candidate.consumers.iter().cloned().collect();
         if !self.drain_views(&consumers)? {
             return Ok(None);
         }
         let backing = self.catalog.promote(candidate)?;
-        self.intermediate_pending
-            .insert(backing.clone(), HashMap::new());
-        self.intermediate_stats.entry(backing.clone()).or_default();
-        let consumers: Vec<String> = self
-            .catalog
-            .intermediate(&backing)?
-            .consumers()
-            .iter()
-            .cloned()
-            .collect();
+        self.states
+            .insert(backing.clone(), ViewState::new(RefreshPolicy::Eager));
+        let consumers = self.catalog.intermediate(&backing)?.consumers();
         Ok(Some(PromotionEvent {
             action: "promote",
+            consumers: consumers.iter().cloned().collect(),
             backing,
             label: candidate.label.clone(),
-            consumers,
         }))
     }
 
@@ -990,22 +874,14 @@ impl MaintenanceScheduler {
     /// drop the backing. Returns `None` if the preconditions do not
     /// hold this tick.
     fn demote_backing(&mut self, backing: &str) -> Result<Option<PromotionEvent>> {
-        let iv = self.catalog.intermediate(backing)?;
-        let label = iv.label().to_string();
-        let consumers: BTreeSet<String> = iv.consumers().iter().cloned().collect();
-        if self
-            .intermediate_pending
-            .get(backing)
-            .is_some_and(|p| !p.is_empty())
-        {
-            return Ok(None);
-        }
-        if !self.drain_views(&consumers)? {
+        let node = self.catalog.intermediate(backing)?;
+        let label = node.label().to_string();
+        let consumers = node.consumers().clone();
+        if !self.node_state(backing)?.pending.is_empty() || !self.drain_views(&consumers)? {
             return Ok(None);
         }
         self.catalog.demote(backing)?;
-        self.intermediate_pending.remove(backing);
-        self.intermediate_stats.remove(backing);
+        self.states.remove(backing);
         Ok(Some(PromotionEvent {
             action: "demote",
             backing: backing.to_string(),
@@ -1024,16 +900,13 @@ impl MaintenanceScheduler {
     pub fn force_promote(&mut self, label: &str) -> Result<String> {
         // Quiescence: fold any freshly logged changes and deliver
         // pending intermediate deltas before the surgery barrier.
-        self.distribute()?;
-        self.sync_intermediates(&mut SharedDiffCache::new())?;
+        self.run_round(false, |_, _| false)?;
         let candidate = self
             .catalog
             .promotion_candidates()
             .into_iter()
             .find(|c| c.label == label)
-            .ok_or_else(|| {
-                Error::Config(format!("no promotable prefix labelled `{label}`"))
-            })?;
+            .ok_or_else(|| Error::Config(format!("no promotable prefix labelled `{label}`")))?;
         match self.promote_candidate(&candidate)? {
             Some(event) => Ok(event.backing),
             None => Err(Error::Config(format!(
@@ -1050,8 +923,7 @@ impl MaintenanceScheduler {
     /// [`ViewCatalog::demote`] failure.
     pub fn force_demote(&mut self, backing: &str) -> Result<()> {
         // Deliver any pending backing delta to consumers first.
-        self.distribute()?;
-        self.sync_intermediates(&mut SharedDiffCache::new())?;
+        self.run_round(false, |_, _| false)?;
         match self.demote_backing(backing)? {
             Some(_) => Ok(()),
             None => Err(Error::Config(format!(
@@ -1065,9 +937,8 @@ impl MaintenanceScheduler {
     /// # Errors
     /// Unknown backing name.
     pub fn intermediate_stats(&self, backing: &str) -> Result<&ViewStats> {
-        self.intermediate_stats.get(backing).ok_or_else(|| {
-            Error::Config(format!("intermediate `{backing}` is not registered"))
-        })
+        self.catalog.intermediate(backing)?;
+        Ok(&self.node_state(backing)?.stats)
     }
 
     /// Backing-table names of the currently promoted intermediates,
@@ -1084,12 +955,16 @@ impl MaintenanceScheduler {
     // Crash-recovery surface (used by `idivm_durability`)
     // ------------------------------------------------------------------
 
-    /// Recovery-path [`MaintenanceScheduler::register`]: the view's
+    /// Recovery-path [`MaintenanceScheduler::register`]: the node's
     /// table and caches already hold its materialized state (restored
     /// from a checkpoint), so the catalog reattaches the engine with
-    /// [`ViewCatalog::reattach`] instead of re-materializing. The
-    /// view's runtime state (pending net, staleness) starts empty —
-    /// restore it with [`MaintenanceScheduler::restore_view_runtime`].
+    /// [`ViewCatalog::reattach`] instead of re-materializing. `backing`
+    /// is `None` for a view and the checkpointed [`Backing`] for a
+    /// promoted intermediate, which must be reattached before any of
+    /// its consumers and is maintained first in every round whatever
+    /// `policy` says. The node's runtime state (pending net, staleness)
+    /// starts empty — restore it with
+    /// [`MaintenanceScheduler::restore_runtime`].
     ///
     /// # Errors
     /// Invalid policy or any [`ViewCatalog::reattach`] failure.
@@ -1098,44 +973,12 @@ impl MaintenanceScheduler {
         name: &str,
         plan: idivm_algebra::Plan,
         policy: RefreshPolicy,
+        backing: Option<Backing>,
         options: IvmOptions,
     ) -> Result<()> {
         policy.validate()?;
-        self.catalog.reattach(name, plan, options)?;
-        self.states.insert(
-            name.to_string(),
-            ViewState {
-                policy,
-                pending: HashMap::new(),
-                staleness: 0,
-                stats: ViewStats::default(),
-            },
-        );
-        Ok(())
-    }
-
-    /// Recovery-path re-registration of a promoted intermediate over
-    /// its restored backing table. Call before reattaching any of its
-    /// consumer views (see [`ViewCatalog::reattach_intermediate`]).
-    ///
-    /// # Errors
-    /// Any [`ViewCatalog::reattach_intermediate`] failure.
-    pub fn reattach_intermediate(
-        &mut self,
-        backing: &str,
-        subtree: idivm_algebra::Plan,
-        structure: String,
-        label: String,
-        consumers: BTreeSet<String>,
-        options: IvmOptions,
-    ) -> Result<()> {
-        self.catalog
-            .reattach_intermediate(backing, subtree, structure, label, consumers, options)?;
-        self.intermediate_pending
-            .insert(backing.to_string(), HashMap::new());
-        self.intermediate_stats
-            .entry(backing.to_string())
-            .or_default();
+        self.catalog.reattach(name, plan, backing, options)?;
+        self.states.insert(name.to_string(), ViewState::new(policy));
         Ok(())
     }
 
@@ -1144,34 +987,21 @@ impl MaintenanceScheduler {
         self.round = round;
     }
 
-    /// Restore a view's checkpointed runtime state: its composed
-    /// pending net and staleness counter.
+    /// Restore a node's checkpointed runtime state — a view's or a
+    /// promoted intermediate's: its composed pending net and staleness
+    /// counter (0 for an intermediate, which has none).
     ///
     /// # Errors
-    /// Unknown view name.
-    pub fn restore_view_runtime(
+    /// Unknown name.
+    pub fn restore_runtime(
         &mut self,
         name: &str,
         pending: HashMap<String, TableChanges>,
         staleness: u32,
     ) -> Result<()> {
-        let state = self.state_mut(name)?;
+        let state = self.node_state_mut(name)?;
         state.pending = pending;
         state.staleness = staleness;
-        Ok(())
-    }
-
-    /// Restore a promoted intermediate's checkpointed pending net.
-    ///
-    /// # Errors
-    /// Unknown backing name.
-    pub fn restore_intermediate_pending(
-        &mut self,
-        backing: &str,
-        pending: HashMap<String, TableChanges>,
-    ) -> Result<()> {
-        self.catalog.intermediate(backing)?;
-        self.intermediate_pending.insert(backing.to_string(), pending);
         Ok(())
     }
 
@@ -1182,11 +1012,7 @@ impl MaintenanceScheduler {
     /// Unknown backing name.
     pub fn intermediate_pending(&self, backing: &str) -> Result<HashMap<String, TableChanges>> {
         self.catalog.intermediate(backing)?;
-        Ok(self
-            .intermediate_pending
-            .get(backing)
-            .cloned()
-            .unwrap_or_default())
+        Ok(self.node_state(backing)?.pending.clone())
     }
 
     /// Streak counters of every crossover tracker, sorted by prefix
@@ -1226,6 +1052,58 @@ mod tests {
     use super::*;
     use idivm_workloads::bsma::Bsma;
     use idivm_workloads::MultiView;
+
+    /// A window whose changes cancel (a row inserted, then deleted)
+    /// folds to nothing, but its entries are in the log all the same:
+    /// the tick that folds them must consume them, or every later round
+    /// folds them again.
+    #[test]
+    fn a_log_that_folds_to_nothing_is_still_cleared() {
+        use idivm_exec::{executor::sorted, recompute_rows};
+        use idivm_types::{row, Key, Value};
+        let cfg = MultiView {
+            bsma: Bsma {
+                scale: 0.05,
+                seed: 11,
+            },
+        };
+        let mut sched = MaintenanceScheduler::new(cfg.build().unwrap(), SchedulerConfig::default());
+        for (name, plan) in cfg.views(sched.db()).unwrap() {
+            sched
+                .register(&name, plan, RefreshPolicy::Eager, IvmOptions::default())
+                .unwrap();
+        }
+
+        let db = sched.db_mut();
+        db.insert("microblog", row![9_000_000, 1, 500, 7]).unwrap();
+        db.delete("microblog", &Key(vec![Value::Int(9_000_000)]))
+            .unwrap();
+        assert_eq!(sched.db().log().len(), 2);
+        assert!(
+            sched.db().fold_log().is_empty(),
+            "the batch does not cancel"
+        );
+        let summary = sched.tick().unwrap();
+        assert!(summary.maintained.is_empty() && summary.deferred.is_empty());
+        assert_eq!(
+            sched.db().log().len(),
+            0,
+            "a cancelled window stayed in the log"
+        );
+
+        cfg.tweet_batch(sched.db_mut(), 24, 1).unwrap();
+        let summary = sched.tick().unwrap();
+        assert_eq!(summary.maintained.len(), sched.catalog().len());
+        for name in sched.catalog().names() {
+            let view = sched.catalog().view(name).unwrap();
+            let plan = idivm_algebra::ensure_ids(view.source_plan().clone()).unwrap();
+            assert_eq!(
+                sched.catalog().rows(name).unwrap(),
+                sorted(recompute_rows(sched.db(), &plan).unwrap()),
+                "`{name}` differs from the recompute oracle"
+            );
+        }
+    }
 
     /// hit → invalidate → rebuild → hit, as `ViewStats` tells it.
     #[test]

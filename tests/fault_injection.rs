@@ -522,7 +522,7 @@ fn intermediate_fault_rolls_back_backing_and_consumers() {
                 .unwrap()
                 .engine_mut()
                 .set_faults(site.plan(k));
-            match sched.catalog_mut().maintain_intermediate(&backing, &pre_net) {
+            match sched.catalog_mut().maintain(&backing, &pre_net, None) {
                 Err(e) => {
                     assert!(
                         matches!(e, Error::Injected(_)),
@@ -556,7 +556,7 @@ fn intermediate_fault_rolls_back_backing_and_consumers() {
             .catalog()
             .intermediate(&backing)
             .unwrap()
-            .subtree()
+            .source_plan()
             .clone();
         assert_eq!(
             sorted(
