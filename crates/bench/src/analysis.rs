@@ -1,12 +1,16 @@
 //! Section 6 — analytic speedup surfaces, and validation of the model
 //! against measured runs across a small parameter sweep.
+//!
+//! Usage: `idivm-bench analysis` (no flags, no guards; the numbers are
+//! pinned by `tests/outputs.rs`).
 
-use idivm_core::{IdIvm, IvmOptions};
-use idivm_cost::{ObservedParams, SpjModel};
-use idivm_tuple::TupleIvm;
+use crate::table2::{observed, spj_round};
+use idivm_bench::Args;
+use idivm_cost::SpjModel;
+use idivm_types::Result;
 use idivm_workloads::RunningExample;
 
-fn main() {
+pub fn run(_: &Args) -> Result<()> {
     println!("Section 6.1 — analytic SPJ speedup (a + 2p) / (1 + p):\n");
     print!("{:>8}", "a \\ p");
     let ps = [0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
@@ -39,7 +43,7 @@ fn main() {
             joins: 2,
             seed: 42,
         };
-        let obs = measure(&cfg, 100);
+        let obs = observed(&spj_round(&cfg, 100)?);
         let model = obs.spj_model();
         println!(
             "{:>8} {:>10.3} {:>10.3} {:>11.2}x {:>11.2}x {:>8.1}",
@@ -51,35 +55,5 @@ fn main() {
             obs.spj_prediction_error() * 100.0
         );
     }
-}
-
-fn measure(cfg: &RunningExample, d: usize) -> ObservedParams {
-    let mut db_i = cfg.build().unwrap();
-    let plan_i = cfg.spj_plan(&db_i).unwrap();
-    let ivm = IdIvm::setup(&mut db_i, "V", plan_i, IvmOptions::default()).unwrap();
-    cfg.price_update_batch(&mut db_i, d, 0).unwrap();
-    let _ = ivm.maintain(&mut db_i).unwrap();
-    cfg.price_update_batch(&mut db_i, d, 1).unwrap();
-    db_i.stats().reset();
-    let ri = ivm.maintain(&mut db_i).unwrap();
-
-    let mut db_t = cfg.build().unwrap();
-    let plan_t = cfg.spj_plan(&db_t).unwrap();
-    let tivm = TupleIvm::setup(&mut db_t, "V", plan_t).unwrap();
-    cfg.price_update_batch(&mut db_t, d, 0).unwrap();
-    let _ = tivm.maintain(&mut db_t).unwrap();
-    cfg.price_update_batch(&mut db_t, d, 1).unwrap();
-    db_t.stats().reset();
-    let rt = tivm.maintain(&mut db_t).unwrap();
-
-    ObservedParams {
-        base_diff_tuples: ri.base_diff_tuples as u64,
-        id_view_diff_tuples: ri.view_diff_tuples as u64,
-        id_view_modified: ri.view_outcome.updated
-            + ri.view_outcome.inserted
-            + ri.view_outcome.deleted,
-        tuple_diff_compute: rt.diff_compute.total(),
-        id_total: ri.total_accesses(),
-        tuple_total: rt.total_accesses(),
-    }
+    Ok(())
 }

@@ -4,7 +4,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p idivm-bench --bin crashbench [-- --smoke] [--scale N]
+//! cargo run --release -p idivm-bench -- crashbench [--smoke] [--scale N]
 //! ```
 //!
 //! Three in-process guards run before the sweep is reported:
@@ -41,15 +41,15 @@
 //! Output: one row per swept kill site and per state size, plus
 //! `BENCH_crash.json` (schema in `EXPERIMENTS.md`).
 
-use idivm_bench::fmt_row;
+use idivm_bench::{fmt_row, overhead_pct, Args, Json, CRASH_SEED};
 use idivm_core::{FaultPlan, FaultState, IvmOptions};
 use idivm_durability::{
-    Checkpoint, CheckpointStats, Durable, DurabilityConfig, DurabilityPolicy, Wal, WAL_FILE,
+    Checkpoint, CheckpointStats, DurabilityConfig, DurabilityPolicy, Durable, Wal, WAL_FILE,
 };
 use idivm_exec::ParallelConfig;
 use idivm_reldb::TableSignature;
 use idivm_sched::{RefreshPolicy, SchedulerConfig};
-use idivm_types::Error;
+use idivm_types::{Error, Result};
 use idivm_workloads::bsma::Bsma;
 use idivm_workloads::multiview::{MultiView, VIEW_NAMES};
 use idivm_workloads::RunningExample;
@@ -60,23 +60,26 @@ use std::time::Instant;
 
 type Sig = HashMap<String, TableSignature>;
 
-fn fault_seed() -> u64 {
-    std::env::var("IDIVM_FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2015)
+/// A file-system failure under the store directory, as this crate's error.
+fn io<T>(what: &str, result: std::io::Result<T>) -> Result<T> {
+    result.map_err(|e| Error::Config(format!("{what}: {e}")))
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
+fn fresh_dir(tag: &str) -> Result<PathBuf> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-    let dir = std::env::temp_dir().join(format!("idivm_crashbench_{tag}_{}_{n}", std::process::id()));
+    let dir =
+        std::env::temp_dir().join(format!("idivm_crashbench_{tag}_{}_{n}", std::process::id()));
     if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear stale dir");
+        io("clear stale dir", std::fs::remove_dir_all(&dir))?;
     }
-    std::fs::create_dir_all(&dir).expect("create store dir");
-    dir
+    io("create store dir", std::fs::create_dir_all(&dir))?;
+    Ok(dir)
+}
+
+fn cleanup(dir: &Path) -> Result<()> {
+    io("cleanup", std::fs::remove_dir_all(dir))
 }
 
 fn no_faults() -> Arc<FaultState> {
@@ -107,27 +110,22 @@ fn options(threads: usize) -> IvmOptions {
     }
 }
 
-/// Create a durable store over the running example with the aggregate
-/// view registered eagerly.
+/// Create a durable store over the running example (no view yet).
 fn create_store(
     dir: &Path,
     cfg: &RunningExample,
     dcfg: DurabilityConfig,
     faults: Arc<FaultState>,
     threads: usize,
-) -> Result<Durable, Error> {
-    let db = cfg.build()?;
-    let mut store = Durable::create(
+) -> Result<Durable> {
+    Durable::create(
         dir,
-        db,
+        cfg.build()?,
         SchedulerConfig::default(),
         options(threads),
         dcfg,
         faults,
-    )?;
-    let plan = cfg.agg_plan(store.db())?;
-    store.register("V", plan, RefreshPolicy::Eager)?;
-    Ok(store)
+    )
 }
 
 /// One lifecycle run's observable history: the signature after every
@@ -137,6 +135,13 @@ struct Run {
     acks: Vec<Sig>,
     at_failure: Option<Sig>,
     completed: bool,
+}
+
+/// The lifecycle ended at `step` with `err`: it must be the armed kill.
+fn killed(mut run: Run, step: &str, err: &Error, at_failure: Option<Sig>) -> Result<Run> {
+    assert!(matches!(err, Error::Injected(_)), "{step}: got {err:?}");
+    run.at_failure = at_failure;
+    Ok(run)
 }
 
 /// Drive `rounds` price-update rounds plus a final drain until the
@@ -149,88 +154,48 @@ fn run_lifecycle(
     dcfg: DurabilityConfig,
     faults: Arc<FaultState>,
     threads: usize,
-) -> Run {
-    let mut acks: Vec<Sig> = Vec::new();
-    let db = cfg.build().expect("build");
-    let mut store = match Durable::create(
-        dir,
-        db,
-        SchedulerConfig::default(),
-        options(threads),
-        dcfg,
-        faults,
-    ) {
-        Ok(s) => s,
-        Err(err) => {
-            assert!(matches!(err, Error::Injected(_)), "create: got {err:?}");
-            return Run {
-                acks,
-                at_failure: None,
-                completed: false,
-            };
-        }
+) -> Result<Run> {
+    let mut run = Run {
+        acks: Vec::new(),
+        at_failure: None,
+        completed: false,
     };
-    acks.push(store.signature());
-    let plan = cfg.agg_plan(store.db()).expect("plan");
-    match store.register("V", plan, RefreshPolicy::Eager) {
-        Ok(_) => acks.push(store.signature()),
-        Err(err) => {
-            assert!(matches!(err, Error::Injected(_)), "register: got {err:?}");
-            return Run {
-                acks,
-                at_failure: Some(store.signature()),
-                completed: false,
-            };
-        }
+    let mut store = match create_store(dir, cfg, dcfg, faults, threads) {
+        Ok(store) => store,
+        Err(err) => return killed(run, "create", &err, None),
+    };
+    run.acks.push(store.signature());
+    let plan = cfg.agg_plan(store.db())?;
+    if let Err(err) = store.register("V", plan, RefreshPolicy::Eager) {
+        return killed(run, "register", &err, Some(store.signature()));
     }
+    run.acks.push(store.signature());
     for round in 1..=rounds {
-        cfg.price_update_batch(store.db_mut(), d, round).expect("batch");
-        match store.tick() {
-            Ok(_) => acks.push(store.signature()),
-            Err(err) => {
-                assert!(matches!(err, Error::Injected(_)), "tick {round}: got {err:?}");
-                return Run {
-                    acks,
-                    at_failure: Some(store.signature()),
-                    completed: false,
-                };
-            }
+        cfg.price_update_batch(store.db_mut(), d, round)?;
+        if let Err(err) = store.tick() {
+            return killed(run, &format!("tick {round}"), &err, Some(store.signature()));
         }
+        run.acks.push(store.signature());
     }
-    match store.drain() {
-        Ok(_) => acks.push(store.signature()),
-        Err(err) => {
-            assert!(matches!(err, Error::Injected(_)), "drain: got {err:?}");
-            return Run {
-                acks,
-                at_failure: Some(store.signature()),
-                completed: false,
-            };
-        }
+    if let Err(err) = store.drain() {
+        return killed(run, "drain", &err, Some(store.signature()));
     }
+    run.acks.push(store.signature());
     // An automatic checkpoint may still be in flight; closing the
     // store is where its kill, if any, comes out.
     let at_close = store.signature();
     if let Err(err) = store.close() {
-        assert!(matches!(err, Error::Injected(_)), "close: got {err:?}");
-        return Run {
-            acks,
-            at_failure: Some(at_close),
-            completed: false,
-        };
+        return killed(run, "close", &err, Some(at_close));
     }
-    Run {
-        acks,
-        at_failure: None,
-        completed: true,
-    }
+    run.completed = true;
+    Ok(run)
 }
 
-fn reopen(dir: &Path, dcfg: DurabilityConfig, threads: usize) -> Result<Durable, Error> {
+fn reopen(dir: &Path, dcfg: DurabilityConfig, options: IvmOptions) -> Result<Durable> {
     Durable::open(
         dir,
         SchedulerConfig::default(),
-        options(threads),
+        options,
         dcfg,
         no_faults(),
         None,
@@ -253,7 +218,6 @@ struct SizeCounts {
 }
 
 struct SizeRow {
-    scale: f64,
     counts: SizeCounts,
     stall_ms: f64,
     publish_ms: f64,
@@ -270,7 +234,7 @@ const SIZE_EVERY: u32 = 16;
 /// tables come from the section cache — so the stats read afterwards
 /// are that checkpoint's; the half interval on top leaves the log with
 /// records for `open` to replay.
-fn size_pass(scale: f64) -> SizeRow {
+fn size_pass(scale: f64) -> Result<SizeRow> {
     let cfg = MultiView {
         bsma: Bsma { scale, seed: 7 },
     };
@@ -278,98 +242,78 @@ fn size_pass(scale: f64) -> SizeRow {
         policy: DurabilityPolicy::EveryNRounds(8),
         checkpoint_every_rounds: SIZE_EVERY,
     };
-    let dir = fresh_dir("size");
+    let dir = fresh_dir("size")?;
     let mut store = Durable::create(
         &dir,
-        cfg.build().expect("build"),
+        cfg.build()?,
         SchedulerConfig::default(),
         IvmOptions::default(),
         dcfg,
         no_faults(),
-    )
-    .expect("store");
+    )?;
     for name in VIEW_NAMES {
-        let plan = cfg.plan(store.db(), name).expect("plan");
-        store.register(name, plan, RefreshPolicy::Eager).expect("register");
+        let plan = cfg.plan(store.db(), name)?;
+        store.register(name, plan, RefreshPolicy::Eager)?;
     }
     let mut before_second = CheckpointStats::default();
     for round in 1..=u64::from(SIZE_EVERY) * 7 / 2 {
-        cfg.tweet_batch(store.db_mut(), 64, round).expect("batch");
-        store.tick().expect("tick");
+        cfg.tweet_batch(store.db_mut(), 64, round)?;
+        store.tick()?;
         if round == u64::from(SIZE_EVERY) * 2 {
             // The first automatic checkpoint was joined just now.
             before_second = store.checkpoint_stats();
         }
     }
     let stats = store.checkpoint_stats();
-    assert_eq!(stats.taken, before_second.taken + 1, "the second automatic checkpoint");
-    let table_rows = store
-        .db()
-        .table_names()
-        .iter()
-        .map(|t| store.db().table(t).expect("table").len())
-        .sum();
+    assert_eq!(
+        stats.taken,
+        before_second.taken + 1,
+        "the second automatic checkpoint"
+    );
+    let mut table_rows = 0;
+    for t in store.db().table_names() {
+        table_rows += store.db().table(t)?.len();
+    }
     let live = store.signature();
-    store.close().expect("close");
+    store.close()?;
 
     let started = Instant::now();
-    let last_lsn = Checkpoint::load(&dir).expect("load").last_lsn;
+    let last_lsn = Checkpoint::load(&dir)?.last_lsn;
     let load_ms = started.elapsed().as_secs_f64() * 1e3;
     std::hint::black_box(last_lsn);
     let started = Instant::now();
-    let reopened = Durable::open(
-        &dir,
-        SchedulerConfig::default(),
-        IvmOptions::default(),
-        dcfg,
-        no_faults(),
-        None,
-    )
-    .expect("open");
+    let reopened = reopen(&dir, dcfg, IvmOptions::default())?;
     let open_ms = started.elapsed().as_secs_f64() * 1e3;
-    assert!(reopened.signature() == live, "scale {scale}: recovery diverged");
+    assert!(
+        reopened.signature() == live,
+        "scale {scale}: recovery diverged"
+    );
     drop(reopened);
+    let checkpoint_file = dir.join(idivm_durability::CHECKPOINT_FILE);
     let counts = SizeCounts {
         table_rows,
-        wal_records: Wal::scan(&dir.join(WAL_FILE)).expect("scan").records.len(),
-        checkpoint_bytes: std::fs::metadata(dir.join(idivm_durability::CHECKPOINT_FILE))
-            .expect("checkpoint file")
-            .len(),
+        wal_records: Wal::scan(&dir.join(WAL_FILE))?.records.len(),
+        checkpoint_bytes: io("checkpoint file", std::fs::metadata(checkpoint_file))?.len(),
         tables_reused: stats.tables_reused - before_second.tables_reused,
         tables_encoded: stats.tables_encoded - before_second.tables_encoded,
         bytes_reused: stats.bytes_reused - before_second.bytes_reused,
         bytes_encoded: stats.bytes_encoded - before_second.bytes_encoded,
         cut_bytes: stats.last_cut_bytes,
     };
-    std::fs::remove_dir_all(&dir).expect("cleanup");
-    SizeRow {
-        scale,
+    cleanup(&dir)?;
+    Ok(SizeRow {
         counts,
         stall_ms: stats.last_stall_us as f64 / 1e3,
         publish_ms: stats.last_publish_us as f64 / 1e3,
         load_ms,
         open_ms,
-    }
+    })
 }
 
-/// One swept kill's record for the JSON document.
-struct SweepRow {
-    site: &'static str,
-    k: u64,
-    outcome: &'static str,
-    note: String,
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale: f64 = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 0.2 } else { 1.0 });
-    let seed = fault_seed();
+pub fn run(args: &Args) -> Result<()> {
+    let smoke = args.smoke;
+    let scale = args.or(args.scale, 0.2, 1.0);
+    let seed = args.fault_seed.unwrap_or(CRASH_SEED);
 
     let cfg = RunningExample {
         n_parts: (600.0 * scale) as usize,
@@ -408,24 +352,26 @@ fn main() {
     // One rep: the wall-clock of each tick alone (batch generation is
     // identical under both policies and only adds noise) and the
     // final signature digest.
-    let one_rep = |policy: DurabilityPolicy| -> (Vec<f64>, u64) {
-        let dir = fresh_dir("overhead");
+    let one_rep = |policy: DurabilityPolicy| -> Result<(Vec<f64>, u64)> {
+        let dir = fresh_dir("overhead")?;
         let dcfg = DurabilityConfig {
             policy,
             checkpoint_every_rounds: 0,
         };
-        let mut store = create_store(&dir, &tcfg, dcfg, no_faults(), 1).expect("store");
+        let mut store = create_store(&dir, &tcfg, dcfg, no_faults(), 1)?;
+        let plan = tcfg.agg_plan(store.db())?;
+        store.register("V", plan, RefreshPolicy::Eager)?;
         let mut ticks = Vec::with_capacity(timing_rounds as usize);
         for round in 1..=timing_rounds {
-            tcfg.price_update_batch(store.db_mut(), td, round).expect("batch");
+            tcfg.price_update_batch(store.db_mut(), td, round)?;
             let start = Instant::now();
-            store.tick().expect("tick");
+            store.tick()?;
             ticks.push(start.elapsed().as_secs_f64() * 1e3);
         }
         let digest = sig_digest(&store.signature());
         drop(store);
-        std::fs::remove_dir_all(&dir).expect("cleanup");
-        (ticks, digest)
+        cleanup(&dir)?;
+        Ok((ticks, digest))
     };
     // Interleave the two policies so machine drift hits both equally,
     // then keep each *round's* fastest sample across reps: transient
@@ -433,30 +379,30 @@ fn main() {
     // (encode + write + fsync) is in every sample and cannot be. One
     // discarded warm-up rep absorbs cold caches and any write-back
     // storm left by whatever ran before the bench.
-    let _ = one_rep(DurabilityPolicy::Off);
-    let _ = one_rep(DurabilityPolicy::Always);
+    one_rep(DurabilityPolicy::Off)?;
+    one_rep(DurabilityPolicy::Always)?;
     let mut off_rounds = vec![f64::INFINITY; timing_rounds as usize];
     let mut wal_rounds = vec![f64::INFINITY; timing_rounds as usize];
     let (mut off_digest, mut wal_digest) = (0u64, 0u64);
     for _ in 0..reps {
-        let (ticks, dg) = one_rep(DurabilityPolicy::Off);
-        for (best, t) in off_rounds.iter_mut().zip(&ticks) {
-            *best = best.min(*t);
+        for (policy, best_rounds, digest) in [
+            (DurabilityPolicy::Off, &mut off_rounds, &mut off_digest),
+            (DurabilityPolicy::Always, &mut wal_rounds, &mut wal_digest),
+        ] {
+            let (ticks, dg) = one_rep(policy)?;
+            for (best, t) in best_rounds.iter_mut().zip(&ticks) {
+                *best = best.min(*t);
+            }
+            *digest = dg;
         }
-        off_digest = dg;
-        let (ticks, dg) = one_rep(DurabilityPolicy::Always);
-        for (best, t) in wal_rounds.iter_mut().zip(&ticks) {
-            *best = best.min(*t);
-        }
-        wal_digest = dg;
     }
     let off_ms: f64 = off_rounds.iter().sum();
     let wal_ms: f64 = wal_rounds.iter().sum();
-    let overhead_pct = (wal_ms / off_ms - 1.0) * 100.0;
+    let overhead = overhead_pct(wal_ms, off_ms);
     println!(
         "\nWAL overhead guard ({timing_rounds} rounds, parts {}, d {td}, best of {reps}):\n  \
          policy Off    {off_ms:>8.2} ms\n  \
-         policy Always {wal_ms:>8.2} ms   overhead {overhead_pct:+.2}%",
+         policy Always {wal_ms:>8.2} ms   overhead {overhead:+.2}%",
         tcfg.n_parts
     );
     assert_eq!(
@@ -474,34 +420,32 @@ fn main() {
         checkpoint_every_rounds: 3,
     };
     println!("\nrecovery-determinism guard (kill at WAL append 3, two runs × P=1/P=4):");
-    let mut determinism_rows: Vec<String> = Vec::new();
+    let mut determinism_rows = Vec::new();
     let mut digests: Vec<u64> = Vec::new();
     // Recovery-time-objective samples: wall-clock of every `reopen`
     // after a kill, across the determinism guard and the site sweep.
     let mut rto_samples_ms: Vec<f64> = Vec::new();
     for threads in [1usize, 4] {
         for rep in 0..2u32 {
-            let dir = fresh_dir("determinism");
-            let run = run_lifecycle(
-                &dir,
-                &cfg,
-                d,
-                rounds,
-                sweep_cfg,
-                Arc::new(FaultState::new(kill)),
-                threads,
+            let dir = fresh_dir("determinism")?;
+            let faults = Arc::new(FaultState::new(kill));
+            let run = run_lifecycle(&dir, &cfg, d, rounds, sweep_cfg, faults, threads)?;
+            assert!(
+                !run.completed,
+                "P={threads} rep {rep}: the kill never fired"
             );
-            assert!(!run.completed, "P={threads} rep {rep}: the kill never fired");
             let rto_start = Instant::now();
-            let recovered = reopen(&dir, sweep_cfg, threads).expect("recovery");
+            let recovered = reopen(&dir, sweep_cfg, options(threads))?;
             rto_samples_ms.push(rto_start.elapsed().as_secs_f64() * 1e3);
             let digest = sig_digest(&recovered.signature());
             println!("  P={threads} rep {rep}: recovered digest {digest:#018x}");
-            determinism_rows.push(format!(
-                "    {{\"threads\": {threads}, \"rep\": {rep}, \"digest\": \"{digest:#018x}\"}}"
-            ));
+            determinism_rows.push(Json::inline([
+                ("threads", threads.into()),
+                ("rep", rep.into()),
+                ("digest", format!("{digest:#018x}").into()),
+            ]));
             digests.push(digest);
-            std::fs::remove_dir_all(&dir).expect("cleanup");
+            cleanup(&dir)?;
         }
     }
     assert!(
@@ -511,18 +455,8 @@ fn main() {
 
     // ── Guard 3 + sweep: kill every WAL append/fsync/checkpoint. ───
     println!("\ncrash-point sweep (every occurrence of each durability site):");
-    println!(
-        "{}",
-        fmt_row(
-            &[
-                "site".into(),
-                "k".into(),
-                "recovered to".into(),
-                "recovery".into(),
-            ],
-            WIDTHS
-        )
-    );
+    let header = ["site", "k", "recovered to", "recovery"];
+    println!("{}", fmt_row(&header.map(String::from), WIDTHS));
     type SiteSpec = (&'static str, fn(u64, u64) -> FaultPlan, u64);
     let sites: [SiteSpec; 3] = [
         ("wal_append", FaultPlan::at_wal_append, 0),
@@ -532,31 +466,28 @@ fn main() {
         // refuses with a typed error — covered by the test suite).
         ("checkpoint", FaultPlan::at_checkpoint, 1),
     ];
-    let mut sweep_rows: Vec<SweepRow> = Vec::new();
+    // (site, k, outcome, recovery note) per swept kill.
+    let mut sweep_rows: Vec<(&str, u64, &str, String)> = Vec::new();
     for (site, plan_for, start_k) in sites {
         let mut k = start_k;
         loop {
-            let dir = fresh_dir(site);
-            let run = run_lifecycle(
-                &dir,
-                &cfg,
-                d,
-                rounds,
-                sweep_cfg,
-                Arc::new(FaultState::new(plan_for(k, seed))),
-                1,
-            );
+            let dir = fresh_dir(site)?;
+            let faults = Arc::new(FaultState::new(plan_for(k, seed)));
+            let run = run_lifecycle(&dir, &cfg, d, rounds, sweep_cfg, faults, 1)?;
             if run.completed {
                 assert!(k > start_k, "site {site}: the armed fault never fired");
-                std::fs::remove_dir_all(&dir).expect("cleanup");
+                cleanup(&dir)?;
                 break;
             }
             let rto_start = Instant::now();
-            let mut recovered = reopen(&dir, sweep_cfg, 1)
+            let mut recovered = reopen(&dir, sweep_cfg, options(1))
                 .unwrap_or_else(|e| panic!("site {site} k={k}: recovery failed: {e:?}"));
             rto_samples_ms.push(rto_start.elapsed().as_secs_f64() * 1e3);
             let sig = recovered.signature();
-            let last_ack = run.acks.last().expect("at least the created store was acknowledged");
+            let last_ack = run
+                .acks
+                .last()
+                .expect("at least the created store was acknowledged");
             // A checkpoint kill that comes out when the store is closed
             // finds the two states equal; it is the at-failure one that
             // the site's contract names.
@@ -578,8 +509,8 @@ fn main() {
                 .expect("recovery note")
                 .to_string();
             // Liveness: the recovered store still accepts rounds.
-            cfg.price_update_batch(recovered.db_mut(), d, 999).expect("batch");
-            recovered.tick().expect("post-recovery tick");
+            cfg.price_update_batch(recovered.db_mut(), d, 999)?;
+            recovered.tick()?;
             println!(
                 "{}",
                 fmt_row(
@@ -587,13 +518,8 @@ fn main() {
                     WIDTHS
                 )
             );
-            sweep_rows.push(SweepRow {
-                site,
-                k,
-                outcome,
-                note,
-            });
-            std::fs::remove_dir_all(&dir).expect("cleanup");
+            sweep_rows.push((site, k, outcome, note));
+            cleanup(&dir)?;
             k += 1;
             assert!(k < 64, "site {site}: sweep ran away");
         }
@@ -604,8 +530,8 @@ fn main() {
     assert!(
         sweep_rows
             .iter()
-            .filter(|r| r.site != "checkpoint")
-            .all(|r| r.outcome == "last_ack"),
+            .filter(|(site, ..)| *site != "checkpoint")
+            .all(|(_, _, outcome, _)| *outcome == "last_ack"),
         "an append/fsync kill recovered an unacknowledged round"
     );
     // A checkpoint kill strikes *after* the round journaled: the
@@ -613,8 +539,8 @@ fn main() {
     assert!(
         sweep_rows
             .iter()
-            .filter(|r| r.site == "checkpoint")
-            .all(|r| r.outcome == "at_failure"),
+            .filter(|(site, ..)| *site == "checkpoint")
+            .all(|(_, _, outcome, _)| *outcome == "at_failure"),
         "a checkpoint kill lost a journaled round"
     );
 
@@ -638,26 +564,32 @@ fn main() {
     );
 
     // ── Size sweep: checkpoint and recovery cost against state size. ─
-    let size_scales: [f64; 3] = if smoke { [0.025, 0.1, 0.4] } else { [0.25, 1.0, 4.0] };
+    let size_scales: [f64; 3] = if smoke {
+        [0.025, 0.1, 0.4]
+    } else {
+        [0.25, 1.0, 4.0]
+    };
     println!(
         "\nsize sweep (BSMA multi-view, checkpoint every {SIZE_EVERY} rounds; the second \
          automatic checkpoint; two passes, counts equal, second pass's timings):"
     );
-    println!(
-        "{}",
-        fmt_row(
-            &[
-                "scale", "rows", "wal recs", "ckpt bytes", "reused", "encoded", "stall ms",
-                "publish ms", "load ms", "open ms",
-            ]
-            .map(String::from),
-            SIZE_WIDTHS
-        )
-    );
-    let mut size_json: Vec<String> = Vec::new();
+    let header = [
+        "scale",
+        "rows",
+        "wal recs",
+        "ckpt bytes",
+        "reused",
+        "encoded",
+        "stall ms",
+        "publish ms",
+        "load ms",
+        "open ms",
+    ];
+    println!("{}", fmt_row(&header.map(String::from), SIZE_WIDTHS));
+    let mut size_rows = Vec::new();
     for scale in size_scales {
-        let first = size_pass(scale);
-        let row = size_pass(scale);
+        let first = size_pass(scale)?;
+        let row = size_pass(scale)?;
         assert_eq!(
             first.counts, row.counts,
             "scale {scale}: counts differ between two passes"
@@ -681,53 +613,63 @@ fn main() {
                 SIZE_WIDTHS
             )
         );
-        size_json.push(format!(
-            "    {{\"scale\": {}, \"table_rows\": {}, \"wal_records\": {}, \
-             \"checkpoint_bytes\": {}, \"tables_reused\": {}, \"tables_encoded\": {}, \
-             \"bytes_reused\": {}, \"bytes_encoded\": {}, \"cut_bytes\": {}, \
-             \"stall_ms\": {:.3}, \"publish_ms\": {:.3}, \"load_ms\": {:.3}, \
-             \"open_ms\": {:.3}}}",
-            row.scale,
-            c.table_rows,
-            c.wal_records,
-            c.checkpoint_bytes,
-            c.tables_reused,
-            c.tables_encoded,
-            c.bytes_reused,
-            c.bytes_encoded,
-            c.cut_bytes,
-            row.stall_ms,
-            row.publish_ms,
-            row.load_ms,
-            row.open_ms
-        ));
+        size_rows.push(Json::inline([
+            ("scale", Json::Num(scale)),
+            ("table_rows", c.table_rows.into()),
+            ("wal_records", c.wal_records.into()),
+            ("checkpoint_bytes", c.checkpoint_bytes.into()),
+            ("tables_reused", c.tables_reused.into()),
+            ("tables_encoded", c.tables_encoded.into()),
+            ("bytes_reused", c.bytes_reused.into()),
+            ("bytes_encoded", c.bytes_encoded.into()),
+            ("cut_bytes", c.cut_bytes.into()),
+            ("stall_ms", Json::Fixed(row.stall_ms, 3)),
+            ("publish_ms", Json::Fixed(row.publish_ms, 3)),
+            ("load_ms", Json::Fixed(row.load_ms, 3)),
+            ("open_ms", Json::Fixed(row.open_ms, 3)),
+        ]));
     }
 
     // ── BENCH_crash.json ───────────────────────────────────────────
-    let sweep_json: Vec<String> = sweep_rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"site\": \"{}\", \"k\": {}, \"outcome\": \"{}\", \"recovery\": \"{}\"}}",
-                r.site, r.k, r.outcome, r.note
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"bench\": \"crash\",\n  \"seed\": {seed},\n  \"smoke\": {smoke},\n  \
-         \"overhead\": {{\"rounds\": {timing_rounds}, \"diff\": {td}, \"off_ms\": {off_ms:.3}, \
-         \"always_ms\": {wal_ms:.3}, \"overhead_pct\": {overhead_pct:.3}}},\n  \
-         \"rto\": {{\"samples\": {}, \"mean_ms\": {rto_mean_ms:.3}, \
-         \"max_ms\": {rto_max_ms:.3}, \"guard_ms\": {RTO_GUARD_MS:.0}}},\n  \
-         \"determinism\": [\n{}\n  ],\n  \"sweep\": [\n{}\n  ],\n  \
-         \"size_sweep\": [\n{}\n  ]\n}}\n",
-        rto_samples_ms.len(),
-        determinism_rows.join(",\n"),
-        sweep_json.join(",\n"),
-        size_json.join(",\n")
-    );
-    std::fs::write("BENCH_crash.json", &json).expect("write BENCH_crash.json");
-    println!("\nwrote BENCH_crash.json ({} kill sites swept)", sweep_rows.len());
+    let swept = sweep_rows.len();
+    let sweep_json = sweep_rows.into_iter().map(|(site, k, outcome, note)| {
+        Json::inline([
+            ("site", site.into()),
+            ("k", k.into()),
+            ("outcome", outcome.into()),
+            ("recovery", note.into()),
+        ])
+    });
+    Json::block([
+        ("bench", "crash".into()),
+        ("seed", seed.into()),
+        ("smoke", smoke.into()),
+        (
+            "overhead",
+            Json::inline([
+                ("rounds", timing_rounds.into()),
+                ("diff", td.into()),
+                ("off_ms", Json::Fixed(off_ms, 3)),
+                ("always_ms", Json::Fixed(wal_ms, 3)),
+                ("overhead_pct", Json::Fixed(overhead, 3)),
+            ]),
+        ),
+        (
+            "rto",
+            Json::inline([
+                ("samples", rto_samples_ms.len().into()),
+                ("mean_ms", Json::Fixed(rto_mean_ms, 3)),
+                ("max_ms", Json::Fixed(rto_max_ms, 3)),
+                ("guard_ms", Json::Fixed(RTO_GUARD_MS, 0)),
+            ]),
+        ),
+        ("determinism", Json::rows(determinism_rows)),
+        ("sweep", Json::rows(sweep_json)),
+        ("size_sweep", Json::rows(size_rows)),
+    ])
+    .write("BENCH_crash.json")?;
+    println!("\nwrote BENCH_crash.json ({swept} kill sites swept)");
+    Ok(())
 }
 
 const WIDTHS: &[usize] = &[12, 4, 13, 44];

@@ -4,7 +4,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p idivm-bench --bin fig12 [-- diff-size|joins|selectivity|fanout|all] [--scale N] [--smoke]
+//! cargo run --release -p idivm-bench -- fig12 [diff-size|joins|selectivity|fanout|all] [--scale N] [--smoke]
 //! ```
 //!
 //! Output: one block per sweep. For each parameter value the cost (in
@@ -14,29 +14,20 @@
 //! at the default configuration writes a per-operator trace for all
 //! four systems to `BENCH_fig12_trace.json` (schema in
 //! `EXPERIMENTS.md`). `--smoke` shrinks the data for CI.
+//!
+//! Guard: the rollback machinery (undo journaling armed vs disarmed)
+//! costs every system under 10 % in counted accesses (expected 0 %).
 
 use idivm_bench::{
-    fmt_row, rollback_overhead, run_running_example_round, run_running_example_round_traced,
-    speedup, traces_and_overhead_to_json, Measured,
+    fmt_row, four_systems_round, overhead_pct, rollback_overhead, speedup, trace_report, Args,
+    Json, Measured,
 };
 use idivm_core::TraceConfig;
+use idivm_types::Result;
 use idivm_workloads::RunningExample;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scale: f64 = args
-        .iter()
-        .position(|a| a == "--scale")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if smoke { 0.02 } else { 1.0 });
-
+pub fn run(args: &Args) -> Result<()> {
+    let scale = args.or(args.scale, 0.02, 1.0);
     let base = RunningExample {
         n_parts: (5_000.0 * scale) as usize,
         n_devices: (5_000.0 * scale) as usize,
@@ -54,28 +45,31 @@ fn main() {
     );
     println!("defaults: d=200  s=20%  f=10  j=2  (paper Figure 11b)\n");
 
-    if which == "diff-size" || which == "all" {
+    let wanted = |sweep: &str| args.sweep == sweep || args.sweep == "all";
+    if wanted("diff-size") {
         println!("(a) Varying diff size d (paper: speedup ~4-5, slight downtrend)");
         header();
         for d in [100, 200, 300, 400, 500] {
-            let cfg = base.clone();
-            row(&format!("d={d}"), &run(&cfg, d), d);
+            row(&format!("d={d}"), &base, d)?;
         }
         println!();
     }
-    if which == "joins" || which == "all" {
+    if wanted("joins") {
         println!("(b) Varying number of joins j, selection disabled (paper: 1.2 -> 3.3, ID flat)");
         header();
-        for j in [2, 3, 4, 5, 6] {
-            let cfg = RunningExample {
-                joins: j,
-                ..base.clone()
-            };
-            row(&format!("j={j}"), &run(&cfg, 200), 200);
+        for joins in [2, 3, 4, 5, 6] {
+            row(
+                &format!("j={joins}"),
+                &RunningExample {
+                    joins,
+                    ..base.clone()
+                },
+                200,
+            )?;
         }
         println!();
     }
-    if which == "selectivity" || which == "all" {
+    if wanted("selectivity") {
         println!("(c) Varying selectivity s (paper: 15.9 at 6% -> 1.2 at 100%)");
         header();
         for s in [6, 12, 25, 50, 100] {
@@ -83,19 +77,22 @@ fn main() {
                 selectivity_pct: s,
                 ..base.clone()
             };
-            row(&format!("s={s}%"), &run(&cfg, 200), 200);
+            row(&format!("s={s}%"), &cfg, 200)?;
         }
         println!();
     }
-    if which == "fanout" || which == "all" {
+    if wanted("fanout") {
         println!("(d) Varying fanout f (paper: speedup 4-5 across the range)");
         header();
-        for f in [5, 10, 15, 20, 25] {
-            let cfg = RunningExample {
-                fanout: f,
-                ..base.clone()
-            };
-            row(&format!("f={f}"), &run(&cfg, 200), 200);
+        for fanout in [5, 10, 15, 20, 25] {
+            row(
+                &format!("f={fanout}"),
+                &RunningExample {
+                    fanout,
+                    ..base.clone()
+                },
+                200,
+            )?;
         }
         println!();
     }
@@ -103,9 +100,8 @@ fn main() {
     // Instrumented round at the default configuration: per-operator
     // trace (diff cardinalities, dummy diffs, access attribution,
     // phase timings) for all four systems.
-    let d = if smoke { 20 } else { 200 };
-    let traced = run_running_example_round_traced(&base, true, d, TraceConfig::enabled())
-        .expect("traced round failed");
+    let d = if args.smoke { 20 } else { 200 };
+    let traced = four_systems_round(&base, d, TraceConfig::enabled(), true)?;
     for m in &traced {
         if let Some(t) = &m.report.trace {
             let ratio = t
@@ -124,55 +120,53 @@ fn main() {
     // same round with it disarmed. Journaling is off the counted access
     // paths by design, so the expected overhead is exactly 0%.
     println!("\nrollback-machinery overhead (no-fault round, undo on vs off):");
-    let overheads = rollback_overhead(&base, true, d).expect("overhead round failed");
-    for o in &overheads {
+    let mut overheads = Vec::new();
+    for (label, with_undo, without_undo) in rollback_overhead(&base, d)? {
+        let pct = overhead_pct(with_undo as f64, without_undo as f64);
         println!(
-            "  {:<16} with {:>9}  without {:>9}  overhead {:.2}%",
-            o.label,
-            o.with_undo,
-            o.without_undo,
-            o.pct()
+            "  {label:<16} with {with_undo:>9}  without {without_undo:>9}  overhead {pct:.2}%"
         );
         assert!(
-            o.pct() < 10.0,
-            "{}: rollback machinery overhead {:.2}% exceeds the 10% guard",
-            o.label,
-            o.pct()
+            pct < 10.0,
+            "{label}: rollback machinery overhead {pct:.2}% exceeds the 10% guard"
         );
+        overheads.push(Json::inline([
+            ("label", label.into()),
+            ("with_undo", with_undo.into()),
+            ("without_undo", without_undo.into()),
+            ("overhead_pct", Json::Fixed(pct, 4)),
+        ]));
     }
-    let json = traces_and_overhead_to_json("fig12", &traced, &overheads);
-    std::fs::write("BENCH_fig12_trace.json", &json).expect("write BENCH_fig12_trace.json");
+    trace_report(
+        "fig12",
+        &traced,
+        vec![("rollback_overhead", Json::rows(overheads))],
+    )
+    .write("BENCH_fig12_trace.json")?;
     println!("wrote BENCH_fig12_trace.json");
-}
-
-fn run(cfg: &RunningExample, d: usize) -> Vec<Measured> {
-    run_running_example_round(cfg, true, d).expect("experiment failed")
+    Ok(())
 }
 
 const WIDTHS: &[usize] = &[8, 12, 12, 12, 12, 9, 22, 22];
 
 fn header() {
-    println!(
-        "{}",
-        fmt_row(
-            &[
-                "param".into(),
-                "A:ID".into(),
-                "B:tuple".into(),
-                "C:SDBT-fix".into(),
-                "D:SDBT-str".into(),
-                "speedup".into(),
-                "A breakdown".into(),
-                "B breakdown".into(),
-            ],
-            WIDTHS
-        )
-    );
+    let cells = [
+        "param",
+        "A:ID",
+        "B:tuple",
+        "C:SDBT-fix",
+        "D:SDBT-str",
+        "speedup",
+        "A breakdown",
+        "B breakdown",
+    ];
+    println!("{}", fmt_row(&cells.map(String::from), WIDTHS));
 }
 
-fn row(param: &str, m: &[Measured], _d: usize) {
-    let a = &m[0];
-    let b = &m[1];
+/// One sweep point: all four systems on `cfg`, `d` price updates.
+fn row(param: &str, cfg: &RunningExample, d: usize) -> Result<()> {
+    let m = four_systems_round(cfg, d, TraceConfig::disabled(), true)?;
+    let (a, b) = (&m[0], &m[1]);
     let breakdown = |x: &Measured| {
         format!(
             "c:{} u:{} v:{}",
@@ -190,11 +184,12 @@ fn row(param: &str, m: &[Measured], _d: usize) {
                 b.cost().to_string(),
                 m[2].cost().to_string(),
                 m[3].cost().to_string(),
-                format!("{:.1}x", speedup(a, b)),
+                format!("{:.1}x", speedup(a.cost(), b.cost())),
                 breakdown(a),
                 breakdown(b),
             ],
             WIDTHS
         )
     );
+    Ok(())
 }

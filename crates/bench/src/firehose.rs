@@ -3,7 +3,7 @@
 //!
 //! Usage:
 //! ```text
-//! cargo run --release -p idivm-bench --bin firehose [-- --scale N --rounds R --diffs D --smoke]
+//! cargo run --release -p idivm-bench -- firehose [--scale N --rounds R --diffs D --smoke]
 //! ```
 //!
 //! Replays the deterministic multi-view tweet stream as CDC events
@@ -37,8 +37,8 @@
 //! silent), so their final state intentionally differs from the
 //! lossless baseline; they are held to the determinism guards instead.
 
-use idivm_bench::fmt_row;
-use idivm_core::{FaultPlan, FaultState, IvmOptions};
+use idivm_bench::{fmt_row, multiview_scheduler, view_state, Args, Json};
+use idivm_core::{FaultPlan, FaultState};
 use idivm_exec::ParallelConfig;
 use idivm_ingest::{
     apply_log, drive, partition_log, BatchPolicy, DriveConfig, DriveStats, IngestPipeline,
@@ -46,9 +46,8 @@ use idivm_ingest::{
 };
 use idivm_reldb::{LogEntry, TableSignature};
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
-use idivm_types::row;
+use idivm_types::{row, Result};
 use idivm_workloads::bsma::Bsma;
-use idivm_workloads::multiview::VIEW_NAMES;
 use idivm_workloads::MultiView;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -58,59 +57,36 @@ const PRODUCERS: u32 = 4;
 /// Admitted events the maintainer folds per busy tick.
 const SERVICE_RATE: u64 = 32;
 
+type Signatures = BTreeMap<String, TableSignature>;
+
 /// Everything one streamed run is judged on.
 struct StreamOutcome {
     stats: DriveStats,
     /// Base + view table signatures, sorted for stable comparison.
-    db_signature: BTreeMap<String, TableSignature>,
-    view_signatures: BTreeMap<String, TableSignature>,
+    db_signature: Signatures,
+    view_signatures: Signatures,
     per_view_accesses: BTreeMap<String, u64>,
     dlq_json: String,
     dlq_len: usize,
 }
 
-fn scheduler(cfg: &MultiView, parallel: ParallelConfig) -> MaintenanceScheduler {
-    let db = cfg.build().expect("generator failed");
-    let mut sched = MaintenanceScheduler::new(db, SchedulerConfig::default());
-    for name in VIEW_NAMES {
-        let plan = cfg.plan(sched.db(), name).expect("plan");
-        sched
-            .register(name, plan, RefreshPolicy::Eager, IvmOptions::default())
-            .expect("register");
-    }
-    sched.set_parallel_all(parallel).expect("parallel config");
-    sched
-}
-
-fn view_state(
-    sched: &MaintenanceScheduler,
-) -> (BTreeMap<String, TableSignature>, BTreeMap<String, u64>) {
-    let mut sigs = BTreeMap::new();
-    let mut accesses = BTreeMap::new();
-    for name in VIEW_NAMES {
-        sigs.insert(
-            name.to_string(),
-            sched.catalog().signature(name).expect("signature"),
-        );
-        accesses.insert(
-            name.to_string(),
-            sched.stats(name).expect("stats").accesses.total(),
-        );
-    }
-    (sigs, accesses)
+fn scheduler(cfg: &MultiView, parallel: ParallelConfig) -> Result<MaintenanceScheduler> {
+    multiview_scheduler(cfg, SchedulerConfig::default(), parallel, |_| {
+        RefreshPolicy::Eager
+    })
 }
 
 /// The lossless baseline: apply the whole log directly, fold it in a
-/// single maintenance round.
-fn run_oneshot(
-    cfg: &MultiView,
-    entries: &[LogEntry],
-) -> (BTreeMap<String, TableSignature>, BTreeMap<String, TableSignature>) {
-    let mut sched = scheduler(cfg, ParallelConfig::serial());
-    apply_log(sched.db_mut(), entries).expect("one-shot replay");
-    sched.tick().expect("one-shot tick");
-    let (view_sigs, _) = view_state(&sched);
-    (sched.db().signature().into_iter().collect(), view_sigs)
+/// single maintenance round. Returns the database's and the views'
+/// signatures.
+fn run_oneshot(cfg: &MultiView, entries: &[LogEntry]) -> Result<(Signatures, Signatures)> {
+    let mut sched = scheduler(cfg, ParallelConfig::serial())?;
+    apply_log(sched.db_mut(), entries)?;
+    sched.tick()?;
+    Ok((
+        sched.db().signature().into_iter().collect(),
+        view_state(&sched)?.0,
+    ))
 }
 
 fn run_streamed(
@@ -119,8 +95,8 @@ fn run_streamed(
     rate: usize,
     policy: OverflowPolicy,
     parallel: ParallelConfig,
-) -> StreamOutcome {
-    let mut sched = scheduler(cfg, parallel);
+) -> Result<StreamOutcome> {
+    let mut sched = scheduler(cfg, parallel)?;
     let pipeline_cfg = PipelineConfig {
         queue: QueueConfig::with_capacity(96, policy),
         batch: BatchPolicy {
@@ -130,27 +106,22 @@ fn run_streamed(
         },
     };
     let faults = Arc::new(FaultState::new(FaultPlan::disabled()));
-    let mut pipeline = IngestPipeline::new(pipeline_cfg, faults).expect("pipeline");
-    let stats = drive(
-        &mut pipeline,
-        &mut sched,
-        streams.to_vec(),
-        DriveConfig {
-            offers_per_tick: rate,
-            service_rate: SERVICE_RATE,
-            max_ticks: 1_000_000,
-        },
-    )
-    .expect("drive");
-    let (view_signatures, per_view_accesses) = view_state(&sched);
-    StreamOutcome {
+    let mut pipeline = IngestPipeline::new(pipeline_cfg, faults)?;
+    let drive_cfg = DriveConfig {
+        offers_per_tick: rate,
+        service_rate: SERVICE_RATE,
+        max_ticks: 1_000_000,
+    };
+    let stats = drive(&mut pipeline, &mut sched, streams.to_vec(), drive_cfg)?;
+    let (view_signatures, per_view_accesses) = view_state(&sched)?;
+    Ok(StreamOutcome {
         stats,
         db_signature: sched.db().signature().into_iter().collect(),
         view_signatures,
         per_view_accesses,
         dlq_json: pipeline.dlq().to_json(),
         dlq_len: pipeline.dlq().len(),
-    }
+    })
 }
 
 /// Decodable-but-inadmissible and undecodable events appended to the
@@ -158,37 +129,28 @@ fn run_streamed(
 /// stream's own numbering, so healthy admission is undisturbed.
 fn lace_with_garbage(streams: &mut [Vec<RawEvent>]) -> usize {
     use idivm_ingest::{ChangeEvent, ChangeOp};
-    let next_seq = |s: &[RawEvent]| s.len() as u64;
     // Undecodable wire on producer 0 (never consumes a seq slot).
     streams[0].push(RawEvent {
         wire: "3|zero|microblog|ins|i:1,i:2,i:3,i:4".into(),
     });
-    // Unknown table on producer 1.
-    let seq = next_seq(&streams[1]);
-    streams[1].push(RawEvent::encode(&ChangeEvent {
-        producer: 1,
-        seq,
-        table: "no_such_table".into(),
-        op: ChangeOp::Insert { row: row![1] },
-    }));
-    // Wrong arity on producer 2: microblog has 4 columns.
-    let seq = next_seq(&streams[2]);
-    streams[2].push(RawEvent::encode(&ChangeEvent {
-        producer: 2,
-        seq,
-        table: "microblog".into(),
-        op: ChangeOp::Insert { row: row![77, 77] },
-    }));
-    // Type confusion on producer 3: ts column is Int, send Str.
-    let seq = next_seq(&streams[3]);
-    streams[3].push(RawEvent::encode(&ChangeEvent {
-        producer: 3,
-        seq,
-        table: "microblog".into(),
-        op: ChangeOp::Insert {
-            row: row![9_999_999, 0, "soon", 1],
-        },
-    }));
+    // Unknown table on producer 1; wrong arity on producer 2 (microblog
+    // has 4 columns); type confusion on producer 3 (the ts column is
+    // Int, send Str).
+    for (producer, table, row) in [
+        (1, "no_such_table", row![1]),
+        (2, "microblog", row![77, 77]),
+        (3, "microblog", row![9_999_999, 0, "soon", 1]),
+    ] {
+        let stream = &mut streams[producer as usize];
+        let seq = stream.len() as u64;
+        let op = ChangeOp::Insert { row };
+        stream.push(RawEvent::encode(&ChangeEvent {
+            producer,
+            seq,
+            table: table.into(),
+            op,
+        }));
+    }
     4
 }
 
@@ -197,9 +159,7 @@ fn downsample(series: &[u64], n: usize) -> Vec<u64> {
     if series.len() <= n {
         return series.to_vec();
     }
-    (0..n)
-        .map(|i| series[i * series.len() / n])
-        .collect()
+    (0..n).map(|i| series[i * series.len() / n]).collect()
 }
 
 struct Cell {
@@ -210,85 +170,76 @@ struct Cell {
     converged_oneshot: bool,
 }
 
-fn cell_json(c: &Cell) -> String {
+fn cell_json(c: &Cell) -> Json {
     let s = &c.outcome.stats;
     let mut causes: BTreeMap<&str, u64> = BTreeMap::new();
     for (cause, _, _) in &s.cuts {
         *causes.entry(cause).or_default() += 1;
     }
-    let causes_json: Vec<String> = causes
-        .iter()
-        .map(|(k, v)| format!("\"{k}\": {v}"))
-        .collect();
-    let depth_json: Vec<String> = downsample(&s.depth_series, 32)
-        .iter()
-        .map(u64::to_string)
-        .collect();
-    format!(
-        "    {{\"rate\": {}, \"policy\": \"{}\", \"garbage\": {}, \"ticks\": {}, \
-         \"offered\": {}, \"admitted\": {}, \"dead_lettered\": {}, \"shed\": {}, \
-         \"cuts\": {}, \"cut_causes\": {{{}}}, \"events_per_tick\": {:.4}, \
-         \"latency_p50_ticks\": {}, \"latency_p99_ticks\": {}, \"max_depth\": {}, \
-         \"depth_series\": [{}], \"converged_oneshot\": {}}}",
-        c.rate,
-        c.policy.label(),
-        c.garbage,
-        s.ticks,
-        s.offered,
-        s.admitted,
-        s.dead_lettered,
-        s.shed,
-        s.cuts.len(),
-        causes_json.join(", "),
-        s.events_per_tick(),
-        s.latency_percentile(50.0).unwrap_or(0),
-        s.latency_percentile(99.0).unwrap_or(0),
-        s.max_depth(),
-        depth_json.join(", "),
-        c.converged_oneshot,
-    )
+    Json::inline([
+        ("rate", c.rate.into()),
+        ("policy", c.policy.label().into()),
+        ("garbage", c.garbage.into()),
+        ("ticks", s.ticks.into()),
+        ("offered", s.offered.into()),
+        ("admitted", s.admitted.into()),
+        ("dead_lettered", s.dead_lettered.into()),
+        ("shed", s.shed.into()),
+        ("cuts", s.cuts.len().into()),
+        (
+            "cut_causes",
+            Json::inline(causes.into_iter().map(|(k, v)| (k, v.into()))),
+        ),
+        ("events_per_tick", Json::Fixed(s.events_per_tick(), 4)),
+        (
+            "latency_p50_ticks",
+            s.latency_percentile(50.0).unwrap_or(0).into(),
+        ),
+        (
+            "latency_p99_ticks",
+            s.latency_percentile(99.0).unwrap_or(0).into(),
+        ),
+        ("max_depth", s.max_depth().into()),
+        (
+            "depth_series",
+            Json::list(downsample(&s.depth_series, 32).into_iter().map(Json::from)),
+        ),
+        ("converged_oneshot", c.converged_oneshot.into()),
+    ])
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let get = |flag: &str, default: f64| -> f64 {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let scale = get("--scale", 0.02);
-    let rounds = get("--rounds", if smoke { 3.0 } else { 6.0 }) as u64;
-    let diffs = get("--diffs", if smoke { 16.0 } else { 48.0 }) as usize;
+pub fn run(args: &Args) -> Result<()> {
+    let scale = args.scale.unwrap_or(0.02);
+    let rounds = args.or(args.rounds, 3, 6);
+    let diffs = args.or(args.diffs, 16, 48);
     let cfg = MultiView {
         bsma: Bsma { scale, seed: 2015 },
     };
 
-    let entries = cfg.tweet_stream(rounds, diffs).expect("tweet stream");
-    let base = cfg.build().expect("build");
-    let streams = partition_log(&base, &entries, PRODUCERS).expect("partition");
+    let entries = cfg.tweet_stream(rounds, diffs)?;
+    let streams = partition_log(&cfg.build()?, &entries, PRODUCERS)?;
     let total = entries.len() as u64;
     println!(
         "Firehose — {total} CDC events ({rounds} rounds x {diffs} tweets, scale {scale}), \
          {PRODUCERS} producers, service rate {SERVICE_RATE}/tick"
     );
 
-    let (oneshot_db_sig, oneshot_view_sigs) = run_oneshot(&cfg, &entries);
+    let (oneshot_db_sig, oneshot_view_sigs) = run_oneshot(&cfg, &entries)?;
 
     let four_threads = ParallelConfig {
         threads: 4,
         min_shard_rows: 1,
     };
-    let rates = [2usize, 8, 64];
-    let policies = [OverflowPolicy::Block, OverflowPolicy::Shed];
     let mut cells: Vec<Cell> = Vec::new();
 
-    let mut check_cell = |rate: usize, policy: OverflowPolicy, streams: &[Vec<RawEvent>], garbage: usize| {
-        let serial = run_streamed(&cfg, streams, rate, policy, ParallelConfig::serial());
-        let parallel = run_streamed(&cfg, streams, rate, policy, four_threads);
-        let again = run_streamed(&cfg, streams, rate, policy, ParallelConfig::serial());
+    let mut check_cell = |rate: usize,
+                          policy: OverflowPolicy,
+                          streams: &[Vec<RawEvent>],
+                          garbage: usize|
+     -> Result<()> {
+        let serial = run_streamed(&cfg, streams, rate, policy, ParallelConfig::serial())?;
+        let parallel = run_streamed(&cfg, streams, rate, policy, four_threads)?;
+        let again = run_streamed(&cfg, streams, rate, policy, ParallelConfig::serial())?;
         let s = &serial.stats;
         let label = format!("rate {rate} policy {}", policy.label());
 
@@ -334,7 +285,10 @@ fn main() {
         );
 
         // Repeat run must be byte-identical.
-        assert_eq!(serial.stats.cuts, again.stats.cuts, "{label}: cuts not deterministic");
+        assert_eq!(
+            serial.stats.cuts, again.stats.cuts,
+            "{label}: cuts not deterministic"
+        );
         assert_eq!(
             serial.stats.depth_series, again.stats.depth_series,
             "{label}: depth series not deterministic"
@@ -343,7 +297,10 @@ fn main() {
             serial.stats.latencies_ticks, again.stats.latencies_ticks,
             "{label}: latencies not deterministic"
         );
-        assert_eq!(serial.dlq_json, again.dlq_json, "{label}: DLQ bytes not deterministic");
+        assert_eq!(
+            serial.dlq_json, again.dlq_json,
+            "{label}: DLQ bytes not deterministic"
+        );
         assert_eq!(
             serial.db_signature, again.db_signature,
             "{label}: final state not deterministic"
@@ -351,8 +308,8 @@ fn main() {
 
         // Lossless cells must converge to the one-shot fold.
         let lossless = s.shed == 0 && serial.dlq_len == garbage;
-        let converged = serial.db_signature == oneshot_db_sig
-            && serial.view_signatures == oneshot_view_sigs;
+        let converged =
+            serial.db_signature == oneshot_db_sig && serial.view_signatures == oneshot_view_sigs;
         if garbage > 0 {
             assert_eq!(
                 s.dead_lettered, garbage as u64,
@@ -377,39 +334,35 @@ fn main() {
             outcome: serial,
             converged_oneshot: converged,
         });
+        Ok(())
     };
 
-    for rate in rates {
-        for policy in policies {
-            check_cell(rate, policy, &streams, 0);
+    for rate in [2usize, 8, 64] {
+        for policy in [OverflowPolicy::Block, OverflowPolicy::Shed] {
+            check_cell(rate, policy, &streams, 0)?;
         }
     }
     // Quarantine cell: garbage rides along at nominal rate, Block.
     let mut laced = streams.clone();
     let garbage = lace_with_garbage(&mut laced);
-    check_cell(8, OverflowPolicy::Block, &laced, garbage);
+    check_cell(8, OverflowPolicy::Block, &laced, garbage)?;
 
     // --- Console report ------------------------------------------------
     let widths = &[6usize, 7, 9, 9, 6, 6, 6, 7, 7, 9, 10];
-    println!(
-        "\n{}",
-        fmt_row(
-            &[
-                "rate".into(),
-                "policy".into(),
-                "admitted".into(),
-                "dlq".into(),
-                "shed".into(),
-                "cuts".into(),
-                "ticks".into(),
-                "ev/tick".into(),
-                "p50".into(),
-                "p99".into(),
-                "max_depth".into(),
-            ],
-            widths
-        )
-    );
+    let header = [
+        "rate",
+        "policy",
+        "admitted",
+        "dlq",
+        "shed",
+        "cuts",
+        "ticks",
+        "ev/tick",
+        "p50",
+        "p99",
+        "max_depth",
+    ];
+    println!("\n{}", fmt_row(&header.map(String::from), widths));
     for c in &cells {
         let s = &c.outcome.stats;
         println!(
@@ -433,9 +386,13 @@ fn main() {
         );
     }
     let converged = cells.iter().filter(|c| c.converged_oneshot).count();
-    let overloaded = cells
-        .iter()
-        .any(|c| c.outcome.stats.cuts.iter().any(|(cause, _, _)| cause == "staleness"));
+    let overloaded = cells.iter().any(|c| {
+        c.outcome
+            .stats
+            .cuts
+            .iter()
+            .any(|(cause, _, _)| cause == "staleness")
+    });
     assert!(
         overloaded,
         "the rate grid never drove the batcher into staleness-SLO cuts — overload untested"
@@ -447,14 +404,17 @@ fn main() {
     );
 
     // --- Machine-readable record ---------------------------------------
-    let cells_json: Vec<String> = cells.iter().map(cell_json).collect();
-    let json = format!(
-        "{{\n  \"bench\": \"firehose\",\n  \"scale\": {scale},\n  \"rounds\": {rounds},\n  \
-         \"diffs\": {diffs},\n  \"events\": {total},\n  \"producers\": {PRODUCERS},\n  \
-         \"service_rate\": {SERVICE_RATE},\n  \"cells\": [\n{}\n  ]\n}}\n",
-        cells_json.join(",\n"),
-    );
-    std::fs::write("BENCH_firehose.json", &json)
-        .unwrap_or_else(|e| panic!("write BENCH_firehose.json: {e}"));
+    Json::block([
+        ("bench", "firehose".into()),
+        ("scale", Json::Num(scale)),
+        ("rounds", rounds.into()),
+        ("diffs", diffs.into()),
+        ("events", total.into()),
+        ("producers", PRODUCERS.into()),
+        ("service_rate", SERVICE_RATE.into()),
+        ("cells", Json::rows(cells.iter().map(cell_json))),
+    ])
+    .write("BENCH_firehose.json")?;
     println!("wrote BENCH_firehose.json");
+    Ok(())
 }

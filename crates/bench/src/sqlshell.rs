@@ -10,94 +10,59 @@
 //! the TPC-H views *from SQL text*, runs churn rounds with tracing
 //! enabled, renders `EXPLAIN MAINTENANCE` for every view (script,
 //! C_op/NC split, per-operator trace), and writes the reports to
-//! `EXPLAIN_tpch.txt`.
+//! `EXPLAIN_tpch.txt`. Guard: every rendered report carries the trace
+//! table of a traced round.
 //!
 //! ```text
-//! sqlshell --workload tpch --file views.sql
-//! echo 'EXPLAIN MAINTENANCE v' | sqlshell --workload fig12
-//! sqlshell --smoke
+//! idivm-bench sqlshell --workload tpch --file views.sql
+//! echo 'EXPLAIN MAINTENANCE v' | idivm-bench sqlshell --workload fig12
+//! idivm-bench sqlshell --smoke
 //! ```
 
-use idivm_core::{IvmOptions, TraceConfig};
-use idivm_reldb::Database;
+use idivm_bench::{with_trace, Args};
+use idivm_core::TraceConfig;
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_sql::{execute, Outcome};
+use idivm_types::{Error, Result};
 use idivm_workloads::multiview::MultiView;
 use idivm_workloads::running_example::RunningExample;
 use idivm_workloads::tpch::Tpch;
 use std::io::Read as _;
-use std::process::ExitCode;
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--smoke") {
+pub fn run(args: &Args) -> Result<()> {
+    if args.smoke {
         return smoke();
     }
-    let get = |flag: &str| -> Option<String> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-    };
-    let workload = get("--workload").unwrap_or_else(|| "fig12".to_string());
-    let db = match build_db(&workload) {
-        Ok(db) => db,
-        Err(msg) => {
-            eprintln!("sqlshell: {msg}");
-            return ExitCode::FAILURE;
+    let db = match args.workload.as_deref().unwrap_or("fig12") {
+        "fig12" => RunningExample::default().build()?,
+        "multiview" => MultiView::default().build()?,
+        "tpch" => Tpch::default().build()?,
+        other => {
+            let expected = "expected fig12|multiview|tpch";
+            return Err(Error::Config(format!(
+                "unknown workload `{other}` ({expected})"
+            )));
         }
     };
-    let sql = match get("--file") {
-        Some(path) => match std::fs::read_to_string(&path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("sqlshell: cannot read `{path}`: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+    let sql = match &args.file {
+        Some(path) => std::fs::read_to_string(path).map_err(|e| cannot_read(path, &e))?,
         None => {
-            let mut s = String::new();
-            if let Err(e) = std::io::stdin().read_to_string(&mut s) {
-                eprintln!("sqlshell: cannot read stdin: {e}");
-                return ExitCode::FAILURE;
-            }
-            s
+            let mut script = String::new();
+            let read = std::io::stdin().read_to_string(&mut script);
+            read.map_err(|e| cannot_read("stdin", &e))?;
+            script
         }
     };
     let mut sched = MaintenanceScheduler::new(db, SchedulerConfig::default());
-    let options = IvmOptions {
-        trace: TraceConfig::enabled(),
-        ..IvmOptions::default()
-    };
-    match execute(&mut sched, &sql, RefreshPolicy::Eager, &options) {
-        Ok(outcomes) => {
-            for o in outcomes {
-                report(&o);
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("sqlshell: {e}");
-            ExitCode::FAILURE
-        }
+    let options = with_trace(TraceConfig::enabled());
+    for outcome in execute(&mut sched, &sql, RefreshPolicy::Eager, &options)? {
+        report(&outcome);
     }
+    Ok(())
 }
 
-fn build_db(workload: &str) -> Result<Database, String> {
-    match workload {
-        "fig12" => RunningExample::default()
-            .build()
-            .map_err(|e| format!("fig12 build failed: {e}")),
-        "multiview" => MultiView::default()
-            .build()
-            .map_err(|e| format!("multiview build failed: {e}")),
-        "tpch" => Tpch::default()
-            .build()
-            .map_err(|e| format!("tpch build failed: {e}")),
-        other => Err(format!(
-            "unknown workload `{other}` (expected fig12|multiview|tpch)"
-        )),
-    }
+fn cannot_read(what: &str, e: &std::io::Error) -> Error {
+    Error::Config(format!("cannot read `{what}`: {e}"))
 }
 
 fn report(outcome: &Outcome) {
@@ -116,24 +81,11 @@ fn report(outcome: &Outcome) {
 
 /// The CI smoke exercise: TPC-H views from SQL text, churn with
 /// tracing, `EXPLAIN MAINTENANCE` artifacts.
-fn smoke() -> ExitCode {
-    match run_smoke() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("sqlshell --smoke failed: {e:?}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn run_smoke() -> idivm_types::Result<()> {
+fn smoke() -> Result<()> {
     let cfg = Tpch::default();
     let db = cfg.build()?;
     let mut sched = MaintenanceScheduler::new(db, SchedulerConfig::default());
-    let options = IvmOptions {
-        trace: TraceConfig::enabled(),
-        ..IvmOptions::default()
-    };
+    let options = with_trace(TraceConfig::enabled());
     let script = format!(
         "CREATE MATERIALIZED VIEW tpch_extremes AS {};\n\
          CREATE MATERIALIZED VIEW IF NOT EXISTS tpch_loj AS {};\n",
@@ -165,9 +117,8 @@ fn run_smoke() -> idivm_types::Result<()> {
         artifact.push_str(&text);
         artifact.push('\n');
     }
-    std::fs::write("EXPLAIN_tpch.txt", &artifact).map_err(|e| {
-        idivm_types::Error::Config(format!("cannot write EXPLAIN_tpch.txt: {e}"))
-    })?;
+    std::fs::write("EXPLAIN_tpch.txt", &artifact)
+        .map_err(|e| Error::Config(format!("cannot write EXPLAIN_tpch.txt: {e}")))?;
     println!("wrote EXPLAIN_tpch.txt ({} bytes)", artifact.len());
     Ok(())
 }

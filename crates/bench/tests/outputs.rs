@@ -24,21 +24,9 @@ use std::process::Command;
 /// Experiment name → the command that runs it (flags are appended by
 /// the caller).
 fn command(name: &str) -> Command {
-    let exe = match name {
-        "analysis" => env!("CARGO_BIN_EXE_analysis"),
-        "chaos" => env!("CARGO_BIN_EXE_chaos"),
-        "fig10" => env!("CARGO_BIN_EXE_fig10"),
-        "fig12" => env!("CARGO_BIN_EXE_fig12"),
-        "firehose" => env!("CARGO_BIN_EXE_firehose"),
-        "multiview" => env!("CARGO_BIN_EXE_multiview"),
-        "scaling" => env!("CARGO_BIN_EXE_scaling"),
-        "sqlshell" => env!("CARGO_BIN_EXE_sqlshell"),
-        "table2" => env!("CARGO_BIN_EXE_table2"),
-        "table3" => env!("CARGO_BIN_EXE_table3"),
-        "tpch" => env!("CARGO_BIN_EXE_tpch"),
-        other => panic!("no such experiment: {other}"),
-    };
-    Command::new(exe)
+    let mut command = Command::new(env!("CARGO_BIN_EXE_idivm-bench"));
+    command.arg(name);
+    command
 }
 
 /// A finished run: its stdout and the directory it wrote into (removed
@@ -233,7 +221,7 @@ fn timing_reports_keep_keys_order_layout_and_strings() {
 /// The `--smoke` runs no other test makes (the rest exit 0 above).
 #[test]
 fn remaining_smoke_runs_exit_zero() {
-    for name in ["tpch", "firehose", "multiview", "sqlshell"] {
+    for name in ["tpch", "firehose", "multiview", "sqlshell", "wall"] {
         run(name, &["--smoke"]);
     }
 }
