@@ -356,3 +356,235 @@ fn degraded_view_keeps_its_pending_net_exactly() {
         "drain lost pending changes"
     );
 }
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Differential pin of the pending nets, written before the round's net
+/// became a shared value (PR 24). One seeded run over the five views
+/// plus a `Deferred{2}` twin of `mention_reach`, with an `OnRead` view,
+/// a forced promotion (whose Δ fans out to an eager and two deferred
+/// consumers), read barriers mid-stream and one round in which `users`
+/// is gone, so the backing and every view that scans it degrade and get
+/// their nets handed back. After **every** call each node's pending net
+/// must equal a reference kept here the way the scheduler kept it then:
+/// a deep copy of the node's slice of the fold, composed key by key
+/// ([`compose_changes`]) onto what the node has not consumed yet. The
+/// sharing outcomes of every summary are pinned as a transcript: a
+/// copy-on-write that leaks into a sibling, a stale digest or a lost
+/// horizon group shows up in one or the other.
+#[test]
+fn pending_nets_match_the_deep_copy_reference() {
+    use idivm_repro::reldb::{compose_changes, table_delta};
+    use idivm_repro::types::row;
+    use std::collections::{BTreeMap, HashMap};
+    use std::fmt::Write;
+
+    const TWIN: &str = "mention_reach_twin";
+    let deferred2 = RefreshPolicy::Deferred {
+        max_staleness_rounds: 2,
+    };
+    let cfg = suite();
+    let mut sched = scheduler(&cfg, true, |name| match name {
+        "mention_reach" => deferred2,
+        "mention_topic_counts" => RefreshPolicy::OnRead,
+        _ => RefreshPolicy::Eager,
+    });
+    let plan = cfg.plan(sched.db(), "mention_reach").unwrap();
+    sched
+        .register(TWIN, plan, deferred2, IvmOptions::default())
+        .unwrap();
+
+    // Node name → the net it has been handed and not yet consumed.
+    let mut reference = BTreeMap::new();
+    let mut out = String::new();
+
+    // (rounds, supervised rounds) of a node, either role.
+    fn rounds(sched: &MaintenanceScheduler, node: &str) -> (u64, u64) {
+        let stats = sched
+            .stats(node)
+            .or_else(|_| sched.intermediate_stats(node))
+            .unwrap();
+        (stats.rounds, stats.supervised_rounds)
+    }
+    // A round ran in between and consumed the node's net.
+    fn consumed(sched: &MaintenanceScheduler, node: &str, before: (u64, u64)) -> bool {
+        let after = rounds(sched, node);
+        let verdict = sched
+            .stats(node)
+            .or_else(|_| sched.intermediate_stats(node))
+            .unwrap()
+            .last_verdict;
+        after.0 > before.0
+            && (after.1 == before.1
+                || verdict.is_some_and(|v| v.healthy() && v != SupervisorVerdict::Idle))
+    }
+    fn nodes(sched: &MaintenanceScheduler) -> Vec<String> {
+        let mut nodes = sched.intermediates();
+        nodes.extend(sched.catalog().names().into_iter().map(str::to_string));
+        nodes
+    }
+    fn backing_rows(sched: &MaintenanceScheduler, backing: &str) -> Vec<idivm_repro::types::Row> {
+        sorted(sched.db().table(backing).unwrap().rows_uncounted())
+    }
+
+    // Run `$call` between the reference's two halves: before it, every
+    // node's slice of the fold is deep-copied and composed in; after
+    // it, a backing's Δ goes to its consumers, whoever ran a converging
+    // round starts from nothing again, and every node is compared.
+    macro_rules! pinned {
+        ($what:expr, $call:expr) => {{
+            let net = sched.db().fold_log();
+            let mut before = BTreeMap::new();
+            let mut pre_rows = BTreeMap::new();
+            for node in nodes(&sched) {
+                let catalog = sched.catalog();
+                let tables = catalog
+                    .view(&node)
+                    .or_else(|_| catalog.intermediate(&node))
+                    .unwrap()
+                    .tables();
+                let slice: HashMap<_, _> = net
+                    .iter()
+                    .filter(|(t, _)| tables.contains(t))
+                    .map(|(t, c)| (t.clone(), c.clone()))
+                    .collect();
+                if !slice.is_empty() {
+                    compose_changes(reference.entry(node.clone()).or_default(), slice);
+                }
+                if catalog.intermediate(&node).is_ok() {
+                    pre_rows.insert(node.clone(), backing_rows(&sched, &node));
+                }
+                before.insert(node.clone(), rounds(&sched, &node));
+            }
+            let result = $call;
+            for (backing, pre) in &pre_rows {
+                let key = sched.db().table(backing).unwrap().schema().key().to_vec();
+                let delta = table_delta(pre, &backing_rows(&sched, backing), &key);
+                if delta.is_empty() {
+                    continue;
+                }
+                let node = sched.catalog().intermediate(backing).unwrap();
+                for consumer in node.consumers() {
+                    let slice = HashMap::from([(backing.clone(), delta.clone().into())]);
+                    compose_changes(reference.entry(consumer.clone()).or_default(), slice);
+                }
+            }
+            for (node, before) in &before {
+                if consumed(&sched, node, *before) {
+                    reference.remove(node);
+                }
+            }
+            for node in nodes(&sched) {
+                let pending = match sched.pending(&node) {
+                    Ok(pending) => pending.clone(),
+                    Err(_) => sched.intermediate_pending(&node).unwrap(),
+                };
+                let expected = reference.get(&node).cloned().unwrap_or_default();
+                assert_eq!(pending, expected, "{}: pending net of `{node}`", $what);
+            }
+            result
+        }};
+    }
+    let render = |what: &str, s: &idivm_repro::catalog::RoundSummary, out: &mut String| {
+        writeln!(
+            out,
+            "{what} round={} hits={} saved={}",
+            s.round, s.shared_hits, s.shared_saved_accesses
+        )
+        .unwrap();
+        // One stat per horizon: equal labels come in map order.
+        let mut stats: Vec<String> = s
+            .prefix_stats
+            .iter()
+            .map(|p| {
+                let compute = p.compute_accesses.total();
+                format!("  {} compute={compute} diffs={} hits={}\n", p.label, p.diff_tuples, p.hits)
+            })
+            .collect();
+        stats.sort();
+        out.push_str(&stats.concat());
+    };
+
+    let mut backing = None;
+    for round in 1..=12u64 {
+        // Round 8 takes `users` away (the batch is hand-made: folding a
+        // logged `users` change without the table would panic).
+        let users = (round == 8).then(|| {
+            let db = sched.db_mut();
+            for i in 0..6i64 {
+                let mid = 9_000_000 + i;
+                db.insert("microblog", row![mid, i, 500_000 + i, 7]).unwrap();
+                db.insert("mentions", row![mid, i + 1]).unwrap();
+            }
+            db.drop_table("users").unwrap()
+        });
+        if users.is_none() {
+            cfg.tweet_batch(sched.db_mut(), DIFFS, round).unwrap();
+        }
+        let summary = pinned!(format!("tick {round}"), sched.tick().unwrap());
+        render("tick", &summary, &mut out);
+        if round == 3 {
+            let label = "join[mentions,microblog,users]";
+            backing = Some(pinned!("promote", sched.force_promote(label).unwrap()));
+        }
+        // The twins are read together (and stay on one horizon) until
+        // round 10 reads one of them alone.
+        let reads: &[&str] = match round {
+            4 => &["mention_topic_counts", "mention_reach", TWIN],
+            8 => &["mention_topic_counts", "mention_reach"],
+            10 => &[TWIN],
+            12 => &["mention_reach"],
+            _ => &[],
+        };
+        for name in reads {
+            match pinned!(format!("read {name} @{round}"), sched.read_view(name)) {
+                Ok(rows) => writeln!(out, "read {name} rows={}", rows.len()).unwrap(),
+                Err(_) => writeln!(out, "read {name} refused").unwrap(),
+            }
+        }
+        if let Some(users) = users {
+            // The degraded backing got its net back, and so did every
+            // view that sat the round out behind it.
+            let b = backing.as_deref().unwrap();
+            assert!(!sched.intermediate_pending(b).unwrap().is_empty());
+            let sat_out = |view: &str| summary.deferred.iter().any(|(n, _)| n == view);
+            assert!(sat_out("mention_reach") && sat_out(TWIN));
+            assert!(!sched.pending(TWIN).unwrap().is_empty());
+            let db = sched.db_mut();
+            db.create_table("users", users.schema().clone()).unwrap();
+            let table = db.table_mut("users").unwrap();
+            for row in users.rows_uncounted() {
+                table.load(row).unwrap();
+            }
+            for columns in users.index_positions() {
+                table.create_index_positions(columns);
+            }
+        }
+    }
+    let summary = pinned!("drain", sched.drain().unwrap());
+    render("drain", &summary, &mut out);
+    assert!(reference.is_empty(), "the drain left a net behind");
+    for name in VIEW_NAMES.iter().copied().chain([TWIN]) {
+        assert_matches_oracle(&sched, name, "after the pinned run");
+    }
+
+    // The run must have gone where the doc comment says.
+    for needle in [
+        "read mention_reach refused",
+        "project[mentions,microblog,users] compute=473 diffs=37 hits=1",
+        "project[__ivm0] compute=0 diffs=75 hits=1",
+        "project[__ivm0] compute=0 diffs=77 hits=0",
+    ] {
+        assert!(out.contains(needle), "transcript never shows `{needle}`:\n{out}");
+    }
+    assert_eq!(
+        (out.len(), fnv1a(out.as_bytes())),
+        (1885, 0xbb91_1753_f1bd_48de),
+        "sharing transcript moved:\n{out}"
+    );
+}
