@@ -33,7 +33,6 @@ use idivm_core::{
     TraceConfig,
 };
 use idivm_exec::ParallelConfig;
-use idivm_reldb::TableChanges;
 use idivm_types::Result;
 use idivm_workloads::RunningExample;
 
@@ -233,7 +232,7 @@ pub fn run(args: &Args) -> Result<()> {
                 };
                 let mut lane = prepared(spec, &cfg, d, TraceConfig::disabled())?;
                 let net = lane.db.fold_log();
-                let total: usize = net.values().map(TableChanges::len).sum();
+                let total: usize = net.values().map(|c| c.len()).sum();
                 let poison: usize = net
                     .values()
                     .flat_map(|c| c.keys())

@@ -21,7 +21,7 @@ use idivm_algebra::Plan;
 use idivm_exec::executor::{
     hash_aggregate, hash_join, hash_left_outer_join, project_row, semi_or_anti,
 };
-use idivm_reldb::{Database, PreState, TableChanges};
+use idivm_reldb::{Database, Net, PreState, TableChanges};
 use idivm_types::{Error, Result, Row, Value};
 use std::collections::HashMap;
 
@@ -35,7 +35,7 @@ pub struct AccessCtx<'a> {
     pub db: &'a Database,
     /// Folded net changes of this maintenance round (pre-state overlay
     /// source for base tables).
-    pub base_changes: &'a HashMap<String, TableChanges>,
+    pub base_changes: &'a Net,
     /// Materialized subviews: plan path → cache table name. Caches are
     /// assumed already updated (post-state) when consulted.
     pub caches: &'a HashMap<PathId, String>,
@@ -67,7 +67,7 @@ pub fn scan(ctx: &AccessCtx<'_>, plan: &Plan, path: &PathId, state: State) -> Re
             let t = ctx.db.table(table)?;
             Ok(match state {
                 State::Post => t.scan(),
-                State::Pre => PreState::new(t, ctx.base_changes.get(table)).scan(),
+                State::Pre => PreState::new(t, ctx.base_changes.get(table).map(|c| &**c)).scan(),
             })
         }
         Plan::Select { input, pred } => {
@@ -175,7 +175,7 @@ pub fn lookup(
             Ok(match state {
                 State::Post => t.lookup(cols, probe),
                 State::Pre => {
-                    PreState::new(t, ctx.base_changes.get(table)).lookup(cols, probe)
+                    PreState::new(t, ctx.base_changes.get(table).map(|c| &**c)).lookup(cols, probe)
                 }
             })
         }
@@ -558,7 +558,7 @@ mod tests {
 
     fn empty_ctx<'a>(
         db: &'a Database,
-        base: &'a HashMap<String, TableChanges>,
+        base: &'a Net,
         caches: &'a HashMap<PathId, String>,
         cch: &'a HashMap<String, TableChanges>,
     ) -> AccessCtx<'a> {

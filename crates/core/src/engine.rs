@@ -31,15 +31,14 @@ use crate::report::MaintenanceReport;
 use crate::round::{drive, Engine, Round};
 use crate::rules::{propagate, IncomingDiff, RuleCtx};
 use crate::schema_gen::{generate, populate, BaseDiffSchemas};
-use crate::shared::{SharedDiffCache, SharedPrefixes};
+use crate::shared::{RoundKey, SharedDiffCache, SharedPrefixes};
 use crate::trace::{op_label, TraceConfig, TracePhase};
 use idivm_algebra::{ensure_ids, Plan};
 use idivm_exec::{materialize_view, refresh_view, view_schema, ParallelConfig};
-use idivm_reldb::{Database, StatsSnapshot, TableChanges};
+use idivm_reldb::{Database, Net, StatsSnapshot, TableChanges};
 use idivm_types::{Error, Result, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What a maintenance round does after an error forced a rollback.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -288,7 +287,7 @@ impl IdIvm {
     pub fn maintain_with_changes(
         &self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<MaintenanceReport> {
         Engine::maintain_with_changes(self, db, net)
     }
@@ -309,7 +308,7 @@ impl IdIvm {
     pub fn maintain_with_changes_shared(
         &self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
         prefixes: &SharedPrefixes,
         cache: &mut SharedDiffCache,
     ) -> Result<MaintenanceReport> {
@@ -325,24 +324,10 @@ impl IdIvm {
         &self,
         round: &mut Round<'_>,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
         shared: Option<(&SharedPrefixes, &mut SharedDiffCache)>,
     ) -> Result<()> {
-        // Round keys bind each designated prefix to this round's
-        // pending net; the net is constant for the whole round, so
-        // they are computed once up front.
-        let shared = shared.map(|(prefixes, cache)| {
-            let round_keys = prefixes
-                .map
-                .keys()
-                .filter_map(|p| prefixes.round_key(p, net).map(|k| (p.clone(), k)))
-                .collect();
-            SharedCtx {
-                prefixes,
-                cache,
-                round_keys,
-            }
-        });
+        let shared = shared.map(|(prefixes, cache)| SharedCtx { prefixes, cache });
         let scans = self.plan.scans();
         let mut base_diffs: HashMap<String, BaseDiffs> = HashMap::new();
         for (table, changes) in net {
@@ -377,7 +362,7 @@ impl IdIvm {
         let outcome = apply_all(db.table_mut(&self.view_name)?, &root_diffs, &mut view_changes)?;
         round.report.view_update = db.stats().snapshot().since(&before);
         round.report.view_outcome = outcome;
-        round.report.view_changes = Arc::new(view_changes);
+        round.report.view_changes = view_changes.into();
         round.checkpoint(db)?;
         round.op(
             &PathId::new(),
@@ -420,13 +405,15 @@ impl IdIvm {
         // i-diffs into the round cache — serve the reuse at zero
         // counted accesses and skip the whole subtree walk. On a miss,
         // remember the key so the computed diffs get published below.
-        let mut publish_key: Option<String> = None;
+        let mut publish_key: Option<RoundKey> = None;
         let mut reused: Option<Vec<DiffInstance>> = None;
         if let Some(shared) = state.shared.as_mut() {
-            if let Some(key) = shared.round_keys.get(path) {
+            // The key binds the prefix to this round's pending net,
+            // whose digest is remembered on the net itself.
+            if let Some(key) = shared.prefixes.round_key(path, state.net) {
                 match shared.cache.reuse(key) {
                     Some(diffs) => reused = Some(diffs),
-                    None => publish_key = Some(key.clone()),
+                    None => publish_key = Some(key),
                 }
             }
         }
@@ -557,7 +544,7 @@ impl Engine for IdIvm {
         &self,
         round: &mut Round<'_>,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<()> {
         self.body(round, db, net, None)
     }
@@ -587,7 +574,7 @@ struct BaseDiffs {
 /// What one round's walk threads through the plan besides the
 /// [`Round`] itself.
 struct WalkState<'r> {
-    net: &'r HashMap<String, TableChanges>,
+    net: &'r Net,
     base_diffs: HashMap<String, BaseDiffs>,
     cache_changes: HashMap<String, TableChanges>,
     rescans: &'r AtomicU64,
@@ -598,9 +585,6 @@ struct WalkState<'r> {
 struct SharedCtx<'r> {
     prefixes: &'r SharedPrefixes,
     cache: &'r mut SharedDiffCache,
-    /// Designated path → this round's cache key (structural
-    /// fingerprint ⊕ pending-net digest), precomputed at round start.
-    round_keys: HashMap<PathId, String>,
 }
 
 /// Create the base-table secondary indexes the diff-driven probe paths

@@ -35,9 +35,8 @@
 //! (see `Database::begin_round`/`abort_round` in `idivm-reldb`).
 
 use idivm_exec::partition::stable_hash_key;
-use idivm_reldb::TableChanges;
+use idivm_reldb::Net;
 use idivm_types::{Error, Result};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Where in the round a [`FaultPlan`] fires.
@@ -445,7 +444,7 @@ impl FaultState {
     /// # Errors
     /// [`Error::Injected`] / [`Error::Poison`] when a poison key is
     /// present.
-    pub fn on_batch(&self, net: &HashMap<String, TableChanges>) -> Result<()> {
+    pub fn on_batch(&self, net: &Net) -> Result<()> {
         if self.plan.site != Some(FaultSite::Diff) || self.fired.load(Ordering::Relaxed) {
             return Ok(());
         }
@@ -645,7 +644,7 @@ impl FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idivm_reldb::NetChange;
+    use idivm_reldb::{NetChange, TableChanges};
     use idivm_types::{Key, Row, Value};
 
     #[test]
@@ -658,7 +657,7 @@ mod tests {
             s.on_apply("v").unwrap();
             s.on_access(i).unwrap();
         }
-        s.on_batch(&HashMap::new()).unwrap();
+        s.on_batch(&Net::new()).unwrap();
     }
 
     #[test]
@@ -716,7 +715,7 @@ mod tests {
         assert!(p.for_attempt(u64::MAX).enabled());
     }
 
-    fn batch_of(keys: &[i64]) -> HashMap<String, TableChanges> {
+    fn batch_of(keys: &[i64]) -> Net {
         let mut tc = TableChanges::new();
         for &k in keys {
             tc.insert(
@@ -726,9 +725,7 @@ mod tests {
                 },
             );
         }
-        let mut net = HashMap::new();
-        net.insert("parts".to_string(), tc);
-        net
+        Net::from([("parts".to_string(), tc.into())])
     }
 
     #[test]

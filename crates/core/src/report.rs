@@ -3,9 +3,8 @@
 
 use crate::apply::ApplyOutcome;
 use crate::trace::RoundTrace;
-use idivm_reldb::{StatsSnapshot, TableChanges};
+use idivm_reldb::{SharedChanges, StatsSnapshot};
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Cost and outcome of one maintenance round.
@@ -58,7 +57,7 @@ pub struct MaintenanceReport {
     /// table-level diff in that case). Shared, so whoever keeps a
     /// round's Δ (the catalog's read snapshots) holds a reference, not
     /// a copy of every row image.
-    pub view_changes: Arc<TableChanges>,
+    pub view_changes: SharedChanges,
 }
 
 impl MaintenanceReport {

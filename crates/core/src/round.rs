@@ -18,9 +18,8 @@ use crate::faults::FaultState;
 use crate::report::MaintenanceReport;
 use crate::trace::{OpTrace, PhaseTimings, RoundTrace, TracePhase};
 use idivm_algebra::Plan;
-use idivm_reldb::{Database, StatsSnapshot, TableChanges};
+use idivm_reldb::{Database, Net, StatsSnapshot};
 use idivm_types::{Error, Result, Row};
-use std::collections::HashMap;
 use std::fmt::Display;
 use std::time::{Duration, Instant};
 
@@ -125,7 +124,7 @@ pub trait Engine: EngineConfig {
         &self,
         round: &mut Round<'_>,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<()>;
 
     /// Refresh, by full recompute, exactly the tables this engine
@@ -172,7 +171,7 @@ pub trait Engine: EngineConfig {
     fn maintain_with_changes(
         &self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<MaintenanceReport> {
         drive(self, db, net, |round, db| self.round_body(round, db, net))
     }
@@ -183,7 +182,7 @@ pub trait Engine: EngineConfig {
 pub(crate) fn drive<E: Engine + ?Sized>(
     engine: &E,
     db: &mut Database,
-    net: &HashMap<String, TableChanges>,
+    net: &Net,
     body: impl FnOnce(&mut Round<'_>, &mut Database) -> Result<()>,
 ) -> Result<MaintenanceReport> {
     let owner = db.begin_round();
@@ -216,7 +215,7 @@ pub(crate) fn drive<E: Engine + ?Sized>(
 fn incremental(
     knobs: &EngineKnobs,
     db: &mut Database,
-    net: &HashMap<String, TableChanges>,
+    net: &Net,
     body: impl FnOnce(&mut Round<'_>, &mut Database) -> Result<()>,
 ) -> Result<MaintenanceReport> {
     let started = Instant::now();
@@ -284,7 +283,7 @@ impl<E: Engine + ?Sized> Engine for Box<E> {
         &self,
         round: &mut Round<'_>,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<()> {
         (**self).round_body(round, db, net)
     }

@@ -27,9 +27,15 @@
 //!    reusing view's private caches rot. A cache *at* the prefix root
 //!    is fine — the shared walk still applies the (reused) diffs there.
 //! 2. **Keys bind structure + schemas + pending net.** The round lookup
-//!    key ties the structural fingerprint to a digest of the net
-//!    changes of the subtree's base tables, so views with different
-//!    pending horizons (deferred vs eager) can never alias.
+//!    key ([`RoundKey`]) ties the structural fingerprint — interned to
+//!    a small id when the designations are computed — to a *content*
+//!    digest of the net changes of the subtree's base tables, so views
+//!    with different pending horizons (deferred vs eager) can never
+//!    alias, and views handed content-equal nets by different routes
+//!    (recovery, a supervisor's rebuilt batch) still share. The digest
+//!    is computed once per shared table net
+//!    ([`idivm_reldb::SharedChanges::digest`]), not once per view, and
+//!    never for a table no designated prefix reads.
 //! 3. **Per-round lifetime.** A [`SharedDiffCache`] must be created
 //!    fresh for each scheduler round (and horizon group) and dropped
 //!    afterwards; entries are never carried across rounds.
@@ -39,14 +45,15 @@ use crate::diff::DiffInstance;
 use crate::engine::IdIvm;
 use crate::trace::op_label;
 use idivm_algebra::Plan;
-use idivm_reldb::{NetChange, StatsSnapshot, TableChanges};
-use idivm_types::Key;
+use idivm_reldb::{net_digest, Net, StatsSnapshot};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
 
 /// One designated shared-prefix boundary inside a view's plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixSpec {
+    /// `structural`, interned by [`detect_shared_prefixes`]: equal ids
+    /// ⇔ equal fingerprints among the designations of one call.
+    pub id: u32,
     /// Structural fingerprint: subtree debug form + `minimize` knob +
     /// the i-diff schema fingerprints of the subtree's base tables.
     /// Views sharing this string compute identical i-diffs at the
@@ -94,19 +101,15 @@ impl SharedPrefixes {
 
     /// The per-round lookup key for the boundary at `path` under the
     /// pending net `net`, or `None` if `path` is not designated.
-    pub fn round_key(
-        &self,
-        path: &PathId,
-        net: &HashMap<String, TableChanges>,
-    ) -> Option<String> {
+    pub fn round_key(&self, path: &PathId, net: &Net) -> Option<RoundKey> {
         let spec = self.map.get(path)?;
-        Some(format!(
-            "{}#{:016x}",
-            spec.structural,
-            net_digest(net, &spec.tables)
-        ))
+        Some((spec.id, net_digest(net, &spec.tables)))
     }
 }
+
+/// A designated prefix under one pending net: ([`PrefixSpec::id`],
+/// digest of the net over [`PrefixSpec::tables`]).
+pub type RoundKey = (u32, u64);
 
 /// What happened at one shared prefix over a cache's lifetime (one
 /// scheduler round / horizon group).
@@ -148,7 +151,7 @@ struct SharedEntry {
 /// the base-table state they were computed against.
 #[derive(Debug, Default)]
 pub struct SharedDiffCache {
-    entries: HashMap<String, SharedEntry>,
+    entries: HashMap<RoundKey, SharedEntry>,
 }
 
 impl SharedDiffCache {
@@ -159,8 +162,8 @@ impl SharedDiffCache {
 
     /// Serve a reuse: clone the published diffs for `key` and count the
     /// hit. `None` means this round key has not been computed yet.
-    pub fn reuse(&mut self, key: &str) -> Option<Vec<DiffInstance>> {
-        let e = self.entries.get_mut(key)?;
+    pub fn reuse(&mut self, key: RoundKey) -> Option<Vec<DiffInstance>> {
+        let e = self.entries.get_mut(&key)?;
         e.stat.hits += 1;
         Some(e.diffs.clone())
     }
@@ -170,7 +173,7 @@ impl SharedDiffCache {
     /// this entry.
     pub fn publish(
         &mut self,
-        key: String,
+        key: RoundKey,
         label: &str,
         structure: &str,
         diffs: &[DiffInstance],
@@ -285,7 +288,8 @@ pub fn detect_shared_prefixes(views: &[&IdIvm]) -> Vec<SharedPrefixes> {
             continue;
         }
         for (vi, path, spec) in occs {
-            out[*vi].map.insert(path.clone(), spec.clone());
+            let id = gi as u32;
+            out[*vi].map.insert(path.clone(), PrefixSpec { id, ..spec.clone() });
         }
     }
     out
@@ -365,6 +369,7 @@ fn prefix_spec(view: &IdIvm, node: &Plan) -> PrefixSpec {
     }
     let label = format!("{}[{}]", op_label(node), tables.join(","));
     PrefixSpec {
+        id: 0,
         structural,
         structure,
         tables,
@@ -381,41 +386,6 @@ fn prefix_spec(view: &IdIvm, node: &Plan) -> PrefixSpec {
 /// backing table.
 pub fn structure_key(minimize: bool, node: &Plan) -> String {
     format!("minimize={minimize};{node:?}")
-}
-
-/// FNV-1a digest of the pending net restricted to `tables` (sorted
-/// key order — deterministic for any `HashMap` iteration order). Keys
-/// and changes are fed through their `Hash` impls, so equal nets digest
-/// equally with no text rendering on the way.
-pub fn net_digest(net: &HashMap<String, TableChanges>, tables: &[String]) -> u64 {
-    let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
-    for t in tables {
-        let Some(changes) = net.get(t) else { continue };
-        t.hash(&mut h);
-        let mut items: Vec<(&Key, &NetChange)> = changes.iter().collect();
-        items.sort_unstable_by_key(|(k, _)| *k);
-        for item in items {
-            item.hash(&mut h);
-        }
-    }
-    h.finish()
-}
-
-/// FNV-1a as a [`Hasher`]: unkeyed, so a digest repeats across
-/// processes and runs (the default `SipHash` state is per-map random).
-struct Fnv1a(u64);
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// One promotable subtree: an operator structure that occurs in at
@@ -601,85 +571,14 @@ fn rebuild(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use idivm_types::{row, Value};
-
-    fn change(v: i64) -> NetChange {
-        NetChange::Inserted { post: row![v] }
-    }
-
-    #[test]
-    fn net_digest_is_order_insensitive_and_table_scoped() {
-        let mut a: HashMap<String, TableChanges> = HashMap::new();
-        let mut t = TableChanges::new();
-        t.insert(Key(vec![Value::Int(1)]), change(1));
-        t.insert(Key(vec![Value::Int(2)]), change(2));
-        a.insert("m".into(), t);
-
-        let mut b: HashMap<String, TableChanges> = HashMap::new();
-        let mut t = TableChanges::new();
-        t.insert(Key(vec![Value::Int(2)]), change(2));
-        t.insert(Key(vec![Value::Int(1)]), change(1));
-        b.insert("m".into(), t);
-        // An extra table outside the digest domain must not matter.
-        let mut u = TableChanges::new();
-        u.insert(Key(vec![Value::Int(9)]), change(9));
-        b.insert("users".into(), u);
-
-        let tables = vec!["m".to_string()];
-        assert_eq!(net_digest(&a, &tables), net_digest(&b, &tables));
-        // But a change inside the domain must.
-        let mut c = a.clone();
-        c.get_mut("m")
-            .unwrap()
-            .insert(Key(vec![Value::Int(3)]), change(3));
-        assert_ne!(net_digest(&a, &tables), net_digest(&c, &tables));
-    }
-
-    /// Equal nets digest equally whatever order their entries went in
-    /// (the two maps also draw different `SipHash` keys, so their
-    /// iteration orders differ); one differing post value is enough to
-    /// tell two nets apart.
-    #[test]
-    fn net_digest_sees_contents_not_insertion_order() {
-        let entry = |i: i64| {
-            let (pre, post) = (row![i, "old"], row![i, "new"]);
-            let change = match i % 3 {
-                0 => NetChange::Inserted { post },
-                1 => NetChange::Deleted { pre },
-                _ => NetChange::Updated { pre, post },
-            };
-            (Key(vec![Value::Int(i)]), change)
-        };
-        let net_of = |order: &mut dyn Iterator<Item = i64>| {
-            let mut net: HashMap<String, TableChanges> = HashMap::new();
-            net.insert("m".into(), order.map(entry).collect());
-            net
-        };
-        let tables = vec!["m".to_string()];
-        let forward = net_of(&mut (0..64));
-        // 37 is coprime to 64: a full-cycle shuffle of the same keys.
-        let shuffled = net_of(&mut (0..64).map(|i| (i * 37 + 11) % 64));
-        assert_eq!(forward, shuffled);
-        let digest = |net| net_digest(net, &tables);
-        assert_eq!(digest(&forward), digest(&shuffled));
-
-        let mut differing = forward.clone();
-        differing.get_mut("m").unwrap().insert(
-            Key(vec![Value::Int(5)]),
-            NetChange::Updated {
-                pre: row![5, "old"],
-                post: row![5, "newer"],
-            },
-        );
-        assert_ne!(digest(&forward), digest(&differing));
-    }
 
     #[test]
     fn cache_reuse_counts_hits_and_savings() {
         let mut cache = SharedDiffCache::new();
-        assert!(cache.reuse("k").is_none());
+        let k: RoundKey = (3, 0xfeed);
+        assert!(cache.reuse(k).is_none());
         cache.publish(
-            "k".into(),
+            k,
             "join[m,b]",
             "minimize=false;…",
             &[],
@@ -688,8 +587,10 @@ mod tests {
                 index_lookups: 5,
             },
         );
-        assert!(cache.reuse("k").is_some());
-        assert!(cache.reuse("k").is_some());
+        assert!(cache.reuse(k).is_some());
+        assert!(cache.reuse(k).is_some());
+        assert!(cache.reuse((3, 0xbeef)).is_none(), "another net aliased");
+        assert!(cache.reuse((4, 0xfeed)).is_none(), "another prefix aliased");
         assert_eq!(cache.total_hits(), 2);
         assert_eq!(cache.total_saved_accesses(), 30);
         let stats = cache.stats();
@@ -832,6 +733,7 @@ mod tests {
         // Group `inner` occurs only strictly inside `outer` occurrences
         // (same views, deeper paths) → covered.
         let spec = |s: &str| PrefixSpec {
+            id: 0,
             structural: s.into(),
             structure: s.into(),
             tables: vec![],

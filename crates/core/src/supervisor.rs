@@ -53,7 +53,7 @@ use crate::faults::{FaultPlan, RoundBudget};
 use crate::report::MaintenanceReport;
 use crate::round::Engine;
 use crate::trace::json_escape;
-use idivm_reldb::{Database, NetChange, TableChanges};
+use idivm_reldb::{Database, Net, NetChange, TableChanges};
 use idivm_types::{Error, Key, Result};
 use std::collections::HashMap;
 
@@ -76,7 +76,7 @@ pub trait SupervisedEngine: EngineConfig {
     fn maintain_with_changes(
         &self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<MaintenanceReport>;
 }
 
@@ -88,7 +88,7 @@ impl<E: Engine + ?Sized> SupervisedEngine for E {
     fn maintain_with_changes(
         &self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<MaintenanceReport> {
         Engine::maintain_with_changes(self, db, net)
     }
@@ -503,7 +503,7 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
     pub fn run_with_changes(
         &mut self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> SupervisorReport {
         let mut report = SupervisorReport::new(self.engine.label(), self.config.budget);
         if net.is_empty() {
@@ -525,7 +525,7 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
         // HashMap iteration order or thread count.
         let mut flat: Vec<(String, Key, NetChange)> = Vec::new();
         for (table, changes) in net {
-            for (key, change) in changes {
+            for (key, change) in changes.iter() {
                 flat.push((table.clone(), key.clone(), change.clone()));
             }
         }
@@ -554,7 +554,7 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
         &mut self,
         db: &mut Database,
         report: &mut SupervisorReport,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
         base_plan: FaultPlan,
     ) -> SupervisorVerdict {
         self.engine.set_recovery(RecoveryPolicy::RecomputeOnError);
@@ -575,7 +575,7 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
                 } else {
                     // The fault healed (or never fired on this path):
                     // the round committed incrementally after all.
-                    report.committed_changes = net.values().map(TableChanges::len).sum();
+                    report.committed_changes = net.values().map(|c| c.len()).sum();
                     SupervisorVerdict::Converged
                 };
                 report.last_round = Some(round);
@@ -692,14 +692,14 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
 }
 
 /// Rebuild the per-table change map of one (sub-)batch.
-fn to_net(batch: &[(String, Key, NetChange)]) -> HashMap<String, TableChanges> {
+fn to_net(batch: &[(String, Key, NetChange)]) -> Net {
     let mut net: HashMap<String, TableChanges> = HashMap::new();
     for (table, key, change) in batch {
         net.entry(table.clone())
             .or_default()
             .insert(key.clone(), change.clone());
     }
-    net
+    net.into_iter().map(|(t, c)| (t, c.into())).collect()
 }
 
 #[cfg(test)]
@@ -750,7 +750,7 @@ mod tests {
         fn maintain_with_changes(
             &self,
             _db: &mut Database,
-            net: &HashMap<String, TableChanges>,
+            net: &Net,
         ) -> Result<MaintenanceReport> {
             let n = *self.attempts.borrow();
             *self.attempts.borrow_mut() = n + 1;
@@ -991,7 +991,7 @@ mod tests {
             fn maintain_with_changes(
                 &self,
                 _db: &mut Database,
-                _net: &HashMap<String, TableChanges>,
+                _net: &Net,
             ) -> Result<MaintenanceReport> {
                 Err(Error::Internal("scripted catastrophe".into()))
             }

@@ -41,10 +41,10 @@ use crate::codec::{self, Encode, Reader};
 use idivm_algebra::Plan;
 use idivm_core::FaultState;
 use idivm_ingest::{DeadLetter, IngestPipeline, IngestTotals};
-use idivm_reldb::{Table, TableChanges};
+use idivm_reldb::{Net, Table};
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy};
 use idivm_types::{Error, Result, Row, Schema};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Write as _};
 use std::path::Path;
@@ -119,7 +119,7 @@ pub struct ViewManifest {
     /// Refresh policy.
     pub policy: RefreshPolicy,
     /// Composed pending net (non-empty for deferred / on-read views).
-    pub pending: HashMap<String, TableChanges>,
+    pub pending: Net,
     /// Rounds since last refresh.
     pub staleness: u32,
 }
@@ -146,7 +146,7 @@ pub struct IntermediateManifest {
     /// Names of consumer views, sorted.
     pub consumers: Vec<String>,
     /// Pending net not yet folded into the backing.
-    pub pending: HashMap<String, TableChanges>,
+    pub pending: Net,
 }
 
 codec::record!(IntermediateManifest {
@@ -504,13 +504,12 @@ mod tests {
             alias: "t".into(),
             schema: schema.clone(),
         };
-        let mut pending = HashMap::new();
-        let mut tc = TableChanges::new();
+        let mut tc = idivm_reldb::TableChanges::new();
         tc.insert(
             idivm_types::Key(vec![Value::Int(1)]),
             idivm_reldb::NetChange::Inserted { post: row![1, "x"] },
         );
-        pending.insert("t".to_string(), tc);
+        let pending = Net::from([("t".to_string(), tc.into())]);
         Checkpoint {
             last_lsn: 12,
             tables: vec![TableSnapshot {
@@ -534,7 +533,7 @@ mod tests {
                 structure: "J(t,s)".into(),
                 label: "t⋈s".into(),
                 consumers: vec!["v".into()],
-                pending: HashMap::new(),
+                pending: Net::new(),
             }],
             next_backing: 1,
             round: 9,

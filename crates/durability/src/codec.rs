@@ -20,7 +20,7 @@
 
 use idivm_algebra::{AggFunc, AggSpec, BinOp, CmpOp, Expr, Plan, ScalarFn};
 use idivm_ingest::{DeadLetter, DeadLetterCause, IngestTotals};
-use idivm_reldb::NetChange;
+use idivm_reldb::{NetChange, SharedChanges, TableChanges};
 use idivm_sched::RefreshPolicy;
 use idivm_types::{Column, ColumnType, Error, Key, Result, Row, Schema, Value};
 use std::collections::{BTreeMap, HashMap};
@@ -501,6 +501,21 @@ impl<K: Decode + Eq + Hash, V: Decode> Decode for HashMap<K, V> {
     }
 }
 
+/// A shared table net is written as the changes it holds and read back
+/// as a fresh allocation: the bytes do not know about sharing.
+impl Encode for SharedChanges {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (**self).encode(out);
+    }
+}
+
+impl Decode for SharedChanges {
+    const MIN_BYTES: usize = TableChanges::MIN_BYTES;
+    fn decode(r: &mut Reader<'_>) -> Result<Self> {
+        Ok(r.read::<TableChanges>()?.into())
+    }
+}
+
 // ---------------------------------------------------------------------
 // Values, rows, keys, schemas
 // ---------------------------------------------------------------------
@@ -726,7 +741,7 @@ pub fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
 pub(crate) mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use idivm_reldb::TableChanges;
+    use idivm_reldb::Net;
     use idivm_types::row;
     use std::fmt::Debug;
 
@@ -942,14 +957,14 @@ pub(crate) mod tests {
     }
 
     /// A two-table net holding every kind of change.
-    pub(crate) fn sample_net() -> HashMap<String, TableChanges> {
+    pub(crate) fn sample_net() -> Net {
         let mut changes = every_net_change().into_iter();
         let mut tc = TableChanges::new();
         tc.insert(Key(vec![Value::Int(2)]), changes.next_back().unwrap());
         tc.insert(Key(vec![Value::Int(1)]), changes.next_back().unwrap());
         let mut tc2 = TableChanges::new();
         tc2.insert(Key(vec![Value::Int(9)]), changes.next_back().unwrap());
-        HashMap::from([("t".to_string(), tc), ("s".to_string(), tc2)])
+        Net::from([("t".to_string(), tc.into()), ("s".to_string(), tc2.into())])
     }
 
     pub(crate) fn every_policy() -> Vec<RefreshPolicy> {

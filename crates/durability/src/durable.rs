@@ -56,7 +56,7 @@ use crate::checkpointer::{CheckpointStats, Checkpointer};
 use crate::wal::{RoundKind, Wal, WalRecord};
 use idivm_core::{FaultState, IvmOptions};
 use idivm_ingest::{IngestOutcome, IngestPipeline, PipelineConfig, RawEvent};
-use idivm_reldb::{Database, NetChange, TableChanges};
+use idivm_reldb::{Database, Net, NetChange};
 use idivm_sched::{Backing, MaintenanceScheduler, RefreshPolicy, RoundSummary, SchedulerConfig};
 use idivm_types::{Error, Key, Result, Row, Value};
 use std::collections::HashMap;
@@ -420,8 +420,8 @@ impl Durable {
     /// Scheduler errors, or journaling errors (see the module's error
     /// contract).
     pub fn tick(&mut self) -> Result<RoundSummary> {
-        let net = self.sched.db().fold_log();
         let summary = self.sched.tick()?;
+        let net = self.sched.last_net().clone();
         self.log_round(WalRecord::Round {
             kind: RoundKind::Tick,
             net,
@@ -434,8 +434,8 @@ impl Durable {
     /// # Errors
     /// Scheduler or journaling errors.
     pub fn drain(&mut self) -> Result<RoundSummary> {
-        let net = self.sched.db().fold_log();
         let summary = self.sched.drain()?;
+        let net = self.sched.last_net().clone();
         self.log_round(WalRecord::Round {
             kind: RoundKind::Drain,
             net,
@@ -450,8 +450,8 @@ impl Durable {
     /// # Errors
     /// Scheduler or journaling errors.
     pub fn read_view(&mut self, name: &str) -> Result<Vec<Row>> {
-        let net = self.sched.db().fold_log();
         let rows = self.sched.read_view(name)?;
+        let net = self.sched.last_net().clone();
         self.log_round(WalRecord::Round {
             kind: RoundKind::ReadView(name.to_string()),
             net,
@@ -696,7 +696,7 @@ impl Drop for Durable {
 /// canonical (table, key) order. The replayed modification log folds
 /// back to exactly `net`, so the following tick distributes the same
 /// deltas the original round did.
-fn apply_net(db: &mut Database, net: &HashMap<String, TableChanges>) -> Result<()> {
+fn apply_net(db: &mut Database, net: &Net) -> Result<()> {
     let mut tables: Vec<&String> = net.keys().collect();
     tables.sort();
     for table in tables {

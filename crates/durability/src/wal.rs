@@ -39,10 +39,10 @@
 use crate::codec::{self, Encode, Reader};
 use idivm_core::FaultState;
 use idivm_ingest::{DeadLetter, IngestTotals};
-use idivm_reldb::TableChanges;
+use idivm_reldb::Net;
 use idivm_sched::RefreshPolicy;
 use idivm_types::{Error, Result};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
@@ -125,7 +125,7 @@ pub enum WalRecord {
         kind: RoundKind,
         /// Folded net DML (`Database::fold_log` output) applied by the
         /// round, canonical-sorted by the codec.
-        net: HashMap<String, TableChanges>,
+        net: Net,
     },
     /// A forced promotion of the named structure label.
     Promote {
@@ -482,7 +482,7 @@ mod tests {
         contract, every_dead_letter, every_plan, every_policy, sample_net, to_bytes,
     };
     use idivm_core::FaultPlan;
-    use idivm_reldb::NetChange;
+    use idivm_reldb::{NetChange, TableChanges};
     use idivm_types::{row, Key, Value};
 
     /// Per-record frame prefix: u32 length + u64 checksum.
@@ -498,11 +498,9 @@ mod tests {
             Key(vec![Value::Int(i)]),
             NetChange::Inserted { post: row![i, "x"] },
         );
-        let mut net = HashMap::new();
-        net.insert("t".to_string(), tc);
         WalRecord::Round {
             kind: RoundKind::Tick,
-            net,
+            net: Net::from([("t".to_string(), tc.into())]),
         }
     }
 

@@ -19,7 +19,7 @@ use idivm_durability::checkpoint::{
 };
 use idivm_durability::{Checkpoint, RoundKind, Wal, WalRecord, CHECKPOINT_FILE};
 use idivm_ingest::{DeadLetter, DeadLetterCause, IngestTotals};
-use idivm_reldb::{NetChange, TableChanges};
+use idivm_reldb::{Net, NetChange, TableChanges};
 use idivm_sched::RefreshPolicy;
 use idivm_types::{row, ColumnType, Key, Row, Schema, Value};
 use std::collections::HashMap;
@@ -304,7 +304,7 @@ fn every_dead_letter() -> Vec<DeadLetter> {
 
 /// A two-table net, keys inserted in descending order: the canonical
 /// encoding must sort them.
-fn two_table_net() -> HashMap<String, TableChanges> {
+fn two_table_net() -> Net {
     let key = |id: i64, tag: &str| Key(vec![Value::Int(id), Value::str(tag)]);
     let mut u = TableChanges::new();
     u.insert(key(9, "z"), NetChange::Deleted { pre: row![9, "z", 1.0, false] });
@@ -318,7 +318,7 @@ fn two_table_net() -> HashMap<String, TableChanges> {
     );
     t.insert(key(5, "a"), NetChange::Inserted { post: row![5, "a", 2.5, true] });
     t.insert(key(1, "c"), NetChange::Deleted { pre: row![1, "c", 3.5, false] });
-    HashMap::from([("u".to_string(), u), ("t".to_string(), t)])
+    HashMap::from([("u".to_string(), u.into()), ("t".to_string(), t.into())])
 }
 
 fn every_wal_record() -> Vec<WalRecord> {

@@ -30,10 +30,10 @@ use crate::dlq::{DeadLetter, DeadLetterCause, DeadLetterQueue};
 use crate::event::{ChangeEvent, ChangeOp, RawEvent};
 use crate::queue::{EventQueue, QueueConfig, SendOutcome};
 use idivm_core::{FaultState, IngestTrace};
-use idivm_reldb::{Database, TableChanges};
+use idivm_reldb::{Database, Net};
 use idivm_sched::{MaintenanceScheduler, RoundSummary};
 use idivm_types::{ColumnType, Error, Result, Row, Schema, Value};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Queue + batcher configuration for one pipeline.
@@ -65,9 +65,10 @@ pub struct IngestTotals {
 #[derive(Debug, Clone)]
 pub struct CommittedCut {
     /// The database's folded modification log at commit — the net DML
-    /// this cut admitted (plus any direct DML logged before the cut),
-    /// which the following tick distributes.
-    pub net: HashMap<String, TableChanges>,
+    /// this cut admitted (plus any direct DML logged before the cut) —
+    /// as the cut's tick folded and distributed it: the same shared
+    /// value the views' pending nets hold, not a second fold.
+    pub net: Net,
     /// Post-cut per-producer sequence baselines (the whole map — a
     /// replay restores it wholesale, keeping exactly-once across the
     /// restart).
@@ -325,18 +326,22 @@ impl IngestPipeline {
             cut_cause: cause.label(),
             queue_depth_at_cut: depth_at_cut as u64,
         };
-        if self.capture_commits {
-            // The batch is committed but the tick has not folded the
-            // log yet: this folded net is exactly what the round will
-            // distribute, so it is the WAL's redo image for the cut.
-            self.committed = Some(CommittedCut {
-                net: sched.db().fold_log(),
-                expected_seq: self.expected_seq.clone(),
-                dlq_appended: self.dlq.entries()[dlq_mark..].to_vec(),
-                totals: self.totals(),
-            });
+        // The cut's durable image is fixed here, between the commit and
+        // the tick — all of it but the net, which the tick folds once
+        // for the views and for the journal alike.
+        let image = self.capture_commits.then(|| CommittedCut {
+            net: Net::new(),
+            expected_seq: self.expected_seq.clone(),
+            dlq_appended: self.dlq.entries()[dlq_mark..].to_vec(),
+            totals: self.totals(),
+        });
+        let summary = sched.tick_ingest(trace.clone());
+        if let Some(image) = image {
+            // Left for the journal whether or not the tick then failed.
+            let net = sched.last_net().clone();
+            self.committed = Some(CommittedCut { net, ..image });
         }
-        let summary = sched.tick_ingest(trace.clone())?;
+        let summary = summary?;
         Ok(IngestOutcome {
             trace,
             summary,

@@ -8,7 +8,7 @@
 //! [`Database::create_table`] and mutated through unlogged access
 //! ([`Database::table_mut`]) by the ∆-script executor.
 
-use crate::log::{LogEntry, ModificationLog, TableChanges, UndoLog};
+use crate::log::{LogEntry, ModificationLog, Net, UndoLog};
 use crate::overlay::PreState;
 use crate::stats::AccessStats;
 use crate::table::Table;
@@ -220,7 +220,7 @@ impl Database {
 
     /// Fold the log into effective per-table net changes (Section 5's
     /// combination step) without consuming it.
-    pub fn fold_log(&self) -> HashMap<String, TableChanges> {
+    pub fn fold_log(&self) -> Net {
         self.log.fold(|table, row| {
             let key_cols = self.tables[table].schema().key();
             row.key(key_cols)
@@ -385,9 +385,9 @@ impl Database {
     pub fn pre_state<'a>(
         &'a self,
         table: &str,
-        changes: &'a HashMap<String, TableChanges>,
+        changes: &'a Net,
     ) -> Result<PreState<'a>> {
-        Ok(PreState::new(self.table(table)?, changes.get(table)))
+        Ok(PreState::new(self.table(table)?, changes.get(table).map(|c| &**c)))
     }
 }
 

@@ -26,7 +26,8 @@ pub mod table;
 
 pub use database::{Database, MODLOG_SIGNATURE_KEY};
 pub use log::{
-    compose_changes, table_delta, LogEntry, ModificationLog, NetChange, TableChanges, UndoLog,
+    compose_changes, compose_shared, net_digest, table_delta, LogEntry, ModificationLog, Net,
+    NetChange, SharedChanges, TableChanges, UndoLog,
     UndoOp,
 };
 pub use overlay::PreState;

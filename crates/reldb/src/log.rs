@@ -8,6 +8,17 @@
 //! diffs". [`ModificationLog::fold`] implements exactly that combination,
 //! producing one [`NetChange`] per (table, primary key).
 //!
+//! **Who owns a net.** A round's [`Net`] is folded once and then only
+//! *shared*: each table's changes sit behind one [`SharedChanges`]
+//! handle, and every consumer — each dependent view's pending net, the
+//! write-ahead log's redo image, a checkpoint in flight — holds a clone
+//! of the handle, not of the changes. Nobody mutates a net somebody
+//! else can see: the one way in is [`SharedChanges::make_mut`], which
+//! copies first unless the caller holds the only handle, and forgets
+//! the memoized [`SharedChanges::digest`] either way. The scheduler is
+//! the only caller outside this module's composition
+//! ([`compose_shared`]), and only between rounds.
+//!
 //! The [`UndoLog`] is the inverse-operation journal that makes a
 //! maintenance round *atomic*: while a round is open
 //! ([`Database::begin_round`](crate::Database::begin_round)), every
@@ -22,8 +33,10 @@
 
 use idivm_types::{Key, Row};
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
+use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// One logged base-table modification, with pre-images where applicable.
 /// The rows are shared with whoever produced them (the table's displaced
@@ -73,6 +86,110 @@ pub enum NetChange {
 
 /// Net changes of one table: primary key → [`NetChange`].
 pub type TableChanges = HashMap<Key, NetChange>;
+
+/// One table's net changes as an immutable value shared by `Arc`:
+/// cloning bumps a count, reading goes through `Deref`, and the content
+/// digest is computed at most once per allocation.
+#[derive(Debug, Clone, Default)]
+pub struct SharedChanges(Arc<Memoized>);
+
+#[derive(Debug, Clone, Default)]
+struct Memoized {
+    changes: TableChanges,
+    digest: OnceLock<u64>,
+}
+
+/// Folded net changes of a round (or of several composed rounds):
+/// table → its shared changes. The one net type every layer speaks.
+pub type Net = HashMap<String, SharedChanges>;
+
+impl SharedChanges {
+    /// True iff both handles share one allocation.
+    pub fn ptr_eq(&self, other: &SharedChanges) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+
+    /// Mutable access, copy-on-write: the changes are copied first
+    /// unless this is the only handle. The memoized digest is reset.
+    pub fn make_mut(&mut self) -> &mut TableChanges {
+        let inner = Arc::make_mut(&mut self.0);
+        inner.digest = OnceLock::new();
+        &mut inner.changes
+    }
+
+    /// FNV-1a digest of the contents in sorted key order — equal nets
+    /// digest equally whatever order their entries went in, in any
+    /// process. Keys and changes are fed through their `Hash` impls.
+    /// Computed on first use and remembered on the shared allocation.
+    pub fn digest(&self) -> u64 {
+        *self.0.digest.get_or_init(|| {
+            let mut h = FNV1A;
+            let mut items: Vec<(&Key, &NetChange)> = self.iter().collect();
+            items.sort_unstable_by_key(|(k, _)| *k);
+            for item in items {
+                item.hash(&mut h);
+            }
+            h.finish()
+        })
+    }
+
+    /// The digest if some holder of this allocation has computed it.
+    pub fn digest_memo(&self) -> Option<u64> {
+        self.0.digest.get().copied()
+    }
+}
+
+impl Deref for SharedChanges {
+    type Target = TableChanges;
+    fn deref(&self) -> &TableChanges {
+        &self.0.changes
+    }
+}
+
+impl From<TableChanges> for SharedChanges {
+    fn from(changes: TableChanges) -> Self {
+        let digest = OnceLock::new();
+        SharedChanges(Arc::new(Memoized { changes, digest }))
+    }
+}
+
+impl PartialEq for SharedChanges {
+    fn eq(&self, other: &SharedChanges) -> bool {
+        self.ptr_eq(other) || **self == **other
+    }
+}
+
+/// Digest of `net` restricted to `tables` (given sorted): each present
+/// table's name and [`SharedChanges::digest`].
+pub fn net_digest(net: &Net, tables: &[String]) -> u64 {
+    let mut h = FNV1A;
+    for t in tables {
+        if let Some(changes) = net.get(t) {
+            t.hash(&mut h);
+            changes.digest().hash(&mut h);
+        }
+    }
+    h.finish()
+}
+
+/// FNV-1a as a [`Hasher`]: unkeyed, so a digest repeats across
+/// processes and runs (the default `SipHash` state is per-map random).
+struct Fnv1a(u64);
+
+const FNV1A: Fnv1a = Fnv1a(0xcbf2_9ce4_8422_2325);
+
+impl Hasher for Fnv1a {
+    fn write(&mut self, bytes: &[u8]) {
+        for b in bytes {
+            self.0 ^= u64::from(*b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// An append-only log of base-table modifications.
 #[derive(Debug, Clone, Default)]
@@ -127,7 +244,7 @@ impl ModificationLog {
     /// table. `key_of` extracts the primary key of an inserted row (the
     /// caller — normally [`Database`](crate::Database) — knows each
     /// table's key positions). See [`fold_keyed`] for the collapse rules.
-    pub fn fold(&self, key_of: impl Fn(&str, &Row) -> Key) -> HashMap<String, TableChanges> {
+    pub fn fold(&self, key_of: impl Fn(&str, &Row) -> Key) -> Net {
         fold_keyed(&self.entries, key_of)
     }
 }
@@ -248,10 +365,7 @@ fn apply_update(changes: &mut TableChanges, key: Key, pre: Row, post: Row) {
 /// The result is *effective* in the paper's sense: for each tuple it
 /// reflects the final value, so diff application order is immaterial.
 /// `key_of` extracts the primary key of an inserted row.
-pub fn fold_keyed(
-    entries: &[LogEntry],
-    key_of: impl Fn(&str, &Row) -> Key,
-) -> HashMap<String, TableChanges> {
+pub fn fold_keyed(entries: &[LogEntry], key_of: impl Fn(&str, &Row) -> Key) -> Net {
     let mut out: HashMap<String, TableChanges> = HashMap::new();
     for e in entries {
         // A table's name is copied on its first entry only.
@@ -271,14 +385,20 @@ pub fn fold_keyed(
             }
         }
     }
-    for changes in out.values_mut() {
-        changes.retain(|_, c| match c {
-            NetChange::Updated { pre, post } => pre != post,
-            _ => true,
-        });
-    }
-    out.retain(|_, changes| !changes.is_empty());
-    out
+    out.into_iter()
+        .filter_map(|(table, mut changes)| {
+            drop_noops(&mut changes);
+            (!changes.is_empty()).then(|| (table, changes.into()))
+        })
+        .collect()
+}
+
+/// An update whose pre and post coincide is no change.
+fn drop_noops(changes: &mut TableChanges) {
+    changes.retain(|_, c| match c {
+        NetChange::Updated { pre, post } => pre != post,
+        _ => true,
+    });
 }
 
 /// Compose a later batch of per-table net changes **onto** an earlier
@@ -298,27 +418,59 @@ pub fn fold_keyed(
 /// split across batch boundaries (e.g. insert → delete → insert of one
 /// key across two micro-batches composes to a single net upsert; see
 /// the degenerate-cell rules on [`fold_keyed`]).
-pub fn compose_changes(
-    base: &mut HashMap<String, TableChanges>,
-    next: HashMap<String, TableChanges>,
-) {
+pub fn compose_changes(base: &mut Net, next: Net) {
     for (table, changes) in next {
-        let per_table = base.entry(table).or_default();
-        for (key, change) in changes {
-            match change {
-                NetChange::Inserted { post } => apply_insert(per_table, key, post),
-                NetChange::Deleted { pre } => apply_delete(per_table, key, pre),
-                NetChange::Updated { pre, post } => apply_update(per_table, key, pre, post),
+        compose_shared([&mut *base], &table, &changes);
+    }
+}
+
+/// [`compose_changes`] for one table's newer changes `next`, onto that
+/// table's entry in each of `nets` at once. A net that holds nothing
+/// for the table takes a handle on `next` itself — nothing is copied.
+/// Nets that hold the *same allocation* for it (views on one horizon)
+/// are composed once and keep sharing the result, hence its digest;
+/// the composition is in place when no one else holds the allocation
+/// and copy-on-write otherwise ([`SharedChanges::make_mut`]).
+pub fn compose_shared<'a>(
+    nets: impl IntoIterator<Item = &'a mut Net>,
+    table: &str,
+    next: &SharedChanges,
+) {
+    let mut groups: Vec<(SharedChanges, Vec<&'a mut Net>)> = Vec::new();
+    for net in nets {
+        match net.get(table) {
+            None => {
+                net.insert(table.to_string(), next.clone());
+            }
+            Some(held) => match groups.iter_mut().find(|(of, _)| of.ptr_eq(held)) {
+                Some((_, members)) => members.push(net),
+                None => groups.push((held.clone(), vec![net])),
+            },
+        }
+    }
+    for (mut held, mut members) in groups {
+        // The members let go first, so `held` is the only handle left
+        // unless someone outside the group shares the allocation.
+        for net in &mut members {
+            net.remove(table);
+        }
+        let per_table = held.make_mut();
+        for (key, change) in next.iter() {
+            match change.clone() {
+                NetChange::Inserted { post } => apply_insert(per_table, key.clone(), post),
+                NetChange::Deleted { pre } => apply_delete(per_table, key.clone(), pre),
+                NetChange::Updated { pre, post } => {
+                    apply_update(per_table, key.clone(), pre, post);
+                }
+            }
+        }
+        drop_noops(per_table);
+        if !held.is_empty() {
+            for net in members {
+                net.insert(table.to_string(), held.clone());
             }
         }
     }
-    for changes in base.values_mut() {
-        changes.retain(|_, c| match c {
-            NetChange::Updated { pre, post } => pre != post,
-            _ => true,
-        });
-    }
-    base.retain(|_, changes| !changes.is_empty());
 }
 
 /// The exact [`TableChanges`] between two row snapshots of one keyed
@@ -511,7 +663,7 @@ impl UndoLog {
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
     use super::*;
-    use idivm_types::row;
+    use idivm_types::{row, Value};
 
     fn k(v: i64) -> Key {
         Key(vec![idivm_types::Value::Int(v)])
@@ -982,5 +1134,136 @@ mod tests {
         assert_eq!(delta[&k(4)], NetChange::Inserted { post: row![4, 40] });
         // Identical snapshots produce the empty delta.
         assert!(table_delta(&post, &post, &[0]).is_empty());
+    }
+
+    fn change(v: i64) -> NetChange {
+        NetChange::Inserted { post: row![v] }
+    }
+
+    #[test]
+    fn net_digest_is_order_insensitive_and_table_scoped() {
+        let mut a = Net::new();
+        let mut t = TableChanges::new();
+        t.insert(Key(vec![Value::Int(1)]), change(1));
+        t.insert(Key(vec![Value::Int(2)]), change(2));
+        a.insert("m".into(), t.into());
+
+        let mut b = Net::new();
+        let mut t = TableChanges::new();
+        t.insert(Key(vec![Value::Int(2)]), change(2));
+        t.insert(Key(vec![Value::Int(1)]), change(1));
+        b.insert("m".into(), t.into());
+        // An extra table outside the digest domain must not matter.
+        let mut u = TableChanges::new();
+        u.insert(Key(vec![Value::Int(9)]), change(9));
+        b.insert("users".into(), u.into());
+
+        let tables = vec!["m".to_string()];
+        assert_eq!(net_digest(&a, &tables), net_digest(&b, &tables));
+        // But a change inside the domain must.
+        let mut c = a.clone();
+        c.get_mut("m")
+            .unwrap()
+            .make_mut()
+            .insert(Key(vec![Value::Int(3)]), change(3));
+        assert_ne!(net_digest(&a, &tables), net_digest(&c, &tables));
+    }
+
+    /// Equal nets digest equally whatever order their entries went in
+    /// (the two maps also draw different `SipHash` keys, so their
+    /// iteration orders differ); one differing post value is enough to
+    /// tell two nets apart.
+    #[test]
+    fn net_digest_sees_contents_not_insertion_order() {
+        let entry = |i: i64| {
+            let (pre, post) = (row![i, "old"], row![i, "new"]);
+            let change = match i % 3 {
+                0 => NetChange::Inserted { post },
+                1 => NetChange::Deleted { pre },
+                _ => NetChange::Updated { pre, post },
+            };
+            (Key(vec![Value::Int(i)]), change)
+        };
+        let net_of = |order: &mut dyn Iterator<Item = i64>| {
+            let changes: TableChanges = order.map(entry).collect();
+            Net::from([("m".to_string(), changes.into())])
+        };
+        let tables = vec!["m".to_string()];
+        let forward = net_of(&mut (0..64));
+        // 37 is coprime to 64: a full-cycle shuffle of the same keys.
+        let shuffled = net_of(&mut (0..64).map(|i| (i * 37 + 11) % 64));
+        assert_eq!(forward, shuffled);
+        let digest = |net| net_digest(net, &tables);
+        assert_eq!(digest(&forward), digest(&shuffled));
+
+        let mut differing = forward.clone();
+        differing.get_mut("m").unwrap().make_mut().insert(
+            Key(vec![Value::Int(5)]),
+            NetChange::Updated {
+                pre: row![5, "old"],
+                post: row![5, "newer"],
+            },
+        );
+        assert_ne!(digest(&forward), digest(&differing));
+    }
+
+    fn shared(keys: std::ops::Range<i64>) -> SharedChanges {
+        let changes: TableChanges = keys.map(|i| (k(i), change(i))).collect();
+        changes.into()
+    }
+
+    /// `make_mut` never lets a sibling see the write, and the net it
+    /// hands out has no digest until someone asks again.
+    #[test]
+    fn make_mut_copies_on_write_and_forgets_the_digest() {
+        let a = shared(0..4);
+        let before = a.digest();
+        let mut b = a.clone();
+        assert!(b.ptr_eq(&a) && b.digest_memo() == Some(before));
+        b.make_mut().insert(k(9), change(9));
+        assert!(!b.ptr_eq(&a), "the write went into a shared net");
+        assert_eq!((a.len(), b.len()), (4, 5));
+        assert_eq!((a.digest_memo(), b.digest_memo()), (Some(before), None));
+        assert_ne!(b.digest(), before);
+        // Undone by hand, the contents — and so the digest — are back.
+        b.make_mut().remove(&k(9));
+        assert_eq!(b.digest_memo(), None);
+        assert_eq!((b.digest(), &b), (before, &a));
+        // Two nets built apart digest equally (a recovered store's
+        // pending nets are decoded one by one).
+        assert_eq!(shared(0..4).digest(), before);
+        assert_eq!(shared(0..4).digest_memo(), None);
+    }
+
+    /// One composition per allocation: nets holding the same handle
+    /// keep sharing the result, a content-equal net held apart gets an
+    /// equal result of its own, and a net with nothing for the table
+    /// takes the incoming handle as it is.
+    #[test]
+    fn compose_shared_composes_once_per_allocation() {
+        let (held, next) = (shared(0..3), shared(2..5));
+        let apart = shared(0..3);
+        let mut nets = [
+            Net::from([("t".to_string(), held.clone())]),
+            Net::from([("t".to_string(), held.clone())]),
+            Net::from([("t".to_string(), apart)]),
+            Net::new(),
+        ];
+        compose_shared(nets.iter_mut(), "t", &next);
+        let [a, b, c, d] = &nets;
+        assert!(a["t"].ptr_eq(&b["t"]), "one horizon, two compositions");
+        assert!(!a["t"].ptr_eq(&c["t"]) && a["t"] == c["t"]);
+        assert!(d["t"].ptr_eq(&next));
+        assert_eq!((a["t"].len(), held.len()), (5, 3), "`held` itself was written");
+        let mut whole = Net::from([("t".to_string(), shared(0..3))]);
+        compose_changes(&mut whole, Net::from([("t".to_string(), next)]));
+        assert_eq!(whole, *a);
+
+        // A composition that cancels everything removes the entry.
+        let deleted: TableChanges = (0..5)
+            .map(|i| (k(i), NetChange::Deleted { pre: row![i] }))
+            .collect();
+        compose_shared(nets.iter_mut().take(3), "t", &deleted.into());
+        assert!(nets[..3].iter().all(Net::is_empty));
     }
 }

@@ -84,13 +84,13 @@ proptest! {
         let folded = db.fold_log();
 
         // Overlay reconstructs the pre-state.
-        let overlay = PreState::new(db.table("t").unwrap(), folded.get("t"));
+        let overlay = PreState::new(db.table("t").unwrap(), folded.get("t").map(|c| &**c));
         prop_assert_eq!(sorted(overlay.rows_uncounted()), pre_rows.clone());
 
         // Replay the net changes over the pre-state.
         let mut replayed: Vec<Row> = pre_rows.clone();
         if let Some(changes) = folded.get("t") {
-            for (key, c) in changes {
+            for (key, c) in changes.iter() {
                 match c {
                     NetChange::Inserted { post } => replayed.push(post.clone()),
                     NetChange::Deleted { .. } => {

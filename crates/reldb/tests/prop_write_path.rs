@@ -282,7 +282,7 @@ fn capture_all(held: &mut Captured, db: &Database) {
     capture(held, t.lookup(&[2], &[Value::Int(1)]));
     capture(held, t.lookup(&[0], &[Value::Int(2)]));
     for changes in db.fold_log().into_values() {
-        for change in changes.into_values() {
+        for change in changes.values().cloned() {
             match change {
                 NetChange::Inserted { post } => capture(held, [post]),
                 NetChange::Deleted { pre } => capture(held, [pre]),

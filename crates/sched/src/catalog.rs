@@ -24,11 +24,10 @@ use idivm_core::{
     EngineConfig, IdIvm, IvmOptions, MaintenanceReport, PromotionCandidate, RecoveryPolicy,
     SharedDiffCache, SharedPrefixes,
 };
-use idivm_reldb::{table_delta, Database, Table, TableChanges, TableSignature};
+use idivm_reldb::{table_delta, Database, Net, SharedChanges, Table, TableChanges, TableSignature};
 use idivm_types::{Error, Result, Row};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// What makes a node a promoted shared prefix rather than a user's
 /// view: a hidden backing table materializing one operator subtree,
@@ -491,22 +490,13 @@ impl ViewCatalog {
         dag
     }
 
-    /// Restrict a folded net-change set to the tables node `name` scans
-    /// — its slice of a shared modification batch.
+    /// Whether node `name` scans `table` — whether a change to it is
+    /// part of the node's slice of a shared modification batch.
     ///
     /// # Errors
     /// Unknown name ([`Error::Config`]).
-    pub fn restrict_net(
-        &self,
-        name: &str,
-        net: &HashMap<String, TableChanges>,
-    ) -> Result<HashMap<String, TableChanges>> {
-        let node = self.get(name, None)?;
-        Ok(net
-            .iter()
-            .filter(|(t, _)| node.tables.contains(t))
-            .map(|(t, c)| (t.clone(), c.clone()))
-            .collect())
+    pub(crate) fn scans(&self, name: &str, table: &str) -> Result<bool> {
+        Ok(self.get(name, None)?.tables.iter().any(|t| t == table))
     }
 
     /// Run one atomic maintenance round for node `name` over an
@@ -532,9 +522,9 @@ impl ViewCatalog {
     pub fn maintain(
         &mut self,
         name: &str,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
         cache: Option<&mut SharedDiffCache>,
-    ) -> Result<(MaintenanceReport, Arc<TableChanges>)> {
+    ) -> Result<(MaintenanceReport, SharedChanges)> {
         let node = self.nodes.get(name).ok_or_else(|| missing(name, None))?;
         // Only a recompute recovery rewrites a table without reporting
         // a Δ, only an engine set to recover can do one, and only a
@@ -556,8 +546,8 @@ impl ViewCatalog {
         };
         node.advance_snapshot(self.db.table(name).ok(), pre, &report);
         let delta = match pre_rows {
-            Some(pre_rows) if report.recovered => Arc::new(self.delta_since(name, &pre_rows)?),
-            _ => Arc::clone(&report.view_changes),
+            Some(pre_rows) if report.recovered => self.delta_since(name, &pre_rows)?.into(),
+            _ => report.view_changes.clone(),
         };
         Ok((report, delta))
     }
@@ -579,7 +569,7 @@ impl ViewCatalog {
     pub fn maintain_supervised(
         &mut self,
         name: &str,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
         config: SupervisorConfig,
     ) -> Result<(SupervisorReport, TableChanges)> {
         let pre_rows = match self.get(name, None)?.backing() {

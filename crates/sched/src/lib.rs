@@ -16,8 +16,8 @@
 //! * [`MaintenanceScheduler`] — per-view refresh policies
 //!   ([`RefreshPolicy::Eager`], [`RefreshPolicy::Deferred`],
 //!   [`RefreshPolicy::OnRead`] with a [`read_view`] barrier), pending
-//!   nets composed across deferred rounds
-//!   ([`idivm_reldb::compose_changes`]), atomic per-view rounds, and
+//!   nets shared between views and composed across deferred rounds
+//!   ([`idivm_reldb::compose_shared`]), atomic per-view rounds, and
 //!   per-view failure routing through the
 //!   [`idivm_core::supervisor::MaintenanceSupervisor`].
 //!

@@ -9,12 +9,17 @@
 //! of time:
 //!
 //! 1. Fold the database's modification log once and clear it — from
-//!    here the scheduler owns the changes.
-//! 2. Compose the folded net onto every dependent node's pending net
-//!    ([`compose_changes`]): pendings accumulated over several ticks
-//!    are exactly what folding the concatenated log would have
-//!    produced, so a deferred round is one bigger — not different —
-//!    round.
+//!    here the scheduler owns the changes, as one shared immutable
+//!    [`Net`] ([`MaintenanceScheduler::last_net`] is what a journal
+//!    writes; nothing folds the log a second time).
+//! 2. Hand every dependent node its slice: a handle on each table's
+//!    changes, not a copy. A node that already holds changes for the
+//!    table has the new ones composed onto them ([`compose_shared`]) —
+//!    once per group of nodes holding the same allocation, so views on
+//!    one horizon keep sharing one net and one digest. Pendings
+//!    accumulated over several ticks are exactly what folding the
+//!    concatenated log would have produced, so a deferred round is one
+//!    bigger — not different — round.
 //! 3. Maintain every intermediate with pending changes (backing-name
 //!    order), composing each one's Δ into its consumers' pending nets,
 //!    then every *due* view (policy decides; name order), all against
@@ -53,10 +58,9 @@ use idivm_core::{
 };
 use idivm_cost::{CrossoverModel, PrefixObservation, PromotionConfig, PromotionDecision};
 use idivm_exec::ParallelConfig;
-use idivm_reldb::{compose_changes, Database, StatsSnapshot, TableChanges};
+use idivm_reldb::{compose_shared, Database, Net, SharedChanges, StatsSnapshot};
 use idivm_types::{Error, Result, Row};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// When a view's pending changes are propagated into it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -234,7 +238,7 @@ impl RoundSummary {
 /// an always-eager node that no policy accessor reaches.
 struct ViewState {
     policy: RefreshPolicy,
-    pending: HashMap<String, TableChanges>,
+    pending: Net,
     staleness: u32,
     stats: ViewStats,
 }
@@ -243,7 +247,7 @@ impl ViewState {
     fn new(policy: RefreshPolicy) -> Self {
         ViewState {
             policy,
-            pending: HashMap::new(),
+            pending: Net::new(),
             staleness: 0,
             stats: ViewStats::default(),
         }
@@ -301,6 +305,8 @@ pub struct MaintenanceScheduler {
     states: BTreeMap<String, ViewState>,
     config: SchedulerConfig,
     round: u64,
+    /// What the last round's `distribute` folded and handed out.
+    last_net: Net,
     /// Hysteresis trackers keyed by prefix *structure* — they survive
     /// promote/demote transitions so re-promotion uses the same state
     /// machine.
@@ -329,6 +335,7 @@ impl MaintenanceScheduler {
             states: BTreeMap::new(),
             config,
             round: 0,
+            last_net: Net::new(),
             trackers: BTreeMap::new(),
             recovery_note: None,
         }
@@ -436,8 +443,16 @@ impl MaintenanceScheduler {
     ///
     /// # Errors
     /// Unknown view name.
-    pub fn pending(&self, name: &str) -> Result<&HashMap<String, TableChanges>> {
+    pub fn pending(&self, name: &str) -> Result<&Net> {
         Ok(&self.state(name)?.pending)
+    }
+
+    /// The net the last round (tick or barrier) folded from the
+    /// modification log and distributed — empty if it found the log
+    /// empty. Shared with the pending nets it went into: this is the
+    /// round's redo image for a write-ahead log, without a second fold.
+    pub fn last_net(&self) -> &Net {
+        &self.last_net
     }
 
     /// Completed scheduler rounds.
@@ -464,22 +479,30 @@ impl MaintenanceScheduler {
             .ok_or_else(|| Error::Config(format!("view `{name}` is not registered")))
     }
 
-    /// Fold the database log once, clear it, and compose each node's
-    /// slice onto its pending net. The log is cleared even when it
-    /// folds to nothing (an insert and its delete in one window): left
-    /// in place it would be folded again by every later round.
+    /// Fold the database log once, clear it, and hand each node the
+    /// changes of the tables it scans ([`compose_shared`]). The log is
+    /// cleared even when it folds to nothing (an insert and its delete
+    /// in one window): left in place it would be folded again by every
+    /// later round.
     fn distribute(&mut self) -> Result<()> {
+        // Let go of the previous net first: a deferred view still
+        // holding it then has its next slice composed in place.
+        self.last_net = Net::new();
         if self.catalog.db().log().is_empty() {
             return Ok(());
         }
         let net = self.catalog.db().fold_log();
         self.catalog.db_mut().clear_log();
-        for (name, state) in &mut self.states {
-            let slice = self.catalog.restrict_net(name, &net)?;
-            if !slice.is_empty() {
-                compose_changes(&mut state.pending, slice);
+        for (table, changes) in &net {
+            let mut scanning = Vec::new();
+            for (name, state) in &mut self.states {
+                if self.catalog.scans(name, table)? {
+                    scanning.push(&mut state.pending);
+                }
             }
+            compose_shared(scanning, table, changes);
         }
+        self.last_net = net;
         Ok(())
     }
 
@@ -555,12 +578,8 @@ impl MaintenanceScheduler {
                 blocked.extend(consumers.iter().cloned());
             }
             if !delta.is_empty() {
-                for consumer in consumers {
-                    if let Some(state) = self.states.get_mut(consumer) {
-                        let slice = HashMap::from([(name.clone(), TableChanges::clone(&delta))]);
-                        compose_changes(&mut state.pending, slice);
-                    }
-                }
+                let fed = self.states.iter_mut().filter(|(n, _)| consumers.contains(*n));
+                compose_shared(fed.map(|(_, state)| &mut state.pending), &name, &delta);
             }
             deltas.insert(name.clone(), delta.len() as u64);
             summary.intermediates.push((name, spent));
@@ -579,7 +598,7 @@ impl MaintenanceScheduler {
         &mut self,
         name: &str,
         cache: &mut SharedDiffCache,
-    ) -> Result<(StatsSnapshot, Option<SupervisorVerdict>, Arc<TableChanges>)> {
+    ) -> Result<(StatsSnapshot, Option<SupervisorVerdict>, SharedChanges)> {
         // The round runs on the pending net itself; it goes back only
         // if the node did not converge.
         let net = std::mem::take(&mut self.node_state_mut(name)?.pending);
@@ -622,7 +641,7 @@ impl MaintenanceScheduler {
                 state.stats.quarantined_changes += report.quarantine.len() as u64;
                 state.stats.last_verdict = Some(verdict);
                 state.stats.last_supervisor = Some(report);
-                Ok((spent, Some(verdict), Arc::new(delta)))
+                Ok((spent, Some(verdict), delta.into()))
             }
         }
     }
@@ -996,7 +1015,7 @@ impl MaintenanceScheduler {
     pub fn restore_runtime(
         &mut self,
         name: &str,
-        pending: HashMap<String, TableChanges>,
+        pending: Net,
         staleness: u32,
     ) -> Result<()> {
         let state = self.node_state_mut(name)?;
@@ -1006,11 +1025,11 @@ impl MaintenanceScheduler {
     }
 
     /// A promoted intermediate's composed pending net (empty when it is
-    /// up to date). Cloned — this is a checkpoint-cadence read.
+    /// up to date): handles on it, not a copy.
     ///
     /// # Errors
     /// Unknown backing name.
-    pub fn intermediate_pending(&self, backing: &str) -> Result<HashMap<String, TableChanges>> {
+    pub fn intermediate_pending(&self, backing: &str) -> Result<Net> {
         self.catalog.intermediate(backing)?;
         Ok(self.node_state(backing)?.pending.clone())
     }
@@ -1050,8 +1069,18 @@ impl MaintenanceScheduler {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use idivm_reldb::compose_changes;
     use idivm_workloads::bsma::Bsma;
     use idivm_workloads::MultiView;
+
+    fn suite() -> MultiView {
+        MultiView {
+            bsma: Bsma {
+                scale: 0.05,
+                seed: 11,
+            },
+        }
+    }
 
     /// A window whose changes cancel (a row inserted, then deleted)
     /// folds to nothing, but its entries are in the log all the same:
@@ -1061,12 +1090,7 @@ mod tests {
     fn a_log_that_folds_to_nothing_is_still_cleared() {
         use idivm_exec::{executor::sorted, recompute_rows};
         use idivm_types::{row, Key, Value};
-        let cfg = MultiView {
-            bsma: Bsma {
-                scale: 0.05,
-                seed: 11,
-            },
-        };
+        let cfg = suite();
         let mut sched = MaintenanceScheduler::new(cfg.build().unwrap(), SchedulerConfig::default());
         for (name, plan) in cfg.views(sched.db()).unwrap() {
             sched
@@ -1105,15 +1129,129 @@ mod tests {
         }
     }
 
+    /// The five views, `mention_reach` and a twin of it under
+    /// `Deferred{2}`, the rest eager.
+    fn with_deferred_twins(cfg: &MultiView, config: SchedulerConfig) -> MaintenanceScheduler {
+        let mut sched = MaintenanceScheduler::new(cfg.build().unwrap(), config);
+        let deferred = RefreshPolicy::Deferred {
+            max_staleness_rounds: 2,
+        };
+        let mut views = cfg.views(sched.db()).unwrap();
+        views.push(("twin".into(), cfg.plan(sched.db(), "mention_reach").unwrap()));
+        for (name, plan) in views {
+            let policy = match name.as_str() {
+                "mention_reach" | "twin" => deferred,
+                _ => RefreshPolicy::Eager,
+            };
+            sched
+                .register(&name, plan, policy, IvmOptions::default())
+                .unwrap();
+        }
+        sched
+    }
+
+    /// `distribute` copies nothing: a node with nothing pending holds
+    /// the folded net's own allocations; nodes on one horizon have the
+    /// next slice composed once and keep sharing the result; a node on
+    /// another horizon never aliases it.
+    #[test]
+    fn distribute_shares_the_net_and_composes_once_per_horizon() {
+        let cfg = suite();
+        let mut sched = with_deferred_twins(&cfg, SchedulerConfig::default());
+        cfg.tweet_batch(sched.db_mut(), 24, 1).unwrap();
+        sched.distribute().unwrap();
+        assert_eq!(sched.last_net().len(), 3, "mentions, microblog, users");
+        for (name, state) in &sched.states {
+            for (table, changes) in sched.last_net() {
+                let scans = sched.catalog.scans(name, table).unwrap();
+                assert_eq!(state.pending.contains_key(table), scans, "{name}/{table}");
+                if scans {
+                    assert!(state.pending[table].ptr_eq(changes), "{name} copied `{table}`");
+                }
+            }
+        }
+        // The tick consumes the eager nodes' nets; the twins keep theirs.
+        let first = sched.tick().unwrap();
+        assert_eq!(first.deferred.len(), 2);
+        let held = sched.states["twin"].pending.clone();
+        assert_eq!(held, sched.states["mention_reach"].pending);
+
+        cfg.tweet_batch(sched.db_mut(), 24, 2).unwrap();
+        let second = sched.db().fold_log();
+        sched.distribute().unwrap();
+        let (twin, reach, eager) = (
+            &sched.states["twin"].pending,
+            &sched.states["mention_reach"].pending,
+            &sched.states["mention_users"].pending,
+        );
+        let mut composed = held.clone();
+        compose_changes(&mut composed, second);
+        assert_eq!(twin, &composed);
+        for (table, changes) in twin {
+            assert!(changes.ptr_eq(&reach[table]), "the twins split on `{table}`");
+            assert!(!changes.ptr_eq(&held[table]), "`{table}` was composed into a shared net");
+            assert!(!changes.ptr_eq(&eager[table]), "an eager sibling aliases `{table}`");
+            assert!(eager[table].ptr_eq(&sched.last_net()[table]));
+            assert_eq!(changes.digest_memo(), None, "a composed net kept a digest");
+        }
+        // Both horizons maintained in one round: the twins share their
+        // whole plan on their own net, the eager views their prefixes.
+        let summary = sched.tick().unwrap();
+        assert_eq!(summary.maintained.len(), 6);
+        assert_eq!(summary.shared_hits, 3);
+        let deep = |p: &&SharedPrefixStat| p.label == "join[mentions,microblog,users]";
+        assert_eq!(summary.prefix_stats.iter().filter(deep).count(), 2, "one per horizon");
+        assert!(twin_digests(&sched).is_empty(), "the round left a net behind");
+    }
+
+    /// Pending nets of the twins that carry a digest.
+    fn twin_digests(sched: &MaintenanceScheduler) -> Vec<u64> {
+        let nets = ["twin", "mention_reach"].map(|n| &sched.states[n].pending);
+        nets.iter()
+            .flat_map(|net| net.values().filter_map(SharedChanges::digest_memo))
+            .collect()
+    }
+
+    /// A digest is computed for a table only when a designated prefix
+    /// reads it: never with `share_prefixes: false`, never for a view
+    /// that shares nothing — and once per table when five views do.
+    #[test]
+    fn digests_are_computed_only_for_designated_prefixes() {
+        let cfg = suite();
+        let digested = |sched: &MaintenanceScheduler| {
+            let memos = sched.last_net().values().filter_map(SharedChanges::digest_memo);
+            memos.count()
+        };
+        let unshared = SchedulerConfig {
+            share_prefixes: false,
+            ..SchedulerConfig::default()
+        };
+        let mut sched = with_deferred_twins(&cfg, unshared);
+        for round in 1..=2 {
+            cfg.tweet_batch(sched.db_mut(), 24, round).unwrap();
+            assert_eq!(sched.tick().unwrap().shared_hits, 0);
+            assert_eq!(digested(&sched), 0, "the unshared baseline digested a net");
+        }
+        assert!(twin_digests(&sched).is_empty());
+
+        let mut lone = MaintenanceScheduler::new(cfg.build().unwrap(), SchedulerConfig::default());
+        let plan = cfg.plan(lone.db(), "mention_users").unwrap();
+        lone.register("mention_users", plan, RefreshPolicy::Eager, IvmOptions::default())
+            .unwrap();
+        cfg.tweet_batch(lone.db_mut(), 24, 1).unwrap();
+        assert_eq!(lone.tick().unwrap().maintained.len(), 1);
+        assert_eq!(digested(&lone), 0, "a view with no designated prefix digested");
+
+        let mut shared = with_deferred_twins(&cfg, SchedulerConfig::default());
+        cfg.tweet_batch(shared.db_mut(), 24, 1).unwrap();
+        assert!(shared.tick().unwrap().shared_hits > 0);
+        assert_eq!(digested(&shared), 3, "one digest per table the prefixes read");
+    }
+
     /// hit → invalidate → rebuild → hit, as `ViewStats` tells it.
     #[test]
     fn read_counters_tell_hits_from_rebuilds() {
-        let cfg = MultiView {
-            bsma: Bsma {
-                scale: 0.05,
-                seed: 11,
-            },
-        };
+        let cfg = suite();
         let view = "mention_timeline";
         let mut sched = MaintenanceScheduler::new(cfg.build().unwrap(), SchedulerConfig::default());
         let plan = cfg.plan(sched.db(), view).unwrap();

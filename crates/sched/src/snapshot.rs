@@ -13,15 +13,14 @@
 //! [`Snapshot::settle`] refuses to serve — the caller rebuilds.
 
 use idivm_exec::executor::sorted;
-use idivm_reldb::{NetChange, Table, TableChanges};
+use idivm_reldb::{NetChange, SharedChanges, Table};
 use idivm_types::Row;
 use std::cmp::Ordering;
-use std::sync::Arc;
 
 pub(crate) struct Snapshot {
     version: u64,
     rows: Vec<Row>,
-    pending: Vec<Arc<TableChanges>>,
+    pending: Vec<SharedChanges>,
     /// Row images (pre and post) across `pending`.
     pending_images: usize,
 }
@@ -48,14 +47,14 @@ impl Snapshot {
     /// taken, or the unsettled Δs have outgrown the rows they would be
     /// merged into (rebuilding is then the cheaper read, and nothing
     /// piles up behind a view that is maintained but no longer read).
-    pub(crate) fn advance(&mut self, pre: u64, post: u64, delta: &Arc<TableChanges>) -> bool {
+    pub(crate) fn advance(&mut self, pre: u64, post: u64, delta: &SharedChanges) -> bool {
         if self.version != pre {
             return false;
         }
         self.version = post;
         if !delta.is_empty() {
             self.pending_images += delta.values().map(images).sum::<usize>();
-            self.pending.push(Arc::clone(delta));
+            self.pending.push(delta.clone());
         }
         self.pending_images <= self.rows.len()
     }
@@ -156,7 +155,7 @@ fn cancel_pairs<'a>(removes: &mut Vec<&'a Row>, adds: &mut Vec<&'a Row>) {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use idivm_reldb::AccessStats;
+    use idivm_reldb::{AccessStats, TableChanges};
     use idivm_types::{row, ColumnType, Key, Schema, Value};
 
     fn table() -> Table {
@@ -196,7 +195,7 @@ mod tests {
             };
             delta.insert(k, change);
         }
-        snap.advance(pre, t.version(), &Arc::new(delta))
+        snap.advance(pre, t.version(), &delta.into())
     }
 
     fn settled(snap: &mut Snapshot, t: &Table) -> Option<(Vec<Row>, usize)> {
@@ -280,7 +279,7 @@ mod tests {
         let t = table();
         let lie = |change: NetChange| {
             let mut snap = Snapshot::build(&t);
-            let delta = Arc::new(TableChanges::from([(key(8), change)]));
+            let delta = TableChanges::from([(key(8), change)]).into();
             assert!(snap.advance(t.version(), t.version(), &delta));
             snap.settle(&t).is_none()
         };

@@ -12,7 +12,7 @@ use idivm_core::round::{Engine, Round};
 use idivm_core::trace::TracePhase;
 use idivm_core::MaintenanceReport;
 use idivm_exec::{execute, materialize_view, refresh_view, view_schema};
-use idivm_reldb::{Database, NetChange, TableChanges};
+use idivm_reldb::{Database, Net, NetChange, TableChanges};
 use idivm_tuple::TupleIvm;
 use idivm_types::{Column, ColumnType, Error, Key, Result, Row, Schema, Value};
 use std::collections::{BTreeSet, HashMap};
@@ -207,7 +207,7 @@ impl Sdbt {
     pub fn maintain_with_changes(
         &self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<MaintenanceReport> {
         Engine::maintain_with_changes(self, db, net)
     }
@@ -448,7 +448,7 @@ impl Sdbt {
         {
             let access = AccessCtx {
                 db,
-                base_changes: &empty_changes,
+                base_changes: &Net::new(),
                 caches: &empty_caches,
                 cache_changes: &empty_changes,
             };
@@ -569,7 +569,7 @@ impl Engine for Sdbt {
         &self,
         round: &mut Round<'_>,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<()> {
         if let SdbtVariant::Fixed(t) = &self.variant {
             if net.keys().any(|k| k != t) {
@@ -579,7 +579,7 @@ impl Engine for Sdbt {
             }
         }
         // No diff instances to populate: the net changes are the input.
-        round.report.base_diff_tuples = net.values().map(TableChanges::len).sum();
+        round.report.base_diff_tuples = net.values().map(|c| c.len()).sum();
         round.phase(|t| &mut t.populate);
         if net.is_empty() {
             return Ok(());

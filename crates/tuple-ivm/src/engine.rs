@@ -10,7 +10,7 @@ use idivm_core::round::{Engine, Round};
 use idivm_core::trace::{op_label, TracePhase};
 use idivm_core::MaintenanceReport;
 use idivm_exec::{materialize_view, refresh_view};
-use idivm_reldb::{Database, TableChanges};
+use idivm_reldb::{Database, Net, TableChanges};
 use idivm_types::Result;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -82,7 +82,7 @@ impl TupleIvm {
     pub fn maintain_with_changes(
         &self,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<MaintenanceReport> {
         Engine::maintain_with_changes(self, db, net)
     }
@@ -107,7 +107,7 @@ impl Engine for TupleIvm {
         &self,
         round: &mut Round<'_>,
         db: &mut Database,
-        net: &HashMap<String, TableChanges>,
+        net: &Net,
     ) -> Result<()> {
         let base_diffs: HashMap<String, TDiffs> = net
             .iter()

@@ -10,27 +10,49 @@
 //! benchmark's `engine-fig12` (150 price updates, 25 link inserts, 25
 //! deletes of the oldest links on the running example's aggregate
 //! view), and the allocations per base diff tuple must stay within
-//! budget. Counts are deterministic for a given build; the file holds a
-//! single test so no other test thread allocates inside the bracket.
+//! budget.
+//!
+//! A second measurement brackets [`MaintenanceScheduler::tick`] over
+//! cuts shaped like the benchmark's `firehose-multiview` (64 events
+//! into the five eager SQL views of the multiview suite): what the
+//! scheduler spends handing one folded net to five views must not grow
+//! with the number of views that scan it.
+//!
+//! Counts are deterministic for a given build; the tests take
+//! [`BRACKET`] so no other test thread allocates inside a bracket.
 
+use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_repro::core::{IdIvm, IvmOptions};
 use idivm_repro::exec::{executor::sorted, recompute_rows, DbCatalog};
 use idivm_repro::reldb::Database;
 use idivm_repro::sql::{lower_query, parse, Statement};
 use idivm_repro::types::{row, Key, Value};
-use idivm_repro::workloads::RunningExample;
+use idivm_repro::workloads::bsma::Bsma;
+use idivm_repro::workloads::multiview::VIEW_NAMES;
+use idivm_repro::workloads::{MultiView, RunningExample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Heap allocations per base diff tuple inside `IdIvm::maintain` that a
 /// round may spend (the parent of the PR that introduced this test
 /// spent 42.6 on this shape, 43.6 on the benchmark's).
 const BUDGET_PER_DIFF: f64 = 22.0;
 
+/// Heap allocations per event inside `MaintenanceScheduler::tick` on a
+/// five-view cut of 64. The parent of the PR that introduced this
+/// measurement spent 40.1 (4.4 of them in `distribute`, 1.6 of those
+/// in the fold itself), that PR 36.9 (1.6 in `distribute`): what is
+/// left is the five engines' rounds, which the budget above is about.
+const BUDGET_PER_EVENT: f64 = 38.5;
+
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by each test for its whole run: the counter is process-wide.
+static BRACKET: Mutex<()> = Mutex::new(());
 
 /// `System`, counting every call that hands out a (new or resized)
 /// block.
@@ -112,6 +134,7 @@ fn insert_link(db: &mut Database, cfg: &RunningExample, rng: &mut StdRng) -> (i6
 
 #[test]
 fn maintain_allocates_per_changed_row_not_per_step() {
+    let _bracket = BRACKET.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = RunningExample {
         n_parts: 2_500,
         n_devices: 2_500,
@@ -166,5 +189,128 @@ fn maintain_allocates_per_changed_row_not_per_step() {
     assert!(
         per_diff <= BUDGET_PER_DIFF,
         "IdIvm::maintain allocated {per_diff:.1} times per base diff tuple, budget {BUDGET_PER_DIFF}"
+    );
+}
+
+const CUT: usize = 64;
+const CUTS: usize = 10;
+
+/// One cut of the benchmark's multiview stream: tweet inserts (one
+/// `microblog` row, two `mentions`), deletes of the oldest generated
+/// tweet, `microblog` and `users` updates — 40 : 40 : 20 by event.
+fn tweet_cut(db: &mut Database, rng: &mut StdRng, next_mid: &mut i64, window: &mut VecDeque<(i64, [i64; 2])>) {
+    let n_users = db.table("users").unwrap().len() as i64;
+    let start = db.log().len();
+    while db.log().len() - start < CUT {
+        match rng.gen_range(0..7) {
+            0 | 1 => {
+                let mid = *next_mid;
+                *next_mid += 1;
+                let (author, ts, topic) = (
+                    rng.gen_range(0..n_users),
+                    rng.gen_range(0..1_000_000i64),
+                    rng.gen_range(0..50i64),
+                );
+                db.insert("microblog", row![mid, author, ts, topic]).unwrap();
+                let first = rng.gen_range(0..n_users);
+                let second = (first + rng.gen_range(1..n_users)) % n_users;
+                for uid in [first, second] {
+                    db.insert("mentions", row![mid, uid]).unwrap();
+                }
+                window.push_back((mid, [first, second]));
+            }
+            2 | 3 => {
+                let Some((mid, mentioned)) = window.pop_front() else {
+                    continue;
+                };
+                for uid in mentioned {
+                    db.delete("mentions", &Key(vec![Value::Int(mid), Value::Int(uid)]))
+                        .unwrap();
+                }
+                db.delete("microblog", &Key(vec![Value::Int(mid)])).unwrap();
+            }
+            4 => {
+                let mid = rng.gen_range(0..20i64);
+                let (ts, topic) = (rng.gen_range(0..1_000_000i64), rng.gen_range(0..50i64));
+                db.update_named(
+                    "microblog",
+                    &Key(vec![Value::Int(mid)]),
+                    &[("ts", Value::Int(ts)), ("topic", Value::Int(topic))],
+                )
+                .unwrap();
+            }
+            _ => {
+                let uid = rng.gen_range(0..n_users);
+                let (tweets, favor) = (rng.gen_range(0..500i64), rng.gen_range(0..2_000i64));
+                db.update_named(
+                    "users",
+                    &Key(vec![Value::Int(uid)]),
+                    &[("tweetsnum", Value::Int(tweets)), ("favornum", Value::Int(favor))],
+                )
+                .unwrap();
+            }
+        }
+    }
+}
+
+#[test]
+fn tick_allocates_per_event_not_per_view() {
+    let _bracket = BRACKET.lock().unwrap_or_else(|e| e.into_inner());
+    let suite = MultiView {
+        bsma: Bsma {
+            scale: 0.05,
+            seed: 24,
+        },
+    };
+    let mut sched = MaintenanceScheduler::new(suite.build().unwrap(), SchedulerConfig::default());
+    for name in VIEW_NAMES {
+        let text = format!(
+            "CREATE MATERIALIZED VIEW {name} AS {}",
+            suite.sql(name).unwrap()
+        );
+        let Some(Statement::CreateView { query, .. }) = parse(&text).unwrap().pop() else {
+            panic!("`{text}` is not one CREATE VIEW");
+        };
+        let plan = lower_query(&text, &query, &DbCatalog(sched.db()), &HashMap::new()).unwrap();
+        sched
+            .register(name, plan, RefreshPolicy::Eager, IvmOptions::default())
+            .unwrap();
+    }
+    let mut rng = StdRng::seed_from_u64(0x616c_6c6f_6324);
+    let (mut next_mid, mut window) = (1_000_000i64, VecDeque::new());
+
+    // Warm-up, as above.
+    tweet_cut(sched.db_mut(), &mut rng, &mut next_mid, &mut window);
+    sched.tick().unwrap();
+
+    let (mut allocations, mut events, mut hits) = (0u64, 0u64, 0u64);
+    for _ in 0..CUTS {
+        tweet_cut(sched.db_mut(), &mut rng, &mut next_mid, &mut window);
+        events += sched.db().log().len() as u64;
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let summary = sched.tick().unwrap();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        allocations += after - before;
+        hits += summary.shared_hits;
+        assert_eq!(summary.maintained.len(), VIEW_NAMES.len());
+    }
+    for name in VIEW_NAMES {
+        let plan = sched.catalog().view(name).unwrap().engine().plan();
+        assert_eq!(
+            sched.catalog().rows(name).unwrap(),
+            sorted(recompute_rows(sched.db(), plan).unwrap()),
+            "the budgeted ticks must still maintain `{name}` correctly"
+        );
+    }
+    assert_eq!(hits, 3 * CUTS as u64, "the cuts did not share their prefixes");
+
+    let per_event = allocations as f64 / events as f64;
+    println!(
+        "alloc_budget: {allocations} allocations over {events} events in {CUTS} ticks of five \
+         views = {per_event:.1} per event (budget {BUDGET_PER_EVENT})"
+    );
+    assert!(
+        per_event <= BUDGET_PER_EVENT,
+        "MaintenanceScheduler::tick allocated {per_event:.1} times per event, budget {BUDGET_PER_EVENT}"
     );
 }

@@ -30,7 +30,7 @@ use idivm_repro::core::{
     RoundBudget, SupervisorConfig, SupervisorVerdict,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
-use idivm_repro::reldb::{Database, NetChange, TableChanges};
+use idivm_repro::reldb::{Database, NetChange};
 use idivm_repro::sdbt::{Sdbt, SdbtVariant};
 use idivm_repro::tuple::TupleIvm;
 use idivm_repro::types::{Key, Row};
@@ -206,7 +206,7 @@ fn clean_supervised_run_is_zero_overhead() {
         // Plain engine on a twin database.
         let (mut db_plain, ivm_plain) = prepared(&build);
         let net = db_plain.fold_log();
-        let changes: usize = net.values().map(TableChanges::len).sum();
+        let changes: usize = net.values().map(|c| c.len()).sum();
         let before = db_plain.stats().snapshot();
         ivm_plain.maintain_with_changes(&mut db_plain, &net).unwrap();
         let plain_cost = db_plain.stats().snapshot().since(&before).total();
@@ -286,7 +286,7 @@ fn poison_diffs_quarantined_minimally() {
     for (label, build) in engines() {
         let (mut db, mut ivm) = prepared(&build);
         let net = db.fold_log();
-        let total: usize = net.values().map(TableChanges::len).sum();
+        let total: usize = net.values().map(|c| c.len()).sum();
         let mut expected: Vec<(String, Key)> = net
             .iter()
             .flat_map(|(t, changes)| {
@@ -347,7 +347,7 @@ fn permanent_site_fault_escalates_to_recompute() {
     for (label, build) in engines() {
         let (mut db, mut ivm) = prepared(&build);
         let net = db.fold_log();
-        let total: usize = net.values().map(TableChanges::len).sum();
+        let total: usize = net.values().map(|c| c.len()).sum();
         ivm.set_faults(FaultPlan::at_operator(0, seed).permanent());
         let report =
             MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::seeded(seed)).run(&mut db);
@@ -385,7 +385,7 @@ fn budget_overrun_bisects_and_converges() {
         // Measure the clean round's access cost on a twin database.
         let (mut db_probe, ivm_probe) = prepared(&build);
         let net = db_probe.fold_log();
-        let total: usize = net.values().map(TableChanges::len).sum();
+        let total: usize = net.values().map(|c| c.len()).sum();
         let before = db_probe.stats().snapshot();
         ivm_probe.maintain_with_changes(&mut db_probe, &net).unwrap();
         let full_cost = db_probe.stats().snapshot().since(&before).total();

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Compare two pre-built benchmark binaries by alternating paired runs.
 #
-#   tools/bench_pairs.sh <parent-checkout> <workload> [pairs] [first-seed]
+#   tools/bench_pairs.sh <parent-checkout> <workload|all> [pairs] [first-seed]
 #
 # Builds nothing. The parent's binary is taken from
 # <parent-checkout>/benchmark/target/release/idivm-benchmark and the
@@ -31,13 +31,23 @@
 # CPU-only change must leave it equal in every pair. Each pair whose two
 # sides disagree prints a `WARNING: accesses_per_event differs ...` line
 # and the script exits 1 after the table, as it does on any `worse`.
+#
+# `all` for the workload runs every workload BENCHMARK.json declares,
+# one table each on the same seeds, and exits 1 if any of them did.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-    sed -n '2,33p' "$0" >&2
+    sed -n '2,36p' "$0" >&2
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
+if [ "$2" = all ]; then
+    status=0
+    for workload in $(python3 -c 'import json,sys; print(*[w["name"] for w in json.load(open(sys.argv[1]))["workloads"]])' "$root/BENCHMARK.json"); do
+        "$0" "$1" "$workload" "${@:3}" || status=1
+    done
+    exit $status
+fi
 parent_bin=${PARENT_BIN:-$1/benchmark/target/release/idivm-benchmark}
 change_bin=${CHANGE_BIN:-$root/benchmark/target/release/idivm-benchmark}
 workload=$2
