@@ -155,20 +155,6 @@ impl PlanBuilder {
         self.join_kind(right, on, None, JoinKind::LeftOuter)
     }
 
-    /// Left outer join with an extra θ residual over the concatenated
-    /// schema (a right row only matches when keys AND residual hold).
-    ///
-    /// # Errors
-    /// Unknown column on either side.
-    pub fn left_outer_join_residual(
-        self,
-        right: PlanBuilder,
-        on: &[(&str, &str)],
-        residual: Expr,
-    ) -> Result<Self> {
-        self.join_kind(right, on, Some(residual), JoinKind::LeftOuter)
-    }
-
     /// Semijoin `self ⋉ right`.
     ///
     /// # Errors

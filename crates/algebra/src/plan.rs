@@ -207,22 +207,6 @@ impl Plan {
         }
     }
 
-    /// All scan aliases in the subtree, in preorder.
-    pub fn scan_aliases(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_aliases(&mut out);
-        out
-    }
-
-    fn collect_aliases<'a>(&'a self, out: &mut Vec<&'a str>) {
-        if let Plan::Scan { alias, .. } = self {
-            out.push(alias);
-        }
-        for c in self.children() {
-            c.collect_aliases(out);
-        }
-    }
-
     /// Find the scanned base tables: `(alias, table)` pairs in preorder.
     pub fn scans(&self) -> Vec<(&str, &str)> {
         let mut out = Vec::new();

@@ -208,10 +208,10 @@ pub fn run(args: &Args) -> Result<()> {
             for kind in kinds {
                 let plan = {
                     let base = match site {
-                        FaultSite::Operator => FaultPlan::at_operator(0, seed),
-                        FaultSite::Apply => FaultPlan::at_apply(0, seed),
-                        FaultSite::Access => FaultPlan::at_access(1, seed),
-                        FaultSite::Diff => FaultPlan::at_diff(3, seed),
+                        FaultSite::Operator => FaultPlan::at(FaultSite::Operator, 0, seed),
+                        FaultSite::Apply => FaultPlan::at(FaultSite::Apply, 0, seed),
+                        FaultSite::Access => FaultPlan::at(FaultSite::Access, 1, seed),
+                        FaultSite::Diff => FaultPlan::at(FaultSite::Diff, 3, seed),
                         // Ingest-path sites never fire inside an
                         // engine round (the firehose bench sweeps
                         // them), and durability sites fire in the WAL
@@ -373,7 +373,7 @@ pub fn run(args: &Args) -> Result<()> {
         let run_one = |spec| -> Result<String> {
             let mut lane = prepared(spec, &cfg, d, TraceConfig::disabled())?;
             lane.engine
-                .set_faults(FaultPlan::at_diff(3, seed).permanent());
+                .set_faults(FaultPlan::at(FaultSite::Diff, 3, seed).permanent());
             Ok(supervise(&mut lane, SupervisorConfig::seeded(seed)).to_json())
         };
         let a = run_one(ENGINES[serial_idx])?;

@@ -42,18 +42,19 @@
 //! `BENCH_crash.json` (schema in `EXPERIMENTS.md`).
 
 use idivm_bench::{fmt_row, overhead_pct, Args, Json, CRASH_SEED};
-use idivm_core::{FaultPlan, FaultState, IvmOptions};
+use idivm_core::{FaultPlan, FaultSite, FaultState, IvmOptions};
 use idivm_durability::{
     Checkpoint, CheckpointStats, DurabilityConfig, DurabilityPolicy, Durable, Wal, WAL_FILE,
 };
 use idivm_exec::ParallelConfig;
 use idivm_reldb::TableSignature;
 use idivm_sched::{RefreshPolicy, SchedulerConfig};
-use idivm_types::{Error, Result};
+use idivm_types::{Error, Fnv1a, Result};
 use idivm_workloads::bsma::Bsma;
 use idivm_workloads::multiview::{MultiView, VIEW_NAMES};
 use idivm_workloads::RunningExample;
 use std::collections::HashMap;
+use std::hash::Hasher;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -90,14 +91,11 @@ fn no_faults() -> Arc<FaultState> {
 fn sig_digest(sig: &Sig) -> u64 {
     let mut tables: Vec<&String> = sig.keys().collect();
     tables.sort();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = Fnv1a::default();
     for t in tables {
-        for b in format!("{t}={:?};", sig[t]).bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
+        h.write(format!("{t}={:?};", sig[t]).as_bytes());
     }
-    h
+    h.finish()
 }
 
 fn options(threads: usize) -> IvmOptions {
@@ -414,7 +412,7 @@ pub fn run(args: &Args) -> Result<()> {
     // Kill the same mid-lifecycle WAL append (create ckpt + register
     // = appends 0; ticks are appends 1..; k=3 kills round 3) and
     // recover; every (threads, rep) cell must land on one signature.
-    let kill = FaultPlan::at_wal_append(3, seed);
+    let kill = FaultPlan::at(FaultSite::WalAppend, 3, seed);
     let sweep_cfg = DurabilityConfig {
         policy: DurabilityPolicy::Always,
         checkpoint_every_rounds: 3,
@@ -457,22 +455,22 @@ pub fn run(args: &Args) -> Result<()> {
     println!("\ncrash-point sweep (every occurrence of each durability site):");
     let header = ["site", "k", "recovered to", "recovery"];
     println!("{}", fmt_row(&header.map(String::from), WIDTHS));
-    type SiteSpec = (&'static str, fn(u64, u64) -> FaultPlan, u64);
-    let sites: [SiteSpec; 3] = [
-        ("wal_append", FaultPlan::at_wal_append, 0),
-        ("wal_fsync", FaultPlan::at_wal_fsync, 0),
+    let sites = [
+        (FaultSite::WalAppend, 0),
+        (FaultSite::WalFsync, 0),
         // k = 0 is the store-creation checkpoint: nothing was ever
         // acknowledged, so there is no state to recover to (open
         // refuses with a typed error — covered by the test suite).
-        ("checkpoint", FaultPlan::at_checkpoint, 1),
+        (FaultSite::Checkpoint, 1),
     ];
     // (site, k, outcome, recovery note) per swept kill.
     let mut sweep_rows: Vec<(&str, u64, &str, String)> = Vec::new();
-    for (site, plan_for, start_k) in sites {
+    for (fault_site, start_k) in sites {
+        let site = fault_site.label();
         let mut k = start_k;
         loop {
             let dir = fresh_dir(site)?;
-            let faults = Arc::new(FaultState::new(plan_for(k, seed)));
+            let faults = Arc::new(FaultState::new(FaultPlan::at(fault_site, k, seed)));
             let run = run_lifecycle(&dir, &cfg, d, rounds, sweep_cfg, faults, 1)?;
             if run.completed {
                 assert!(k > start_k, "site {site}: the armed fault never fired");

@@ -11,8 +11,8 @@
 //! `BENCH_scaling.json` into the current directory. Two invariants the
 //! sweep checks (and the JSON records):
 //!
-//! * **Access counts are bit-identical across all P** — sharding only
-//!   regroups the per-row/per-group work, it never changes which probes
+//! * **Access counts are bit-identical across all P** — the fan-out only
+//!   cuts the per-row/per-group work into chunks, it never changes which probes
 //!   run (the determinism contract of `ParallelConfig`).
 //! * Speedup is reported relative to P = 1; on a single-core host
 //!   (`available_parallelism` = 1, recorded in the JSON) thread scaling

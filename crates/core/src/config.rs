@@ -1,16 +1,17 @@
 //! The shared engine tuning-knob block.
 //!
 //! Every maintenance engine in this workspace (`IdIvm`, `TupleIvm`,
-//! `Sdbt`) carries the same five runtime knobs: partitioned-propagation
+//! `Sdbt`) carries the same four runtime knobs: partitioned-propagation
 //! configuration, per-operator tracing, deterministic fault injection,
-//! a per-round access budget, and the post-rollback recovery policy.
+//! and a per-round access budget. (What happens after a failed round is
+//! not a knob: the round rolls back and reports the error, and only the
+//! supervisor's escalation ladder repairs by recompute.)
 //! PR 4 left three near-identical blocks of getter/setter plumbing —
 //! this module replaces them with one [`EngineKnobs`] struct and one
 //! [`EngineConfig`] trait whose *default methods* provide the whole
 //! accessor surface; an engine implements only [`EngineConfig::knobs`]
 //! and [`EngineConfig::knobs_mut`].
 
-use crate::engine::RecoveryPolicy;
 use crate::faults::{FaultPlan, RoundBudget};
 use crate::trace::TraceConfig;
 use idivm_exec::ParallelConfig;
@@ -32,8 +33,6 @@ pub struct EngineKnobs {
     pub faults: FaultPlan,
     /// Opt-in per-round access budget (unlimited by default).
     pub budget: RoundBudget,
-    /// What to do after a mid-round error forced a rollback.
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for EngineKnobs {
@@ -43,7 +42,6 @@ impl Default for EngineKnobs {
             trace: TraceConfig::disabled(),
             faults: FaultPlan::disabled(),
             budget: RoundBudget::unlimited(),
-            recovery: RecoveryPolicy::Abort,
         }
     }
 }
@@ -96,16 +94,6 @@ pub trait EngineConfig {
         self.knobs_mut().faults = faults;
     }
 
-    /// The current recovery policy.
-    fn recovery(&self) -> RecoveryPolicy {
-        self.knobs().recovery
-    }
-
-    /// Set what a round does after an error forced a rollback.
-    fn set_recovery(&mut self, recovery: RecoveryPolicy) {
-        self.knobs_mut().recovery = recovery;
-    }
-
     /// The current per-round access budget.
     fn budget(&self) -> RoundBudget {
         self.knobs().budget
@@ -154,9 +142,7 @@ mod tests {
         assert!(e.trace().enabled);
         e.set_budget(RoundBudget::capped(7));
         assert_eq!(e.budget().max_accesses, Some(7));
-        e.set_recovery(RecoveryPolicy::RecomputeOnError);
-        assert_eq!(e.recovery(), RecoveryPolicy::RecomputeOnError);
-        e.set_faults(FaultPlan::at_operator(1, 9));
+        e.set_faults(FaultPlan::at(crate::FaultSite::Operator, 1, 9));
         assert!(e.faults().enabled());
         assert!(e.set_parallel(ParallelConfig::with_threads(4)).is_ok());
         assert_eq!(e.parallel().threads, 4);

@@ -11,6 +11,7 @@
 //! relation's output columns* (positions into that relation). A
 //! [`DiffInstance`] holds its rows, laid out `[ids…, pre…, post…]`.
 
+use idivm_exec::Batch;
 use idivm_types::{Key, Row, Value};
 use std::collections::BTreeSet;
 
@@ -236,6 +237,20 @@ pub enum State {
 pub struct DiffInstance {
     pub schema: DiffSchema,
     pub rows: Vec<Row>,
+}
+
+/// Cut by rows for the parallel fan-out; every chunk keeps the schema.
+impl Batch for DiffInstance {
+    fn items(&self) -> usize {
+        self.rows.len()
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        DiffInstance {
+            schema: self.schema.clone(),
+            rows: self.rows.split_off(at),
+        }
+    }
 }
 
 impl DiffInstance {

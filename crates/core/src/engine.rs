@@ -26,7 +26,7 @@ use crate::apply::apply_all;
 use crate::cache::{plan_caches, CacheDef};
 use crate::config::{EngineConfig, EngineKnobs};
 use crate::diff::DiffInstance;
-use crate::faults::{FaultPlan, RoundBudget};
+use crate::faults::{FaultPlan, FaultSite, RoundBudget};
 use crate::report::MaintenanceReport;
 use crate::round::{drive, Engine, Round};
 use crate::rules::{propagate, IncomingDiff, RuleCtx};
@@ -40,22 +40,6 @@ use idivm_types::{Error, Result, Schema};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// What a maintenance round does after an error forced a rollback.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum RecoveryPolicy {
-    /// Propagate the error (default). The rollback has already restored
-    /// every view, cache, and index to its pre-round state, and the
-    /// modification log is preserved, so the round can be retried.
-    #[default]
-    Abort,
-    /// After rollback, repair the view and its caches by full recompute
-    /// ([`idivm_exec::refresh_view`]) and return a successful report
-    /// with [`recovered`](MaintenanceReport::recovered) set and the
-    /// repair's access cost in
-    /// [`recovery`](MaintenanceReport::recovery).
-    RecomputeOnError,
-}
-
 /// Tuning knobs of the engine.
 #[derive(Debug, Clone, Copy)]
 pub struct IvmOptions {
@@ -65,11 +49,11 @@ pub struct IvmOptions {
     /// Materialize intermediate caches under aggregate operators
     /// (Section 4 / Example 4.6). On by default.
     pub use_input_caches: bool,
-    /// Partitioned delta propagation: diff batches are hash-sharded by
-    /// diff key and propagated on worker threads, with shard outputs
-    /// merged deterministically before the (serial) Apply step. Serial
-    /// by default; access counts are bit-identical for any thread
-    /// count.
+    /// Partitioned delta propagation: diff batches are cut into
+    /// contiguous chunks and propagated on worker threads, with chunk
+    /// outputs concatenated in input order before the (serial) Apply
+    /// step. Serial by default; access counts are bit-identical for any
+    /// thread count.
     pub parallel: ParallelConfig,
     /// Per-operator trace recording (off by default; zero cost when
     /// off). See [`crate::trace`].
@@ -81,8 +65,6 @@ pub struct IvmOptions {
     /// when off). A round exceeding it aborts with the retryable
     /// [`Error::Budget`](idivm_types::Error::Budget) and rolls back.
     pub budget: RoundBudget,
-    /// What to do after a mid-round error forced a rollback.
-    pub recovery: RecoveryPolicy,
 }
 
 impl Default for IvmOptions {
@@ -94,7 +76,6 @@ impl Default for IvmOptions {
             trace: TraceConfig::disabled(),
             faults: FaultPlan::disabled(),
             budget: RoundBudget::unlimited(),
-            recovery: RecoveryPolicy::Abort,
         }
     }
 }
@@ -217,7 +198,6 @@ impl IdIvm {
                 trace: options.trace,
                 faults: options.faults,
                 budget: options.budget,
-                recovery: options.recovery,
             },
             schemas,
             cache_defs,
@@ -261,7 +241,6 @@ impl IdIvm {
             trace: self.knobs.trace,
             faults: self.knobs.faults,
             budget: self.knobs.budget,
-            recovery: self.knobs.recovery,
         }
     }
 
@@ -312,7 +291,7 @@ impl IdIvm {
         prefixes: &SharedPrefixes,
         cache: &mut SharedDiffCache,
     ) -> Result<MaintenanceReport> {
-        drive(self, db, net, |round, db| {
+        drive(self, db, net, false, |round, db| {
             self.body(round, db, net, Some((prefixes, cache)))
         })
     }
@@ -356,7 +335,9 @@ impl IdIvm {
         round.report.rescans = rescans.load(Ordering::Relaxed);
         // Apply the final i-diffs to the view.
         round.report.view_diff_tuples = root_diffs.iter().map(DiffInstance::len).sum();
-        round.faults().on_apply(&self.view_name)?;
+        round
+            .faults()
+            .hit(FaultSite::Apply, format_args!("target `{}`", self.view_name))?;
         let before = db.stats().snapshot();
         let mut view_changes = TableChanges::new();
         let outcome = apply_all(db.table_mut(&self.view_name)?, &root_diffs, &mut view_changes)?;
@@ -446,7 +427,9 @@ impl IdIvm {
             if incoming.is_empty() {
                 return Ok(Vec::new());
             }
-            round.faults().on_operator(op_label(node))?;
+            round
+                .faults()
+                .hit(FaultSite::Operator, format_args!("`{}`", op_label(node)))?;
             let diffs_in: u64 = incoming.iter().map(|i| i.diff.len() as u64).sum();
             // Rule application (counted as diff-computation cost).
             let before = db.stats().snapshot();
@@ -497,7 +480,9 @@ impl IdIvm {
         // cache in post-state (pre-state through the overlay).
         if let Some(cache_name) = self.cache_map.get(path) {
             if !path.is_empty() {
-                round.faults().on_apply(cache_name)?;
+                round
+                    .faults()
+                    .hit(FaultSite::Apply, format_args!("target `{cache_name}`"))?;
                 let before = db.stats().snapshot();
                 let mut changes = state
                     .cache_changes
@@ -696,13 +681,4 @@ pub fn base_catalog(db: &Database, plan: &Plan) -> Result<HashMap<String, Schema
         }
     }
     Ok(m)
-}
-
-/// Derive the storage schema of the (ID-extended) view plan — exposed
-/// for tests and tooling.
-///
-/// # Errors
-/// Same conditions as [`idivm_exec::view_schema`].
-pub fn storage_schema(db: &Database, plan: &Plan) -> Result<Schema> {
-    view_schema(db, plan)
 }

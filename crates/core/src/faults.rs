@@ -34,9 +34,9 @@
 //! prove that *any* mid-round error triggers a bit-identical rollback
 //! (see `Database::begin_round`/`abort_round` in `idivm-reldb`).
 
-use idivm_exec::partition::stable_hash_key;
 use idivm_reldb::Net;
-use idivm_types::{Error, Result};
+use idivm_types::{stable_hash_key, Error, Result};
+use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// Where in the round a [`FaultPlan`] fires.
@@ -165,101 +165,16 @@ impl FaultPlan {
         }
     }
 
-    /// Fire on the `k`-th operator entry.
-    pub fn at_operator(k: u64, seed: u64) -> Self {
+    /// Arm `site` at its `k`-th failpoint (see [`FaultSite`] for each
+    /// site's unit). For [`FaultSite::Diff`] `k` is the poison modulus,
+    /// clamped to ≥ 1.
+    pub fn at(site: FaultSite, k: u64, seed: u64) -> Self {
         FaultPlan {
-            site: Some(FaultSite::Operator),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
+            site: Some(site),
+            at: if site == FaultSite::Diff { k.max(1) } else { k },
+            seed,
+            ..FaultPlan::disabled()
         }
-    }
-
-    /// Fire on the `k`-th APPLY call.
-    pub fn at_apply(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::Apply),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire once the round has spent `k` accesses (at the next serial
-    /// checkpoint).
-    pub fn at_access(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::Access),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire at round start when the pending batch contains a poison
-    /// key (roughly one key in `modulus`, selected by seeded stable
-    /// hash — see [`FaultSite::Diff`]). `modulus` is clamped to ≥ 1.
-    pub fn at_diff(modulus: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::Diff),
-            at: modulus.max(1),
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire on the `k`-th event enqueue (ingest path).
-    pub fn at_enqueue(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::Enqueue),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire on the `k`-th micro-batch cut decision (ingest path).
-    pub fn at_batch_cut(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::BatchCut),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire on the `k`-th wire-event decode (ingest path).
-    pub fn at_decode(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::Decode),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire on the `k`-th WAL record append (durability path).
-    pub fn at_wal_append(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::WalAppend),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire on the `k`-th WAL fsync (durability path).
-    pub fn at_wal_fsync(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::WalFsync),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    /// Fire on the `k`-th checkpoint attempt (durability path).
-    pub fn at_checkpoint(k: u64, seed: u64) -> Self {
-        FaultPlan {
-            site: Some(FaultSite::Checkpoint),
-            at: k,
-            ..FaultPlan::disabled().with_seed(seed)
-        }
-    }
-
-    fn with_seed(self, seed: u64) -> Self {
-        FaultPlan { seed, ..self }
     }
 
     /// This plan, reclassified permanent (fires [`Error::Poison`]).
@@ -361,25 +276,19 @@ impl RoundBudget {
     }
 }
 
-/// Per-round firing state: the plan plus serial counters. Engines
-/// create one at round start and call the hooks from the serial walk.
-/// (Relaxed atomics, not `Cell`: every hook site still sits on the
-/// single-threaded spine of the round — operator entries, APPLY
-/// boundaries, and the serial dirty-group rescan loop — but the state
-/// must be `Sync` so rules can reach the mid-rescan failpoint through
-/// a shared `RuleCtx`.)
+/// Per-round firing state: the plan, the armed site's call counter and
+/// the two fired flags. Engines create one at round start and call the
+/// hooks from the serial walk. (Relaxed atomics, not `Cell`: every hook
+/// site still sits on the single-threaded spine of the round — operator
+/// entries, APPLY boundaries, and the serial dirty-group rescan loop —
+/// but the state must be `Sync` so rules can reach the mid-rescan
+/// failpoint through a shared `RuleCtx`.)
 #[derive(Debug)]
 pub struct FaultState {
     plan: FaultPlan,
     budget: RoundBudget,
-    operators: AtomicU64,
-    applies: AtomicU64,
-    enqueues: AtomicU64,
-    batch_cuts: AtomicU64,
-    decodes: AtomicU64,
-    wal_appends: AtomicU64,
-    wal_fsyncs: AtomicU64,
-    checkpoints: AtomicU64,
+    /// Calls seen at the armed site; only that site is ever counted.
+    seen: AtomicU64,
     fired: AtomicBool,
     budget_fired: AtomicBool,
 }
@@ -395,14 +304,7 @@ impl FaultState {
         FaultState {
             plan,
             budget,
-            operators: AtomicU64::new(0),
-            applies: AtomicU64::new(0),
-            enqueues: AtomicU64::new(0),
-            batch_cuts: AtomicU64::new(0),
-            decodes: AtomicU64::new(0),
-            wal_appends: AtomicU64::new(0),
-            wal_fsyncs: AtomicU64::new(0),
-            checkpoints: AtomicU64::new(0),
+            seen: AtomicU64::new(0),
             fired: AtomicBool::new(false),
             budget_fired: AtomicBool::new(false),
         }
@@ -462,38 +364,6 @@ impl FaultState {
         Ok(())
     }
 
-    /// Hook: entry to an operator on the serial walk.
-    ///
-    /// # Errors
-    /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// operator entry.
-    pub fn on_operator(&self, label: &str) -> Result<()> {
-        if self.plan.site != Some(FaultSite::Operator) || self.fired.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = self.operators.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("operator entry {n} (`{label}`)")));
-        }
-        Ok(())
-    }
-
-    /// Hook: an APPLY call (cache or view), before any diff lands.
-    ///
-    /// # Errors
-    /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// APPLY call.
-    pub fn on_apply(&self, target: &str) -> Result<()> {
-        if self.plan.site != Some(FaultSite::Apply) || self.fired.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = self.applies.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("apply call {n} (target `{target}`)")));
-        }
-        Ok(())
-    }
-
     /// Hook: serial checkpoint carrying the round's cumulative access
     /// count. Callers gate the (mildly costly) snapshot on
     /// [`FaultState::wants_access`]. Checks the armed access fault
@@ -522,115 +392,37 @@ impl FaultState {
         Ok(())
     }
 
-    /// Hook: an event enqueue into the ingest queue, **before** the
-    /// event is buffered (the producer still owns it on `Err`).
+    /// Hook: a counted failpoint — one call per operator entry, APPLY
+    /// call, event enqueue, batch cut, wire-event decode, WAL append,
+    /// WAL fsync or checkpoint attempt, made *before* the work it
+    /// guards (see [`FaultSite`] for what the caller still owns on
+    /// `Err`). Only the armed site's calls are counted; the `at`-th
+    /// fires with the text `"<unit> <n> (<detail>)"`, where the
+    /// parenthesis is left out for an empty `detail`. `detail` is
+    /// rendered only when the call fires.
     ///
     /// # Errors
     /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// enqueue.
-    pub fn on_enqueue(&self) -> Result<()> {
-        if self.plan.site != Some(FaultSite::Enqueue) || self.fired.load(Ordering::Relaxed) {
+    /// call.
+    pub fn hit(&self, site: FaultSite, detail: impl fmt::Display) -> Result<()> {
+        if self.plan.site != Some(site) || self.fired.load(Ordering::Relaxed) {
             return Ok(());
         }
-        let n = self.enqueues.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("enqueue {n}")));
-        }
-        Ok(())
-    }
-
-    /// Hook: a micro-batch cut decision, before any admitted event
-    /// touches the database (the batch stays buffered on `Err`).
-    ///
-    /// # Errors
-    /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// cut.
-    pub fn on_batch_cut(&self, pending: usize) -> Result<()> {
-        if self.plan.site != Some(FaultSite::BatchCut) || self.fired.load(Ordering::Relaxed) {
+        let n = self.seen.fetch_add(1, Ordering::Relaxed);
+        if n != self.plan.at {
             return Ok(());
         }
-        let n = self.batch_cuts.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("batch cut {n} ({pending} events pending)")));
-        }
-        Ok(())
-    }
-
-    /// Hook: a wire-event decode, before validation (the raw event
-    /// stays pending on `Err` — this is the decoder failing, not the
-    /// event being malformed).
-    ///
-    /// # Errors
-    /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// decode.
-    pub fn on_decode(&self) -> Result<()> {
-        if self.plan.site != Some(FaultSite::Decode) || self.fired.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = self.decodes.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("decode {n}")));
-        }
-        Ok(())
-    }
-
-    /// Hook: a WAL record append, before any byte of the record lands.
-    ///
-    /// # Errors
-    /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// append.
-    pub fn on_wal_append(&self, lsn: u64) -> Result<()> {
-        if self.plan.site != Some(FaultSite::WalAppend) || self.fired.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = self.wal_appends.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("wal append {n} (lsn {lsn})")));
-        }
-        Ok(())
-    }
-
-    /// Hook: a WAL fsync, before the flush reaches the device.
-    ///
-    /// # Errors
-    /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// fsync.
-    pub fn on_wal_fsync(&self) -> Result<()> {
-        if self.plan.site != Some(FaultSite::WalFsync) || self.fired.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = self.wal_fsyncs.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("wal fsync {n}")));
-        }
-        Ok(())
-    }
-
-    /// Hook: a checkpoint attempt, before the atomic rename publishes
-    /// the snapshot.
-    ///
-    /// # Errors
-    /// [`Error::Injected`] / [`Error::Poison`] when this is the armed
-    /// checkpoint.
-    pub fn on_checkpoint(&self, last_lsn: u64) -> Result<()> {
-        if self.plan.site != Some(FaultSite::Checkpoint) || self.fired.load(Ordering::Relaxed) {
-            return Ok(());
-        }
-        let n = self.checkpoints.fetch_add(1, Ordering::Relaxed);
-        if n == self.plan.at {
-            return Err(self.fire(&format!("checkpoint {n} (last lsn {last_lsn})")));
-        }
-        Ok(())
-    }
-
-    /// Number of operator entries seen so far (sweep sizing).
-    pub fn operators_seen(&self) -> u64 {
-        self.operators.load(Ordering::Relaxed)
-    }
-
-    /// Number of APPLY calls seen so far (sweep sizing).
-    pub fn applies_seen(&self) -> u64 {
-        self.applies.load(Ordering::Relaxed)
+        let unit = match site {
+            FaultSite::Operator => "operator entry".to_string(),
+            FaultSite::Apply => "apply call".to_string(),
+            _ => site.label().replace('_', " "),
+        };
+        let detail = detail.to_string();
+        Err(self.fire(&if detail.is_empty() {
+            format!("{unit} {n}")
+        } else {
+            format!("{unit} {n} ({detail})")
+        }))
     }
 
     /// The armed plan's seed. The durability layer folds it into the
@@ -647,14 +439,16 @@ mod tests {
     use idivm_reldb::{NetChange, TableChanges};
     use idivm_types::{Key, Row, Value};
 
+    use FaultSite::*;
+
     #[test]
     fn disabled_plan_never_fires() {
         let s = FaultState::new(FaultPlan::disabled());
         assert!(!s.enabled());
         assert!(!s.wants_access());
         for i in 0..100 {
-            s.on_operator("x").unwrap();
-            s.on_apply("v").unwrap();
+            s.hit(Operator, "`x`").unwrap();
+            s.hit(Apply, "target `v`").unwrap();
             s.on_access(i).unwrap();
         }
         s.on_batch(&Net::new()).unwrap();
@@ -662,32 +456,25 @@ mod tests {
 
     #[test]
     fn operator_site_fires_exactly_at_k() {
-        let s = FaultState::new(FaultPlan::at_operator(2, 42));
-        s.on_operator("a").unwrap();
-        s.on_apply("v").unwrap(); // other sites untouched
-        s.on_operator("b").unwrap();
-        let err = s.on_operator("c").unwrap_err();
+        let s = FaultState::new(FaultPlan::at(Operator, 2, 42));
+        s.hit(Operator, "`a`").unwrap();
+        s.hit(Apply, "target `v`").unwrap(); // other sites untouched
+        s.hit(Operator, "`b`").unwrap();
+        let err = s.hit(Operator, "`c`").unwrap_err();
         match err {
             Error::Injected(m) => {
                 assert!(m.contains("seed=42"), "{m}");
-                assert!(m.contains("operator entry 2"), "{m}");
+                assert!(m.contains("operator entry 2 (`c`)"), "{m}");
             }
             other => panic!("expected Injected, got {other:?}"),
         }
         // Fired once; later hooks are inert.
-        s.on_operator("d").unwrap();
-    }
-
-    #[test]
-    fn apply_site_counts_applies_only() {
-        let s = FaultState::new(FaultPlan::at_apply(0, 7));
-        s.on_operator("a").unwrap();
-        assert!(matches!(s.on_apply("V"), Err(Error::Injected(_))));
+        s.hit(Operator, "`d`").unwrap();
     }
 
     #[test]
     fn access_site_fires_at_first_checkpoint_reaching_k() {
-        let s = FaultState::new(FaultPlan::at_access(10, 1));
+        let s = FaultState::new(FaultPlan::at(Access, 10, 1));
         assert!(s.wants_access());
         s.on_access(3).unwrap();
         s.on_access(9).unwrap();
@@ -697,21 +484,21 @@ mod tests {
 
     #[test]
     fn permanent_kind_fires_poison() {
-        let s = FaultState::new(FaultPlan::at_operator(0, 9).permanent());
-        assert!(matches!(s.on_operator("a"), Err(Error::Poison(_))));
+        let s = FaultState::new(FaultPlan::at(Operator, 0, 9).permanent());
+        assert!(matches!(s.hit(Operator, "`a`"), Err(Error::Poison(_))));
     }
 
     #[test]
     fn healing_plan_disables_after_attempts() {
-        let p = FaultPlan::at_operator(0, 9).healing_after(2);
+        let p = FaultPlan::at(Operator, 0, 9).healing_after(2);
         assert!(p.for_attempt(0).enabled());
         assert!(p.for_attempt(1).enabled());
         assert!(!p.for_attempt(2).enabled());
         // Permanent plans never heal.
-        let p = FaultPlan::at_operator(0, 9).permanent().healing_after(2);
+        let p = FaultPlan::at(Operator, 0, 9).permanent().healing_after(2);
         assert!(p.for_attempt(5).enabled());
         // heal_after = 0 means never heals.
-        let p = FaultPlan::at_operator(0, 9);
+        let p = FaultPlan::at(Operator, 0, 9);
         assert!(p.for_attempt(u64::MAX).enabled());
     }
 
@@ -730,7 +517,7 @@ mod tests {
 
     #[test]
     fn diff_site_fires_only_on_poison_keys() {
-        let plan = FaultPlan::at_diff(3, 2015);
+        let plan = FaultPlan::at(Diff, 3, 2015);
         // Find one poison and one healthy key under this plan.
         let poison: Vec<i64> = (0..100)
             .filter(|&k| plan.is_poison_key(&Key(vec![Value::Int(k)])))
@@ -752,48 +539,33 @@ mod tests {
         let mut mixed: Vec<i64> = healthy[..2].to_vec();
         mixed.push(poison[0]);
         assert!(FaultState::new(plan).on_batch(&batch_of(&mixed)).is_err());
+        // A zero modulus is clamped to one: every key is poison.
+        assert_eq!(FaultPlan::at(Diff, 0, 2015).at, 1);
     }
 
     #[test]
-    fn ingest_sites_fire_on_their_own_counters() {
-        let s = FaultState::new(FaultPlan::at_enqueue(1, 8));
-        s.on_decode().unwrap();
-        s.on_batch_cut(3).unwrap(); // other ingest sites untouched
-        s.on_enqueue().unwrap();
-        let err = s.on_enqueue().unwrap_err();
+    fn each_site_counts_only_its_own_calls() {
+        let s = FaultState::new(FaultPlan::at(Enqueue, 1, 8));
+        s.hit(Decode, "").unwrap();
+        s.hit(BatchCut, "3 events pending").unwrap(); // other sites untouched
+        s.hit(Enqueue, "").unwrap();
+        let err = s.hit(Enqueue, "").unwrap_err();
         assert!(matches!(err, Error::Injected(_)), "{err}");
-        assert!(err.to_string().contains("site=enqueue"), "{err}");
-        s.on_enqueue().unwrap(); // single-shot
+        let text = err.to_string();
+        assert!(text.ends_with("[site=enqueue, at=1, seed=8] fired at enqueue 1"), "{text}");
+        s.hit(Enqueue, "").unwrap(); // single-shot
 
-        let s = FaultState::new(FaultPlan::at_batch_cut(0, 8));
-        let err = s.on_batch_cut(5).unwrap_err();
-        assert!(err.to_string().contains("batch cut 0 (5 events pending)"), "{err}");
+        let s = FaultState::new(FaultPlan::at(WalAppend, 1, 77));
+        s.hit(WalFsync, "").unwrap();
+        s.hit(Checkpoint, "last lsn 0").unwrap();
+        s.hit(WalAppend, "lsn 5").unwrap();
+        let err = s.hit(WalAppend, "lsn 6").unwrap_err();
+        assert!(err.to_string().ends_with("fired at wal append 1 (lsn 6)"), "{err}");
 
-        let s = FaultState::new(FaultPlan::at_decode(0, 8).permanent());
-        assert!(matches!(s.on_decode(), Err(Error::Poison(_))));
-    }
-
-    #[test]
-    fn durability_sites_fire_on_their_own_counters() {
-        let s = FaultState::new(FaultPlan::at_wal_append(1, 77));
-        s.on_wal_fsync().unwrap();
-        s.on_checkpoint(0).unwrap(); // other durability sites untouched
-        s.on_wal_append(5).unwrap();
-        let err = s.on_wal_append(6).unwrap_err();
-        assert!(err.to_string().contains("site=wal_append"), "{err}");
-        assert!(err.to_string().contains("lsn 6"), "{err}");
-        s.on_wal_append(7).unwrap(); // single-shot
-
-        let s = FaultState::new(FaultPlan::at_wal_fsync(0, 77));
-        assert!(matches!(s.on_wal_fsync(), Err(Error::Injected(_))));
-
-        let s = FaultState::new(FaultPlan::at_checkpoint(0, 77).permanent());
-        let err = s.on_checkpoint(9).unwrap_err();
+        let s = FaultState::new(FaultPlan::at(Checkpoint, 0, 77).permanent());
+        let err = s.hit(Checkpoint, "last lsn 9").unwrap_err();
         assert!(matches!(err, Error::Poison(_)), "{err}");
-        assert!(err.to_string().contains("last lsn 9"), "{err}");
-        assert_eq!(FaultSite::WalAppend.label(), "wal_append");
-        assert_eq!(FaultSite::WalFsync.label(), "wal_fsync");
-        assert_eq!(FaultSite::Checkpoint.label(), "checkpoint");
+        assert!(err.to_string().ends_with("fired at checkpoint 0 (last lsn 9)"), "{err}");
     }
 
     #[test]
@@ -828,7 +600,7 @@ mod tests {
     #[test]
     fn budget_composes_with_access_fault() {
         // Fault threshold first, then the budget on a later checkpoint.
-        let s = FaultState::with_budget(FaultPlan::at_access(5, 1), RoundBudget::capped(8));
+        let s = FaultState::with_budget(FaultPlan::at(Access, 5, 1), RoundBudget::capped(8));
         assert!(matches!(s.on_access(6), Err(Error::Injected(_))));
         assert!(matches!(s.on_access(9), Err(Error::Budget(_))));
     }

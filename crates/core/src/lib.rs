@@ -67,7 +67,7 @@ pub mod trace;
 
 pub use config::{EngineConfig, EngineKnobs};
 pub use diff::{DiffInstance, DiffKind, DiffSchema};
-pub use engine::{IdIvm, IvmOptions, RecoveryPolicy};
+pub use engine::{IdIvm, IvmOptions};
 pub use faults::{FaultKind, FaultPlan, FaultSite, FaultState, RoundBudget};
 pub use report::MaintenanceReport;
 pub use round::{Engine, Round};

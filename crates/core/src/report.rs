@@ -36,8 +36,8 @@ pub struct MaintenanceReport {
     /// [`TraceConfig::enabled`](crate::trace::TraceConfig) is set).
     pub trace: Option<RoundTrace>,
     /// True iff the incremental round failed, was rolled back, and the
-    /// view was repaired by full recompute
-    /// ([`RecoveryPolicy::RecomputeOnError`](crate::engine::RecoveryPolicy)).
+    /// view was repaired by full recompute (the supervisor's escalation,
+    /// [`SupervisedEngine::maintain_or_recompute`](crate::supervisor::SupervisedEngine::maintain_or_recompute)).
     /// The phase counters above then describe the (empty) recovered
     /// round, not the aborted incremental attempt.
     pub recovered: bool,

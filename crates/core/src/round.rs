@@ -3,8 +3,11 @@
 //! Every maintenance engine in the workspace (`IdIvm`, `TupleIvm`,
 //! `Sdbt`) runs the same round — fold the log, open an undo round, run
 //! the engine's diff strategy under fault checkpoints and optional
-//! tracing, commit or roll back, optionally repair by recompute, clear
-//! the log — and differs only in *how it computes and applies diffs*.
+//! tracing, commit or roll back, clear the log — and differs only in
+//! *how it computes and applies diffs*. Repair by recompute after a
+//! rollback is the supervisor's last escalation step and reaches the
+//! protocol through one entry,
+//! [`SupervisedEngine::maintain_or_recompute`](crate::supervisor::SupervisedEngine::maintain_or_recompute).
 //! The [`Engine`] trait states that split: its required methods are the
 //! strategy, its provided methods are the protocol (DESIGN.md §6
 //! "Failure model" is the prose statement). A [`Round`] is what the
@@ -13,7 +16,6 @@
 
 use crate::access::PathId;
 use crate::config::{EngineConfig, EngineKnobs};
-use crate::engine::RecoveryPolicy;
 use crate::faults::FaultState;
 use crate::report::MaintenanceReport;
 use crate::trace::{OpTrace, PhaseTimings, RoundTrace, TracePhase};
@@ -128,8 +130,8 @@ pub trait Engine: EngineConfig {
     ) -> Result<()>;
 
     /// Refresh, by full recompute, exactly the tables this engine
-    /// maintains (the repair step of
-    /// [`RecoveryPolicy::RecomputeOnError`]).
+    /// maintains (the repair step of the supervisor's recompute
+    /// escalation).
     ///
     /// # Errors
     /// Recompute failures.
@@ -145,8 +147,8 @@ pub trait Engine: EngineConfig {
     }
 
     /// Run one deferred maintenance round: fold the modification log,
-    /// maintain, and clear the log once the round committed (or
-    /// recovery repaired) — a failed round leaves it for the retry.
+    /// maintain, and clear the log once the round committed — a failed
+    /// round leaves it for the retry.
     ///
     /// # Errors
     /// As [`Engine::maintain_with_changes`].
@@ -166,23 +168,25 @@ pub trait Engine: EngineConfig {
     /// modification log is untouched (the caller owns it).
     ///
     /// # Errors
-    /// Whatever failed the round, after the rollback — unless the
-    /// recovery policy repaired it.
+    /// Whatever failed the round, after the rollback.
     fn maintain_with_changes(
         &self,
         db: &mut Database,
         net: &Net,
     ) -> Result<MaintenanceReport> {
-        drive(self, db, net, |round, db| self.round_body(round, db, net))
+        drive(self, db, net, false, |round, db| self.round_body(round, db, net))
     }
 }
 
 /// The atomic-round bracket around `body` (an engine's strategy, with
-/// whatever extra context its entry point closed over).
+/// whatever extra context its entry point closed over). With
+/// `recompute`, a failed round this call owns is repaired by full
+/// recompute after the rollback and reported as recovered.
 pub(crate) fn drive<E: Engine + ?Sized>(
     engine: &E,
     db: &mut Database,
     net: &Net,
+    recompute: bool,
     body: impl FnOnce(&mut Round<'_>, &mut Database) -> Result<()>,
 ) -> Result<MaintenanceReport> {
     let owner = db.begin_round();
@@ -197,15 +201,16 @@ pub(crate) fn drive<E: Engine + ?Sized>(
         }
         Err(e) if !owner => {
             // Nested under someone else's round: the owner's abort
-            // (and recovery policy) handles the outcome.
+            // (and any repair) handles the outcome.
             db.end_nested_round();
             Err(e)
         }
         Err(e) => {
             db.abort_round();
-            match engine.knobs().recovery {
-                RecoveryPolicy::Abort => Err(e),
-                RecoveryPolicy::RecomputeOnError => recover(engine, db, &e),
+            if recompute {
+                recover(engine, db, &e)
+            } else {
+                Err(e)
             }
         }
     }

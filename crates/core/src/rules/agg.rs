@@ -28,7 +28,6 @@ use crate::rules::common::{child_path, delete_rows, insert_rows, untouched, upda
 use crate::rules::{IncomingDiff, RuleCtx};
 use idivm_algebra::aggregate::{aggregate_rows, ExtremumDelta, ExtremumOutcome};
 use idivm_algebra::{AggFunc, AggSpec, Plan};
-use idivm_exec::partition::{run_sharded, shard_by, stable_hash_key};
 use idivm_reldb::{NetChange, Table};
 use idivm_types::{Error, Key, Result, Row, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -218,7 +217,7 @@ fn fold_into<G>(
 }
 
 /// The groups in a canonical order: `HashMap` iteration order varies
-/// per process, and the sharded runner needs a serial order to be
+/// per process, and the parallel fan-out needs a serial order to be
 /// compared against.
 fn sorted_groups<G>(groups: HashMap<Key, G>) -> Vec<(Key, G)> {
     let mut entries: Vec<(Key, G)> = groups.into_iter().collect();
@@ -579,17 +578,13 @@ fn general(
     }
     // Recompute each affected group from Input_post (γ(∆ ⋉_Ḡ Input_post)).
     // Groups are independent (one member probe + in-memory aggregation
-    // each), so the recompute loop fans out over hash-sharded group
-    // keys. `affected` iterates in sorted order, and sharding is by
-    // stable hash, so the merged order is canonical for any `P`.
+    // each), so the recompute loop fans out over the group keys, in
+    // their sorted order for any `P`.
     let in_key_cols: Vec<usize> = keys.to_vec();
     let affected: Vec<Key> = affected.into_iter().collect();
-    let shards_n = ctx.parallel.effective_shards(affected.len());
-    let shards = shard_by(affected, shards_n, stable_hash_key);
-    let mut groups: Vec<(Key, Recomputed)> = Vec::new();
-    for shard_out in run_sharded(shards, |_, keys_shard: Vec<Key>| {
-        let mut out = Vec::with_capacity(keys_shard.len());
-        for gk in keys_shard {
+    let groups = ctx.parallel.fan_out(affected, |chunk| {
+        let mut out = Vec::with_capacity(chunk.len());
+        for gk in chunk {
             let members = access::lookup(
                 ctx.access,
                 input,
@@ -613,10 +608,8 @@ fn general(
                 },
             ));
         }
-        Ok::<_, idivm_types::Error>(out)
-    }) {
-        groups.extend(shard_out?);
-    }
+        Ok(out)
+    })?;
     emit_recomputed(ctx, keys, aggs, path, groups)
 }
 
@@ -634,14 +627,12 @@ fn emit_recomputed(
 ) -> Result<Vec<DiffInstance>> {
     let out_table = output_table(ctx, path)?;
     let out_key_cols: Vec<usize> = (0..keys.len()).collect();
-    // Per-group emission (one `Output` probe each) fans out over
-    // hash-sharded groups; shard outputs merge in shard order.
-    let shards_n = ctx.parallel.effective_shards(groups.len());
-    let shards = shard_by(groups, shards_n, |(gk, _)| stable_hash_key(gk));
+    // Per-group emission (one `Output` probe each) fans out over the
+    // groups; chunk outputs merge in group order.
     let mut upd_rows = Vec::new();
     let mut ins_rows = Vec::new();
     let mut del_rows = Vec::new();
-    for shard_out in run_sharded(shards, |_, entries: Vec<(Key, Recomputed)>| {
+    for (del, upd, ins) in ctx.parallel.fan_out(groups, |entries: Vec<(Key, Recomputed)>| {
         let mut del = Vec::new();
         let mut upd = Vec::new();
         let mut ins = Vec::new();
@@ -659,9 +650,8 @@ fn emit_recomputed(
                 }
             }
         }
-        Ok::<_, idivm_types::Error>((del, upd, ins))
-    }) {
-        let (del, upd, ins) = shard_out?;
+        Ok(vec![(del, upd, ins)])
+    })? {
         del_rows.extend(del);
         upd_rows.extend(upd);
         ins_rows.extend(ins);
@@ -685,14 +675,12 @@ fn emit_group_diffs(
     let out_table = output_table(ctx, path)?;
     let out_key_cols: Vec<usize> = (0..keys.len()).collect();
     // Per-group conversion (one or two probes each, no cross-group
-    // state) fans out over hash-sharded groups; shard outputs merge in
-    // shard order.
-    let shards_n = ctx.parallel.effective_shards(groups.len());
-    let shards = shard_by(groups, shards_n, |(gk, _)| stable_hash_key(gk));
+    // state) fans out over the groups; chunk outputs merge in group
+    // order.
     let mut upd_rows = Vec::new();
     let mut ins_rows = Vec::new();
     let mut del_rows = Vec::new();
-    for shard_out in run_sharded(shards, |_, entries: Vec<(Key, GroupDelta)>| {
+    for (del, upd, ins) in ctx.parallel.fan_out(groups, |entries: Vec<(Key, GroupDelta)>| {
         let mut del = Vec::new();
         let mut upd = Vec::new();
         let mut ins = Vec::new();
@@ -729,9 +717,8 @@ fn emit_group_diffs(
                 None => ins.push(gk.0.into_iter().chain(gd.per_agg).collect()),
             }
         }
-        Ok::<_, idivm_types::Error>((del, upd, ins))
-    }) {
-        let (del, upd, ins) = shard_out?;
+        Ok(vec![(del, upd, ins)])
+    })? {
         del_rows.extend(del);
         upd_rows.extend(upd);
         ins_rows.extend(ins);

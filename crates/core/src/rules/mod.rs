@@ -25,9 +25,9 @@ pub mod union;
 
 use crate::access::{AccessCtx, PathId};
 use crate::diff::DiffInstance;
-use crate::faults::FaultState;
+use crate::faults::{FaultSite, FaultState};
 use idivm_algebra::Plan;
-use idivm_exec::partition::{run_sharded, shard_by, stable_hash_row, ParallelConfig};
+use idivm_exec::partition::ParallelConfig;
 use idivm_types::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -61,53 +61,13 @@ impl RuleCtx<'_> {
     /// The armed fault, when the sweep lands on this rescan.
     pub fn on_rescan(&self) -> Result<()> {
         if let Some(f) = self.faults {
-            f.on_operator("rescan")?;
+            f.hit(FaultSite::Operator, "`rescan`")?;
         }
         if let Some(c) = self.rescans {
             c.fetch_add(1, Ordering::Relaxed);
         }
         Ok(())
     }
-}
-
-/// Hash-partition one diff instance by its ID key and run `rule` over
-/// each shard on a scoped worker thread, concatenating shard outputs in
-/// shard order.
-///
-/// Sound exactly for the **per-row** rules (select, project, join,
-/// semijoin-left): they map every diff row to output rows and probes
-/// independently, with no cross-row state, so any row partition
-/// executes the same probes and emits the same rows — only grouped into
-/// per-shard diff instances. The cross-row rules (semijoin right-side
-/// dedup, union tagging, aggregate delta folding) stay serial at this
-/// level.
-fn fan_out<F>(ctx: &RuleCtx<'_>, diff: DiffInstance, rule: F) -> Result<Vec<DiffInstance>>
-where
-    F: Fn(DiffInstance) -> Result<Vec<DiffInstance>> + Sync,
-{
-    let shards_n = ctx.parallel.effective_shards(diff.len());
-    if shards_n <= 1 {
-        return rule(diff);
-    }
-    // Diff rows are laid out `[ids…, pre…, post…]`: the ID key occupies
-    // the leading slots.
-    let id_slots: Vec<usize> = (0..diff.schema.id_cols.len()).collect();
-    let schema = diff.schema;
-    let shards: Vec<DiffInstance> = shard_by(diff.rows, shards_n, |r| {
-        stable_hash_row(r, &id_slots)
-    })
-    .into_iter()
-    .filter(|rows| !rows.is_empty())
-    .map(|rows| DiffInstance {
-        schema: schema.clone(),
-        rows,
-    })
-    .collect();
-    let mut out = Vec::new();
-    for shard_out in run_sharded(shards, |_, d| rule(d)) {
-        out.extend(shard_out?);
-    }
-    Ok(out)
 }
 
 /// A diff arriving at an operator, tagged with the child it came from
@@ -124,6 +84,14 @@ pub struct IncomingDiff {
 /// Non-blocking operators map each incoming diff independently; the
 /// blocking aggregate rules (SUM/COUNT/AVG, Tables 9/11/12) inspect the
 /// whole batch (paper's blocking-operator distinction, Example 4.4).
+///
+/// The **per-row** rules (select, project, join, left-side semi/anti
+/// and outer join) map every diff row to output rows and probes
+/// independently, with no cross-row state, so they run through the
+/// parallel fan-out ([`ParallelConfig::fan_out`]): contiguous row chunks,
+/// outputs in row order. The cross-row rules (right-side semi/anti and
+/// outer-join dedup, union tagging, aggregate delta folding) run on the
+/// whole diff.
 ///
 /// # Errors
 /// Propagates access errors; scans reaching this function are a planner
@@ -144,7 +112,7 @@ pub fn propagate(
         Plan::Select { input, pred } => {
             let mut out = Vec::new();
             for inc in incoming {
-                out.extend(fan_out(ctx, inc.diff, |d| {
+                out.extend(ctx.parallel.fan_out(inc.diff, |d| {
                     select::propagate(ctx, pred, input, path, d)
                 })?);
             }
@@ -153,7 +121,7 @@ pub fn propagate(
         Plan::Project { input, cols } => {
             let mut out = Vec::new();
             for inc in incoming {
-                out.extend(fan_out(ctx, inc.diff, |d| {
+                out.extend(ctx.parallel.fan_out(inc.diff, |d| {
                     project::propagate(ctx, cols, input, path, d)
                 })?);
             }
@@ -168,7 +136,7 @@ pub fn propagate(
             let mut out = Vec::new();
             for inc in incoming {
                 let side = inc.side;
-                out.extend(fan_out(ctx, inc.diff, |d| {
+                out.extend(ctx.parallel.fan_out(inc.diff, |d| {
                     join::propagate(
                         ctx,
                         left,
@@ -205,7 +173,7 @@ pub fn propagate(
                     )
                 };
                 if side == 0 {
-                    out.extend(fan_out(ctx, inc.diff, rule)?);
+                    out.extend(ctx.parallel.fan_out(inc.diff, rule)?);
                 } else {
                     // Right-side diffs dedupe affected left rows across
                     // the whole diff (`matching_left`): cross-row state,
@@ -238,7 +206,7 @@ pub fn propagate(
                     )
                 };
                 if side == 0 {
-                    out.extend(fan_out(ctx, inc.diff, rule)?);
+                    out.extend(ctx.parallel.fan_out(inc.diff, rule)?);
                 } else {
                     // Right-side diffs dedupe affected left rows across
                     // the whole diff (`matching_left`): cross-row state,
@@ -271,7 +239,7 @@ pub fn propagate(
                     )
                 };
                 if side == 0 {
-                    out.extend(fan_out(ctx, inc.diff, rule)?);
+                    out.extend(ctx.parallel.fan_out(inc.diff, rule)?);
                 } else {
                     out.extend(rule(inc.diff)?);
                 }

@@ -289,13 +289,6 @@ pub fn populate(
     out
 }
 
-/// Convenience: the insert-diff layout note — schemas are relative to
-/// the base table's own column order, which matches the scan node's
-/// output order, so instances feed scan nodes positionally unchanged.
-pub fn layout_matches_scan(_schema: &Schema) -> bool {
-    true
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

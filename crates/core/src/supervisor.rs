@@ -21,8 +21,8 @@
 //!    set into a [`QuarantineLog`] while committing the healthy
 //!    remainder.
 //! 4. **Escalate** to full recompute
-//!    ([`RecoveryPolicy::RecomputeOnError`]) when nothing could be
-//!    committed incrementally.
+//!    ([`SupervisedEngine::maintain_or_recompute`]) when nothing could
+//!    be committed incrementally.
 //! 5. **Degrade**: if even the recompute fails, surface a
 //!    [`SupervisorVerdict::Degraded`] verdict (with the modification
 //!    log preserved for manual intervention) instead of panicking.
@@ -42,16 +42,15 @@
 //!
 //! The supervisor borrows the engine mutably for the duration of a
 //! [`MaintenanceSupervisor::run`] and restores the engine's own fault
-//! plan, recovery policy, and budget afterwards: supervision is a
-//! wrapper, not a reconfiguration. With a default-configured supervisor
+//! plan and budget afterwards: supervision is a wrapper, not a
+//! reconfiguration. With a default-configured supervisor
 //! and no armed faults, the driven round is byte-identical to calling
 //! the engine directly (same access counts, same trace).
 
 use crate::config::EngineConfig;
-use crate::engine::RecoveryPolicy;
 use crate::faults::{FaultPlan, RoundBudget};
 use crate::report::MaintenanceReport;
-use crate::round::Engine;
+use crate::round::{drive, Engine};
 use crate::trace::json_escape;
 use idivm_reldb::{Database, Net, NetChange, TableChanges};
 use idivm_types::{Error, Key, Result};
@@ -59,9 +58,8 @@ use std::collections::HashMap;
 
 /// The engine surface the supervisor drives: every [`Engine`] has it
 /// (the blanket impl below), and a scripted test double can implement
-/// just these two methods. The fault, recovery, and budget knobs the
-/// supervisor saves and restores come from the [`EngineConfig`]
-/// supertrait.
+/// just these three methods. The fault and budget knobs the supervisor
+/// saves and restores come from the [`EngineConfig`] supertrait.
 pub trait SupervisedEngine: EngineConfig {
     /// Stable engine label for reports and JSON.
     fn label(&self) -> &'static str;
@@ -74,6 +72,23 @@ pub trait SupervisedEngine: EngineConfig {
     /// Propagation or application failures, injected faults, budget
     /// overruns.
     fn maintain_with_changes(
+        &self,
+        db: &mut Database,
+        net: &Net,
+    ) -> Result<MaintenanceReport>;
+
+    /// [`SupervisedEngine::maintain_with_changes`], except that a failed
+    /// round this call owns is rolled back and then repaired by full
+    /// recompute: the report comes back with
+    /// [`recovered`](MaintenanceReport::recovered) set, the repair's
+    /// cost in [`recovery`](MaintenanceReport::recovery) and the error
+    /// in [`recovery_cause`](MaintenanceReport::recovery_cause). Nested
+    /// under a caller's open round it neither aborts nor recomputes —
+    /// the owner decides. Step 4 of the ladder is its one caller.
+    ///
+    /// # Errors
+    /// A failed nested round, or a failed recompute.
+    fn maintain_or_recompute(
         &self,
         db: &mut Database,
         net: &Net,
@@ -91,6 +106,14 @@ impl<E: Engine + ?Sized> SupervisedEngine for E {
         net: &Net,
     ) -> Result<MaintenanceReport> {
         Engine::maintain_with_changes(self, db, net)
+    }
+
+    fn maintain_or_recompute(
+        &self,
+        db: &mut Database,
+        net: &Net,
+    ) -> Result<MaintenanceReport> {
+        drive(self, db, net, true, |round, db| self.round_body(round, db, net))
     }
 }
 
@@ -163,8 +186,8 @@ pub struct SupervisorConfig {
     /// Split failing batches in half to isolate poison diffs (step 3
     /// of the ladder). When off, a failing batch quarantines whole.
     pub bisect: bool,
-    /// Escalate to [`RecoveryPolicy::RecomputeOnError`] when nothing
-    /// could be committed incrementally (step 4).
+    /// Escalate to full recompute when nothing could be committed
+    /// incrementally (step 4).
     pub recompute_fallback: bool,
     /// Per-round access budget imposed on every driven round
     /// (unlimited by default). Overruns are retryable faults.
@@ -469,7 +492,7 @@ impl SupervisorReport {
 /// Drives an engine's pending modification log to convergence with the
 /// retry → bisect → quarantine → recompute → degrade escalation ladder
 /// (module docs). Borrows the engine for the run and restores its
-/// fault plan, recovery policy, and budget afterwards.
+/// fault plan and budget afterwards.
 pub struct MaintenanceSupervisor<'e, E: SupervisedEngine + ?Sized> {
     engine: &'e mut E,
     config: SupervisorConfig,
@@ -509,16 +532,10 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
         if net.is_empty() {
             return report;
         }
-        // The supervisor owns the ladder: recovery stays `Abort` while
-        // it drives (escalation is *its* decision), the budget is its
-        // config, and the engine's own knobs come back at the end.
-        let saved = (
-            self.engine.faults(),
-            self.engine.recovery(),
-            self.engine.budget(),
-        );
+        // The supervisor owns the ladder: the budget is its config, and
+        // the engine's own knobs come back at the end.
+        let saved = (self.engine.faults(), self.engine.budget());
         let base_plan = saved.0;
-        self.engine.set_recovery(RecoveryPolicy::Abort);
         self.engine.set_budget(self.config.budget);
 
         // Canonical flat batch: deterministic bisection splits for any
@@ -542,8 +559,7 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
             SupervisorVerdict::ConvergedQuarantined
         };
         self.engine.set_faults(saved.0);
-        self.engine.set_recovery(saved.1);
-        self.engine.set_budget(saved.2);
+        self.engine.set_budget(saved.1);
         report
     }
 
@@ -557,14 +573,13 @@ impl<'e, E: SupervisedEngine + ?Sized> MaintenanceSupervisor<'e, E> {
         net: &Net,
         base_plan: FaultPlan,
     ) -> SupervisorVerdict {
-        self.engine.set_recovery(RecoveryPolicy::RecomputeOnError);
         // No budget on the last resort: a recompute bounded tighter
         // than the incremental round would degrade spuriously.
         self.engine.set_budget(RoundBudget::unlimited());
         self.engine.set_faults(base_plan.for_attempt(report.attempts));
         report.attempts += 1;
         let before = db.stats().snapshot();
-        let res = self.engine.maintain_with_changes(db, net);
+        let res = self.engine.maintain_or_recompute(db, net);
         report
             .attempt_costs
             .push(db.stats().snapshot().since(&before).total());
@@ -755,29 +770,30 @@ mod tests {
             let n = *self.attempts.borrow();
             *self.attempts.borrow_mut() = n + 1;
             if n < self.transient_failures {
-                // A recompute repair reads base post-state directly, so
-                // it bypasses the diff-path faults this script models.
-                if self.knobs.recovery == RecoveryPolicy::RecomputeOnError {
-                    return Ok(MaintenanceReport {
-                        recovered: true,
-                        ..MaintenanceReport::default()
-                    });
-                }
                 return Err(Error::Injected("scripted transient".into()));
             }
             let mut keys: Vec<Key> = net.values().flat_map(|c| c.keys().cloned()).collect();
             keys.sort();
             if keys.iter().any(|k| self.poison.contains(k)) {
-                if self.knobs.recovery == RecoveryPolicy::RecomputeOnError {
-                    return Ok(MaintenanceReport {
-                        recovered: true,
-                        ..MaintenanceReport::default()
-                    });
-                }
                 return Err(Error::Poison("scripted poison".into()));
             }
             self.committed.borrow_mut().push(keys);
             Ok(MaintenanceReport::default())
+        }
+
+        /// A recompute repair reads base post-state directly, so it
+        /// bypasses the diff-path faults this script models.
+        fn maintain_or_recompute(
+            &self,
+            db: &mut Database,
+            net: &Net,
+        ) -> Result<MaintenanceReport> {
+            self.maintain_with_changes(db, net).or_else(|_| {
+                Ok(MaintenanceReport {
+                    recovered: true,
+                    ..MaintenanceReport::default()
+                })
+            })
         }
     }
 
@@ -893,8 +909,8 @@ mod tests {
         );
         // ...and the ladder skipped bisection: straight to quarantine,
         // then (nothing committed) the recompute escalation. The
-        // scripted engine recomputes successfully under
-        // RecomputeOnError, so the run ends Recomputed, not Degraded.
+        // scripted engine's recompute succeeds, so the run ends
+        // Recomputed, not Degraded.
         assert_eq!(r.verdict, SupervisorVerdict::Recomputed);
         assert!(r
             .bisection
@@ -967,8 +983,6 @@ mod tests {
         assert_eq!(r.committed_changes, 0);
         assert_eq!(r.quarantine.len(), 4);
         assert!(db.log().is_empty(), "log cleared after recompute repair");
-        // Engine knobs restored.
-        assert_eq!(e.knobs.recovery, RecoveryPolicy::Abort);
     }
 
     #[test]
@@ -994,6 +1008,13 @@ mod tests {
                 _net: &Net,
             ) -> Result<MaintenanceReport> {
                 Err(Error::Internal("scripted catastrophe".into()))
+            }
+            fn maintain_or_recompute(
+                &self,
+                db: &mut Database,
+                net: &Net,
+            ) -> Result<MaintenanceReport> {
+                self.maintain_with_changes(db, net)
             }
         }
         let mut db = seeded_db(4);

@@ -16,9 +16,9 @@
 //! [`OpTrace::accesses`] over a phase equals the corresponding
 //! [`MaintenanceReport`](crate::report::MaintenanceReport) phase total,
 //! bit-identical for any `ParallelConfig` thread count (the bottom-up
-//! walk is serial; worker threads join inside each rule, and
-//! `AccessStats` sums shards exactly — see
-//! `idivm_exec::partition::run_sharded`).
+//! walk is serial; worker threads join inside each rule and add into
+//! the same two `AccessStats` counters — see
+//! `idivm_exec::ParallelConfig::fan_out`).
 
 use crate::access::PathId;
 use idivm_algebra::Plan;

@@ -1,7 +1,7 @@
 //! Parameter extraction: confront the analytic model with measured
 //! maintenance rounds.
 
-use crate::{AggModel, SpjModel};
+use crate::SpjModel;
 
 /// Counters of one measured round per engine, in the paper's cost unit.
 #[derive(Debug, Clone, Copy, Default)]
@@ -49,17 +49,6 @@ impl ObservedParams {
         SpjModel {
             a: self.a(),
             p: self.p(),
-        }
-    }
-
-    /// The aggregate model instantiated from the observation (`g`
-    /// supplied by the caller, who knows the grouping; `k` likewise).
-    pub fn agg_model(&self, g: f64, k: f64) -> AggModel {
-        AggModel {
-            a: self.a(),
-            p: self.p(),
-            g,
-            k,
         }
     }
 

@@ -39,13 +39,14 @@
 
 use crate::codec::{self, Encode, Reader};
 use idivm_algebra::Plan;
-use idivm_core::FaultState;
+use idivm_core::{FaultSite, FaultState};
 use idivm_ingest::{DeadLetter, IngestPipeline, IngestTotals};
 use idivm_reldb::{Net, Table};
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy};
-use idivm_types::{Error, Result, Row, Schema};
+use idivm_types::{Error, Fnv1a, Result, Row, Schema};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
+use std::hash::Hasher;
 use std::io::{Read as _, Write as _};
 use std::path::Path;
 use std::sync::Arc;
@@ -335,11 +336,11 @@ impl Checkpoint {
         self.encode_head(sections.len(), &mut front);
         let mut back = Vec::new();
         self.encode_tail(&mut back);
-        let sum = sections
-            .iter()
-            .map(|s| &s[..])
-            .chain([back.as_slice()])
-            .fold(codec::fnv1a(&front[body_at..]), codec::fnv1a_more);
+        let mut sum = Fnv1a::default();
+        sum.write(&front[body_at..]);
+        sections.iter().for_each(|s| sum.write(s));
+        sum.write(&back);
+        let sum = sum.finish();
         front[CHECKPOINT_MAGIC.len()..body_at].copy_from_slice(&sum.to_le_bytes());
         Image {
             front,
@@ -368,7 +369,7 @@ impl Checkpoint {
             return Err(Error::Corrupt("checkpoint magic mismatch".into()));
         }
         let sum: u64 = r.read()?;
-        if codec::fnv1a(r.rest()) != sum {
+        if Fnv1a::digest(r.rest()) != sum {
             return Err(Error::Corrupt("checkpoint checksum mismatch".into()));
         }
         codec::from_bytes(r.rest())
@@ -457,7 +458,7 @@ pub(crate) fn publish(
             .map_err(|e| io_err("tmp create", &e))
     };
 
-    if let Err(fault) = faults.on_checkpoint(last_lsn) {
+    if let Err(fault) = faults.hit(FaultSite::Checkpoint, format_args!("last lsn {last_lsn}")) {
         let mut tear = (faults
             .seed()
             .wrapping_mul(0x9e37_79b9_7f4a_7c15)
@@ -593,7 +594,7 @@ mod tests {
         // tmp must not shadow the published snapshot.
         let mut newer = sample();
         newer.last_lsn = 99;
-        let armed = FaultState::new(FaultPlan::at_checkpoint(0, 424242));
+        let armed = FaultState::new(FaultPlan::at(FaultSite::Checkpoint, 0, 424242));
         assert!(matches!(
             newer.write(&dir, &armed),
             Err(Error::Injected(_))

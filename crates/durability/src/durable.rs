@@ -306,7 +306,7 @@ impl Durable {
             ckpt.last_lsn,
             if scan.torn { ", torn tail truncated" } else { "" }
         );
-        sched.set_recovery_note(Some(note));
+        sched.set_recovered_from(Some(note));
 
         let wal = if log_end.is_some_and(|end| end < ckpt.last_lsn) {
             // The log stops short of the checkpoint: it was published
@@ -662,7 +662,7 @@ impl Durable {
     /// Provenance of the last recovery (`None` for a fresh store):
     /// e.g. `"checkpoint (lsn 12) + 3 wal record(s)"`.
     pub fn recovered_from(&self) -> Option<&str> {
-        self.sched.recovery_note()
+        self.sched.recovered_from()
     }
 
     /// The store directory.

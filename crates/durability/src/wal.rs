@@ -37,11 +37,11 @@
 //! checkpoint, by renaming a file of the newer records over it.
 
 use crate::codec::{self, Encode, Reader};
-use idivm_core::FaultState;
+use idivm_core::{FaultSite, FaultState};
 use idivm_ingest::{DeadLetter, IngestTotals};
 use idivm_reldb::Net;
 use idivm_sched::RefreshPolicy;
-use idivm_types::{Error, Result};
+use idivm_types::{Error, Fnv1a, Result};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
@@ -299,7 +299,7 @@ impl Wal {
             let Ok(payload) = r.take(len as usize) else {
                 return torn(records);
             };
-            if codec::fnv1a(payload) != sum {
+            if Fnv1a::digest(payload) != sum {
                 if r.is_empty() {
                     // Checksum failure on the very last record: the
                     // append was cut mid-flight. Torn.
@@ -347,7 +347,7 @@ impl Wal {
         self.frame.clear();
         codec::frame(&mut self.frame, |out| (lsn, record).encode(out));
 
-        if let Err(fault) = self.faults.on_wal_append(lsn) {
+        if let Err(fault) = self.faults.hit(FaultSite::WalAppend, format_args!("lsn {lsn}")) {
             // Simulated kill mid-append: leave a deterministic torn
             // prefix. The prefix length is seed-derived so a sweep
             // explores header-only, mid-payload, and zero-byte tears.
@@ -384,7 +384,7 @@ impl Wal {
     /// # Errors
     /// The injected fault, or [`Error::Internal`] on I/O failure.
     pub fn fsync(&mut self) -> Result<()> {
-        if let Err(fault) = self.faults.on_wal_fsync() {
+        if let Err(fault) = self.faults.hit(FaultSite::WalFsync, "") {
             self.file
                 .set_len(self.synced_len)
                 .map_err(|e| io_err("drop unsynced tail", &e))?;
@@ -565,7 +565,7 @@ mod tests {
         let dir = std::env::temp_dir().join("idivm_wal_fault");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
-        let faults = Arc::new(FaultState::new(FaultPlan::at_wal_append(2, 2015)));
+        let faults = Arc::new(FaultState::new(FaultPlan::at(FaultSite::WalAppend, 2, 2015)));
         let mut wal = Wal::create(&path, 1, faults).unwrap();
         wal.append(&sample_round(0)).unwrap();
         wal.append(&sample_round(1)).unwrap();
@@ -587,7 +587,7 @@ mod tests {
         let dir = std::env::temp_dir().join("idivm_wal_fsync");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.log");
-        let faults = Arc::new(FaultState::new(FaultPlan::at_wal_fsync(1, 7)));
+        let faults = Arc::new(FaultState::new(FaultPlan::at(FaultSite::WalFsync, 1, 7)));
         let mut wal = Wal::create(&path, 1, faults).unwrap();
         wal.append(&sample_round(0)).unwrap();
         wal.fsync().unwrap(); // fsync 0: survives
@@ -687,7 +687,7 @@ mod tests {
         let len = u32::from_le_bytes(bytes[third_at..third_at + 4].try_into().unwrap()) as usize;
         let payload = third_at + FRAME..third_at + FRAME + len;
         bytes[payload.start + 9] = 0x7f;
-        let sum = codec::fnv1a(&bytes[payload.clone()]);
+        let sum = Fnv1a::digest(&bytes[payload.clone()]);
         bytes[third_at + 4..payload.start].copy_from_slice(&sum.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         match Wal::scan(&path) {

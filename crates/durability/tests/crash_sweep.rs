@@ -31,7 +31,7 @@
 mod common;
 
 use common::{armed, fresh_dir, mv_policy, reopen, suite, sweep_seeds, Sig};
-use idivm_core::{FaultPlan, FaultState, IvmOptions};
+use idivm_core::{FaultPlan, FaultSite, FaultState, IvmOptions};
 use idivm_durability::{Durable, DurabilityConfig, DurabilityPolicy, WAL_FILE};
 use idivm_sched::SchedulerConfig;
 use idivm_types::Error;
@@ -192,21 +192,21 @@ fn sweep_site(site: &str, plan_for: impl Fn(u64, u64) -> FaultPlan, start_k: u64
 /// of the record may land on disk).
 #[test]
 fn kill_at_every_wal_append() {
-    sweep_site("wal_append", FaultPlan::at_wal_append, 0);
+    sweep_site("wal_append", |k, s| FaultPlan::at(FaultSite::WalAppend, k, s), 0);
 }
 
 /// Kill at every WAL fsync (appended bytes buffered but never made
 /// durable; recovery sees the log truncated to the last synced offset).
 #[test]
 fn kill_at_every_wal_fsync() {
-    sweep_site("wal_fsync", FaultPlan::at_wal_fsync, 0);
+    sweep_site("wal_fsync", |k, s| FaultPlan::at(FaultSite::WalFsync, k, s), 0);
 }
 
 /// Kill before every checkpoint rename (k = 0 is the store-creation
 /// checkpoint, covered by its own test below).
 #[test]
 fn kill_at_every_checkpoint() {
-    sweep_site("checkpoint", FaultPlan::at_checkpoint, 1);
+    sweep_site("checkpoint", |k, s| FaultPlan::at(FaultSite::Checkpoint, k, s), 1);
 }
 
 /// A kill during the store-creation checkpoint leaves a directory with
@@ -215,7 +215,7 @@ fn kill_at_every_checkpoint() {
 #[test]
 fn kill_during_create_leaves_unopenable_store() {
     let dir = fresh_dir("create_kill");
-    let faults = armed(FaultPlan::at_checkpoint(0, 2015));
+    let faults = armed(FaultPlan::at(FaultSite::Checkpoint, 0, 2015));
     let err = Durable::create(
         &dir,
         common::tiny_db(),
@@ -244,7 +244,7 @@ fn every_n_rounds_fsync_kill_recovers_to_acknowledged_state() {
     // The five registration DDLs fsync unconditionally (k = 0..=4);
     // k = 5 is the first batched round fsync, covering rounds 1–3.
     let dir = fresh_dir("everyn_kill");
-    let faults = armed(FaultPlan::at_wal_fsync(5, 2015));
+    let faults = armed(FaultPlan::at(FaultSite::WalFsync, 5, 2015));
     let run = run_scenario(&dir, dcfg, Arc::clone(&faults));
     assert!(!run.completed);
     let recovered = reopen(&dir, dcfg).unwrap();
@@ -264,7 +264,7 @@ fn every_n_rounds_fsync_kill_recovers_to_acknowledged_state() {
 /// sweeps of the same scenario recover to identical signatures.
 #[test]
 fn killed_runs_are_reproducible() {
-    let plan = FaultPlan::at_wal_append(8, 424242);
+    let plan = FaultPlan::at(FaultSite::WalAppend, 8, 424242);
     let mut sigs: Vec<Sig> = Vec::new();
     for _ in 0..2 {
         let dir = fresh_dir("repro_kill");
@@ -293,7 +293,8 @@ fn killed_runs_are_reproducible() {
 fn checkpoint_kill_surfaces_at_the_next_join_point_and_loses_nothing() {
     for seed in sweep_seeds() {
         let dir = fresh_dir("late_ckpt_kill");
-        let run = run_scenario(&dir, sweep_cfg(), armed(FaultPlan::at_checkpoint(1, seed)));
+        let plan = FaultPlan::at(FaultSite::Checkpoint, 1, seed);
+        let run = run_scenario(&dir, sweep_cfg(), armed(plan));
         assert!(!run.completed);
         // create + 5 registrations + ticks 1..=3 were acknowledged.
         assert_eq!(run.acks.len(), 9, "seed {seed}: the kill surfaced at another call");
@@ -316,8 +317,8 @@ fn checkpoint_kill_surfaces_at_the_next_join_point_and_loses_nothing() {
 fn wal_kill_with_a_checkpoint_in_flight_recovers_the_last_acknowledged_round() {
     type PlanFor = fn(u64, u64) -> FaultPlan;
     let sites: [(&str, PlanFor); 2] = [
-        ("append", FaultPlan::at_wal_append),
-        ("fsync", FaultPlan::at_wal_fsync),
+        ("append", |k, s| FaultPlan::at(FaultSite::WalAppend, k, s)),
+        ("fsync", |k, s| FaultPlan::at(FaultSite::WalFsync, k, s)),
     ];
     for (site, plan_for) in sites {
         for seed in sweep_seeds() {
@@ -417,7 +418,7 @@ fn checkpoint_ahead_of_a_log_that_lost_its_tail() {
     // Ticks 1 and 2 are appended unsynced; checkpoint 1 captures LSN 7;
     // tick 3 brings the batched fsync (the sixth: five DDL ones before
     // it), which dies and takes LSNs 6..=8 with it.
-    let run = run_scenario(&dir, dcfg, armed(FaultPlan::at_wal_fsync(5, 2015)));
+    let run = run_scenario(&dir, dcfg, armed(FaultPlan::at(FaultSite::WalFsync, 5, 2015)));
     assert!(!run.completed);
     assert_eq!(run.acks.len(), 8);
 

@@ -10,7 +10,7 @@
 mod common;
 
 use common::{armed, fresh_dir, no_faults, tiny_db, tiny_plan};
-use idivm_core::{FaultPlan, IvmOptions};
+use idivm_core::{FaultPlan, FaultSite, IvmOptions};
 use idivm_durability::{Durable, DurabilityConfig, DurabilityPolicy};
 use idivm_ingest::{
     BatchPolicy, ChangeEvent, ChangeOp, DeadLetterCause, OverflowPolicy, PipelineConfig,
@@ -85,7 +85,7 @@ fn ingest_store(dir: &Path, faults: Arc<idivm_core::FaultState>) -> Durable {
 fn journaled_cuts_keep_exactly_once_across_restart() {
     let dir = fresh_dir("ingest");
     // Appends: register = 0, cut 1 = 1, cut 2 = 2, cut 3 = 3 (killed).
-    let mut store = ingest_store(&dir, armed(FaultPlan::at_wal_append(3, 2015)));
+    let mut store = ingest_store(&dir, armed(FaultPlan::at(FaultSite::WalAppend, 3, 2015)));
 
     // Cut 1: three good events plus an unknown-table dead letter.
     for s in 1..=3u64 {

@@ -8,7 +8,7 @@
 use idivm_algebra::aggregate::Accumulator;
 use idivm_algebra::{opt_pred, Expr, Plan};
 use idivm_reldb::Database;
-use idivm_types::{Error, Key, Result, Row, Value};
+use idivm_types::{Key, Result, Row, Value};
 use std::collections::HashMap;
 
 /// Evaluate `plan` against `db`, returning the full result.
@@ -305,24 +305,6 @@ pub fn hash_aggregate(
 pub fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort();
     rows
-}
-
-/// Check two row multisets for equality regardless of order.
-pub fn same_rows(a: &[Row], b: &[Row]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    let mut a = a.to_vec();
-    let mut b = b.to_vec();
-    a.sort();
-    b.sort();
-    a == b
-}
-
-/// Error helper for callers needing a specific table to exist.
-pub fn expect_table<'a>(db: &'a Database, name: &str) -> Result<&'a idivm_reldb::Table> {
-    db.table(name)
-        .map_err(|_| Error::NotFound(format!("table `{name}` (required by executor)")))
 }
 
 #[cfg(test)]

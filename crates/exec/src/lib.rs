@@ -24,5 +24,5 @@ pub mod recompute;
 
 pub use catalog::DbCatalog;
 pub use executor::execute;
-pub use partition::{ParallelConfig, MAX_THREADS};
+pub use partition::{Batch, ParallelConfig, MAX_THREADS};
 pub use recompute::{materialize_view, recompute_rows, refresh_view, view_schema};

@@ -1,35 +1,44 @@
-//! Diff-batch partitioning for the parallel maintenance executor.
+//! Parallel fan-out for the maintenance executor.
 //!
 //! The propagation phase of a maintenance round is read-only over the
-//! database: every rule consumes diff rows and *probes* base tables and
-//! caches, mutating nothing until the serial Apply step. That makes it
-//! safe to hash-partition the effective i-diff batch by diff key into
-//! `P` shards, run the unchanged per-row rule logic on `P` scoped
-//! worker threads, and concatenate the shard outputs **in shard order**
-//! before applying.
+//! database: every per-row rule consumes diff rows and *probes* base
+//! tables and caches, mutating nothing until the serial Apply step. So
+//! a batch can be cut into `P` contiguous chunks, the unchanged rule run
+//! on each chunk on a scoped worker thread, and the chunk outputs
+//! concatenated in input order — the serial output, in the serial
+//! order ([`ParallelConfig::fan_out`]). A batch is anything that can be
+//! cut that way ([`Batch`]): a `Vec`, an i-diff instance, a t-diff set.
 //!
-//! Two properties carry the engine's determinism guarantee across the
-//! fan-out:
-//!
-//! 1. **Stable sharding** — [`stable_hash_key`] is a fixed FNV-1a over
-//!    a canonical byte encoding of the key (independent of process,
-//!    thread count, and `HashMap` seeding), so the same diff row lands
-//!    in the same shard on every run.
-//! 2. **Deterministic merge** — [`run_sharded`] returns outputs indexed
-//!    by shard, and callers concatenate shard 0..P in order. Within a
-//!    shard, rows keep their original batch order.
-//!
-//! Access counts are preserved *bit-identically* for any `P`: each diff
-//! row triggers exactly the probes it would trigger serially, and
-//! [`AccessStats`](idivm_reldb::AccessStats) sums per-thread sharded
-//! counters exactly.
+//! Access counts are preserved *bit-identically* for any `P`: each item
+//! triggers exactly the probes it would trigger serially, and the
+//! workers add into the same two counters
+//! ([`AccessStats`](idivm_reldb::AccessStats)).
 
-use idivm_types::{Error, Key, Result, Row, Value};
+use idivm_types::{Error, Result};
 
 /// Upper bound on [`ParallelConfig::threads`]: beyond this a config is
 /// a typo or an attack, not a machine — `std::thread::scope` would try
 /// to spawn them all and die on resource exhaustion.
 pub const MAX_THREADS: usize = 4096;
+
+/// A batch [`ParallelConfig::fan_out`] can cut into contiguous chunks.
+pub trait Batch: Sized {
+    /// Number of items in the batch.
+    fn items(&self) -> usize;
+    /// Split the batch in two at `at`, keeping `[0, at)` and returning
+    /// the rest, like [`Vec::split_off`].
+    fn split_off(&mut self, at: usize) -> Self;
+}
+
+impl<T> Batch for Vec<T> {
+    fn items(&self) -> usize {
+        self.len()
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        Vec::split_off(self, at)
+    }
+}
 
 /// Configuration for partitioned (multi-threaded) delta propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,12 +51,6 @@ pub struct ParallelConfig {
     /// Batches smaller than this stay serial: spawning threads for a
     /// handful of diff rows costs more than it saves.
     pub min_shard_rows: usize,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::serial()
-    }
 }
 
 impl ParallelConfig {
@@ -92,181 +95,111 @@ impl ParallelConfig {
         Ok(())
     }
 
-    /// Number of shards to split a batch of `rows` diff rows into:
-    /// `1` (serial) when parallelism is off or the batch is too small,
-    /// otherwise `threads`.
-    pub fn effective_shards(&self, rows: usize) -> usize {
-        if self.threads <= 1 || rows < self.min_shard_rows.max(2) {
-            1
-        } else {
-            self.threads
+    /// Run `f` over `batch` and return its outputs in input order.
+    ///
+    /// Inline on the caller's thread when `threads == 1` or the batch
+    /// is below `min_shard_rows`. Otherwise the batch is cut into at
+    /// most `threads` contiguous chunks, each runs on a scoped worker,
+    /// and the chunk outputs are concatenated in chunk order. The scope
+    /// joins every worker before this returns, so an
+    /// [`AccessStats`](idivm_reldb::AccessStats) snapshot taken after
+    /// the call is exact — the per-operator trace, which snapshots
+    /// around each rule on the serial plan walk, relies on that.
+    ///
+    /// # Errors
+    /// The first error in input order.
+    pub fn fan_out<B, O, F>(&self, batch: B, f: F) -> Result<Vec<O>>
+    where
+        B: Batch + Send,
+        O: Send,
+        F: Fn(B) -> Result<Vec<O>> + Sync,
+    {
+        let n = batch.items();
+        if self.threads <= 1 || n < self.min_shard_rows.max(2) {
+            return f(batch);
         }
+        // Cut from the back, so each item moves once.
+        let size = n.div_ceil(self.threads);
+        let mut rest = batch;
+        let mut chunks = Vec::with_capacity(self.threads);
+        for at in (size..n).step_by(size).rev() {
+            chunks.push(rest.split_off(at));
+        }
+        chunks.push(rest);
+        let f = &f;
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = chunks
+                .into_iter()
+                .rev()
+                .map(|chunk| scope.spawn(move || f(chunk)))
+                .collect();
+            let mut out = Vec::new();
+            for worker in workers {
+                // A worker panic is not an `Err` we can type: re-raise
+                // it on the coordinating thread instead of unwrapping.
+                out.extend(worker.join().unwrap_or_else(|p| std::panic::resume_unwind(p))?);
+            }
+            Ok(out)
+        })
     }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-#[inline]
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-#[inline]
-fn fnv1a_value(h: u64, v: &Value) -> u64 {
-    // Canonical encoding mirroring `Value`'s Hash impl: Int and Float
-    // encode through the same f64 bit pattern so cross-type-equal
-    // values shard together, exactly as they hash and compare equal.
-    match v {
-        Value::Null => fnv1a(h, &[0]),
-        Value::Bool(b) => fnv1a(fnv1a(h, &[1]), &[u8::from(*b)]),
-        Value::Int(i) => fnv1a(fnv1a(h, &[2]), &(*i as f64).to_bits().to_le_bytes()),
-        Value::Float(f) => fnv1a(fnv1a(h, &[2]), &f.to_bits().to_le_bytes()),
-        Value::Str(s) => fnv1a(fnv1a(h, &[3]), s.as_bytes()),
-    }
-}
-
-/// Process-independent stable hash of a key (FNV-1a over a canonical
-/// byte encoding). The shard a diff row maps to depends only on the
-/// key's value, never on hasher seeding or thread scheduling.
-pub fn stable_hash_key(key: &Key) -> u64 {
-    key.0.iter().fold(FNV_OFFSET, fnv1a_value)
-}
-
-/// [`stable_hash_key`] of `row`'s projection onto `cols`, without
-/// materializing the intermediate `Key`.
-pub fn stable_hash_row(row: &Row, cols: &[usize]) -> u64 {
-    cols.iter()
-        .fold(FNV_OFFSET, |h, &c| fnv1a_value(h, &row[c]))
-}
-
-/// Split `items` into `shards` buckets by `hash(item) % shards`,
-/// preserving each item's relative order within its bucket. With
-/// `shards == 1` this is a single bucket holding the batch verbatim.
-pub fn shard_by<T>(items: Vec<T>, shards: usize, hash: impl Fn(&T) -> u64) -> Vec<Vec<T>> {
-    if shards <= 1 {
-        return vec![items];
-    }
-    let mut out: Vec<Vec<T>> = (0..shards).map(|_| Vec::new()).collect();
-    for item in items {
-        let s = (hash(&item) % shards as u64) as usize;
-        out[s].push(item);
-    }
-    out
-}
-
-/// Run `f` over each shard, returning outputs **in shard order**.
-///
-/// One shard runs inline on the caller's thread (no spawn). With more,
-/// every shard gets a scoped worker thread; the scope joins them all
-/// before returning, so callers observe a fully quiesced world — in
-/// particular, [`AccessStats`](idivm_reldb::AccessStats) snapshots
-/// taken after this call are exact. The per-operator trace layer
-/// (`idivm_core::trace`) leans on exactly this join: the engine's plan
-/// walk stays serial and takes a snapshot before and after each node's
-/// rule, so the delta it attributes to that node already includes every
-/// worker's probes, and traces come out bit-identical for any
-/// [`ParallelConfig::threads`] setting.
-pub fn run_sharded<I, O, F>(shards: Vec<I>, f: F) -> Vec<O>
-where
-    I: Send,
-    O: Send,
-    F: Fn(usize, I) -> O + Sync,
-{
-    if shards.len() <= 1 {
-        return shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| f(i, shard))
-            .collect();
-    }
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| {
-                let f = &f;
-                scope.spawn(move || f(i, shard))
-            })
-            .collect();
-        handles
-            .into_iter()
-            // A worker panic is not an `Err` we can type: re-raise it
-            // on the coordinating thread instead of unwrapping.
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idivm_types::row;
 
-    #[test]
-    fn key_hash_is_stable_and_value_dependent() {
-        let k1 = Key(vec![Value::Int(7), Value::str("a")]);
-        let k2 = Key(vec![Value::Int(7), Value::str("a")]);
-        let k3 = Key(vec![Value::Int(8), Value::str("a")]);
-        assert_eq!(stable_hash_key(&k1), stable_hash_key(&k2));
-        assert_ne!(stable_hash_key(&k1), stable_hash_key(&k3));
+    fn config(threads: usize, min_shard_rows: usize) -> ParallelConfig {
+        ParallelConfig {
+            threads,
+            min_shard_rows,
+        }
+    }
+
+    /// Two outputs per item, so a chunk boundary that lost or reordered
+    /// an item shows in the concatenation.
+    fn twice(chunk: Vec<u64>) -> Result<Vec<u64>> {
+        Ok(chunk.into_iter().flat_map(|x| [x, 10 * x]).collect())
     }
 
     #[test]
-    fn cross_type_equal_values_shard_together() {
-        let i = Key(vec![Value::Int(42)]);
-        let f = Key(vec![Value::Float(42.0)]);
-        assert_eq!(stable_hash_key(&i), stable_hash_key(&f));
-    }
-
-    #[test]
-    fn row_hash_matches_key_hash_of_projection() {
-        let r = row![1, "x", 2.5];
-        let cols = [0usize, 2];
-        assert_eq!(stable_hash_row(&r, &cols), stable_hash_key(&r.key(&cols)));
-    }
-
-    #[test]
-    fn shard_by_partitions_and_preserves_order() {
-        let items: Vec<i64> = (0..100).collect();
-        let shards = shard_by(items.clone(), 4, |&v| v as u64);
-        assert_eq!(shards.len(), 4);
-        let mut merged: Vec<i64> = shards.iter().flatten().copied().collect();
-        merged.sort_unstable();
-        assert_eq!(merged, items);
-        for (s, bucket) in shards.iter().enumerate() {
-            // Same-shard items keep their relative order.
-            assert!(bucket.windows(2).all(|w| w[0] < w[1]));
-            assert!(bucket.iter().all(|&v| (v as u64 % 4) as usize == s));
+    fn fan_out_equals_the_serial_output_in_order() {
+        for p in [1, 2, 3, 4, 8] {
+            for n in [0, 1, p - 1, p, p + 1, 17, 1000] {
+                let items: Vec<u64> = (0..n as u64).collect();
+                let serial = twice(items.clone()).unwrap();
+                for min in [1, 2, 16] {
+                    let got = config(p, min).fan_out(items.clone(), twice).unwrap();
+                    assert_eq!(got, serial, "P={p} n={n} min_shard_rows={min}");
+                }
+            }
         }
     }
 
     #[test]
-    fn single_shard_passes_through() {
-        let shards = shard_by(vec![3, 1, 2], 1, |&v: &i64| v as u64);
-        assert_eq!(shards, vec![vec![3, 1, 2]]);
+    fn fan_out_returns_the_first_error_in_input_order() {
+        let items: Vec<u64> = (0..100).collect();
+        for p in [1, 2, 4, 8] {
+            let err = config(p, 1)
+                .fan_out(items.clone(), |chunk| match chunk.iter().find(|&&x| x % 30 == 29) {
+                    Some(x) => Err(Error::Internal(format!("bad {x}"))),
+                    None => twice(chunk),
+                })
+                .unwrap_err();
+            assert_eq!(err.to_string(), Error::Internal("bad 29".into()).to_string());
+        }
     }
 
     #[test]
-    fn run_sharded_outputs_in_shard_order() {
-        let shards: Vec<Vec<i64>> = vec![vec![1, 2], vec![3], vec![], vec![4, 5]];
-        let sums = run_sharded(shards, |i, shard: Vec<i64>| {
-            (i, shard.iter().sum::<i64>())
-        });
-        assert_eq!(sums, vec![(0, 3), (1, 3), (2, 0), (3, 9)]);
-    }
-
-    #[test]
-    fn effective_shards_gates_on_threads_and_size() {
-        let serial = ParallelConfig::serial();
-        assert_eq!(serial.effective_shards(1_000), 1);
-        let p4 = ParallelConfig::with_threads(4);
-        assert_eq!(p4.effective_shards(1_000), 4);
-        assert_eq!(p4.effective_shards(3), 1); // below min_shard_rows
+    fn below_the_threshold_f_runs_on_the_callers_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |chunk: Vec<u64>| Ok(vec![(chunk.len(), std::thread::current().id())]);
+        for (p, min, n) in [(1, 1, 100), (4, 16, 15), (4, 1, 1), (4, 2, 0)] {
+            let ran = config(p, min).fan_out((0..n).collect(), on_caller).unwrap();
+            assert_eq!(ran, vec![(n as usize, caller)], "P={p} min={min} n={n}");
+        }
+        let ran = config(4, 16).fan_out((0..16).collect(), on_caller).unwrap();
+        assert_eq!(ran.len(), 4);
+        assert!(ran.iter().all(|&(len, id)| len == 4 && id != caller));
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use crate::event::{ChangeEvent, ChangeOp};
 use idivm_core::json_escape;
-use idivm_types::Row;
+use idivm_types::{Fnv1a, Row};
 
 /// Why an event was dead-lettered. Labels are stable; details carry
 /// only values derived deterministically from the event and the
@@ -243,12 +243,7 @@ impl DeadLetterQueue {
     /// FNV-1a digest of [`DeadLetterQueue::to_json`] — a cheap
     /// byte-identity fingerprint for reports.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in self.to_json().as_bytes() {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        h
+        Fnv1a::digest(self.to_json().as_bytes())
     }
 }
 

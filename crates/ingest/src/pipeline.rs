@@ -29,7 +29,7 @@ use crate::batcher::{BatchPolicy, CutCause, MicroBatcher};
 use crate::dlq::{DeadLetter, DeadLetterCause, DeadLetterQueue};
 use crate::event::{ChangeEvent, ChangeOp, RawEvent};
 use crate::queue::{EventQueue, QueueConfig, SendOutcome};
-use idivm_core::{FaultState, IngestTrace};
+use idivm_core::{FaultSite, FaultState, IngestTrace};
 use idivm_reldb::{Database, Net};
 use idivm_sched::{MaintenanceScheduler, RoundSummary};
 use idivm_types::{ColumnType, Error, Result, Row, Schema, Value};
@@ -206,12 +206,6 @@ impl IngestPipeline {
         Ok(outcome)
     }
 
-    /// Account (for age tracking) an event that a *threaded* producer
-    /// pushed through [`EventQueue::send`] directly.
-    pub fn note_threaded_enqueue(&mut self, now: u64) {
-        self.batcher.note_enqueued(now);
-    }
-
     /// Consult the batcher; cut and tick if it says so.
     ///
     /// # Errors
@@ -262,7 +256,8 @@ impl IngestPipeline {
         sched: &mut MaintenanceScheduler,
     ) -> Result<IngestOutcome> {
         let depth_at_cut = self.queue.depth();
-        self.faults.on_batch_cut(depth_at_cut)?;
+        self.faults
+            .hit(FaultSite::BatchCut, format_args!("{depth_at_cut} events pending"))?;
         let events = self.queue.drain_all();
         let log_mark = sched.db().log().len();
         let dlq_mark = self.dlq.len();
@@ -277,7 +272,7 @@ impl IngestPipeline {
         let mut dead = 0u64;
         let mut failed: Option<Error> = None;
         for raw in &events {
-            if let Err(e) = self.faults.on_decode() {
+            if let Err(e) = self.faults.hit(FaultSite::Decode, "") {
                 failed = Some(e);
                 break;
             }

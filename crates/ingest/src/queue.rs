@@ -18,13 +18,12 @@
 //! as overload (see
 //! [`MicroBatcher::decide`](crate::batcher::MicroBatcher::decide)).
 //!
-//! The armed [`FaultState`] hook
-//! [`on_enqueue`](FaultState::on_enqueue) fires **before** the event
-//! is buffered, so on `Err` the producer still owns the event and can
-//! retry it — the CI fault sweep relies on that.
+//! The armed [`FaultState`]'s [`FaultSite::Enqueue`] hook fires
+//! **before** the event is buffered, so on `Err` the producer still
+//! owns the event and can retry it — the CI fault sweep relies on that.
 
 use crate::event::RawEvent;
-use idivm_core::FaultState;
+use idivm_core::{FaultSite, FaultState};
 use idivm_types::{Error, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -195,7 +194,7 @@ impl EventQueue {
     /// An armed [`FaultSite::Enqueue`](idivm_core::FaultSite) fault;
     /// the caller still owns the event and may retry it.
     pub fn try_send(&self, ev: &RawEvent) -> Result<SendOutcome> {
-        self.faults.on_enqueue()?;
+        self.faults.hit(FaultSite::Enqueue, "")?;
         let mut buf = match self.inner.buf.lock() {
             Ok(b) => b,
             Err(poisoned) => poisoned.into_inner(),
@@ -227,7 +226,7 @@ impl EventQueue {
     /// [`Error::Config`] if the queue stayed full past `patience`
     /// (deadlock guard — the consumer is gone).
     pub fn send(&self, ev: &RawEvent, patience: Duration) -> Result<SendOutcome> {
-        self.faults.on_enqueue()?;
+        self.faults.hit(FaultSite::Enqueue, "")?;
         let mut buf = match self.inner.buf.lock() {
             Ok(b) => b,
             Err(poisoned) => poisoned.into_inner(),
@@ -357,7 +356,7 @@ mod tests {
 
     #[test]
     fn enqueue_fault_fires_before_buffering() {
-        let faults = Arc::new(FaultState::new(FaultPlan::at_enqueue(1, 7)));
+        let faults = Arc::new(FaultState::new(FaultPlan::at(FaultSite::Enqueue, 1, 7)));
         let q = EventQueue::new(
             QueueConfig::with_capacity(8, OverflowPolicy::Block),
             faults,

@@ -15,22 +15,17 @@
 
 use crate::event::{ChangeEvent, ChangeOp, RawEvent};
 use idivm_reldb::{Database, LogEntry};
-use idivm_types::{Key, Result, Value};
+use idivm_types::{Fnv1a, Key, Result, Value};
+use std::hash::Hasher;
 
 /// FNV-1a over the table name and canonical key rendering — stable
 /// across runs, processes, and thread counts.
 fn route_hash(table: &str, key: &Key) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for b in bytes {
-            h ^= u64::from(*b);
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    };
-    eat(table.as_bytes());
-    eat(&[0]);
-    eat(format!("{key:?}").as_bytes());
-    h
+    let mut h = Fnv1a::default();
+    h.write(table.as_bytes());
+    h.write(&[0]);
+    h.write(format!("{key:?}").as_bytes());
+    h.finish()
 }
 
 /// Split logged DML into `producers` wire streams by stable key hash,

@@ -31,7 +31,7 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use idivm_types::{Key, Row};
+use idivm_types::{Fnv1a, Key, Row};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
@@ -123,7 +123,7 @@ impl SharedChanges {
     /// Computed on first use and remembered on the shared allocation.
     pub fn digest(&self) -> u64 {
         *self.0.digest.get_or_init(|| {
-            let mut h = FNV1A;
+            let mut h = Fnv1a::default();
             let mut items: Vec<(&Key, &NetChange)> = self.iter().collect();
             items.sort_unstable_by_key(|(k, _)| *k);
             for item in items {
@@ -162,7 +162,7 @@ impl PartialEq for SharedChanges {
 /// Digest of `net` restricted to `tables` (given sorted): each present
 /// table's name and [`SharedChanges::digest`].
 pub fn net_digest(net: &Net, tables: &[String]) -> u64 {
-    let mut h = FNV1A;
+    let mut h = Fnv1a::default();
     for t in tables {
         if let Some(changes) = net.get(t) {
             t.hash(&mut h);
@@ -170,25 +170,6 @@ pub fn net_digest(net: &Net, tables: &[String]) -> u64 {
         }
     }
     h.finish()
-}
-
-/// FNV-1a as a [`Hasher`]: unkeyed, so a digest repeats across
-/// processes and runs (the default `SipHash` state is per-map random).
-struct Fnv1a(u64);
-
-const FNV1A: Fnv1a = Fnv1a(0xcbf2_9ce4_8422_2325);
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 ^= u64::from(*b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
 }
 
 /// An append-only log of base-table modifications.

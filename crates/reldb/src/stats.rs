@@ -6,50 +6,27 @@
 //! plus `m` tuple accesses). [`AccessStats`] counts exactly those two
 //! quantities; the executor and DML layer report every data touch here.
 //!
-//! The counters are **sharded atomics**: each thread increments its own
-//! cache-line-padded shard (relaxed ordering — these are statistics, not
-//! synchronization), and `snapshot` sums across shards. That makes
-//! `AccessStats` — and therefore `Database` — `Send + Sync`, so the
-//! partitioned maintenance executor can probe tables from scoped worker
-//! threads, while totals stay *exact*: every increment lands in exactly
-//! one shard, so the sum is bit-identical to a single global counter no
-//! matter how work is distributed over threads.
+//! The two counters are relaxed atomics behind one `Arc` (statistics,
+//! not synchronization), so `AccessStats` — and therefore `Database` —
+//! is `Send + Sync` and the parallel fan-out's workers can probe tables
+//! from scoped threads. Totals stay *exact*: every increment lands in
+//! the one counter, whichever thread makes it.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Number of counter shards. More than the worker counts we fan out to;
-/// collisions only cost a little cache-line bouncing, never accuracy.
-const SHARDS: usize = 16;
-
-/// One cache-line-padded pair of counters.
 #[derive(Default)]
-#[repr(align(64))]
-struct Shard {
+struct Counters {
     tuple_accesses: AtomicU64,
     index_lookups: AtomicU64,
-}
-
-#[derive(Default)]
-struct Inner {
-    shards: [Shard; SHARDS],
-}
-
-/// Round-robin shard assignment for threads. A thread keeps its slot for
-/// its lifetime, so two threads only contend when they hash to the same
-/// slot.
-static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    static MY_SLOT: usize = NEXT_SLOT.fetch_add(1, Ordering::Relaxed) % SHARDS;
 }
 
 /// Shared access counters. Cloning shares the underlying counters
 /// (`Arc`-based; increments from any thread are summed exactly).
 #[derive(Clone, Default)]
 pub struct AccessStats {
-    inner: Arc<Inner>,
+    inner: Arc<Counters>,
 }
 
 /// A point-in-time copy of the counters, used to compute deltas around a
@@ -89,49 +66,33 @@ impl AccessStats {
         Self::default()
     }
 
-    #[inline]
-    fn shard(&self) -> &Shard {
-        &self.inner.shards[MY_SLOT.with(|s| *s)]
-    }
-
     /// Record `n` tuple accesses.
     #[inline]
     pub fn tuples(&self, n: u64) {
-        self.shard().tuple_accesses.fetch_add(n, Ordering::Relaxed);
+        self.inner.tuple_accesses.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Record one index lookup.
     #[inline]
     pub fn index_lookup(&self) {
-        self.shard().index_lookups.fetch_add(1, Ordering::Relaxed);
+        self.inner.index_lookups.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Current counter values (sum over all shards). Exact when no
-    /// other thread is concurrently incrementing — which holds at every
-    /// point the engine snapshots: worker threads are always joined
-    /// before phase boundaries.
+    /// Current counter values. Exact when no other thread is
+    /// concurrently incrementing — which holds at every point the
+    /// engine snapshots: worker threads are always joined before phase
+    /// boundaries.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        for shard in &self.inner.shards {
-            snap.tuple_accesses += shard.tuple_accesses.load(Ordering::Relaxed);
-            snap.index_lookups += shard.index_lookups.load(Ordering::Relaxed);
+        StatsSnapshot {
+            tuple_accesses: self.inner.tuple_accesses.load(Ordering::Relaxed),
+            index_lookups: self.inner.index_lookups.load(Ordering::Relaxed),
         }
-        snap
     }
 
     /// Reset both counters to zero.
     pub fn reset(&self) {
-        for shard in &self.inner.shards {
-            shard.tuple_accesses.store(0, Ordering::Relaxed);
-            shard.index_lookups.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Measure the counter delta produced by `f`.
-    pub fn measure<T>(&self, f: impl FnOnce() -> T) -> (T, StatsSnapshot) {
-        let before = self.snapshot();
-        let out = f();
-        (out, self.snapshot().since(&before))
+        self.inner.tuple_accesses.store(0, Ordering::Relaxed);
+        self.inner.index_lookups.store(0, Ordering::Relaxed);
     }
 }
 
@@ -172,20 +133,6 @@ mod tests {
         assert_eq!(snap.tuple_accesses, 3);
         assert_eq!(snap.index_lookups, 1);
         assert_eq!(snap.total(), 4);
-    }
-
-    #[test]
-    fn measure_isolates_delta() {
-        let s = AccessStats::new();
-        s.tuples(10);
-        let (val, delta) = s.measure(|| {
-            s.tuples(2);
-            s.index_lookup();
-            42
-        });
-        assert_eq!(val, 42);
-        assert_eq!(delta.tuple_accesses, 2);
-        assert_eq!(delta.index_lookups, 1);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use idivm_algebra::{ensure_ids, Plan};
 use idivm_core::supervisor::{MaintenanceSupervisor, SupervisorConfig, SupervisorReport};
 use idivm_core::{
     detect_shared_prefixes, promotion_candidates, substitute_scan, substitute_structures,
-    EngineConfig, IdIvm, IvmOptions, MaintenanceReport, PromotionCandidate, RecoveryPolicy,
-    SharedDiffCache, SharedPrefixes,
+    IdIvm, IvmOptions, MaintenanceReport, PromotionCandidate, SharedDiffCache,
+    SharedPrefixes,
 };
 use idivm_reldb::{table_delta, Database, Net, SharedChanges, Table, TableChanges, TableSignature};
 use idivm_types::{Error, Result, Row};
@@ -510,10 +510,8 @@ impl ViewCatalog {
     ///
     /// Returns the report plus the **Δ of the node's table** — for a
     /// backing, the net changes consumers must compose into their
-    /// pendings under the backing table's name. The Δ comes straight
-    /// from the round's [`MaintenanceReport::view_changes`]; after a
-    /// backing's recompute recovery (which rewrites the table
-    /// wholesale) it falls back to a snapshot diff.
+    /// pendings under the backing table's name — straight from the
+    /// round's [`MaintenanceReport::view_changes`].
     ///
     /// # Errors
     /// Unknown name, or any maintenance failure (the round has been
@@ -526,14 +524,6 @@ impl ViewCatalog {
         cache: Option<&mut SharedDiffCache>,
     ) -> Result<(MaintenanceReport, SharedChanges)> {
         let node = self.nodes.get(name).ok_or_else(|| missing(name, None))?;
-        // Only a recompute recovery rewrites a table without reporting
-        // a Δ, only an engine set to recover can do one, and only a
-        // backing's Δ has readers: under the default `Abort`, and for
-        // any view, no pre-image is taken at all.
-        let pre_rows = match (node.backing(), node.engine.recovery()) {
-            (Some(_), RecoveryPolicy::RecomputeOnError) => Some(self.read(name)?.0),
-            _ => None,
-        };
         let pre = self.db.table(name)?.version();
         let report = match cache {
             Some(cache) => node.engine.maintain_with_changes_shared(
@@ -545,10 +535,7 @@ impl ViewCatalog {
             None => node.engine.maintain_with_changes(&mut self.db, net)?,
         };
         node.advance_snapshot(self.db.table(name).ok(), pre, &report);
-        let delta = match pre_rows {
-            Some(pre_rows) if report.recovered => self.delta_since(name, &pre_rows)?.into(),
-            _ => report.view_changes.clone(),
-        };
+        let delta = report.view_changes.clone();
         Ok((report, delta))
     }
 
@@ -980,11 +967,11 @@ mod tests {
 
     /// A backing round that ends in a recompute recovery reports no Δ
     /// of its own; consumers must still be handed exactly what changed
-    /// in the backing table. Under the default `Abort` policy that
-    /// cannot happen, and the round takes no pre-image at all.
+    /// in the backing table. Only the supervisor recomputes, so a plain
+    /// round's Δ is always its own and the backing is never read.
     #[test]
     fn recovered_backing_round_still_hands_consumers_the_exact_delta() {
-        use idivm_core::FaultPlan;
+        use idivm_core::{EngineConfig, FaultPlan, FaultSite, SupervisorVerdict};
         let (cfg, mut catalog) = suite();
         let candidate = catalog
             .promotion_candidates()
@@ -1002,8 +989,8 @@ mod tests {
             .key()
             .to_vec();
 
-        // Clean round under `Abort`: the Δ is the round's own, and the
-        // backing was never read.
+        // Clean round: the Δ is the round's own, and the backing was
+        // never read.
         cfg.tweet_batch(catalog.db_mut(), 24, 1).unwrap();
         let net = catalog.db().fold_log();
         catalog.db_mut().clear_log();
@@ -1013,18 +1000,26 @@ mod tests {
         assert_eq!(*delta, table_delta(&before, &backing_rows(&catalog), &key));
         assert!(catalog.nodes[&backing].snapshot.borrow().is_none());
 
-        // Every incremental attempt fails; the engine repairs the
+        // Every incremental attempt fails; the supervisor repairs the
         // backing by recompute.
         let engine = catalog.intermediate_mut(&backing).unwrap().engine_mut();
-        engine.set_recovery(RecoveryPolicy::RecomputeOnError);
-        engine.set_faults(FaultPlan::at_operator(1, 2015).permanent());
+        engine.set_faults(FaultPlan::at(FaultSite::Operator, 1, 2015).permanent());
         cfg.tweet_batch(catalog.db_mut(), 24, 2).unwrap();
         let net = catalog.db().fold_log();
         catalog.db_mut().clear_log();
         let before = backing_rows(&catalog);
-        let (report, delta) = catalog.maintain(&backing, &net, None).unwrap();
+        let straight_to_recompute = SupervisorConfig {
+            max_retries: 0,
+            bisect: false,
+            ..SupervisorConfig::default()
+        };
+        let (supervised, delta) = catalog
+            .maintain_supervised(&backing, &net, straight_to_recompute)
+            .unwrap();
+        assert_eq!(supervised.verdict, SupervisorVerdict::Recomputed);
+        let report = supervised.last_round.unwrap();
         assert!(report.recovered && report.view_changes.is_empty());
         assert!(!delta.is_empty(), "the batch did not change the backing");
-        assert_eq!(*delta, table_delta(&before, &backing_rows(&catalog), &key));
+        assert_eq!(delta, table_delta(&before, &backing_rows(&catalog), &key));
     }
 }

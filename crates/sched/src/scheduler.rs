@@ -314,7 +314,7 @@ pub struct MaintenanceScheduler {
     /// Provenance note stamped onto supervised-round reports after a
     /// crash recovery (set by the durability layer; `None` in ordinary
     /// sessions).
-    recovery_note: Option<String>,
+    recovered_from: Option<String>,
 }
 
 /// A supervised round consumed its pending net: every verdict but
@@ -337,7 +337,7 @@ impl MaintenanceScheduler {
             round: 0,
             last_net: Net::new(),
             trackers: BTreeMap::new(),
-            recovery_note: None,
+            recovered_from: None,
         }
     }
 
@@ -625,7 +625,7 @@ impl MaintenanceScheduler {
                     self.catalog
                         .maintain_supervised(name, &net, self.config.supervisor);
                 let spent = self.catalog.db().stats().snapshot().since(&before);
-                let recovered_from = self.recovery_note.clone();
+                let recovered_from = self.recovered_from.clone();
                 let state = self.node_state_mut(name)?;
                 if supervised.as_ref().is_ok_and(|(r, _)| converged(r.verdict)) {
                     state.staleness = 0;
@@ -1055,13 +1055,13 @@ impl MaintenanceScheduler {
     /// Stamp (or clear) the recovery-provenance note copied onto every
     /// supervised-round report — e.g. `"checkpoint (lsn 12) + 3 wal
     /// records"` after a crash recovery.
-    pub fn set_recovery_note(&mut self, note: Option<String>) {
-        self.recovery_note = note;
+    pub fn set_recovered_from(&mut self, note: Option<String>) {
+        self.recovered_from = note;
     }
 
     /// The current recovery-provenance note, if any.
-    pub fn recovery_note(&self) -> Option<&str> {
-        self.recovery_note.as_deref()
+    pub fn recovered_from(&self) -> Option<&str> {
+        self.recovered_from.as_deref()
     }
 }
 

@@ -8,6 +8,7 @@ use idivm_core::access::{self, AccessCtx, PathId};
 use idivm_core::config::{EngineConfig, EngineKnobs};
 use idivm_core::diff::State;
 use idivm_core::engine::ensure_probe_indexes;
+use idivm_core::faults::FaultSite;
 use idivm_core::round::{Engine, Round};
 use idivm_core::trace::TracePhase;
 use idivm_core::MaintenanceReport;
@@ -484,7 +485,7 @@ impl Sdbt {
                             // The failpoint fires before the member
                             // lookup: an aborted round rolls back with
                             // the rescan unperformed.
-                            round.faults().on_operator("rescan")?;
+                            round.faults().hit(FaultSite::Operator, "`rescan`")?;
                             round.report.rescans += 1;
                             let members = access::lookup(
                                 &access,
@@ -602,7 +603,7 @@ impl Engine for Sdbt {
             let Some(changes) = net.get(&p.def.table) else {
                 continue;
             };
-            faults.on_operator("compose")?;
+            faults.hit(FaultSite::Operator, "`compose`")?;
             self.compose_table(db, p, changes, &mut composed)?;
         }
         round.report.diff_compute = db.stats().snapshot().since(&before);
@@ -625,7 +626,7 @@ impl Engine for Sdbt {
         for p in &self.partials {
             for m in &p.maps {
                 if let Some(t) = &m.maintainer {
-                    faults.on_operator("map_maintain")?;
+                    faults.hit(FaultSite::Operator, "`map_maintain`")?;
                     t.maintain_with_changes(db, net)?;
                     // Checkpoint after each map's maintenance, so access
                     // faults and round budgets observe map-maintenance
@@ -649,7 +650,7 @@ impl Engine for Sdbt {
         round.checkpoint(db)?;
 
         // Phase 3: apply to the view.
-        faults.on_apply(&self.view_name)?;
+        faults.hit(FaultSite::Apply, format_args!("target `{}`", self.view_name))?;
         let before = db.stats().snapshot();
         match &self.shape {
             RootShape::Spj => {

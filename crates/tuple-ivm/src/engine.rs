@@ -6,6 +6,7 @@ use idivm_algebra::{ensure_ids, Plan};
 use idivm_core::access::{AccessCtx, PathId};
 use idivm_core::config::{EngineConfig, EngineKnobs};
 use idivm_core::engine::ensure_probe_indexes;
+use idivm_core::faults::FaultSite;
 use idivm_core::round::{Engine, Round};
 use idivm_core::trace::{op_label, TracePhase};
 use idivm_core::MaintenanceReport;
@@ -146,7 +147,9 @@ impl Engine for TupleIvm {
         round.phase(|t| &mut t.propagate);
 
         // Apply them.
-        round.faults().on_apply(&self.view_name)?;
+        round
+            .faults()
+            .hit(FaultSite::Apply, format_args!("target `{}`", self.view_name))?;
         let before = db.stats().snapshot();
         let outcome = apply(db.table_mut(&self.view_name)?, &view_diffs)?;
         round.report.view_update = db.stats().snapshot().since(&before);
@@ -187,7 +190,9 @@ fn walk(
         p.push(i);
         sides.push(walk(ctx, round, c, &p, base)?);
     }
-    round.faults().on_operator(op_label(node))?;
+    round
+        .faults()
+        .hit(FaultSite::Operator, format_args!("`{}`", op_label(node)))?;
     let diffs_in: u64 = sides.iter().map(|s| s.len() as u64).sum();
     let stats = ctx.access.db.stats();
     let before = round.report.trace.is_some().then(|| stats.snapshot());

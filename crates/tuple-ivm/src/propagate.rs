@@ -11,9 +11,9 @@ use idivm_algebra::aggregate::{aggregate_rows, ExtremumDelta, ExtremumOutcome};
 use idivm_algebra::{AggFunc, Expr, Plan};
 use idivm_core::access::{self, AccessCtx, PathId};
 use idivm_core::diff::State;
-use idivm_core::faults::FaultState;
+use idivm_core::faults::{FaultSite, FaultState};
 use idivm_exec::executor::project_row;
-use idivm_exec::partition::{run_sharded, shard_by, stable_hash_key, stable_hash_row, ParallelConfig};
+use idivm_exec::partition::{Batch, ParallelConfig};
 use idivm_types::{Key, Result, Row, Value};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,7 +28,7 @@ pub struct TupleCtx<'a> {
     /// from it when the *root* operator is an incremental aggregate).
     pub view_name: &'a str,
     /// Partitioned propagation configuration — mirrors the ID-based
-    /// engine's sharding so parallel i-diff/t-diff access-ratio
+    /// engine's fan-out so parallel i-diff/t-diff access-ratio
     /// comparisons stay apples-to-apples.
     pub parallel: ParallelConfig,
     /// The round's fault hooks, for the mid-rescan failpoint of the
@@ -50,7 +50,7 @@ impl TupleCtx<'_> {
     /// The armed fault, when the sweep lands on this rescan.
     fn on_rescan(&self) -> Result<()> {
         if let Some(f) = self.faults {
-            f.on_operator("rescan")?;
+            f.hit(FaultSite::Operator, "`rescan`")?;
         }
         if let Some(c) = self.rescans {
             c.fetch_add(1, Ordering::Relaxed);
@@ -59,30 +59,18 @@ impl TupleCtx<'_> {
     }
 }
 
-/// Hash-partition t-diffs by the diff side's ID projection. Rows with
-/// the same ID land in the same shard (IDs are immutable, so update
-/// pairs shard by their pre row); shard outputs are merged in shard
-/// order by the callers.
-fn shard_tdiffs(d: TDiffs, shards_n: usize, id_cols: &[usize]) -> Vec<TDiffs> {
-    if shards_n <= 1 {
-        return vec![d];
+/// [`ParallelConfig::fan_out`] for a rule that builds one [`TDiffs`]
+/// per chunk: the chunk outputs are absorbed in input order.
+fn fan_out<B: Batch + Send>(
+    ctx: &TupleCtx<'_>,
+    batch: B,
+    f: impl Fn(B) -> Result<TDiffs> + Sync,
+) -> Result<TDiffs> {
+    let mut out = TDiffs::default();
+    for chunk in ctx.parallel.fan_out(batch, |b| Ok(vec![f(b)?]))? {
+        out.absorb(chunk);
     }
-    let n = shards_n as u64;
-    let mut out: Vec<TDiffs> = (0..shards_n).map(|_| TDiffs::default()).collect();
-    for r in d.inserts {
-        let s = (stable_hash_row(&r, id_cols) % n) as usize;
-        out[s].inserts.push(r);
-    }
-    for r in d.deletes {
-        let s = (stable_hash_row(&r, id_cols) % n) as usize;
-        out[s].deletes.push(r);
-    }
-    for (p, q) in d.updates {
-        let s = (stable_hash_row(&p, id_cols) % n) as usize;
-        out[s].updates.push((p, q));
-    }
-    out.retain(|t| !t.is_empty());
-    out
+    Ok(out)
 }
 
 /// Propagate the per-side child t-diffs through `node`.
@@ -276,9 +264,8 @@ fn join_side(
     let oc = other_changed(ctx, other);
     // Every diff row probes and emits independently (the cross-row
     // pairing in the `other_changed` branch only compares matches of a
-    // *single* update pair), so the batch shards cleanly by this side's
-    // ID projection.
-    let process = |chunk: &TDiffs| -> Result<TDiffs> {
+    // *single* update pair), so the batch fans out.
+    fan_out(ctx, d, |chunk| {
         let mut out = TDiffs::default();
         for r in &chunk.inserts {
             for m in probe(r, State::Post)? {
@@ -355,16 +342,7 @@ fn join_side(
             }
         }
         Ok(out)
-    };
-    let shards_n = ctx.parallel.effective_shards(d.len());
-    let this_ids = idivm_algebra::infer_ids(if side == 0 { left } else { right })?;
-    let mut out = TDiffs::default();
-    for r in run_sharded(shard_tdiffs(d, shards_n, &this_ids), |_, chunk| {
-        process(&chunk)
-    }) {
-        out.absorb(r?);
-    }
-    Ok(out)
+    })
 }
 
 /// Left outer join on t-diffs: the inner-join probes plus padding
@@ -417,12 +395,9 @@ fn outer_join(
         cond.extend(res.columns().into_iter().filter(|&c| c < la));
     }
     let oc = other_changed(ctx, right);
-    let mut out = TDiffs::default();
-    // Left diffs: every row probes and pads independently — shard like
-    // the inner join.
-    let shards_n = ctx.parallel.effective_shards(dl.len());
-    let left_ids = idivm_algebra::infer_ids(left)?;
-    for r in run_sharded(shard_tdiffs(dl, shards_n, &left_ids), |_, chunk| {
+    // Left diffs: every row probes and pads independently — fan out
+    // like the inner join.
+    let mut out = fan_out(ctx, dl, |chunk| {
         let mut o = TDiffs::default();
         for r in &chunk.inserts {
             o.inserts.extend(outer_rows(r, State::Post)?);
@@ -448,10 +423,8 @@ fn outer_join(
                 }
             }
         }
-        Ok::<_, idivm_types::Error>(o)
-    }) {
-        out.absorb(r?);
-    }
+        Ok(o)
+    })?;
     // Right diffs: affected left rows' output sets may gain or lose
     // padding — recompute them. Dedup across the whole diff (cross-row
     // state), so this path stays serial.
@@ -556,14 +529,11 @@ fn semi_side(
         }
         Ok(matched == keep_matched)
     };
-    let mut out = TDiffs::default();
     // Left diffs: membership decides survival — one membership probe
-    // per diff row, no cross-row state, so the batch shards by the left
-    // side's ID projection. (Right diffs below dedupe affected left
-    // rows across the whole diff and stay serial.)
-    let shards_n = ctx.parallel.effective_shards(dl.len());
-    let left_ids = idivm_algebra::infer_ids(left)?;
-    for r in run_sharded(shard_tdiffs(dl, shards_n, &left_ids), |_, chunk| {
+    // per diff row, no cross-row state, so the batch fans out. (Right
+    // diffs below dedupe affected left rows across the whole diff and
+    // stay serial.)
+    let mut out = fan_out(ctx, dl, |chunk| {
         let mut o = TDiffs::default();
         for r in &chunk.inserts {
             if member(r, State::Post)? {
@@ -583,10 +553,8 @@ fn semi_side(
                 (false, false) => {}
             }
         }
-        Ok::<_, idivm_types::Error>(o)
-    }) {
-        out.absorb(r?);
-    }
+        Ok(o)
+    })?;
     // Right diffs: membership of matching left rows may flip.
     let mut affected: Vec<Row> = Vec::new();
     let mut seen = BTreeSet::new();
@@ -679,42 +647,34 @@ fn group_by(
         affected.insert(q.key(keys));
     }
     // Each affected group recomputes independently (two member lookups,
-    // one aggregate fold): shard the sorted group list by group key and
-    // merge shard outputs in shard order.
+    // one aggregate fold): the sorted group list fans out.
     let affected: Vec<Key> = affected.into_iter().collect();
-    let shards_n = ctx.parallel.effective_shards(affected.len());
-    let mut out = TDiffs::default();
-    for r in run_sharded(
-        shard_by(affected, shards_n, stable_hash_key),
-        |_, chunk: Vec<Key>| {
-            let mut o = TDiffs::default();
-            for gk in chunk {
-                let pre_members =
-                    access::lookup(ctx.access, input, &ipath, State::Pre, keys, &gk.0)?;
-                let post_members =
-                    access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk.0)?;
-                let mk = |members: &[Row]| -> Result<Row> {
-                    let group = gk.0.iter().cloned().map(Ok);
-                    Row::try_collect(group.chain(aggs.iter().map(|a| aggregate_rows(a, members))))
-                };
-                match (pre_members.is_empty(), post_members.is_empty()) {
-                    (true, true) => {}
-                    (true, false) => o.inserts.push(mk(&post_members)?),
-                    (false, true) => o.deletes.push(mk(&pre_members)?),
-                    (false, false) => {
-                        let pre = mk(&pre_members)?;
-                        let post = mk(&post_members)?;
-                        if pre != post {
-                            o.updates.push((pre, post));
-                        }
+    let out = fan_out(ctx, affected, |chunk: Vec<Key>| {
+        let mut o = TDiffs::default();
+        for gk in chunk {
+            let pre_members =
+                access::lookup(ctx.access, input, &ipath, State::Pre, keys, &gk.0)?;
+            let post_members =
+                access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk.0)?;
+            let mk = |members: &[Row]| -> Result<Row> {
+                let group = gk.0.iter().cloned().map(Ok);
+                Row::try_collect(group.chain(aggs.iter().map(|a| aggregate_rows(a, members))))
+            };
+            match (pre_members.is_empty(), post_members.is_empty()) {
+                (true, true) => {}
+                (true, false) => o.inserts.push(mk(&post_members)?),
+                (false, true) => o.deletes.push(mk(&pre_members)?),
+                (false, false) => {
+                    let pre = mk(&pre_members)?;
+                    let post = mk(&post_members)?;
+                    if pre != post {
+                        o.updates.push((pre, post));
                     }
                 }
             }
-            Ok::<_, idivm_types::Error>(o)
-        },
-    ) {
-        out.absorb(r?);
-    }
+        }
+        Ok(o)
+    })?;
     let _ = node;
     Ok(out)
 }
@@ -808,60 +768,52 @@ fn group_by_deltas(
     // Sort groups by key first: HashMap iteration order would otherwise
     // vary per process, and the sorted list gives every thread count the
     // same canonical emission order. Each group converts independently
-    // (one view lookup, at most one member probe), so the list shards.
+    // (one view lookup, at most one member probe), so the list fans out.
     let view = ctx.access.db.table(ctx.view_name)?;
     let key_cols: Vec<usize> = (0..keys.len()).collect();
     let mut entries: Vec<(Key, (Vec<Value>, bool))> = deltas.into_iter().collect();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
-    let shards_n = ctx.parallel.effective_shards(entries.len());
-    let mut out = TDiffs::default();
-    for r in run_sharded(
-        shard_by(entries, shards_n, |(gk, _)| stable_hash_key(gk)),
-        |_, chunk: Vec<(Key, (Vec<Value>, bool))>| {
-            let mut o = TDiffs::default();
-            for (gk, (delta, had_delete)) in chunk {
-                let old = view.lookup(&key_cols, &gk);
-                match old.first() {
-                    Some(old_row) => {
-                        if had_delete {
-                            let members = access::lookup(
-                                ctx.access,
-                                input,
-                                ipath,
-                                State::Post,
-                                keys,
-                                &gk.0,
-                            )?;
-                            if members.is_empty() {
-                                o.deletes.push(old_row.clone());
-                                continue;
-                            }
-                        }
-                        if delta.iter().all(is_zero) {
+    fan_out(ctx, entries, |chunk: Vec<(Key, (Vec<Value>, bool))>| {
+        let mut o = TDiffs::default();
+        for (gk, (delta, had_delete)) in chunk {
+            let old = view.lookup(&key_cols, &gk);
+            match old.first() {
+                Some(old_row) => {
+                    if had_delete {
+                        let members = access::lookup(
+                            ctx.access,
+                            input,
+                            ipath,
+                            State::Post,
+                            keys,
+                            &gk.0,
+                        )?;
+                        if members.is_empty() {
+                            o.deletes.push(old_row.clone());
                             continue;
                         }
-                        let aggregate = |c: usize| c.checked_sub(keys.len());
-                        let post = old_row
-                            .iter()
-                            .enumerate()
-                            .map(|(c, v)| match aggregate(c).and_then(|i| delta.get(i)) {
-                                Some(dv) => v.add(dv),
-                                None => v.clone(),
-                            })
-                            .collect();
-                        o.updates.push((old_row.clone(), post));
                     }
-                    None => {
-                        o.inserts.push(gk.0.into_iter().chain(delta).collect());
+                    if delta.iter().all(is_zero) {
+                        continue;
                     }
+                    let aggregate = |c: usize| c.checked_sub(keys.len());
+                    let post = old_row
+                        .iter()
+                        .enumerate()
+                        .map(|(c, v)| match aggregate(c).and_then(|i| delta.get(i)) {
+                            Some(dv) => v.add(dv),
+                            None => v.clone(),
+                        })
+                        .collect();
+                    o.updates.push((old_row.clone(), post));
+                }
+                None => {
+                    o.inserts.push(gk.0.into_iter().chain(delta).collect());
                 }
             }
-            Ok::<_, idivm_types::Error>(o)
-        },
-    ) {
-        out.absorb(r?);
-    }
-    Ok(out)
+        }
+        Ok(o)
+    })
 }
 
 /// The tuple-based extremum path: like [`group_by_deltas`], but MIN/MAX

@@ -2,6 +2,7 @@
 //! relation, and their application to a materialized view.
 
 use idivm_core::apply::ApplyOutcome;
+use idivm_exec::Batch;
 use idivm_reldb::{NetChange, Table, TableChanges};
 use idivm_types::{Result, Row, Value};
 
@@ -46,6 +47,27 @@ impl TDiffs {
             }
         }
         d
+    }
+}
+
+/// Cut for the parallel fan-out one list at a time: the items are the
+/// inserts, then the deletes, then the updates. A rule that maps each
+/// list on its own (inserts and deletes to their own kind, updates to
+/// any) therefore emits, chunk by chunk, exactly its serial output.
+impl Batch for TDiffs {
+    fn items(&self) -> usize {
+        self.len()
+    }
+
+    fn split_off(&mut self, at: usize) -> Self {
+        let inserts = at.min(self.inserts.len());
+        let deletes = (at - inserts).min(self.deletes.len());
+        let updates = (at - inserts - deletes).min(self.updates.len());
+        TDiffs {
+            inserts: self.inserts.split_off(inserts),
+            deletes: self.deletes.split_off(deletes),
+            updates: self.updates.split_off(updates),
+        }
     }
 }
 
@@ -150,6 +172,22 @@ mod tests {
         assert_eq!(out.inserted, 1);
         assert_eq!(out.dummies, 2); // duplicate insert + missing delete
         assert_eq!(v.len(), 3);
+    }
+
+    #[test]
+    fn split_off_cuts_the_lists_in_order() {
+        let whole = TDiffs {
+            inserts: vec![row![1], row![2], row![3]],
+            deletes: vec![row![4], row![5]],
+            updates: vec![(row![6], row![7]), (row![8], row![9])],
+        };
+        for at in 0..=whole.len() {
+            let mut head = whole.clone();
+            let tail = Batch::split_off(&mut head, at);
+            assert_eq!((head.len(), tail.len()), (at, whole.len() - at));
+            head.absorb(tail);
+            assert_eq!(head, whole, "at {at}");
+        }
     }
 
     #[test]

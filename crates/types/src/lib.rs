@@ -10,11 +10,13 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod error;
+pub mod fnv;
 pub mod row;
 pub mod schema;
 pub mod value;
 
 pub use error::{Error, Result};
+pub use fnv::{stable_hash_key, Fnv1a};
 pub use row::{Key, Row};
 pub use schema::{Column, ColumnType, Schema};
 pub use value::Value;

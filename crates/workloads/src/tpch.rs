@@ -26,7 +26,7 @@ use idivm_algebra::{AggFunc, Plan, PlanBuilder};
 use idivm_exec::DbCatalog;
 use idivm_reldb::Database;
 use idivm_sdbt::{Partial, ProbeStep};
-use idivm_types::{row, ColumnType, Key, Result, Row, Schema, Value};
+use idivm_types::{row, ColumnType, Result, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -440,33 +440,6 @@ impl Tpch {
             }
         }
         Ok(())
-    }
-
-    /// The primary key of the lineitem currently holding a given
-    /// group's minimum (test helper: lets regression tests aim a single
-    /// surgical extremum deletion).
-    ///
-    /// # Errors
-    /// Unknown tables (a bug).
-    pub fn current_min_lineitem(db: &Database, custkey: i64) -> Result<Option<Key>> {
-        let groups = Self::group_snapshot(db)?;
-        Ok(groups
-            .into_iter()
-            .find(|(ck, _)| *ck == custkey)
-            .and_then(|(_, members)| {
-                members
-                    .iter()
-                    .min_by_key(|r| {
-                        (
-                            match r[2] {
-                                Value::Int(p) => p,
-                                _ => 0,
-                            },
-                            r.key(&[0, 1]),
-                        )
-                    })
-                    .map(|r| r.key(&[0, 1]))
-            }))
     }
 }
 

@@ -13,7 +13,7 @@
 //!   round stays retryable.
 //! * A clean re-run after any number of aborted attempts commits and
 //!   matches the full-recomputation oracle.
-//! * With [`RecoveryPolicy::RecomputeOnError`] the failed round is
+//! * Escalated to the supervisor's recompute step, the failed round is
 //!   repaired in place (view + caches/maps recomputed) and reported via
 //!   `recovered` / `recovery` / `recovery_cause`.
 //!
@@ -31,7 +31,8 @@
 //! at P = 4.
 
 use idivm_repro::core::{
-    Engine, EngineConfig, FaultPlan, IdIvm, IvmOptions, RecoveryPolicy, TraceConfig, TracePhase,
+    Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor,
+    SupervisorConfig, SupervisorVerdict, TraceConfig, TracePhase,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_repro::reldb::Database;
@@ -83,9 +84,9 @@ enum Site {
 impl Site {
     fn plan(self, k: u64) -> FaultPlan {
         match self {
-            Site::Operator => FaultPlan::at_operator(k, fault_seed()),
-            Site::Apply => FaultPlan::at_apply(k, fault_seed()),
-            Site::Access => FaultPlan::at_access(k, fault_seed()),
+            Site::Operator => FaultPlan::at(FaultSite::Operator, k, fault_seed()),
+            Site::Apply => FaultPlan::at(FaultSite::Apply, k, fault_seed()),
+            Site::Access => FaultPlan::at(FaultSite::Access, k, fault_seed()),
         }
     }
 
@@ -227,8 +228,9 @@ fn fault_sweep_sdbt_streams() {
     sweep(&mut db, &mut sdbt, "SDBT-streams");
 }
 
-/// `RecomputeOnError`: a faulted round rolls back, repairs by full
-/// recompute, and reports the repair — on every engine.
+/// The supervisor's recompute escalation, with no retry or bisection
+/// before it: a faulted round rolls back, repairs by full recompute,
+/// and reports the repair — on every engine.
 #[test]
 fn recompute_on_error_repairs_and_reports() {
     type EngineBuilder = Box<dyn Fn(&mut Database) -> Box<dyn Engine>>;
@@ -261,9 +263,15 @@ fn recompute_on_error_repairs_and_reports() {
         ivm.maintain(&mut db).unwrap();
 
         cfg.price_update_batch(&mut db, DIFF, 1).unwrap();
-        ivm.set_faults(FaultPlan::at_operator(1, fault_seed()));
-        ivm.set_recovery(RecoveryPolicy::RecomputeOnError);
-        let report = ivm.maintain(&mut db).unwrap();
+        ivm.set_faults(FaultPlan::at(FaultSite::Operator, 1, fault_seed()));
+        let straight_to_recompute = SupervisorConfig {
+            max_retries: 0,
+            bisect: false,
+            ..SupervisorConfig::seeded(fault_seed())
+        };
+        let supervised = MaintenanceSupervisor::new(&mut ivm, straight_to_recompute).run(&mut db);
+        assert_eq!(supervised.verdict, SupervisorVerdict::Recomputed, "{label}");
+        let report = supervised.last_round.expect("the recompute round");
         assert!(report.recovered, "{label}: round did not report recovery");
         assert!(
             report.recovery.total() > 0,
@@ -286,7 +294,6 @@ fn recompute_on_error_repairs_and_reports() {
 
         // A later clean round works from the repaired state.
         ivm.set_faults(FaultPlan::disabled());
-        ivm.set_recovery(RecoveryPolicy::Abort);
         cfg.price_update_batch(&mut db, DIFF, 2).unwrap();
         let report = ivm.maintain(&mut db).unwrap();
         assert!(!report.recovered);
@@ -370,7 +377,7 @@ fn double_fault_retry_preserves_log_and_converges_third_attempt() {
         assert!(!pre_net.is_empty(), "{label}: batch produced no changes");
 
         // Attempt 1: operator failpoint.
-        ivm.set_faults(FaultPlan::at_operator(0, fault_seed()));
+        ivm.set_faults(FaultPlan::at(FaultSite::Operator, 0, fault_seed()));
         let err = ivm.maintain(&mut db).unwrap_err();
         assert!(matches!(err, Error::Injected(_)), "{label}: {err}");
         assert_eq!(db.signature(), pre_sig, "{label}: first rollback");
@@ -381,7 +388,7 @@ fn double_fault_retry_preserves_log_and_converges_third_attempt() {
         );
 
         // Attempt 2: a *different* failpoint, same preserved log.
-        ivm.set_faults(FaultPlan::at_apply(0, fault_seed()));
+        ivm.set_faults(FaultPlan::at(FaultSite::Apply, 0, fault_seed()));
         let err = ivm.maintain(&mut db).unwrap_err();
         assert!(matches!(err, Error::Injected(_)), "{label}: {err}");
         assert_eq!(db.signature(), pre_sig, "{label}: second rollback");
@@ -460,7 +467,7 @@ fn access_fault_observes_cache_apply_accesses() {
     cfg.price_update_batch(&mut db, DIFF, 0).unwrap();
     ivm.maintain(&mut db).unwrap();
     cfg.price_update_batch(&mut db, DIFF, 1).unwrap();
-    ivm.set_faults(FaultPlan::at_access(at, fault_seed()));
+    ivm.set_faults(FaultPlan::at(FaultSite::Access, at, fault_seed()));
     let err = ivm.maintain(&mut db).unwrap_err();
     let msg = err.to_string();
     let fired: u64 = msg

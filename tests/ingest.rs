@@ -26,7 +26,7 @@
 //!   lost, or duplicated.
 
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
-use idivm_repro::core::{FaultPlan, FaultState, IvmOptions};
+use idivm_repro::core::{FaultPlan, FaultSite, FaultState, IvmOptions};
 use idivm_repro::exec::ParallelConfig;
 use idivm_repro::ingest::{
     apply_log, drive, partition_log, BatchPolicy, ChangeEvent, ChangeOp, DriveConfig,
@@ -350,7 +350,7 @@ fn enqueue_fault_leaves_producer_owning_the_event_and_retry_heals() {
     let seed = fault_seed();
     let mut sched = scheduler(&cfg, ParallelConfig::serial());
     // Fires on the second enqueue (counters are 0-indexed).
-    let mut pipe = pipeline(events.len(), FaultPlan::at_enqueue(1, seed));
+    let mut pipe = pipeline(events.len(), FaultPlan::at(FaultSite::Enqueue, 1, seed));
     let pre: BTreeMap<_, _> = sched.db().signature().into_iter().collect();
 
     let mut faulted = 0;
@@ -393,12 +393,12 @@ fn batch_cut_and_decode_faults_roll_back_to_the_pre_round_signature() {
     assert_eq!(clean.dlq_len, 1);
 
     for plan in [
-        FaultPlan::at_batch_cut(0, seed),
-        FaultPlan::at_decode(0, seed),
-        FaultPlan::at_decode(3, seed),
+        FaultPlan::at(FaultSite::BatchCut, 0, seed),
+        FaultPlan::at(FaultSite::Decode, 0, seed),
+        FaultPlan::at(FaultSite::Decode, 3, seed),
         // Mid-batch, after the decoder has already dead-lettered and
         // admitted earlier events of this batch.
-        FaultPlan::at_decode(events.len() as u64 - 1, seed),
+        FaultPlan::at(FaultSite::Decode, events.len() as u64 - 1, seed),
     ] {
         let mut sched = scheduler(&cfg, ParallelConfig::serial());
         let mut pipe = pipeline(events.len(), plan);
@@ -451,9 +451,9 @@ fn driver_retries_past_ingest_faults_and_still_converges() {
     let clean_sigs = view_signatures(&clean_sched);
 
     for plan in [
-        FaultPlan::at_enqueue(2, seed),
-        FaultPlan::at_batch_cut(0, seed),
-        FaultPlan::at_decode(1, seed),
+        FaultPlan::at(FaultSite::Enqueue, 2, seed),
+        FaultPlan::at(FaultSite::BatchCut, 0, seed),
+        FaultPlan::at(FaultSite::Decode, 1, seed),
     ] {
         let mut sched = scheduler(&cfg, ParallelConfig::serial());
         let mut pipe = pipeline(16, plan);

@@ -22,7 +22,7 @@
 //!   view, and the siblings match the full oracle.
 
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
-use idivm_repro::core::{EngineConfig, FaultPlan, IvmOptions, SupervisorVerdict};
+use idivm_repro::core::{EngineConfig, FaultPlan, FaultSite, IvmOptions, SupervisorVerdict};
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_repro::workloads::bsma::Bsma;
 use idivm_repro::workloads::multiview::VIEW_NAMES;
@@ -266,7 +266,7 @@ fn poisoned_view_is_quarantined_without_corrupting_or_blocking_siblings() {
         .view_mut(poisoned)
         .unwrap()
         .engine_mut()
-        .set_faults(FaultPlan::at_diff(3, 2015).permanent());
+        .set_faults(FaultPlan::at(FaultSite::Diff, 3, 2015).permanent());
     cfg.tweet_batch(sched.db_mut(), DIFFS, 2).unwrap();
     let summary = sched.tick().unwrap();
 

@@ -20,7 +20,7 @@
 //!   P = 4 runs).
 
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
-use idivm_repro::core::{EngineConfig, FaultPlan, IvmOptions};
+use idivm_repro::core::{EngineConfig, FaultPlan, FaultSite, IvmOptions};
 use idivm_repro::cost::PromotionConfig;
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_repro::workloads::bsma::Bsma;
@@ -134,7 +134,7 @@ fn forced_promotion_lifecycle_converges_serial_and_parallel() {
             .intermediate_mut(&backing)
             .unwrap()
             .engine_mut()
-            .set_faults(FaultPlan::at_operator(1, 0x5eed_2015).healing_after(1));
+            .set_faults(FaultPlan::at(FaultSite::Operator, 1, 0x5eed_2015).healing_after(1));
         cfg.tweet_batch(sched.db_mut(), DIFFS, 4).unwrap();
         let summary = sched.tick().unwrap();
         let verdict = summary
@@ -504,8 +504,8 @@ fn round_summary_transcript_is_pinned() {
         if let Some(backing) = sched.intermediates().first().cloned() {
             faulted += 1;
             let plan = match faulted {
-                2 => FaultPlan::at_operator(1, 0x5eed_2015).healing_after(1),
-                5 => FaultPlan::at_operator(1, 0x5eed_2015).permanent(),
+                2 => FaultPlan::at(FaultSite::Operator, 1, 0x5eed_2015).healing_after(1),
+                5 => FaultPlan::at(FaultSite::Operator, 1, 0x5eed_2015).permanent(),
                 _ => FaultPlan::disabled(),
             };
             sched

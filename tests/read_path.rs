@@ -25,7 +25,9 @@
 
 use idivm_repro::algebra::ensure_ids;
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
-use idivm_repro::core::{EngineConfig, FaultPlan, FaultState, IvmOptions, SupervisorVerdict};
+use idivm_repro::core::{
+    EngineConfig, FaultPlan, FaultSite, FaultState, IvmOptions, SupervisorVerdict,
+};
 use idivm_repro::durability::{DurabilityConfig, Durable};
 use idivm_repro::exec::{executor::sorted, recompute_rows};
 use idivm_repro::reldb::Database;
@@ -145,9 +147,9 @@ fn drive(
                 // view was written) and is rolled back; the
                 // supervisor's retry commits the round.
                 let plan = match rng.gen_range(0..3) {
-                    0 => FaultPlan::at_apply(1, seed),
-                    1 => FaultPlan::at_apply(2, seed),
-                    _ => FaultPlan::at_access(rng.gen_range(1..150), seed),
+                    0 => FaultPlan::at(FaultSite::Apply, 1, seed),
+                    1 => FaultPlan::at(FaultSite::Apply, 2, seed),
+                    _ => FaultPlan::at(FaultSite::Access, rng.gen_range(1..150), seed),
                 };
                 set_faults(&mut sched, view, plan.healing_after(1));
                 let before = sched.stats(view).unwrap().supervised_rounds;
@@ -164,7 +166,7 @@ fn drive(
                 set_faults(
                     &mut sched,
                     view,
-                    FaultPlan::at_operator(1, seed).permanent(),
+                    FaultPlan::at(FaultSite::Operator, 1, seed).permanent(),
                 );
                 let before = sched.stats(view).unwrap().supervised_rounds;
                 round += 1;

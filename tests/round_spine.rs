@@ -9,9 +9,11 @@
 //!   [`Database::signature`], keeps the modification log, and the clean
 //!   retry equals the recompute oracle;
 //! * a round **nested** under a caller-held `begin_round` that fails
-//!   neither aborts nor recomputes — the caller's `abort_round` does
-//!   the rollback;
-//! * a **recovered** round has one report shape;
+//!   neither aborts nor recomputes, even through the recompute entry
+//!   (`SupervisedEngine::maintain_or_recompute`) — the caller's
+//!   `abort_round` does the rollback;
+//! * a **recovered** round (the supervisor's recompute escalation) has
+//!   one report shape;
 //! * the trace reconciles against the report, and the phase timings
 //!   are contiguous parts of `wall`.
 //!
@@ -19,7 +21,8 @@
 //! fires at the last checkpoint — after every write of the round.
 
 use idivm_repro::core::{
-    Engine, FaultPlan, IdIvm, IvmOptions, RecoveryPolicy, TraceConfig, TracePhase,
+    Engine, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor, SupervisorConfig,
+    SupervisorVerdict, TraceConfig, TracePhase,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows};
 use idivm_repro::reldb::Database;
@@ -101,7 +104,7 @@ fn spine<E: Engine>(label: &str, build: impl Fn(&mut Database) -> E) {
         clean.wall
     );
     assert_matches_oracle(label, &ivm, &db);
-    let last_checkpoint = FaultPlan::at_access(clean.total_accesses(), fault_seed());
+    let last_checkpoint = FaultPlan::at(FaultSite::Access, clean.total_accesses(), fault_seed());
 
     // (i) Owned round: Err, rollback, log kept, clean retry converges.
     let (mut db, mut ivm) = prepared();
@@ -124,10 +127,10 @@ fn spine<E: Engine>(label: &str, build: impl Fn(&mut Database) -> E) {
     let (mut db, mut ivm) = prepared();
     let pre = db.signature();
     ivm.set_faults(last_checkpoint);
-    ivm.set_recovery(RecoveryPolicy::RecomputeOnError);
     let net = db.fold_log();
     assert!(db.begin_round(), "{label}: the test owns the round");
-    let nested = ivm.maintain_with_changes(&mut db, &net);
+    let nested =
+        idivm_repro::core::SupervisedEngine::maintain_or_recompute(&ivm, &mut db, &net);
     assert!(
         matches!(nested, Err(Error::Injected(_))),
         "{label}: nested round must fail, not recover: {nested:?}"
@@ -145,14 +148,20 @@ fn spine<E: Engine>(label: &str, build: impl Fn(&mut Database) -> E) {
     assert_eq!(db.signature(), pre, "{label}: owner's abort incomplete");
 
     // (iii) A recovered round has one shape, traced or not.
+    let straight_to_recompute = SupervisorConfig {
+        max_retries: 0,
+        bisect: false,
+        ..SupervisorConfig::seeded(fault_seed())
+    };
     for traced in [false, true] {
         let (mut db, mut ivm) = prepared();
         if traced {
             ivm.set_trace(TraceConfig::enabled());
         }
         ivm.set_faults(last_checkpoint);
-        ivm.set_recovery(RecoveryPolicy::RecomputeOnError);
-        let report = ivm.maintain(&mut db).unwrap();
+        let supervised = MaintenanceSupervisor::new(&mut ivm, straight_to_recompute).run(&mut db);
+        assert_eq!(supervised.verdict, SupervisorVerdict::Recomputed, "{label}");
+        let report = supervised.last_round.expect("the recompute round");
         assert!(report.recovered, "{label}");
         let cause = report.recovery_cause.as_deref().unwrap_or("");
         assert!(cause.contains("injected fault"), "{label}: cause `{cause}`");

@@ -14,8 +14,8 @@
 
 use idivm_repro::algebra::AggFunc;
 use idivm_repro::core::{
-    Engine, EngineConfig, FaultPlan, IdIvm, IvmOptions, MaintenanceSupervisor, SupervisorConfig,
-    SupervisorVerdict,
+    Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor,
+    SupervisorConfig, SupervisorVerdict,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, DbCatalog, ParallelConfig};
 use idivm_repro::reldb::Database;
@@ -390,7 +390,7 @@ fn mid_rescan_fault_rolls_back_to_pre_round_signature() {
         let mut hit_rescan = false;
         let mut k = 0u64;
         let clean = loop {
-            ivm.set_faults(FaultPlan::at_operator(k, fault_seed()));
+            ivm.set_faults(FaultPlan::at(FaultSite::Operator, k, fault_seed()));
             match ivm.maintain(&mut db) {
                 Err(e) => {
                     assert!(
@@ -446,7 +446,7 @@ fn supervisor_heals_transient_faults_through_rescan_rounds() {
         ivm.maintain(&mut db).unwrap();
 
         cfg.lineitem_churn_batch(&mut db, 4, 1).unwrap();
-        ivm.set_faults(FaultPlan::at_operator(2, fault_seed()).healing_after(2));
+        ivm.set_faults(FaultPlan::at(FaultSite::Operator, 2, fault_seed()).healing_after(2));
         let report =
             MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::seeded(fault_seed()))
                 .run(&mut db);

@@ -14,7 +14,8 @@
 
 use idivm_repro::algebra::{Expr, PlanBuilder};
 use idivm_repro::core::{
-    EngineConfig, FaultPlan, IdIvm, IvmOptions, RecoveryPolicy, RoundTrace, TraceConfig, TracePhase,
+    EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor, RoundTrace,
+    SupervisorConfig, TraceConfig, TracePhase,
 };
 use idivm_repro::exec::{DbCatalog, ParallelConfig};
 use idivm_repro::reldb::{Database, StatsSnapshot};
@@ -308,13 +309,18 @@ fn recovered_trace_of_hostile_view_name_is_well_formed_json() {
     let plan = cfg.agg_plan(&db).unwrap();
     let options = IvmOptions {
         trace: TraceConfig::enabled(),
-        faults: FaultPlan::at_operator(1, 7),
-        recovery: RecoveryPolicy::RecomputeOnError,
+        faults: FaultPlan::at(FaultSite::Operator, 1, 7),
         ..IvmOptions::default()
     };
-    let ivm = IdIvm::setup(&mut db, "we\"ird\n", plan, options).unwrap();
+    let mut ivm = IdIvm::setup(&mut db, "we\"ird\n", plan, options).unwrap();
     cfg.price_update_batch(&mut db, 10, 0).unwrap();
-    let report = ivm.maintain(&mut db).unwrap();
+    let straight_to_recompute = SupervisorConfig {
+        max_retries: 0,
+        bisect: false,
+        ..SupervisorConfig::default()
+    };
+    let supervised = MaintenanceSupervisor::new(&mut ivm, straight_to_recompute).run(&mut db);
+    let report = supervised.last_round.expect("the recompute round");
     assert!(report.recovered);
     let json = report.trace.expect("traced recovery").to_json();
     assert_json_scans(&json);
