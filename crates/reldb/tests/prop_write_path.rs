@@ -25,6 +25,11 @@
 //! safe — no write, abort replay included, ever shows through a row
 //! that was handed out before it — and the `Patch` step pins the
 //! copy-on-write contract by pointer identity.
+//!
+//! `index_probes_return_rows_in_posting_order` pins the order in which
+//! an index probe returns its rows against a reference model of every
+//! postings list, so a change of how postings are stored cannot reorder
+//! what a lookup hands back.
 
 use idivm_reldb::{AccessStats, Database, LogEntry, NetChange, Table, TableSignature, UndoOp};
 use idivm_types::{row, ColumnType, Key, Row, Schema, Value};
@@ -126,8 +131,16 @@ fn rebuilt_signature(t: &Table) -> TableSignature {
     fresh.signature()
 }
 
-fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature>>, o: &Op) {
+/// Apply one step; returns the primary keys it addressed, in the order
+/// it reached them (one key for a single-row write, the callback order
+/// of a located one, none for `Begin`/`Abort`/`Commit`/`Clear`).
+fn apply_op(
+    db: &mut Database,
+    round: &mut Option<HashMap<String, TableSignature>>,
+    o: &Op,
+) -> Vec<Key> {
     let key = |id: i64| Key(vec![Value::Int(id)]);
+    let mut reached = Vec::new();
     match o {
         Op::Begin => {
             if round.is_none() {
@@ -157,6 +170,15 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
             // Duplicate keys, conflicting inserts and missing rows are
             // part of the interleaving: a refused operation must leave
             // the table as consistent as an accepted one.
+            if let Op::Insert(id, ..)
+            | Op::InsertIfAbsent(id, ..)
+            | Op::Update(id, ..)
+            | Op::Patch(id, ..)
+            | Op::Delete(id)
+            | Op::DeleteLocated(id) = dml
+            {
+                reached.push(key(*id));
+            }
             match dml {
                 Op::Insert(id, g, v) => {
                     let _ = t.insert(full_row(*id, *g, *v));
@@ -211,6 +233,7 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
                         assert!(assignments.iter().all(|(c, x)| patched.post[*c] == *x));
                         seen.push(Key(pk.to_vec()));
                     });
+                    reached.clone_from(&seen);
                     seen.sort();
                     assert_eq!(located, expect.len());
                     assert_eq!(seen, sorted_keys(&expect), "every located row patched once");
@@ -223,6 +246,7 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
                         assert_eq!(row, expect[&pk]);
                         seen.push(pk);
                     });
+                    reached.clone_from(&seen);
                     seen.sort();
                     assert_eq!(located, expect.len());
                     assert_eq!(seen, sorted_keys(&expect), "every located row deleted once");
@@ -231,6 +255,71 @@ fn apply_op(db: &mut Database, round: &mut Option<HashMap<String, TableSignature
                 Op::Clear => t.clear(),
                 Op::Begin | Op::Abort | Op::Commit => unreachable!(),
             }
+        }
+    }
+    reached
+}
+
+/// Per index (by its columns), per indexed value: the primary keys in
+/// the order an index probe must return their rows.
+type OrderModel = HashMap<Vec<usize>, HashMap<Key, Vec<Key>>>;
+
+/// The model as the table answers it now — how the pin re-seeds after
+/// an abort, whose replay may file rows back in any order.
+fn seeded(t: &Table) -> OrderModel {
+    let mut model = OrderModel::new();
+    for cols in t.index_positions() {
+        let lists = model.entry(cols.clone()).or_default();
+        for r in t.rows_uncounted() {
+            let v = r.key(&cols);
+            lists
+                .entry(v.clone())
+                .or_insert_with(|| t.lookup(&cols, &v).iter().map(|r| t.pk_of(r)).collect());
+        }
+    }
+    model
+}
+
+/// Follow `pk`'s row from `before` to `after` in every index whose
+/// value it changes: out of its old list by `swap_remove` at its
+/// position, then pushed onto the end of its new one.
+fn track(model: &mut OrderModel, pk: &Key, before: Option<&Row>, after: Option<&Row>) {
+    for (cols, lists) in model.iter_mut() {
+        let (from, to) = (before.map(|r| r.key(cols)), after.map(|r| r.key(cols)));
+        if from == to {
+            continue;
+        }
+        if let Some(from) = from {
+            let list = lists.get_mut(&from).expect("a stored row is posted");
+            let at = list.iter().position(|k| k == pk).expect("a stored row is posted");
+            list.swap_remove(at);
+            if list.is_empty() {
+                lists.remove(&from);
+            }
+        }
+        if let Some(to) = to {
+            lists.entry(to).or_default().push(pk.clone());
+        }
+    }
+}
+
+/// Every stored row by primary key.
+fn rows_by_key(t: &Table) -> HashMap<Key, Row> {
+    t.rows_uncounted().into_iter().map(|r| (t.pk_of(&r), r)).collect()
+}
+
+/// Every index probe — of each value the table holds or the model
+/// lists — returns its rows in exactly the model's order.
+fn assert_posting_order(t: &Table, model: &OrderModel, o: &Op) {
+    for (cols, lists) in model {
+        let mut values: Vec<Key> = t.rows_uncounted().iter().map(|r| r.key(cols)).collect();
+        values.extend(lists.keys().cloned());
+        values.sort();
+        values.dedup();
+        for v in values {
+            let got: Vec<Key> = t.lookup(cols, &v).iter().map(|r| t.pk_of(r)).collect();
+            let want = lists.get(&v).cloned().unwrap_or_default();
+            assert_eq!(got, want, "after {o:?}: probe {cols:?} = {v:?}");
         }
     }
 }
@@ -347,7 +436,9 @@ proptest! {
                         db.commit_round();
                     }
                 }
-                unlogged => apply_op(&mut db, &mut None, unlogged),
+                unlogged => {
+                    apply_op(&mut db, &mut None, unlogged);
+                }
             }
         }
         capture_all(&mut held, &db);
@@ -382,6 +473,48 @@ proptest! {
             let _ = (t.get(&probe), t.lookup(&[2], &probe), t.pks_by(&[1, 2], &probe));
             let _ = (t.rows_uncounted(), t.contains_key(&probe));
             prop_assert_eq!(t.version(), version, "a read moved the version");
+        }
+    }
+
+    /// An index probe returns its rows in posting order: a stored row is
+    /// pushed, a removed one `swap_remove`d at its position, a row whose
+    /// indexed value moves is removed and then pushed, and a located
+    /// delete empties the whole list. The fixture creates its indexes on
+    /// the empty table, so the loads are pushed in load order too.
+    #[test]
+    fn index_probes_return_rows_in_posting_order(ops in proptest::collection::vec(op(), 0..60)) {
+        let mut db = db();
+        let mut round = None;
+        let mut model: OrderModel = db
+            .table("t")
+            .unwrap()
+            .index_positions()
+            .into_iter()
+            .map(|cols| (cols, HashMap::new()))
+            .collect();
+        let t = db.table("t").unwrap();
+        for id in 0..6 {
+            let loaded = t.get_uncounted(&Key(vec![Value::Int(id)])).unwrap();
+            track(&mut model, &t.pk_of(loaded), None, Some(loaded));
+        }
+        assert_posting_order(t, &model, &Op::Begin);
+        let tail = [Op::Abort, Op::Begin, Op::Clear, Op::Abort];
+        for o in ops.iter().chain(&tail) {
+            let before = rows_by_key(db.table("t").unwrap());
+            let aborts = matches!(o, Op::Abort) && round.is_some();
+            let reached = apply_op(&mut db, &mut round, o);
+            let t = db.table("t").unwrap();
+            if aborts {
+                model = seeded(t);
+            } else if matches!(o, Op::Clear) {
+                model.values_mut().for_each(HashMap::clear);
+            } else {
+                let after = rows_by_key(t);
+                for pk in &reached {
+                    track(&mut model, pk, before.get(pk), after.get(pk));
+                }
+            }
+            assert_posting_order(t, &model, o);
         }
     }
 }
