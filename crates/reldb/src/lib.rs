@@ -7,7 +7,7 @@
 //! that analysis needs:
 //!
 //! * [`Table`]s keyed by primary key, with optional secondary hash
-//!   indexes ([`index`]),
+//!   indexes,
 //! * an [`AccessStats`] instrument counting tuple accesses and index
 //!   lookups at the same granularity as the paper's model,
 //! * a [`ModificationLog`] capturing inserts/deletes/updates with
@@ -18,7 +18,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod database;
-pub mod index;
+mod index;
 pub mod log;
 pub mod overlay;
 pub mod stats;
