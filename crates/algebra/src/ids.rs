@@ -33,25 +33,7 @@ pub fn infer_ids(plan: &Plan) -> Result<Vec<usize>> {
     let ids = match plan {
         Plan::Scan { schema, .. } => schema.key().to_vec(),
         Plan::Select { input, .. } => infer_ids(input)?,
-        Plan::Project { input, cols } => {
-            let input_ids = infer_ids(input)?;
-            let mut out = Vec::with_capacity(input_ids.len());
-            for id in input_ids {
-                let pos = cols
-                    .iter()
-                    .position(|(_, e)| matches!(e, Expr::Col(i) if *i == id))
-                    .ok_or_else(|| {
-                        Error::Plan(format!(
-                            "projection drops ID column #{id} of its input; \
-                             run ensure_ids to extend the plan"
-                        ))
-                    })?;
-                out.push(pos);
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        }
+        Plan::Project { input, cols } => project_ids(&infer_ids(input)?, cols)?,
         Plan::Join { left, right, .. } | Plan::LeftOuterJoin { left, right, .. } => {
             // Outer join: padded rows carry NULLs in the right-ID
             // positions; since every left row yields either matches or
@@ -77,6 +59,32 @@ pub fn infer_ids(plan: &Plan) -> Result<Vec<usize>> {
         Plan::GroupBy { keys, .. } => (0..keys.len()).collect(),
     };
     Ok(ids)
+}
+
+/// The output ID positions of a projection with `cols` over an input
+/// whose IDs are `input_ids` (the `π(R)` row of Table 1): where each
+/// input ID is copied to, sorted.
+///
+/// # Errors
+/// [`Error::Plan`] if `cols` drops an input ID (run [`ensure_ids`]
+/// first).
+pub fn project_ids(input_ids: &[usize], cols: &[(String, Expr)]) -> Result<Vec<usize>> {
+    let mut out = Vec::with_capacity(input_ids.len());
+    for &id in input_ids {
+        let pos = cols
+            .iter()
+            .position(|(_, e)| matches!(e, Expr::Col(i) if *i == id))
+            .ok_or_else(|| {
+                Error::Plan(format!(
+                    "projection drops ID column #{id} of its input; \
+                     run ensure_ids to extend the plan"
+                ))
+            })?;
+        out.push(pos);
+    }
+    out.sort_unstable();
+    out.dedup();
+    Ok(out)
 }
 
 /// Pass 1 of the ∆-script generator: extend every projection in the plan

@@ -21,5 +21,5 @@ pub mod plan;
 pub use aggregate::{Accumulator, AggFunc, AggSpec};
 pub use builder::PlanBuilder;
 pub use expr::{opt_pred, BinOp, CmpOp, Expr, ScalarFn};
-pub use ids::{ensure_ids, infer_ids};
+pub use ids::{ensure_ids, infer_ids, project_ids};
 pub use plan::{ColOrigin, Plan, PlanCol};

@@ -13,10 +13,10 @@
 
 use crate::access::PathId;
 use crate::diff::{DiffInstance, DiffKind, DiffSchema, State};
-use crate::rules::common::{child_path, eval_diff, evaluable, untouched, update_row_pairs};
+use crate::rules::common::{child_path, evaluable, on_diff, untouched, update_row_pairs};
 use crate::rules::RuleCtx;
 use idivm_algebra::{Expr, Plan};
-use idivm_types::{Result, Row};
+use idivm_types::Result;
 
 /// Propagate one diff through a selection.
 ///
@@ -32,31 +32,11 @@ pub fn propagate(
     let arity = input.arity();
     let cond_cols = pred.columns();
     match diff.schema.kind {
-        DiffKind::Insert => {
-            // σφ(X̄post)∆⁺ — always evaluable.
-            let schema = diff.schema.clone();
-            let mut rows: Vec<Row> = Vec::with_capacity(diff.rows.len());
-            for r in diff.rows {
-                if eval_diff(&schema, &r, pred, State::Post, arity)?
-                    == idivm_types::Value::Bool(true)
-                {
-                    rows.push(r);
-                }
-            }
-            Ok(vec![DiffInstance::new(schema, rows)])
-        }
+        // σφ(X̄post)∆⁺ — always evaluable.
+        DiffKind::Insert => Ok(vec![filtered(pred, diff, State::Post)?]),
         DiffKind::Delete => {
             if ctx.minimize && evaluable(&diff.schema, pred, State::Pre) {
-                let schema = diff.schema.clone();
-                let mut rows: Vec<Row> = Vec::with_capacity(diff.rows.len());
-                for r in diff.rows {
-                    if eval_diff(&schema, &r, pred, State::Pre, arity)?
-                        == idivm_types::Value::Bool(true)
-                    {
-                        rows.push(r);
-                    }
-                }
-                Ok(vec![DiffInstance::new(schema, rows)])
+                Ok(vec![filtered(pred, diff, State::Pre)?])
             } else {
                 // Pass through unmodified (Example 4.8's overestimating
                 // delete: tuples failing φ are not in the view, so the
@@ -67,19 +47,8 @@ pub fn propagate(
         DiffKind::Update => {
             if untouched(&diff.schema, &cond_cols) {
                 // Condition unaffected: the update maps to updates only.
-                if ctx.minimize
-                    && evaluable(&diff.schema, pred, State::Pre)
-                {
-                    let schema = diff.schema.clone();
-                    let mut rows: Vec<Row> = Vec::with_capacity(diff.rows.len());
-                    for r in diff.rows {
-                        if eval_diff(&schema, &r, pred, State::Pre, arity)?
-                            == idivm_types::Value::Bool(true)
-                        {
-                            rows.push(r);
-                        }
-                    }
-                    return Ok(vec![DiffInstance::new(schema, rows)]);
+                if ctx.minimize && evaluable(&diff.schema, pred, State::Pre) {
+                    return Ok(vec![filtered(pred, diff, State::Pre)?]);
                 }
                 return Ok(vec![diff]);
             }
@@ -161,6 +130,20 @@ pub fn propagate(
             Ok(out)
         }
     }
+}
+
+/// The rows of `diff` whose `state` satisfies φ, evaluated on the diff
+/// rows themselves through φ rewritten once over their slots
+/// ([`on_diff`]).
+fn filtered(pred: &Expr, diff: DiffInstance, state: State) -> Result<DiffInstance> {
+    let pred = on_diff(&diff.schema, pred, state);
+    let mut rows = Vec::with_capacity(diff.rows.len());
+    for r in diff.rows {
+        if pred.eval_pred(&r)? {
+            rows.push(r);
+        }
+    }
+    Ok(DiffInstance::new(diff.schema, rows))
 }
 
 fn non(ids: &[usize], arity: usize) -> Vec<usize> {

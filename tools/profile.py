@@ -13,8 +13,10 @@ sample still counts for everything further up.
 
 When the command exits, every sampled address is symbolized with `nm`
 against the object mapped at it (the executable's own symbol table,
-libc's dynamic one), and two tables are printed: self (the sampled frame)
-and inclusive (every function on the stack, once per sample). With
+libc's dynamic one), and three tables are printed: self (the sampled
+frame), inclusive (every function on the stack, once per sample) and
+owner (the innermost frame in one of the crates named by OWNERS, so an
+allocation or a hash charges the library function that asked for it). With
 --under, only the samples whose stack holds a function whose name
 contains FRAME count, and shares are of those. The exit status is the
 command's own when that is not 0 (128 + the signal when one killed it),
@@ -41,6 +43,7 @@ PTRACE_EVENT_STOP = 128
 WALL = 0x40000000
 MAX_DEPTH = 256
 HZ = 1000.0
+OWNERS = re.compile(r"^<?idivm_(core|reldb|ingest|sched|exec)::")
 
 libc = ctypes.CDLL(None, use_errno=True)
 libc.ptrace.argtypes = [ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
@@ -192,7 +195,7 @@ def main():
         ap.error("no command")
     stacks, regions, status = sample(cmd)
     sym = Symbolizer(regions)
-    self_counts, incl_counts = collections.Counter(), collections.Counter()
+    self_counts, incl_counts, owner_counts = (collections.Counter() for _ in range(3))
     total = under = 0
     for addrs, n in stacks.items():
         names = [sym.name(a) for a in addrs]
@@ -203,11 +206,14 @@ def main():
         self_counts[names[0]] += n
         for f in set(names):
             incl_counts[f] += n
+        owner_counts[next((f for f in names if OWNERS.match(f)), "(no idivm frame)")] += n
     print(f"command exit status {status}; {total} samples", end="")
     print(f", {under} under `{args.under}`" if args.under else "")
     if under:
         table("self (the sampled frame)", self_counts, under, args.top)
         table("inclusive (anywhere on the stack)", incl_counts, under, args.top)
+        table("owner (the first idivm_{core,reldb,ingest,sched,exec} frame)",
+              owner_counts, under, args.top)
     if status:
         sys.exit(status if status > 0 else 128 - status)  # killed by signal -status
     sys.exit(1 if args.under and not under else 0)

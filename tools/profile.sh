@@ -10,7 +10,7 @@
 #   idivm-benchmark --workload <workload> --seed <seed> --seconds <seconds> --trace 0
 #
 # in a temporary directory under tools/profile.py at about 1 kHz, and
-# prints the self and inclusive tables. With [frame] only the samples
+# prints the self, inclusive and owner tables. With [frame] only the samples
 # whose stack holds a function whose name contains it count, e.g.
 #
 #   tools/profile.sh firehose-multiview 10 7 IngestPipeline::poll
