@@ -17,7 +17,7 @@
 //! subset of the output IDs and address joined and padded rows alike.
 
 use crate::access::PathId;
-use crate::diff::{laid_out, DiffInstance, DiffKind, State};
+use crate::diff::{DiffInstance, DiffKind, Layout, State};
 use crate::rules::common::{
     child_path, delete_rows, insert_rows, shift_schema, untouched, update_row_pairs,
 };
@@ -135,10 +135,8 @@ fn left_side(
                     &[],
                     &diff.schema.post_cols,
                 );
-                let rows = post_out
-                    .iter()
-                    .map(|j| laid_out(j, &schema.id_cols, &schema.post_cols))
-                    .collect();
+                let rows = Layout::diff_rows(&schema.id_cols, &schema.post_cols, out_arity)
+                    .apply_all(&post_out);
                 return Ok(vec![DiffInstance::new(schema, rows)]);
             }
             // Condition affected: old matches may dissolve (the row may
@@ -294,10 +292,8 @@ fn emit_transition(
             .filter(|c| !out_idset.contains(c))
             .collect();
         let schema = crate::diff::DiffSchema::update(out_idset, &[], &post_cols);
-        let rows: Vec<Row> = post_out
-            .iter()
-            .map(|j| laid_out(j, &schema.id_cols, &schema.post_cols))
-            .collect();
+        let rows =
+            Layout::diff_rows(&schema.id_cols, &schema.post_cols, out_arity).apply_all(&post_out);
         out.push(DiffInstance::new(schema, rows));
         out.push(DiffInstance::insert_from_rows(
             out_idset, out_arity, &post_out,

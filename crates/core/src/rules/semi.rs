@@ -10,7 +10,7 @@
 //! inserts into it).
 
 use crate::access::{self, PathId};
-use crate::diff::{laid_out, DiffInstance, DiffKind, State};
+use crate::diff::{DiffInstance, DiffKind, Layout, State};
 use crate::rules::common::{child_path, delete_rows, insert_rows, untouched, update_row_pairs};
 use crate::rules::RuleCtx;
 use idivm_algebra::{Expr, Plan};
@@ -125,10 +125,8 @@ fn propagate_left(
                 let post_cols: Vec<usize> =
                     (0..la).filter(|c| !left_ids.contains(c)).collect();
                 let schema = crate::diff::DiffSchema::update(&left_ids, &[], &post_cols);
-                let rows = staying
-                    .iter()
-                    .map(|r| laid_out(r, &schema.id_cols, &schema.post_cols))
-                    .collect();
+                let rows =
+                    Layout::diff_rows(&schema.id_cols, &schema.post_cols, la).apply_all(&staying);
                 out.push(DiffInstance::new(schema, rows));
             }
             if !entering.is_empty() {

@@ -20,7 +20,7 @@
 //! log (effective net changes) into instances: an update lands in
 //! *every* update schema that covers at least one modified attribute.
 
-use crate::diff::{laid_out, DiffInstance, DiffSchema};
+use crate::diff::{DiffInstance, DiffSchema, Layout};
 use idivm_algebra::Plan;
 use idivm_reldb::{NetChange, TableChanges};
 use idivm_types::{Result, Row, Schema};
@@ -247,7 +247,12 @@ pub fn populate(
     let mut deletes = sized();
     let mut per_group: Vec<Vec<Row>> = schemas.updates.iter().map(|_| sized()).collect();
     // Diff rows lead with the key, then every non-key column.
-    let leading = |image: &Row| laid_out(image, &schemas.key, &schemas.non_key);
+    let layout = Layout::diff_rows(
+        &schemas.key,
+        &schemas.non_key,
+        schemas.key.len() + schemas.non_key.len(),
+    );
+    let leading = |image: &Row| layout.apply(image);
     for change in changes.values() {
         match change {
             NetChange::Inserted { post } => {
