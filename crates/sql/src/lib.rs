@@ -33,11 +33,14 @@
 //! * [`parser`] — recursive descent from tokens to [`ast::Statement`]s.
 //! * [`lower`] — name resolution + lowering to `idivm-algebra` plans,
 //!   including inline view expansion and earliest-binding predicate
-//!   placement (so SQL text lowers to *structurally identical* plans to
-//!   the hand-written builders).
+//!   placement (shape-preserving: the plan follows the text's written
+//!   order, so a view's plan, and its access counts, change only when
+//!   its text does).
 //! * [`frontend`] — applies statements to a [`idivm_sched::ViewCatalog`]
 //!   or [`idivm_sched::MaintenanceScheduler`] (`register_sql` with
-//!   `IF NOT EXISTS`, `DROP`, `EXPLAIN MAINTENANCE`).
+//!   `IF NOT EXISTS`, `DROP`, `EXPLAIN MAINTENANCE`), and lowers one
+//!   view's text to a plan without a catalog (`plan_sql`, how
+//!   `idivm-workloads` derives every bundled view's plan).
 //! * [`explain`] — the `EXPLAIN MAINTENANCE` text renderer: operator
 //!   tree, per-base-table i-diff schemas with the C_op/NC split, the
 //!   generated ∆-script, and (when a traced round has run) per-operator
@@ -54,6 +57,6 @@ pub mod parser;
 
 pub use ast::{Query, Statement};
 pub use explain::explain_view;
-pub use frontend::{execute, explain, register_sql, Outcome};
+pub use frontend::{execute, explain, plan_sql, register_sql, Outcome};
 pub use lower::lower_query;
 pub use parser::parse;

@@ -1,9 +1,11 @@
 //! Name resolution and lowering from [`Query`] ASTs to
 //! [`idivm_algebra::Plan`]s.
 //!
-//! The lowering is deliberately *shape-preserving* so that SQL text
-//! produces plans structurally identical to the hand-written
-//! [`PlanBuilder`] programs in `idivm-workloads`:
+//! The SQL text is a view's one definition, and the lowering is
+//! deliberately *shape-preserving*: the plan mirrors the text, so it
+//! (and with it every access count) changes only when the text does.
+//! The bundled workload views' plans are pinned by digest in
+//! `tests/sql_frontend.rs`.
 //!
 //! * The `FROM`/`JOIN` list folds left-deep, in written order.
 //! * `WHERE` is split into top-level conjuncts; each conjunct attaches
@@ -360,7 +362,7 @@ fn lower_scalar(
 /// Extract equi-join pairs from an `ON` predicate: a conjunction of
 /// `left_col = right_col` equalities, one side already in the left
 /// scope and the other from the newly joined item, kept in written
-/// order (so the on-pair order matches the hand-written builders).
+/// order (so the on-pair order follows the text).
 fn join_on_pairs(
     src: &str,
     on: &SqlExpr,

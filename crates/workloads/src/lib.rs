@@ -10,12 +10,19 @@
 //!   (Figure 9a), plus the eight analytics views of Figure 9b (Q7, Q10,
 //!   Q11, Q15, Q18, Q*1, Q*2, Q*3).
 //! * [`multiview`] — the overlapping Q7-family suite for the view
-//!   catalog: four standing views sharing the σ_ts(mentions ⋈
+//!   catalog: five standing views sharing the σ_ts(mentions ⋈
 //!   microblog) prefix, plus a tweet-stream modification generator
 //!   whose diffs actually reach the shared subtree.
 //! * [`tpch`] — a TPC-H-flavored customer/orders/lineitem workload with
 //!   skewed extremum-deleting updates, exercising MIN/MAX rescans and
 //!   LEFT OUTER JOIN padding churn.
+//!
+//! Each view of the running example, the multi-view suite and TPC-H is
+//! defined once, as SQL text (`*_sql` / [`MultiView::sql`]); its
+//! `*_plan` accessor lowers that text with [`idivm_sql::plan_sql`].
+//! The BSMA views of Figure 9b stay `PlanBuilder` programs: Q11 and
+//! Q18 join above an aggregate, which the SQL subset cannot express.
+//! So do the SDBT partials, which are engine state, not views.
 //!
 //! The paper ran on BSMA's released data at 1M-user scale on PostgreSQL;
 //! we substitute a seeded synthetic generator with the same shape,

@@ -27,7 +27,7 @@
 //!
 //! Maintained independently, each view pays the prefix's diff
 //! computation itself; under a shared-prefix catalog it is paid once
-//! and fanned out (the `--bin multiview` bench measures the ratio).
+//! and fanned out (`idivm-bench multiview` measures the ratio).
 //!
 //! One deliberate wrinkle: `mention_topic_counts` groups on
 //! `microblog.topic`, which makes `topic` a **conditional** attribute
@@ -45,9 +45,9 @@
 //! `users` updates so the non-shared parts of the DAG stay exercised.
 
 use crate::bsma::Bsma;
-use idivm_algebra::{AggFunc, Expr, Plan, PlanBuilder};
-use idivm_exec::DbCatalog;
+use idivm_algebra::Plan;
 use idivm_reldb::Database;
+use idivm_sql::plan_sql;
 use idivm_types::{row, Key, Result, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -78,85 +78,20 @@ impl MultiView {
         self.bsma.build()
     }
 
-    /// The shared Q7-family prefix: σ_ts(mentions ⋈ microblog). Every
-    /// view of the suite starts from this exact subtree, so a catalog
-    /// can compute its i-diffs once per round.
-    fn prefix(&self, db: &Database) -> Result<PlanBuilder> {
-        let cat = DbCatalog(db);
-        let (lo, hi) = self.bsma.time_range();
-        let b = PlanBuilder::scan(&cat, "mentions")?.join(
-            PlanBuilder::scan(&cat, "microblog")?,
-            &[("mentions.mid", "microblog.mid")],
-        )?;
-        let ts = b.col("microblog.ts")?;
-        let pred = ts.clone().ge(Expr::lit(lo)).and(ts.le(Expr::lit(hi)));
-        Ok(b.select(pred))
-    }
-
-    /// Build one of the five view plans by name.
+    /// One of the five view plans by name: [`Self::sql`] lowered
+    /// against `db`.
     ///
     /// # Errors
-    /// Unknown view name ([`idivm_types::Error::Config`]) or
-    /// plan-construction failures.
+    /// Unknown view name ([`idivm_types::Error::Config`]) or lowering
+    /// failures.
     pub fn plan(&self, db: &Database, name: &str) -> Result<Plan> {
-        let cat = DbCatalog(db);
-        let prefix = self.prefix(db)?;
-        match name {
-            // Q7 itself: mentioned users within the time range.
-            "mention_users" => prefix
-                .join(
-                    PlanBuilder::scan(&cat, "users")?,
-                    &[("mentions.uid", "users.uid")],
-                )?
-                .project_names(&[
-                    "mentions.mid",
-                    "mentions.uid",
-                    "users.tweetsnum",
-                    "users.favornum",
-                ])?
-                .build(),
-            // Reach of each mention: how many tweets the mentioned
-            // user has. Shares the deep `prefix ⋈ users` subtree with
-            // `mention_users` and `mention_favor`, diverging only in
-            // the projection above it.
-            "mention_reach" => prefix
-                .join(
-                    PlanBuilder::scan(&cat, "users")?,
-                    &[("mentions.uid", "users.uid")],
-                )?
-                .project_names(&["mentions.mid", "mentions.uid", "users.tweetsnum"])?
-                .build(),
-            // The raw mention timeline — a plain projection of the
-            // prefix.
-            "mention_timeline" => prefix
-                .project_names(&["mentions.mid", "mentions.uid", "microblog.ts"])?
-                .build(),
-            // Mentions per topic within the time range.
-            "mention_topic_counts" => prefix
-                .group_by(&["microblog.topic"], &[(AggFunc::Count, "*", "n")])?
-                .build(),
-            // Accumulated favor of each mentioned user.
-            "mention_favor" => prefix
-                .join(
-                    PlanBuilder::scan(&cat, "users")?,
-                    &[("mentions.uid", "users.uid")],
-                )?
-                .group_by(
-                    &["mentions.uid"],
-                    &[(AggFunc::Sum, "users.favornum", "favor")],
-                )?
-                .build(),
-            other => Err(idivm_types::Error::Config(format!(
-                "unknown multi-view suite view `{other}`"
-            ))),
-        }
+        plan_sql(db, &self.sql(name)?)
     }
 
-    /// One of the five views as SQL text. Lowered through `idivm-sql`,
-    /// each produces a plan structurally identical to [`Self::plan`]
-    /// for the same name — including the shared σ_ts(mentions ⋈
-    /// microblog) prefix, which the SQL lowering reproduces by binding
-    /// both `ts` conjuncts at the microblog join step in one `Select`.
+    /// One of the five views' definitions. Every one starts from the
+    /// same σ_ts(mentions ⋈ microblog) prefix: lowering binds both `ts`
+    /// conjuncts at the microblog join step in one `Select`, so a
+    /// catalog can compute the prefix's i-diffs once per round.
     ///
     /// # Errors
     /// Unknown view name ([`idivm_types::Error::Config`]).

@@ -8,10 +8,11 @@
 //! Parameters (Figure 11b): diff size `d`, joins `j`, selectivity `s`
 //! (% of devices that are phones), fanout `f` (parts per device).
 
-use idivm_algebra::{AggFunc, Expr, Plan, PlanBuilder};
+use idivm_algebra::{Expr, Plan, PlanBuilder};
 use idivm_exec::DbCatalog;
 use idivm_reldb::Database;
 use idivm_sdbt::{Partial, ProbeStep};
+use idivm_sql::plan_sql;
 use idivm_types::{row, ColumnType, Key, Result, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,35 +135,30 @@ impl RunningExample {
         Ok(db)
     }
 
-    /// The SPJ view V (Figure 1b), extended per the joins parameter.
+    /// The SPJ view V (Figure 1b), extended per the joins parameter:
+    /// [`Self::spj_sql`] lowered against `db`.
     ///
     /// # Errors
-    /// Plan-construction failures.
+    /// Lowering failures.
     pub fn spj_plan(&self, db: &Database) -> Result<Plan> {
-        self.joined(db)?.build()
+        plan_sql(db, &self.spj_sql())
     }
 
-    /// The aggregate view V′ (Figure 5b): total part cost per device.
+    /// The aggregate view V′ (Figure 5b), total part cost per device:
+    /// [`Self::agg_sql`] lowered against `db`.
     ///
     /// # Errors
-    /// Plan-construction failures.
+    /// Lowering failures.
     pub fn agg_plan(&self, db: &Database) -> Result<Plan> {
-        self.joined(db)?
-            .group_by(
-                &["devices_parts.did"],
-                &[(AggFunc::Sum, "parts.price", "cost")],
-            )?
-            .build()
+        plan_sql(db, &self.agg_sql())
     }
 
-    /// The SPJ view as SQL text. Lowered through `idivm-sql`, this
-    /// produces a plan structurally identical to [`Self::spj_plan`].
+    /// The SPJ view's definition.
     pub fn spj_sql(&self) -> String {
         format!("SELECT * {}", self.sql_tail())
     }
 
-    /// The aggregate view as SQL text (the SQL twin of
-    /// [`Self::agg_plan`]).
+    /// The aggregate view's definition.
     pub fn agg_sql(&self) -> String {
         format!(
             "SELECT devices_parts.did, SUM(parts.price) AS cost {} GROUP BY devices_parts.did",
@@ -170,8 +166,9 @@ impl RunningExample {
         )
     }
 
-    /// The shared `FROM … [WHERE …]` tail of both SQL views, extended
-    /// per the joins parameter exactly like [`Self::joined`].
+    /// The shared `FROM … [WHERE …]` tail of both views: parts ⋈
+    /// devices_parts ⋈ devices, one more join per extension table, and
+    /// the phone selection when it is enabled.
     fn sql_tail(&self) -> String {
         let mut s = String::from(
             "FROM parts \
@@ -187,34 +184,6 @@ impl RunningExample {
             s.push_str(" WHERE devices.category = 'phone'");
         }
         s
-    }
-
-    fn joined(&self, db: &Database) -> Result<PlanBuilder> {
-        let cat = DbCatalog(db);
-        let mut b = PlanBuilder::scan(&cat, "parts")?
-            .join(
-                PlanBuilder::scan(&cat, "devices_parts")?,
-                &[("parts.pid", "devices_parts.pid")],
-            )?
-            .join(
-                PlanBuilder::scan(&cat, "devices")?,
-                &[("devices_parts.did", "devices.did")],
-            )?;
-        for t in self.extension_tables() {
-            let did = format!("{t}.did");
-            let pid = format!("{t}.pid");
-            b = b.join(
-                PlanBuilder::scan(&cat, &t)?,
-                &[
-                    ("devices_parts.did", did.as_str()),
-                    ("devices_parts.pid", pid.as_str()),
-                ],
-            )?;
-        }
-        if self.selection_enabled() {
-            b = b.select_eq("devices.category", "phone")?;
-        }
-        Ok(b)
     }
 
     /// Apply `d` random price updates (the Figure 11c base-table diff

@@ -22,10 +22,11 @@
 //! every modification forces a rescan (the pathological case where
 //! maintained MIN/MAX approaches recompute cost).
 
-use idivm_algebra::{AggFunc, Plan, PlanBuilder};
+use idivm_algebra::{Plan, PlanBuilder};
 use idivm_exec::DbCatalog;
 use idivm_reldb::Database;
 use idivm_sdbt::{Partial, ProbeStep};
+use idivm_sql::plan_sql;
 use idivm_types::{row, ColumnType, Result, Row, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -133,44 +134,25 @@ impl Tpch {
     }
 
     /// Per-customer price extremes:
-    /// `γ_{custkey; MIN(price), MAX(price), SUM(price)}(orders ⋈ lineitem)`.
+    /// `γ_{custkey; MIN(price), MAX(price), SUM(price)}(orders ⋈ lineitem)`,
+    /// i.e. [`Self::extremes_sql`] lowered against `db`.
     ///
     /// # Errors
-    /// Plan-construction failures.
+    /// Lowering failures.
     pub fn extremes_plan(&self, db: &Database) -> Result<Plan> {
-        let cat = DbCatalog(db);
-        PlanBuilder::scan(&cat, "orders")?
-            .join(
-                PlanBuilder::scan(&cat, "lineitem")?,
-                &[("orders.orderkey", "lineitem.orderkey")],
-            )?
-            .group_by(
-                &["orders.custkey"],
-                &[
-                    (AggFunc::Min, "lineitem.extendedprice", "min_price"),
-                    (AggFunc::Max, "lineitem.extendedprice", "max_price"),
-                    (AggFunc::Sum, "lineitem.extendedprice", "revenue"),
-                ],
-            )?
-            .build()
+        plan_sql(db, &self.extremes_sql())
     }
 
-    /// `customer ⟕ orders` — customers without orders NULL-padded.
+    /// `customer ⟕ orders` — customers without orders NULL-padded:
+    /// [`Self::loj_sql`] lowered against `db`.
     ///
     /// # Errors
-    /// Plan-construction failures.
+    /// Lowering failures.
     pub fn loj_plan(&self, db: &Database) -> Result<Plan> {
-        let cat = DbCatalog(db);
-        PlanBuilder::scan(&cat, "customer")?
-            .left_outer_join(
-                PlanBuilder::scan(&cat, "orders")?,
-                &[("customer.custkey", "orders.custkey")],
-            )?
-            .build()
+        plan_sql(db, &self.loj_sql())
     }
 
-    /// The MIN/MAX/SUM view as SQL text (the SQL twin of
-    /// [`Tpch::extremes_plan`]).
+    /// The MIN/MAX/SUM view's definition.
     pub fn extremes_sql(&self) -> String {
         "SELECT orders.custkey, \
          MIN(lineitem.extendedprice) AS min_price, \
@@ -181,8 +163,7 @@ impl Tpch {
             .to_string()
     }
 
-    /// The outer-join view as SQL text (the SQL twin of
-    /// [`Tpch::loj_plan`]).
+    /// The outer-join view's definition.
     pub fn loj_sql(&self) -> String {
         "SELECT * FROM customer LEFT OUTER JOIN orders \
          ON customer.custkey = orders.custkey"

@@ -23,9 +23,8 @@
 
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_repro::core::{IdIvm, IvmOptions};
-use idivm_repro::exec::{executor::sorted, recompute_rows, DbCatalog};
+use idivm_repro::exec::{executor::sorted, recompute_rows};
 use idivm_repro::reldb::Database;
-use idivm_repro::sql::{lower_query, parse, Statement};
 use idivm_repro::types::{row, Key, Value};
 use idivm_repro::workloads::bsma::Bsma;
 use idivm_repro::workloads::multiview::VIEW_NAMES;
@@ -33,7 +32,7 @@ use idivm_repro::workloads::{MultiView, RunningExample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -155,11 +154,7 @@ fn maintain_allocates_per_changed_row_not_per_step() {
     }
     db.set_logging(true);
 
-    let text = format!("CREATE MATERIALIZED VIEW {VIEW} AS {}", cfg.agg_sql());
-    let Some(Statement::CreateView { query, .. }) = parse(&text).unwrap().pop() else {
-        panic!("`{text}` is not one CREATE VIEW");
-    };
-    let plan = lower_query(&text, &query, &DbCatalog(&db), &HashMap::new()).unwrap();
+    let plan = cfg.agg_plan(&db).unwrap();
     let ivm = IdIvm::setup(&mut db, VIEW, plan, IvmOptions::default()).unwrap();
 
     // Warm-up: lazily created view/cache ID indexes and first-use
@@ -268,14 +263,7 @@ fn tick_allocates_per_event_not_per_view() {
     };
     let mut sched = MaintenanceScheduler::new(suite.build().unwrap(), SchedulerConfig::default());
     for name in VIEW_NAMES {
-        let text = format!(
-            "CREATE MATERIALIZED VIEW {name} AS {}",
-            suite.sql(name).unwrap()
-        );
-        let Some(Statement::CreateView { query, .. }) = parse(&text).unwrap().pop() else {
-            panic!("`{text}` is not one CREATE VIEW");
-        };
-        let plan = lower_query(&text, &query, &DbCatalog(sched.db()), &HashMap::new()).unwrap();
+        let plan = suite.plan(sched.db(), name).unwrap();
         sched
             .register(name, plan, RefreshPolicy::Eager, IvmOptions::default())
             .unwrap();
