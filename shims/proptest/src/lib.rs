@@ -371,7 +371,7 @@ pub mod prelude {
     //! One-stop imports, mirroring `proptest::prelude`.
     pub use crate::strategy::{any, Arbitrary, BoxedStrategy, Just, Strategy};
     pub use crate::test_runner::ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, prop_oneof, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, prop_oneof, proptest};
 }
 
 /// Uniform choice among strategy arms (weights unsupported).
@@ -394,12 +394,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($args:tt)*) => { assert_eq!($($args)*) };
-}
-
-/// Property inequality assertion; panics (no shrinking).
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($args:tt)*) => { assert_ne!($($args)*) };
 }
 
 /// The property-test macro: expands each `fn name(arg in strategy, ..)`
