@@ -14,8 +14,8 @@
 
 use idivm_repro::algebra::{Expr, PlanBuilder};
 use idivm_repro::core::{
-    EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor, RoundTrace,
-    SupervisorConfig, TraceConfig, TracePhase,
+    EngineConfig, FaultPlan, FaultSite, IdIvm, IngestTrace, IvmOptions, MaintenanceSupervisor,
+    OpTrace, PhaseTimings, RoundTrace, SupervisorConfig, TraceConfig, TracePhase,
 };
 use idivm_repro::exec::{DbCatalog, ParallelConfig};
 use idivm_repro::reldb::{Database, StatsSnapshot};
@@ -23,6 +23,7 @@ use idivm_repro::sdbt::{Sdbt, SdbtVariant};
 use idivm_repro::tuple::TupleIvm;
 use idivm_repro::types::{row, ColumnType, Error, Schema};
 use idivm_repro::workloads::RunningExample;
+use std::time::Duration;
 
 fn four_threads() -> ParallelConfig {
     ParallelConfig {
@@ -328,4 +329,82 @@ fn recovered_trace_of_hostile_view_name_is_well_formed_json() {
         json.contains(r#""op": "recompute `we\"ird\n`""#),
         "view name not carried (escaped) into the trace:\n{json}"
     );
+}
+
+/// A hand-built trace: every field is public, so the rendered bytes
+/// (timings included) are fixed.
+fn pinned_trace(operators: Vec<OpTrace>, ingest: Option<IngestTrace>) -> RoundTrace {
+    RoundTrace {
+        operators,
+        timings: PhaseTimings {
+            fold: Duration::from_micros(3),
+            populate: Duration::from_micros(14),
+            propagate: Duration::from_micros(159),
+            apply: Duration::from_micros(26),
+        },
+        ingest,
+    }
+}
+
+/// The trace document's bytes: an escaped operator label, the ingest
+/// pseudo-phase and a ratio rendered to six decimals.
+#[test]
+fn trace_json_bytes_are_pinned() {
+    let op = |path: Vec<usize>, op: &str, phase, diffs: [u64; 3], ta, il| OpTrace {
+        path,
+        op: op.into(),
+        phase,
+        diffs_in: diffs[0],
+        diffs_out: diffs[1],
+        dummies: diffs[2],
+        accesses: StatsSnapshot {
+            tuple_accesses: ta,
+            index_lookups: il,
+        },
+    };
+    let trace = pinned_trace(
+        vec![
+            op(vec![0, 1], "join", TracePhase::Propagate, [4, 3, 0], 12, 5),
+            op(
+                vec![],
+                "recompute `we\"ird\n\t`",
+                TracePhase::ViewApply,
+                [3, 0, 1],
+                2,
+                3,
+            ),
+        ],
+        Some(IngestTrace {
+            admitted: 7,
+            shed: 1,
+            dead_lettered: 2,
+            cut_cause: "age",
+            queue_depth_at_cut: 9,
+        }),
+    );
+    let want = r#"{
+  "timings_us": {"fold": 3, "populate": 14, "propagate": 159, "apply": 26},
+  "ingest": {"admitted": 7, "shed": 1, "dead_lettered": 2, "cut_cause": "age", "queue_depth_at_cut": 9},
+  "dummy_diffs": 1,
+  "overestimation_ratio": 0.333333,
+  "operators": [
+    {"path": [0,1], "op": "join", "phase": "propagate", "diffs_in": 4, "diffs_out": 3, "dummies": 0, "tuple_accesses": 12, "index_lookups": 5},
+    {"path": [], "op": "recompute `we\"ird\n\t`", "phase": "view_apply", "diffs_in": 3, "diffs_out": 0, "dummies": 1, "tuple_accesses": 2, "index_lookups": 3}
+  ]
+}"#;
+    assert_eq!(trace.to_json(), want);
+}
+
+/// An empty round: no operators, no ingest, a `null` ratio.
+#[test]
+fn empty_trace_json_bytes_are_pinned() {
+    let trace = pinned_trace(Vec::new(), None);
+    let want = r#"{
+  "timings_us": {"fold": 3, "populate": 14, "propagate": 159, "apply": 26},
+  "dummy_diffs": 0,
+  "overestimation_ratio": null,
+  "operators": [
+  ]
+}"#;
+    assert_eq!(trace.to_json(), want);
 }
