@@ -25,7 +25,7 @@
 //! `EXPERIMENTS.md`).
 
 use idivm_bench::{
-    fmt_row, overhead_pct, running_example_lane, Args, EngineKind, Json, Lane, CHAOS_SEED,
+    fmt_row, overhead_pct, running_example_lane, Args, EngineKind, Lane, CHAOS_SEED,
 };
 use idivm_core::{
     Engine, EngineConfig, FaultKind, FaultPlan, FaultSite, IvmOptions, MaintenanceReport,
@@ -33,7 +33,7 @@ use idivm_core::{
     TraceConfig,
 };
 use idivm_exec::ParallelConfig;
-use idivm_types::Result;
+use idivm_types::{Json, Result};
 use idivm_workloads::RunningExample;
 
 /// Every engine configuration swept: system × thread count.
@@ -108,8 +108,8 @@ fn scenario(
         ("engine", engine.into()),
         ("site", site.into()),
         ("kind", kind.into()),
-        ("budget", budget.map_or(Json::Null, Json::from)),
-        ("report", Json::Raw(report.to_json())),
+        ("budget", budget.into()),
+        ("report", report.to_json()),
     ])
 }
 
@@ -374,7 +374,9 @@ pub fn run(args: &Args) -> Result<()> {
             let mut lane = prepared(spec, &cfg, d, TraceConfig::disabled())?;
             lane.engine
                 .set_faults(FaultPlan::at(FaultSite::Diff, 3, seed).permanent());
-            Ok(supervise(&mut lane, SupervisorConfig::seeded(seed)).to_json())
+            Ok(supervise(&mut lane, SupervisorConfig::seeded(seed))
+                .to_json()
+                .render())
         };
         let a = run_one(ENGINES[serial_idx])?;
         let b = run_one(ENGINES[serial_idx])?;
@@ -403,15 +405,15 @@ pub fn run(args: &Args) -> Result<()> {
     Ok(())
 }
 
-/// The trace JSON minus its `timings_us` line: phase timings are
+/// The trace JSON minus its `timings_us` member: phase timings are
 /// wall-clock and legitimately differ run to run; everything else
 /// (operator entries, access attribution, dummies) must not.
-fn trace_fingerprint(t: &idivm_core::RoundTrace) -> String {
-    t.to_json()
-        .lines()
-        .filter(|l| !l.contains("\"timings_us\""))
-        .collect::<Vec<_>>()
-        .join("\n")
+fn trace_fingerprint(t: &idivm_core::RoundTrace) -> Json {
+    let mut json = t.to_json();
+    if let Json::Obj(_, fields) = &mut json {
+        fields.retain(|(key, _)| key != "timings_us");
+    }
+    json
 }
 
 fn kind_label(kind: FaultKind) -> &'static str {

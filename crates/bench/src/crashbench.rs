@@ -41,7 +41,7 @@
 //! Output: one row per swept kill site and per state size, plus
 //! `BENCH_crash.json` (schema in `EXPERIMENTS.md`).
 
-use idivm_bench::{fmt_row, overhead_pct, Args, Json, CRASH_SEED};
+use idivm_bench::{fmt_row, overhead_pct, Args, CRASH_SEED};
 use idivm_core::{FaultPlan, FaultSite, FaultState, IvmOptions};
 use idivm_durability::{
     Checkpoint, CheckpointStats, DurabilityConfig, DurabilityPolicy, Durable, Wal, WAL_FILE,
@@ -49,7 +49,7 @@ use idivm_durability::{
 use idivm_exec::ParallelConfig;
 use idivm_reldb::TableSignature;
 use idivm_sched::{RefreshPolicy, SchedulerConfig};
-use idivm_types::{Error, Fnv1a, Result};
+use idivm_types::{Error, Fnv1a, Json, Result};
 use idivm_workloads::bsma::Bsma;
 use idivm_workloads::multiview::{MultiView, VIEW_NAMES};
 use idivm_workloads::RunningExample;

@@ -20,10 +20,10 @@
 
 use idivm_bench::{
     fmt_row, four_systems_round, overhead_pct, rollback_overhead, speedup, trace_report, Args,
-    Json, Measured,
+    Measured,
 };
 use idivm_core::TraceConfig;
-use idivm_types::Result;
+use idivm_types::{Json, Result};
 use idivm_workloads::RunningExample;
 
 pub fn run(args: &Args) -> Result<()> {

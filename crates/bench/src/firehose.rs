@@ -37,7 +37,7 @@
 //! silent), so their final state intentionally differs from the
 //! lossless baseline; they are held to the determinism guards instead.
 
-use idivm_bench::{fmt_row, multiview_scheduler, view_state, Args, Json};
+use idivm_bench::{fmt_row, multiview_scheduler, view_state, Args};
 use idivm_core::{FaultPlan, FaultState};
 use idivm_exec::ParallelConfig;
 use idivm_ingest::{
@@ -46,7 +46,7 @@ use idivm_ingest::{
 };
 use idivm_reldb::{LogEntry, TableSignature};
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
-use idivm_types::{row, Result};
+use idivm_types::{row, Json, Result};
 use idivm_workloads::bsma::Bsma;
 use idivm_workloads::MultiView;
 use std::collections::BTreeMap;
@@ -119,7 +119,7 @@ fn run_streamed(
         db_signature: sched.db().signature().into_iter().collect(),
         view_signatures,
         per_view_accesses,
-        dlq_json: pipeline.dlq().to_json(),
+        dlq_json: pipeline.dlq().to_json().render(),
         dlq_len: pipeline.dlq().len(),
     })
 }

@@ -15,23 +15,23 @@
 //! * `tpch`, `multiview`, `firehose`, `chaos`, `crashbench`, `sqlshell`
 //!   — the layers above the engine, each with its in-process guards.
 //!
-//! Every experiment is the same three pieces, kept here once: [`Args`]
-//! (the command line), [`Lane`] (a database with one system set up on a
-//! view, warmed and measured) and [`Json`] (the `BENCH_*.json` writer).
+//! Every experiment is the same two pieces, kept here once: [`Args`]
+//! (the command line) and [`Lane`] (a database with one system set up on
+//! a view, warmed and measured). Each writes its `BENCH_*.json` as one
+//! `idivm_types::Json` value.
 //!
 //! All experiments report the paper's cost unit (tuple accesses + index
 //! lookups) and wall time; access counts are deterministic and
 //! machine-independent, wall time is indicative.
 
 use idivm_algebra::Plan;
-use idivm_core::trace::json_escape;
 use idivm_core::{Engine, IdIvm, IvmOptions, MaintenanceReport, TraceConfig};
 use idivm_exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_reldb::{Database, TableSignature};
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_sdbt::{Partial, Sdbt, SdbtVariant};
 use idivm_tuple::TupleIvm;
-use idivm_types::{Error, Result};
+use idivm_types::{Error, Json, Result};
 use idivm_workloads::bsma::{Bsma, BsmaQuery};
 use idivm_workloads::multiview::{MultiView, VIEW_NAMES};
 use idivm_workloads::RunningExample;
@@ -506,7 +506,7 @@ pub fn trace_report(bench: &str, measured: &[Measured], extra: Vec<(&str, Json)>
         Some(Json::inline([
             ("label", m.label.into()),
             ("total_accesses", m.cost().into()),
-            ("trace", Json::Raw(trace.to_json())),
+            ("trace", trace.to_json()),
         ]))
     });
     let mut fields = vec![("bench", bench.into()), ("systems", Json::rows(systems))];
@@ -522,157 +522,6 @@ pub fn fmt_row(cells: &[String], widths: &[usize]) -> String {
         .map(|(c, w)| format!("{c:>w$}"))
         .collect::<Vec<_>>()
         .join("  ")
-}
-
-// ── Json ─────────────────────────────────────────────────────────────
-
-/// How an object or array is laid out: one member per line, indented
-/// two spaces under its parent, or all on one line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Layout {
-    Block,
-    Inline,
-}
-
-/// A JSON value with its layout — the one writer of every
-/// `BENCH_*.json`. Strings and keys are escaped; a non-finite float is
-/// `null`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    Null,
-    Bool(bool),
-    Int(i128),
-    /// A float with a fixed number of decimals.
-    Fixed(f64, usize),
-    /// A float as `Display` prints it (`0.02`, `1`).
-    Num(f64),
-    Str(String),
-    /// Already-rendered JSON — the library's own `to_json()` strings.
-    Raw(String),
-    Obj(Layout, Vec<(String, Json)>),
-    Arr(Layout, Vec<Json>),
-}
-
-impl Json {
-    /// An object, one field per line.
-    pub fn block<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
-        Json::Obj(Layout::Block, owned(fields))
-    }
-
-    /// An object on one line.
-    pub fn inline<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
-        Json::Obj(Layout::Inline, owned(fields))
-    }
-
-    /// An array, one item per line.
-    pub fn rows(items: impl IntoIterator<Item = Json>) -> Json {
-        Json::Arr(Layout::Block, items.into_iter().collect())
-    }
-
-    /// An array on one line.
-    pub fn list(items: impl IntoIterator<Item = Json>) -> Json {
-        Json::Arr(Layout::Inline, items.into_iter().collect())
-    }
-
-    /// The document text (no trailing newline).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out, 0);
-        out
-    }
-
-    /// Write the document, newline-terminated, to `path`.
-    ///
-    /// # Errors
-    /// [`Error::Config`] naming the path and the I/O error.
-    pub fn write(&self, path: &str) -> Result<()> {
-        std::fs::write(path, self.render() + "\n")
-            .map_err(|e| Error::Config(format!("cannot write {path}: {e}")))
-    }
-
-    fn render_into(&self, out: &mut String, indent: usize) {
-        // A container's delimiters, layout and (key, value) members.
-        type Members<'a> = Vec<(Option<&'a str>, &'a Json)>;
-        let (delimiters, layout, members): ([char; 2], Layout, Members) = match self {
-            Json::Obj(layout, fields) => {
-                let members = fields.iter().map(|(k, v)| (Some(k.as_str()), v));
-                (['{', '}'], *layout, members.collect())
-            }
-            Json::Arr(layout, items) => (
-                ['[', ']'],
-                *layout,
-                items.iter().map(|v| (None, v)).collect(),
-            ),
-            scalar => return scalar.render_scalar(out),
-        };
-        let block = layout == Layout::Block;
-        out.push(delimiters[0]);
-        if block {
-            out.push('\n');
-        }
-        for (i, (key, value)) in members.into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(if block { ",\n" } else { ", " });
-            }
-            if block {
-                let _ = write!(out, "{:1$}", "", indent + 2);
-            }
-            if let Some(key) = key {
-                let _ = write!(out, "\"{}\": ", json_escape(key));
-            }
-            value.render_into(out, indent + 2);
-        }
-        if block {
-            let _ = write!(out, "\n{:1$}", "", indent);
-        }
-        out.push(delimiters[1]);
-    }
-
-    fn render_scalar(&self, out: &mut String) {
-        let _ = match self {
-            Json::Bool(b) => write!(out, "{b}"),
-            Json::Int(i) => write!(out, "{i}"),
-            Json::Fixed(x, digits) if x.is_finite() => write!(out, "{x:.digits$}"),
-            Json::Num(x) if x.is_finite() => write!(out, "{x}"),
-            Json::Str(s) => write!(out, "\"{}\"", json_escape(s)),
-            Json::Raw(s) => write!(out, "{s}"),
-            _ => write!(out, "null"),
-        };
-    }
-}
-
-fn owned<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Vec<(String, Json)> {
-    let fields = fields.into_iter();
-    fields.map(|(k, v)| (k.to_string(), v)).collect()
-}
-
-macro_rules! json_from_int {
-    ($($t:ty),*) => {$(
-        impl From<$t> for Json {
-            fn from(i: $t) -> Json {
-                Json::Int(i as i128)
-            }
-        }
-    )*};
-}
-json_from_int!(u32, u64, i64, usize);
-
-impl From<bool> for Json {
-    fn from(b: bool) -> Json {
-        Json::Bool(b)
-    }
-}
-
-impl From<&str> for Json {
-    fn from(s: &str) -> Json {
-        Json::Str(s.to_string())
-    }
-}
-
-impl From<String> for Json {
-    fn from(s: String) -> Json {
-        Json::Str(s)
-    }
 }
 
 #[cfg(test)]
@@ -787,115 +636,10 @@ mod tests {
     }
 
     #[test]
-    fn strings_and_keys_are_escaped() {
-        let doc = Json::inline([("re\"covery", Json::from("a\"b\\c\nd\u{1}e"))]);
-        assert_eq!(doc.render(), r#"{"re\"covery": "a\"b\\c\nd\u0001e"}"#);
-    }
-
-    #[test]
-    fn non_finite_floats_render_null() {
-        let doc = Json::list([
-            Json::Fixed(f64::INFINITY, 3),
-            Json::Fixed(f64::NAN, 3),
-            Json::Num(f64::NEG_INFINITY),
-            Json::Fixed(1.0, 3),
-            Json::Num(0.02),
-            Json::Num(1.0),
-            Json::Null,
-        ]);
-        assert_eq!(doc.render(), "[null, null, null, 1.000, 0.02, 1, null]");
+    fn speedup_and_overhead_survive_a_zero_base() {
         assert!((speedup(10, 40) - 4.0).abs() < 1e-12 && speedup(0, 40).is_infinite());
         assert_eq!(overhead_pct(5.0, 0.0), 0.0);
         assert!((overhead_pct(3.0, 2.0) - 50.0).abs() < 1e-12);
-    }
-
-    /// The committed `BENCH_tpch.json`, byte for byte: block objects
-    /// holding block arrays of inline objects and an inline object.
-    #[test]
-    fn block_and_inline_layouts_reproduce_bench_tpch() {
-        let engine = |name: &str, accesses: u64, rescans: u64| {
-            Json::inline([
-                ("name", name.into()),
-                ("accesses", accesses.into()),
-                ("rescans", rescans.into()),
-            ])
-        };
-        let doc = Json::block([
-            ("bench", "tpch".into()),
-            ("customers", 200usize.into()),
-            ("rounds", 8u64.into()),
-            ("diffs", 24usize.into()),
-            ("extremum_pct", 30u32.into()),
-            (
-                "extremes",
-                Json::block([
-                    (
-                        "engines",
-                        Json::rows([
-                            engine("id-ivm", 2114, 73),
-                            engine("tuple-ivm", 2506, 73),
-                            engine("sdbt-fixed", 2329, 73),
-                            engine("id-ivm-p4", 2114, 73),
-                        ]),
-                    ),
-                    ("recompute_accesses", 22_078u64.into()),
-                    ("id_vs_recompute_ratio", Json::Fixed(22_078.0 / 2114.0, 4)),
-                ]),
-            ),
-            (
-                "order_pad",
-                Json::block([
-                    (
-                        "engines",
-                        Json::rows([engine("id-ivm", 1172, 0), engine("tuple-ivm", 1782, 0)]),
-                    ),
-                    ("recompute_accesses", 5715u64.into()),
-                    ("padded_rows_final", 104usize.into()),
-                ]),
-            ),
-            (
-                "signatures_match",
-                Json::inline([("cross_engine", true.into()), ("parallel_p4", true.into())]),
-            ),
-        ]);
-        let want = r#"{
-  "bench": "tpch",
-  "customers": 200,
-  "rounds": 8,
-  "diffs": 24,
-  "extremum_pct": 30,
-  "extremes": {
-    "engines": [
-      {"name": "id-ivm", "accesses": 2114, "rescans": 73},
-      {"name": "tuple-ivm", "accesses": 2506, "rescans": 73},
-      {"name": "sdbt-fixed", "accesses": 2329, "rescans": 73},
-      {"name": "id-ivm-p4", "accesses": 2114, "rescans": 73}
-    ],
-    "recompute_accesses": 22078,
-    "id_vs_recompute_ratio": 10.4437
-  },
-  "order_pad": {
-    "engines": [
-      {"name": "id-ivm", "accesses": 1172, "rescans": 0},
-      {"name": "tuple-ivm", "accesses": 1782, "rescans": 0}
-    ],
-    "recompute_accesses": 5715,
-    "padded_rows_final": 104
-  },
-  "signatures_match": {"cross_engine": true, "parallel_p4": true}
-}"#;
-        assert_eq!(doc.render(), want);
-        // An inline array of inline objects (`BENCH_firehose.json`'s
-        // `depth_series` shape) and the empty block array the
-        // no-promotion multiview report carries.
-        let doc = Json::block([
-            ("cells", Json::list([engine("a", 1, 2), engine("b", 3, 4)])),
-            ("events", Json::rows([])),
-        ]);
-        let want = "{\n  \"cells\": [{\"name\": \"a\", \"accesses\": 1, \"rescans\": 2}, \
-                    {\"name\": \"b\", \"accesses\": 3, \"rescans\": 4}],\n  \
-                    \"events\": [\n\n  ]\n}";
-        assert_eq!(doc.render(), want);
     }
 
     #[test]

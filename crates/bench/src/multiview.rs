@@ -36,12 +36,12 @@
 //! `BENCH_multiview_nopromotion.json` (sharing only) — schema in
 //! `EXPERIMENTS.md`.
 
-use idivm_bench::{fmt_row, multiview_scheduler, speedup, view_state, Args, Json};
+use idivm_bench::{fmt_row, multiview_scheduler, speedup, view_state, Args};
 use idivm_cost::PromotionConfig;
 use idivm_exec::ParallelConfig;
 use idivm_reldb::TableSignature;
 use idivm_sched::{CostEntry, PromotionEvent, RefreshPolicy, RoundSummary, SchedulerConfig};
-use idivm_types::Result;
+use idivm_types::{Json, Result};
 use idivm_workloads::bsma::Bsma;
 use idivm_workloads::multiview::VIEW_NAMES;
 use idivm_workloads::MultiView;

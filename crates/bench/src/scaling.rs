@@ -22,10 +22,10 @@
 //! Guards: the counts invariant, per engine; the per-operator traces of
 //! a P = 1 and a P = 4 round are identical.
 
-use idivm_bench::{bsma_lane, Args, EngineKind, Json, Timed};
+use idivm_bench::{bsma_lane, Args, EngineKind, Timed};
 use idivm_core::{IvmOptions, RoundTrace, TraceConfig};
 use idivm_exec::ParallelConfig;
-use idivm_types::{Error, Result};
+use idivm_types::{Error, Json, Result};
 use idivm_workloads::bsma::{Bsma, BsmaQuery};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -129,7 +129,7 @@ pub fn run(args: &Args) -> Result<()> {
         ("available_parallelism", cores.into()),
         ("id_ivm", id_ivm),
         ("tuple_ivm", tuple_ivm),
-        ("trace_p4", Json::Raw(t4.to_json())),
+        ("trace_p4", t4.to_json()),
     ])
     .write("BENCH_scaling.json")?;
     println!("\nwrote BENCH_scaling.json");

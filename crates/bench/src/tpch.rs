@@ -34,11 +34,11 @@
 //!
 //! Writes `BENCH_tpch.json` — schema in `EXPERIMENTS.md`.
 
-use idivm_bench::{fmt_row, Args, EngineKind, Json, Lane};
+use idivm_bench::{fmt_row, Args, EngineKind, Lane};
 use idivm_core::IvmOptions;
 use idivm_exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_reldb::Database;
-use idivm_types::{Result, Row, Value};
+use idivm_types::{Json, Result, Row, Value};
 use idivm_workloads::Tpch;
 
 /// One engine on one view: its lane and what its rounds added up to.

@@ -80,6 +80,4 @@ pub use supervisor::{
     BackoffPolicy, BisectNode, BisectOutcome, MaintenanceSupervisor, QuarantineEntry,
     QuarantineLog, SupervisedEngine, SupervisorConfig, SupervisorReport, SupervisorVerdict,
 };
-pub use trace::{
-    json_escape, IngestTrace, OpTrace, PhaseTimings, RoundTrace, TraceConfig, TracePhase,
-};
+pub use trace::{IngestTrace, OpTrace, PhaseTimings, RoundTrace, TraceConfig, TracePhase};

@@ -51,9 +51,8 @@ use crate::config::EngineConfig;
 use crate::faults::{FaultPlan, RoundBudget};
 use crate::report::MaintenanceReport;
 use crate::round::{drive, Engine};
-use crate::trace::json_escape;
 use idivm_reldb::{Database, Net, NetChange, TableChanges};
-use idivm_types::{Error, Key, Result};
+use idivm_types::{Error, Json, Key, Result};
 use std::collections::HashMap;
 
 /// The engine surface the supervisor drives: every [`Engine`] has it
@@ -419,73 +418,46 @@ impl SupervisorReport {
         self.attempt_costs.iter().sum()
     }
 
-    /// Serialize to a JSON object (hand-rolled, like the trace layer —
-    /// schema in `EXPERIMENTS.md`).
-    pub fn to_json(&self) -> String {
-        let bisection: Vec<String> = self
-            .bisection
-            .iter()
-            .map(|n| {
-                format!(
-                    "{{\"depth\": {}, \"size\": {}, \"retries\": {}, \"outcome\": \"{}\"}}",
-                    n.depth,
-                    n.size,
-                    n.retries,
-                    n.outcome.label()
-                )
-            })
-            .collect();
-        let quarantine: Vec<String> = self
-            .quarantine
-            .entries
-            .iter()
-            .map(|e| {
-                format!(
-                    "{{\"table\": \"{}\", \"key\": \"{}\", \"error\": \"{}\"}}",
-                    json_escape(&e.table),
-                    json_escape(&format!("{:?}", e.key)),
-                    json_escape(&e.error)
-                )
-            })
-            .collect();
-        let errors: Vec<String> = self
-            .errors
-            .iter()
-            .map(|e| format!("\"{}\"", json_escape(e)))
-            .collect();
-        let ticks: Vec<String> = self.backoff_ticks.iter().map(u64::to_string).collect();
-        let costs: Vec<String> = self.attempt_costs.iter().map(u64::to_string).collect();
-        format!(
-            "{{\"engine\": \"{}\", \"verdict\": \"{}\", \"attempts\": {}, \"retries\": {}, \
-             \"backoff_ticks\": [{}], \"virtual_elapsed_ticks\": {}, \
-             \"budget_max_accesses\": {}, \"budget_aborts\": {}, \
-             \"budget_max_ticks\": {}, \"deadline_exceeded\": {}, \
-             \"committed_changes\": {}, \"attempt_costs\": [{}], \
-             \"bisection\": [{}], \"quarantine\": [{}], \"errors\": [{}], \
-             \"recovered_from\": {}}}",
-            self.engine,
-            self.verdict.label(),
-            self.attempts,
-            self.retries,
-            ticks.join(", "),
-            self.virtual_elapsed_ticks,
-            self.budget
-                .max_accesses
-                .map_or("null".to_string(), |m| m.to_string()),
-            self.budget_aborts,
-            self.budget
-                .max_ticks
-                .map_or("null".to_string(), |m| m.to_string()),
-            self.deadline_exceeded,
-            self.committed_changes,
-            costs.join(", "),
-            bisection.join(", "),
-            quarantine.join(", "),
-            errors.join(", "),
-            self.recovered_from
-                .as_deref()
-                .map_or("null".to_string(), |s| format!("\"{}\"", json_escape(s)))
-        )
+    /// The report as one inline JSON object (schema in
+    /// `EXPERIMENTS.md`).
+    pub fn to_json(&self) -> Json {
+        let ints = |xs: &[u64]| Json::list(xs.iter().map(|&x| x.into()));
+        let bisection = self.bisection.iter().map(|n| {
+            Json::inline([
+                ("depth", n.depth.into()),
+                ("size", n.size.into()),
+                ("retries", n.retries.into()),
+                ("outcome", n.outcome.label().into()),
+            ])
+        });
+        let quarantine = self.quarantine.entries.iter().map(|e| {
+            Json::inline([
+                ("table", e.table.as_str().into()),
+                ("key", format!("{:?}", e.key).into()),
+                ("error", e.error.as_str().into()),
+            ])
+        });
+        Json::inline([
+            ("engine", self.engine.into()),
+            ("verdict", self.verdict.label().into()),
+            ("attempts", self.attempts.into()),
+            ("retries", self.retries.into()),
+            ("backoff_ticks", ints(&self.backoff_ticks)),
+            ("virtual_elapsed_ticks", self.virtual_elapsed_ticks.into()),
+            ("budget_max_accesses", self.budget.max_accesses.into()),
+            ("budget_aborts", self.budget_aborts.into()),
+            ("budget_max_ticks", self.budget.max_ticks.into()),
+            ("deadline_exceeded", self.deadline_exceeded.into()),
+            ("committed_changes", self.committed_changes.into()),
+            ("attempt_costs", ints(&self.attempt_costs)),
+            ("bisection", Json::list(bisection)),
+            ("quarantine", Json::list(quarantine)),
+            (
+                "errors",
+                Json::list(self.errors.iter().map(|e| e.as_str().into())),
+            ),
+            ("recovered_from", self.recovered_from.as_deref().into()),
+        ])
     }
 }
 
@@ -916,7 +888,7 @@ mod tests {
             .bisection
             .iter()
             .all(|b| b.outcome != BisectOutcome::Split));
-        let j = r.to_json();
+        let j = r.to_json().render();
         assert!(j.contains("\"deadline_exceeded\": true"), "{j}");
         assert!(j.contains("\"budget_max_ticks\""), "{j}");
     }
@@ -1063,7 +1035,7 @@ mod tests {
         touch_all(&mut db, 4);
         let mut e = Scripted::new(vec![Key(vec![idivm_types::Value::Int(1)])], 0);
         let r = MaintenanceSupervisor::new(&mut e, SupervisorConfig::default()).run(&mut db);
-        let json = r.to_json();
+        let json = r.to_json().render();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for field in [
             "\"engine\"",

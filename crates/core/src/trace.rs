@@ -23,6 +23,7 @@
 use crate::access::PathId;
 use idivm_algebra::Plan;
 use idivm_reldb::StatsSnapshot;
+use idivm_types::Json;
 use std::time::Duration;
 
 /// Whether to record a [`RoundTrace`] during maintenance.
@@ -131,14 +132,15 @@ pub struct IngestTrace {
 }
 
 impl IngestTrace {
-    /// Render as a JSON object (hand-rolled, like the rest of the
-    /// trace layer).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"admitted\": {}, \"shed\": {}, \"dead_lettered\": {}, \
-             \"cut_cause\": \"{}\", \"queue_depth_at_cut\": {}}}",
-            self.admitted, self.shed, self.dead_lettered, self.cut_cause, self.queue_depth_at_cut
-        )
+    /// The pseudo-phase as one inline JSON object.
+    pub fn to_json(&self) -> Json {
+        Json::inline([
+            ("admitted", self.admitted.into()),
+            ("shed", self.shed.into()),
+            ("dead_lettered", self.dead_lettered.into()),
+            ("cut_cause", self.cut_cause.into()),
+            ("queue_depth_at_cut", self.queue_depth_at_cut.into()),
+        ])
     }
 }
 
@@ -189,65 +191,42 @@ impl RoundTrace {
         Some(self.dummy_diffs() as f64 / applied as f64)
     }
 
-    /// Render the trace as a JSON object (no external dependencies).
-    /// Values are numbers, fixed labels and integer arrays, except
-    /// `op`, which can embed a caller-chosen view name and is escaped.
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!(
-            "  \"timings_us\": {{\"fold\": {}, \"populate\": {}, \"propagate\": {}, \"apply\": {}}},\n",
-            self.timings.fold.as_micros(),
-            self.timings.populate.as_micros(),
-            self.timings.propagate.as_micros(),
-            self.timings.apply.as_micros()
-        ));
-        if let Some(ingest) = &self.ingest {
-            s.push_str(&format!("  \"ingest\": {},\n", ingest.to_json()));
-        }
-        s.push_str(&format!("  \"dummy_diffs\": {},\n", self.dummy_diffs()));
-        s.push_str(&format!(
-            "  \"overestimation_ratio\": {},\n",
-            self.overestimation_ratio()
-                .map_or_else(|| "null".to_string(), |r| format!("{r:.6}"))
-        ));
-        s.push_str("  \"operators\": [\n");
-        for (i, o) in self.operators.iter().enumerate() {
-            let path: Vec<String> = o.path.iter().map(ToString::to_string).collect();
-            s.push_str(&format!(
-                "    {{\"path\": [{}], \"op\": \"{}\", \"phase\": \"{}\", \
-                 \"diffs_in\": {}, \"diffs_out\": {}, \"dummies\": {}, \
-                 \"tuple_accesses\": {}, \"index_lookups\": {}}}{}\n",
-                path.join(","),
-                json_escape(&o.op),
-                o.phase.label(),
-                o.diffs_in,
-                o.diffs_out,
-                o.dummies,
-                o.accesses.tuple_accesses,
-                o.accesses.index_lookups,
-                if i + 1 < self.operators.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]\n}");
-        s
+    /// The trace as a JSON document: one member per line, one operator
+    /// per line. `op` can embed a caller-chosen view name; like every
+    /// string it is escaped by [`Json`].
+    pub fn to_json(&self) -> Json {
+        let t = &self.timings;
+        let timings = Json::inline([
+            ("fold", t.fold.as_micros().into()),
+            ("populate", t.populate.as_micros().into()),
+            ("propagate", t.propagate.as_micros().into()),
+            ("apply", t.apply.as_micros().into()),
+        ]);
+        let operators = self.operators.iter().map(|o| {
+            Json::inline([
+                ("path", Json::list(o.path.iter().map(|&i| i.into()))),
+                ("op", o.op.as_str().into()),
+                ("phase", o.phase.label().into()),
+                ("diffs_in", o.diffs_in.into()),
+                ("diffs_out", o.diffs_out.into()),
+                ("dummies", o.dummies.into()),
+                ("tuple_accesses", o.accesses.tuple_accesses.into()),
+                ("index_lookups", o.accesses.index_lookups.into()),
+            ])
+        });
+        let mut fields = vec![("timings_us", timings)];
+        fields.extend(self.ingest.as_ref().map(|i| ("ingest", i.to_json())));
+        fields.extend([
+            ("dummy_diffs", self.dummy_diffs().into()),
+            (
+                "overestimation_ratio",
+                self.overestimation_ratio()
+                    .map_or(Json::Null, |r| Json::Fixed(r, 6)),
+            ),
+            ("operators", Json::rows(operators)),
+        ]);
+        Json::block(fields)
     }
-}
-
-/// Escape `s` for embedding in a JSON string literal — the one
-/// escaper of the workspace's hand-rolled JSON writers.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Stable label for a plan node, used in trace entries.
@@ -322,7 +301,7 @@ mod tests {
             timings: PhaseTimings::default(),
             ingest: None,
         };
-        let j = t.to_json();
+        let j = t.to_json().render();
         assert!(j.contains("\"operators\""));
         assert!(j.contains("\"phase\": \"view_apply\""));
         assert!(j.contains("\"overestimation_ratio\": 0.25"));

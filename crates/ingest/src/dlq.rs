@@ -16,8 +16,7 @@
 //! the quarantine-log determinism of the maintenance supervisor.
 
 use crate::event::{ChangeEvent, ChangeOp};
-use idivm_core::json_escape;
-use idivm_types::{Fnv1a, Row};
+use idivm_types::{Json, Row};
 
 /// Why an event was dead-lettered. Labels are stable; details carry
 /// only values derived deterministically from the event and the
@@ -171,26 +170,19 @@ impl DeadLetter {
         }
     }
 
-    /// Render as a JSON object (deterministic field order).
-    pub fn to_json(&self) -> String {
-        fn opt_row(r: &Option<Row>) -> String {
-            r.as_ref().map_or_else(
-                || "null".to_string(),
-                |r| format!("\"{}\"", json_escape(&format!("{r:?}"))),
-            )
-        }
-        format!(
-            "{{\"producer\": {}, \"seq\": {}, \"table\": \"{}\", \"cause\": \"{}\", \
-             \"detail\": \"{}\", \"pre\": {}, \"post\": {}, \"wire\": \"{}\"}}",
-            self.producer,
-            self.seq,
-            json_escape(&self.table),
-            self.cause.label(),
-            json_escape(&self.cause.detail()),
-            opt_row(&self.pre),
-            opt_row(&self.post),
-            json_escape(&self.wire)
-        )
+    /// The letter as one inline JSON object (deterministic field order).
+    pub fn to_json(&self) -> Json {
+        let row = |r: &Option<Row>| -> Json { r.as_ref().map(|r| format!("{r:?}")).into() };
+        Json::inline([
+            ("producer", self.producer.into()),
+            ("seq", self.seq.into()),
+            ("table", self.table.as_str().into()),
+            ("cause", self.cause.label().into()),
+            ("detail", self.cause.detail().into()),
+            ("pre", row(&self.pre)),
+            ("post", row(&self.post)),
+            ("wire", self.wire.as_str().into()),
+        ])
     }
 }
 
@@ -233,17 +225,10 @@ impl DeadLetterQueue {
         self.entries.truncate(len);
     }
 
-    /// Render the whole queue as a JSON array — the byte string the
-    /// determinism tests compare across runs and thread counts.
-    pub fn to_json(&self) -> String {
-        let items: Vec<String> = self.entries.iter().map(DeadLetter::to_json).collect();
-        format!("[{}]", items.join(", "))
-    }
-
-    /// FNV-1a digest of [`DeadLetterQueue::to_json`] — a cheap
-    /// byte-identity fingerprint for reports.
-    pub fn digest(&self) -> u64 {
-        Fnv1a::digest(self.to_json().as_bytes())
+    /// The whole queue as one inline JSON array — what the determinism
+    /// tests compare, rendered, across runs and thread counts.
+    pub fn to_json(&self) -> Json {
+        Json::list(self.entries.iter().map(DeadLetter::to_json))
     }
 }
 
@@ -265,7 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn json_is_deterministic_and_digest_tracks_bytes() {
+    fn json_is_deterministic_and_tracks_the_entries() {
         let mut a = DeadLetterQueue::new();
         let mut b = DeadLetterQueue::new();
         for q in [&mut a, &mut b] {
@@ -277,10 +262,9 @@ mod tests {
                 },
             ));
         }
-        assert_eq!(a.to_json(), b.to_json());
-        assert_eq!(a.digest(), b.digest());
+        assert_eq!(a.to_json().render(), b.to_json().render());
         b.push(letter(12, DeadLetterCause::DuplicateKey));
-        assert_ne!(a.digest(), b.digest());
+        assert_ne!(a.to_json().render(), b.to_json().render());
     }
 
     #[test]
@@ -301,7 +285,7 @@ mod tests {
             DeadLetterCause::Decode("bad \"quote\" and \\slash".into()),
             "wire\nline".into(),
         ));
-        let j = q.to_json();
+        let j = q.to_json().render();
         assert!(j.contains("bad \\\"quote\\\" and \\\\slash"));
         assert!(j.contains("wire\\nline"));
         assert_eq!(j.matches('{').count(), j.matches('}').count());

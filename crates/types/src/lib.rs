@@ -1,6 +1,7 @@
 //! Core data-model primitives shared by every crate in the idIVM
 //! reproduction: SQL-style [`Value`]s, [`Row`]s, [`Schema`]s with primary
-//! keys, and the common [`Error`] type.
+//! keys, the common [`Error`] type, and [`Json`], the one writer of every
+//! JSON report.
 //!
 //! The paper ("Utilizing IDs to Accelerate Incremental View Maintenance",
 //! SIGMOD 2015) assumes a relational model in which *every base table has a
@@ -11,12 +12,14 @@
 
 pub mod error;
 pub mod fnv;
+pub mod json;
 pub mod row;
 pub mod schema;
 pub mod value;
 
 pub use error::{Error, Result};
 pub use fnv::{stable_hash_key, Fnv1a};
+pub use json::Json;
 pub use row::{Key, Row};
 pub use schema::{Column, ColumnType, Schema};
 pub use value::Value;

@@ -185,7 +185,7 @@ fn escalation_transcript(out: &mut String) {
             ivm.set_faults(arm(FaultSite::Operator, 0, SEED).permanent());
             let report = MaintenanceSupervisor::new(&mut ivm, config).run(&mut db);
             writeln!(out, "{label} traced={traced}: {}", report.verdict.label()).unwrap();
-            writeln!(out, "  {}", report.to_json()).unwrap();
+            writeln!(out, "  {}", report.to_json().render()).unwrap();
             let last = report.last_round.as_ref().expect("the recompute round");
             writeln!(
                 out,

@@ -126,7 +126,7 @@ fn run_single_cut(cfg: &MultiView, events: &[RawEvent], parallel: ParallelConfig
     }
     pipe.flush(2, &mut sched).expect("flush").expect("a cut");
     SingleCut {
-        dlq_json: pipe.dlq().to_json(),
+        dlq_json: pipe.dlq().to_json().render(),
         dlq_len: pipe.dlq().len(),
         view_sigs: view_signatures(&sched),
         accesses: per_view_accesses(&sched),
@@ -431,7 +431,7 @@ fn batch_cut_and_decode_faults_roll_back_to_the_pre_round_signature() {
             "{plan:?}: retry diverged from the clean run"
         );
         assert_eq!(
-            pipe.dlq().to_json(),
+            pipe.dlq().to_json().render(),
             clean.dlq_json,
             "{plan:?}: retry DLQ bytes diverged"
         );
@@ -543,7 +543,11 @@ fn blocking_producer_threads_deliver_every_event_exactly_once() {
     let totals = pipe.totals();
     assert_eq!(totals.admitted, total, "exactly-once delivery");
     assert_eq!(totals.shed, 0, "a blocking queue never sheds");
-    assert!(pipe.dlq().is_empty(), "dlq: {}", pipe.dlq().to_json());
+    assert!(
+        pipe.dlq().is_empty(),
+        "dlq: {}",
+        pipe.dlq().to_json().render()
+    );
     let stats = pipe.queue().stats();
     assert_eq!(stats.enqueued, total);
     assert!(

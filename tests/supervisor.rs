@@ -451,7 +451,7 @@ fn supervisor_report_is_deterministic_across_runs_and_threads() {
             let report =
                 MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::seeded(seed)).run(&mut db);
             assert_eq!(report.verdict, SupervisorVerdict::ConvergedQuarantined);
-            jsons.push(report.to_json());
+            jsons.push(report.to_json().render());
         }
         assert_eq!(
             jsons[0], jsons[1],

@@ -323,7 +323,7 @@ fn recovered_trace_of_hostile_view_name_is_well_formed_json() {
     let supervised = MaintenanceSupervisor::new(&mut ivm, straight_to_recompute).run(&mut db);
     let report = supervised.last_round.expect("the recompute round");
     assert!(report.recovered);
-    let json = report.trace.expect("traced recovery").to_json();
+    let json = report.trace.expect("traced recovery").to_json().render();
     assert_json_scans(&json);
     assert!(
         json.contains(r#""op": "recompute `we\"ird\n`""#),
@@ -388,11 +388,11 @@ fn trace_json_bytes_are_pinned() {
   "dummy_diffs": 1,
   "overestimation_ratio": 0.333333,
   "operators": [
-    {"path": [0,1], "op": "join", "phase": "propagate", "diffs_in": 4, "diffs_out": 3, "dummies": 0, "tuple_accesses": 12, "index_lookups": 5},
+    {"path": [0, 1], "op": "join", "phase": "propagate", "diffs_in": 4, "diffs_out": 3, "dummies": 0, "tuple_accesses": 12, "index_lookups": 5},
     {"path": [], "op": "recompute `we\"ird\n\t`", "phase": "view_apply", "diffs_in": 3, "diffs_out": 0, "dummies": 1, "tuple_accesses": 2, "index_lookups": 3}
   ]
 }"#;
-    assert_eq!(trace.to_json(), want);
+    assert_eq!(trace.to_json().render(), want);
 }
 
 /// An empty round: no operators, no ingest, a `null` ratio.
@@ -404,7 +404,8 @@ fn empty_trace_json_bytes_are_pinned() {
   "dummy_diffs": 0,
   "overestimation_ratio": null,
   "operators": [
+
   ]
 }"#;
-    assert_eq!(trace.to_json(), want);
+    assert_eq!(trace.to_json().render(), want);
 }
