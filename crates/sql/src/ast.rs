@@ -35,9 +35,12 @@ pub enum Statement {
     ExplainMaintenance { name: String, name_span: Span },
 }
 
-/// A `SELECT` query (possibly with a `UNION ALL` tail).
+/// A `SELECT` query (possibly with `WITH` helpers and a `UNION ALL`
+/// tail).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Query {
+    /// `WITH name AS (…)` helpers, in written order.
+    pub with: Vec<Helper>,
     /// The select list; `None` means `SELECT *`.
     pub select: Option<Vec<SelectItem>>,
     /// First `FROM` item.
@@ -50,6 +53,15 @@ pub struct Query {
     pub group_by: Vec<ColumnRef>,
     /// `UNION ALL` continuation.
     pub union_all: Option<Box<Query>>,
+}
+
+/// One `WITH` helper: a named query visible to the later helpers and
+/// to its statement's body, never registered.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Helper {
+    pub name: String,
+    pub name_span: Span,
+    pub query: Query,
 }
 
 /// One item of an explicit select list.

@@ -5,6 +5,7 @@
 //!
 //! ```sql
 //! CREATE MATERIALIZED VIEW [IF NOT EXISTS] name AS
+//!   [WITH helper AS (SELECT …) [, …]]
 //!   SELECT … FROM …
 //!   [JOIN … ON … | LEFT [OUTER] JOIN … ON …]*
 //!   [WHERE … [AND EXISTS (SELECT …)]]
@@ -20,7 +21,10 @@
 //! previously registered view is expanded **inline** (SpacetimeDB-style
 //! substitution of the defining subtree, wrapped in a renaming
 //! projection), so shared-prefix detection and adaptive promotion see
-//! the common subtrees of views-over-views automatically.
+//! the common subtrees of views-over-views automatically. A `WITH`
+//! helper is such a view that belongs to its one statement and is never
+//! registered; group keys may carry `AS` aliases, so a helper's
+//! aggregate can be joined by name.
 //!
 //! Everything outside the subset fails with a typed
 //! [`Error::Unsupported`](idivm_types::Error::Unsupported) naming the

@@ -4,8 +4,8 @@
 //! offending span; the parser never panics on arbitrary input.
 
 use crate::ast::{
-    AggCall, ColumnRef, FromItem, JoinClause, JoinKind, Query, SelectItem, Span, SqlCmp, SqlExpr,
-    Statement,
+    AggCall, ColumnRef, FromItem, Helper, JoinClause, JoinKind, Query, SelectItem, Span, SqlCmp,
+    SqlExpr, Statement,
 };
 use crate::lexer::{tokenize, Token, TokenKind};
 use idivm_types::{Error, Result};
@@ -16,7 +16,7 @@ const KEYWORDS: &[&str] = &[
     "select", "from", "where", "group", "by", "join", "left", "right", "full", "outer", "inner",
     "on", "and", "or", "not", "exists", "union", "all", "as", "create", "drop", "materialized",
     "view", "if", "explain", "maintenance", "count", "sum", "min", "max", "avg", "between",
-    "order", "having", "limit", "distinct", "is", "null", "in", "like",
+    "order", "having", "limit", "distinct", "is", "null", "in", "like", "with",
 ];
 
 /// Parse a script of `;`-separated statements.
@@ -208,7 +208,26 @@ impl Parser<'_> {
         })
     }
 
+    /// `query := [WITH name AS (query) [, …]] SELECT …`
     fn query(&mut self) -> Result<Query> {
+        let mut with = Vec::new();
+        if self.eat_kw("with") {
+            loop {
+                let (name, name_span) = self.ident("expected a helper name")?;
+                self.expect_kw("as")?;
+                self.expect_punct(&TokenKind::LParen, "expected `(` before the helper query")?;
+                let query = self.query()?;
+                self.expect_punct(&TokenKind::RParen, "expected `)` closing the helper query")?;
+                with.push(Helper {
+                    name,
+                    name_span,
+                    query,
+                });
+                if !self.eat_punct(&TokenKind::Comma) {
+                    break;
+                }
+            }
+        }
         self.expect_kw("select")?;
         let select = if self.eat_punct(&TokenKind::Star) {
             None
@@ -274,6 +293,7 @@ impl Parser<'_> {
             }
         }
         Ok(Query {
+            with,
             select,
             from,
             joins,

@@ -17,11 +17,12 @@
 //! Q18 (join chains + aggregation unaffected by the updates, extended
 //! with `tweetsnum`/`favornum` in the SELECT and without ORDER/LIMIT)
 //! plus Q*1, Q*2, Q*3 (aggregates *affected* by the updates), driven by
-//! 100 update diffs on `users(tweetsnum, favornum)`.
+//! 100 update diffs on `users(tweetsnum, favornum)`. Each view is its
+//! SQL text ([`Bsma::sql`]); [`Bsma::plan`] lowers it.
 
-use idivm_algebra::{AggFunc, Expr, Plan, PlanBuilder};
-use idivm_exec::DbCatalog;
+use idivm_algebra::Plan;
 use idivm_reldb::Database;
+use idivm_sql::plan_sql;
 use idivm_types::{row, ColumnType, Key, Result, Schema, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -249,195 +250,86 @@ impl Bsma {
         Ok(db)
     }
 
-    /// Build the view plan for one of the eight queries.
+    /// The plan of one of the eight queries: [`Self::sql`] lowered
+    /// against `db`.
     ///
     /// # Errors
-    /// Plan-construction failures.
+    /// Lowering failures.
     pub fn plan(&self, db: &Database, q: BsmaQuery) -> Result<Plan> {
-        let cat = DbCatalog(db);
+        plan_sql(db, &self.sql(q))
+    }
+
+    /// One of the eight queries' definitions.
+    pub fn sql(&self, q: BsmaQuery) -> String {
         let (lo, hi) = self.time_range();
-        let in_range = |b: &PlanBuilder, col: &str| -> Result<Expr> {
-            let c = b.col(col)?;
-            Ok(c.clone().ge(Expr::lit(lo)).and(c.le(Expr::lit(hi))))
-        };
+        let in_range = |col: &str| format!("{col} >= {lo} AND {col} <= {hi}");
         match q {
             // Mentioned users within a time range: mentions ⋈ microblog
             // (σ ts) ⋈ users.
-            BsmaQuery::Q7 => {
-                let b = PlanBuilder::scan(&cat, "mentions")?
-                    .join(
-                        PlanBuilder::scan(&cat, "microblog")?,
-                        &[("mentions.mid", "microblog.mid")],
-                    )?
-                    .join(
-                        PlanBuilder::scan(&cat, "users")?,
-                        &[("mentions.uid", "users.uid")],
-                    )?;
-                let pred = in_range(&b, "microblog.ts")?;
-                b.select(pred)
-                    .project_names(&[
-                        "mentions.mid",
-                        "mentions.uid",
-                        "users.tweetsnum",
-                        "users.favornum",
-                    ])?
-                    .build()
-            }
+            BsmaQuery::Q7 => format!(
+                "SELECT mentions.mid, mentions.uid, users.tweetsnum, users.favornum \
+                 FROM mentions JOIN microblog ON mentions.mid = microblog.mid \
+                 JOIN users ON mentions.uid = users.uid WHERE {}",
+                in_range("microblog.ts")
+            ),
             // Users who are retweeted within a time range: a 4-relation
-            // chain — retweets → microblog (σ ts) → author → retweeter.
-            BsmaQuery::Q10 => {
-                let b = PlanBuilder::scan(&cat, "retweets")?
-                    .join(
-                        PlanBuilder::scan(&cat, "microblog")?,
-                        &[("retweets.mid", "microblog.mid")],
-                    )?
-                    .join(
-                        PlanBuilder::scan_as(&cat, "users", "author")?,
-                        &[("microblog.uid", "author.uid")],
-                    )?
-                    .join(
-                        PlanBuilder::scan_as(&cat, "users", "retweeter")?,
-                        &[("retweets.uid", "retweeter.uid")],
-                    )?;
-                let pred = in_range(&b, "microblog.ts")?;
-                b.select(pred)
-                    .project_names(&[
-                        "retweets.mid",
-                        "retweets.uid",
-                        "author.uid",
-                        "author.tweetsnum",
-                        "author.favornum",
-                        "retweeter.tweetsnum",
-                    ])?
-                    .build()
-            }
+            // chain — retweets → microblog → author → retweeter. The
+            // helper keeps the `ts` filter above all three joins.
+            BsmaQuery::Q10 => format!(
+                "WITH chain AS (SELECT retweets.mid, retweets.uid, microblog.ts, \
+                 author.uid AS author_uid, author.tweetsnum AS author_tweetsnum, \
+                 author.favornum AS author_favornum, retweeter.tweetsnum AS retweeter_tweetsnum \
+                 FROM retweets JOIN microblog ON retweets.mid = microblog.mid \
+                 JOIN users author ON microblog.uid = author.uid \
+                 JOIN users retweeter ON retweets.uid = retweeter.uid) \
+                 SELECT chain.mid, chain.uid, chain.author_uid, chain.author_tweetsnum, \
+                 chain.author_favornum, chain.retweeter_tweetsnum FROM chain WHERE {}",
+                in_range("chain.ts")
+            ),
             // Pairs of retweeting users grouped by retweet count, with
             // the first user's attributes joined above the aggregate.
-            BsmaQuery::Q11 => {
-                let pairs = PlanBuilder::scan_as(&cat, "retweets", "r1")?;
-                let r2 = PlanBuilder::scan_as(&cat, "retweets", "r2")?;
-                let joined = pairs.join(r2, &[("r1.mid", "r2.mid")])?;
-                let lt = joined.col("r1.uid")?.lt(joined.col("r2.uid")?);
-                let grouped = joined
-                    .select(lt)
-                    .group_by(&["r1.uid", "r2.uid"], &[(AggFunc::Count, "*", "times")])?;
-                grouped
-                    .join(
-                        PlanBuilder::scan(&cat, "users")?,
-                        &[("r1.uid", "users.uid")],
-                    )?
-                    .project_names(&[
-                        "r1.uid",
-                        "r2.uid",
-                        "times",
-                        "users.tweetsnum",
-                        "users.favornum",
-                    ])?
-                    .build()
-            }
+            BsmaQuery::Q11 => "WITH pairs AS (SELECT r1.uid AS u1, r2.uid AS u2, COUNT(*) AS times \
+                 FROM retweets r1 JOIN retweets r2 ON r1.mid = r2.mid \
+                 WHERE r1.uid < r2.uid GROUP BY r1.uid, r2.uid) \
+                 SELECT pairs.u1, pairs.u2, pairs.times, users.tweetsnum, users.favornum \
+                 FROM pairs JOIN users ON pairs.u1 = users.uid"
+                .to_string(),
             // Users talking about events within a time range (large
             // view ⇒ low speedup in the paper).
-            BsmaQuery::Q15 => {
-                let b = PlanBuilder::scan(&cat, "rel_event_microblog")?
-                    .join(
-                        PlanBuilder::scan(&cat, "microblog")?,
-                        &[("rel_event_microblog.mid", "microblog.mid")],
-                    )?
-                    .join(
-                        PlanBuilder::scan(&cat, "users")?,
-                        &[("microblog.uid", "users.uid")],
-                    )?;
-                let pred = in_range(&b, "microblog.ts")?;
-                b.select(pred)
-                    .project_names(&[
-                        "rel_event_microblog.eid",
-                        "rel_event_microblog.mid",
-                        "users.uid",
-                        "users.tweetsnum",
-                        "users.favornum",
-                    ])?
-                    .build()
-            }
+            BsmaQuery::Q15 => format!(
+                "SELECT rel_event_microblog.eid, rel_event_microblog.mid, users.uid, \
+                 users.tweetsnum, users.favornum FROM rel_event_microblog \
+                 JOIN microblog ON rel_event_microblog.mid = microblog.mid \
+                 JOIN users ON microblog.uid = users.uid WHERE {}",
+                in_range("microblog.ts")
+            ),
             // Pairwise count of mentions, user attributes joined above.
-            BsmaQuery::Q18 => {
-                let m1 = PlanBuilder::scan_as(&cat, "mentions", "m1")?;
-                let m2 = PlanBuilder::scan_as(&cat, "mentions", "m2")?;
-                let joined = m1.join(m2, &[("m1.mid", "m2.mid")])?;
-                let lt = joined.col("m1.uid")?.lt(joined.col("m2.uid")?);
-                let grouped = joined
-                    .select(lt)
-                    .group_by(&["m1.uid", "m2.uid"], &[(AggFunc::Count, "*", "n")])?;
-                grouped
-                    .join(
-                        PlanBuilder::scan(&cat, "users")?,
-                        &[("m1.uid", "users.uid")],
-                    )?
-                    .project_names(&[
-                        "m1.uid",
-                        "m2.uid",
-                        "n",
-                        "users.tweetsnum",
-                        "users.favornum",
-                    ])?
-                    .build()
-            }
+            BsmaQuery::Q18 => "WITH pairs AS (SELECT m1.uid AS u1, m2.uid AS u2, COUNT(*) AS n \
+                 FROM mentions m1 JOIN mentions m2 ON m1.mid = m2.mid \
+                 WHERE m1.uid < m2.uid GROUP BY m1.uid, m2.uid) \
+                 SELECT pairs.u1, pairs.u2, pairs.n, users.tweetsnum, users.favornum \
+                 FROM pairs JOIN users ON pairs.u1 = users.uid"
+                .to_string(),
             // Aggregate of friends of friends within the same city —
             // long join chain + late selective filter, aggregate
             // *affected* by the updates.
-            BsmaQuery::QStar1 => {
-                let b = PlanBuilder::scan_as(&cat, "users", "u")?
-                    .join(
-                        PlanBuilder::scan_as(&cat, "friendlist", "f1")?,
-                        &[("u.uid", "f1.uid")],
-                    )?
-                    .join(
-                        PlanBuilder::scan_as(&cat, "friendlist", "f2")?,
-                        &[("f1.fid", "f2.uid")],
-                    )?
-                    .join(
-                        PlanBuilder::scan_as(&cat, "users", "u2")?,
-                        &[("f2.fid", "u2.uid")],
-                    )?;
-                let same_city = b.col("u.city")?.eq(b.col("u2.city")?);
-                b.select(same_city)
-                    .group_by(
-                        &["u.uid"],
-                        &[(AggFunc::Sum, "u2.tweetsnum", "fof_tweets")],
-                    )?
-                    .build()
-            }
+            BsmaQuery::QStar1 => "SELECT u.uid, SUM(u2.tweetsnum) AS fof_tweets \
+                 FROM users u JOIN friendlist f1 ON u.uid = f1.uid \
+                 JOIN friendlist f2 ON f1.fid = f2.uid JOIN users u2 ON f2.fid = u2.uid \
+                 WHERE u.city = u2.city GROUP BY u.uid"
+                .to_string(),
             // Aggregate of retweeters for every user (affected).
-            BsmaQuery::QStar2 => PlanBuilder::scan(&cat, "microblog")?
-                .join(
-                    PlanBuilder::scan(&cat, "retweets")?,
-                    &[("microblog.mid", "retweets.mid")],
-                )?
-                .join(
-                    PlanBuilder::scan_as(&cat, "users", "ru")?,
-                    &[("retweets.uid", "ru.uid")],
-                )?
-                .group_by(
-                    &["microblog.uid"],
-                    &[(AggFunc::Sum, "ru.favornum", "retweeter_favor")],
-                )?
-                .build(),
+            BsmaQuery::QStar2 => "SELECT microblog.uid, SUM(ru.favornum) AS retweeter_favor \
+                 FROM microblog JOIN retweets ON microblog.mid = retweets.mid \
+                 JOIN users ru ON retweets.uid = ru.uid GROUP BY microblog.uid"
+                .to_string(),
             // Aggregate of users who tweet about topics (affected):
             // topics are modelled by the event relation, giving the
             // 3-relation chain events → tweets → users.
-            BsmaQuery::QStar3 => PlanBuilder::scan(&cat, "rel_event_microblog")?
-                .join(
-                    PlanBuilder::scan(&cat, "microblog")?,
-                    &[("rel_event_microblog.mid", "microblog.mid")],
-                )?
-                .join(
-                    PlanBuilder::scan(&cat, "users")?,
-                    &[("microblog.uid", "users.uid")],
-                )?
-                .group_by(
-                    &["microblog.topic"],
-                    &[(AggFunc::Sum, "users.tweetsnum", "topic_tweets")],
-                )?
-                .build(),
+            BsmaQuery::QStar3 => "SELECT microblog.topic, SUM(users.tweetsnum) AS topic_tweets \
+                 FROM rel_event_microblog JOIN microblog ON rel_event_microblog.mid = microblog.mid \
+                 JOIN users ON microblog.uid = users.uid GROUP BY microblog.topic"
+                .to_string(),
         }
     }
 

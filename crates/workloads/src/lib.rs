@@ -17,12 +17,13 @@
 //!   skewed extremum-deleting updates, exercising MIN/MAX rescans and
 //!   LEFT OUTER JOIN padding churn.
 //!
-//! Each view of the running example, the multi-view suite and TPC-H is
-//! defined once, as SQL text (`*_sql` / [`MultiView::sql`]); its
-//! `*_plan` accessor lowers that text with [`idivm_sql::plan_sql`].
-//! The BSMA views of Figure 9b stay `PlanBuilder` programs: Q11 and
-//! Q18 join above an aggregate, which the SQL subset cannot express.
-//! So do the SDBT partials, which are engine state, not views.
+//! Every view of the running example, Figure 9b's BSMA queries, the
+//! multi-view suite and TPC-H is defined once, as SQL text (`*_sql`,
+//! [`bsma::Bsma::sql`], [`MultiView::sql`]); its `*_plan` accessor
+//! lowers that text with [`idivm_sql::plan_sql`]. Q11 and Q18 join
+//! above an aggregate through a `WITH` helper whose group keys carry
+//! `AS` aliases. Only the SDBT partials stay `PlanBuilder` programs:
+//! they are engine state, not views.
 //!
 //! The paper ran on BSMA's released data at 1M-user scale on PostgreSQL;
 //! we substitute a seeded synthetic generator with the same shape,
