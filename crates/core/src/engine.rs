@@ -34,7 +34,7 @@ use crate::schema_gen::{generate, populate, BaseDiffSchemas};
 use crate::shared::{RoundKey, SharedDiffCache, SharedPrefixes};
 use crate::trace::{op_label, TraceConfig, TracePhase};
 use idivm_algebra::{ensure_ids, Plan};
-use idivm_exec::{materialize_view, refresh_view, view_schema, ParallelConfig};
+use idivm_exec::{materialize_nodes, materialize_view, refresh_view, view_schema, ParallelConfig};
 use idivm_reldb::{Database, Net, StatsSnapshot, TableChanges};
 use idivm_types::{Error, Result, Schema};
 use std::collections::HashMap;
@@ -166,22 +166,27 @@ impl IdIvm {
         ensure_probe_indexes(db, &plan)?;
         // Cache planning + materialization.
         let (cache_defs, cache_map) = plan_caches(&plan, view_name, options.use_input_caches)?;
-        if reuse && db.has_table(view_name) {
+        if !reuse {
+            // One pass fills the view and every cache.
+            let mut tables = vec![(&[][..], view_name)];
+            tables.extend(cache_defs.iter().map(|d| (&d.path[..], d.name.as_str())));
+            materialize_nodes(db, &plan, &tables)?;
+        } else if db.has_table(view_name) {
             ensure_storage_shape(db, view_name, &plan)?;
         } else {
             materialize_view(db, view_name, &plan)?;
         }
         for def in &cache_defs {
-            let sub = crate::access::node_at(&plan, &def.path)?.clone();
-            if reuse && db.has_table(&def.name) {
-                if ensure_storage_shape(db, &def.name, &sub).is_err() {
+            if reuse {
+                let sub = crate::access::node_at(&plan, &def.path)?.clone();
+                if !db.has_table(&def.name) {
+                    materialize_view(db, &def.name, &sub)?;
+                } else if ensure_storage_shape(db, &def.name, &sub).is_err() {
                     // Same name, different shape after the rewrite:
                     // rebuild from scratch.
                     db.drop_table(&def.name);
                     materialize_view(db, &def.name, &sub)?;
                 }
-            } else {
-                materialize_view(db, &def.name, &sub)?;
             }
             let t = db.table_mut(&def.name)?;
             for set in &def.index_sets {

@@ -1,15 +1,53 @@
-//! Full plan evaluation: counted scans, hash joins, hash aggregation.
+//! The plan evaluator: counted scans, hash joins, hash aggregation.
 //!
-//! This evaluator computes a plan's entire result against the current
-//! (post-) state of the database. It is deliberately straightforward —
-//! it exists to materialize views and to serve as the recomputation
-//! oracle, not to compete with the IVM paths it validates.
+//! [`evaluate`] computes the rows of a plan node against the current
+//! state of the database, bottom up. A [`PathHook`] sees every node on
+//! the way, by its path from the root: it may *claim* a node, and the
+//! evaluator reads the rows the hook hands it instead of evaluating
+//! that subtree (a cache table, a pre-state overlay); and it may *want*
+//! a node, and the evaluator hands that node's rows to the hook as well
+//! (the caches a view registers with, filled in the view's own pass).
+//!
+//! One chained hash table serves all four join kinds: the right rows are
+//! chained per join key in input order, and keys are hashed and
+//! compared in place, so no row builds a key and no key owns a vector.
+//! NULL keys never match. Output is left-major, each left row's matches
+//! in right input order. A `Project` of plain columns directly over an
+//! inner join builds its rows straight from the matching pairs, unless
+//! the hook claims or wants the join. Grouping probes the same way and
+//! emits its groups in first-seen order.
 
 use idivm_algebra::aggregate::Accumulator;
-use idivm_algebra::{opt_pred, Expr, Plan};
+use idivm_algebra::{AggSpec, Expr, Plan};
 use idivm_reldb::Database;
-use idivm_types::{Key, Result, Row, Value};
-use std::collections::HashMap;
+use idivm_types::{Result, Row, Value};
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hash, Hasher};
+
+/// What a caller of [`evaluate`] says about each plan node, addressed
+/// by its path (child indices from the root, `evaluate`'s `at` first).
+/// The defaults claim and want nothing; `()` is that hook.
+pub trait PathHook {
+    /// Rows to read for the node at `path` instead of evaluating it, or
+    /// `None`. Nothing under a claimed node is evaluated.
+    ///
+    /// # Errors
+    /// Whatever reading the claimed rows fails with.
+    fn claim(&mut self, _path: &[usize], _node: &Plan) -> Result<Option<Vec<Row>>> {
+        Ok(None)
+    }
+
+    /// Should the evaluated rows of the node at `path` go to
+    /// [`PathHook::keep`]?
+    fn wants(&self, _path: &[usize]) -> bool {
+        false
+    }
+
+    /// The rows of a wanted node.
+    fn keep(&mut self, _path: &[usize], _rows: &[Row]) {}
+}
+
+impl PathHook for () {}
 
 /// Evaluate `plan` against `db`, returning the full result.
 ///
@@ -20,76 +58,227 @@ use std::collections::HashMap;
 /// # Errors
 /// Unknown tables or malformed plans.
 pub fn execute(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
-    match plan {
-        Plan::Scan { table, .. } => Ok(db.table(table)?.scan()),
-        Plan::Select { input, pred } => {
-            let rows = execute(db, input)?;
-            let mut out = Vec::with_capacity(rows.len());
-            for r in rows {
-                if pred.eval_pred(&r)? {
-                    out.push(r);
+    evaluate(db, plan, &[], &mut ())
+}
+
+/// Evaluate `plan`, the node at path `at` of a larger plan, under
+/// `hook`.
+///
+/// # Errors
+/// Unknown tables, malformed plans, or a failed claim.
+pub fn evaluate(
+    db: &Database,
+    plan: &Plan,
+    at: &[usize],
+    hook: &mut impl PathHook,
+) -> Result<Vec<Row>> {
+    Eval {
+        db,
+        hook,
+        path: at.to_vec(),
+    }
+    .node(plan, None)
+}
+
+struct Eval<'a, H> {
+    db: &'a Database,
+    hook: &'a mut H,
+    /// Path of the node being evaluated.
+    path: Vec<usize>,
+}
+
+enum JoinKind<'p> {
+    /// An inner join, its rows projected onto the columns if given.
+    Inner(Option<&'p [usize]>),
+    LeftOuter,
+    /// A semi-join (`true`) or an anti-join.
+    Semi(bool),
+}
+
+impl<H: PathHook> Eval<'_, H> {
+    /// The rows of `plan` at the current path — claimed, or evaluated
+    /// (and kept, if wanted) — projected onto `picks` when given.
+    fn node(&mut self, plan: &Plan, picks: Option<&[usize]>) -> Result<Vec<Row>> {
+        let rows = if let Some(rows) = self.hook.claim(&self.path, plan)? {
+            rows
+        } else if self.hook.wants(&self.path) {
+            let rows = self.compute(plan, None)?;
+            self.hook.keep(&self.path, &rows);
+            rows
+        } else {
+            return self.compute(plan, picks);
+        };
+        Ok(match picks {
+            Some(cols) => rows.iter().map(|r| r.project(cols)).collect(),
+            None => rows,
+        })
+    }
+
+    fn child(&mut self, idx: usize, plan: &Plan, picks: Option<&[usize]>) -> Result<Vec<Row>> {
+        self.path.push(idx);
+        let rows = self.node(plan, picks);
+        self.path.pop();
+        rows
+    }
+
+    /// Evaluate `plan`; `picks` is only ever passed for an inner join.
+    fn compute(&mut self, plan: &Plan, picks: Option<&[usize]>) -> Result<Vec<Row>> {
+        match plan {
+            Plan::Scan { table, .. } => Ok(self.db.table(table)?.scan()),
+            Plan::Select { input, pred } => {
+                let rows = self.child(0, input, None)?;
+                let mut out = Vec::with_capacity(rows.len());
+                for r in rows {
+                    if pred.eval_pred(&r)? {
+                        out.push(r);
+                    }
                 }
+                Ok(out)
             }
-            Ok(out)
-        }
-        Plan::Project { input, cols } => {
-            let rows = execute(db, input)?;
-            rows.iter().map(|r| project_row(r, cols)).collect()
-        }
-        Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let lrows = execute(db, left)?;
-            let rrows = execute(db, right)?;
-            hash_join(&lrows, &rrows, on, residual.as_ref())
-        }
-        Plan::LeftOuterJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let lrows = execute(db, left)?;
-            let rrows = execute(db, right)?;
-            hash_left_outer_join(&lrows, &rrows, right.arity(), on, residual.as_ref())
-        }
-        Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let lrows = execute(db, left)?;
-            let rrows = execute(db, right)?;
-            semi_or_anti(lrows, &rrows, on, residual.as_ref(), true)
-        }
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let lrows = execute(db, left)?;
-            let rrows = execute(db, right)?;
-            semi_or_anti(lrows, &rrows, on, residual.as_ref(), false)
-        }
-        Plan::UnionAll { left, right } => {
-            let mut out = Vec::new();
-            for (branch, side) in [(0i64, left), (1i64, right)] {
-                for r in execute(db, side)? {
-                    out.push(r.extended(Value::Int(branch)));
+            Plan::Project { input, cols } => {
+                let picks = match **input {
+                    Plan::Join { .. } => plain_cols(cols),
+                    _ => None,
+                };
+                let rows = self.child(0, input, picks.as_deref())?;
+                if picks.is_some() {
+                    return Ok(rows);
                 }
+                rows.iter().map(|r| project_row(r, cols)).collect()
             }
-            Ok(out)
-        }
-        Plan::GroupBy { input, keys, aggs } => {
-            let rows = execute(db, input)?;
-            hash_aggregate(&rows, keys, aggs)
+            Plan::Join {
+                left,
+                right,
+                on,
+                residual,
+            } => self.join(JoinKind::Inner(picks), left, right, on, residual.as_ref()),
+            Plan::LeftOuterJoin {
+                left,
+                right,
+                on,
+                residual,
+            } => self.join(JoinKind::LeftOuter, left, right, on, residual.as_ref()),
+            Plan::SemiJoin {
+                left,
+                right,
+                on,
+                residual,
+            } => self.join(JoinKind::Semi(true), left, right, on, residual.as_ref()),
+            Plan::AntiJoin {
+                left,
+                right,
+                on,
+                residual,
+            } => self.join(JoinKind::Semi(false), left, right, on, residual.as_ref()),
+            Plan::UnionAll { left, right } => {
+                let mut out = Vec::new();
+                for (branch, side) in [left, right].into_iter().enumerate() {
+                    let tag = Value::Int(branch as i64);
+                    for r in self.child(branch, side, None)? {
+                        out.push(r.extended(tag.clone()));
+                    }
+                }
+                Ok(out)
+            }
+            Plan::GroupBy { input, keys, aggs } => {
+                let rows = self.child(0, input, None)?;
+                hash_aggregate(&rows, keys, aggs)
+            }
         }
     }
+
+    fn join(
+        &mut self,
+        kind: JoinKind<'_>,
+        left: &Plan,
+        right: &Plan,
+        on: &[(usize, usize)],
+        residual: Option<&Expr>,
+    ) -> Result<Vec<Row>> {
+        let lrows = self.child(0, left, None)?;
+        let table = JoinTable::new(self.child(1, right, None)?, on);
+        let mut out = Vec::new();
+        match kind {
+            JoinKind::Inner(picks) => {
+                for l in &lrows {
+                    for r in table.matches(l) {
+                        let Some(pred) = residual else {
+                            out.push(pair(l, r, picks));
+                            continue;
+                        };
+                        let joined = l.concat(r);
+                        if pred.eval_pred(&joined)? {
+                            out.push(match picks {
+                                Some(cols) => joined.project(cols),
+                                None => joined,
+                            });
+                        }
+                    }
+                }
+            }
+            JoinKind::LeftOuter => {
+                let pad: Row = std::iter::repeat_n(Value::Null, right.arity()).collect();
+                for l in &lrows {
+                    let matched = out.len();
+                    for r in table.matches(l) {
+                        let joined = l.concat(r);
+                        if idivm_algebra::opt_pred(residual, &joined)? {
+                            out.push(joined);
+                        }
+                    }
+                    if out.len() == matched {
+                        out.push(l.concat(&pad));
+                    }
+                }
+            }
+            JoinKind::Semi(keep_matched) => {
+                // Without a residual, the first key match decides.
+                let passes =
+                    |l: &Row, r: &Row| residual.map_or(Ok(true), |p| p.eval_pred(&l.concat(r)));
+                for l in lrows {
+                    let mut hit = false;
+                    for r in table.matches(&l) {
+                        if passes(&l, r)? {
+                            hit = true;
+                            break;
+                        }
+                    }
+                    if hit == keep_matched {
+                        out.push(l);
+                    }
+                }
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// The columns of a projection that only copies columns.
+fn plain_cols(cols: &[(String, Expr)]) -> Option<Vec<usize>> {
+    cols.iter()
+        .map(|(_, e)| match e {
+            Expr::Col(i) => Some(*i),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The joined row of `l` and `r`, or its `picks` columns built straight
+/// from the pair.
+fn pair(l: &Row, r: &Row, picks: Option<&[usize]>) -> Row {
+    let Some(cols) = picks else {
+        return l.concat(r);
+    };
+    let la = l.arity();
+    cols.iter()
+        .map(|&c| {
+            if c < la {
+                l[c].clone()
+            } else {
+                r[c - la].clone()
+            }
+        })
+        .collect()
 }
 
 /// Apply a generalized projection to one row.
@@ -100,201 +289,34 @@ pub fn project_row(row: &Row, cols: &[(String, Expr)]) -> Result<Row> {
     Row::try_collect(cols.iter().map(|(_, e)| e.eval(row)))
 }
 
-/// Hash equi-join with optional residual θ filter. Rows whose join key
-/// contains NULL never match (SQL semantics).
-///
-/// # Errors
-/// Residual-predicate evaluation failures.
-pub fn hash_join(
-    left: &[Row],
-    right: &[Row],
-    on: &[(usize, usize)],
-    residual: Option<&Expr>,
-) -> Result<Vec<Row>> {
-    let mut out = Vec::new();
-    if on.is_empty() {
-        // Cross product (θ handled by residual).
-        for l in left {
-            for r in right {
-                let joined = l.concat(r);
-                if opt_pred(residual, &joined)? {
-                    out.push(joined);
-                }
-            }
-        }
-        return Ok(out);
-    }
-    let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let lkeys: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let mut table: HashMap<Key, Vec<&Row>> = HashMap::new();
-    for r in right {
-        let k = r.key(&rkeys);
-        if k.0.iter().any(Value::is_null) {
-            continue;
-        }
-        table.entry(k).or_default().push(r);
-    }
-    for l in left {
-        let k = l.key(&lkeys);
-        if k.0.iter().any(Value::is_null) {
-            continue;
-        }
-        if let Some(matches) = table.get(&k) {
-            for r in matches {
-                let joined = l.concat(r);
-                if opt_pred(residual, &joined)? {
-                    out.push(joined);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Hash left outer join: every left row appears once per surviving
-/// match, or once NULL-padded across all `right_arity` right columns
-/// when nothing matches. NULL left join keys never match (SQL), so
-/// those rows are always padded; a residual that rejects every
-/// key-matched right row also pads.
-///
-/// # Errors
-/// Residual-predicate evaluation failures.
-pub fn hash_left_outer_join(
-    left: &[Row],
-    right: &[Row],
-    right_arity: usize,
-    on: &[(usize, usize)],
-    residual: Option<&Expr>,
-) -> Result<Vec<Row>> {
-    let pad: Row = std::iter::repeat_n(Value::Null, right_arity).collect();
-    let mut out = Vec::new();
-    let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let lkeys: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let mut table: HashMap<Key, Vec<&Row>> = HashMap::new();
-    if !on.is_empty() {
-        for r in right {
-            let k = r.key(&rkeys);
-            if k.0.iter().any(Value::is_null) {
-                continue;
-            }
-            table.entry(k).or_default().push(r);
-        }
-    }
-    // θ-only outer join: every right row is a candidate.
-    let all_right: Vec<&Row> = if on.is_empty() {
-        right.iter().collect()
-    } else {
-        Vec::new()
-    };
-    for l in left {
-        let candidates: &[&Row] = if on.is_empty() {
-            &all_right
-        } else {
-            let k = l.key(&lkeys);
-            if k.0.iter().any(Value::is_null) {
-                &[]
-            } else {
-                table.get(&k).map(|v| &v[..]).unwrap_or(&[])
-            }
-        };
-        let mut matched = false;
-        for r in candidates {
-            let joined = l.concat(r);
-            if opt_pred(residual, &joined)? {
-                out.push(joined);
-                matched = true;
-            }
-        }
-        if !matched {
-            out.push(l.concat(&pad));
-        }
-    }
-    Ok(out)
-}
-
-/// Semi (`keep_matched = true`) or anti (`false`) join. Consumes the
-/// left rows: the output is a subset of them, so surviving rows move
-/// straight through instead of being re-materialized with per-row
-/// clones.
-///
-/// # Errors
-/// Residual-predicate evaluation failures.
-pub fn semi_or_anti(
-    left: Vec<Row>,
-    right: &[Row],
-    on: &[(usize, usize)],
-    residual: Option<&Expr>,
-    keep_matched: bool,
-) -> Result<Vec<Row>> {
-    let lkeys: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let rkeys: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let mut table: HashMap<Key, Vec<&Row>> = HashMap::new();
-    for r in right {
-        let k = r.key(&rkeys);
-        if k.0.iter().any(Value::is_null) {
-            continue;
-        }
-        table.entry(k).or_default().push(r);
-    }
-    let mut out = Vec::new();
-    for l in left {
-        let matched = if on.is_empty() {
-            // θ-only (anti)semijoin: nested loop over right.
-            let mut hit = false;
-            for r in right {
-                if opt_pred(residual, &l.concat(r))? {
-                    hit = true;
-                    break;
-                }
-            }
-            hit
-        } else {
-            let k = l.key(&lkeys);
-            if k.0.iter().any(Value::is_null) {
-                false
-            } else if let Some(ms) = table.get(&k) {
-                let mut hit = false;
-                for r in ms {
-                    if opt_pred(residual, &l.concat(r))? {
-                        hit = true;
-                        break;
-                    }
-                }
-                hit
-            } else {
-                false
-            }
-        };
-        if matched == keep_matched {
-            out.push(l);
-        }
-    }
-    Ok(out)
-}
-
-/// Hash aggregation.
+/// Hash aggregation; groups come out in the order their first row came
+/// in.
 ///
 /// # Errors
 /// Aggregate-argument evaluation failures.
-pub fn hash_aggregate(
-    rows: &[Row],
-    keys: &[usize],
-    aggs: &[idivm_algebra::AggSpec],
-) -> Result<Vec<Row>> {
-    let mut groups: HashMap<Key, Vec<Accumulator>> = HashMap::new();
+pub fn hash_aggregate(rows: &[Row], keys: &[usize], aggs: &[AggSpec]) -> Result<Vec<Row>> {
+    let mut chains = Chains::with_capacity(rows.len());
+    // Each group's first row and accumulators, entry `g` of `chains`.
+    let mut groups: Vec<(&Row, Vec<Accumulator>)> = Vec::new();
     for r in rows {
-        let k = r.key(keys);
-        let accs = groups.entry(k).or_insert_with(|| {
-            aggs.iter().map(|a| Accumulator::new(a.func)).collect()
+        let hash = chains.hash(r, keys);
+        let found = chains
+            .find(hash)
+            .find(|&g| keys.iter().all(|&k| groups[g].0[k] == r[k]));
+        let g = found.unwrap_or_else(|| {
+            chains.push(hash);
+            groups.push((r, aggs.iter().map(|a| Accumulator::new(a.func)).collect()));
+            groups.len() - 1
         });
-        for (acc, spec) in accs.iter_mut().zip(aggs) {
+        for (acc, spec) in groups[g].1.iter_mut().zip(aggs) {
             acc.update(&spec.arg.eval(r)?);
         }
     }
     Ok(groups
-        .into_iter()
-        .map(|(k, accs)| {
-            k.0.into_iter()
+        .iter()
+        .map(|(first, accs)| {
+            keys.iter()
+                .map(|&k| first[k].clone())
                 .chain(accs.iter().map(Accumulator::finish))
                 .collect()
         })
@@ -305,6 +327,109 @@ pub fn hash_aggregate(
 pub fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
     rows.sort();
     rows
+}
+
+/// End of a chain.
+const END: u32 = u32::MAX;
+
+/// A chained hash table of entry numbers `0, 1, …` in push order. Each
+/// entry is appended to its hash's bucket; a lookup walks the bucket
+/// and the caller compares keys in place. Hashing is SipHash: keys come
+/// off the wire.
+struct Chains {
+    state: RandomState,
+    mask: u64,
+    heads: Vec<u32>,
+    tails: Vec<u32>,
+    next: Vec<u32>,
+    hashes: Vec<u64>,
+}
+
+impl Chains {
+    /// Room for `n` entries at a load factor of at most ½.
+    fn with_capacity(n: usize) -> Self {
+        let buckets = (2 * n).next_power_of_two();
+        Chains {
+            state: RandomState::new(),
+            mask: buckets as u64 - 1,
+            heads: vec![END; buckets],
+            tails: vec![END; buckets],
+            next: Vec::with_capacity(n),
+            hashes: Vec::with_capacity(n),
+        }
+    }
+
+    /// The hash of `row`'s `cols`, in place.
+    fn hash(&self, row: &Row, cols: &[usize]) -> u64 {
+        let mut h = self.state.build_hasher();
+        for &c in cols {
+            row[c].hash(&mut h);
+        }
+        h.finish()
+    }
+
+    /// Append the next entry under `hash`.
+    fn push(&mut self, hash: u64) {
+        let e = self.next.len() as u32;
+        let b = (hash & self.mask) as usize;
+        match self.tails[b] {
+            END => self.heads[b] = e,
+            t => self.next[t as usize] = e,
+        }
+        self.tails[b] = e;
+        self.next.push(END);
+        self.hashes.push(hash);
+    }
+
+    /// The entries pushed under `hash`, in push order.
+    fn find(&self, hash: u64) -> impl Iterator<Item = usize> + '_ {
+        let head = self.heads[(hash & self.mask) as usize];
+        let live = |e: u32| (e != END).then_some(e as usize);
+        std::iter::successors(live(head), move |&e| live(self.next[e]))
+            .filter(move |&e| self.hashes[e] == hash)
+    }
+}
+
+/// A join's right input, chained by its join key.
+struct JoinTable {
+    rows: Vec<Row>,
+    lcols: Vec<usize>,
+    rcols: Vec<usize>,
+    chains: Chains,
+}
+
+impl JoinTable {
+    fn new(rows: Vec<Row>, on: &[(usize, usize)]) -> Self {
+        let (lcols, rcols): (Vec<usize>, Vec<usize>) = on.iter().copied().unzip();
+        let mut chains = Chains::with_capacity(rows.len());
+        for r in &rows {
+            // A NULL key is chained too: it equals no probe, since a
+            // probe with a NULL key never looks.
+            chains.push(chains.hash(r, &rcols));
+        }
+        JoinTable {
+            rows,
+            lcols,
+            rcols,
+            chains,
+        }
+    }
+
+    /// The right rows whose key equals `l`'s, in input order; none when
+    /// `l`'s key has a NULL.
+    fn matches<'t>(&'t self, l: &'t Row) -> impl Iterator<Item = &'t Row> + 't {
+        let null = self.lcols.iter().any(|&c| l[c].is_null());
+        self.chains
+            .find(self.chains.hash(l, &self.lcols))
+            .take_while(move |_| !null)
+            .map(|e| &self.rows[e])
+            .filter(move |r| {
+                self.lcols
+                    .iter()
+                    .zip(&self.rcols)
+                    .all(|(&lc, &rc)| l[lc] == r[rc])
+            })
+    }
 }
 
 #[cfg(test)]
@@ -475,24 +600,20 @@ mod tests {
         db.set_logging(false);
         db.create_table(
             "a",
-            Schema::from_pairs(
-                &[("id", ColumnType::Int), ("x", ColumnType::Int)],
-                &["id"],
-            )
-            .unwrap(),
+            Schema::from_pairs(&[("id", ColumnType::Int), ("x", ColumnType::Int)], &["id"])
+                .unwrap(),
         )
         .unwrap();
         db.create_table(
             "b",
-            Schema::from_pairs(
-                &[("id", ColumnType::Int), ("x", ColumnType::Int)],
-                &["id"],
-            )
-            .unwrap(),
+            Schema::from_pairs(&[("id", ColumnType::Int), ("x", ColumnType::Int)], &["id"])
+                .unwrap(),
         )
         .unwrap();
-        db.insert("a", Row::new(vec![Value::Int(1), Value::Null])).unwrap();
-        db.insert("b", Row::new(vec![Value::Int(2), Value::Null])).unwrap();
+        db.insert("a", Row::new(vec![Value::Int(1), Value::Null]))
+            .unwrap();
+        db.insert("b", Row::new(vec![Value::Int(2), Value::Null]))
+            .unwrap();
         let cat = crate::DbCatalog(&db);
         let j = PlanBuilder::scan(&cat, "a")
             .unwrap()

@@ -1,19 +1,27 @@
-//! `idivm-exec`: executes [`Plan`](idivm_algebra::Plan)s against a
+//! `idivm-exec`: evaluates [`Plan`](idivm_algebra::Plan)s against a
 //! [`Database`](idivm_reldb::Database).
 //!
-//! Two jobs:
+//! One evaluator ([`executor::evaluate`]) does all full evaluation in
+//! the workspace, bottom up over counted base-table scans, with one
+//! chained hash table for every join kind and for grouping:
 //!
-//! * **Full evaluation** ([`execute`]) — hash joins and hash
-//!   aggregation over counted base-table scans; used to materialize
-//!   views initially and as the *recomputation oracle* that every IVM
-//!   engine in this workspace is differential-tested against.
-//! * **View materialization** ([`materialize_view`]) — derives a keyed
-//!   storage schema from a plan (using the inferred IDs as the primary
-//!   key) and fills it.
+//! * **the recomputation oracle** ([`execute`], [`recompute_rows`]) that
+//!   every IVM engine here is differential-tested against;
+//! * **view materialization** ([`materialize_view`], [`refresh_view`],
+//!   [`materialize_nodes`]): a keyed storage schema derived from the
+//!   plan, with the inferred IDs as primary key, filled from the
+//!   result — a view and the caches under it in a single pass;
+//! * **subview scans** in `idivm-core`, which read cache tables and
+//!   pre-state overlays in place of the subtrees they stand for.
 //!
-//! The *delta-query* execution used during IVM (diff-driven index
-//! nested loops) lives in `idivm-core`, which reuses the counted access
-//! paths of `idivm-reldb` directly.
+//! The last two ride on the evaluator's [`PathHook`]: seeing each node
+//! by its path from the root, a hook may *claim* the node (its rows are
+//! read from the hook, and nothing under it is evaluated) or *want* it
+//! (its rows are handed to the hook as well as to the operator above).
+//!
+//! The delta queries of maintenance (diff-driven index nested loops) and
+//! the application of diffs live in `idivm-core`, on the counted access
+//! paths of `idivm-reldb`.
 
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
@@ -23,6 +31,6 @@ pub mod partition;
 pub mod recompute;
 
 pub use catalog::DbCatalog;
-pub use executor::execute;
+pub use executor::{execute, PathHook};
 pub use partition::{Batch, ParallelConfig, MAX_THREADS};
-pub use recompute::{materialize_view, recompute_rows, refresh_view, view_schema};
+pub use recompute::{materialize_nodes, materialize_view, recompute_rows, refresh_view, view_schema};

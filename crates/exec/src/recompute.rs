@@ -5,7 +5,7 @@
 //! Ī of ID attributes of a view V forms a key of that view"). Both IVM
 //! engines and the tests use [`recompute_rows`] as ground truth.
 
-use crate::executor::execute;
+use crate::executor::{evaluate, execute, PathHook};
 use idivm_algebra::{infer_ids, Plan};
 use idivm_reldb::Database;
 use idivm_types::{Column, ColumnType, Error, Result, Row, Schema};
@@ -60,13 +60,39 @@ pub fn recompute_rows(db: &Database, plan: &Plan) -> Result<Vec<Row>> {
 /// (which indicates the plan's ID set is not actually a key — a bug in
 /// the view definition).
 pub fn materialize_view(db: &mut Database, name: &str, plan: &Plan) -> Result<()> {
-    let schema = view_schema(db, plan)?;
-    let rows = execute(db, plan)?;
-    db.create_table(name, schema)?;
-    let table = db.table_mut(name)?;
-    table.reserve(rows.len());
-    for r in rows {
-        table.load(r).map_err(|e| match e {
+    materialize_nodes(db, plan, &[(&[], name)])
+}
+
+/// Evaluate `plan` once and materialize, like [`materialize_view`], the
+/// node at each `(path, name)` as table `name` — a view and the caches
+/// under it in one pass. Tables are created in the order given.
+///
+/// # Errors
+/// As [`materialize_view`], and [`Error::Plan`] for a path that names
+/// no node.
+pub fn materialize_nodes(
+    db: &mut Database,
+    plan: &Plan,
+    tables: &[(&[usize], &str)],
+) -> Result<()> {
+    let mut schemas = Vec::with_capacity(tables.len());
+    for (path, _) in tables {
+        let node = plan
+            .node(path)
+            .ok_or_else(|| Error::Plan(format!("invalid plan path {path:?}")))?;
+        schemas.push(view_schema(db, node)?);
+    }
+    let mut keep = Keep {
+        rows: tables.iter().map(|&(path, _)| (path, None)).collect(),
+    };
+    let root = evaluate(db, plan, &[], &mut keep)?;
+    let mut root = Some(root);
+    for (((path, name), schema), (_, kept)) in tables.iter().zip(schemas).zip(keep.rows) {
+        let rows = if path.is_empty() { root.take() } else { kept };
+        let rows =
+            rows.ok_or_else(|| Error::Plan(format!("`{name}`: the root is listed twice")))?;
+        db.create_table(name, schema)?;
+        load(db, name, rows).map_err(|e| match e {
             Error::DuplicateKey(m) => Error::Plan(format!(
                 "view `{name}`: inferred IDs are not a key of the result ({m})"
             )),
@@ -76,6 +102,33 @@ pub fn materialize_view(db: &mut Database, name: &str, plan: &Plan) -> Result<()
     Ok(())
 }
 
+/// The [`PathHook`] of [`materialize_nodes`]: keeps the rows of each
+/// listed node below the root (the root's are the evaluation's result).
+struct Keep<'p> {
+    rows: Vec<(&'p [usize], Option<Vec<Row>>)>,
+}
+
+impl PathHook for Keep<'_> {
+    fn wants(&self, path: &[usize]) -> bool {
+        !path.is_empty() && self.rows.iter().any(|(p, _)| *p == path)
+    }
+
+    fn keep(&mut self, path: &[usize], rows: &[Row]) {
+        for (p, kept) in &mut self.rows {
+            if *p == path {
+                *kept = Some(rows.to_vec());
+            }
+        }
+    }
+}
+
+/// Bulk-load `rows` into table `name`.
+fn load(db: &mut Database, name: &str, rows: Vec<Row>) -> Result<()> {
+    let table = db.table_mut(name)?;
+    table.reserve(rows.len());
+    rows.into_iter().try_for_each(|r| table.load(r))
+}
+
 /// Re-fill an existing materialized view from scratch (full refresh —
 /// the non-incremental alternative the paper's IVM competes with).
 ///
@@ -83,13 +136,8 @@ pub fn materialize_view(db: &mut Database, name: &str, plan: &Plan) -> Result<()
 /// Unknown view or evaluation failure.
 pub fn refresh_view(db: &mut Database, name: &str, plan: &Plan) -> Result<()> {
     let rows = execute(db, plan)?;
-    let table = db.table_mut(name)?;
-    table.clear();
-    table.reserve(rows.len());
-    for r in rows {
-        table.load(r)?;
-    }
-    Ok(())
+    db.table_mut(name)?.clear();
+    load(db, name, rows)
 }
 
 #[cfg(test)]
@@ -133,10 +181,7 @@ mod tests {
         let cat = DbCatalog(&db);
         let plan = PlanBuilder::scan(&cat, "devices_parts")
             .unwrap()
-            .group_by(
-                &["devices_parts.did"],
-                &[(AggFunc::Count, "*", "n")],
-            )
+            .group_by(&["devices_parts.did"], &[(AggFunc::Count, "*", "n")])
             .unwrap()
             .build()
             .unwrap();
