@@ -5,8 +5,11 @@
 //! propagation rules for them); MIN/MAX are also provided for the
 //! *general* γ rule of Table 7, which recomputes affected groups and so
 //! works for any function. [`Accumulator`] is the streaming evaluation
-//! used by the executor; [`AggFunc::is_incremental`] tells the IVM
-//! planner whether the specialized delta rules apply.
+//! used by the executor. [`GroupDelta`] is the one delta fold every
+//! engine maintains SUM/COUNT/MIN/MAX groups with: it folds a group's
+//! member changes and resolves the stored aggregates, or answers that
+//! only the group's members can tell (a *dirty* group, re-read by a
+//! counted rescan).
 
 use crate::expr::Expr;
 use idivm_types::{Result, Row, Value};
@@ -22,14 +25,6 @@ pub enum AggFunc {
 }
 
 impl AggFunc {
-    /// True for functions with specialized incremental (delta) rules in
-    /// the paper: SUM (Table 9), COUNT (Table 11), AVG via SUM+COUNT
-    /// caches (Table 12). MIN/MAX fall back to the general group
-    /// recomputation rule (Table 7).
-    pub fn is_incremental(self) -> bool {
-        matches!(self, AggFunc::Sum | AggFunc::Count | AggFunc::Avg)
-    }
-
     /// True for functions whose old value plus a delta determines the
     /// new value under *any* mix of inserts and deletes. SUM/COUNT/AVG
     /// are invertible; MIN/MAX are not — removing the current extremum
@@ -157,7 +152,7 @@ impl Accumulator {
 
 /// Outcome of folding one round's diffs into a MIN/MAX group.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ExtremumOutcome {
+enum ExtremumOutcome {
     /// The new extremum is fully determined by the old value and the
     /// inserted values — no data access needed.
     Clean(Value),
@@ -173,16 +168,16 @@ pub enum ExtremumOutcome {
 /// stored extremum (removing a non-extremal member can never change
 /// MIN/MAX; NULL arguments never participate, per SQL).
 #[derive(Debug, Clone, Default)]
-pub struct ExtremumDelta {
+struct ExtremumDelta {
     /// Best non-NULL value inserted into the group this round.
-    pub ins_best: Option<Value>,
+    ins_best: Option<Value>,
     /// Best non-NULL value removed from the group this round.
-    pub rem_best: Option<Value>,
+    rem_best: Option<Value>,
 }
 
 /// Is `a` strictly better than `b` in `func`'s direction?
 /// (MIN: smaller wins; MAX: larger wins.)
-pub fn extremum_better(func: AggFunc, a: &Value, b: &Value) -> bool {
+fn extremum_better(func: AggFunc, a: &Value, b: &Value) -> bool {
     match func {
         AggFunc::Min => a < b,
         AggFunc::Max => a > b,
@@ -192,7 +187,7 @@ pub fn extremum_better(func: AggFunc, a: &Value, b: &Value) -> bool {
 
 impl ExtremumDelta {
     /// Fold an inserted argument value (update post-images included).
-    pub fn insert(&mut self, func: AggFunc, v: &Value) {
+    fn insert(&mut self, func: AggFunc, v: &Value) {
         if v.is_null() {
             return;
         }
@@ -206,7 +201,7 @@ impl ExtremumDelta {
     }
 
     /// Fold a removed argument value (update pre-images included).
-    pub fn remove(&mut self, func: AggFunc, v: &Value) {
+    fn remove(&mut self, func: AggFunc, v: &Value) {
         if v.is_null() {
             return;
         }
@@ -222,7 +217,7 @@ impl ExtremumDelta {
     /// Decide the group's fate given its stored pre-round extremum
     /// `old`. Ties force a rescan: a duplicate of the extremum may
     /// remain in the group, so equality is not proof of change.
-    pub fn resolve(&self, func: AggFunc, old: &Value) -> ExtremumOutcome {
+    fn resolve(&self, func: AggFunc, old: &Value) -> ExtremumOutcome {
         if let Some(r) = &self.rem_best {
             // A non-NULL value was removed while the stored extremum is
             // NULL: inconsistent state, recover by rescanning.
@@ -239,9 +234,286 @@ impl ExtremumDelta {
     }
 
     /// Extremum of a freshly created group (insertions only).
-    pub fn created(&self) -> Value {
+    fn created(&self) -> Value {
         self.ins_best.clone().unwrap_or(Value::Null)
     }
+}
+
+/// One net change of a group member, as the group-by's input row(s).
+#[derive(Debug, Clone, Copy)]
+pub enum Event<'a> {
+    Ins(&'a Row),
+    Del(&'a Row),
+    /// Pre- and post-image of a member that stays in its group.
+    Upd(&'a Row, &'a Row),
+}
+
+impl Event<'_> {
+    /// The row whose group columns say which group the event folds into.
+    pub fn row(&self) -> &Row {
+        match self {
+            Event::Ins(row) | Event::Del(row) | Event::Upd(_, row) => row,
+        }
+    }
+}
+
+/// One aggregate's share of a [`GroupDelta`].
+#[derive(Debug, Clone)]
+enum Slot {
+    /// COUNT: the net change of the count.
+    Count(Value),
+    /// SUM: the net change of the sum (NULL arguments add nothing), and
+    /// whether a non-NULL argument arrived in / left the group.
+    Sum {
+        delta: Value,
+        arrived: bool,
+        left: bool,
+    },
+    /// MIN/MAX: the best arrival and the best departure.
+    Extremum(AggFunc, ExtremumDelta),
+}
+
+/// A non-NULL SUM argument, or nothing.
+fn summand(v: &Value) -> Option<&Value> {
+    (!v.is_null()).then_some(v)
+}
+
+impl Slot {
+    fn fold(&mut self, ev: Event<'_>, arg: &Expr) -> Result<()> {
+        match self {
+            Slot::Count(delta) => {
+                let counted = |r: &Row| -> Result<i64> { Ok(i64::from(!arg.eval(r)?.is_null())) };
+                let d = match ev {
+                    Event::Ins(post) => counted(post)?,
+                    Event::Del(pre) => -counted(pre)?,
+                    Event::Upd(pre, post) => counted(post)? - counted(pre)?,
+                };
+                *delta = delta.add(&Value::Int(d));
+            }
+            Slot::Sum {
+                delta,
+                arrived,
+                left,
+            } => {
+                let (pre, post) = match ev {
+                    Event::Ins(post) => (Value::Null, arg.eval(post)?),
+                    Event::Del(pre) => (arg.eval(pre)?, Value::Null),
+                    Event::Upd(pre, post) => (arg.eval(pre)?, arg.eval(post)?),
+                };
+                *arrived |= !post.is_null();
+                *left |= !pre.is_null();
+                let d = match (summand(&pre), summand(&post)) {
+                    (None, None) => return Ok(()),
+                    (None, Some(x)) => x.clone(),
+                    (Some(x), None) => Value::Int(0).sub(x),
+                    (Some(p), Some(q)) => q.sub(p),
+                };
+                *delta = delta.add(&d);
+            }
+            Slot::Extremum(func, ext) => match ev {
+                Event::Ins(post) => ext.insert(*func, &arg.eval(post)?),
+                Event::Del(pre) => ext.remove(*func, &arg.eval(pre)?),
+                Event::Upd(pre, post) => {
+                    ext.remove(*func, &arg.eval(pre)?);
+                    ext.insert(*func, &arg.eval(post)?);
+                }
+            },
+        }
+        Ok(())
+    }
+}
+
+/// What a stored group's aggregates become under a [`GroupDelta`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Resolved {
+    /// The stored aggregates and the fold alone give the new ones.
+    Clean,
+    /// Only the group's members can tell the new aggregates. With
+    /// `lost_extremum` a MIN/MAX lost its stored extremum; otherwise a
+    /// SUM may have lost its last non-NULL argument, which matters only
+    /// if the group still has members.
+    Dirty { lost_extremum: bool },
+}
+
+/// One group's fold over a batch of member changes, for an aggregate
+/// list of SUM, COUNT, MIN and MAX — the delta rule of the paper's
+/// Tables 9 (SUM) and 11 (COUNT), extended to MIN/MAX with a dirty-group
+/// fallback. Every engine folds its groups with it; each keeps only what
+/// is its own (where the member changes come from, how it reads the
+/// stored row, how it emits the result).
+///
+/// The SUM rule: when a non-NULL argument arrived, the new SUM is the
+/// stored one (NULL read as 0) plus the delta. When one left, none
+/// arrived and the result is exactly 0, the group may have lost its
+/// last non-NULL argument, so it is dirty; so is a group whose stored
+/// SUM is NULL although a non-NULL argument left (inconsistent state).
+/// Otherwise the new SUM is the stored one plus the delta. A new group
+/// whose arguments were all NULL has a NULL SUM.
+#[derive(Debug, Clone)]
+pub struct GroupDelta {
+    slots: Vec<Slot>,
+    /// Some member left the group: it may have emptied.
+    had_delete: bool,
+    net_members: i64,
+}
+
+impl GroupDelta {
+    /// An empty fold for `aggs`; `None` when an aggregate has no delta
+    /// rule (AVG: its finish is a division).
+    pub fn new(aggs: &[AggSpec]) -> Option<Self> {
+        let slots = aggs
+            .iter()
+            .map(|a| match a.func {
+                AggFunc::Count => Some(Slot::Count(Value::Int(0))),
+                AggFunc::Sum => Some(Slot::Sum {
+                    delta: Value::Int(0),
+                    arrived: false,
+                    left: false,
+                }),
+                AggFunc::Min | AggFunc::Max => {
+                    Some(Slot::Extremum(a.func, ExtremumDelta::default()))
+                }
+                AggFunc::Avg => None,
+            })
+            .collect::<Option<_>>()?;
+        Some(GroupDelta {
+            slots,
+            had_delete: false,
+            net_members: 0,
+        })
+    }
+
+    /// Fold one member change. `aggs` is the list the fold was made for.
+    ///
+    /// # Errors
+    /// Argument-expression evaluation failures.
+    pub fn fold(&mut self, aggs: &[AggSpec], ev: Event<'_>) -> Result<()> {
+        for (slot, a) in self.slots.iter_mut().zip(aggs) {
+            slot.fold(ev, &a.arg)?;
+        }
+        match ev {
+            Event::Ins(_) => self.net_members += 1,
+            Event::Del(_) => {
+                self.had_delete = true;
+                self.net_members -= 1;
+            }
+            Event::Upd(..) => {}
+        }
+        Ok(())
+    }
+
+    /// Members that arrived minus members that left.
+    pub fn net_members(&self) -> i64 {
+        self.net_members
+    }
+
+    /// The aggregates of a group that did not exist before the batch.
+    pub fn created(&self) -> Vec<Value> {
+        self.slots
+            .iter()
+            .map(|slot| match slot {
+                Slot::Count(delta) => delta.clone(),
+                Slot::Sum { delta, arrived, .. } => {
+                    if *arrived {
+                        delta.clone()
+                    } else {
+                        Value::Null
+                    }
+                }
+                Slot::Extremum(_, ext) => ext.created(),
+            })
+            .collect()
+    }
+
+    /// The new aggregates from the stored ones, `old` (one per slot),
+    /// written to `vals` (cleared first; a buffer the caller reuses
+    /// across groups). Meaningful only when the answer is `Clean`.
+    pub fn resolve(&self, old: &[Value], vals: &mut Vec<Value>) -> Resolved {
+        vals.clear();
+        let mut dirty = false;
+        let mut lost_extremum = false;
+        for (slot, old) in self.slots.iter().zip(old) {
+            match slot {
+                Slot::Count(delta) => vals.push(old.add(delta)),
+                Slot::Sum {
+                    delta,
+                    arrived,
+                    left,
+                } => {
+                    if *arrived {
+                        let old = if old.is_null() { &Value::Int(0) } else { old };
+                        vals.push(old.add(delta));
+                    } else {
+                        let new = old.add(delta);
+                        if *left && (old.is_null() || is_zero(&new)) {
+                            dirty = true;
+                        }
+                        vals.push(new);
+                    }
+                }
+                Slot::Extremum(func, ext) => match ext.resolve(*func, old) {
+                    ExtremumOutcome::Clean(v) => vals.push(v),
+                    ExtremumOutcome::Rescan => lost_extremum = true,
+                },
+            }
+        }
+        if dirty || lost_extremum {
+            Resolved::Dirty { lost_extremum }
+        } else {
+            Resolved::Clean
+        }
+    }
+
+    /// Settle a stored group whose emptiness only its members can tell:
+    /// `false` when it has no members left, else `true` with its new
+    /// aggregates in `vals` (as in [`GroupDelta::resolve`]). `members`
+    /// re-reads the group (called at most once, and only when the group
+    /// had a delete or is dirty); `rescan` announces a counted rescan,
+    /// before the re-read when an extremum was lost (the rescan is due
+    /// whatever the members are), after it when only a SUM is dirty and
+    /// the group survived its deletes.
+    ///
+    /// # Errors
+    /// Whatever `rescan` or `members` return, and argument-expression
+    /// evaluation failures.
+    pub fn settle(
+        &self,
+        aggs: &[AggSpec],
+        old: &[Value],
+        vals: &mut Vec<Value>,
+        rescan: impl FnOnce() -> Result<()>,
+        members: impl FnOnce() -> Result<Vec<Row>>,
+    ) -> Result<bool> {
+        let mut rescan = Some(rescan);
+        let mut announce = || rescan.take().map_or(Ok(()), |f| f());
+        let dirty = match self.resolve(old, vals) {
+            Resolved::Clean if !self.had_delete => return Ok(true),
+            Resolved::Clean => false,
+            Resolved::Dirty { lost_extremum } => {
+                if lost_extremum || !self.had_delete {
+                    announce()?;
+                }
+                true
+            }
+        };
+        let members = members()?;
+        if members.is_empty() {
+            return Ok(false);
+        }
+        if dirty {
+            announce()?;
+            vals.clear();
+            for a in aggs {
+                vals.push(aggregate_rows(a, &members)?);
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// An exact numeric zero.
+fn is_zero(v: &Value) -> bool {
+    matches!(v, Value::Int(0)) || matches!(v, Value::Float(f) if *f == 0.0)
 }
 
 /// Evaluate `spec` over a full group of input rows (non-streaming
@@ -335,15 +607,6 @@ mod tests {
             aggregate_rows(&spec(AggFunc::Avg), &rows).unwrap(),
             Value::Float(1.5)
         );
-    }
-
-    #[test]
-    fn incremental_classification() {
-        assert!(AggFunc::Sum.is_incremental());
-        assert!(AggFunc::Count.is_incremental());
-        assert!(AggFunc::Avg.is_incremental());
-        assert!(!AggFunc::Min.is_incremental());
-        assert!(!AggFunc::Max.is_incremental());
     }
 
     #[test]

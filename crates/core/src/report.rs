@@ -24,9 +24,10 @@ pub struct MaintenanceReport {
     pub base_diff_tuples: usize,
     /// View-level diff tuples produced (before application).
     pub view_diff_tuples: usize,
-    /// Dirty-group rescans performed by non-invertible aggregates
-    /// (MIN/MAX): groups whose stored extremum was removed and had to
-    /// be re-read from the input. The member lookups themselves are
+    /// Dirty-group rescans: groups whose stored row could not settle
+    /// their new aggregates (a MIN/MAX lost its extremum, or a SUM may
+    /// have lost its last non-NULL argument) and had to be re-read
+    /// from the input. The member lookups themselves are
     /// counted in the access phases; this counts how often the fallback
     /// fired.
     pub rescans: u64,

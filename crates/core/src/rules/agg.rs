@@ -2,18 +2,21 @@
 //!
 //! Two strategies, chosen per maintenance round:
 //!
-//! * **Incremental (blocking)** — Tables 9 (SUM) and 11 (COUNT): all
-//!   incoming diffs are folded into per-input-row *delta* contributions
-//!   (`x∆`), grouped by `Ḡ`, then converted to output update i-diffs by
-//!   joining with `Output` (the node's materialization):
-//!   `∆u_V = π_{Ḡ, c→c_pre, c+c∆→c_post}(Output ⋈ γ_{Ḡ,sum(x∆)}(∆₁∪∆₂∪∆₃))`.
-//!   Applicable when every aggregate is SUM/COUNT and no update touches
-//!   the group columns (the operator is *blocking*: it needs the whole
-//!   diff batch — paper Example 4.4).
+//! * **Delta** — Tables 9 (SUM) and 11 (COUNT), extended to MIN/MAX:
+//!   every input change is folded into its group's
+//!   [`GroupDelta`] (`x∆`, grouped by `Ḡ`), which is then resolved
+//!   against the group's stored row in `Output` (the node's
+//!   materialization): `c_post = c_pre + c∆`. A group whose stored row
+//!   does not settle it — a MIN/MAX lost its extremum, or a SUM may have
+//!   lost its last non-NULL argument — is *dirty* and re-read from
+//!   `Input_post` by one counted rescan. Applicable when every aggregate
+//!   is SUM/COUNT/MIN/MAX and no update touches the group columns (the
+//!   operator is *blocking*: it needs the whole diff batch — paper
+//!   Example 4.4).
 //! * **General (non-blocking)** — Table 7: recompute every affected
 //!   group from `Input_post` (`γ(∆ ⋉_Ḡ Input_post)`). Works for any
-//!   aggregate (MIN/MAX/AVG included) at the price of re-reading the
-//!   affected groups.
+//!   aggregate (AVG included) and for updates that move a row between
+//!   groups, at the price of re-reading the affected groups.
 //!
 //! Both strategies extend the paper's rules with **group creation and
 //! deletion** (the tables say "do not handle group creation/deletion"):
@@ -26,8 +29,8 @@ use crate::access::{self, PathId};
 use crate::diff::{DiffInstance, DiffKind, DiffSchema, State};
 use crate::rules::common::{child_path, delete_rows, insert_rows, untouched, update_row_pairs};
 use crate::rules::{IncomingDiff, RuleCtx};
-use idivm_algebra::aggregate::{aggregate_rows, ExtremumDelta, ExtremumOutcome};
-use idivm_algebra::{AggFunc, AggSpec, Plan};
+use idivm_algebra::aggregate::{aggregate_rows, Event, GroupDelta};
+use idivm_algebra::{AggSpec, Plan};
 use idivm_reldb::{NetChange, Table};
 use idivm_types::{Error, Key, Result, Row, Value};
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -57,59 +60,15 @@ pub fn propagate(
     let groups_stable = incoming.iter().all(|inc| {
         inc.diff.schema.kind != DiffKind::Update || untouched(&inc.diff.schema, &group_cols)
     });
-    let incremental_ok = aggs
-        .iter()
-        .all(|a| a.func.is_incremental() && a.func != AggFunc::Avg)
-        && groups_stable;
-    // The extremum strategy covers MIN/MAX (mixed with SUM/COUNT):
-    // inserts and non-extremum removals fold like deltas; only a
-    // removal of the stored extremum marks the group dirty and forces
-    // one member rescan. AVG stays on the general path (its finish is
-    // a division, not a delta), as do group-column updates.
-    let extremum_ok = aggs.iter().all(|a| {
-        a.func.is_invertible() && a.func != AggFunc::Avg
-            || matches!(a.func, AggFunc::Min | AggFunc::Max)
-    }) && aggs
-        .iter()
-        .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
-        && groups_stable;
-    if incremental_ok {
-        incremental(ctx, input, keys, aggs, path, &incoming)
-    } else if extremum_ok {
-        extremum(ctx, input, keys, aggs, path, &incoming)
-    } else {
-        general(ctx, input, keys, aggs, path, &incoming)
+    match GroupDelta::new(aggs) {
+        Some(fresh) if groups_stable => delta(ctx, input, keys, aggs, path, &incoming, fresh),
+        _ => general(ctx, input, keys, aggs, path, &incoming),
     }
 }
 
 // ---------------------------------------------------------------------
-// Shared by the delta strategies: the batch as per-input-row events
+// Delta strategy (Tables 9 and 11, extended to MIN/MAX)
 // ---------------------------------------------------------------------
-
-/// One net change of an input row, in fold form.
-enum Ev<'a> {
-    Ins(&'a Row),
-    Del(&'a Row),
-    Upd(&'a Row, &'a Row),
-}
-
-impl Ev<'_> {
-    /// The row whose group columns say which group the event folds into.
-    fn grouped_by(&self) -> &Row {
-        match self {
-            Ev::Ins(row) | Ev::Del(row) | Ev::Upd(_, row) => row,
-        }
-    }
-
-    /// The event's delta contribution to one SUM/COUNT aggregate.
-    fn delta(&self, a: &AggSpec) -> Result<Value> {
-        match self {
-            Ev::Ins(post) => delta_insert(a, post),
-            Ev::Del(pre) => delta_delete(a, pre),
-            Ev::Upd(pre, post) => delta_update(a, pre, post),
-        }
-    }
-}
 
 /// Feed `on` every net change of the group-by's input this round.
 fn for_each_input_change(
@@ -118,7 +77,7 @@ fn for_each_input_change(
     keys: &[usize],
     ipath: &PathId,
     incoming: &[IncomingDiff],
-    mut on: impl FnMut(Ev<'_>) -> Result<()>,
+    mut on: impl FnMut(Event<'_>) -> Result<()>,
 ) -> Result<()> {
     if let Some(cache) = ctx.access.caches.get(ipath) {
         // Cached input: the engine has already applied the child diffs
@@ -135,16 +94,16 @@ fn for_each_input_change(
             match change {
                 NetChange::Updated { pre, post } => {
                     if keys.iter().all(|&k| pre[k] == post[k]) {
-                        on(Ev::Upd(pre, post))?;
+                        on(Event::Upd(pre, post))?;
                     } else {
                         // The row moved between groups: −x at the old
                         // group, +x at the new one.
-                        on(Ev::Del(pre))?;
-                        on(Ev::Ins(post))?;
+                        on(Event::Del(pre))?;
+                        on(Event::Ins(post))?;
                     }
                 }
-                NetChange::Deleted { pre } => on(Ev::Del(pre))?,
-                NetChange::Inserted { post } => on(Ev::Ins(post))?,
+                NetChange::Deleted { pre } => on(Event::Del(pre))?,
+                NetChange::Inserted { post } => on(Event::Ins(post))?,
             }
         }
         return Ok(());
@@ -163,7 +122,7 @@ fn for_each_input_change(
                 // ∆₁ = π_{Ī, x_post − x_pre → x∆}(∆u ⋈ Input_pre)
                 for p in update_row_pairs(ctx.access, input, ipath, &input_ids, diff)? {
                     if seen.insert((b'u', p.post.key(&input_ids))) {
-                        on(Ev::Upd(&p.pre, &p.post))?;
+                        on(Event::Upd(&p.pre, &p.post))?;
                     }
                 }
             }
@@ -171,7 +130,7 @@ fn for_each_input_change(
                 // ∆₂ = π_{Ī, 0 − x_pre → x∆}(∆− ⋈ Input_pre)
                 for pre in delete_rows(ctx.access, input, ipath, diff)? {
                     if seen.insert((b'-', pre.key(&input_ids))) {
-                        on(Ev::Del(&pre))?;
+                        on(Event::Del(&pre))?;
                     }
                 }
             }
@@ -187,7 +146,7 @@ fn for_each_input_change(
                     let pre_hit =
                         access::lookup(ctx.access, input, ipath, State::Pre, &input_ids, &id.0)?;
                     if !pre_hit.contains(&post) {
-                        on(Ev::Ins(&post))?;
+                        on(Event::Ins(&post))?;
                     }
                 }
             }
@@ -217,8 +176,8 @@ fn fold_into<G>(
 }
 
 /// The groups in a canonical order: `HashMap` iteration order varies
-/// per process, and the parallel fan-out needs a serial order to be
-/// compared against.
+/// per process, and rescans must fire in the same order for any thread
+/// count.
 fn sorted_groups<G>(groups: HashMap<Key, G>) -> Vec<(Key, G)> {
     let mut entries: Vec<(Key, G)> = groups.into_iter().collect();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -288,226 +247,57 @@ fn update_row(gk: &Key, old: &Row, vals: impl Iterator<Item = Value>) -> Row {
         .collect()
 }
 
-// ---------------------------------------------------------------------
-// Incremental strategy (Tables 9 and 11)
-// ---------------------------------------------------------------------
-
-fn incremental(
+/// The delta strategy: fold every input change into its group's
+/// [`GroupDelta`] (γ_{Ḡ,sum(x∆)}), then settle each group against its
+/// stored row in `Output`. Inserts, deletes and updates resolve from the
+/// stored row alone; a group that had a delete is probed for emptiness
+/// in `Input_post`, and a dirty group is re-read there by one counted
+/// rescan. Deliberately **serial**: each dirty group fires the
+/// mid-rescan failpoint and bumps the rescan counter through
+/// `RuleCtx::on_rescan`, and those must happen in a canonical order for
+/// any thread count.
+fn delta(
     ctx: &RuleCtx<'_>,
     input: &Plan,
     keys: &[usize],
     aggs: &[AggSpec],
     path: &PathId,
     incoming: &[IncomingDiff],
+    fresh: GroupDelta,
 ) -> Result<Vec<DiffInstance>> {
     let ipath = child_path(path, 0);
-    // γ_{Ḡ,sum(x∆)}: fold every input change's delta contribution (`x∆`)
-    // straight into its group. Folding is cross-row and stays serial;
-    // the per-group emission below is the parallelizable part.
     let mut groups: HashMap<Key, GroupDelta> = HashMap::new();
     let mut scratch = Vec::with_capacity(keys.len());
     for_each_input_change(ctx, input, keys, &ipath, incoming, |ev| {
         fold_into(
             &mut groups,
             &mut scratch,
-            ev.grouped_by(),
+            ev.row(),
             keys,
-            || GroupDelta {
-                per_agg: vec![Value::Int(0); aggs.len()],
-                had_delete: false,
-            },
-            |g| {
-                for (slot, a) in g.per_agg.iter_mut().zip(aggs) {
-                    *slot = slot.add(&ev.delta(a)?);
-                }
-                g.had_delete |= matches!(ev, Ev::Del(_));
-                Ok(())
-            },
-        )
-    })?;
-    emit_group_diffs(ctx, input, keys, aggs, path, sorted_groups(groups))
-}
-
-/// Net delta of one group across all contributions.
-struct GroupDelta {
-    per_agg: Vec<Value>,
-    /// Some contribution removed a member: the group may have emptied.
-    had_delete: bool,
-}
-
-fn delta_update(a: &AggSpec, pre: &Row, post: &Row) -> Result<Value> {
-    Ok(match a.func {
-        AggFunc::Sum => {
-            let xp = nz(a.arg.eval(post)?);
-            let xq = nz(a.arg.eval(pre)?);
-            xp.sub(&xq)
-        }
-        AggFunc::Count => {
-            let p = i64::from(!a.arg.eval(post)?.is_null());
-            let q = i64::from(!a.arg.eval(pre)?.is_null());
-            Value::Int(p - q)
-        }
-        _ => Value::Int(0),
-    })
-}
-
-fn delta_delete(a: &AggSpec, pre: &Row) -> Result<Value> {
-    Ok(match a.func {
-        AggFunc::Sum => Value::Int(0).sub(&nz(a.arg.eval(pre)?)),
-        AggFunc::Count => Value::Int(-i64::from(!a.arg.eval(pre)?.is_null())),
-        _ => Value::Int(0),
-    })
-}
-
-fn delta_insert(a: &AggSpec, post: &Row) -> Result<Value> {
-    Ok(match a.func {
-        AggFunc::Sum => nz(a.arg.eval(post)?),
-        AggFunc::Count => Value::Int(i64::from(!a.arg.eval(post)?.is_null())),
-        _ => Value::Int(0),
-    })
-}
-
-/// SUM treats NULL contributions as 0 in delta space.
-fn nz(v: Value) -> Value {
-    if v.is_null() {
-        Value::Int(0)
-    } else {
-        v
-    }
-}
-
-// ---------------------------------------------------------------------
-// Extremum strategy (MIN/MAX with dirty-group rescan fallback)
-// ---------------------------------------------------------------------
-
-/// Per-group state folded by the extremum strategy: numeric deltas for
-/// the SUM/COUNT slots, [`ExtremumDelta`] trackers for the MIN/MAX
-/// slots.
-struct ExtGroup {
-    nums: Vec<Value>,
-    exts: Vec<ExtremumDelta>,
-    had_delete: bool,
-}
-
-fn ext_fold(g: &mut ExtGroup, aggs: &[AggSpec], ev: &Ev<'_>) -> Result<()> {
-    for (i, a) in aggs.iter().enumerate() {
-        if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-            match ev {
-                Ev::Ins(post) => g.exts[i].insert(a.func, &a.arg.eval(post)?),
-                Ev::Del(pre) => g.exts[i].remove(a.func, &a.arg.eval(pre)?),
-                Ev::Upd(pre, post) => {
-                    g.exts[i].remove(a.func, &a.arg.eval(pre)?);
-                    g.exts[i].insert(a.func, &a.arg.eval(post)?);
-                }
-            }
-        } else {
-            g.nums[i] = g.nums[i].add(&ev.delta(a)?);
-        }
-    }
-    if matches!(ev, Ev::Del(_)) {
-        g.had_delete = true;
-    }
-    Ok(())
-}
-
-/// MIN/MAX (mixed with SUM/COUNT) without giving up delta maintenance:
-/// inserts and removals of non-extremum members resolve from the stored
-/// group row alone; only a removal (or worsening update) of the stored
-/// extremum marks the group **dirty** and triggers one counted member
-/// rescan from `Input_post`. SUM/COUNT slots ride along as deltas and
-/// reuse the rescan's members when the group is dirty anyway.
-fn extremum(
-    ctx: &RuleCtx<'_>,
-    input: &Plan,
-    keys: &[usize],
-    aggs: &[AggSpec],
-    path: &PathId,
-    incoming: &[IncomingDiff],
-) -> Result<Vec<DiffInstance>> {
-    let ipath = child_path(path, 0);
-    let mut groups: HashMap<Key, ExtGroup> = HashMap::new();
-    let mut scratch = Vec::with_capacity(keys.len());
-    for_each_input_change(ctx, input, keys, &ipath, incoming, |ev| {
-        fold_into(
-            &mut groups,
-            &mut scratch,
-            ev.grouped_by(),
-            keys,
-            || ExtGroup {
-                nums: vec![Value::Int(0); aggs.len()],
-                exts: vec![ExtremumDelta::default(); aggs.len()],
-                had_delete: false,
-            },
-            |g| ext_fold(g, aggs, &ev),
+            || fresh.clone(),
+            |g| g.fold(aggs, ev),
         )
     })?;
 
-    // Per-group conversion. Deliberately **serial** (unlike the other
-    // strategies): each dirty group fires the mid-rescan failpoint and
-    // bumps the rescan counter through `RuleCtx::on_rescan`, and those
-    // must happen in a canonical order for any thread count.
     let out_table = output_table(ctx, path)?;
     let out_key_cols: Vec<usize> = (0..keys.len()).collect();
-    let is_ext = |a: &AggSpec| matches!(a.func, AggFunc::Min | AggFunc::Max);
     let mut del_rows = Vec::new();
     let mut upd_rows = Vec::new();
     let mut ins_rows = Vec::new();
+    let mut vals = Vec::with_capacity(aggs.len());
     for (gk, g) in sorted_groups(groups) {
-        match output_row(out_table, &out_key_cols, &gk.0) {
-            None => {
-                // Group creation: the deltas start from empty, so every
-                // slot resolves without the stored row.
-                let created = aggs.iter().enumerate().map(|(i, a)| {
-                    if is_ext(a) {
-                        g.exts[i].created()
-                    } else {
-                        g.nums[i].clone()
-                    }
-                });
-                ins_rows.push(gk.0.iter().cloned().chain(created).collect());
-            }
-            Some(old) => {
-                let mut dirty = false;
-                let mut vals: Vec<Value> = Vec::with_capacity(aggs.len());
-                for (i, a) in aggs.iter().enumerate() {
-                    if is_ext(a) {
-                        match g.exts[i].resolve(a.func, &old[keys.len() + i]) {
-                            ExtremumOutcome::Clean(v) => vals.push(v),
-                            ExtremumOutcome::Rescan => {
-                                dirty = true;
-                                vals.push(Value::Null); // overwritten below
-                            }
-                        }
-                    } else {
-                        vals.push(old[keys.len() + i].add(&g.nums[i]));
-                    }
-                }
-                if dirty || g.had_delete {
-                    // One member lookup serves both the emptiness check
-                    // and the dirty recompute. The failpoint fires
-                    // *before* the lookup: an aborted round must roll
-                    // back with the rescan unperformed.
-                    if dirty {
-                        ctx.on_rescan()?;
-                    }
-                    let members =
-                        access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk.0)?;
-                    if members.is_empty() {
-                        del_rows.push(gk.into_row());
-                        continue;
-                    }
-                    if dirty {
-                        vals = aggs
-                            .iter()
-                            .map(|a| aggregate_rows(a, &members))
-                            .collect::<Result<_>>()?;
-                    }
-                }
-                // σ_isupd: skip groups whose aggregates did not change.
-                if vals.iter().ne(&old.0[keys.len()..]) {
-                    upd_rows.push(update_row(&gk, &old, vals.into_iter()));
-                }
-            }
+        let Some(old) = output_row(out_table, &out_key_cols, &gk.0) else {
+            // Group creation: the deltas start from empty.
+            ins_rows.push(gk.0.iter().cloned().chain(g.created()).collect());
+            continue;
+        };
+        let members = || access::lookup(ctx.access, input, &ipath, State::Post, keys, &gk.0);
+        let old_aggs = &old.0[keys.len()..];
+        if !g.settle(aggs, old_aggs, &mut vals, || ctx.on_rescan(), members)? {
+            del_rows.push(gk.into_row());
+        } else if vals.iter().ne(old_aggs) {
+            // σ_isupd: only groups whose aggregates changed.
+            upd_rows.push(update_row(&gk, &old, vals.drain(..)));
         }
     }
     Ok(group_diffs(keys, aggs, del_rows, upd_rows, ins_rows))
@@ -652,75 +442,4 @@ fn emit_recomputed(
         ins_rows.extend(ins);
     }
     Ok(group_diffs(keys, aggs, del_rows, upd_rows, ins_rows))
-}
-
-/// Emission for the incremental path: join group deltas with `Output`,
-/// detect creation (missing group) and deletion (group with delete
-/// contributions whose members vanished). The conversion step of Tables
-/// 9/11: `c_post = c_pre + c∆`.
-fn emit_group_diffs(
-    ctx: &RuleCtx<'_>,
-    input: &Plan,
-    keys: &[usize],
-    aggs: &[AggSpec],
-    path: &PathId,
-    groups: Vec<(Key, GroupDelta)>,
-) -> Result<Vec<DiffInstance>> {
-    let ipath = child_path(path, 0);
-    let out_table = output_table(ctx, path)?;
-    let out_key_cols: Vec<usize> = (0..keys.len()).collect();
-    // Per-group conversion (one or two probes each, no cross-group
-    // state) fans out over the groups; chunk outputs merge in group
-    // order.
-    let mut upd_rows = Vec::new();
-    let mut ins_rows = Vec::new();
-    let mut del_rows = Vec::new();
-    for (del, upd, ins) in ctx.parallel.fan_out(groups, |entries: Vec<(Key, GroupDelta)>| {
-        let mut del = Vec::new();
-        let mut upd = Vec::new();
-        let mut ins = Vec::new();
-        for (gk, gd) in entries {
-            match output_row(out_table, &out_key_cols, &gk.0) {
-                Some(old) => {
-                    if gd.had_delete {
-                        // The group may have emptied: probe Input_post.
-                        let still = access::lookup(
-                            ctx.access,
-                            input,
-                            &ipath,
-                            State::Post,
-                            keys,
-                            &gk.0,
-                        )?;
-                        if still.is_empty() {
-                            del.push(gk.into_row());
-                            continue;
-                        }
-                    }
-                    if gd.per_agg.iter().all(is_zero) {
-                        continue; // σ_isupd
-                    }
-                    // c_post = c_pre + c∆ per aggregate.
-                    let posts = gd
-                        .per_agg
-                        .iter()
-                        .enumerate()
-                        .map(|(i, d)| old[keys.len() + i].add(d));
-                    upd.push(update_row(&gk, &old, posts));
-                }
-                // Group creation: the deltas start from empty.
-                None => ins.push(gk.0.into_iter().chain(gd.per_agg).collect()),
-            }
-        }
-        Ok(vec![(del, upd, ins)])
-    })? {
-        del_rows.extend(del);
-        upd_rows.extend(upd);
-        ins_rows.extend(ins);
-    }
-    Ok(group_diffs(keys, aggs, del_rows, upd_rows, ins_rows))
-}
-
-fn is_zero(v: &Value) -> bool {
-    matches!(v, Value::Int(0)) || matches!(v, Value::Float(f) if *f == 0.0)
 }

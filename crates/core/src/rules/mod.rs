@@ -40,8 +40,8 @@ pub struct RuleCtx<'a> {
     /// Partitioned propagation configuration (serial by default).
     pub parallel: ParallelConfig,
     /// The round's fault hooks, for failpoints *inside* a rule — today
-    /// only the mid-rescan failpoint of the dirty-group extremum
-    /// strategy. `None` in contexts without fault machinery.
+    /// only the mid-rescan failpoint of the aggregate delta strategy.
+    /// `None` in contexts without fault machinery.
     pub faults: Option<&'a FaultState>,
     /// Dirty-group rescans performed this round (reported as
     /// `MaintenanceReport::rescans`). `None` when nobody is counting.
@@ -51,8 +51,9 @@ pub struct RuleCtx<'a> {
 impl RuleCtx<'_> {
     /// Announce one dirty-group rescan: fires the `rescan` operator
     /// failpoint (so fault sweeps can land mid-rescan and prove the
-    /// rollback) and bumps the round's rescan counter. Must be called
-    /// *before* the member lookup it prices — the failpoint has to
+    /// rollback) and bumps the round's rescan counter. Called before
+    /// the recompute it prices (see `GroupDelta::settle` for where
+    /// that falls against the member lookup) — the failpoint has to
     /// abort the round with the rescan not yet performed. Rescans run
     /// on the serial spine, so the counter and failpoint order are
     /// thread-stable.

@@ -2,7 +2,7 @@
 //! application.
 
 use crate::partial::Partial;
-use idivm_algebra::aggregate::{aggregate_rows, ExtremumDelta, ExtremumOutcome};
+use idivm_algebra::aggregate::{aggregate_rows, GroupDelta, Resolved};
 use idivm_algebra::{ensure_ids, AggFunc, AggSpec, Plan};
 use idivm_core::access::{self, AccessCtx, PathId};
 use idivm_core::config::{EngineConfig, EngineKnobs};
@@ -14,9 +14,9 @@ use idivm_core::trace::TracePhase;
 use idivm_core::MaintenanceReport;
 use idivm_exec::{execute, materialize_view, refresh_view, view_schema};
 use idivm_reldb::{Database, Net, NetChange, TableChanges};
-use idivm_tuple::TupleIvm;
+use idivm_tuple::{TDiffs, TupleIvm};
 use idivm_types::{Column, ColumnType, Error, Key, Result, Row, Schema, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 /// Which change pattern the engine is configured for (paper §7.3).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -241,7 +241,7 @@ impl Sdbt {
         db: &Database,
         p: &PartialState,
         changes: &TableChanges,
-        out: &mut ComposedDiffs,
+        out: &mut TDiffs,
     ) -> Result<()> {
         let arity = changes
             .values()
@@ -311,7 +311,7 @@ impl Sdbt {
         db: &mut Database,
         keys: &[usize],
         aggs: &[AggSpec],
-        composed: ComposedDiffs,
+        composed: &TDiffs,
         round: &mut Round<'_>,
     ) -> Result<()> {
         let Plan::GroupBy { input, .. } = &self.view_plan else {
@@ -319,115 +319,15 @@ impl Sdbt {
                 "apply_aggregate on a non-aggregate root".into(),
             ));
         };
-        // Dedupe composed contributions by the view-input's ID (several
-        // partials can assert the same input row in multi-table rounds).
+        let fresh = GroupDelta::new(aggs)
+            .ok_or_else(|| Error::Internal("SDBT aggregate without a delta rule".into()))?;
+        // Fold into per-group deltas, deduped by the view-input's ID
+        // (several partials can assert the same input row in multi-table
+        // rounds). DBToaster's map model: a group lives while its
+        // multiplicity — the hidden `__count` column, advanced by the
+        // fold's net member count — is positive.
         let input_ids = idivm_algebra::infer_ids(input)?;
-        let mut seen: BTreeSet<(u8, Key)> = BTreeSet::new();
-        let composed = ComposedDiffs {
-            inserts: composed
-                .inserts
-                .into_iter()
-                .filter(|r| seen.insert((b'+', r.key(&input_ids))))
-                .collect(),
-            deletes: composed
-                .deletes
-                .into_iter()
-                .filter(|r| seen.insert((b'-', r.key(&input_ids))))
-                .collect(),
-            updates: composed
-                .updates
-                .into_iter()
-                .filter(|(_, q)| seen.insert((b'u', q.key(&input_ids))))
-                .collect(),
-        };
-        // Fold into per-group deltas with multiplicities (DBToaster's
-        // map model: groups live while their multiplicity is positive).
-        // SUM/COUNT slots sum numerically; MIN/MAX slots track inserted
-        // and removed candidates in [`ExtremumDelta`] form.
-        struct ExtG {
-            nums: Vec<Value>,
-            exts: Vec<ExtremumDelta>,
-            mult: i64,
-        }
-        let n_aggs = aggs.len();
-        let mut deltas: HashMap<Key, ExtG> = HashMap::new();
-        let fresh = move || ExtG {
-            nums: vec![Value::Int(0); n_aggs],
-            exts: vec![ExtremumDelta::default(); n_aggs],
-            mult: 0,
-        };
-        // SUM/COUNT contribution of one row (never called for MIN/MAX).
-        let num_eval = |a: &AggSpec, r: &Row| -> Result<Value> {
-            let v = a.arg.eval(r)?;
-            Ok(match a.func {
-                AggFunc::Sum => {
-                    if v.is_null() {
-                        Value::Int(0)
-                    } else {
-                        v
-                    }
-                }
-                _ => Value::Int(i64::from(!v.is_null())),
-            })
-        };
-        for r in &composed.inserts {
-            let g = deltas.entry(r.key(keys)).or_insert_with(fresh);
-            for (i, a) in aggs.iter().enumerate() {
-                if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                    g.exts[i].insert(a.func, &a.arg.eval(r)?);
-                } else {
-                    g.nums[i] = g.nums[i].add(&num_eval(a, r)?);
-                }
-            }
-            g.mult += 1;
-        }
-        for r in &composed.deletes {
-            let g = deltas.entry(r.key(keys)).or_insert_with(fresh);
-            for (i, a) in aggs.iter().enumerate() {
-                if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                    g.exts[i].remove(a.func, &a.arg.eval(r)?);
-                } else {
-                    g.nums[i] = g.nums[i].add(&num_eval(a, r)?.neg());
-                }
-            }
-            g.mult -= 1;
-        }
-        for (p, q) in &composed.updates {
-            let (kp, kq) = (p.key(keys), q.key(keys));
-            if kp == kq {
-                let g = deltas.entry(kp).or_insert_with(fresh);
-                for (i, a) in aggs.iter().enumerate() {
-                    if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                        g.exts[i].remove(a.func, &a.arg.eval(p)?);
-                        g.exts[i].insert(a.func, &a.arg.eval(q)?);
-                    } else {
-                        g.nums[i] = g.nums[i].add(&num_eval(a, q)?.sub(&num_eval(a, p)?));
-                    }
-                }
-            } else {
-                // The update moved the row across groups: a departure
-                // from the pre-group and an arrival in the post-group,
-                // multiplicities included.
-                let g = deltas.entry(kp).or_insert_with(fresh);
-                for (i, a) in aggs.iter().enumerate() {
-                    if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                        g.exts[i].remove(a.func, &a.arg.eval(p)?);
-                    } else {
-                        g.nums[i] = g.nums[i].add(&num_eval(a, p)?.neg());
-                    }
-                }
-                g.mult -= 1;
-                let g = deltas.entry(kq).or_insert_with(fresh);
-                for (i, a) in aggs.iter().enumerate() {
-                    if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                        g.exts[i].insert(a.func, &a.arg.eval(q)?);
-                    } else {
-                        g.nums[i] = g.nums[i].add(&num_eval(a, q)?);
-                    }
-                }
-                g.mult += 1;
-            }
-        }
+        let groups = composed.group_deltas(&input_ids, keys, aggs, &fresh)?;
         // Plan the per-group actions against the pre-apply view first
         // (immutable borrow: dirty groups rescan their members through
         // the counted access paths over the post-state bases), then
@@ -438,14 +338,14 @@ impl Sdbt {
             Patch(Key, Vec<(usize, Value)>),
             Insert(Row),
         }
-        let mut entries: Vec<(Key, ExtG)> = deltas.into_iter().collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
         let key_cols: Vec<usize> = (0..keys.len()).collect();
-        let count_col = keys.len() + aggs.len();
+        let aggregates = keys.len()..keys.len() + aggs.len();
+        let count_col = aggregates.end;
         let empty_caches: HashMap<PathId, String> = HashMap::new();
         let empty_changes: HashMap<String, TableChanges> = HashMap::new();
         let ipath: PathId = vec![0];
         let mut acts: Vec<Act> = Vec::new();
+        let mut vals = Vec::with_capacity(aggs.len());
         {
             let access = AccessCtx {
                 db,
@@ -454,79 +354,48 @@ impl Sdbt {
                 cache_changes: &empty_changes,
             };
             let view = db.table(&self.view_name)?;
-            for (gk, g) in entries {
-                let old = view.lookup(&key_cols, &gk);
-                match old.first() {
-                    Some(old_row) => {
-                        let new_count = old_row[count_col].as_int().unwrap_or(0) + g.mult;
-                        let pk = old_row.key(view.schema().key());
-                        if new_count <= 0 {
-                            // Multiplicity hit zero: the group is gone,
-                            // no extremum to resolve.
-                            acts.push(Act::Delete(pk));
-                            continue;
-                        }
-                        let mut dirty = false;
-                        let mut vals: Vec<Value> = Vec::with_capacity(aggs.len());
-                        for (i, a) in aggs.iter().enumerate() {
-                            if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                                match g.exts[i].resolve(a.func, &old_row[keys.len() + i]) {
-                                    ExtremumOutcome::Clean(v) => vals.push(v),
-                                    ExtremumOutcome::Rescan => {
-                                        dirty = true;
-                                        vals.push(Value::Null); // overwritten below
-                                    }
-                                }
-                            } else {
-                                vals.push(old_row[keys.len() + i].add(&g.nums[i]));
-                            }
-                        }
-                        if dirty {
-                            // The failpoint fires before the member
-                            // lookup: an aborted round rolls back with
-                            // the rescan unperformed.
-                            round.faults().hit(FaultSite::Operator, "`rescan`")?;
-                            round.report.rescans += 1;
-                            let members = access::lookup(
-                                &access,
-                                input,
-                                &ipath,
-                                State::Post,
-                                keys,
-                                &gk.0,
-                            )?;
-                            vals = aggs
-                                .iter()
-                                .map(|a| aggregate_rows(a, &members))
-                                .collect::<Result<_>>()?;
-                        }
-                        let mut assignments: Vec<(usize, Value)> = vals
-                            .into_iter()
-                            .enumerate()
-                            .filter(|(i, v)| *v != old_row[keys.len() + *i])
-                            .map(|(i, v)| (keys.len() + i, v))
-                            .collect();
-                        if g.mult != 0 {
-                            assignments.push((count_col, Value::Int(new_count)));
-                        }
-                        if !assignments.is_empty() {
-                            acts.push(Act::Patch(pk, assignments));
-                        }
+            for (gk, g) in groups {
+                let mult = g.net_members();
+                let Some(old_row) = view.lookup(&key_cols, &gk).into_iter().next() else {
+                    if mult > 0 {
+                        let count = std::iter::once(Value::Int(mult));
+                        let r = gk.0.into_iter().chain(g.created()).chain(count).collect();
+                        acts.push(Act::Insert(r));
                     }
-                    None => {
-                        if g.mult > 0 {
-                            let created = aggs.iter().enumerate().map(|(i, a)| {
-                                if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                                    g.exts[i].created()
-                                } else {
-                                    g.nums[i].clone()
-                                }
-                            });
-                            let count = std::iter::once(Value::Int(g.mult));
-                            let r = gk.0.iter().cloned().chain(created).chain(count).collect();
-                            acts.push(Act::Insert(r));
-                        }
+                    continue;
+                };
+                let new_count = old_row[count_col].as_int().unwrap_or(0) + mult;
+                let pk = old_row.key(view.schema().key());
+                if new_count <= 0 {
+                    // Multiplicity hit zero: the group is gone, nothing
+                    // to resolve.
+                    acts.push(Act::Delete(pk));
+                    continue;
+                }
+                let old = &old_row.0[aggregates.clone()];
+                if let Resolved::Dirty { .. } = g.resolve(old, &mut vals) {
+                    // The failpoint fires before the member lookup: an
+                    // aborted round rolls back with the rescan
+                    // unperformed.
+                    round.faults().hit(FaultSite::Operator, "`rescan`")?;
+                    round.report.rescans += 1;
+                    let members =
+                        access::lookup(&access, input, &ipath, State::Post, keys, &gk.0)?;
+                    vals.clear();
+                    for a in aggs {
+                        vals.push(aggregate_rows(a, &members)?);
                     }
+                }
+                let mut assignments: Vec<(usize, Value)> = aggregates
+                    .clone()
+                    .zip(vals.drain(..))
+                    .filter(|(c, v)| *v != old_row[*c])
+                    .collect();
+                if mult != 0 {
+                    assignments.push((count_col, Value::Int(new_count)));
+                }
+                if !assignments.is_empty() {
+                    acts.push(Act::Patch(pk, assignments));
                 }
             }
         }
@@ -598,7 +467,7 @@ impl Engine for Sdbt {
         // changes per round, making the order immaterial for results —
         // but not for cost: Streams still pays the map maintenance.
         let before = db.stats().snapshot();
-        let mut composed = ComposedDiffs::default();
+        let mut composed = TDiffs::default();
         for p in &self.partials {
             let Some(changes) = net.get(&p.def.table) else {
                 continue;
@@ -654,16 +523,11 @@ impl Engine for Sdbt {
         let before = db.stats().snapshot();
         match &self.shape {
             RootShape::Spj => {
-                let d = idivm_tuple::TDiffs {
-                    inserts: composed.inserts,
-                    deletes: composed.deletes,
-                    updates: composed.updates,
-                };
                 round.report.view_outcome =
-                    idivm_tuple::tdiff::apply(db.table_mut(&self.view_name)?, &d)?;
+                    idivm_tuple::tdiff::apply(db.table_mut(&self.view_name)?, &composed)?;
             }
             RootShape::Aggregate { keys, aggs } => {
-                self.apply_aggregate(db, keys, aggs, composed, round)?;
+                self.apply_aggregate(db, keys, aggs, &composed, round)?;
             }
         }
         round.report.view_update = db.stats().snapshot().since(&before);
@@ -715,19 +579,6 @@ impl Engine for Sdbt {
                 .map(|r| r.0[..r.arity().saturating_sub(1)].iter().cloned().collect())
                 .collect(),
         })
-    }
-}
-
-#[derive(Default)]
-struct ComposedDiffs {
-    inserts: Vec<Row>,
-    deletes: Vec<Row>,
-    updates: Vec<(Row, Row)>,
-}
-
-impl ComposedDiffs {
-    fn len(&self) -> usize {
-        self.inserts.len() + self.deletes.len() + self.updates.len()
     }
 }
 

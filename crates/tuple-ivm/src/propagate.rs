@@ -7,15 +7,15 @@
 //! the `a` accesses per diff tuple that dominate the tuple-based cost.
 
 use crate::tdiff::TDiffs;
-use idivm_algebra::aggregate::{aggregate_rows, ExtremumDelta, ExtremumOutcome};
-use idivm_algebra::{AggFunc, Expr, Plan};
+use idivm_algebra::aggregate::{aggregate_rows, GroupDelta};
+use idivm_algebra::{AggSpec, Expr, Plan};
 use idivm_core::access::{self, AccessCtx, PathId};
 use idivm_core::diff::State;
 use idivm_core::faults::{FaultSite, FaultState};
 use idivm_exec::executor::project_row;
 use idivm_exec::partition::{Batch, ParallelConfig};
 use idivm_types::{Key, Result, Row, Value};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Context for tuple-based propagation.
@@ -32,7 +32,7 @@ pub struct TupleCtx<'a> {
     /// comparisons stay apples-to-apples.
     pub parallel: ParallelConfig,
     /// The round's fault hooks, for the mid-rescan failpoint of the
-    /// dirty-group extremum path. `None` in contexts without fault
+    /// aggregate delta path. `None` in contexts without fault
     /// machinery.
     pub faults: Option<&'a FaultState>,
     /// Dirty-group rescans performed this round (reported as
@@ -182,9 +182,7 @@ pub fn propagate(
             }
             Ok(out)
         }
-        Plan::GroupBy { input, keys, aggs } => {
-            group_by(ctx, node, input, keys, aggs, path, one(sides))
-        }
+        Plan::GroupBy { input, keys, aggs } => group_by(ctx, input, keys, aggs, path, one(sides)),
     }
 }
 
@@ -595,13 +593,11 @@ fn semi_side(
     Ok(out)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn group_by(
     ctx: &TupleCtx<'_>,
-    node: &Plan,
     input: &Plan,
     keys: &[usize],
-    aggs: &[idivm_algebra::AggSpec],
+    aggs: &[AggSpec],
     path: &PathId,
     d: TDiffs,
 ) -> Result<TDiffs> {
@@ -609,33 +605,15 @@ fn group_by(
         return Ok(TDiffs::default());
     }
     let ipath = child(path, 0);
-    let is_root = path.is_empty();
-    let incremental = is_root
-        && aggs
-            .iter()
-            .all(|a| a.func.is_incremental() && a.func != AggFunc::Avg)
-        && d.updates
-            .iter()
-            .all(|(p, q)| keys.iter().all(|&k| p[k] == q[k]));
-    if incremental {
-        return group_by_deltas(ctx, input, keys, aggs, &ipath, d);
-    }
-    // MIN/MAX (mixed with SUM/COUNT) at the root with stable groups:
-    // delta-fold with a dirty-group rescan fallback instead of the
-    // two-lookups-per-group general recompute below.
-    let extremum = is_root
-        && aggs.iter().all(|a| {
-            a.func.is_invertible() && a.func != AggFunc::Avg
-                || matches!(a.func, AggFunc::Min | AggFunc::Max)
-        })
-        && aggs
-            .iter()
-            .any(|a| matches!(a.func, AggFunc::Min | AggFunc::Max))
-        && d.updates
-            .iter()
-            .all(|(p, q)| keys.iter().all(|&k| p[k] == q[k]));
-    if extremum {
-        return group_by_extremum(ctx, input, keys, aggs, &ipath, d);
+    // At the root with stable groups, SUM/COUNT/MIN/MAX fold as deltas
+    // against the view's stored rows, with a dirty-group rescan fallback,
+    // instead of the two-lookups-per-group general recompute below.
+    let groups_stable = d
+        .updates
+        .iter()
+        .all(|(p, q)| keys.iter().all(|&k| p[k] == q[k]));
+    if let Some(fresh) = GroupDelta::new(aggs).filter(|_| path.is_empty() && groups_stable) {
+        return group_by_delta(ctx, input, keys, aggs, &ipath, &d, &fresh);
     }
     // General path: recompute affected groups in pre- and post-state.
     let mut affected: BTreeSet<Key> = BTreeSet::new();
@@ -649,7 +627,7 @@ fn group_by(
     // Each affected group recomputes independently (two member lookups,
     // one aggregate fold): the sorted group list fans out.
     let affected: Vec<Key> = affected.into_iter().collect();
-    let out = fan_out(ctx, affected, |chunk: Vec<Key>| {
+    fan_out(ctx, affected, |chunk: Vec<Key>| {
         let mut o = TDiffs::default();
         for gk in chunk {
             let pre_members =
@@ -674,320 +652,50 @@ fn group_by(
             }
         }
         Ok(o)
-    })?;
-    let _ = node;
-    Ok(out)
-}
-
-/// The paper's tuple-based aggregate path (Appendix A.2): fold
-/// `D_Vspj` into per-group deltas with pipelined hash aggregation (no
-/// extra accesses), then read the old group values from the view to
-/// build the update pairs.
-fn group_by_deltas(
-    ctx: &TupleCtx<'_>,
-    input: &Plan,
-    keys: &[usize],
-    aggs: &[idivm_algebra::AggSpec],
-    ipath: &PathId,
-    d: TDiffs,
-) -> Result<TDiffs> {
-    // Operators below may assert the same input-row change through
-    // several paths (e.g. an expanded update and a link delete both
-    // reporting one vanished join row). Row-level apply dedupes those by
-    // primary key; delta aggregation must dedupe them here, by the
-    // input's ID, before summing.
-    let input_ids = idivm_algebra::infer_ids(input)?;
-    let mut seen: BTreeSet<(u8, Key)> = BTreeSet::new();
-    let d = TDiffs {
-        inserts: d
-            .inserts
-            .into_iter()
-            .filter(|r| seen.insert((b'+', r.key(&input_ids))))
-            .collect(),
-        deletes: d
-            .deletes
-            .into_iter()
-            .filter(|r| seen.insert((b'-', r.key(&input_ids))))
-            .collect(),
-        updates: d
-            .updates
-            .into_iter()
-            .filter(|(_, q)| seen.insert((b'u', q.key(&input_ids))))
-            .collect(),
-    };
-    let mut deltas: HashMap<Key, (Vec<Value>, bool)> = HashMap::new();
-    let mut add = |gk: Key, contribs: Vec<Value>, is_delete: bool| {
-        let e = deltas
-            .entry(gk)
-            .or_insert_with(|| (vec![Value::Int(0); aggs.len()], false));
-        for (slot, v) in e.0.iter_mut().zip(&contribs) {
-            *slot = slot.add(v);
-        }
-        e.1 |= is_delete;
-    };
-    let eval = |a: &idivm_algebra::AggSpec, r: &Row| -> Result<Value> {
-        let v = a.arg.eval(r)?;
-        Ok(match a.func {
-            AggFunc::Sum => {
-                if v.is_null() {
-                    Value::Int(0)
-                } else {
-                    v
-                }
-            }
-            AggFunc::Count => Value::Int(i64::from(!v.is_null())),
-            _ => Value::Int(0),
-        })
-    };
-    for r in &d.inserts {
-        add(
-            r.key(keys),
-            aggs.iter().map(|a| eval(a, r)).collect::<Result<_>>()?,
-            false,
-        );
-    }
-    for r in &d.deletes {
-        add(
-            r.key(keys),
-            aggs.iter()
-                .map(|a| Ok(eval(a, r)?.neg()))
-                .collect::<Result<_>>()?,
-            true,
-        );
-    }
-    for (p, q) in &d.updates {
-        add(
-            p.key(keys),
-            aggs.iter()
-                .map(|a| Ok(eval(a, q)?.sub(&eval(a, p)?)))
-                .collect::<Result<_>>()?,
-            false,
-        );
-    }
-    // Convert deltas to view diffs by consulting the view's old rows.
-    // Sort groups by key first: HashMap iteration order would otherwise
-    // vary per process, and the sorted list gives every thread count the
-    // same canonical emission order. Each group converts independently
-    // (one view lookup, at most one member probe), so the list fans out.
-    let view = ctx.access.db.table(ctx.view_name)?;
-    let key_cols: Vec<usize> = (0..keys.len()).collect();
-    let mut entries: Vec<(Key, (Vec<Value>, bool))> = deltas.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
-    fan_out(ctx, entries, |chunk: Vec<(Key, (Vec<Value>, bool))>| {
-        let mut o = TDiffs::default();
-        for (gk, (delta, had_delete)) in chunk {
-            let old = view.lookup(&key_cols, &gk);
-            match old.first() {
-                Some(old_row) => {
-                    if had_delete {
-                        let members = access::lookup(
-                            ctx.access,
-                            input,
-                            ipath,
-                            State::Post,
-                            keys,
-                            &gk.0,
-                        )?;
-                        if members.is_empty() {
-                            o.deletes.push(old_row.clone());
-                            continue;
-                        }
-                    }
-                    if delta.iter().all(is_zero) {
-                        continue;
-                    }
-                    let aggregate = |c: usize| c.checked_sub(keys.len());
-                    let post = old_row
-                        .iter()
-                        .enumerate()
-                        .map(|(c, v)| match aggregate(c).and_then(|i| delta.get(i)) {
-                            Some(dv) => v.add(dv),
-                            None => v.clone(),
-                        })
-                        .collect();
-                    o.updates.push((old_row.clone(), post));
-                }
-                None => {
-                    o.inserts.push(gk.0.into_iter().chain(delta).collect());
-                }
-            }
-        }
-        Ok(o)
     })
 }
 
-/// The tuple-based extremum path: like [`group_by_deltas`], but MIN/MAX
-/// slots fold into [`ExtremumDelta`] trackers instead of numeric sums.
-/// Each group's stored row decides locally: inserts and removals of
-/// non-extremum members resolve without touching the input; only a
-/// removal (or tie) of the stored extremum marks the group **dirty**
-/// and triggers one counted member rescan.
-fn group_by_extremum(
+/// The paper's tuple-based aggregate path (Appendix A.2), extended to
+/// MIN/MAX: fold `D_Vspj` into per-group [`GroupDelta`]s with pipelined
+/// hash aggregation (no extra accesses), then settle each group against
+/// the view's stored row. Groups that had a delete are probed for
+/// emptiness; a dirty group is re-read by one counted rescan. Serial, in
+/// sorted group order: rescans fire the mid-rescan failpoint and bump
+/// the rescan counter in the same order for any thread count.
+fn group_by_delta(
     ctx: &TupleCtx<'_>,
     input: &Plan,
     keys: &[usize],
-    aggs: &[idivm_algebra::AggSpec],
+    aggs: &[AggSpec],
     ipath: &PathId,
-    d: TDiffs,
+    d: &TDiffs,
+    fresh: &GroupDelta,
 ) -> Result<TDiffs> {
-    // Dedupe multi-path assertions of the same input-row change by the
-    // input's ID, exactly as in `group_by_deltas`.
     let input_ids = idivm_algebra::infer_ids(input)?;
-    let mut seen: BTreeSet<(u8, Key)> = BTreeSet::new();
-    let d = TDiffs {
-        inserts: d
-            .inserts
-            .into_iter()
-            .filter(|r| seen.insert((b'+', r.key(&input_ids))))
-            .collect(),
-        deletes: d
-            .deletes
-            .into_iter()
-            .filter(|r| seen.insert((b'-', r.key(&input_ids))))
-            .collect(),
-        updates: d
-            .updates
-            .into_iter()
-            .filter(|(_, q)| seen.insert((b'u', q.key(&input_ids))))
-            .collect(),
-    };
-    struct ExtG {
-        nums: Vec<Value>,
-        exts: Vec<ExtremumDelta>,
-        had_delete: bool,
-    }
-    let n_aggs = aggs.len();
-    let mut groups: HashMap<Key, ExtG> = HashMap::new();
-    let fresh = move || ExtG {
-        nums: vec![Value::Int(0); n_aggs],
-        exts: vec![ExtremumDelta::default(); n_aggs],
-        had_delete: false,
-    };
-    // SUM/COUNT contribution of one row (never called for MIN/MAX).
-    let num_eval = |a: &idivm_algebra::AggSpec, r: &Row| -> Result<Value> {
-        let v = a.arg.eval(r)?;
-        Ok(match a.func {
-            AggFunc::Sum => {
-                if v.is_null() {
-                    Value::Int(0)
-                } else {
-                    v
-                }
-            }
-            _ => Value::Int(i64::from(!v.is_null())),
-        })
-    };
-    for r in &d.inserts {
-        let g = groups.entry(r.key(keys)).or_insert_with(fresh);
-        for (i, a) in aggs.iter().enumerate() {
-            if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                g.exts[i].insert(a.func, &a.arg.eval(r)?);
-            } else {
-                g.nums[i] = g.nums[i].add(&num_eval(a, r)?);
-            }
-        }
-    }
-    for r in &d.deletes {
-        let g = groups.entry(r.key(keys)).or_insert_with(fresh);
-        for (i, a) in aggs.iter().enumerate() {
-            if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                g.exts[i].remove(a.func, &a.arg.eval(r)?);
-            } else {
-                g.nums[i] = g.nums[i].add(&num_eval(a, r)?.neg());
-            }
-        }
-        g.had_delete = true;
-    }
-    for (p, q) in &d.updates {
-        let g = groups.entry(p.key(keys)).or_insert_with(fresh);
-        for (i, a) in aggs.iter().enumerate() {
-            if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                g.exts[i].remove(a.func, &a.arg.eval(p)?);
-                g.exts[i].insert(a.func, &a.arg.eval(q)?);
-            } else {
-                g.nums[i] = g.nums[i].add(&num_eval(a, q)?.sub(&num_eval(a, p)?));
-            }
-        }
-    }
-    // Convert, **serially**: dirty groups fire the mid-rescan failpoint
-    // and bump the rescan counter, which must happen in a canonical
-    // order for any thread count (sorted group keys give exactly that).
     let view = ctx.access.db.table(ctx.view_name)?;
     let key_cols: Vec<usize> = (0..keys.len()).collect();
-    let mut entries: Vec<(Key, ExtG)> = groups.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0));
     let mut out = TDiffs::default();
-    for (gk, g) in entries {
-        let old = view.lookup(&key_cols, &gk);
-        match old.first() {
-            Some(old_row) => {
-                let mut dirty = false;
-                let mut vals: Vec<Value> = Vec::with_capacity(aggs.len());
-                for (i, a) in aggs.iter().enumerate() {
-                    if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                        match g.exts[i].resolve(a.func, &old_row[keys.len() + i]) {
-                            ExtremumOutcome::Clean(v) => vals.push(v),
-                            ExtremumOutcome::Rescan => {
-                                dirty = true;
-                                vals.push(Value::Null); // overwritten below
-                            }
-                        }
-                    } else {
-                        vals.push(old_row[keys.len() + i].add(&g.nums[i]));
-                    }
-                }
-                if dirty || g.had_delete {
-                    // One member lookup serves both the emptiness check
-                    // and the dirty recompute; the failpoint fires
-                    // before the lookup so an aborted round rolls back
-                    // with the rescan unperformed.
-                    if dirty {
-                        ctx.on_rescan()?;
-                    }
-                    let members =
-                        access::lookup(ctx.access, input, ipath, State::Post, keys, &gk.0)?;
-                    if members.is_empty() {
-                        out.deletes.push(old_row.clone());
-                        continue;
-                    }
-                    if dirty {
-                        vals = aggs
-                            .iter()
-                            .map(|a| aggregate_rows(a, &members))
-                            .collect::<Result<_>>()?;
-                    }
-                }
-                let changed = vals
-                    .iter()
-                    .enumerate()
-                    .any(|(i, v)| *v != old_row[keys.len() + i]);
-                if changed {
-                    let aggregate = |c: usize| c.checked_sub(keys.len());
-                    let post = old_row
-                        .iter()
-                        .enumerate()
-                        .map(|(c, v)| aggregate(c).and_then(|i| vals.get(i)).unwrap_or(v).clone())
-                        .collect();
-                    out.updates.push((old_row.clone(), post));
-                }
-            }
-            None => {
-                let created = aggs.iter().enumerate().map(|(i, a)| {
-                    if matches!(a.func, AggFunc::Min | AggFunc::Max) {
-                        g.exts[i].created()
-                    } else {
-                        g.nums[i].clone()
-                    }
-                });
-                out.inserts.push(gk.0.iter().cloned().chain(created).collect());
-            }
+    let mut vals = Vec::with_capacity(aggs.len());
+    for (gk, g) in d.group_deltas(&input_ids, keys, aggs, fresh)? {
+        let Some(old_row) = view.lookup(&key_cols, &gk).into_iter().next() else {
+            out.inserts.push(gk.0.into_iter().chain(g.created()).collect());
+            continue;
+        };
+        let old = &old_row.0[keys.len()..keys.len() + aggs.len()];
+        let members = || access::lookup(ctx.access, input, ipath, State::Post, keys, &gk.0);
+        if !g.settle(aggs, old, &mut vals, || ctx.on_rescan(), members)? {
+            out.deletes.push(old_row);
+        } else if vals.iter().ne(old) {
+            let new_value = |c: usize| c.checked_sub(keys.len()).and_then(|i| vals.get(i));
+            let post = old_row
+                .iter()
+                .enumerate()
+                .map(|(c, v)| new_value(c).unwrap_or(v).clone())
+                .collect();
+            out.updates.push((old_row, post));
         }
     }
     Ok(out)
-}
-
-fn is_zero(v: &Value) -> bool {
-    matches!(v, Value::Int(0)) || matches!(v, Value::Float(f) if *f == 0.0)
 }
 
 fn child(path: &[usize], i: usize) -> PathId {

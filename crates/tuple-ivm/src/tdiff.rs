@@ -1,10 +1,13 @@
 //! Tuple-based diffs: full-row insert/delete/update sets over one
 //! relation, and their application to a materialized view.
 
+use idivm_algebra::aggregate::{Event, GroupDelta};
+use idivm_algebra::AggSpec;
 use idivm_core::apply::ApplyOutcome;
 use idivm_exec::Batch;
 use idivm_reldb::{NetChange, Table, TableChanges};
-use idivm_types::{Result, Row, Value};
+use idivm_types::{Key, Result, Row, Value};
+use std::collections::{HashMap, HashSet};
 
 /// The three t-diff tables `D⁺`, `D−`, `Du` of one relation, holding
 /// *complete* rows of that relation's schema.
@@ -32,6 +35,56 @@ impl TDiffs {
         self.inserts.extend(other.inserts);
         self.deletes.extend(other.deletes);
         self.updates.extend(other.updates);
+    }
+
+    /// Fold the rows — a group-by's input rows, grouped by `keys` — into
+    /// per-group deltas started from `fresh`, sorted by group key. An
+    /// input row asserted twice in one kind (several operators below can
+    /// report one vanished join row) is folded once: rows are told apart
+    /// by the input's `ids`. An update that moves its row between groups
+    /// leaves the one and joins the other.
+    ///
+    /// # Errors
+    /// Argument-expression evaluation failures.
+    pub fn group_deltas(
+        &self,
+        ids: &[usize],
+        keys: &[usize],
+        aggs: &[AggSpec],
+        fresh: &GroupDelta,
+    ) -> Result<Vec<(Key, GroupDelta)>> {
+        let mut seen: HashSet<(u8, Key)> = HashSet::new();
+        let mut groups: HashMap<Key, GroupDelta> = HashMap::new();
+        let mut fold = |ev: Event<'_>| {
+            let g = groups
+                .entry(ev.row().key(keys))
+                .or_insert_with(|| fresh.clone());
+            g.fold(aggs, ev)
+        };
+        for r in &self.inserts {
+            if seen.insert((b'+', r.key(ids))) {
+                fold(Event::Ins(r))?;
+            }
+        }
+        for r in &self.deletes {
+            if seen.insert((b'-', r.key(ids))) {
+                fold(Event::Del(r))?;
+            }
+        }
+        for (p, q) in &self.updates {
+            if !seen.insert((b'u', q.key(ids))) {
+                continue;
+            }
+            if keys.iter().all(|&k| p[k] == q[k]) {
+                fold(Event::Upd(p, q))?;
+            } else {
+                fold(Event::Del(p))?;
+                fold(Event::Ins(q))?;
+            }
+        }
+        let mut groups: Vec<(Key, GroupDelta)> = groups.into_iter().collect();
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        Ok(groups)
     }
 
     /// Build from the folded modification log of one base table.

@@ -14,12 +14,19 @@
 //! compares the maintained view to [`recompute_rows`] — under the
 //! serial executor and under P=4, whose access snapshots must also be
 //! bit-identical to serial.
+//!
+//! The SUM cells run on all three engines: SUM of a group whose
+//! arguments are all NULL is NULL, not 0, whether the group's last
+//! non-NULL argument went NULL or the group was created with only NULL
+//! arguments, and a non-NULL argument arriving later replaces the NULL.
 
 use idivm_repro::algebra::{AggFunc, Expr, Plan, PlanBuilder};
-use idivm_repro::core::{IdIvm, IvmOptions};
+use idivm_repro::core::{Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions};
 use idivm_repro::exec::{executor::sorted, recompute_rows, DbCatalog, ParallelConfig};
 use idivm_repro::reldb::{Database, StatsSnapshot};
-use idivm_repro::types::{row, ColumnType, Key, Row, Schema, Value};
+use idivm_repro::sdbt::{Partial, Sdbt, SdbtVariant};
+use idivm_repro::tuple::TupleIvm;
+use idivm_repro::types::{row, ColumnType, Error, Key, Row, Schema, Value};
 
 fn four_threads() -> ParallelConfig {
     ParallelConfig {
@@ -342,4 +349,168 @@ fn avg_and_extrema_finishing_cells() {
         sorted(db.table("V").unwrap().rows_uncounted()),
         sorted(recompute_rows(&db, ivm.plan()).unwrap())
     );
+}
+
+/// `links(lid, pid, qty)` with one link per group: P0 {2} and P1 {1}.
+fn links_db() -> Database {
+    let mut db = Database::new();
+    db.set_logging(false);
+    db.create_table(
+        "links",
+        Schema::from_pairs(
+            &[
+                ("lid", ColumnType::Str),
+                ("pid", ColumnType::Str),
+                ("qty", ColumnType::Int),
+            ],
+            &["lid"],
+        )
+        .unwrap(),
+    )
+    .unwrap();
+    db.insert("links", row!["L0", "P0", 2]).unwrap();
+    db.insert("links", row!["L1", "P1", 1]).unwrap();
+    db.set_logging(true);
+    db
+}
+
+/// `γ_{pid; SUM(qty), COUNT(*)}(links)`, with `MIN(qty)` appended when
+/// `with_min` is set.
+fn sum_plan(db: &Database, with_min: bool) -> Plan {
+    let cat = DbCatalog(db);
+    let mut aggs = vec![
+        (AggFunc::Sum, "links.qty", "total"),
+        (AggFunc::Count, "*", "n"),
+    ];
+    if with_min {
+        aggs.push((AggFunc::Min, "links.qty", "least"));
+    }
+    PlanBuilder::scan(&cat, "links")
+        .unwrap()
+        .group_by(&["links.pid"], &aggs)
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// The SUM views on each engine, each on its own database.
+fn sum_engines(with_min: bool) -> Vec<(&'static str, Database, Box<dyn Engine>)> {
+    let mut out: Vec<(&'static str, Database, Box<dyn Engine>)> = Vec::new();
+    let mut db = links_db();
+    let plan = sum_plan(&db, with_min);
+    let ivm = IdIvm::setup(&mut db, "V", plan, IvmOptions::default()).unwrap();
+    out.push(("id-ivm", db, Box::new(ivm)));
+    let mut db = links_db();
+    let plan = sum_plan(&db, with_min);
+    let tivm = TupleIvm::setup(&mut db, "V", plan).unwrap();
+    out.push(("tuple-ivm", db, Box::new(tivm)));
+    let mut db = links_db();
+    let plan = sum_plan(&db, with_min);
+    let partial = Partial {
+        table: "links".into(),
+        steps: vec![],
+        compose: vec![0, 1, 2],
+        filter: None,
+    };
+    let variant = SdbtVariant::Fixed("links".into());
+    let sdbt = Sdbt::setup(&mut db, "V", plan, vec![partial], variant).unwrap();
+    out.push(("sdbt-fixed", db, Box::new(sdbt)));
+    out
+}
+
+fn set_qty(db: &mut Database, lid: &str, qty: Value) {
+    db.update_named("links", &Key(vec![Value::str(lid)]), &[("qty", qty)])
+        .unwrap();
+}
+
+/// The three SUM rounds: P0's only qty goes NULL; a link with a NULL qty
+/// creates group P9; P0's qty becomes 7.
+fn sum_rounds(db: &mut Database, round: usize) {
+    match round {
+        0 => set_qty(db, "L0", Value::Null),
+        1 => db
+            .insert(
+                "links",
+                Row::new(vec![Value::str("L9"), Value::str("P9"), Value::Null]),
+            )
+            .unwrap(),
+        _ => set_qty(db, "L0", Value::Int(7)),
+    }
+}
+
+/// SUM over NULL arguments, on every engine, with and without a MIN
+/// riding along: after each round the view equals the recompute oracle,
+/// and the cells read the SQL value — NULL for a group whose arguments
+/// are all NULL, the sum once a non-NULL argument arrives.
+#[test]
+fn sum_of_all_null_arguments_is_null_on_every_engine() {
+    for with_min in [false, true] {
+        let expected = |round: usize| -> Vec<(&str, Value, i64)> {
+            match round {
+                0 => vec![("P0", Value::Null, 1)],
+                1 => vec![("P0", Value::Null, 1), ("P9", Value::Null, 1)],
+                _ => vec![("P0", Value::Int(7), 1), ("P9", Value::Null, 1)],
+            }
+        };
+        for (label, mut db, ivm) in sum_engines(with_min) {
+            for round in 0..3 {
+                sum_rounds(&mut db, round);
+                ivm.maintain(&mut db).unwrap();
+                let rows = ivm.visible_rows(&db).unwrap();
+                assert_eq!(
+                    sorted(rows.clone()),
+                    sorted(recompute_rows(&db, ivm.plan()).unwrap()),
+                    "{label} (min: {with_min}) round {round}: diverged from the oracle"
+                );
+                for (pid, sum, count) in expected(round) {
+                    let r = rows
+                        .iter()
+                        .find(|r| r[0] == Value::str(pid))
+                        .unwrap_or_else(|| panic!("{label} round {round}: no group {pid}"));
+                    let at = format!("{label} (min: {with_min}) round {round} group {pid}");
+                    assert_eq!(r[1], sum, "{at}: SUM");
+                    assert_eq!(r[2], Value::Int(count), "{at}: COUNT(*)");
+                    if with_min {
+                        assert_eq!(r[3], sum, "{at}: MIN of a single qty is that qty");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The round where P0's only qty goes NULL leaves only the SUM slot
+/// dirty. Sweeping operator faults through it must land on the `rescan`
+/// failpoint, and every aborted attempt must roll the database back to
+/// its pre-round signature with the log kept.
+#[test]
+fn sum_only_dirty_rescan_fault_rolls_back_to_pre_round_signature() {
+    for (label, mut db, mut ivm) in sum_engines(false) {
+        sum_rounds(&mut db, 0);
+        let pre_sig = db.signature();
+        let pre_net = db.fold_log();
+        let mut hit_rescan = false;
+        let mut k = 0u64;
+        let clean = loop {
+            ivm.set_faults(FaultPlan::at(FaultSite::Operator, k, 0x5eed_2015));
+            match ivm.maintain(&mut db) {
+                Err(e) => {
+                    assert!(matches!(e, Error::Injected(_)), "{label} k={k}: {e}");
+                    hit_rescan |= e.to_string().contains("rescan");
+                    assert_eq!(db.signature(), pre_sig, "{label} k={k}: not rolled back");
+                    assert_eq!(db.fold_log(), pre_net, "{label} k={k}: log not kept");
+                }
+                Ok(report) => break report,
+            }
+            k += 1;
+            assert!(k < 1 << 10, "{label}: runaway sweep");
+        };
+        assert!(hit_rescan, "{label}: no fault landed on the SUM rescan");
+        assert_eq!(clean.rescans, 1, "{label}: the dirty SUM is one rescan");
+        assert_eq!(
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
+            "{label}: clean run diverged from the oracle"
+        );
+    }
 }

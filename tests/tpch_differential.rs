@@ -8,7 +8,7 @@
 //! non-numeric cases to `Int(0)`. Deleting (or updating away) the row
 //! that *holds* the group extremum then leaves a stale or zeroed
 //! extremum in the view. The fix routes exactly those groups through a
-//! counted per-group rescan ([`ExtremumDelta::resolve`]); these tests
+//! counted per-group rescan ([`GroupDelta::resolve`]); these tests
 //! pin both the correct answers and the accounting around the rescan
 //! (fault injection, atomic rollback, supervisor healing).
 
