@@ -20,9 +20,8 @@
 use idivm_algebra::aggregate::Accumulator;
 use idivm_algebra::{AggSpec, Expr, Plan};
 use idivm_reldb::Database;
-use idivm_types::{Result, Row, Value};
+use idivm_types::{key_digest, Result, Row, Value};
 use std::collections::hash_map::RandomState;
-use std::hash::{BuildHasher, Hash, Hasher};
 
 /// What a caller of [`evaluate`] says about each plan node, addressed
 /// by its path (child indices from the root, `evaluate`'s `at` first).
@@ -323,9 +322,11 @@ pub fn hash_aggregate(rows: &[Row], keys: &[usize], aggs: &[AggSpec]) -> Result<
         .collect())
 }
 
-/// Sort rows for deterministic comparisons (tests, diffing).
+/// Sort rows for deterministic comparisons (tests, diffing). Unstable:
+/// the rows of a keyed table are distinct, and rows of a bag that tie
+/// compare equal in whichever order they come out.
 pub fn sorted(mut rows: Vec<Row>) -> Vec<Row> {
-    rows.sort();
+    rows.sort_unstable();
     rows
 }
 
@@ -361,11 +362,7 @@ impl Chains {
 
     /// The hash of `row`'s `cols`, in place.
     fn hash(&self, row: &Row, cols: &[usize]) -> u64 {
-        let mut h = self.state.build_hasher();
-        for &c in cols {
-            row[c].hash(&mut h);
-        }
-        h.finish()
+        key_digest(&self.state, cols.iter().map(|&c| &row[c]))
     }
 
     /// Append the next entry under `hash`.

@@ -7,7 +7,9 @@
 //! that analysis needs:
 //!
 //! * [`Table`]s keyed by primary key, with optional secondary hash
-//!   indexes,
+//!   indexes — rows live in slots, and both kinds of map file a slot by
+//!   the keyed digest of its key columns, read in place from the row, so
+//!   no key is stored or built per row,
 //! * an [`AccessStats`] instrument counting tuple accesses and index
 //!   lookups at the same granularity as the paper's model,
 //! * a [`ModificationLog`] capturing inserts/deletes/updates with
@@ -18,6 +20,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod database;
+mod digest_map;
 mod index;
 pub mod log;
 pub mod overlay;

@@ -20,6 +20,6 @@ pub mod value;
 pub use error::{Error, Result};
 pub use fnv::{stable_hash_key, Fnv1a};
 pub use json::Json;
-pub use row::{Key, Row};
+pub use row::{key_digest, Key, Row};
 pub use schema::{Column, ColumnType, Schema};
 pub use value::Value;

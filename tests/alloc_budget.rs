@@ -18,14 +18,18 @@
 //! scheduler spends handing one folded net to five views must not grow
 //! with the number of views that scan it.
 //!
+//! A third brackets a bulk [`Table::load`] of pre-built rows into a
+//! reserved table with one secondary index: storing a row must not
+//! build a key for it, for the primary-key map or for the index.
+//!
 //! Counts are deterministic for a given build; the tests take
 //! [`BRACKET`] so no other test thread allocates inside a bracket.
 
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_repro::core::{IdIvm, IvmOptions};
 use idivm_repro::exec::{executor::sorted, recompute_rows};
-use idivm_repro::reldb::Database;
-use idivm_repro::types::{row, Key, Value};
+use idivm_repro::reldb::{AccessStats, Database, Table};
+use idivm_repro::types::{row, ColumnType, Key, Row, Schema, Value};
 use idivm_repro::workloads::bsma::Bsma;
 use idivm_repro::workloads::multiview::VIEW_NAMES;
 use idivm_repro::workloads::{MultiView, RunningExample};
@@ -51,6 +55,13 @@ const BUDGET_PER_DIFF: f64 = 22.0;
 /// from 35.7 to 28.8 (and the round above from 14.9 to 14.0 per diff);
 /// the budget is that plus 8 %.
 const BUDGET_PER_EVENT: f64 = 31.0;
+
+/// Heap allocations per row of a bulk [`Table::load`] into a reserved
+/// table with one secondary index. What is left is per indexed value
+/// (its postings list and the value it is filed under) and the index's
+/// own growth; a key built per row, as the maps keyed by `Key` did
+/// (2.0 per row on this shape, one key for each map), is 20 times this.
+const BUDGET_PER_LOADED_ROW: f64 = 0.1;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -304,5 +315,49 @@ fn tick_allocates_per_event_not_per_view() {
     assert!(
         per_event <= BUDGET_PER_EVENT,
         "MaintenanceScheduler::tick allocated {per_event:.1} times per event, budget {BUDGET_PER_EVENT}"
+    );
+}
+
+const LOADED_ROWS: i64 = 8_192;
+const GROUPS: i64 = 16;
+
+#[test]
+fn load_allocates_per_indexed_value_not_per_row() {
+    let _bracket = BRACKET.lock().unwrap_or_else(|e| e.into_inner());
+    let schema = Schema::from_pairs(
+        &[
+            ("id", ColumnType::Int),
+            ("grp", ColumnType::Int),
+            ("name", ColumnType::Str),
+        ],
+        &["id"],
+    )
+    .unwrap();
+    let mut t = Table::new("loaded", schema, AccessStats::new());
+    t.create_index(&["grp"]).unwrap();
+    t.reserve(LOADED_ROWS as usize);
+    let rows: Vec<Row> = (0..LOADED_ROWS)
+        .map(|id| row![id, id % GROUPS, format!("row {id}")])
+        .collect();
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for r in rows {
+        t.load(r).unwrap();
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(t.len(), LOADED_ROWS as usize);
+    assert_eq!(
+        t.lookup(&[1], &[Value::Int(3)]).len(),
+        (LOADED_ROWS / GROUPS) as usize
+    );
+    let per_row = allocations as f64 / LOADED_ROWS as f64;
+    println!(
+        "alloc_budget: {allocations} allocations loading {LOADED_ROWS} rows over {GROUPS} \
+         indexed values = {per_row:.3} per row (budget {BUDGET_PER_LOADED_ROW})"
+    );
+    assert!(
+        per_row <= BUDGET_PER_LOADED_ROW,
+        "Table::load allocated {per_row:.3} times per row, budget {BUDGET_PER_LOADED_ROW}"
     );
 }
