@@ -34,7 +34,9 @@ use crate::schema_gen::{generate, populate, BaseDiffSchemas};
 use crate::shared::{RoundKey, SharedDiffCache, SharedPrefixes};
 use crate::trace::{op_label, TraceConfig, TracePhase};
 use idivm_algebra::{ensure_ids, Plan};
-use idivm_exec::{materialize_nodes, materialize_view, refresh_view, view_schema, ParallelConfig};
+use idivm_exec::{
+    materialize_nodes, materialize_view, refresh_view, view_schema, ParallelConfig, SubplanMemo,
+};
 use idivm_reldb::{Database, Net, StatsSnapshot, TableChanges};
 use idivm_types::{Error, Result, Schema};
 use std::collections::HashMap;
@@ -92,6 +94,14 @@ pub struct IdIvm {
     cache_map: HashMap<PathId, String>,
 }
 
+/// How set-up fills a view's table and caches.
+enum Fill<'m> {
+    /// Evaluate the plan, through the memo if one is given.
+    Fresh(Option<&'m mut SubplanMemo>),
+    /// Keep every shape-matched table ([`IdIvm::setup_over`]).
+    Reuse,
+}
+
 impl EngineConfig for IdIvm {
     fn knobs(&self) -> &EngineKnobs {
         &self.knobs
@@ -113,7 +123,26 @@ impl IdIvm {
         plan: Plan,
         options: IvmOptions,
     ) -> Result<Self> {
-        Self::setup_inner(db, view_name, plan, options, false)
+        Self::setup_inner(db, view_name, plan, options, Fill::Fresh(None))
+    }
+
+    /// [`IdIvm::setup`] through a [`SubplanMemo`] shared by the views
+    /// registered over `db`: a join subtree the memo holds rows of at
+    /// the current table versions is read from it instead of evaluated,
+    /// and the rows of one an earlier view through the memo also holds
+    /// are kept in it. Tables, counts and the engine are as
+    /// [`IdIvm::setup`] makes them.
+    ///
+    /// # Errors
+    /// As [`IdIvm::setup`].
+    pub fn setup_memoized(
+        db: &mut Database,
+        view_name: &str,
+        plan: Plan,
+        options: IvmOptions,
+        memo: &mut SubplanMemo,
+    ) -> Result<Self> {
+        Self::setup_inner(db, view_name, plan, options, Fill::Fresh(Some(memo)))
     }
 
     /// Re-register a view over a *content-equivalent* rewrite of its
@@ -144,7 +173,7 @@ impl IdIvm {
         plan: Plan,
         options: IvmOptions,
     ) -> Result<Self> {
-        Self::setup_inner(db, view_name, plan, options, true)
+        Self::setup_inner(db, view_name, plan, options, Fill::Reuse)
     }
 
     fn setup_inner(
@@ -152,7 +181,7 @@ impl IdIvm {
         view_name: &str,
         plan: Plan,
         options: IvmOptions,
-        reuse: bool,
+        fill: Fill<'_>,
     ) -> Result<Self> {
         options.parallel.validate()?;
         // Pass 1: make every subview carry its IDs.
@@ -166,11 +195,12 @@ impl IdIvm {
         ensure_probe_indexes(db, &plan)?;
         // Cache planning + materialization.
         let (cache_defs, cache_map) = plan_caches(&plan, view_name, options.use_input_caches)?;
-        if !reuse {
+        let reuse = matches!(fill, Fill::Reuse);
+        if let Fill::Fresh(memo) = fill {
             // One pass fills the view and every cache.
             let mut tables = vec![(&[][..], view_name)];
             tables.extend(cache_defs.iter().map(|d| (&d.path[..], d.name.as_str())));
-            materialize_nodes(db, &plan, &tables)?;
+            materialize_nodes(db, &plan, &tables, memo)?;
         } else if db.has_table(view_name) {
             ensure_storage_shape(db, view_name, &plan)?;
         } else {

@@ -13,14 +13,17 @@
 //! compared in place, so no row builds a key and no key owns a vector.
 //! NULL keys never match. Output is left-major, each left row's matches
 //! in right input order. A `Project` of plain columns directly over an
-//! inner join builds its rows straight from the matching pairs, unless
-//! the hook claims or wants the join. Grouping probes the same way and
-//! emits its groups in first-seen order.
+//! inner join builds its rows straight from the matching pairs, and a
+//! `Select` directly over an inner join whose predicate reads one side
+//! tests that side's row of each pair and joins only the pairs that
+//! pass — unless the hook claims or wants the join. Grouping probes the
+//! same way and emits its groups in first-seen order.
 
 use idivm_algebra::aggregate::Accumulator;
 use idivm_algebra::{AggSpec, Expr, Plan};
 use idivm_reldb::Database;
 use idivm_types::{key_digest, Result, Row, Value};
+use std::borrow::Cow;
 use std::collections::hash_map::RandomState;
 
 /// What a caller of [`evaluate`] says about each plan node, addressed
@@ -76,7 +79,7 @@ pub fn evaluate(
         hook,
         path: at.to_vec(),
     }
-    .node(plan, None)
+    .node(plan, Ask::All)
 }
 
 struct Eval<'a, H> {
@@ -86,9 +89,28 @@ struct Eval<'a, H> {
     path: Vec<usize>,
 }
 
+/// What the operator above asks of an inner join's rows. Done pair by
+/// pair when the join is evaluated; done on the finished rows when the
+/// hook claims or wants it.
+#[derive(Clone, Copy)]
+enum Ask<'p> {
+    /// Every joined row.
+    All,
+    /// The joined rows' columns `picks` (a plain `Project` above).
+    Picks(&'p [usize]),
+    /// The joined rows that pass `pred` (a `Select` above, no residual
+    /// on the join): `local` is `pred` over the right row alone if
+    /// `right`, else over the left one.
+    Where {
+        pred: &'p Expr,
+        local: &'p Expr,
+        right: bool,
+    },
+}
+
 enum JoinKind<'p> {
-    /// An inner join, its rows projected onto the columns if given.
-    Inner(Option<&'p [usize]>),
+    /// An inner join, its rows narrowed as asked.
+    Inner(Ask<'p>),
     LeftOuter,
     /// A semi-join (`true`) or an anti-join.
     Semi(bool),
@@ -96,53 +118,56 @@ enum JoinKind<'p> {
 
 impl<H: PathHook> Eval<'_, H> {
     /// The rows of `plan` at the current path — claimed, or evaluated
-    /// (and kept, if wanted) — projected onto `picks` when given.
-    fn node(&mut self, plan: &Plan, picks: Option<&[usize]>) -> Result<Vec<Row>> {
+    /// (and kept, if wanted) — narrowed as `ask` says.
+    fn node(&mut self, plan: &Plan, ask: Ask<'_>) -> Result<Vec<Row>> {
         let rows = if let Some(rows) = self.hook.claim(&self.path, plan)? {
             rows
         } else if self.hook.wants(&self.path) {
-            let rows = self.compute(plan, None)?;
+            let rows = self.compute(plan, Ask::All)?;
             self.hook.keep(&self.path, &rows);
             rows
         } else {
-            return self.compute(plan, picks);
+            return self.compute(plan, ask);
         };
-        Ok(match picks {
-            Some(cols) => rows.iter().map(|r| r.project(cols)).collect(),
-            None => rows,
-        })
+        match ask {
+            Ask::All => Ok(rows),
+            Ask::Picks(cols) => Ok(rows.iter().map(|r| r.project(cols)).collect()),
+            Ask::Where { pred, .. } => filter(rows, pred),
+        }
     }
 
-    fn child(&mut self, idx: usize, plan: &Plan, picks: Option<&[usize]>) -> Result<Vec<Row>> {
+    fn child(&mut self, idx: usize, plan: &Plan, ask: Ask<'_>) -> Result<Vec<Row>> {
         self.path.push(idx);
-        let rows = self.node(plan, picks);
+        let rows = self.node(plan, ask);
         self.path.pop();
         rows
     }
 
-    /// Evaluate `plan`; `picks` is only ever passed for an inner join.
-    fn compute(&mut self, plan: &Plan, picks: Option<&[usize]>) -> Result<Vec<Row>> {
+    /// Evaluate `plan`; an `ask` other than [`Ask::All`] is only ever
+    /// passed for an inner join.
+    fn compute(&mut self, plan: &Plan, ask: Ask<'_>) -> Result<Vec<Row>> {
         match plan {
             Plan::Scan { table, .. } => Ok(self.db.table(table)?.scan()),
-            Plan::Select { input, pred } => {
-                let rows = self.child(0, input, None)?;
-                let mut out = Vec::with_capacity(rows.len());
-                for r in rows {
-                    if pred.eval_pred(&r)? {
-                        out.push(r);
-                    }
+            Plan::Select { input, pred } => match one_side(input, pred) {
+                Some((local, right)) => {
+                    let ask = Ask::Where {
+                        pred,
+                        local: &local,
+                        right,
+                    };
+                    self.child(0, input, ask)
                 }
-                Ok(out)
-            }
+                None => filter(self.child(0, input, Ask::All)?, pred),
+            },
             Plan::Project { input, cols } => {
                 let picks = match **input {
                     Plan::Join { .. } => plain_cols(cols),
                     _ => None,
                 };
-                let rows = self.child(0, input, picks.as_deref())?;
-                if picks.is_some() {
-                    return Ok(rows);
+                if let Some(picks) = picks {
+                    return self.child(0, input, Ask::Picks(&picks));
                 }
+                let rows = self.child(0, input, Ask::All)?;
                 rows.iter().map(|r| project_row(r, cols)).collect()
             }
             Plan::Join {
@@ -150,7 +175,7 @@ impl<H: PathHook> Eval<'_, H> {
                 right,
                 on,
                 residual,
-            } => self.join(JoinKind::Inner(picks), left, right, on, residual.as_ref()),
+            } => self.join(JoinKind::Inner(ask), left, right, on, residual.as_ref()),
             Plan::LeftOuterJoin {
                 left,
                 right,
@@ -173,14 +198,14 @@ impl<H: PathHook> Eval<'_, H> {
                 let mut out = Vec::new();
                 for (branch, side) in [left, right].into_iter().enumerate() {
                     let tag = Value::Int(branch as i64);
-                    for r in self.child(branch, side, None)? {
+                    for r in self.child(branch, side, Ask::All)? {
                         out.push(r.extended(tag.clone()));
                     }
                 }
                 Ok(out)
             }
             Plan::GroupBy { input, keys, aggs } => {
-                let rows = self.child(0, input, None)?;
+                let rows = self.child(0, input, Ask::All)?;
                 hash_aggregate(&rows, keys, aggs)
             }
         }
@@ -194,11 +219,24 @@ impl<H: PathHook> Eval<'_, H> {
         on: &[(usize, usize)],
         residual: Option<&Expr>,
     ) -> Result<Vec<Row>> {
-        let lrows = self.child(0, left, None)?;
-        let table = JoinTable::new(self.child(1, right, None)?, on);
+        let lrows = self.child(0, left, Ask::All)?;
+        let table = JoinTable::new(self.child(1, right, Ask::All)?, on);
         let mut out = Vec::new();
         match kind {
-            JoinKind::Inner(picks) => {
+            JoinKind::Inner(Ask::Where { local, right, .. }) => {
+                for l in &lrows {
+                    for r in table.matches(l) {
+                        if local.eval_pred(if right { r } else { l })? {
+                            out.push(l.concat(r));
+                        }
+                    }
+                }
+            }
+            JoinKind::Inner(ask) => {
+                let picks = match ask {
+                    Ask::Picks(cols) => Some(cols),
+                    _ => None,
+                };
                 for l in &lrows {
                     for r in table.matches(l) {
                         let Some(pred) = residual else {
@@ -249,6 +287,42 @@ impl<H: PathHook> Eval<'_, H> {
             }
         }
         Ok(out)
+    }
+}
+
+/// The rows that pass `pred`, in order.
+fn filter(rows: Vec<Row>, pred: &Expr) -> Result<Vec<Row>> {
+    let mut out = Vec::with_capacity(rows.len());
+    for r in rows {
+        if pred.eval_pred(&r)? {
+            out.push(r);
+        }
+    }
+    Ok(out)
+}
+
+/// A selection's `pred` over one side of the inner join `input` (no
+/// residual) it reads alone — re-expressed over that side's row — and
+/// whether that is the right side; `None` when it reads both sides or
+/// `input` is no such join. A predicate that reads no column is taken
+/// as the left side's.
+fn one_side<'p>(input: &Plan, pred: &'p Expr) -> Option<(Cow<'p, Expr>, bool)> {
+    let Plan::Join {
+        left,
+        residual: None,
+        ..
+    } = input
+    else {
+        return None;
+    };
+    let la = left.arity();
+    let cols = pred.columns();
+    if cols.iter().all(|&c| c < la) {
+        Some((Cow::Borrowed(pred), false))
+    } else if cols.iter().all(|&c| c >= la) {
+        Some((Cow::Owned(pred.remap(&|c| c - la)), true))
+    } else {
+        None
     }
 }
 
@@ -648,5 +722,77 @@ mod tests {
         let rows = execute(&db, &j).unwrap();
         assert_eq!(rows.len(), 1); // (P1,10,P2,20)
         assert_eq!(rows[0], row!["P1", 10, "P2", 20]);
+    }
+
+    /// A hook that wants the node at one path, which evaluates it
+    /// unfused.
+    struct Want(Vec<usize>);
+
+    impl PathHook for Want {
+        fn wants(&self, path: &[usize]) -> bool {
+            path == self.0
+        }
+    }
+
+    /// A selection over an inner join that reads one side tests that
+    /// side's row of each pair before joining it: the rows and their
+    /// order are the unfused evaluation's, NULLs included, on random
+    /// tables — and a predicate over both sides is left unfused.
+    #[test]
+    fn a_selection_over_one_side_of_a_join_matches_the_unfused_evaluation() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % n
+        };
+        for round in 0..20 {
+            let mut db = Database::new();
+            db.set_logging(false);
+            for t in ["a", "b"] {
+                let schema = Schema::from_pairs(
+                    &[
+                        ("id", ColumnType::Int),
+                        ("k", ColumnType::Int),
+                        ("x", ColumnType::Int),
+                    ],
+                    &["id"],
+                )
+                .unwrap();
+                db.create_table(t, schema).unwrap();
+                for id in 0..40 {
+                    let mut value = |range| match next(5) {
+                        0 => Value::Null,
+                        _ => Value::Int(next(range) as i64),
+                    };
+                    let row = Row::new(vec![Value::Int(id), value(6), value(10)]);
+                    db.insert(t, row).unwrap();
+                }
+            }
+            let cat = crate::DbCatalog(&db);
+            let join = || {
+                PlanBuilder::scan(&cat, "a")
+                    .unwrap()
+                    .join(PlanBuilder::scan(&cat, "b").unwrap(), &[("a.k", "b.k")])
+                    .unwrap()
+            };
+            let bound = next(10) as i64;
+            // a.x, b.x, both, and none of the columns.
+            let preds = [
+                Expr::col(2).lt(Expr::lit(bound)),
+                Expr::col(5)
+                    .ge(Expr::lit(bound))
+                    .and(Expr::col(3).ne(Expr::lit(7))),
+                Expr::col(2).lt(Expr::col(5)),
+                Expr::lit(round % 2 == 0),
+            ];
+            for pred in preds {
+                let plan = join().select(pred).build().unwrap();
+                let fused = execute(&db, &plan).unwrap();
+                let unfused = evaluate(&db, &plan, &[], &mut Want(vec![0])).unwrap();
+                assert_eq!(fused, unfused, "round {round}");
+            }
+        }
     }
 }

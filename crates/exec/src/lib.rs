@@ -10,7 +10,9 @@
 //! * **view materialization** ([`materialize_view`], [`refresh_view`],
 //!   [`materialize_nodes`]): a keyed storage schema derived from the
 //!   plan, with the inferred IDs as primary key, filled from the
-//!   result — a view and the caches under it in a single pass;
+//!   result — a view and the caches under it in a single pass, reading
+//!   join subtrees an earlier view over the same table versions
+//!   evaluated from a [`SubplanMemo`] when the caller keeps one;
 //! * **subview scans** in `idivm-core`, which read cache tables and
 //!   pre-state overlays in place of the subtrees they stand for.
 //!
@@ -27,10 +29,12 @@
 
 pub mod catalog;
 pub mod executor;
+pub mod memo;
 pub mod partition;
 pub mod recompute;
 
 pub use catalog::DbCatalog;
 pub use executor::{execute, PathHook};
+pub use memo::SubplanMemo;
 pub use partition::{Batch, ParallelConfig, MAX_THREADS};
 pub use recompute::{materialize_nodes, materialize_view, recompute_rows, refresh_view, view_schema};

@@ -483,7 +483,8 @@ impl MaintenanceScheduler {
     /// changes of the tables it scans ([`compose_shared`]). The log is
     /// cleared even when it folds to nothing (an insert and its delete
     /// in one window): left in place it would be folded again by every
-    /// later round.
+    /// later round. A non-empty log also empties the catalog's
+    /// registration memo: the tables have started changing.
     fn distribute(&mut self) -> Result<()> {
         // Let go of the previous net first: a deferred view still
         // holding it then has its next slice composed in place.
@@ -491,6 +492,7 @@ impl MaintenanceScheduler {
         if self.catalog.db().log().is_empty() {
             return Ok(());
         }
+        self.catalog.forget_subplans();
         let net = self.catalog.db().fold_log();
         self.catalog.db_mut().clear_log();
         for (table, changes) in &net {

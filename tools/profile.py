@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Sample one process's call stacks by frame-pointer walking under ptrace.
 
-    tools/profile.py [--under FRAME] [--top N] -- <command> [args...]
+    tools/profile.py [--under FRAME | --children FRAME] [--top N] -- <command> [args...]
 
 Starts <command>, attaches to its main thread with PTRACE_SEIZE, and
 about HZ (1000) times a second stops it with PTRACE_INTERRUPT,
@@ -18,9 +18,13 @@ frame), inclusive (every function on the stack, once per sample) and
 owner (the innermost frame in one of the crates named by OWNERS, so an
 allocation or a hash charges the library function that asked for it). With
 --under, only the samples whose stack holds a function whose name
-contains FRAME count, and shares are of those. The exit status is the
-command's own when that is not 0 (128 + the signal when one killed it),
-else 1 when --under was given and no sample landed under FRAME, else 0.
+contains FRAME count, and shares are of those. --children FRAME counts
+the same samples and prints one table instead: each sample charged to
+the frame directly below the outermost frame whose name contains FRAME
+(its callee; `(self)` when the sample is in that frame itself) — what a
+function's time splits into. The exit status is the command's own when
+that is not 0 (128 + the signal when one killed it), else 1 when --under
+or --children was given and no sample landed under FRAME, else 0.
 The command's stdout goes to stderr.
 
 Standard library plus `nm`; x86-64 Linux only.
@@ -186,7 +190,10 @@ def table(title, counts, total, top):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--under", help="count only stacks through a function whose name contains this")
+    frame = ap.add_mutually_exclusive_group()
+    frame.add_argument("--under", help="count only stacks through a function whose name contains this")
+    frame.add_argument("--children", help="as --under, then split the samples by the callee "
+                       "of the outermost such frame")
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("cmd", nargs=argparse.REMAINDER)
     args = ap.parse_args()
@@ -195,28 +202,36 @@ def main():
         ap.error("no command")
     stacks, regions, status = sample(cmd)
     sym = Symbolizer(regions)
-    self_counts, incl_counts, owner_counts = (collections.Counter() for _ in range(3))
+    self_counts, incl_counts, owner_counts, child_counts = (
+        collections.Counter() for _ in range(4))
+    frame = args.under or args.children
     total = under = 0
     for addrs, n in stacks.items():
         names = [sym.name(a) for a in addrs]
         total += n
-        if args.under and not any(args.under in f for f in names):
+        hits = [i for i, f in enumerate(names) if frame in f] if frame else [len(names)]
+        if not hits:
             continue
         under += n
+        outermost = hits[-1]  # names run innermost first
+        child_counts[names[outermost - 1] if outermost else "(self)"] += n
         self_counts[names[0]] += n
         for f in set(names):
             incl_counts[f] += n
         owner_counts[next((f for f in names if OWNERS.match(f)), "(no idivm frame)")] += n
     print(f"command exit status {status}; {total} samples", end="")
-    print(f", {under} under `{args.under}`" if args.under else "")
-    if under:
+    print(f", {under} under `{frame}`" if frame else "")
+    if under and args.children:
+        table(f"children (the callee of the outermost `{frame}` frame)",
+              child_counts, under, args.top)
+    elif under:
         table("self (the sampled frame)", self_counts, under, args.top)
         table("inclusive (anywhere on the stack)", incl_counts, under, args.top)
         table("owner (the first idivm_{core,reldb,ingest,sched,exec} frame)",
               owner_counts, under, args.top)
     if status:
         sys.exit(status if status > 0 else 128 - status)  # killed by signal -status
-    sys.exit(1 if args.under and not under else 0)
+    sys.exit(1 if frame and not under else 0)
 
 
 if __name__ == "__main__":
