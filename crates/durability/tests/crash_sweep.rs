@@ -25,17 +25,35 @@
 //!
 //! Kill offsets are seeded (`IDIVM_FAULT_SEED` overrides the default
 //! pair) so CI explores different torn-prefix lengths deterministically.
+//!
+//! The last part runs the running example's aggregate view through the
+//! same kinds of kill and holds each to the sharp form of the contract
+//! (append/fsync kills land on the last acknowledged state, checkpoint
+//! kills on the at-failure one), recovers one kill bit-identically
+//! across runs and P = 1 / P = 4, checks that journaling leaves the
+//! maintenance result alone, and measures a BSMA multi-view store at
+//! three sizes. The counts — recovered digests, outcomes, recovery
+//! notes, table rows, WAL records, checkpoint bytes and what the
+//! incremental checkpoint reused — are pinned in the committed
+//! `BENCH_crash.json`, the same for every seed (`IDIVM_BLESS=1`
+//! rewrites it).
 
 #![allow(clippy::unwrap_used)]
 
 mod common;
 
-use common::{armed, fresh_dir, mv_policy, reopen, suite, sweep_seeds, Sig};
+use common::{armed, fresh_dir, mv_policy, no_faults, reopen, suite, sweep_seeds, Sig};
 use idivm_core::{FaultPlan, FaultSite, FaultState, IvmOptions};
-use idivm_durability::{Durable, DurabilityConfig, DurabilityPolicy, WAL_FILE};
-use idivm_sched::SchedulerConfig;
-use idivm_types::Error;
-use idivm_workloads::multiview::VIEW_NAMES;
+use idivm_durability::{
+    CheckpointStats, Durable, DurabilityConfig, DurabilityPolicy, Wal, CHECKPOINT_FILE, WAL_FILE,
+};
+use idivm_exec::ParallelConfig;
+use idivm_sched::{RefreshPolicy, SchedulerConfig};
+use idivm_types::{Error, Fnv1a, Json};
+use idivm_workloads::bsma::Bsma;
+use idivm_workloads::multiview::{MultiView, VIEW_NAMES};
+use idivm_workloads::RunningExample;
+use std::hash::Hasher;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -439,4 +457,287 @@ fn checkpoint_ahead_of_a_log_that_lost_its_tail() {
         "checkpoint (lsn 7) + 1 wal record(s)"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------
+// The running example under kill injection; BENCH_crash.json
+// ---------------------------------------------------------------------
+
+/// The committed count file, relative to this package.
+const CRASH_COUNTS: &str = "../../BENCH_crash.json";
+/// Price updates per round, and rounds, of the running-example lifecycle.
+const EXAMPLE_DIFF: usize = 60;
+const EXAMPLE_ROUNDS: u64 = 6;
+
+fn example() -> RunningExample {
+    RunningExample {
+        n_parts: 600,
+        n_devices: 450,
+        fanout: 3,
+        selectivity_pct: 30,
+        joins: 2,
+        seed: 7,
+    }
+}
+
+fn example_cfg() -> DurabilityConfig {
+    DurabilityConfig {
+        policy: DurabilityPolicy::Always,
+        checkpoint_every_rounds: 3,
+    }
+}
+
+fn options(threads: usize) -> IvmOptions {
+    IvmOptions {
+        parallel: ParallelConfig {
+            threads,
+            min_shard_rows: 2,
+        },
+        ..IvmOptions::default()
+    }
+}
+
+fn reopen_example(dir: &Path, threads: usize) -> idivm_types::Result<Durable> {
+    let sched = SchedulerConfig::default();
+    Durable::open(dir, sched, options(threads), example_cfg(), no_faults(), None)
+}
+
+/// FNV-1a over a full-store signature, table by table in name order.
+fn digest(sig: &Sig) -> String {
+    let mut tables: Vec<&String> = sig.keys().collect();
+    tables.sort();
+    let mut h = Fnv1a::default();
+    for t in tables {
+        h.write(format!("{t}={:?};", sig[t]).as_bytes());
+    }
+    format!("{:#018x}", h.finish())
+}
+
+/// The aggregate view `V` registered, [`EXAMPLE_ROUNDS`] price-update
+/// rounds, a drain and a close, until done or the armed fault kills it.
+fn run_example(dir: &Path, threads: usize, faults: Arc<FaultState>) -> ScenarioRun {
+    let cfg = example();
+    let mut run = ScenarioRun {
+        acks: Vec::new(),
+        at_failure: None,
+        completed: false,
+    };
+    let db = cfg.build().unwrap();
+    let sched = SchedulerConfig::default();
+    let mut store = match Durable::create(dir, db, sched, options(threads), example_cfg(), faults) {
+        Ok(store) => store,
+        Err(err) => {
+            assert_injected(&err, "create");
+            return run;
+        }
+    };
+    run.acks.push(store.signature());
+    macro_rules! step {
+        ($e:expr) => {
+            match $e {
+                Ok(_) => run.acks.push(store.signature()),
+                Err(err) => {
+                    assert_injected(&err, stringify!($e));
+                    run.at_failure = Some(store.signature());
+                    return run;
+                }
+            }
+        };
+    }
+    let plan = cfg.agg_plan(store.db()).unwrap();
+    step!(store.register("V", plan, RefreshPolicy::Eager));
+    for round in 1..=EXAMPLE_ROUNDS {
+        cfg.price_update_batch(store.db_mut(), EXAMPLE_DIFF, round).unwrap();
+        step!(store.tick());
+    }
+    step!(store.drain());
+    // A checkpoint still in flight comes out, if killed, at the close.
+    let at_close = store.signature();
+    if let Err(err) = store.close() {
+        assert_injected(&err, "close");
+        run.at_failure = Some(at_close);
+        return run;
+    }
+    run.completed = true;
+    run
+}
+
+/// The kill sweep under `seed`: the recovered digests of one WAL-append
+/// kill (append 3, round 3) over two runs at P = 1 and at P = 4, all
+/// equal, and one row per kill of every WAL append, WAL fsync and
+/// checkpoint (creation's excepted) of the lifecycle.
+fn example_kill_sweep(seed: u64) -> (Vec<Json>, Vec<Json>) {
+    let mut determinism = Vec::new();
+    let mut digests = Vec::new();
+    for threads in [1usize, 4] {
+        for rep in 0..2u32 {
+            let dir = fresh_dir("example_repro");
+            let kill = armed(FaultPlan::at(FaultSite::WalAppend, 3, seed));
+            let run = run_example(&dir, threads, kill);
+            assert!(!run.completed, "P={threads} rep {rep} seed {seed}: the kill never fired");
+            let recovered = digest(&reopen_example(&dir, threads).unwrap().signature());
+            determinism.push(Json::inline([
+                ("threads", threads.into()),
+                ("rep", rep.into()),
+                ("digest", recovered.as_str().into()),
+            ]));
+            digests.push(recovered);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+    assert!(
+        digests.windows(2).all(|w| w[0] == w[1]),
+        "seed {seed}: recovered digests differ across runs and thread counts: {digests:?}"
+    );
+
+    let mut sweep = Vec::new();
+    for (site, start_k) in [
+        (FaultSite::WalAppend, 0),
+        (FaultSite::WalFsync, 0),
+        (FaultSite::Checkpoint, 1),
+    ] {
+        for k in start_k.. {
+            let label = format!("site={} k={k} seed={seed}", site.label());
+            let dir = fresh_dir("example_sweep");
+            let run = run_example(&dir, 1, armed(FaultPlan::at(site, k, seed)));
+            if run.completed {
+                assert!(k > start_k, "{label}: the armed fault never fired");
+                std::fs::remove_dir_all(&dir).unwrap();
+                break;
+            }
+            assert!(k < 64, "{label}: sweep ran away");
+            let mut recovered = reopen_example(&dir, 1)
+                .unwrap_or_else(|e| panic!("{label}: recovery failed: {e:?}"));
+            // Under `Always` an append/fsync kill rolls back to the last
+            // acknowledged state (the round that died was never
+            // acknowledged); a checkpoint kill strikes after its round
+            // was journaled, so the at-failure state is already durable.
+            let (outcome, want) = match site {
+                FaultSite::Checkpoint => ("at_failure", run.at_failure.as_ref()),
+                _ => ("last_ack", run.acks.last()),
+            };
+            assert_eq!(Some(&recovered.signature()), want, "{label}: not the {outcome} state");
+            let note = recovered.recovered_from().unwrap().to_string();
+            // Liveness: the recovered store still accepts rounds.
+            example().price_update_batch(recovered.db_mut(), EXAMPLE_DIFF, 999).unwrap();
+            recovered.tick().unwrap();
+            sweep.push(Json::inline([
+                ("site", site.label().into()),
+                ("k", k.into()),
+                ("outcome", outcome.into()),
+                ("recovery", note.into()),
+            ]));
+            drop(recovered);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+    (determinism, sweep)
+}
+
+/// A BSMA multi-view store at `scale`: five eager views, 3.5 intervals
+/// of 16 rounds of 64 tweets between automatic checkpoints. Its table
+/// rows, WAL records, checkpoint bytes, what the second automatic
+/// checkpoint (the first incremental one) reused and encoded, and the
+/// bytes its cut dropped; recovery must land on the live signature.
+fn size_counts(scale: f64) -> Json {
+    const EVERY: u64 = 16;
+    let cfg = MultiView {
+        bsma: Bsma { scale, seed: 7 },
+    };
+    let dcfg = DurabilityConfig {
+        policy: DurabilityPolicy::EveryNRounds(8),
+        checkpoint_every_rounds: EVERY as u32,
+    };
+    let dir = fresh_dir("size");
+    let (sched, options) = (SchedulerConfig::default(), IvmOptions::default());
+    let db = cfg.build().unwrap();
+    let mut store = Durable::create(&dir, db, sched, options, dcfg, no_faults()).unwrap();
+    for name in VIEW_NAMES {
+        let plan = cfg.plan(store.db(), name).unwrap();
+        store.register(name, plan, RefreshPolicy::Eager).unwrap();
+    }
+    let mut before = CheckpointStats::default();
+    for round in 1..=EVERY * 7 / 2 {
+        cfg.tweet_batch(store.db_mut(), 64, round).unwrap();
+        store.tick().unwrap();
+        if round == EVERY * 2 {
+            // The first automatic checkpoint was joined just now.
+            before = store.checkpoint_stats();
+        }
+    }
+    let stats = store.checkpoint_stats();
+    assert_eq!(stats.taken, before.taken + 1, "scale {scale}: the second automatic checkpoint");
+    let db = store.db();
+    let table_rows: usize = db.table_names().into_iter().map(|t| db.table(t).unwrap().len()).sum();
+    let live = store.signature();
+    store.close().unwrap();
+    assert!(reopen(&dir, dcfg).unwrap().signature() == live, "scale {scale}: recovery diverged");
+    let checkpoint_bytes = std::fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
+    let wal_records = Wal::scan(&dir.join(WAL_FILE)).unwrap().records.len();
+    std::fs::remove_dir_all(&dir).unwrap();
+    Json::inline([
+        ("scale", Json::Num(scale)),
+        ("table_rows", table_rows.into()),
+        ("wal_records", wal_records.into()),
+        ("checkpoint_bytes", checkpoint_bytes.into()),
+        ("tables_reused", (stats.tables_reused - before.tables_reused).into()),
+        ("tables_encoded", (stats.tables_encoded - before.tables_encoded).into()),
+        ("bytes_reused", (stats.bytes_reused - before.bytes_reused).into()),
+        ("bytes_encoded", (stats.bytes_encoded - before.bytes_encoded).into()),
+        ("cut_bytes", stats.last_cut_bytes.into()),
+    ])
+}
+
+/// The kill sweep under every sweep seed and the size sweep write the
+/// committed counts, byte for byte: the counts do not depend on the
+/// seed.
+#[test]
+fn running_example_kills_and_state_sizes_rewrite_the_committed_counts() {
+    let sizes: Vec<Json> = [0.25, 1.0, 4.0].into_iter().map(size_counts).collect();
+    for seed in sweep_seeds() {
+        let (determinism, sweep) = example_kill_sweep(seed);
+        let report = Json::block([
+            ("bench", "crash".into()),
+            ("determinism", Json::rows(determinism)),
+            ("sweep", Json::rows(sweep)),
+            ("size_sweep", Json::rows(sizes.clone())),
+        ]);
+        common::assert_pinned(CRASH_COUNTS, &(report.render() + "\n"));
+    }
+}
+
+/// Journaling every round and fsyncing it (`Always`) leaves the
+/// maintenance result what it is with the journal `Off`: twelve rounds
+/// of 400 price updates over 5 000 parts, three joins.
+#[test]
+fn journaling_leaves_the_maintenance_result_alone() {
+    let cfg = RunningExample {
+        n_parts: 5_000,
+        n_devices: 5_000,
+        fanout: 10,
+        selectivity_pct: 20,
+        joins: 3,
+        seed: 7,
+    };
+    let signatures = [DurabilityPolicy::Off, DurabilityPolicy::Always].map(|policy| {
+        let dir = fresh_dir("journal_off_on");
+        let dcfg = DurabilityConfig {
+            policy,
+            checkpoint_every_rounds: 0,
+        };
+        let (sched, options) = (SchedulerConfig::default(), IvmOptions::default());
+        let db = cfg.build().unwrap();
+        let mut store = Durable::create(&dir, db, sched, options, dcfg, no_faults()).unwrap();
+        let plan = cfg.agg_plan(store.db()).unwrap();
+        store.register("V", plan, RefreshPolicy::Eager).unwrap();
+        for round in 1..=12 {
+            cfg.price_update_batch(store.db_mut(), 400, round).unwrap();
+            store.tick().unwrap();
+        }
+        let sig = store.signature();
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+        sig
+    });
+    assert!(signatures[0] == signatures[1], "journaling changed the maintenance result");
 }

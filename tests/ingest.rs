@@ -24,16 +24,23 @@
 //! * **Backpressure** — real producer threads blocking on a full
 //!   bounded queue deliver every event exactly once; nothing is shed,
 //!   lost, or duplicated.
+//! * **The firehose grid** — a longer stream across an offered-rate ×
+//!   overflow-policy grid, plus a garbage-laced cell, on the virtual
+//!   tick clock: every cell conserves events, matches P = 4 and a
+//!   repeated run, and converges to the one-shot fold when it loses
+//!   nothing; the grid reaches staleness cuts. The cells' counts and
+//!   virtual ticks are pinned in the committed `BENCH_firehose.json`
+//!   (`IDIVM_BLESS=1` rewrites it).
 
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_repro::core::{FaultPlan, FaultSite, FaultState, IvmOptions};
 use idivm_repro::exec::ParallelConfig;
 use idivm_repro::ingest::{
-    apply_log, drive, partition_log, BatchPolicy, ChangeEvent, ChangeOp, DriveConfig,
+    apply_log, drive, partition_log, BatchPolicy, ChangeEvent, ChangeOp, DriveConfig, DriveStats,
     IngestPipeline, OverflowPolicy, PipelineConfig, QueueConfig, RawEvent,
 };
 use idivm_repro::reldb::TableSignature;
-use idivm_repro::types::row;
+use idivm_repro::types::{row, Json};
 use idivm_repro::workloads::bsma::Bsma;
 use idivm_repro::workloads::multiview::VIEW_NAMES;
 use idivm_repro::workloads::MultiView;
@@ -560,4 +567,209 @@ fn blocking_producer_threads_deliver_every_event_exactly_once() {
         base_rows + total as usize,
         "every inserted row must be present exactly once"
     );
+}
+
+// ---------------------------------------------------------------------
+// The firehose grid
+// ---------------------------------------------------------------------
+
+/// Producers the firehose log is partitioned across.
+const PRODUCERS: u32 = 4;
+/// Admitted events the maintainer folds per busy tick.
+const SERVICE_RATE: u64 = 32;
+
+/// Everything one streamed firehose run is judged on.
+struct Streamed {
+    stats: DriveStats,
+    db_sig: BTreeMap<String, TableSignature>,
+    view_sigs: BTreeMap<String, TableSignature>,
+    accesses: BTreeMap<String, u64>,
+    dlq_json: String,
+}
+
+fn stream(
+    cfg: &MultiView,
+    streams: &[Vec<RawEvent>],
+    rate: usize,
+    policy: OverflowPolicy,
+    parallel: ParallelConfig,
+) -> Streamed {
+    let mut sched = scheduler(cfg, parallel);
+    let config = PipelineConfig {
+        queue: QueueConfig::with_capacity(96, policy),
+        batch: BatchPolicy {
+            max_events: 32,
+            max_age_ticks: 4,
+            max_staleness_ticks: 16,
+        },
+    };
+    let faults = Arc::new(FaultState::new(FaultPlan::disabled()));
+    let mut pipe = IngestPipeline::new(config, faults).expect("pipeline");
+    let drive_cfg = DriveConfig {
+        offers_per_tick: rate,
+        service_rate: SERVICE_RATE,
+        max_ticks: 1_000_000,
+    };
+    let stats = drive(&mut pipe, &mut sched, streams.to_vec(), drive_cfg).expect("drive");
+    Streamed {
+        stats,
+        db_sig: sched.db().signature().into_iter().collect(),
+        view_sigs: view_signatures(&sched),
+        accesses: per_view_accesses(&sched),
+        dlq_json: pipe.dlq().to_json().render(),
+    }
+}
+
+/// The firehose streams with four inadmissible events appended: an
+/// undecodable line (which takes no sequence slot), an unknown table,
+/// a wrong arity and a type mismatch, each continuing its producer's
+/// numbering.
+fn laced(mut streams: Vec<Vec<RawEvent>>) -> Vec<Vec<RawEvent>> {
+    streams[0].push(RawEvent {
+        wire: "3|zero|microblog|ins|i:1,i:2,i:3,i:4".into(),
+    });
+    for (producer, table, row) in [
+        (1, "no_such_table", row![1]),
+        (2, "microblog", row![77, 77]),
+        (3, "microblog", row![9_999_999, 0, "soon", 1]),
+    ] {
+        let seq = streams[producer as usize].len() as u64;
+        streams[producer as usize].push(encode(producer, seq, table, ChangeOp::Insert { row }));
+    }
+    streams
+}
+
+/// A cell's pinned record: counts and virtual ticks only.
+fn cell_json(
+    rate: usize,
+    policy: OverflowPolicy,
+    garbage: usize,
+    s: &DriveStats,
+    converged: bool,
+) -> Json {
+    let mut causes: BTreeMap<&str, u64> = BTreeMap::new();
+    for (cause, _, _) in &s.cuts {
+        *causes.entry(cause).or_default() += 1;
+    }
+    let depth = &s.depth_series;
+    let sampled = (0..depth.len().min(32)).map(|i| depth[i * depth.len() / depth.len().min(32)]);
+    Json::inline([
+        ("rate", rate.into()),
+        ("policy", policy.label().into()),
+        ("garbage", garbage.into()),
+        ("ticks", s.ticks.into()),
+        ("offered", s.offered.into()),
+        ("admitted", s.admitted.into()),
+        ("dead_lettered", s.dead_lettered.into()),
+        ("shed", s.shed.into()),
+        ("cuts", s.cuts.len().into()),
+        ("cut_causes", Json::inline(causes.into_iter().map(|(k, v)| (k, v.into())))),
+        ("events_per_tick", Json::Fixed(s.events_per_tick(), 4)),
+        ("latency_p50_ticks", s.latency_percentile(50.0).unwrap_or(0).into()),
+        ("latency_p99_ticks", s.latency_percentile(99.0).unwrap_or(0).into()),
+        ("max_depth", s.max_depth().into()),
+        ("depth_series", Json::list(sampled.map(Json::from))),
+        ("converged_oneshot", converged.into()),
+    ])
+}
+
+/// `text` equals the committed `file` byte for byte; `IDIVM_BLESS=1`
+/// rewrites the file instead.
+fn assert_pinned(file: &str, text: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+    if std::env::var_os("IDIVM_BLESS").is_some() {
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let pinned = std::fs::read_to_string(&path).unwrap();
+    let moved = text.lines().zip(pinned.lines()).enumerate().find(|(_, (a, b))| a != b);
+    if let Some((i, (now, was))) = moved {
+        panic!("{file}: line {} moved\n  now:    {now}\n  pinned: {was}", i + 1);
+    }
+    assert_eq!(text.len(), pinned.len(), "{file}: the length moved");
+}
+
+/// 990 tweet-stream events over four producers at 2, 8 and 64 offers
+/// per tick, under a blocking and a shedding queue, plus the laced
+/// cell. In every cell each event is admitted, dead-lettered or shed
+/// (a blocking queue sheds none); P = 4 matches serial in view and
+/// database signatures, per-view accesses, cuts and DLQ bytes; a
+/// repeated run matches in cuts, depth series, latencies, DLQ bytes and
+/// final state; the laced cell dead-letters exactly its garbage; a cell
+/// that loses nothing ends at the one-shot fold's signatures. Some cell
+/// cuts for staleness, so the grid reaches overload.
+#[test]
+fn firehose_grid_conserves_converges_and_rewrites_the_committed_report() {
+    let (scale, rounds, diffs) = (0.02, 6, 48);
+    let cfg = MultiView {
+        bsma: Bsma { scale, seed: 2015 },
+    };
+    let entries = cfg.tweet_stream(rounds, diffs).expect("stream");
+    let total = entries.len() as u64;
+    let db = cfg.build().expect("build");
+    let streams = partition_log(&db, &entries, PRODUCERS).expect("partition");
+    let mut oneshot = scheduler(&cfg, ParallelConfig::serial());
+    apply_log(oneshot.db_mut(), &entries).expect("apply");
+    oneshot.tick().expect("tick");
+    let oneshot_db: BTreeMap<_, _> = oneshot.db().signature().into_iter().collect();
+    let oneshot_views = view_signatures(&oneshot);
+
+    let mut grid: Vec<(usize, OverflowPolicy, Vec<Vec<RawEvent>>, usize)> = Vec::new();
+    for rate in [2, 8, 64] {
+        for policy in [OverflowPolicy::Block, OverflowPolicy::Shed] {
+            grid.push((rate, policy, streams.clone(), 0));
+        }
+    }
+    grid.push((8, OverflowPolicy::Block, laced(streams), 4));
+
+    let mut cells = Vec::new();
+    let mut staleness_cuts = 0;
+    for (rate, policy, streams, garbage) in grid {
+        let what = format!("rate {rate} policy {}", policy.label());
+        let serial = stream(&cfg, &streams, rate, policy, ParallelConfig::serial());
+        let p4 = ParallelConfig {
+            threads: 4,
+            min_shard_rows: 1,
+        };
+        let parallel = stream(&cfg, &streams, rate, policy, p4);
+        let again = stream(&cfg, &streams, rate, policy, ParallelConfig::serial());
+        let s = &serial.stats;
+
+        let expected = total + garbage as u64;
+        assert_eq!(s.offered, expected, "{what}: events not consumed");
+        assert_eq!(s.admitted + s.dead_lettered + s.shed, expected, "{what}: events lost");
+        if policy == OverflowPolicy::Block {
+            assert_eq!(s.shed, 0, "{what}: a blocking queue shed events");
+        }
+        assert_eq!(serial.view_sigs, parallel.view_sigs, "{what}: P=4 views");
+        assert_eq!(serial.db_sig, parallel.db_sig, "{what}: P=4 database");
+        assert_eq!(serial.accesses, parallel.accesses, "{what}: P=4 accesses");
+        assert_eq!(s.cuts, parallel.stats.cuts, "{what}: P=4 cuts");
+        assert_eq!(serial.dlq_json, parallel.dlq_json, "{what}: P=4 DLQ bytes");
+        assert_eq!(s.cuts, again.stats.cuts, "{what}: cuts repeat");
+        assert_eq!(s.depth_series, again.stats.depth_series, "{what}: depths repeat");
+        assert_eq!(s.latencies_ticks, again.stats.latencies_ticks, "{what}: latencies repeat");
+        assert_eq!(serial.dlq_json, again.dlq_json, "{what}: DLQ bytes repeat");
+        assert_eq!(serial.db_sig, again.db_sig, "{what}: final state repeats");
+        assert_eq!(s.dead_lettered, garbage as u64, "{what}: quarantined more than the garbage");
+        let converged = serial.db_sig == oneshot_db && serial.view_sigs == oneshot_views;
+        if s.shed == 0 {
+            assert!(converged, "{what}: a lossless run missed the one-shot fold");
+        }
+        staleness_cuts += s.cuts.iter().filter(|(cause, _, _)| cause == "staleness").count();
+        cells.push(cell_json(rate, policy, garbage, s, converged));
+    }
+    assert!(staleness_cuts > 0, "the grid never cut for staleness: overload untested");
+
+    let report = Json::block([
+        ("bench", "firehose".into()),
+        ("scale", Json::Num(scale)),
+        ("rounds", rounds.into()),
+        ("diffs", diffs.into()),
+        ("events", total.into()),
+        ("producers", PRODUCERS.into()),
+        ("service_rate", SERVICE_RATE.into()),
+        ("cells", Json::rows(cells)),
+    ]);
+    assert_pinned("BENCH_firehose.json", &(report.render() + "\n"));
 }

@@ -22,18 +22,23 @@
 //!   byte-identical [`SupervisorReport`] JSON across repeated runs
 //!   and across `ParallelConfig` thread counts.
 //!
-//! The supervised engines are exercised through the same boxed
-//! [`Engine`] object surface the chaos bench uses.
+//! The supervised engines are exercised through the boxed [`Engine`]
+//! object surface. The chaos sweep at the end runs every engine through
+//! `FaultSite × FaultKind` and two round budgets, holds each scenario
+//! to the contract above, and pins the whole report, byte for byte, in
+//! `tests/golden/chaos_smoke.json` (at the default seed;
+//! `IDIVM_BLESS=1` rewrites it).
 
 use idivm_repro::core::{
     Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor,
-    RoundBudget, SupervisorConfig, SupervisorVerdict,
+    MaintenanceReport, RoundBudget, RoundTrace, SupervisorConfig, SupervisorReport,
+    SupervisorVerdict, TraceConfig,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
 use idivm_repro::reldb::{Database, NetChange};
 use idivm_repro::sdbt::{Sdbt, SdbtVariant};
 use idivm_repro::tuple::TupleIvm;
-use idivm_repro::types::{Key, Row};
+use idivm_repro::types::{Json, Key, Row};
 use idivm_repro::workloads::RunningExample;
 
 const DIFF: usize = 25;
@@ -44,8 +49,11 @@ fn fault_seed() -> u64 {
     std::env::var("IDIVM_FAULT_SEED")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(0x5eed_2015)
+        .unwrap_or(DEFAULT_SEED)
 }
+
+/// The seed when `IDIVM_FAULT_SEED` is unset; the chaos golden records it.
+const DEFAULT_SEED: u64 = 0x5eed_2015;
 
 fn example() -> RunningExample {
     RunningExample {
@@ -144,13 +152,20 @@ fn engines() -> Vec<(&'static str, EngineBuilder)> {
 /// caches and maps have seen maintenance), and stage the batch for
 /// round `1`.
 fn prepared(build: &EngineBuilder) -> (Database, BoxedEngine) {
+    staged(build, DIFF, TraceConfig::disabled())
+}
+
+/// [`prepared`] with `diff` price updates per round and the engine's
+/// trace switched as given.
+fn staged(build: &EngineBuilder, diff: usize, trace: TraceConfig) -> (Database, BoxedEngine) {
     let cfg = example();
     let mut db = cfg.build().unwrap();
     let mut ivm = build(&mut db);
-    cfg.price_update_batch(&mut db, DIFF, 0).unwrap();
+    ivm.set_trace(trace);
+    cfg.price_update_batch(&mut db, diff, 0).unwrap();
     let warmup = MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::default()).run(&mut db);
     assert_eq!(warmup.verdict, SupervisorVerdict::Converged, "warmup");
-    cfg.price_update_batch(&mut db, DIFF, 1).unwrap();
+    cfg.price_update_batch(&mut db, diff, 1).unwrap();
     (db, ivm)
 }
 
@@ -461,5 +476,216 @@ fn supervisor_report_is_deterministic_across_runs_and_threads() {
             jsons[0], jsons[2],
             "{family}: report differs between thread counts"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The chaos sweep
+// ---------------------------------------------------------------------
+
+/// The sweep's report at [`DEFAULT_SEED`].
+const CHAOS_GOLDEN: &str = "tests/golden/chaos_smoke.json";
+/// Price updates per round in the sweep.
+const CHAOS_DIFF: usize = 12;
+
+fn supervise(
+    db: &mut Database,
+    ivm: &mut BoxedEngine,
+    config: SupervisorConfig,
+) -> SupervisorReport {
+    MaintenanceSupervisor::new(ivm, config).run(db)
+}
+
+/// The staged round driven through the bare engine, no supervisor: its
+/// report, its counted cost and the database after it.
+fn plain_round(build: &EngineBuilder, trace: TraceConfig) -> (MaintenanceReport, u64, Database) {
+    let (mut db, ivm) = staged(build, CHAOS_DIFF, trace);
+    let net = db.fold_log();
+    let before = db.stats().snapshot();
+    let report = ivm.maintain_with_changes(&mut db, &net).unwrap();
+    let cost = db.stats().snapshot().since(&before).total();
+    db.clear_log();
+    (report, cost, db)
+}
+
+fn assert_oracle(db: &Database, ivm: &BoxedEngine, what: &str) {
+    assert_eq!(
+        sorted(ivm.visible_rows(db).unwrap()),
+        sorted(recompute_rows(db, ivm.plan()).unwrap()),
+        "{what}: diverged from the oracle"
+    );
+}
+
+/// The trace JSON without its wall-clock `timings_us` member.
+fn trace_fingerprint(trace: &RoundTrace) -> Json {
+    let mut json = trace.to_json();
+    if let Json::Obj(_, fields) = &mut json {
+        fields.retain(|(key, _)| key != "timings_us");
+    }
+    json
+}
+
+fn scenario(
+    engine: &str,
+    site: &str,
+    kind: &str,
+    budget: Option<u64>,
+    report: &SupervisorReport,
+) -> Json {
+    Json::inline([
+        ("engine", engine.into()),
+        ("site", site.into()),
+        ("kind", kind.into()),
+        ("budget", budget.into()),
+        ("report", report.to_json()),
+    ])
+}
+
+/// `text` equals the committed `file` byte for byte; `IDIVM_BLESS=1`
+/// rewrites the file instead.
+fn assert_pinned(file: &str, text: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
+    if std::env::var_os("IDIVM_BLESS").is_some() {
+        std::fs::write(&path, text).unwrap();
+        return;
+    }
+    let pinned = std::fs::read_to_string(&path).unwrap();
+    let moved = text.lines().zip(pinned.lines()).enumerate().find(|(_, (a, b))| a != b);
+    if let Some((i, (now, was))) = moved {
+        panic!("{file}: line {} moved\n  now:    {now}\n  pinned: {was}", i + 1);
+    }
+    assert_eq!(text.len(), pinned.len(), "{file}: the length moved");
+}
+
+/// Every engine through the escalation ladder: a clean supervised round
+/// costs and traces exactly what the bare engine does; a transient
+/// fault at each site converges to the oracle; a permanent diff fault
+/// quarantines exactly the poison set; a permanent fault at any other
+/// site escalates to recompute and the oracle; a budget of 75 % or 40 %
+/// of the clean round fires, bisects and converges; the report is the
+/// same across two runs and P = 1 / P = 4. The report is pinned.
+#[test]
+fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
+    let seed = fault_seed();
+    let all = engines();
+    let name = |label: &str| label.trim_end_matches(" serial").to_string();
+
+    let mut overhead = Vec::new();
+    for (label, build) in &all {
+        let (plain, plain_cost, db_plain) = plain_round(build, TraceConfig::enabled());
+        let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::enabled());
+        let report = supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed));
+        assert_eq!(report.verdict, SupervisorVerdict::Converged, "{label}");
+        let cost = report.total_accesses();
+        assert_eq!(cost, plain_cost, "{label}: supervision changed the round's cost");
+        let plain_trace = plain.trace.as_ref().map(trace_fingerprint);
+        let trace = report.last_round.as_ref().and_then(|r| r.trace.as_ref());
+        assert!(
+            plain_trace.is_some() && trace.map(trace_fingerprint) == plain_trace,
+            "{label}: the supervised round's trace differs from the bare engine's"
+        );
+        assert_eq!(db.signature(), db_plain.signature(), "{label}");
+        overhead.push(Json::inline([
+            ("engine", name(label).into()),
+            ("plain_cost", plain_cost.into()),
+            ("supervised_cost", cost.into()),
+            ("overhead_pct", Json::Fixed((cost as f64 / plain_cost as f64 - 1.0) * 100.0, 4)),
+            ("trace_identical", true.into()),
+        ]));
+    }
+
+    let mut scenarios = Vec::new();
+    for (label, build) in &all {
+        for (site, k) in [
+            (FaultSite::Operator, 0),
+            (FaultSite::Apply, 0),
+            (FaultSite::Access, 1),
+            (FaultSite::Diff, 3),
+        ] {
+            let base = FaultPlan::at(site, k, seed);
+            for (kind, plan) in [
+                ("transient", base.healing_after(2)),
+                ("permanent", base.permanent()),
+            ] {
+                let what = format!("{label} {} {kind}", site.label());
+                let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::disabled());
+                let net = db.fold_log();
+                let total: usize = net.values().map(|c| c.len()).sum();
+                let keys = net.values().flat_map(|c| c.keys());
+                let poison = keys.filter(|key| plan.is_poison_key(key)).count();
+                ivm.set_faults(plan);
+                let report = supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed));
+                let verdict = report.verdict;
+                match (kind, site) {
+                    ("transient", _) => {
+                        assert_eq!(verdict, SupervisorVerdict::Converged, "{what}");
+                        assert_oracle(&db, &ivm, &what);
+                    }
+                    (_, FaultSite::Diff) if poison == 0 => {
+                        assert_eq!(verdict, SupervisorVerdict::Converged, "{what}");
+                    }
+                    (_, FaultSite::Diff) if poison == total => {
+                        assert_eq!(verdict, SupervisorVerdict::Recomputed, "{what}");
+                    }
+                    (_, FaultSite::Diff) => {
+                        assert_eq!(verdict, SupervisorVerdict::ConvergedQuarantined, "{what}");
+                        assert_eq!(report.quarantine.len(), poison, "{what}: not the poison set");
+                        let entries = &report.quarantine.entries;
+                        assert!(entries.iter().all(|e| plan.is_poison_key(&e.key)), "{what}");
+                        assert_eq!(report.committed_changes, total - poison, "{what}");
+                    }
+                    _ => {
+                        assert_eq!(verdict, SupervisorVerdict::Recomputed, "{what}");
+                        assert_oracle(&db, &ivm, &what);
+                    }
+                }
+                assert_eq!(db.fold_log().is_empty(), verdict.healthy(), "{what}");
+                scenarios.push(scenario(&name(label), site.label(), kind, None, &report));
+            }
+        }
+    }
+
+    for (label, build) in &all {
+        let (_, full_cost, _) = plain_round(build, TraceConfig::disabled());
+        for pct in [75u64, 40] {
+            let what = format!("{label} budget {pct}%");
+            let cap = (full_cost * pct / 100).max(1);
+            let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::disabled());
+            let config = SupervisorConfig {
+                budget: RoundBudget::capped(cap),
+                max_retries: 1,
+                ..SupervisorConfig::seeded(seed)
+            };
+            let report = supervise(&mut db, &mut ivm, config);
+            assert_eq!(report.verdict, SupervisorVerdict::Converged, "{what}: {:?}", report.errors);
+            assert!(report.budget_aborts >= 1, "{what}: cap {cap} of {full_cost} never fired");
+            assert_oracle(&db, &ivm, &what);
+            scenarios.push(scenario(&name(label), "none", "budget", Some(cap), &report));
+        }
+    }
+
+    let mut determinism = Vec::new();
+    for family in ["idIVM", "tuple"] {
+        let runs = [" serial", " serial", " P=4"].map(|variant| {
+            let build = &all.iter().find(|(l, _)| *l == format!("{family}{variant}")).unwrap().1;
+            let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::disabled());
+            ivm.set_faults(FaultPlan::at(FaultSite::Diff, 3, seed).permanent());
+            supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed)).to_json().render()
+        });
+        assert_eq!(runs[0], runs[1], "{family}: the report differs between identical runs");
+        assert_eq!(runs[0], runs[2], "{family}: the report differs between thread counts");
+        determinism.push(Json::inline([("engine", family.into()), ("identical", true.into())]));
+    }
+
+    let report = Json::block([
+        ("bench", "chaos".into()),
+        ("seed", seed.into()),
+        ("smoke", true.into()),
+        ("overhead_guard", Json::rows(overhead)),
+        ("scenarios", Json::rows(scenarios)),
+        ("determinism", Json::rows(determinism)),
+    ]);
+    if seed == DEFAULT_SEED {
+        assert_pinned(CHAOS_GOLDEN, &(report.render() + "\n"));
     }
 }
