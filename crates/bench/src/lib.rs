@@ -12,8 +12,8 @@
 //! * `analysis` — analytic speedup surfaces and model-vs-measured
 //!   validation (paper Section 6).
 //! * `scaling`, `wall` — thread-count sweep and wall-clock rounds.
-//! * `tpch`, `multiview`, `firehose`, `chaos`, `crashbench`, `sqlshell`
-//!   — the layers above the engine, each with its in-process guards.
+//! * `tpch`, `multiview`, `sqlshell` — the layers above the engine,
+//!   each with its in-process guards.
 //!
 //! Every experiment is the same two pieces, kept here once: [`Args`]
 //! (the command line) and [`Lane`] (a database with one system set up on
@@ -26,7 +26,7 @@
 
 use idivm_algebra::Plan;
 use idivm_core::{Engine, IdIvm, IvmOptions, MaintenanceReport, TraceConfig};
-use idivm_exec::{executor::sorted, recompute_rows, ParallelConfig};
+use idivm_exec::ParallelConfig;
 use idivm_reldb::{Database, TableSignature};
 use idivm_sched::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_sdbt::{Partial, Sdbt, SdbtVariant};
@@ -42,22 +42,10 @@ use std::time::Instant;
 
 // ── Args ─────────────────────────────────────────────────────────────
 
-/// The fault seed when `IDIVM_FAULT_SEED` is unset. The two sweeps
-/// disagree for history's sake and keep doing so: the pinned
-/// `BENCH_chaos.json` records the first, `BENCH_crash.json` the second.
-pub const CHAOS_SEED: u64 = 0x5eed_2015;
-/// See [`CHAOS_SEED`].
-pub const CRASH_SEED: u64 = 2015;
-
-/// The one environment variable the harness reads. An experiment that
-/// reads it lists it among its [`Experiment::flags`].
-pub const SEED_VAR: &str = "IDIVM_FAULT_SEED";
-
 /// One subcommand of the executable.
 pub struct Experiment {
     pub name: &'static str,
-    /// The flags it reads, and [`SEED_VAR`] if it reads that; any other
-    /// flag is rejected, the variable is otherwise left unread.
+    /// The flags it reads; any other flag is rejected.
     pub flags: &'static [&'static str],
     /// The positional words it takes, the default first (`fig12`'s
     /// sweep name); empty when it takes none.
@@ -94,33 +82,29 @@ pub struct Args {
     pub skew: Option<u32>,
     pub workload: Option<String>,
     pub file: Option<String>,
-    /// `IDIVM_FAULT_SEED`, when set and the experiment reads it.
-    pub fault_seed: Option<u64>,
 }
 
 impl Args {
-    /// Parse the process's command line, and `IDIVM_FAULT_SEED` for an
-    /// experiment that reads it, against `experiments`; a rejection prints the reason and a usage line on
-    /// stderr and exits with status 2.
+    /// Parse the process's command line against `experiments`; a
+    /// rejection prints the reason and a usage line on stderr and exits
+    /// with status 2.
     pub fn from_env(experiments: &'static [Experiment]) -> (&'static Experiment, Args) {
-        let seed = std::env::var_os(SEED_VAR).map(|s| s.to_string_lossy().into_owned());
-        Args::parse(experiments, std::env::args().skip(1), seed).unwrap_or_else(|msg| {
+        Args::parse(experiments, std::env::args().skip(1)).unwrap_or_else(|msg| {
             eprintln!("idivm-bench: {msg}");
             std::process::exit(2)
         })
     }
 
     /// [`Args::from_env`] without the process: `argv` starts at the
-    /// experiment name, `seed` is the environment variable's value.
+    /// experiment name.
     ///
     /// # Errors
     /// The message for stderr: an unknown experiment, an unknown flag
     /// (for this experiment), a flag without a value, an unparsable
-    /// value or seed, a stray positional.
+    /// value, a stray positional.
     pub fn parse(
         experiments: &[Experiment],
         argv: impl IntoIterator<Item = String>,
-        seed: Option<String>,
     ) -> std::result::Result<(&Experiment, Args), String> {
         let mut argv = argv.into_iter();
         let names: Vec<&str> = experiments.iter().map(|e| e.name).collect();
@@ -130,7 +114,7 @@ impl Args {
             .iter()
             .find(|e| e.name == name)
             .ok_or_else(|| format!("unknown experiment `{name}`\n{usage}"))?;
-        Args::parse_flags(exp, argv, seed)
+        Args::parse_flags(exp, argv)
             .map(|args| (exp, args))
             .map_err(|msg| format!("{msg}\n{}", exp.usage()))
     }
@@ -138,16 +122,8 @@ impl Args {
     fn parse_flags(
         exp: &Experiment,
         mut argv: impl Iterator<Item = String>,
-        seed: Option<String>,
     ) -> std::result::Result<Args, String> {
         let mut args = Args::default();
-        if let Some(seed) = seed.filter(|_| exp.flags.contains(&SEED_VAR)) {
-            let parsed = seed.parse();
-            args.fault_seed = Some(
-                parsed
-                    .map_err(|_| format!("{SEED_VAR} is `{seed}`, not a decimal 64-bit number"))?,
-            );
-        }
         let mut sweep = None;
         while let Some(arg) = argv.next() {
             if !arg.starts_with("--") {
@@ -318,15 +294,6 @@ impl Lane {
             timed.total_ms += ms;
         }
         Ok(timed)
-    }
-
-    /// Does the maintained view equal the recompute oracle, row for row?
-    ///
-    /// # Errors
-    /// Recompute failures.
-    pub fn agrees_with_oracle(&self) -> Result<bool> {
-        let oracle = recompute_rows(&self.db, self.engine.plan())?;
-        Ok(sorted(self.engine.visible_rows(&self.db)?) == sorted(oracle))
     }
 }
 
@@ -551,34 +518,28 @@ mod tests {
             sweeps: &[],
             run: noop,
         },
-        Experiment {
-            name: "chaos",
-            flags: &["--smoke", SEED_VAR],
-            sweeps: &[],
-            run: noop,
-        },
     ];
 
-    fn parse(line: &str, seed: Option<&str>) -> std::result::Result<(&'static str, Args), String> {
+    fn parse(line: &str) -> std::result::Result<(&'static str, Args), String> {
         let argv = line.split_whitespace().map(String::from);
-        Args::parse(TABLE, argv, seed.map(String::from)).map(|(exp, args)| (exp.name, args))
+        Args::parse(TABLE, argv).map(|(exp, args)| (exp.name, args))
     }
 
     #[test]
     fn omitted_sweep_is_all_and_a_flag_value_is_never_the_sweep() {
-        let (name, args) = parse("fig12 --scale 0.02", None).unwrap();
+        let (name, args) = parse("fig12 --scale 0.02").unwrap();
         assert_eq!(name, "fig12");
         assert_eq!(args.sweep, "all");
         assert_eq!(args.scale, Some(0.02));
-        assert_eq!(parse("fig12 all --scale 0.02", None).unwrap().1, args);
-        let (_, joins) = parse("fig12 --smoke joins", None).unwrap();
+        assert_eq!(parse("fig12 all --scale 0.02").unwrap().1, args);
+        let (_, joins) = parse("fig12 --smoke joins").unwrap();
         assert_eq!((joins.sweep, joins.smoke), ("joins", true));
-        assert_eq!(parse("table2", None).unwrap().1, Args::default());
+        assert_eq!(parse("table2").unwrap().1, Args::default());
     }
 
     #[test]
     fn sizing_flags_parse_to_their_types_and_default_by_smoke() {
-        let (_, args) = parse("tpch --smoke --rounds 8 --skew 30 --customers 60", None).unwrap();
+        let (_, args) = parse("tpch --smoke --rounds 8 --skew 30 --customers 60").unwrap();
         assert_eq!(
             (args.rounds, args.skew, args.customers),
             (Some(8), Some(30), Some(60))
@@ -590,7 +551,7 @@ mod tests {
     #[test]
     fn mistyped_command_lines_are_rejected_with_a_usage_line() {
         for (line, reason) in [
-            ("", "usage: idivm-bench <fig12|tpch|table2|chaos>"),
+            ("", "usage: idivm-bench <fig12|tpch|table2>"),
             ("fig13", "unknown experiment `fig13`"),
             ("tpch --bogus", "unknown flag `--bogus`"),
             ("table2 --smoke", "unknown flag `--smoke`"),
@@ -601,38 +562,18 @@ mod tests {
             ("fig12 0.02", "unexpected argument `0.02`"),
             ("fig12 joins fanout", "unexpected argument `fanout`"),
             ("tpch all", "unexpected argument `all`"),
-            (
-                "chaos IDIVM_FAULT_SEED",
-                "unexpected argument `IDIVM_FAULT_SEED`",
-            ),
         ] {
-            let err = parse(line, None).expect_err(line);
+            let err = parse(line).expect_err(line);
             assert!(err.starts_with(reason), "`{line}`: {err}");
             assert!(err.contains("usage: idivm-bench"), "`{line}`: {err}");
         }
-        let err = parse("tpch --rounds x8", None).unwrap_err();
+        let err = parse("tpch --rounds x8").unwrap_err();
         assert!(err.ends_with(&TABLE[1].usage()), "{err}");
         assert_eq!(
             TABLE[0].usage(),
             "usage: idivm-bench fig12 [all|diff-size|joins|selectivity|fanout] [--smoke] \
              [--scale <value>]"
         );
-    }
-
-    #[test]
-    fn fault_seed_is_decimal_or_rejected_where_it_is_read() {
-        assert_eq!(
-            parse("chaos", Some("424242")).unwrap().1.fault_seed,
-            Some(424_242)
-        );
-        assert_eq!(parse("chaos", None).unwrap().1.fault_seed, None);
-        for bad in ["0x7e7", "", "-1", "2015 "] {
-            let err = parse("chaos --smoke", Some(bad)).unwrap_err();
-            assert!(err.starts_with("IDIVM_FAULT_SEED is `"), "{bad}: {err}");
-            assert!(err.ends_with("usage: idivm-bench chaos [--smoke]"), "{err}");
-            // An experiment that reads no seed runs whatever the variable holds.
-            assert_eq!(parse("table2", Some(bad)).unwrap().1, Args::default());
-        }
     }
 
     #[test]
@@ -674,6 +615,5 @@ mod tests {
             .time_rounds(2, |db, r| cfg.price_update_batch(db, 10, r))
             .unwrap();
         assert!(timed.accesses > 0 && timed.best_ms <= timed.total_ms);
-        assert!(lane.agrees_with_oracle().unwrap());
     }
 }

@@ -3,18 +3,15 @@
 //! states what it measures, its flags and its in-process guards.
 //!
 //! Exit status: 0 the experiment ran and every guard held; 1 a library
-//! call failed (the error is printed); 2 the command line or
-//! `IDIVM_FAULT_SEED` was rejected; 101 a guard (`assert!`) failed.
+//! call failed (the error is printed); 2 the command line was rejected;
+//! 101 a guard (`assert!`) failed.
 
-use idivm_bench::{Args, Experiment, SEED_VAR};
+use idivm_bench::{Args, Experiment};
 use std::process::ExitCode;
 
 mod analysis;
-mod chaos;
-mod crashbench;
 mod fig10;
 mod fig12;
-mod firehose;
 mod multiview;
 mod scaling;
 mod sqlshell;
@@ -25,13 +22,11 @@ mod wall;
 
 const SIZED: &[&str] = &["--smoke", "--scale", "--diffs", "--rounds"];
 const SCALED: &[&str] = &["--smoke", "--scale"];
-const SEEDED: &[&str] = &["--smoke", "--scale", SEED_VAR];
 const TPCH: &[&str] = &["--smoke", "--customers", "--rounds", "--diffs", "--skew"];
 const SQL: &[&str] = &["--smoke", "--workload", "--file"];
 const SWEEPS: &[&str] = &["all", "diff-size", "joins", "selectivity", "fanout"];
 
-/// Name, the flags (and environment variable) it reads, the positional
-/// words it takes, entry point.
+/// Name, the flags it reads, the positional words it takes, entry point.
 #[rustfmt::skip]
 const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "table2", flags: &[], sweeps: &[], run: table2::run },
@@ -43,9 +38,6 @@ const EXPERIMENTS: &[Experiment] = &[
     Experiment { name: "wall", flags: &["--smoke"], sweeps: &[], run: wall::run },
     Experiment { name: "tpch", flags: TPCH, sweeps: &[], run: tpch::run },
     Experiment { name: "multiview", flags: SIZED, sweeps: &[], run: multiview::run },
-    Experiment { name: "firehose", flags: SIZED, sweeps: &[], run: firehose::run },
-    Experiment { name: "chaos", flags: SEEDED, sweeps: &[], run: chaos::run },
-    Experiment { name: "crashbench", flags: SEEDED, sweeps: &[], run: crashbench::run },
     Experiment { name: "sqlshell", flags: SQL, sweeps: &[], run: sqlshell::run },
 ];
 

@@ -3,21 +3,19 @@
 //! Every experiment is spawned in a fresh temporary working directory
 //! and held to bytes recorded before the harness was refactored:
 //!
-//! * `golden/*.stdout`, `golden/chaos_smoke.json` — the deterministic
-//!   outputs (access counts, verdicts, model parameters), byte for byte;
+//! * `golden/*.stdout` — the deterministic outputs (access counts,
+//!   model parameters), byte for byte;
 //!   `golden/fig10_smoke_counts.txt` — Figure 10's table without its
 //!   two ms columns;
-//! * the four committed count files at the repository root
-//!   (`BENCH_tpch.json`, `BENCH_firehose.json`,
-//!   `BENCH_multiview{,_nopromotion}.json`), which the full runs rewrite
-//!   byte for byte, and the two committed `EXPLAIN MAINTENANCE` reports
-//!   (`EXPLAIN_tpch.txt`, `EXPLAIN_fig10.txt`), which `sqlshell --smoke`
-//!   rewrites byte for byte;
+//! * the three committed count files at the repository root
+//!   (`BENCH_tpch.json`, `BENCH_multiview{,_nopromotion}.json`), which
+//!   the full runs rewrite byte for byte, and the two committed
+//!   `EXPLAIN MAINTENANCE` reports (`EXPLAIN_tpch.txt`,
+//!   `EXPLAIN_fig10.txt`), which `sqlshell --smoke` rewrites byte for
+//!   byte;
 //! * `golden/*.masked.json` — the timing-bearing reports with every run
 //!   of `[0-9.]` replaced by `#` (`sed -E 's/[0-9.]+/#/g'`), so keys,
 //!   order, layout and strings are pinned while the numbers are free.
-//!
-//! `crashbench` (17 s) is left to CI's crash-sweep job.
 //!
 //! [`command`] is the only place that knows how an experiment name
 //! becomes a command line.
@@ -53,8 +51,8 @@ impl Drop for Run {
     }
 }
 
-/// Run `name args…` in a fresh temporary directory under the default
-/// fault seed; the exit status must be 0.
+/// Run `name args…` in a fresh temporary directory; the exit status
+/// must be 0.
 fn run(name: &str, args: &[&str]) -> Run {
     let tag: String = std::iter::once(name)
         .chain(args.iter().copied())
@@ -67,7 +65,6 @@ fn run(name: &str, args: &[&str]) -> Run {
     let out = command(name)
         .args(args)
         .current_dir(&dir)
-        .env_remove("IDIVM_FAULT_SEED")
         .output()
         .unwrap_or_else(|e| panic!("spawn {name}: {e}"));
     let run = Run {
@@ -192,29 +189,12 @@ fn fig10_smoke_counts_are_pinned() {
 }
 
 #[test]
-fn chaos_smoke_stdout_and_report_are_pinned() {
-    let run = run("chaos", &["--smoke"]);
-    assert_same("chaos --smoke", &run.stdout, &golden("chaos_smoke.stdout"));
-    assert_same(
-        "BENCH_chaos.json",
-        &run.file("BENCH_chaos.json"),
-        &golden("chaos_smoke.json"),
-    );
-}
-
-#[test]
 fn full_runs_rewrite_the_committed_count_files() {
     let tpch = run("tpch", &[]);
     assert_same(
         "BENCH_tpch.json",
         &tpch.file("BENCH_tpch.json"),
         &committed("BENCH_tpch.json"),
-    );
-    let firehose = run("firehose", &[]);
-    assert_same(
-        "BENCH_firehose.json",
-        &firehose.file("BENCH_firehose.json"),
-        &committed("BENCH_firehose.json"),
     );
     let multiview = run("multiview", &[]);
     for file in ["BENCH_multiview.json", "BENCH_multiview_nopromotion.json"] {
@@ -255,7 +235,7 @@ fn sqlshell_smoke_rewrites_the_committed_explain_files() {
 /// The `--smoke` runs no other test makes (the rest exit 0 above).
 #[test]
 fn remaining_smoke_runs_exit_zero() {
-    for name in ["tpch", "firehose", "multiview", "wall"] {
+    for name in ["tpch", "multiview", "wall"] {
         run(name, &["--smoke"]);
     }
 }

@@ -31,11 +31,10 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
-/// What the store's checkpoints cost, and whom: the round's thread
-/// (stall) or the worker (publish). Counts are totals over every
-/// checkpoint published by this handle; `last_*` describe the newest.
+/// What the store's checkpoints reused and encoded. Counts are totals
+/// over every checkpoint published by this handle; `last_cut_bytes`
+/// describes the newest.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CheckpointStats {
     /// Checkpoints published.
@@ -48,13 +47,6 @@ pub struct CheckpointStats {
     pub bytes_reused: u64,
     /// Bytes of the newly encoded sections.
     pub bytes_encoded: u64,
-    /// What the round's thread spent on the newest checkpoint: the
-    /// capture, then — at the join point — waiting for whatever the
-    /// worker had left, and the WAL cut.
-    pub last_stall_us: u64,
-    /// What the worker spent on it: sort, encode, assemble, checksum,
-    /// write, sync, rename.
-    pub last_publish_us: u64,
     /// Bytes the cut behind it dropped from the WAL.
     pub last_cut_bytes: u64,
 }
@@ -95,7 +87,6 @@ struct Published {
     /// next checkpoint's cache.
     sections: HashMap<String, (SectionKey, Arc<[u8]>)>,
     bytes_encoded: u64,
-    took: Duration,
 }
 
 struct InFlight {
@@ -104,7 +95,6 @@ struct InFlight {
     /// checkpoint.
     wal_len: u64,
     stats: CheckpointStats,
-    stall: Duration,
 }
 
 /// See the module documentation.
@@ -141,7 +131,6 @@ impl Checkpointer {
                 "checkpoint started with another in flight".into(),
             ));
         }
-        let started = Instant::now();
         let manifest = Checkpoint::manifest(sched, pipeline, last_lsn)?;
         let db = sched.db();
         let mut stats = self.stats;
@@ -166,7 +155,6 @@ impl Checkpointer {
         let worker = std::thread::Builder::new()
             .name("idivm-checkpoint".into())
             .spawn(move || {
-                let started = Instant::now();
                 let mut sections = HashMap::with_capacity(parts.len());
                 let mut ordered = Vec::with_capacity(parts.len());
                 let mut bytes_encoded = 0;
@@ -186,7 +174,6 @@ impl Checkpointer {
                 Ok(Published {
                     sections,
                     bytes_encoded,
-                    took: started.elapsed(),
                 })
             })
             .map_err(|e| Error::Internal(format!("checkpoint worker spawn: {e}")))?;
@@ -194,7 +181,6 @@ impl Checkpointer {
             worker,
             wal_len,
             stats,
-            stall: started.elapsed(),
         });
         Ok(())
     }
@@ -212,7 +198,6 @@ impl Checkpointer {
         let Some(flight) = self.in_flight.take() else {
             return Ok(());
         };
-        let joining = Instant::now();
         let published = flight
             .worker
             .join()
@@ -222,8 +207,6 @@ impl Checkpointer {
         self.stats = CheckpointStats {
             taken: flight.stats.taken + 1,
             bytes_encoded: flight.stats.bytes_encoded + published.bytes_encoded,
-            last_stall_us: (flight.stall + joining.elapsed()).as_micros() as u64,
-            last_publish_us: published.took.as_micros() as u64,
             last_cut_bytes: *cut.as_ref().unwrap_or(&0),
             ..flight.stats
         };
