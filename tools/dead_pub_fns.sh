@@ -4,8 +4,8 @@
 #   tools/dead_pub_fns.sh
 #
 # A library `pub fn` is one declared on a non-test line of a `.rs` file
-# under `crates/*/src`, `shims/*/src` or `src/` (from a file's first
-# `#[cfg(test)]` line on it is test code, as in tools/loc.sh). Its name
+# under `crates/*/src`, `shims/*/src` or `src/` (from a file's test
+# module on it is test code, as in tools/loc.sh). Its name
 # is printed when, as a whole word, it occurs exactly once in all the
 # `.rs` files of the workspace and of `benchmark/src` together — at its
 # own declaration. Output is one name per line, sorted, and empty when
@@ -20,8 +20,9 @@ corpus() {
 
 declared=$(
     corpus | grep -E '^((crates|shims)/[^/]+/)?src/' | xargs awk '
-        FNR == 1 { in_test = 0 }
-        /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        FNR == 1 { in_test = 0; attr = 0 }
+        attr && /^(pub(\([a-z]+\))? )?mod / { in_test = 1 }
+        { attr = /^#\[cfg\(test\)\]/ }
         !in_test && /^[[:space:]]*pub fn / {
             sub(/^[[:space:]]*pub fn /, "")
             sub(/[^A-Za-z0-9_].*/, "")

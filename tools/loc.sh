@@ -8,8 +8,10 @@
 # on the command line, and a total of the crate rows:
 #
 #   test      lines of files under a `tests/` or `benches/` directory,
-#             and, in any other file, from the first `#[cfg(test)]` line
-#             to the end of the file
+#             and, in any other file, from the first `#[cfg(test)]` at
+#             column 0 that a `mod` line follows (the test module) to
+#             the end of the file; a `#[cfg(test)]` on a single item is
+#             library code
 #   non-test  every other line
 #   code      non-test lines that are neither blank nor `//`-only
 #             (`///` and `//!` doc comments are `//`-only)
@@ -26,8 +28,10 @@ count() {
     local label=$1
     shift
     awk -v label="$label" '
-        FNR == 1 { in_test = (FILENAME ~ /(^|\/)(tests|benches)\//) }
-        !in_test && /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+        FNR == 1 { in_test = (FILENAME ~ /(^|\/)(tests|benches)\//); attr = 0 }
+        # The attribute was counted as code; it opens the test module.
+        attr && /^(pub(\([a-z]+\))? )?mod / { in_test = 1; plain--; code--; test++ }
+        { attr = !in_test && /^#\[cfg\(test\)\]/ }
         in_test { test++; next }
         { plain++ }
         /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
