@@ -20,7 +20,7 @@
 //!   event/batch stays pending (see the pipeline's rollback contract),
 //!   and the next tick retries.
 //!
-//! The driver records everything the firehose bench reports: per-event
+//! The driver records everything the firehose grid reports: per-event
 //! latency samples, queue-depth time series, cut causes, shed/DLQ
 //! counts, and injected-fault sightings.
 

@@ -25,7 +25,7 @@
 //!   producer streams by stable key hash (single writer per key), and
 //!   the direct-replay one-shot baseline.
 //! * [`driver`] — the deterministic virtual-tick firehose driver the
-//!   bench and convergence tests share.
+//!   firehose grid and convergence tests share.
 //!
 //! Everything is deterministic on the virtual tick clock: same event
 //! streams in, bit-identical database signature, DLQ bytes, and batch

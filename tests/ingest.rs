@@ -32,6 +32,8 @@
 //!   virtual ticks are pinned in the committed `BENCH_firehose.json`
 //!   (`IDIVM_BLESS=1` rewrites it).
 
+mod common;
+
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
 use idivm_repro::core::{FaultPlan, FaultSite, FaultState, IvmOptions};
 use idivm_repro::exec::ParallelConfig;
@@ -673,22 +675,6 @@ fn cell_json(
     ])
 }
 
-/// `text` equals the committed `file` byte for byte; `IDIVM_BLESS=1`
-/// rewrites the file instead.
-fn assert_pinned(file: &str, text: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
-    if std::env::var_os("IDIVM_BLESS").is_some() {
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    let pinned = std::fs::read_to_string(&path).unwrap();
-    let moved = text.lines().zip(pinned.lines()).enumerate().find(|(_, (a, b))| a != b);
-    if let Some((i, (now, was))) = moved {
-        panic!("{file}: line {} moved\n  now:    {now}\n  pinned: {was}", i + 1);
-    }
-    assert_eq!(text.len(), pinned.len(), "{file}: the length moved");
-}
-
 /// 990 tweet-stream events over four producers at 2, 8 and 64 offers
 /// per tick, under a blocking and a shedding queue, plus the laced
 /// cell. In every cell each event is admitted, dead-lettered or shed
@@ -771,5 +757,5 @@ fn firehose_grid_conserves_converges_and_rewrites_the_committed_report() {
         ("service_rate", SERVICE_RATE.into()),
         ("cells", Json::rows(cells)),
     ]);
-    assert_pinned("BENCH_firehose.json", &(report.render() + "\n"));
+    common::assert_pinned("BENCH_firehose.json", &(report.render() + "\n"));
 }

@@ -29,6 +29,8 @@
 //! `tests/golden/chaos_smoke.json` (at the default seed;
 //! `IDIVM_BLESS=1` rewrites it).
 
+mod common;
+
 use idivm_repro::core::{
     Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor,
     MaintenanceReport, RoundBudget, RoundTrace, SupervisorConfig, SupervisorReport,
@@ -541,29 +543,14 @@ fn scenario(
     ])
 }
 
-/// `text` equals the committed `file` byte for byte; `IDIVM_BLESS=1`
-/// rewrites the file instead.
-fn assert_pinned(file: &str, text: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
-    if std::env::var_os("IDIVM_BLESS").is_some() {
-        std::fs::write(&path, text).unwrap();
-        return;
-    }
-    let pinned = std::fs::read_to_string(&path).unwrap();
-    let moved = text.lines().zip(pinned.lines()).enumerate().find(|(_, (a, b))| a != b);
-    if let Some((i, (now, was))) = moved {
-        panic!("{file}: line {} moved\n  now:    {now}\n  pinned: {was}", i + 1);
-    }
-    assert_eq!(text.len(), pinned.len(), "{file}: the length moved");
-}
-
 /// Every engine through the escalation ladder: a clean supervised round
 /// costs and traces exactly what the bare engine does; a transient
 /// fault at each site converges to the oracle; a permanent diff fault
 /// quarantines exactly the poison set; a permanent fault at any other
 /// site escalates to recompute and the oracle; a budget of 75 % or 40 %
-/// of the clean round fires, bisects and converges; the report is the
-/// same across two runs and P = 1 / P = 4. The report is pinned.
+/// of the clean round fires and the run still converges to the oracle;
+/// the report is the same across two runs and P = 1 / P = 4. The report
+/// is pinned.
 #[test]
 fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
     let seed = fault_seed();
@@ -686,6 +673,6 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
         ("determinism", Json::rows(determinism)),
     ]);
     if seed == DEFAULT_SEED {
-        assert_pinned(CHAOS_GOLDEN, &(report.render() + "\n"));
+        common::assert_pinned(CHAOS_GOLDEN, &(report.render() + "\n"));
     }
 }
