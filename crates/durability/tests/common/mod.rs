@@ -170,9 +170,16 @@ pub fn assert_pinned(file: &str, text: &str) {
         return;
     }
     let pinned = std::fs::read_to_string(&path).unwrap();
-    let moved = text.lines().zip(pinned.lines()).enumerate().find(|(_, (a, b))| a != b);
+    let moved = text
+        .lines()
+        .zip(pinned.lines())
+        .enumerate()
+        .find(|(_, (a, b))| a != b);
     if let Some((i, (now, was))) = moved {
-        panic!("{file}: line {} moved\n  now:    {now}\n  pinned: {was}", i + 1);
+        panic!(
+            "{file}: line {} moved\n  now:    {now}\n  pinned: {was}",
+            i + 1
+        );
     }
     assert_eq!(text.len(), pinned.len(), "{file}: the length moved");
 }

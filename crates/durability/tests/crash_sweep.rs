@@ -45,7 +45,7 @@ mod common;
 use common::{armed, fresh_dir, mv_policy, no_faults, reopen, suite, sweep_seeds, Sig};
 use idivm_core::{FaultPlan, FaultSite, FaultState, IvmOptions};
 use idivm_durability::{
-    CheckpointStats, Durable, DurabilityConfig, DurabilityPolicy, Wal, CHECKPOINT_FILE, WAL_FILE,
+    CheckpointStats, DurabilityConfig, DurabilityPolicy, Durable, Wal, CHECKPOINT_FILE, WAL_FILE,
 };
 use idivm_exec::ParallelConfig;
 use idivm_sched::{RefreshPolicy, SchedulerConfig};
@@ -499,7 +499,14 @@ fn options(threads: usize) -> IvmOptions {
 
 fn reopen_example(dir: &Path, threads: usize) -> idivm_types::Result<Durable> {
     let sched = SchedulerConfig::default();
-    Durable::open(dir, sched, options(threads), example_cfg(), no_faults(), None)
+    Durable::open(
+        dir,
+        sched,
+        options(threads),
+        example_cfg(),
+        no_faults(),
+        None,
+    )
 }
 
 /// FNV-1a over a full-store signature, table by table in name order.
@@ -547,7 +554,8 @@ fn run_example(dir: &Path, threads: usize, faults: Arc<FaultState>) -> ScenarioR
     let plan = cfg.agg_plan(store.db()).unwrap();
     step!(store.register("V", plan, RefreshPolicy::Eager));
     for round in 1..=EXAMPLE_ROUNDS {
-        cfg.price_update_batch(store.db_mut(), EXAMPLE_DIFF, round).unwrap();
+        cfg.price_update_batch(store.db_mut(), EXAMPLE_DIFF, round)
+            .unwrap();
         step!(store.tick());
     }
     step!(store.drain());
@@ -574,7 +582,10 @@ fn example_kill_sweep(seed: u64) -> (Vec<Json>, Vec<Json>) {
             let dir = fresh_dir("example_repro");
             let kill = armed(FaultPlan::at(FaultSite::WalAppend, 3, seed));
             let run = run_example(&dir, threads, kill);
-            assert!(!run.completed, "P={threads} rep {rep} seed {seed}: the kill never fired");
+            assert!(
+                !run.completed,
+                "P={threads} rep {rep} seed {seed}: the kill never fired"
+            );
             let recovered = digest(&reopen_example(&dir, threads).unwrap().signature());
             determinism.push(Json::inline([
                 ("threads", threads.into()),
@@ -616,10 +627,16 @@ fn example_kill_sweep(seed: u64) -> (Vec<Json>, Vec<Json>) {
                 FaultSite::Checkpoint => ("at_failure", run.at_failure.as_ref()),
                 _ => ("last_ack", run.acks.last()),
             };
-            assert_eq!(Some(&recovered.signature()), want, "{label}: not the {outcome} state");
+            assert_eq!(
+                Some(&recovered.signature()),
+                want,
+                "{label}: not the {outcome} state"
+            );
             let note = recovered.recovered_from().unwrap().to_string();
             // Liveness: the recovered store still accepts rounds.
-            example().price_update_batch(recovered.db_mut(), EXAMPLE_DIFF, 999).unwrap();
+            example()
+                .price_update_batch(recovered.db_mut(), EXAMPLE_DIFF, 999)
+                .unwrap();
             recovered.tick().unwrap();
             sweep.push(Json::inline([
                 ("site", site.label().into()),
@@ -666,12 +683,23 @@ fn size_counts(scale: f64) -> Json {
         }
     }
     let stats = store.checkpoint_stats();
-    assert_eq!(stats.taken, before.taken + 1, "scale {scale}: the second automatic checkpoint");
+    assert_eq!(
+        stats.taken,
+        before.taken + 1,
+        "scale {scale}: the second automatic checkpoint"
+    );
     let db = store.db();
-    let table_rows: usize = db.table_names().into_iter().map(|t| db.table(t).unwrap().len()).sum();
+    let table_rows: usize = db
+        .table_names()
+        .into_iter()
+        .map(|t| db.table(t).unwrap().len())
+        .sum();
     let live = store.signature();
     store.close().unwrap();
-    assert!(reopen(&dir, dcfg).unwrap().signature() == live, "scale {scale}: recovery diverged");
+    assert!(
+        reopen(&dir, dcfg).unwrap().signature() == live,
+        "scale {scale}: recovery diverged"
+    );
     let checkpoint_bytes = std::fs::metadata(dir.join(CHECKPOINT_FILE)).unwrap().len();
     let wal_records = Wal::scan(&dir.join(WAL_FILE)).unwrap().records.len();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -680,10 +708,22 @@ fn size_counts(scale: f64) -> Json {
         ("table_rows", table_rows.into()),
         ("wal_records", wal_records.into()),
         ("checkpoint_bytes", checkpoint_bytes.into()),
-        ("tables_reused", (stats.tables_reused - before.tables_reused).into()),
-        ("tables_encoded", (stats.tables_encoded - before.tables_encoded).into()),
-        ("bytes_reused", (stats.bytes_reused - before.bytes_reused).into()),
-        ("bytes_encoded", (stats.bytes_encoded - before.bytes_encoded).into()),
+        (
+            "tables_reused",
+            (stats.tables_reused - before.tables_reused).into(),
+        ),
+        (
+            "tables_encoded",
+            (stats.tables_encoded - before.tables_encoded).into(),
+        ),
+        (
+            "bytes_reused",
+            (stats.bytes_reused - before.bytes_reused).into(),
+        ),
+        (
+            "bytes_encoded",
+            (stats.bytes_encoded - before.bytes_encoded).into(),
+        ),
         ("cut_bytes", stats.last_cut_bytes.into()),
     ])
 }
@@ -739,5 +779,8 @@ fn journaling_leaves_the_maintenance_result_alone() {
         std::fs::remove_dir_all(&dir).unwrap();
         sig
     });
-    assert!(signatures[0] == signatures[1], "journaling changed the maintenance result");
+    assert!(
+        signatures[0] == signatures[1],
+        "journaling changed the maintenance result"
+    );
 }

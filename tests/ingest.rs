@@ -665,10 +665,19 @@ fn cell_json(
         ("dead_lettered", s.dead_lettered.into()),
         ("shed", s.shed.into()),
         ("cuts", s.cuts.len().into()),
-        ("cut_causes", Json::inline(causes.into_iter().map(|(k, v)| (k, v.into())))),
+        (
+            "cut_causes",
+            Json::inline(causes.into_iter().map(|(k, v)| (k, v.into()))),
+        ),
         ("events_per_tick", Json::Fixed(s.events_per_tick(), 4)),
-        ("latency_p50_ticks", s.latency_percentile(50.0).unwrap_or(0).into()),
-        ("latency_p99_ticks", s.latency_percentile(99.0).unwrap_or(0).into()),
+        (
+            "latency_p50_ticks",
+            s.latency_percentile(50.0).unwrap_or(0).into(),
+        ),
+        (
+            "latency_p99_ticks",
+            s.latency_percentile(99.0).unwrap_or(0).into(),
+        ),
         ("max_depth", s.max_depth().into()),
         ("depth_series", Json::list(sampled.map(Json::from))),
         ("converged_oneshot", converged.into()),
@@ -723,7 +732,11 @@ fn firehose_grid_conserves_converges_and_rewrites_the_committed_report() {
 
         let expected = total + garbage as u64;
         assert_eq!(s.offered, expected, "{what}: events not consumed");
-        assert_eq!(s.admitted + s.dead_lettered + s.shed, expected, "{what}: events lost");
+        assert_eq!(
+            s.admitted + s.dead_lettered + s.shed,
+            expected,
+            "{what}: events lost"
+        );
         if policy == OverflowPolicy::Block {
             assert_eq!(s.shed, 0, "{what}: a blocking queue shed events");
         }
@@ -733,19 +746,35 @@ fn firehose_grid_conserves_converges_and_rewrites_the_committed_report() {
         assert_eq!(s.cuts, parallel.stats.cuts, "{what}: P=4 cuts");
         assert_eq!(serial.dlq_json, parallel.dlq_json, "{what}: P=4 DLQ bytes");
         assert_eq!(s.cuts, again.stats.cuts, "{what}: cuts repeat");
-        assert_eq!(s.depth_series, again.stats.depth_series, "{what}: depths repeat");
-        assert_eq!(s.latencies_ticks, again.stats.latencies_ticks, "{what}: latencies repeat");
+        assert_eq!(
+            s.depth_series, again.stats.depth_series,
+            "{what}: depths repeat"
+        );
+        assert_eq!(
+            s.latencies_ticks, again.stats.latencies_ticks,
+            "{what}: latencies repeat"
+        );
         assert_eq!(serial.dlq_json, again.dlq_json, "{what}: DLQ bytes repeat");
         assert_eq!(serial.db_sig, again.db_sig, "{what}: final state repeats");
-        assert_eq!(s.dead_lettered, garbage as u64, "{what}: quarantined more than the garbage");
+        assert_eq!(
+            s.dead_lettered, garbage as u64,
+            "{what}: quarantined more than the garbage"
+        );
         let converged = serial.db_sig == oneshot_db && serial.view_sigs == oneshot_views;
         if s.shed == 0 {
             assert!(converged, "{what}: a lossless run missed the one-shot fold");
         }
-        staleness_cuts += s.cuts.iter().filter(|(cause, _, _)| cause == "staleness").count();
+        staleness_cuts += s
+            .cuts
+            .iter()
+            .filter(|(cause, _, _)| cause == "staleness")
+            .count();
         cells.push(cell_json(rate, policy, garbage, s, converged));
     }
-    assert!(staleness_cuts > 0, "the grid never cut for staleness: overload untested");
+    assert!(
+        staleness_cuts > 0,
+        "the grid never cut for staleness: overload untested"
+    );
 
     let report = Json::block([
         ("bench", "firehose".into()),

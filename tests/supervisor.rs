@@ -32,8 +32,8 @@
 mod common;
 
 use idivm_repro::core::{
-    Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceSupervisor,
-    MaintenanceReport, RoundBudget, RoundTrace, SupervisorConfig, SupervisorReport,
+    Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceReport,
+    MaintenanceSupervisor, RoundBudget, RoundTrace, SupervisorConfig, SupervisorReport,
     SupervisorVerdict, TraceConfig,
 };
 use idivm_repro::exec::{executor::sorted, recompute_rows, ParallelConfig};
@@ -564,7 +564,10 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
         let report = supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed));
         assert_eq!(report.verdict, SupervisorVerdict::Converged, "{label}");
         let cost = report.total_accesses();
-        assert_eq!(cost, plain_cost, "{label}: supervision changed the round's cost");
+        assert_eq!(
+            cost, plain_cost,
+            "{label}: supervision changed the round's cost"
+        );
         let plain_trace = plain.trace.as_ref().map(trace_fingerprint);
         let trace = report.last_round.as_ref().and_then(|r| r.trace.as_ref());
         assert!(
@@ -576,7 +579,10 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
             ("engine", name(label).into()),
             ("plain_cost", plain_cost.into()),
             ("supervised_cost", cost.into()),
-            ("overhead_pct", Json::Fixed((cost as f64 / plain_cost as f64 - 1.0) * 100.0, 4)),
+            (
+                "overhead_pct",
+                Json::Fixed((cost as f64 / plain_cost as f64 - 1.0) * 100.0, 4),
+            ),
             ("trace_identical", true.into()),
         ]));
     }
@@ -616,7 +622,11 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
                     }
                     (_, FaultSite::Diff) => {
                         assert_eq!(verdict, SupervisorVerdict::ConvergedQuarantined, "{what}");
-                        assert_eq!(report.quarantine.len(), poison, "{what}: not the poison set");
+                        assert_eq!(
+                            report.quarantine.len(),
+                            poison,
+                            "{what}: not the poison set"
+                        );
                         let entries = &report.quarantine.entries;
                         assert!(entries.iter().all(|e| plan.is_poison_key(&e.key)), "{what}");
                         assert_eq!(report.committed_changes, total - poison, "{what}");
@@ -644,8 +654,16 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
                 ..SupervisorConfig::seeded(seed)
             };
             let report = supervise(&mut db, &mut ivm, config);
-            assert_eq!(report.verdict, SupervisorVerdict::Converged, "{what}: {:?}", report.errors);
-            assert!(report.budget_aborts >= 1, "{what}: cap {cap} of {full_cost} never fired");
+            assert_eq!(
+                report.verdict,
+                SupervisorVerdict::Converged,
+                "{what}: {:?}",
+                report.errors
+            );
+            assert!(
+                report.budget_aborts >= 1,
+                "{what}: cap {cap} of {full_cost} never fired"
+            );
             assert_oracle(&db, &ivm, &what);
             scenarios.push(scenario(&name(label), "none", "budget", Some(cap), &report));
         }
@@ -654,14 +672,29 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
     let mut determinism = Vec::new();
     for family in ["idIVM", "tuple"] {
         let runs = [" serial", " serial", " P=4"].map(|variant| {
-            let build = &all.iter().find(|(l, _)| *l == format!("{family}{variant}")).unwrap().1;
+            let build = &all
+                .iter()
+                .find(|(l, _)| *l == format!("{family}{variant}"))
+                .unwrap()
+                .1;
             let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::disabled());
             ivm.set_faults(FaultPlan::at(FaultSite::Diff, 3, seed).permanent());
-            supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed)).to_json().render()
+            supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed))
+                .to_json()
+                .render()
         });
-        assert_eq!(runs[0], runs[1], "{family}: the report differs between identical runs");
-        assert_eq!(runs[0], runs[2], "{family}: the report differs between thread counts");
-        determinism.push(Json::inline([("engine", family.into()), ("identical", true.into())]));
+        assert_eq!(
+            runs[0], runs[1],
+            "{family}: the report differs between identical runs"
+        );
+        assert_eq!(
+            runs[0], runs[2],
+            "{family}: the report differs between thread counts"
+        );
+        determinism.push(Json::inline([
+            ("engine", family.into()),
+            ("identical", true.into()),
+        ]));
     }
 
     let report = Json::block([
