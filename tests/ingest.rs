@@ -758,7 +758,7 @@ fn firehose_grid_conserves_converges_and_rewrites_the_committed_report() {
         assert_eq!(serial.db_sig, again.db_sig, "{what}: final state repeats");
         assert_eq!(
             s.dead_lettered, garbage as u64,
-            "{what}: quarantined more than the garbage"
+            "{what}: dead-lettered other than exactly the garbage"
         );
         let converged = serial.db_sig == oneshot_db && serial.view_sigs == oneshot_views;
         if s.shed == 0 {
