@@ -494,6 +494,7 @@ pub fn fmt_row(cells: &[String], widths: &[usize]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use idivm_exec::{executor::sorted, recompute_rows};
 
     fn noop(_: &Args) -> Result<()> {
         Ok(())
@@ -615,5 +616,9 @@ mod tests {
             .time_rounds(2, |db, r| cfg.price_update_batch(db, 10, r))
             .unwrap();
         assert!(timed.accesses > 0 && timed.best_ms <= timed.total_ms);
+        assert_eq!(
+            sorted(lane.engine.visible_rows(&lane.db).unwrap()),
+            sorted(recompute_rows(&lane.db, lane.engine.plan()).unwrap())
+        );
     }
 }

@@ -16,6 +16,8 @@
 //! `IDIVM_BLESS=1 cargo test --test aggregate_transcript` only for a
 //! change that is meant to move it.
 
+mod common;
+
 use idivm_repro::core::{Engine, IdIvm, IvmOptions, MaintenanceReport};
 use idivm_repro::exec::{executor::sorted, recompute_rows};
 use idivm_repro::reldb::Database;
@@ -245,20 +247,5 @@ fn transcript() -> String {
 
 #[test]
 fn aggregate_transcript_is_pinned() {
-    let actual = transcript();
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN);
-    if std::env::var_os("IDIVM_BLESS").is_some() {
-        std::fs::write(&path, &actual).unwrap();
-        return;
-    }
-    let expected = std::fs::read_to_string(&path).unwrap_or_default();
-    if actual != expected {
-        let first = actual
-            .lines()
-            .zip(expected.lines())
-            .find(|(a, e)| a != e)
-            .map(|(a, e)| format!("first moved line:\n  now:    {a}\n  pinned: {e}"))
-            .unwrap_or_else(|| "the transcripts differ in length".into());
-        panic!("aggregate transcript moved ({GOLDEN}); {first}");
-    }
+    common::assert_pinned(GOLDEN, &transcript());
 }

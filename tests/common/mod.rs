@@ -1,7 +1,9 @@
-//! Shared by the integration suites that pin a committed file.
+//! Shared by the integration suites that pin a committed file (the
+//! durability crate's suites include it by path).
 
-/// `text` equals the committed `file` (relative to the repository root)
-/// byte for byte; `IDIVM_BLESS=1` rewrites the file instead.
+/// `text` equals the committed `file` (relative to the including
+/// package's root) byte for byte; `IDIVM_BLESS=1` rewrites the file
+/// instead.
 pub fn assert_pinned(file: &str, text: &str) {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(file);
     if std::env::var_os("IDIVM_BLESS").is_some() {

@@ -23,16 +23,18 @@
 //!   and across `ParallelConfig` thread counts.
 //!
 //! The supervised engines are exercised through the boxed [`Engine`]
-//! object surface. The chaos sweep at the end runs every engine through
-//! `FaultSite × FaultKind` and two round budgets, holds each scenario
-//! to the contract above, and pins the whole report, byte for byte, in
+//! object surface. Each clause is one checker (`clean_round`, `ladder`,
+//! `budget_split`, `assert_report_deterministic`). The chaos sweep at
+//! the end runs every engine through `FaultSite × FaultKind` and two
+//! round budgets, holds each scenario to the same checkers on a smaller
+//! batch, and pins the whole report, byte for byte, in
 //! `tests/golden/chaos_smoke.json` (at the default seed;
 //! `IDIVM_BLESS=1` rewrites it).
 
 mod common;
 
 use idivm_repro::core::{
-    Engine, EngineConfig, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceReport,
+    Engine, EngineConfig, FaultKind, FaultPlan, FaultSite, IdIvm, IvmOptions, MaintenanceReport,
     MaintenanceSupervisor, RoundBudget, RoundTrace, SupervisorConfig, SupervisorReport,
     SupervisorVerdict, TraceConfig,
 };
@@ -150,15 +152,9 @@ fn engines() -> Vec<(&'static str, EngineBuilder)> {
     ]
 }
 
-/// Build the database and engine, run one clean warmup round (so
-/// caches and maps have seen maintenance), and stage the batch for
-/// round `1`.
-fn prepared(build: &EngineBuilder) -> (Database, BoxedEngine) {
-    staged(build, DIFF, TraceConfig::disabled())
-}
-
-/// [`prepared`] with `diff` price updates per round and the engine's
-/// trace switched as given.
+/// Build the database and engine with its trace switched as given, run
+/// one clean warmup round (so caches and maps have seen maintenance),
+/// and stage `diff` price updates for round `1`.
 fn staged(build: &EngineBuilder, diff: usize, trace: TraceConfig) -> (Database, BoxedEngine) {
     let cfg = example();
     let mut db = cfg.build().unwrap();
@@ -214,282 +210,6 @@ fn oracle_excluding(
     rows
 }
 
-/// A clean supervised run is indistinguishable from driving the
-/// engine directly: same verdict bookkeeping, same access cost, same
-/// final database signature.
-#[test]
-fn clean_supervised_run_is_zero_overhead() {
-    for (label, build) in engines() {
-        // Plain engine on a twin database.
-        let (mut db_plain, ivm_plain) = prepared(&build);
-        let net = db_plain.fold_log();
-        let changes: usize = net.values().map(|c| c.len()).sum();
-        let before = db_plain.stats().snapshot();
-        ivm_plain.maintain_with_changes(&mut db_plain, &net).unwrap();
-        let plain_cost = db_plain.stats().snapshot().since(&before).total();
-        db_plain.clear_log();
-
-        // Supervised run on an identical database.
-        let (mut db, mut ivm) = prepared(&build);
-        let report =
-            MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::seeded(fault_seed()))
-                .run(&mut db);
-        assert_eq!(report.verdict, SupervisorVerdict::Converged, "{label}");
-        assert_eq!(report.attempts, 1, "{label}: clean run needed one round");
-        assert_eq!(report.retries, 0, "{label}");
-        assert_eq!(report.committed_changes, changes, "{label}");
-        assert!(report.quarantine.is_empty(), "{label}");
-        assert_eq!(
-            report.attempt_costs,
-            vec![plain_cost],
-            "{label}: supervision changed the round's access cost"
-        );
-        assert_eq!(
-            db.signature(),
-            db_plain.signature(),
-            "{label}: supervised database diverged from the plain engine's"
-        );
-        assert!(db.fold_log().is_empty(), "{label}: log not consumed");
-    }
-}
-
-/// Transient faults at every site heal within the retry bound and the
-/// run converges bit-identically to the recompute oracle.
-#[test]
-fn transient_faults_converge_within_retry_bound() {
-    let seed = fault_seed();
-    for (label, build) in engines() {
-        for plan in [
-            FaultPlan::at(FaultSite::Operator, 0, seed).healing_after(2),
-            FaultPlan::at(FaultSite::Apply, 0, seed).healing_after(2),
-            FaultPlan::at(FaultSite::Access, 1, seed).healing_after(2),
-        ] {
-            let (mut db, mut ivm) = prepared(&build);
-            ivm.set_faults(plan);
-            let cfg = SupervisorConfig::seeded(seed);
-            let report = MaintenanceSupervisor::new(&mut ivm, cfg).run(&mut db);
-            let site = plan.site.unwrap().label();
-            assert_eq!(
-                report.verdict,
-                SupervisorVerdict::Converged,
-                "{label} site={site}: {:?}",
-                report.errors
-            );
-            assert_eq!(report.attempts, 3, "{label} site={site}");
-            assert_eq!(report.retries, 2, "{label} site={site}");
-            assert_eq!(
-                report.backoff_ticks,
-                vec![cfg.backoff.delay(0), cfg.backoff.delay(1)],
-                "{label} site={site}: backoff schedule"
-            );
-            assert!(report.quarantine.is_empty(), "{label} site={site}");
-            assert!(db.fold_log().is_empty(), "{label} site={site}");
-            assert_eq!(
-                sorted(ivm.visible_rows(&db).unwrap()),
-                sorted(recompute_rows(&db, ivm.plan()).unwrap()),
-                "{label} site={site}: healed run diverged from the oracle"
-            );
-        }
-    }
-}
-
-/// A permanent diff-site fault condemns exactly the predicted poison
-/// keys; the committed remainder equals the oracle on the healthy
-/// subset of changes.
-#[test]
-fn poison_diffs_quarantined_minimally() {
-    let seed = fault_seed();
-    let plan = FaultPlan::at(FaultSite::Diff, 3, seed).permanent();
-    for (label, build) in engines() {
-        let (mut db, mut ivm) = prepared(&build);
-        let net = db.fold_log();
-        let total: usize = net.values().map(|c| c.len()).sum();
-        let mut expected: Vec<(String, Key)> = net
-            .iter()
-            .flat_map(|(t, changes)| {
-                changes
-                    .keys()
-                    .filter(|k| plan.is_poison_key(k))
-                    .map(|k| (t.clone(), k.clone()))
-            })
-            .collect();
-        expected.sort();
-        assert!(
-            !expected.is_empty() && expected.len() < total,
-            "{label}: seed {seed} gives a degenerate poison set \
-             ({} of {total}) — widen the batch or change the modulus",
-            expected.len()
-        );
-
-        ivm.set_faults(plan);
-        let report =
-            MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::seeded(seed)).run(&mut db);
-        assert_eq!(
-            report.verdict,
-            SupervisorVerdict::ConvergedQuarantined,
-            "{label}: {:?}",
-            report.errors
-        );
-        assert_eq!(
-            report.quarantine.keys(),
-            expected,
-            "{label}: quarantine is not the minimal poison set"
-        );
-        assert_eq!(report.committed_changes, total - expected.len(), "{label}");
-        // Poison is permanent: the ladder never burned a retry on it.
-        assert_eq!(report.retries, 0, "{label}");
-        assert!(db.fold_log().is_empty(), "{label}: log not consumed");
-
-        let quarantined: Vec<(String, Key, NetChange)> = report
-            .quarantine
-            .entries
-            .iter()
-            .map(|e| (e.table.clone(), e.key.clone(), e.change.clone()))
-            .collect();
-        let healthy_oracle = oracle_excluding(&mut db, &ivm, &quarantined);
-        assert_eq!(
-            sorted(ivm.visible_rows(&db).unwrap()),
-            sorted(healthy_oracle),
-            "{label}: committed remainder diverged from the healthy-subset oracle"
-        );
-    }
-}
-
-/// A permanent fault at a site every sub-batch hits (operator entry 0)
-/// commits nothing incrementally and escalates to recompute; the
-/// repaired view reflects *all* pending changes.
-#[test]
-fn permanent_site_fault_escalates_to_recompute() {
-    let seed = fault_seed();
-    for (label, build) in engines() {
-        let (mut db, mut ivm) = prepared(&build);
-        let net = db.fold_log();
-        let total: usize = net.values().map(|c| c.len()).sum();
-        ivm.set_faults(FaultPlan::at(FaultSite::Operator, 0, seed).permanent());
-        let report =
-            MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::seeded(seed)).run(&mut db);
-        assert_eq!(
-            report.verdict,
-            SupervisorVerdict::Recomputed,
-            "{label}: {:?}",
-            report.errors
-        );
-        assert_eq!(report.committed_changes, 0, "{label}");
-        assert_eq!(
-            report.quarantine.len(),
-            total,
-            "{label}: every change should have been condemned before escalation"
-        );
-        let last = report.last_round.as_ref().expect("escalation round report");
-        assert!(last.recovered, "{label}: escalation did not recompute");
-        assert!(db.fold_log().is_empty(), "{label}: log not consumed");
-        assert_eq!(
-            sorted(ivm.visible_rows(&db).unwrap()),
-            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
-            "{label}: recompute repair diverged from the full oracle"
-        );
-        // The supervisor restored the engine's own knobs.
-        assert_eq!(ivm.budget(), RoundBudget::unlimited(), "{label}");
-    }
-}
-
-/// A round budget below one full round's cost aborts (retryably),
-/// bisects, and converges: halves fit where the whole did not.
-#[test]
-fn budget_overrun_bisects_and_converges() {
-    for (label, build) in engines() {
-        // Measure the clean round's access cost on a twin database.
-        let (mut db_probe, ivm_probe) = prepared(&build);
-        let net = db_probe.fold_log();
-        let total: usize = net.values().map(|c| c.len()).sum();
-        let before = db_probe.stats().snapshot();
-        ivm_probe.maintain_with_changes(&mut db_probe, &net).unwrap();
-        let full_cost = db_probe.stats().snapshot().since(&before).total();
-        assert!(full_cost > 8, "{label}: workload too small to budget");
-
-        let (mut db, mut ivm) = prepared(&build);
-        let config = SupervisorConfig {
-            budget: RoundBudget::capped(full_cost * 3 / 4),
-            max_retries: 1,
-            ..SupervisorConfig::seeded(fault_seed())
-        };
-        let report = MaintenanceSupervisor::new(&mut ivm, config).run(&mut db);
-        assert_eq!(
-            report.verdict,
-            SupervisorVerdict::Converged,
-            "{label}: {:?}",
-            report.errors
-        );
-        assert!(
-            report.budget_aborts >= 1,
-            "{label}: budget never fired (full round cost {full_cost})"
-        );
-        assert!(
-            report
-                .bisection
-                .iter()
-                .any(|n| n.outcome == idivm_repro::core::BisectOutcome::Split),
-            "{label}: overrun did not bisect"
-        );
-        assert_eq!(report.committed_changes, total, "{label}");
-        assert!(report.quarantine.is_empty(), "{label}");
-        assert!(db.fold_log().is_empty(), "{label}: log not consumed");
-        assert_eq!(
-            sorted(ivm.visible_rows(&db).unwrap()),
-            sorted(recompute_rows(&db, ivm.plan()).unwrap()),
-            "{label}: budget-split run diverged from the oracle"
-        );
-        // The supervisor's budget did not stick to the engine.
-        assert_eq!(ivm.budget(), RoundBudget::unlimited(), "{label}");
-    }
-}
-
-/// The same seed produces a byte-identical report JSON across repeated
-/// runs and across thread counts (the quarantine scenario exercises
-/// retry bookkeeping, bisection, and per-attempt access costs).
-#[test]
-fn supervisor_report_is_deterministic_across_runs_and_threads() {
-    let seed = fault_seed();
-    let families: Vec<(&str, Vec<&str>)> = vec![
-        ("idIVM", vec!["idIVM serial", "idIVM serial", "idIVM P=4"]),
-        ("tuple", vec!["tuple serial", "tuple serial", "tuple P=4"]),
-    ];
-    let all = engines();
-    for (family, variants) in families {
-        let mut jsons: Vec<String> = Vec::new();
-        for variant in variants {
-            let build = &all
-                .iter()
-                .find(|(l, _)| *l == variant)
-                .unwrap_or_else(|| panic!("unknown engine {variant}"))
-                .1;
-            let (mut db, mut ivm) = prepared(build);
-            ivm.set_faults(FaultPlan::at(FaultSite::Diff, 3, seed).permanent());
-            let report =
-                MaintenanceSupervisor::new(&mut ivm, SupervisorConfig::seeded(seed)).run(&mut db);
-            assert_eq!(report.verdict, SupervisorVerdict::ConvergedQuarantined);
-            jsons.push(report.to_json().render());
-        }
-        assert_eq!(
-            jsons[0], jsons[1],
-            "{family}: report differs between identical runs"
-        );
-        assert_eq!(
-            jsons[0], jsons[2],
-            "{family}: report differs between thread counts"
-        );
-    }
-}
-
-// ---------------------------------------------------------------------
-// The chaos sweep
-// ---------------------------------------------------------------------
-
-/// The sweep's report at [`DEFAULT_SEED`].
-const CHAOS_GOLDEN: &str = "tests/golden/chaos_smoke.json";
-/// Price updates per round in the sweep.
-const CHAOS_DIFF: usize = 12;
-
 fn supervise(
     db: &mut Database,
     ivm: &mut BoxedEngine,
@@ -498,16 +218,9 @@ fn supervise(
     MaintenanceSupervisor::new(ivm, config).run(db)
 }
 
-/// The staged round driven through the bare engine, no supervisor: its
-/// report, its counted cost and the database after it.
-fn plain_round(build: &EngineBuilder, trace: TraceConfig) -> (MaintenanceReport, u64, Database) {
-    let (mut db, ivm) = staged(build, CHAOS_DIFF, trace);
-    let net = db.fold_log();
-    let before = db.stats().snapshot();
-    let report = ivm.maintain_with_changes(&mut db, &net).unwrap();
-    let cost = db.stats().snapshot().since(&before).total();
-    db.clear_log();
-    (report, cost, db)
+/// The number of pending base-table changes.
+fn pending(db: &Database) -> usize {
+    db.fold_log().values().map(|c| c.len()).sum()
 }
 
 fn assert_oracle(db: &Database, ivm: &BoxedEngine, what: &str) {
@@ -527,6 +240,321 @@ fn trace_fingerprint(trace: &RoundTrace) -> Json {
     json
 }
 
+/// The staged round driven through the bare engine, no supervisor: its
+/// report, its counted cost and the database after it.
+fn plain_round(
+    build: &EngineBuilder,
+    diff: usize,
+    trace: TraceConfig,
+) -> (MaintenanceReport, u64, Database) {
+    let (mut db, ivm) = staged(build, diff, trace);
+    let net = db.fold_log();
+    let before = db.stats().snapshot();
+    let report = ivm.maintain_with_changes(&mut db, &net).unwrap();
+    let cost = db.stats().snapshot().since(&before).total();
+    db.clear_log();
+    (report, cost, db)
+}
+
+/// A clean supervised round of `diff` price updates is indistinguishable
+/// from driving the engine directly: one attempt, every change
+/// committed, the same access cost, the same trace and the same final
+/// database signature. Returns the bare round's cost and the report.
+fn clean_round(
+    label: &str,
+    build: &EngineBuilder,
+    diff: usize,
+    trace: TraceConfig,
+) -> (u64, SupervisorReport) {
+    let (plain, plain_cost, db_plain) = plain_round(build, diff, trace);
+    let (mut db, mut ivm) = staged(build, diff, trace);
+    let changes = pending(&db);
+    let report = supervise(&mut db, &mut ivm, SupervisorConfig::seeded(fault_seed()));
+    assert_eq!(report.verdict, SupervisorVerdict::Converged, "{label}");
+    assert_eq!(report.attempts, 1, "{label}: clean run needed one round");
+    assert_eq!(report.retries, 0, "{label}");
+    assert_eq!(report.committed_changes, changes, "{label}");
+    assert!(report.quarantine.is_empty(), "{label}");
+    assert_eq!(
+        report.attempt_costs,
+        vec![plain_cost],
+        "{label}: supervision changed the round's access cost"
+    );
+    let plain_trace = plain.trace.as_ref().map(trace_fingerprint);
+    assert_eq!(plain_trace.is_some(), trace.enabled, "{label}");
+    let supervised = report.last_round.as_ref().and_then(|r| r.trace.as_ref());
+    assert!(
+        supervised.map(trace_fingerprint) == plain_trace,
+        "{label}: the supervised round's trace differs from the bare engine's"
+    );
+    assert_eq!(
+        db.signature(),
+        db_plain.signature(),
+        "{label}: supervised database diverged from the plain engine's"
+    );
+    assert!(db.fold_log().is_empty(), "{label}: log not consumed");
+    (plain_cost, report)
+}
+
+/// Supervise the staged round of `diff` price updates under `plan` and
+/// hold the report to the ladder:
+///
+/// * transient — converges within the retry bound (two retries on the
+///   seeded backoff schedule), bit-identical to the recompute oracle;
+/// * permanent at [`FaultSite::Diff`] — condemns exactly the poison
+///   keys, never burns a retry, and commits the remainder, equal to the
+///   oracle on the healthy subset (no poison converges, all poison
+///   recomputes);
+/// * permanent elsewhere — condemns every change, escalates to
+///   recompute, and the repaired view is the full oracle.
+///
+/// Every run consumes the log and leaves the engine's budget as it was.
+fn ladder(label: &str, build: &EngineBuilder, diff: usize, plan: FaultPlan) -> SupervisorReport {
+    let seed = fault_seed();
+    let site = plan.site.unwrap();
+    let what = format!("{label} site={} {:?}", site.label(), plan.kind);
+    let (mut db, mut ivm) = staged(build, diff, TraceConfig::disabled());
+    let net = db.fold_log();
+    let total = pending(&db);
+    let mut poison: Vec<(String, Key)> = net
+        .iter()
+        .flat_map(|(t, changes)| {
+            changes
+                .keys()
+                .filter(|k| plan.is_poison_key(k))
+                .map(|k| (t.clone(), k.clone()))
+        })
+        .collect();
+    poison.sort();
+    ivm.set_faults(plan);
+    let cfg = SupervisorConfig::seeded(seed);
+    let report = supervise(&mut db, &mut ivm, cfg);
+    let verdict = report.verdict;
+    let errors = &report.errors;
+    if plan.kind == FaultKind::Transient {
+        assert_eq!(verdict, SupervisorVerdict::Converged, "{what}: {errors:?}");
+        assert_eq!(report.attempts, 3, "{what}");
+        assert_eq!(report.retries, 2, "{what}");
+        assert_eq!(
+            report.backoff_ticks,
+            vec![cfg.backoff.delay(0), cfg.backoff.delay(1)],
+            "{what}: backoff schedule"
+        );
+        assert!(report.quarantine.is_empty(), "{what}");
+        assert_oracle(&db, &ivm, &what);
+    } else if site == FaultSite::Diff && poison.is_empty() {
+        assert_eq!(verdict, SupervisorVerdict::Converged, "{what}: {errors:?}");
+        assert_oracle(&db, &ivm, &what);
+    } else if site == FaultSite::Diff && poison.len() < total {
+        assert_eq!(
+            verdict,
+            SupervisorVerdict::ConvergedQuarantined,
+            "{what}: {errors:?}"
+        );
+        assert_eq!(
+            report.quarantine.keys(),
+            poison,
+            "{what}: quarantine is not the minimal poison set"
+        );
+        assert_eq!(report.committed_changes, total - poison.len(), "{what}");
+        // Poison is permanent: the ladder never burned a retry on it.
+        assert_eq!(report.retries, 0, "{what}");
+        let quarantined: Vec<(String, Key, NetChange)> = report
+            .quarantine
+            .entries
+            .iter()
+            .map(|e| (e.table.clone(), e.key.clone(), e.change.clone()))
+            .collect();
+        let healthy_oracle = oracle_excluding(&mut db, &ivm, &quarantined);
+        assert_eq!(
+            sorted(ivm.visible_rows(&db).unwrap()),
+            sorted(healthy_oracle),
+            "{what}: committed remainder diverged from the healthy-subset oracle"
+        );
+    } else {
+        assert_eq!(verdict, SupervisorVerdict::Recomputed, "{what}: {errors:?}");
+        assert_eq!(report.committed_changes, 0, "{what}");
+        assert_eq!(
+            report.quarantine.len(),
+            total,
+            "{what}: every change should have been condemned before escalation"
+        );
+        let last = report.last_round.as_ref().expect("escalation round report");
+        assert!(last.recovered, "{what}: escalation did not recompute");
+        assert_oracle(&db, &ivm, &what);
+    }
+    assert!(db.fold_log().is_empty(), "{what}: log not consumed");
+    // The supervisor restored the engine's own knobs.
+    assert_eq!(ivm.budget(), RoundBudget::unlimited(), "{what}");
+    report
+}
+
+/// A round budget of `pct` % of the clean round's cost aborts
+/// (retryably), bisects, and converges to the oracle with every change
+/// committed: halves fit where the whole did not. Returns the cap and
+/// the report.
+fn budget_split(
+    label: &str,
+    build: &EngineBuilder,
+    diff: usize,
+    pct: u64,
+) -> (u64, SupervisorReport) {
+    let what = format!("{label} budget {pct}%");
+    let (_, full_cost, _) = plain_round(build, diff, TraceConfig::disabled());
+    assert!(full_cost > 8, "{what}: workload too small to budget");
+    let cap = full_cost * pct / 100;
+    let (mut db, mut ivm) = staged(build, diff, TraceConfig::disabled());
+    let total = pending(&db);
+    let config = SupervisorConfig {
+        budget: RoundBudget::capped(cap),
+        max_retries: 1,
+        ..SupervisorConfig::seeded(fault_seed())
+    };
+    let report = supervise(&mut db, &mut ivm, config);
+    assert_eq!(
+        report.verdict,
+        SupervisorVerdict::Converged,
+        "{what}: {:?}",
+        report.errors
+    );
+    assert!(
+        report.budget_aborts >= 1,
+        "{what}: cap {cap} of {full_cost} never fired"
+    );
+    assert!(
+        report
+            .bisection
+            .iter()
+            .any(|n| n.outcome == idivm_repro::core::BisectOutcome::Split),
+        "{what}: overrun did not bisect"
+    );
+    assert_eq!(report.committed_changes, total, "{what}");
+    assert!(report.quarantine.is_empty(), "{what}");
+    assert!(db.fold_log().is_empty(), "{what}: log not consumed");
+    assert_oracle(&db, &ivm, &what);
+    // The supervisor's budget did not stick to the engine.
+    assert_eq!(ivm.budget(), RoundBudget::unlimited(), "{what}");
+    (cap, report)
+}
+
+/// The report of a permanent diff fault (retry bookkeeping, bisection,
+/// per-attempt access costs) under `family`'s serial engine twice and
+/// at P = 4 is the same text each time.
+fn assert_report_deterministic(all: &[(&str, EngineBuilder)], family: &str, diff: usize) {
+    let seed = fault_seed();
+    let runs = [" serial", " serial", " P=4"].map(|variant| {
+        let label = format!("{family}{variant}");
+        let build = &all
+            .iter()
+            .find(|(l, _)| *l == label)
+            .unwrap_or_else(|| panic!("unknown engine {label}"))
+            .1;
+        let (mut db, mut ivm) = staged(build, diff, TraceConfig::disabled());
+        ivm.set_faults(FaultPlan::at(FaultSite::Diff, 3, seed).permanent());
+        let report = supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed));
+        assert_eq!(
+            report.verdict,
+            SupervisorVerdict::ConvergedQuarantined,
+            "{label}"
+        );
+        report.to_json().render()
+    });
+    assert_eq!(
+        runs[0], runs[1],
+        "{family}: report differs between identical runs"
+    );
+    assert_eq!(
+        runs[0], runs[2],
+        "{family}: report differs between thread counts"
+    );
+}
+
+/// A clean supervised run is indistinguishable from driving the
+/// engine directly: same verdict bookkeeping, same access cost, same
+/// final database signature.
+#[test]
+fn clean_supervised_run_is_zero_overhead() {
+    for (label, build) in engines() {
+        clean_round(label, &build, DIFF, TraceConfig::disabled());
+    }
+}
+
+/// Transient faults at every site heal within the retry bound and the
+/// run converges bit-identically to the recompute oracle.
+#[test]
+fn transient_faults_converge_within_retry_bound() {
+    let seed = fault_seed();
+    for (label, build) in engines() {
+        for (site, k) in [
+            (FaultSite::Operator, 0),
+            (FaultSite::Apply, 0),
+            (FaultSite::Access, 1),
+        ] {
+            let plan = FaultPlan::at(site, k, seed).healing_after(2);
+            ladder(label, &build, DIFF, plan);
+        }
+    }
+}
+
+/// A permanent diff-site fault condemns exactly the predicted poison
+/// keys; the committed remainder equals the oracle on the healthy
+/// subset of changes.
+#[test]
+fn poison_diffs_quarantined_minimally() {
+    let seed = fault_seed();
+    let plan = FaultPlan::at(FaultSite::Diff, 3, seed).permanent();
+    for (label, build) in engines() {
+        let report = ladder(label, &build, DIFF, plan);
+        assert_eq!(
+            report.verdict,
+            SupervisorVerdict::ConvergedQuarantined,
+            "{label}: seed {seed} gives a degenerate poison set \
+             ({} of the batch) — widen the batch or change the modulus",
+            report.quarantine.len()
+        );
+    }
+}
+
+/// A permanent fault at a site every sub-batch hits (operator entry 0)
+/// commits nothing incrementally and escalates to recompute; the
+/// repaired view reflects *all* pending changes.
+#[test]
+fn permanent_site_fault_escalates_to_recompute() {
+    let plan = FaultPlan::at(FaultSite::Operator, 0, fault_seed()).permanent();
+    for (label, build) in engines() {
+        ladder(label, &build, DIFF, plan);
+    }
+}
+
+/// A round budget below one full round's cost aborts (retryably),
+/// bisects, and converges: halves fit where the whole did not.
+#[test]
+fn budget_overrun_bisects_and_converges() {
+    for (label, build) in engines() {
+        budget_split(label, &build, DIFF, 75);
+    }
+}
+
+/// The same seed produces a byte-identical report JSON across repeated
+/// runs and across thread counts (the quarantine scenario exercises
+/// retry bookkeeping, bisection, and per-attempt access costs).
+#[test]
+fn supervisor_report_is_deterministic_across_runs_and_threads() {
+    let all = engines();
+    for family in ["idIVM", "tuple"] {
+        assert_report_deterministic(&all, family, DIFF);
+    }
+}
+
+// ---------------------------------------------------------------------
+// The chaos sweep
+// ---------------------------------------------------------------------
+
+/// The sweep's report at [`DEFAULT_SEED`].
+const CHAOS_GOLDEN: &str = "tests/golden/chaos_smoke.json";
+/// Price updates per round in the sweep.
+const CHAOS_DIFF: usize = 12;
+
 fn scenario(
     engine: &str,
     site: &str,
@@ -543,14 +571,11 @@ fn scenario(
     ])
 }
 
-/// Every engine through the escalation ladder: a clean supervised round
-/// costs and traces exactly what the bare engine does; a transient
-/// fault at each site converges to the oracle; a permanent diff fault
-/// quarantines exactly the poison set; a permanent fault at any other
-/// site escalates to recompute and the oracle; a budget of 75 % or 40 %
-/// of the clean round fires and the run still converges to the oracle;
-/// the report is the same across two runs and P = 1 / P = 4. The report
-/// is pinned.
+/// The suite's checks on every engine at [`CHAOS_DIFF`]: a clean
+/// traced round ([`clean_round`]), a transient and a permanent fault at
+/// each of four sites ([`ladder`]), budgets of 75 % and 40 % of the
+/// clean round ([`budget_split`]), and report determinism
+/// ([`assert_report_deterministic`]). The report is pinned.
 #[test]
 fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
     let seed = fault_seed();
@@ -559,22 +584,8 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
 
     let mut overhead = Vec::new();
     for (label, build) in &all {
-        let (plain, plain_cost, db_plain) = plain_round(build, TraceConfig::enabled());
-        let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::enabled());
-        let report = supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed));
-        assert_eq!(report.verdict, SupervisorVerdict::Converged, "{label}");
+        let (plain_cost, report) = clean_round(label, build, CHAOS_DIFF, TraceConfig::enabled());
         let cost = report.total_accesses();
-        assert_eq!(
-            cost, plain_cost,
-            "{label}: supervision changed the round's cost"
-        );
-        let plain_trace = plain.trace.as_ref().map(trace_fingerprint);
-        let trace = report.last_round.as_ref().and_then(|r| r.trace.as_ref());
-        assert!(
-            plain_trace.is_some() && trace.map(trace_fingerprint) == plain_trace,
-            "{label}: the supervised round's trace differs from the bare engine's"
-        );
-        assert_eq!(db.signature(), db_plain.signature(), "{label}");
         overhead.push(Json::inline([
             ("engine", name(label).into()),
             ("plain_cost", plain_cost.into()),
@@ -600,97 +611,21 @@ fn chaos_sweep_holds_the_ladder_on_every_engine_and_its_report_is_pinned() {
                 ("transient", base.healing_after(2)),
                 ("permanent", base.permanent()),
             ] {
-                let what = format!("{label} {} {kind}", site.label());
-                let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::disabled());
-                let net = db.fold_log();
-                let total: usize = net.values().map(|c| c.len()).sum();
-                let keys = net.values().flat_map(|c| c.keys());
-                let poison = keys.filter(|key| plan.is_poison_key(key)).count();
-                ivm.set_faults(plan);
-                let report = supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed));
-                let verdict = report.verdict;
-                match (kind, site) {
-                    ("transient", _) => {
-                        assert_eq!(verdict, SupervisorVerdict::Converged, "{what}");
-                        assert_oracle(&db, &ivm, &what);
-                    }
-                    (_, FaultSite::Diff) if poison == 0 => {
-                        assert_eq!(verdict, SupervisorVerdict::Converged, "{what}");
-                    }
-                    (_, FaultSite::Diff) if poison == total => {
-                        assert_eq!(verdict, SupervisorVerdict::Recomputed, "{what}");
-                    }
-                    (_, FaultSite::Diff) => {
-                        assert_eq!(verdict, SupervisorVerdict::ConvergedQuarantined, "{what}");
-                        assert_eq!(
-                            report.quarantine.len(),
-                            poison,
-                            "{what}: not the poison set"
-                        );
-                        let entries = &report.quarantine.entries;
-                        assert!(entries.iter().all(|e| plan.is_poison_key(&e.key)), "{what}");
-                        assert_eq!(report.committed_changes, total - poison, "{what}");
-                    }
-                    _ => {
-                        assert_eq!(verdict, SupervisorVerdict::Recomputed, "{what}");
-                        assert_oracle(&db, &ivm, &what);
-                    }
-                }
-                assert_eq!(db.fold_log().is_empty(), verdict.healthy(), "{what}");
+                let report = ladder(label, build, CHAOS_DIFF, plan);
                 scenarios.push(scenario(&name(label), site.label(), kind, None, &report));
             }
         }
     }
-
     for (label, build) in &all {
-        let (_, full_cost, _) = plain_round(build, TraceConfig::disabled());
         for pct in [75u64, 40] {
-            let what = format!("{label} budget {pct}%");
-            let cap = (full_cost * pct / 100).max(1);
-            let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::disabled());
-            let config = SupervisorConfig {
-                budget: RoundBudget::capped(cap),
-                max_retries: 1,
-                ..SupervisorConfig::seeded(seed)
-            };
-            let report = supervise(&mut db, &mut ivm, config);
-            assert_eq!(
-                report.verdict,
-                SupervisorVerdict::Converged,
-                "{what}: {:?}",
-                report.errors
-            );
-            assert!(
-                report.budget_aborts >= 1,
-                "{what}: cap {cap} of {full_cost} never fired"
-            );
-            assert_oracle(&db, &ivm, &what);
+            let (cap, report) = budget_split(label, build, CHAOS_DIFF, pct);
             scenarios.push(scenario(&name(label), "none", "budget", Some(cap), &report));
         }
     }
 
     let mut determinism = Vec::new();
     for family in ["idIVM", "tuple"] {
-        let runs = [" serial", " serial", " P=4"].map(|variant| {
-            let build = &all
-                .iter()
-                .find(|(l, _)| *l == format!("{family}{variant}"))
-                .unwrap()
-                .1;
-            let (mut db, mut ivm) = staged(build, CHAOS_DIFF, TraceConfig::disabled());
-            ivm.set_faults(FaultPlan::at(FaultSite::Diff, 3, seed).permanent());
-            supervise(&mut db, &mut ivm, SupervisorConfig::seeded(seed))
-                .to_json()
-                .render()
-        });
-        assert_eq!(
-            runs[0], runs[1],
-            "{family}: the report differs between identical runs"
-        );
-        assert_eq!(
-            runs[0], runs[2],
-            "{family}: the report differs between thread counts"
-        );
+        assert_report_deterministic(&all, family, CHAOS_DIFF);
         determinism.push(Json::inline([
             ("engine", family.into()),
             ("identical", true.into()),
