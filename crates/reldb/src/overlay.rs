@@ -42,6 +42,16 @@ fn change_of<'c>(
     changes.get(scratch.as_slice())
 }
 
+/// Append the pre-images a pre-state read adds back, one tuple access
+/// each, in row order: the change map is a `HashMap`, whose order
+/// differs from process to process.
+fn add_back<'r>(table: &Table, out: &mut Vec<Row>, pre: impl Iterator<Item = &'r Row>) {
+    let start = out.len();
+    out.extend(pre.cloned());
+    out[start..].sort_unstable();
+    table.stats().tuples((out.len() - start) as u64);
+}
+
 impl<'a> PreState<'a> {
     /// Wrap `table` with the net changes that produced its current
     /// (post-) state. `None` means the table did not change.
@@ -89,12 +99,11 @@ impl<'a> PreState<'a> {
                 Some(NetChange::Deleted { .. }) | None => out.push(row.clone()),
             }
         }
-        for c in changes.values() {
-            if let NetChange::Deleted { pre } = c {
-                self.table.stats().tuples(1);
-                out.push(pre.clone());
-            }
-        }
+        let deleted = changes.values().filter_map(|c| match c {
+            NetChange::Deleted { pre } => Some(pre),
+            _ => None,
+        });
+        add_back(self.table, &mut out, deleted);
         out
     }
 
@@ -122,17 +131,13 @@ impl<'a> PreState<'a> {
                 Some(NetChange::Deleted { .. }) | None
             )
         });
-        for c in changes.values() {
-            let pre = match c {
-                NetChange::Deleted { pre } => pre,
-                NetChange::Updated { pre, .. } => pre,
-                NetChange::Inserted { .. } => continue,
-            };
-            if pre.matches(positions, probe) {
-                self.table.stats().tuples(1);
-                out.push(pre.clone());
+        let matching = changes.values().filter_map(|c| match c {
+            NetChange::Deleted { pre } | NetChange::Updated { pre, .. } => {
+                pre.matches(positions, probe).then_some(pre)
             }
-        }
+            NetChange::Inserted { .. } => None,
+        });
+        add_back(self.table, &mut out, matching);
         out
     }
 
@@ -237,6 +242,22 @@ mod tests {
         // price = 40 was deleted.
         let hits = pre.lookup(&[1], &Key(vec![Value::Int(40)]));
         assert_eq!(hits, vec![row![4, 40]]);
+    }
+
+    /// The pre-images a scan or a probe adds back come in row order,
+    /// whatever the change map's order.
+    #[test]
+    fn added_back_pre_images_come_in_row_order() {
+        let t = table();
+        let mut ch = changes();
+        for pid in [9, 5, 7, 6, 8] {
+            let pre = row![pid, 40];
+            ch.insert(Key(vec![Value::Int(pid)]), NetChange::Deleted { pre });
+        }
+        let pre = PreState::new(&t, Some(&ch));
+        let deleted: Vec<Row> = [4, 5, 6, 7, 8, 9].map(|pid| row![pid, 40]).to_vec();
+        assert_eq!(pre.lookup(&[1], &[Value::Int(40)]), deleted);
+        assert_eq!(pre.scan()[2..], deleted[..]);
     }
 
     #[test]
