@@ -2,7 +2,7 @@
 //! (operator tree annotated with output IDs).
 
 use crate::ids::infer_ids;
-use crate::plan::Plan;
+use crate::plan::{JoinKind, Plan};
 use std::fmt::Write as _;
 
 /// Render a plan as an indented operator tree. Each line shows the
@@ -35,35 +35,24 @@ fn render(plan: &Plan, depth: usize, out: &mut String) {
             let _ = writeln!(out, "{pad}SELECT σ {pred}{ids}");
         }
         Plan::Project { cols: pcols, .. } => {
-            let items: Vec<String> = pcols
-                .iter()
-                .map(|(n, e)| format!("{n} := {e}"))
-                .collect();
+            let items: Vec<String> = pcols.iter().map(|(n, e)| format!("{n} := {e}")).collect();
             let _ = writeln!(out, "{pad}PROJECT π {}{ids}", items.join(", "));
         }
-        Plan::Join { on, residual, .. } => {
+        Plan::Join {
+            kind, on, residual, ..
+        } => {
+            let name = match kind {
+                JoinKind::Inner => "JOIN ⋈",
+                JoinKind::LeftOuter => "LEFT OUTER JOIN ⟕",
+                JoinKind::Semi => "SEMIJOIN ⋉",
+                JoinKind::Anti => "ANTIJOIN ▷",
+            };
             let keys: Vec<String> = on.iter().map(|(l, r)| format!("#{l}=#{r}")).collect();
             let res = residual
                 .as_ref()
                 .map(|e| format!(" AND {e}"))
                 .unwrap_or_default();
-            let _ = writeln!(out, "{pad}JOIN ⋈ [{}]{res}{ids}", keys.join(", "));
-        }
-        Plan::LeftOuterJoin { on, residual, .. } => {
-            let keys: Vec<String> = on.iter().map(|(l, r)| format!("#{l}=#{r}")).collect();
-            let res = residual
-                .as_ref()
-                .map(|e| format!(" AND {e}"))
-                .unwrap_or_default();
-            let _ = writeln!(out, "{pad}LEFT OUTER JOIN ⟕ [{}]{res}{ids}", keys.join(", "));
-        }
-        Plan::SemiJoin { on, .. } => {
-            let keys: Vec<String> = on.iter().map(|(l, r)| format!("#{l}=#{r}")).collect();
-            let _ = writeln!(out, "{pad}SEMIJOIN ⋉ [{}]{ids}", keys.join(", "));
-        }
-        Plan::AntiJoin { on, .. } => {
-            let keys: Vec<String> = on.iter().map(|(l, r)| format!("#{l}=#{r}")).collect();
-            let _ = writeln!(out, "{pad}ANTIJOIN ▷ [{}]{ids}", keys.join(", "));
+            let _ = writeln!(out, "{pad}{name} [{}]{res}{ids}", keys.join(", "));
         }
         Plan::UnionAll { .. } => {
             let _ = writeln!(out, "{pad}UNION ALL ∪{ids}");
@@ -91,6 +80,7 @@ fn render(plan: &Plan, depth: usize, out: &mut String) {
 mod tests {
     use super::*;
     use crate::builder::PlanBuilder;
+    use crate::expr::Expr;
     use idivm_types::{ColumnType, Schema};
     use std::collections::HashMap;
 
@@ -115,5 +105,39 @@ mod tests {
         assert!(text.contains("SELECT"));
         assert!(text.contains("SCAN parts"));
         assert!(text.contains("[ids: parts.pid]"));
+    }
+
+    #[test]
+    fn explain_prints_the_residual_of_every_join_kind() {
+        let mut cat = HashMap::new();
+        for (table, col) in [("l", "a"), ("r", "b")] {
+            let cols = [("id", ColumnType::Int), (col, ColumnType::Int)];
+            cat.insert(
+                table.to_string(),
+                Schema::from_pairs(&cols, &["id"]).unwrap(),
+            );
+        }
+        for (kind, name) in [
+            (JoinKind::Inner, "JOIN ⋈"),
+            (JoinKind::LeftOuter, "LEFT OUTER JOIN ⟕"),
+            (JoinKind::Semi, "SEMIJOIN ⋉"),
+            (JoinKind::Anti, "ANTIJOIN ▷"),
+        ] {
+            let residual = Expr::col(1).lt(Expr::col(3));
+            let plan = PlanBuilder::scan(&cat, "l")
+                .unwrap()
+                .join_kind(
+                    kind,
+                    PlanBuilder::scan(&cat, "r").unwrap(),
+                    &[("l.a", "r.b")],
+                    Some(residual),
+                )
+                .unwrap()
+                .build()
+                .unwrap();
+            let text = explain(&plan);
+            let top = text.lines().next().unwrap();
+            assert!(top.starts_with(&format!("{name} [#1=#1] AND ")), "{top}");
+        }
     }
 }

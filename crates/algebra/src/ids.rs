@@ -34,17 +34,20 @@ pub fn infer_ids(plan: &Plan) -> Result<Vec<usize>> {
         Plan::Scan { schema, .. } => schema.key().to_vec(),
         Plan::Select { input, .. } => infer_ids(input)?,
         Plan::Project { input, cols } => project_ids(&infer_ids(input)?, cols)?,
-        Plan::Join { left, right, .. } | Plan::LeftOuterJoin { left, right, .. } => {
+        Plan::Join {
+            kind, left, right, ..
+        } => {
             // Outer join: padded rows carry NULLs in the right-ID
             // positions; since every left row yields either matches or
             // exactly one padded row, `ID(R) ∪ ID(S)` (with NULLs read
             // as a distinguished padding marker) still keys the output.
             let mut ids = infer_ids(left)?;
-            let off = left.arity();
-            ids.extend(infer_ids(right)?.into_iter().map(|i| i + off));
+            if kind.keeps_right() {
+                let off = left.arity();
+                ids.extend(infer_ids(right)?.into_iter().map(|i| i + off));
+            }
             ids
         }
-        Plan::SemiJoin { left, .. } | Plan::AntiJoin { left, .. } => infer_ids(left)?,
         Plan::UnionAll { left, right } => {
             let mut ids = infer_ids(left)?;
             for i in infer_ids(right)? {
@@ -125,44 +128,13 @@ pub fn ensure_ids(plan: Plan) -> Result<Plan> {
             }
         }
         Plan::Join {
+            kind,
             left,
             right,
             on,
             residual,
         } => Plan::Join {
-            left: Box::new(ensure_ids(*left)?),
-            right: Box::new(ensure_ids(*right)?),
-            on,
-            residual,
-        },
-        Plan::LeftOuterJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => Plan::LeftOuterJoin {
-            left: Box::new(ensure_ids(*left)?),
-            right: Box::new(ensure_ids(*right)?),
-            on,
-            residual,
-        },
-        Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => Plan::SemiJoin {
-            left: Box::new(ensure_ids(*left)?),
-            right: Box::new(ensure_ids(*right)?),
-            on,
-            residual,
-        },
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => Plan::AntiJoin {
+            kind,
             left: Box::new(ensure_ids(*left)?),
             right: Box::new(ensure_ids(*right)?),
             on,
@@ -185,6 +157,7 @@ pub fn ensure_ids(plan: Plan) -> Result<Plan> {
 mod tests {
     use super::*;
     use crate::aggregate::{AggFunc, AggSpec};
+    use crate::plan::JoinKind;
     use idivm_types::{ColumnType, Schema};
 
     fn scan(alias: &str, cols: &[(&str, ColumnType)], key: &[&str]) -> Plan {
@@ -229,6 +202,7 @@ mod tests {
     #[test]
     fn join_unions_ids_with_offset() {
         let j = Plan::Join {
+            kind: JoinKind::Inner,
             left: Box::new(parts()),
             right: Box::new(devices_parts()),
             on: vec![(0, 1)],
@@ -277,7 +251,8 @@ mod tests {
 
     #[test]
     fn antisemijoin_keeps_left_ids() {
-        let a = Plan::AntiJoin {
+        let a = Plan::Join {
+            kind: JoinKind::Anti,
             left: Box::new(devices_parts()),
             right: Box::new(parts()),
             on: vec![(1, 0)],

@@ -17,7 +17,8 @@
 //! the paper's access accounting falls out automatically.
 
 use crate::diff::State;
-use idivm_algebra::Plan;
+use crate::rules::join::JoinNode;
+use idivm_algebra::{JoinKind, Plan};
 use idivm_exec::executor::{evaluate, hash_aggregate, project_row, PathHook};
 use idivm_reldb::{Database, Net, PreState, TableChanges};
 use idivm_types::{Error, Result, Row, Value};
@@ -107,9 +108,7 @@ pub fn lookup(
         let table = ctx.db.table(cache)?;
         return Ok(match state {
             State::Post => table.lookup(cols, probe),
-            State::Pre => {
-                PreState::new(table, ctx.cache_changes.get(cache)).lookup(cols, probe)
-            }
+            State::Pre => PreState::new(table, ctx.cache_changes.get(cache)).lookup(cols, probe),
         });
     }
     match plan {
@@ -149,23 +148,24 @@ pub fn lookup(
             rows.iter().map(|r| project_row(r, pcols)).collect()
         }
         Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-        } => probe_join(ctx, path, state, cols, probe, left, right, on, residual.as_ref()),
-        Plan::LeftOuterJoin {
+            kind,
             left,
             right,
             on,
             residual,
         } => {
             let la = left.arity();
-            let right_vals = sub_probe(cols, probe, |c| c >= la);
-            if right_vals.iter().any(|v| !v.is_null()) {
-                // A non-NULL constraint on a right column excludes
-                // NULL-padded rows, so the result coincides with the
-                // inner join's.
+            // On ⟕, a non-NULL constraint on a right column excludes
+            // NULL-padded rows, so the result coincides with the inner
+            // join's.
+            let inner = match kind {
+                JoinKind::Inner => true,
+                JoinKind::LeftOuter => sub_probe(cols, probe, |c| c >= la)
+                    .iter()
+                    .any(|v| !v.is_null()),
+                JoinKind::Semi | JoinKind::Anti => false,
+            };
+            if inner {
                 return probe_join(
                     ctx,
                     path,
@@ -178,57 +178,26 @@ pub fn lookup(
                     residual.as_ref(),
                 );
             }
-            // Drive from the left: build each matching left row's full
-            // outer output (joined or padded), then filter by the whole
-            // probe — a NULL right probe matches padded rows and
-            // genuinely-NULL matched columns alike.
-            let lp = &child(path, 0);
-            let rp = &child(path, 1);
+            // Drive from the left: each matching left row's output rows
+            // under `kind`. ⟕ then filters by the whole probe: a NULL
+            // right probe matches padded rows and genuinely-NULL matched
+            // columns alike.
+            let join = JoinNode::new(*kind, left, right, on, residual.as_ref(), path);
             let left_part: Vec<usize> = cols.iter().copied().filter(|&c| c < la).collect();
             let lprobe = sub_probe(cols, probe, |c| c < la);
-            let lrows = lookup(ctx, left, lp, state, &left_part, &lprobe)?;
-            let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-            let pad: Row = std::iter::repeat_n(Value::Null, right.arity()).collect();
             let mut out = Vec::new();
-            let mut vals: Vec<Value> = Vec::with_capacity(on.len());
-            for l in lrows {
-                vals.clear();
-                vals.extend(on.iter().map(|&(lc, _)| l[lc].clone()));
-                let mut matched = false;
-                if !vals.iter().any(Value::is_null) {
-                    for r in lookup(ctx, right, rp, state, &rcols, &vals)? {
-                        let joined = l.concat(&r);
-                        if idivm_algebra::opt_pred(residual.as_ref(), &joined)? {
-                            out.push(joined);
-                            matched = true;
-                        }
-                    }
-                }
-                if !matched {
-                    out.push(l.concat(&pad));
-                }
+            for l in lookup(ctx, left, &join.paths[0], state, &left_part, &lprobe)? {
+                out.extend(join.contributions(ctx, 0, &l, state)?);
             }
-            Ok(filter_by(out, cols, probe))
+            Ok(match kind {
+                JoinKind::LeftOuter => filter_by(out, cols, probe),
+                _ => out,
+            })
         }
-        Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => probe_semi(ctx, plan, path, state, cols, probe, left, right, on, residual, true),
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => probe_semi(ctx, plan, path, state, cols, probe, left, right, on, residual, false),
         Plan::UnionAll { left, right } => {
             let branch_pos = plan.arity() - 1;
-            let inner_cols: Vec<usize> = cols
-                .iter()
-                .copied()
-                .filter(|&c| c != branch_pos)
-                .collect();
+            let inner_cols: Vec<usize> =
+                cols.iter().copied().filter(|&c| c != branch_pos).collect();
             let inner_probe = sub_probe(cols, probe, |c| c != branch_pos);
             let branch_filter = cols
                 .iter()
@@ -241,9 +210,14 @@ pub fn lookup(
                         continue;
                     }
                 }
-                for row in
-                    lookup(ctx, side, &child(path, idx), state, &inner_cols, &inner_probe)?
-                {
+                for row in lookup(
+                    ctx,
+                    side,
+                    &child(path, idx),
+                    state,
+                    &inner_cols,
+                    &inner_probe,
+                )? {
                     out.push(row.extended(Value::Int(branch)));
                 }
             }
@@ -254,8 +228,7 @@ pub fn lookup(
                 // Probe on (a subset of) the group key: fetch the
                 // matching groups' member rows and aggregate.
                 let in_cols: Vec<usize> = cols.iter().map(|&c| keys[c]).collect();
-                let members =
-                    lookup(ctx, input, &child(path, 0), state, &in_cols, probe)?;
+                let members = lookup(ctx, input, &child(path, 0), state, &in_cols, probe)?;
                 hash_aggregate(&members, keys, aggs)
             } else {
                 // Probe touches an aggregate output: no push-down.
@@ -264,22 +237,6 @@ pub fn lookup(
             }
         }
     }
-}
-
-/// Point-probe whether a subview contains any row matching `cols = probe`
-/// (used by antisemijoin rules). Same cost as [`lookup`].
-///
-/// # Errors
-/// Unknown tables or malformed plans.
-pub fn exists(
-    ctx: &AccessCtx<'_>,
-    plan: &Plan,
-    path: &PathId,
-    state: State,
-    cols: &[usize],
-    probe: &[Value],
-) -> Result<bool> {
-    Ok(!lookup(ctx, plan, path, state, cols, probe)?.is_empty())
 }
 
 /// Inner-join equality probe, pushed down as a diff-driven
@@ -358,49 +315,6 @@ fn probe_join(
         }
         Ok(out)
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn probe_semi(
-    ctx: &AccessCtx<'_>,
-    _plan: &Plan,
-    path: &PathId,
-    state: State,
-    cols: &[usize],
-    probe: &[Value],
-    left: &Plan,
-    right: &Plan,
-    on: &[(usize, usize)],
-    residual: &Option<idivm_algebra::Expr>,
-    keep_matched: bool,
-) -> Result<Vec<Row>> {
-    // Output schema = left schema, so probe columns address the left.
-    let lrows = lookup(ctx, left, &child(path, 0), state, cols, probe)?;
-    let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-    let rp = &child(path, 1);
-    let mut out = Vec::new();
-    let mut vals: Vec<Value> = Vec::with_capacity(on.len());
-    for l in lrows {
-        vals.clear();
-        vals.extend(on.iter().map(|&(lc, _)| l[lc].clone()));
-        let matched = if vals.iter().any(Value::is_null) {
-            false
-        } else {
-            let rrows = lookup(ctx, right, rp, state, &rcols, &vals)?;
-            let mut hit = false;
-            for r in &rrows {
-                if idivm_algebra::opt_pred(residual.as_ref(), &l.concat(r))? {
-                    hit = true;
-                    break;
-                }
-            }
-            hit
-        };
-        if matched == keep_matched {
-            out.push(l);
-        }
-    }
-    Ok(out)
 }
 
 fn child(path: &[usize], idx: usize) -> PathId {
@@ -524,15 +438,7 @@ mod tests {
         let ctx = empty_ctx(&db, &base, &caches, &cch);
         db.stats().reset();
         // Probe by parts.pid = P1 (column 0 of the join output).
-        let rows = lookup(
-            &ctx,
-            &plan,
-            &vec![],
-            State::Post,
-            &[0],
-            &[Value::str("P1")],
-        )
-        .unwrap();
+        let rows = lookup(&ctx, &plan, &vec![], State::Post, &[0], &[Value::str("P1")]).unwrap();
         assert_eq!(rows.len(), 2); // joins with D1 and D2
         let snap = db.stats().snapshot();
         // 1 pk probe into parts (1 lookup + 1 tuple) then 1 index probe
@@ -556,15 +462,7 @@ mod tests {
         // did is a prefix of devices_parts' composite key, so there is
         // no index for [did] alone — lookup degrades to a scan, still
         // correct.
-        let rows = lookup(
-            &ctx,
-            &plan,
-            &vec![],
-            State::Post,
-            &[0],
-            &[Value::str("D1")],
-        )
-        .unwrap();
+        let rows = lookup(&ctx, &plan, &vec![], State::Post, &[0], &[Value::str("D1")]).unwrap();
         assert_eq!(rows, vec![row!["D1", 2]]);
     }
 
@@ -618,34 +516,16 @@ mod tests {
         let cat = DbCatalog(&db);
         let plan = PlanBuilder::scan(&cat, "parts")
             .unwrap()
-            .select(
-                idivm_algebra::Expr::col(1).lt(idivm_algebra::Expr::lit(50)),
-            )
+            .select(idivm_algebra::Expr::col(1).lt(idivm_algebra::Expr::lit(50)))
             .build()
             .unwrap();
         let (caches, cch) = (HashMap::new(), HashMap::new());
         let ctx = empty_ctx(&db, &base, &caches, &cch);
         // Post-state: P1 has price 99 ⇒ filtered out.
-        let post = lookup(
-            &ctx,
-            &plan,
-            &vec![],
-            State::Post,
-            &[0],
-            &[Value::str("P1")],
-        )
-        .unwrap();
+        let post = lookup(&ctx, &plan, &vec![], State::Post, &[0], &[Value::str("P1")]).unwrap();
         assert!(post.is_empty());
         // Pre-state: price was 10 ⇒ present.
-        let pre = lookup(
-            &ctx,
-            &plan,
-            &vec![],
-            State::Pre,
-            &[0],
-            &[Value::str("P1")],
-        )
-        .unwrap();
+        let pre = lookup(&ctx, &plan, &vec![], State::Pre, &[0], &[Value::str("P1")]).unwrap();
         assert_eq!(pre, vec![row!["P1", 10]]);
     }
 
@@ -712,25 +592,9 @@ mod tests {
             .unwrap();
         let (base, caches, cch) = (HashMap::new(), HashMap::new(), HashMap::new());
         let ctx = empty_ctx(&db, &base, &caches, &cch);
-        let rows = lookup(
-            &ctx,
-            &plan,
-            &vec![],
-            State::Post,
-            &[0],
-            &[Value::str("P3")],
-        )
-        .unwrap();
+        let rows = lookup(&ctx, &plan, &vec![], State::Post, &[0], &[Value::str("P3")]).unwrap();
         assert_eq!(rows, vec![row!["P3", 30]]);
-        let used = lookup(
-            &ctx,
-            &plan,
-            &vec![],
-            State::Post,
-            &[0],
-            &[Value::str("P1")],
-        )
-        .unwrap();
+        let used = lookup(&ctx, &plan, &vec![], State::Post, &[0], &[Value::str("P1")]).unwrap();
         assert!(used.is_empty());
     }
 
@@ -757,15 +621,7 @@ mod tests {
         .unwrap();
         assert_eq!(rows, vec![row!["P1", 10, 1]]);
         // Probe pid = P1 in both branches.
-        let rows = lookup(
-            &ctx,
-            &plan,
-            &vec![],
-            State::Post,
-            &[0],
-            &[Value::str("P1")],
-        )
-        .unwrap();
+        let rows = lookup(&ctx, &plan, &vec![], State::Post, &[0], &[Value::str("P1")]).unwrap();
         assert_eq!(rows.len(), 2);
     }
 }

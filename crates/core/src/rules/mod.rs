@@ -17,16 +17,14 @@
 pub mod agg;
 pub mod common;
 pub mod join;
-pub mod outer;
 pub mod project;
 pub mod select;
-pub mod semi;
 pub mod union;
 
 use crate::access::{AccessCtx, PathId};
 use crate::diff::DiffInstance;
 use crate::faults::{FaultSite, FaultState};
-use idivm_algebra::Plan;
+use idivm_algebra::{JoinKind, Plan};
 use idivm_exec::partition::ParallelConfig;
 use idivm_types::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -86,13 +84,13 @@ pub struct IncomingDiff {
 /// blocking aggregate rules (SUM/COUNT/AVG, Tables 9/11/12) inspect the
 /// whole batch (paper's blocking-operator distinction, Example 4.4).
 ///
-/// The **per-row** rules (select, project, join, left-side semi/anti
-/// and outer join) map every diff row to output rows and probes
-/// independently, with no cross-row state, so they run through the
-/// parallel fan-out ([`ParallelConfig::fan_out`]): contiguous row chunks,
-/// outputs in row order. The cross-row rules (right-side semi/anti and
-/// outer-join dedup, union tagging, aggregate delta folding) run on the
-/// whole diff.
+/// The **per-row** rules (select, project, and the join family except
+/// on the right of a left outer, semi- or antijoin) map every diff row
+/// to output rows and probes independently, with no cross-row state, so
+/// they run through the parallel fan-out ([`ParallelConfig::fan_out`]):
+/// contiguous row chunks, outputs in row order. The cross-row rules
+/// (those right-side joins' dedup of the left rows they reach, union
+/// tagging, aggregate delta folding) run on the whole diff.
 ///
 /// # Errors
 /// Propagates access errors; scans reaching this function are a planner
@@ -113,22 +111,25 @@ pub fn propagate(
         Plan::Select { input, pred } => {
             let mut out = Vec::new();
             for inc in incoming {
-                out.extend(ctx.parallel.fan_out(inc.diff, |d| {
-                    select::propagate(ctx, pred, input, path, d)
-                })?);
+                out.extend(
+                    ctx.parallel
+                        .fan_out(inc.diff, |d| select::propagate(ctx, pred, input, path, d))?,
+                );
             }
             Ok(out)
         }
         Plan::Project { input, cols } => {
             let mut out = Vec::new();
             for inc in incoming {
-                out.extend(ctx.parallel.fan_out(inc.diff, |d| {
-                    project::propagate(ctx, cols, input, path, d)
-                })?);
+                out.extend(
+                    ctx.parallel
+                        .fan_out(inc.diff, |d| project::propagate(ctx, cols, input, path, d))?,
+                );
             }
             Ok(out)
         }
         Plan::Join {
+            kind,
             left,
             right,
             on,
@@ -137,33 +138,10 @@ pub fn propagate(
             let mut out = Vec::new();
             for inc in incoming {
                 let side = inc.side;
-                out.extend(ctx.parallel.fan_out(inc.diff, |d| {
+                let rule = |d| {
                     join::propagate(
                         ctx,
-                        left,
-                        right,
-                        on,
-                        residual.as_ref(),
-                        path,
-                        side,
-                        d,
-                    )
-                })?);
-            }
-            Ok(out)
-        }
-        Plan::LeftOuterJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let mut out = Vec::new();
-            for inc in incoming {
-                let side = inc.side;
-                let rule = |d| {
-                    outer::propagate(
-                        ctx,
+                        *kind,
                         left,
                         right,
                         on,
@@ -173,75 +151,12 @@ pub fn propagate(
                         d,
                     )
                 };
-                if side == 0 {
+                if side == 0 || *kind == JoinKind::Inner {
                     out.extend(ctx.parallel.fan_out(inc.diff, rule)?);
                 } else {
-                    // Right-side diffs dedupe affected left rows across
-                    // the whole diff (`matching_left`): cross-row state,
-                    // so this path stays serial.
-                    out.extend(rule(inc.diff)?);
-                }
-            }
-            Ok(out)
-        }
-        Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let mut out = Vec::new();
-            for inc in incoming {
-                let side = inc.side;
-                let rule = |d| {
-                    semi::propagate(
-                        ctx,
-                        left,
-                        right,
-                        on,
-                        residual.as_ref(),
-                        path,
-                        side,
-                        d,
-                        semi::Kind::Semi,
-                    )
-                };
-                if side == 0 {
-                    out.extend(ctx.parallel.fan_out(inc.diff, rule)?);
-                } else {
-                    // Right-side diffs dedupe affected left rows across
-                    // the whole diff (`matching_left`): cross-row state,
-                    // so this path stays serial.
-                    out.extend(rule(inc.diff)?);
-                }
-            }
-            Ok(out)
-        }
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let mut out = Vec::new();
-            for inc in incoming {
-                let side = inc.side;
-                let rule = |d| {
-                    semi::propagate(
-                        ctx,
-                        left,
-                        right,
-                        on,
-                        residual.as_ref(),
-                        path,
-                        side,
-                        d,
-                        semi::Kind::Anti,
-                    )
-                };
-                if side == 0 {
-                    out.extend(ctx.parallel.fan_out(inc.diff, rule)?);
-                } else {
+                    // Right-side diffs of the other kinds dedupe the left
+                    // rows they reach across the whole diff: cross-row
+                    // state, so this path stays serial.
                     out.extend(rule(inc.diff)?);
                 }
             }

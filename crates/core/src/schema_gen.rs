@@ -161,24 +161,7 @@ fn collect_conditions(
             right,
             on,
             residual,
-        }
-        | Plan::LeftOuterJoin {
-            left,
-            right,
-            on,
-            residual,
-        }
-        | Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        }
-        | Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
+            ..
         } => {
             let mut set = BTreeSet::new();
             let la = left.arity();

@@ -512,44 +512,13 @@ fn rebuild(plan: &Plan, mut f: impl FnMut(&Plan) -> Plan) -> Plan {
             cols: cols.clone(),
         },
         Plan::Join {
+            kind,
             left,
             right,
             on,
             residual,
         } => Plan::Join {
-            left: Box::new(f(left)),
-            right: Box::new(f(right)),
-            on: on.clone(),
-            residual: residual.clone(),
-        },
-        Plan::LeftOuterJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => Plan::LeftOuterJoin {
-            left: Box::new(f(left)),
-            right: Box::new(f(right)),
-            on: on.clone(),
-            residual: residual.clone(),
-        },
-        Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => Plan::SemiJoin {
-            left: Box::new(f(left)),
-            right: Box::new(f(right)),
-            on: on.clone(),
-            residual: residual.clone(),
-        },
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => Plan::AntiJoin {
+            kind: *kind,
             left: Box::new(f(left)),
             right: Box::new(f(right)),
             on: on.clone(),
@@ -616,6 +585,7 @@ mod tests {
 
     fn join(left: Plan, right: Plan) -> Plan {
         Plan::Join {
+            kind: idivm_algebra::JoinKind::Inner,
             left: Box::new(left),
             right: Box::new(right),
             on: vec![(0, 0)],

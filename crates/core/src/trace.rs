@@ -21,7 +21,7 @@
 //! `idivm_exec::ParallelConfig::fan_out`).
 
 use crate::access::PathId;
-use idivm_algebra::Plan;
+use idivm_algebra::{JoinKind, Plan};
 use idivm_reldb::StatsSnapshot;
 use idivm_types::Json;
 use std::time::Duration;
@@ -235,10 +235,12 @@ pub fn op_label(node: &Plan) -> &'static str {
         Plan::Scan { .. } => "scan",
         Plan::Select { .. } => "select",
         Plan::Project { .. } => "project",
-        Plan::Join { .. } => "join",
-        Plan::LeftOuterJoin { .. } => "left_outer_join",
-        Plan::SemiJoin { .. } => "semijoin",
-        Plan::AntiJoin { .. } => "antijoin",
+        Plan::Join { kind, .. } => match kind {
+            JoinKind::Inner => "join",
+            JoinKind::LeftOuter => "left_outer_join",
+            JoinKind::Semi => "semijoin",
+            JoinKind::Anti => "antijoin",
+        },
         Plan::UnionAll { .. } => "union_all",
         Plan::GroupBy { .. } => "group_by",
     }

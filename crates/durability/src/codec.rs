@@ -18,7 +18,7 @@
 //! error out" is the contract, enforced crate-wide by
 //! `deny(clippy::unwrap_used, clippy::expect_used)`.
 
-use idivm_algebra::{AggFunc, AggSpec, BinOp, CmpOp, Expr, Plan, ScalarFn};
+use idivm_algebra::{AggFunc, AggSpec, BinOp, CmpOp, Expr, JoinKind, Plan, ScalarFn};
 use idivm_ingest::{DeadLetter, DeadLetterCause, IngestTotals};
 use idivm_reldb::{NetChange, SharedChanges, TableChanges};
 use idivm_sched::RefreshPolicy;
@@ -94,17 +94,20 @@ pub(crate) use record;
 
 /// Both directions of an enum from one table. A row is `tag => Variant`,
 /// `tag => Variant(a, ..)` or `tag => Variant { field, .. }`: the tag
-/// byte, then the variant's fields in the order listed. `nested` marks
+/// byte, then the variant's fields in the order listed. A braced row may
+/// open with `@field = Value;`: that row stands for the variant whose
+/// `field` is the constant `Value`, which the tag alone encodes. `nested` marks
 /// a type that contains itself: each level of it decodes through
 /// [`Reader::nested`].
 macro_rules! tagged {
     ($ty:ident $(: $nested:ident)?, $what:literal, {
-        $($tag:literal => $variant:ident $(($($elem:ident),+))? $({ $($field:ident),+ })?),+ $(,)?
+        $($tag:literal => $variant:ident $(($($elem:ident),+))?
+            $({ $(@ $fixed:ident = $value:path;)? $($field:ident),+ })?),+ $(,)?
     }) => {
         impl $crate::codec::Encode for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
                 match self {
-                    $($ty::$variant $(($($elem),+))? $({ $($field),+ })? => {
+                    $($ty::$variant $(($($elem),+))? $({ $($fixed: $value,)? $($field),+ })? => {
                         out.push($tag);
                         $($($crate::codec::Encode::encode($elem, out);)+)?
                         $($($crate::codec::Encode::encode($field, out);)+)?
@@ -118,7 +121,7 @@ macro_rules! tagged {
                     Ok(match r.read::<u8>()? {
                         $($tag => $ty::$variant
                             $(($($crate::codec::tagged!(@read r $elem)),+))?
-                            $({ $($field: r.read()?),+ })?,)+
+                            $({ $($fixed: $value,)? $($field: r.read()?),+ })?,)+
                         tag => return Err(r.no_variant($what, tag)),
                     })
                 };
@@ -623,10 +626,10 @@ tagged!(Plan: nested, "plan", {
     0 => Scan { table, alias, schema },
     1 => Select { input, pred },
     2 => Project { input, cols },
-    3 => Join { left, right, on, residual },
-    4 => LeftOuterJoin { left, right, on, residual },
-    5 => SemiJoin { left, right, on, residual },
-    6 => AntiJoin { left, right, on, residual },
+    3 => Join { @kind = JoinKind::Inner; left, right, on, residual },
+    4 => Join { @kind = JoinKind::LeftOuter; left, right, on, residual },
+    5 => Join { @kind = JoinKind::Semi; left, right, on, residual },
+    6 => Join { @kind = JoinKind::Anti; left, right, on, residual },
     7 => UnionAll { left, right },
     8 => GroupBy { input, keys, aggs },
 });
@@ -876,24 +879,28 @@ pub(crate) mod tests {
                 cols: vec![("d".into(), Expr::Col(0)), ("p2".into(), Expr::Col(1))],
             },
             Plan::Join {
+                kind: JoinKind::Inner,
                 left: left.clone(),
                 right: right.clone(),
                 on: on.clone(),
                 residual: residual.clone(),
             },
-            Plan::LeftOuterJoin {
+            Plan::Join {
+                kind: JoinKind::LeftOuter,
                 left: left.clone(),
                 right: right.clone(),
                 on: on.clone(),
                 residual: None,
             },
-            Plan::SemiJoin {
+            Plan::Join {
+                kind: JoinKind::Semi,
                 left: left.clone(),
                 right: right.clone(),
                 on: Vec::new(),
                 residual: residual.clone(),
             },
-            Plan::AntiJoin {
+            Plan::Join {
+                kind: JoinKind::Anti,
                 left: left.clone(),
                 right: right.clone(),
                 on,
@@ -917,9 +924,6 @@ pub(crate) mod tests {
             | Plan::Select { .. }
             | Plan::Project { .. }
             | Plan::Join { .. }
-            | Plan::LeftOuterJoin { .. }
-            | Plan::SemiJoin { .. }
-            | Plan::AntiJoin { .. }
             | Plan::UnionAll { .. }
             | Plan::GroupBy { .. } => all,
         }

@@ -188,6 +188,7 @@ fn every_plan() -> Plan {
     let join_args = |l: &str, r: &str| (scan("t", l), scan("u", r), vec![(0, 0), (1, 1)]);
     let (left, right, on) = join_args("a", "b");
     let inner = Plan::Join {
+        kind: idivm_algebra::JoinKind::Inner,
         left,
         right,
         on,
@@ -198,13 +199,15 @@ fn every_plan() -> Plan {
         }),
     };
     let (left, right, on) = join_args("c", "d");
-    let outer = Plan::LeftOuterJoin {
+    let outer = Plan::Join {
+        kind: idivm_algebra::JoinKind::LeftOuter,
         left,
         right,
         on,
         residual: None,
     };
-    let semi = Plan::SemiJoin {
+    let semi = Plan::Join {
+        kind: idivm_algebra::JoinKind::Semi,
         left: Box::new(Plan::Project {
             input: Box::new(inner),
             cols: vec![
@@ -218,7 +221,8 @@ fn every_plan() -> Plan {
         on: vec![(0, 0)],
         residual: None,
     };
-    let anti = Plan::AntiJoin {
+    let anti = Plan::Join {
+        kind: idivm_algebra::JoinKind::Anti,
         left: Box::new(semi),
         right: Box::new(Plan::Project {
             input: Box::new(outer),

@@ -20,7 +20,7 @@
 //! same way and emits its groups in first-seen order.
 
 use idivm_algebra::aggregate::Accumulator;
-use idivm_algebra::{AggSpec, Expr, Plan};
+use idivm_algebra::{AggSpec, Expr, JoinKind, Plan};
 use idivm_reldb::Database;
 use idivm_types::{key_digest, Result, Row, Value};
 use std::borrow::Cow;
@@ -108,14 +108,6 @@ enum Ask<'p> {
     },
 }
 
-enum JoinKind<'p> {
-    /// An inner join, its rows narrowed as asked.
-    Inner(Ask<'p>),
-    LeftOuter,
-    /// A semi-join (`true`) or an anti-join.
-    Semi(bool),
-}
-
 impl<H: PathHook> Eval<'_, H> {
     /// The rows of `plan` at the current path — claimed, or evaluated
     /// (and kept, if wanted) — narrowed as `ask` says.
@@ -161,7 +153,10 @@ impl<H: PathHook> Eval<'_, H> {
             },
             Plan::Project { input, cols } => {
                 let picks = match **input {
-                    Plan::Join { .. } => plain_cols(cols),
+                    Plan::Join {
+                        kind: JoinKind::Inner,
+                        ..
+                    } => plain_cols(cols),
                     _ => None,
                 };
                 if let Some(picks) = picks {
@@ -171,29 +166,12 @@ impl<H: PathHook> Eval<'_, H> {
                 rows.iter().map(|r| project_row(r, cols)).collect()
             }
             Plan::Join {
+                kind,
                 left,
                 right,
                 on,
                 residual,
-            } => self.join(JoinKind::Inner(ask), left, right, on, residual.as_ref()),
-            Plan::LeftOuterJoin {
-                left,
-                right,
-                on,
-                residual,
-            } => self.join(JoinKind::LeftOuter, left, right, on, residual.as_ref()),
-            Plan::SemiJoin {
-                left,
-                right,
-                on,
-                residual,
-            } => self.join(JoinKind::Semi(true), left, right, on, residual.as_ref()),
-            Plan::AntiJoin {
-                left,
-                right,
-                on,
-                residual,
-            } => self.join(JoinKind::Semi(false), left, right, on, residual.as_ref()),
+            } => self.join(*kind, ask, left, right, on, residual.as_ref()),
             Plan::UnionAll { left, right } => {
                 let mut out = Vec::new();
                 for (branch, side) in [left, right].into_iter().enumerate() {
@@ -211,9 +189,12 @@ impl<H: PathHook> Eval<'_, H> {
         }
     }
 
+    /// `ask` narrows an inner join's rows; every other kind is asked for
+    /// all of them.
     fn join(
         &mut self,
-        kind: JoinKind<'_>,
+        kind: JoinKind,
+        ask: Ask<'_>,
         left: &Plan,
         right: &Plan,
         on: &[(usize, usize)],
@@ -222,8 +203,8 @@ impl<H: PathHook> Eval<'_, H> {
         let lrows = self.child(0, left, Ask::All)?;
         let table = JoinTable::new(self.child(1, right, Ask::All)?, on);
         let mut out = Vec::new();
-        match kind {
-            JoinKind::Inner(Ask::Where { local, right, .. }) => {
+        match (kind, ask) {
+            (JoinKind::Inner, Ask::Where { local, right, .. }) => {
                 for l in &lrows {
                     for r in table.matches(l) {
                         if local.eval_pred(if right { r } else { l })? {
@@ -232,7 +213,7 @@ impl<H: PathHook> Eval<'_, H> {
                     }
                 }
             }
-            JoinKind::Inner(ask) => {
+            (JoinKind::Inner, ask) => {
                 let picks = match ask {
                     Ask::Picks(cols) => Some(cols),
                     _ => None,
@@ -253,7 +234,7 @@ impl<H: PathHook> Eval<'_, H> {
                     }
                 }
             }
-            JoinKind::LeftOuter => {
+            (JoinKind::LeftOuter, _) => {
                 let pad: Row = std::iter::repeat_n(Value::Null, right.arity()).collect();
                 for l in &lrows {
                     let matched = out.len();
@@ -268,7 +249,8 @@ impl<H: PathHook> Eval<'_, H> {
                     }
                 }
             }
-            JoinKind::Semi(keep_matched) => {
+            (JoinKind::Semi | JoinKind::Anti, _) => {
+                let keep_matched = kind == JoinKind::Semi;
                 // Without a residual, the first key match decides.
                 let passes =
                     |l: &Row, r: &Row| residual.map_or(Ok(true), |p| p.eval_pred(&l.concat(r)));
@@ -308,6 +290,7 @@ fn filter(rows: Vec<Row>, pred: &Expr) -> Result<Vec<Row>> {
 /// as the left side's.
 fn one_side<'p>(input: &Plan, pred: &'p Expr) -> Option<(Cow<'p, Expr>, bool)> {
     let Plan::Join {
+        kind: JoinKind::Inner,
         left,
         residual: None,
         ..
@@ -715,7 +698,12 @@ mod tests {
         let right = PlanBuilder::scan_as(&cat, "parts", "p2").unwrap();
         // p1.price < p2.price (positions 1 and 3 after concat)
         let j = left
-            .join_residual(right, &[], Expr::col(1).lt(Expr::col(3)))
+            .join_kind(
+                JoinKind::Inner,
+                right,
+                &[],
+                Some(Expr::col(1).lt(Expr::col(3))),
+            )
             .unwrap()
             .build()
             .unwrap();

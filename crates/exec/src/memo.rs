@@ -186,13 +186,7 @@ fn stamps(db: &Database, node: &Plan) -> Result<Stamps> {
 
 /// Whether `node` is or holds a join of any kind.
 fn has_join(node: &Plan) -> bool {
-    matches!(
-        node,
-        Plan::Join { .. }
-            | Plan::LeftOuterJoin { .. }
-            | Plan::SemiJoin { .. }
-            | Plan::AntiJoin { .. }
-    ) || node.children().into_iter().any(has_join)
+    matches!(node, Plan::Join { .. }) || node.children().into_iter().any(has_join)
 }
 
 /// Whether `plan` is or holds a subtree equal to `node`.

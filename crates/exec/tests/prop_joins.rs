@@ -80,10 +80,10 @@ fn table(db: &mut Database, name: &str, rows: &[(Option<i64>, Option<i64>, Optio
 fn plan(kind: Kind, left: &Plan, right: &Plan, on: &[(usize, usize)], residual: Option<Expr>) -> Plan {
     let (left, right, on) = (Box::new(left.clone()), Box::new(right.clone()), on.to_vec());
     match kind {
-        Kind::Join => Plan::Join { left, right, on, residual },
-        Kind::LeftOuter => Plan::LeftOuterJoin { left, right, on, residual },
-        Kind::Semi => Plan::SemiJoin { left, right, on, residual },
-        Kind::Anti => Plan::AntiJoin { left, right, on, residual },
+        Kind::Join => Plan::Join { kind: idivm_algebra::JoinKind::Inner, left, right, on, residual },
+        Kind::LeftOuter => Plan::Join { kind: idivm_algebra::JoinKind::LeftOuter, left, right, on, residual },
+        Kind::Semi => Plan::Join { kind: idivm_algebra::JoinKind::Semi, left, right, on, residual },
+        Kind::Anti => Plan::Join { kind: idivm_algebra::JoinKind::Anti, left, right, on, residual },
     }
 }
 

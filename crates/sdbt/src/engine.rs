@@ -3,7 +3,7 @@
 
 use crate::partial::Partial;
 use idivm_algebra::aggregate::{aggregate_rows, GroupDelta, Resolved};
-use idivm_algebra::{ensure_ids, AggFunc, AggSpec, Plan};
+use idivm_algebra::{ensure_ids, AggFunc, AggSpec, JoinKind, Plan};
 use idivm_core::access::{self, AccessCtx, PathId};
 use idivm_core::config::{EngineConfig, EngineKnobs};
 use idivm_core::diff::State;
@@ -674,11 +674,16 @@ fn followed_by(first: TDiffs, then: TDiffs, ids: &[usize]) -> TDiffs {
     out
 }
 
-/// Does the plan contain a `LeftOuterJoin` anywhere? SDBT rejects such
+/// Does the plan contain a left outer join anywhere? SDBT rejects such
 /// plans at setup (see [`Sdbt::setup`]).
 fn contains_left_outer_join(node: &Plan) -> bool {
-    matches!(node, Plan::LeftOuterJoin { .. })
-        || node.children().into_iter().any(contains_left_outer_join)
+    matches!(
+        node,
+        Plan::Join {
+            kind: JoinKind::LeftOuter,
+            ..
+        }
+    ) || node.children().into_iter().any(contains_left_outer_join)
 }
 
 /// (Re)load an aggregate-shaped view table: the plan's rows, each with

@@ -1,6 +1,8 @@
 //! The SQL abstract syntax trees. Every name-bearing node carries its
 //! byte span so lowering errors can point at the offending SQL text.
 
+use idivm_algebra::JoinKind;
+
 /// A byte span in the source text.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
@@ -100,16 +102,10 @@ pub struct FromItem {
     pub span: Span,
 }
 
-/// How a `JOIN` combines rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    Inner,
-    LeftOuter,
-}
-
 /// One `JOIN … ON …` clause.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JoinClause {
+    /// `Inner` or `LeftOuter`.
     pub kind: JoinKind,
     pub item: FromItem,
     pub on: SqlExpr,

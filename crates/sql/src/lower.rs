@@ -26,10 +26,10 @@
 //!   belong to their statement and are never registered.
 
 use crate::ast::{
-    AggCall, ColumnRef, FromItem, JoinKind, Query, SelectItem, Span, SqlCmp, SqlExpr,
+    AggCall, ColumnRef, FromItem, Query, SelectItem, Span, SqlCmp, SqlExpr,
 };
 use idivm_algebra::builder::SchemaSource;
-use idivm_algebra::{AggFunc, Expr, Plan, PlanBuilder, PlanCol};
+use idivm_algebra::{AggFunc, Expr, JoinKind, Plan, PlanBuilder, PlanCol};
 use idivm_types::{Error, Result};
 use std::collections::HashMap;
 
@@ -173,10 +173,7 @@ fn lower_single<S: SchemaSource>(
             .map(|(l, r)| (l.as_str(), r.as_str()))
             .collect();
         let right = PlanBuilder::from_plan(scan);
-        builder = match join.kind {
-            JoinKind::Inner => builder.join(right, &on)?,
-            JoinKind::LeftOuter => builder.left_outer_join(right, &on)?,
-        };
+        builder = builder.join_kind(join.kind, right, &on, None)?;
         builder = apply_step_preds(src, builder, &scope, &step_preds[step])?;
     }
 
@@ -530,11 +527,12 @@ fn lower_exists<S: SchemaSource>(
         .iter()
         .map(|(l, r)| (l.as_str(), r.as_str()))
         .collect();
-    if *negated {
-        builder.anti_join(inner_builder, &on)
+    let kind = if *negated {
+        JoinKind::Anti
     } else {
-        builder.semi_join(inner_builder, &on)
-    }
+        JoinKind::Semi
+    };
+    builder.join_kind(kind, inner_builder, &on, None)
 }
 
 /// If `conjunct` is an `outer = inner` column equality, return the

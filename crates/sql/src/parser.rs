@@ -4,10 +4,11 @@
 //! offending span; the parser never panics on arbitrary input.
 
 use crate::ast::{
-    AggCall, ColumnRef, FromItem, Helper, JoinClause, JoinKind, Query, SelectItem, Span, SqlCmp,
-    SqlExpr, Statement,
+    AggCall, ColumnRef, FromItem, Helper, JoinClause, Query, SelectItem, Span, SqlCmp, SqlExpr,
+    Statement,
 };
 use crate::lexer::{tokenize, Token, TokenKind};
+use idivm_algebra::JoinKind;
 use idivm_types::{Error, Result};
 
 /// Reserved words that terminate clause parsing and may not be used as

@@ -8,7 +8,7 @@
 
 use crate::tdiff::TDiffs;
 use idivm_algebra::aggregate::{aggregate_rows, GroupDelta};
-use idivm_algebra::{AggSpec, Expr, Plan};
+use idivm_algebra::{AggSpec, Expr, JoinKind, Plan};
 use idivm_core::access::{self, AccessCtx, PathId};
 use idivm_core::diff::State;
 use idivm_core::faults::{FaultSite, FaultState};
@@ -133,41 +133,27 @@ pub fn propagate(
             Ok(out)
         }
         Plan::Join {
+            kind,
             left,
             right,
             on,
             residual,
         } => {
+            let residual = residual.as_ref();
+            if matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+                let keep_matched = *kind == JoinKind::Semi;
+                return semi_side(ctx, left, right, on, residual, path, sides, keep_matched);
+            }
             let mut iter = sides.into_iter();
             let dl = iter.next().unwrap_or_default();
             let dr = iter.next().unwrap_or_default();
-            let mut out = join_side(ctx, left, right, on, residual.as_ref(), path, 0, dl)?;
-            out.absorb(join_side(ctx, left, right, on, residual.as_ref(), path, 1, dr)?);
+            if *kind == JoinKind::LeftOuter {
+                return outer_join(ctx, left, right, on, residual, path, dl, dr);
+            }
+            let mut out = join_side(ctx, left, right, on, residual, path, 0, dl)?;
+            out.absorb(join_side(ctx, left, right, on, residual, path, 1, dr)?);
             Ok(out)
         }
-        Plan::LeftOuterJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let mut iter = sides.into_iter();
-            let dl = iter.next().unwrap_or_default();
-            let dr = iter.next().unwrap_or_default();
-            outer_join(ctx, left, right, on, residual.as_ref(), path, dl, dr)
-        }
-        Plan::SemiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => semi_side(ctx, left, right, on, residual.as_ref(), path, sides, true),
-        Plan::AntiJoin {
-            left,
-            right,
-            on,
-            residual,
-        } => semi_side(ctx, left, right, on, residual.as_ref(), path, sides, false),
         Plan::UnionAll { .. } => {
             let mut out = TDiffs::default();
             for (branch, d) in sides.into_iter().enumerate() {
