@@ -18,7 +18,7 @@ use idivm_exec::ParallelConfig;
 use idivm_types::Result;
 
 /// The runtime knobs shared by every engine. Setup-time options that
-/// differ per engine (e.g. `IdIvm`'s `minimize` / `use_input_caches`)
+/// differ per engine (e.g. `IdIvm`'s `minimize`)
 /// stay on the engine's own options type.
 #[derive(Debug, Clone, Copy)]
 pub struct EngineKnobs {

@@ -696,7 +696,6 @@ impl ViewCatalog {
         let base_opts = self.view(first)?.engine.options();
         let options = IvmOptions {
             minimize: base_opts.minimize,
-            use_input_caches: base_opts.use_input_caches,
             parallel: base_opts.parallel,
             ..IvmOptions::default()
         };
