@@ -20,7 +20,7 @@ use crate::diff::State;
 use crate::rules::join::JoinNode;
 use idivm_algebra::{JoinKind, Plan};
 use idivm_exec::executor::{evaluate, hash_aggregate, project_row, PathHook};
-use idivm_reldb::{Database, Net, PreState, TableChanges};
+use idivm_reldb::{Database, Net, PreState};
 use idivm_types::{Error, Result, Row, Value};
 use std::collections::HashMap;
 
@@ -40,7 +40,7 @@ pub struct AccessCtx<'a> {
     pub caches: &'a HashMap<PathId, String>,
     /// Net changes applied to each cache this round (pre-state overlay
     /// source for caches).
-    pub cache_changes: &'a HashMap<String, TableChanges>,
+    pub cache_changes: &'a Net,
 }
 
 impl AccessCtx<'_> {
@@ -70,10 +70,9 @@ impl PathHook for Read<'_, '_> {
     fn claim(&mut self, path: &[usize], node: &Plan) -> Result<Option<Vec<Row>>> {
         let (table, changes) = match (self.ctx.cache_of(path), node) {
             (Some(cache), _) => (cache, self.ctx.cache_changes.get(cache)),
-            (None, Plan::Scan { table, .. }) if self.state == State::Pre => (
-                table.as_str(),
-                self.ctx.base_changes.get(table).map(|c| &**c),
-            ),
+            (None, Plan::Scan { table, .. }) if self.state == State::Pre => {
+                (table.as_str(), self.ctx.base_changes.get(table))
+            }
             _ => return Ok(None),
         };
         let table = self.ctx.db.table(table)?;
@@ -116,9 +115,7 @@ pub fn lookup(
             let t = ctx.db.table(table)?;
             Ok(match state {
                 State::Post => t.lookup(cols, probe),
-                State::Pre => {
-                    PreState::new(t, ctx.base_changes.get(table).map(|c| &**c)).lookup(cols, probe)
-                }
+                State::Pre => PreState::new(t, ctx.base_changes.get(table)).lookup(cols, probe),
             })
         }
         Plan::Select { input, pred } => {
@@ -411,7 +408,7 @@ mod tests {
         db: &'a Database,
         base: &'a Net,
         caches: &'a HashMap<PathId, String>,
-        cch: &'a HashMap<String, TableChanges>,
+        cch: &'a Net,
     ) -> AccessCtx<'a> {
         AccessCtx {
             db,

@@ -387,7 +387,7 @@ impl Database {
         table: &str,
         changes: &'a Net,
     ) -> Result<PreState<'a>> {
-        Ok(PreState::new(self.table(table)?, changes.get(table).map(|c| &**c)))
+        Ok(PreState::new(self.table(table)?, changes.get(table)))
     }
 }
 

@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// One logged base-table modification, with pre-images where applicable.
 /// The rows are shared with whoever produced them (the table's displaced
@@ -89,14 +89,37 @@ pub type TableChanges = HashMap<Key, NetChange>;
 
 /// One table's net changes as an immutable value shared by `Arc`:
 /// cloning bumps a count, reading goes through `Deref`, and the content
-/// digest is computed at most once per allocation.
+/// digest and the pre-image groups of each probed column set are
+/// computed at most once per allocation.
 #[derive(Debug, Clone, Default)]
 pub struct SharedChanges(Arc<Memoized>);
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Memoized {
     changes: TableChanges,
     digest: OnceLock<u64>,
+    pre_images: Mutex<Vec<(Vec<usize>, Arc<PreImages>)>>,
+}
+
+/// A copy starts without memos: they belong to the allocation.
+impl Clone for Memoized {
+    fn clone(&self) -> Self {
+        Memoized {
+            changes: self.changes.clone(),
+            ..Memoized::default()
+        }
+    }
+}
+
+/// The pre-images of a table's deleted and updated entries, grouped by
+/// their values at one column set: what a pre-state probe on those
+/// columns adds back ([`crate::PreState::lookup`]).
+pub(crate) type PreImages = HashMap<Key, Vec<Row>>;
+
+#[cfg(test)]
+thread_local! {
+    /// Change-map entries visited to build pre-image groups.
+    pub(crate) static PRE_IMAGE_VISITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 /// Folded net changes of a round (or of several composed rounds):
@@ -114,7 +137,29 @@ impl SharedChanges {
     pub fn make_mut(&mut self) -> &mut TableChanges {
         let inner = Arc::make_mut(&mut self.0);
         inner.digest = OnceLock::new();
+        inner.pre_images = Mutex::default();
         &mut inner.changes
+    }
+
+    /// The pre-images grouped by their values at `cols`: one pass over
+    /// the changes on the first probe of a column set, remembered on
+    /// the shared allocation for every later one.
+    pub(crate) fn pre_images(&self, cols: &[usize]) -> Arc<PreImages> {
+        let mut memo = self.0.pre_images.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, groups)) = memo.iter().find(|(c, _)| c == cols) {
+            return Arc::clone(groups);
+        }
+        let mut groups = PreImages::new();
+        for change in self.values() {
+            #[cfg(test)]
+            PRE_IMAGE_VISITS.with(|v| v.set(v.get() + 1));
+            if let NetChange::Deleted { pre } | NetChange::Updated { pre, .. } = change {
+                groups.entry(pre.key(cols)).or_default().push(pre.clone());
+            }
+        }
+        let groups = Arc::new(groups);
+        memo.push((cols.to_vec(), Arc::clone(&groups)));
+        groups
     }
 
     /// FNV-1a digest of the contents in sorted key order — equal nets
@@ -148,8 +193,10 @@ impl Deref for SharedChanges {
 
 impl From<TableChanges> for SharedChanges {
     fn from(changes: TableChanges) -> Self {
-        let digest = OnceLock::new();
-        SharedChanges(Arc::new(Memoized { changes, digest }))
+        SharedChanges(Arc::new(Memoized {
+            changes,
+            ..Memoized::default()
+        }))
     }
 }
 

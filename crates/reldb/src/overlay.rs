@@ -16,8 +16,15 @@
 //! (small) change-map patches are charged one tuple access per patched
 //! row produced, so pre-state reads are never cheaper than post-state
 //! reads.
+//!
+//! An equality probe adds back the pre-images that match it. Over a
+//! [`SharedChanges`] those come from its memoized groups by probe
+//! columns ([`SharedChanges::pre_images`]), built in one pass per
+//! allocation and column set, so a round of probes costs
+//! O(probes + |Δ|) rather than O(probes × |Δ|). The pass is not counted,
+//! as the per-probe filter it replaces was not.
 
-use crate::log::{NetChange, TableChanges};
+use crate::log::{NetChange, SharedChanges, TableChanges};
 use crate::table::Table;
 use idivm_types::{Row, Value};
 use std::borrow::Borrow;
@@ -26,7 +33,46 @@ use std::borrow::Borrow;
 /// shared with the table or with the change map, never copied.
 pub struct PreState<'a> {
     table: &'a Table,
-    changes: Option<&'a TableChanges>,
+    changes: Option<&'a dyn Changes>,
+}
+
+/// The net changes a [`PreState`] reads through: a [`SharedChanges`],
+/// the one net type every layer speaks, or a bare [`TableChanges`] map
+/// built by hand, whose probes filter every entry.
+pub trait Changes {
+    /// The change map.
+    fn map(&self) -> &TableChanges;
+
+    /// Append to `out` the pre-images of deleted and updated entries
+    /// whose `cols` equal `probe`, in any order.
+    fn matching_pre_images(&self, cols: &[usize], probe: &[Value], out: &mut Vec<Row>);
+}
+
+impl Changes for TableChanges {
+    fn map(&self) -> &TableChanges {
+        self
+    }
+
+    fn matching_pre_images(&self, cols: &[usize], probe: &[Value], out: &mut Vec<Row>) {
+        out.extend(self.values().filter_map(|c| match c {
+            NetChange::Deleted { pre } | NetChange::Updated { pre, .. } => {
+                pre.matches(cols, probe).then(|| pre.clone())
+            }
+            NetChange::Inserted { .. } => None,
+        }));
+    }
+}
+
+impl Changes for SharedChanges {
+    fn map(&self) -> &TableChanges {
+        self
+    }
+
+    fn matching_pre_images(&self, cols: &[usize], probe: &[Value], out: &mut Vec<Row>) {
+        if let Some(rows) = self.pre_images(cols).get(probe) {
+            out.extend(rows.iter().cloned());
+        }
+    }
 }
 
 /// The net change recorded for `row`'s primary key, if any. The key is
@@ -42,12 +88,10 @@ fn change_of<'c>(
     changes.get(scratch.as_slice())
 }
 
-/// Append the pre-images a pre-state read adds back, one tuple access
-/// each, in row order: the change map is a `HashMap`, whose order
-/// differs from process to process.
-fn add_back<'r>(table: &Table, out: &mut Vec<Row>, pre: impl Iterator<Item = &'r Row>) {
-    let start = out.len();
-    out.extend(pre.cloned());
+/// Charge the pre-images a pre-state read added back after `start`,
+/// one tuple access each, and put them in row order: the change map is
+/// a `HashMap`, whose order differs from process to process.
+fn add_back(table: &Table, out: &mut [Row], start: usize) {
     out[start..].sort_unstable();
     table.stats().tuples((out.len() - start) as u64);
 }
@@ -55,7 +99,8 @@ fn add_back<'r>(table: &Table, out: &mut Vec<Row>, pre: impl Iterator<Item = &'r
 impl<'a> PreState<'a> {
     /// Wrap `table` with the net changes that produced its current
     /// (post-) state. `None` means the table did not change.
-    pub fn new(table: &'a Table, changes: Option<&'a TableChanges>) -> Self {
+    pub fn new<C: Changes>(table: &'a Table, changes: Option<&'a C>) -> Self {
+        let changes = changes.map(|c| c as &dyn Changes);
         PreState { table, changes }
     }
 
@@ -68,7 +113,7 @@ impl<'a> PreState<'a> {
     pub fn get(&self, key: &(impl Borrow<[Value]> + ?Sized)) -> Option<Row> {
         let key = key.borrow();
         if let Some(changes) = self.changes {
-            match changes.get(key) {
+            match changes.map().get(key) {
                 Some(NetChange::Inserted { .. }) => return None,
                 Some(NetChange::Updated { pre, .. })
                 | Some(NetChange::Deleted { pre }) => {
@@ -86,7 +131,7 @@ impl<'a> PreState<'a> {
 
     /// Full scan of the pre-state.
     pub fn scan(&self) -> Vec<Row> {
-        let Some(changes) = self.changes else {
+        let Some(changes) = self.changes.map(Changes::map) else {
             return self.table.scan();
         };
         let key_cols = self.table.schema().key();
@@ -99,11 +144,12 @@ impl<'a> PreState<'a> {
                 Some(NetChange::Deleted { .. }) | None => out.push(row.clone()),
             }
         }
-        let deleted = changes.values().filter_map(|c| match c {
-            NetChange::Deleted { pre } => Some(pre),
+        let start = out.len();
+        out.extend(changes.values().filter_map(|c| match c {
+            NetChange::Deleted { pre } => Some(pre.clone()),
             _ => None,
-        });
-        add_back(self.table, &mut out, deleted);
+        }));
+        add_back(self.table, &mut out, start);
         out
     }
 
@@ -112,9 +158,7 @@ impl<'a> PreState<'a> {
     /// Uses the post-state access path, then patches with the change map:
     /// post-state hits whose key was inserted are dropped, updated rows
     /// are re-checked against their pre-image, and deleted/updated
-    /// pre-images matching the probe are added. The pass over the change
-    /// map compares columns in place: a probe allocates for the rows it
-    /// returns, not for the round's changes it looks at.
+    /// pre-images matching the probe are added (see [`Changes`]).
     pub fn lookup(&self, positions: &[usize], probe: &(impl Borrow<[Value]> + ?Sized)) -> Vec<Row> {
         let probe = probe.borrow();
         let Some(changes) = self.changes else {
@@ -127,23 +171,19 @@ impl<'a> PreState<'a> {
         // handled below (it may or may not match).
         out.retain(|row| {
             matches!(
-                change_of(changes, key_cols, row, &mut scratch),
+                change_of(changes.map(), key_cols, row, &mut scratch),
                 Some(NetChange::Deleted { .. }) | None
             )
         });
-        let matching = changes.values().filter_map(|c| match c {
-            NetChange::Deleted { pre } | NetChange::Updated { pre, .. } => {
-                pre.matches(positions, probe).then_some(pre)
-            }
-            NetChange::Inserted { .. } => None,
-        });
-        add_back(self.table, &mut out, matching);
+        let start = out.len();
+        changes.matching_pre_images(positions, probe, &mut out);
+        add_back(self.table, &mut out, start);
         out
     }
 
     /// Uncounted pre-state row set — for oracles and tests.
     pub fn rows_uncounted(&self) -> Vec<Row> {
-        let Some(changes) = self.changes else {
+        let Some(changes) = self.changes.map(Changes::map) else {
             return self.table.rows_uncounted();
         };
         let key_cols = self.table.schema().key();
@@ -168,8 +208,10 @@ impl<'a> PreState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::PRE_IMAGE_VISITS;
     use crate::stats::AccessStats;
     use idivm_types::{row, ColumnType, Key, Schema, Value};
+    use proptest::test_runner::TestRng;
     use std::collections::HashMap;
 
     fn table() -> Table {
@@ -260,10 +302,127 @@ mod tests {
         assert_eq!(pre.scan()[2..], deleted[..]);
     }
 
+    /// Random changes over a random table, every value drawn with
+    /// NULLs: `(pid, a, b)`, `a` indexed, `b` not.
+    fn random_round(rng: &mut TestRng) -> (Table, TableChanges) {
+        let schema = Schema::from_pairs(
+            &[
+                ("pid", ColumnType::Int),
+                ("a", ColumnType::Int),
+                ("b", ColumnType::Str),
+            ],
+            &["pid"],
+        )
+        .unwrap();
+        let mut t = Table::new("t", schema, AccessStats::new());
+        t.create_index(&["a"]).unwrap();
+        let mut ch = TableChanges::new();
+        for pid in 0..40 {
+            let mut draw = |pid: i64| {
+                let a = [Value::Null, Value::Int(0), Value::Int(1), Value::Int(2)][rng.below(4)].clone();
+                let b = [Value::Null, Value::str("x"), Value::str("y")][rng.below(3)].clone();
+                Row::from([Value::Int(pid), a, b])
+            };
+            let (post, pre) = (draw(pid), draw(pid));
+            let key = Key(vec![Value::Int(pid)]);
+            match rng.below(4) {
+                0 => t.load(post).unwrap(),
+                1 => {
+                    t.load(post.clone()).unwrap();
+                    ch.insert(key, NetChange::Inserted { post });
+                }
+                2 => {
+                    t.load(post.clone()).unwrap();
+                    ch.insert(key, NetChange::Updated { pre, post });
+                }
+                _ => {
+                    ch.insert(key, NetChange::Deleted { pre });
+                }
+            }
+        }
+        (t, ch)
+    }
+
+    /// Every probe on `cols` over the value domain through `shared`
+    /// returns what the linear filter over `plain` returns — rows,
+    /// order and counted accesses.
+    fn assert_probes_agree(t: &Table, shared: &SharedChanges, plain: &TableChanges, cols: &[usize]) {
+        let a = [Value::Null, Value::Int(0), Value::Int(1), Value::Int(2), Value::Int(3)];
+        let b = [Value::Null, Value::str("x"), Value::str("y")];
+        let probes: Vec<Vec<Value>> = match cols {
+            [1] => a.iter().map(|v| vec![v.clone()]).collect(),
+            _ => a
+                .iter()
+                .flat_map(|x| b.iter().map(move |y| vec![x.clone(), y.clone()]))
+                .collect(),
+        };
+        for probe in probes {
+            let s0 = t.stats().snapshot();
+            let indexed = PreState::new(t, Some(shared)).lookup(cols, &probe);
+            let s1 = t.stats().snapshot();
+            let linear = PreState::new(t, Some(plain)).lookup(cols, &probe);
+            let s2 = t.stats().snapshot();
+            assert_eq!(indexed, linear, "cols {cols:?} probe {probe:?}");
+            assert_eq!(s1.since(&s0), s2.since(&s1), "cols {cols:?} probe {probe:?}");
+        }
+    }
+
+    /// The memoized pre-image groups answer every probe as the linear
+    /// filter they replace: two column sets on one `SharedChanges`,
+    /// then the same after `make_mut` changed it in place.
+    #[test]
+    fn indexed_pre_image_probes_equal_the_linear_filter() {
+        let mut rng = TestRng::deterministic();
+        for _ in 0..64 {
+            let (t, ch) = random_round(&mut rng);
+            let mut shared = SharedChanges::from(ch.clone());
+            assert_probes_agree(&t, &shared, &ch, &[1]);
+            assert_probes_agree(&t, &shared, &ch, &[1, 2]);
+            // Change it in place: every entry's pre-image moves to a = 3.
+            for change in shared.make_mut().values_mut() {
+                if let NetChange::Deleted { pre } | NetChange::Updated { pre, .. } = change {
+                    *pre = Row::from([pre[0].clone(), Value::Int(3), pre[2].clone()]);
+                }
+            }
+            let plain: TableChanges = (*shared).clone();
+            assert_probes_agree(&t, &shared, &plain, &[1]);
+            assert_probes_agree(&t, &shared, &plain, &[1, 2]);
+        }
+    }
+
+    /// A round's probes visit each change-map entry at most once per
+    /// column set, however many probes there are and whichever handle
+    /// they come through; a change through `make_mut` costs one more
+    /// pass per column set probed after it.
+    #[test]
+    fn pre_image_groups_are_built_once_per_column_set() {
+        let visits = || PRE_IMAGE_VISITS.with(std::cell::Cell::get);
+        let (t, ch) = random_round(&mut TestRng::deterministic());
+        let n = ch.len() as u64;
+        let mut shared = SharedChanges::from(ch);
+        let other = shared.clone();
+        let v0 = visits();
+        for i in 0..50 {
+            let a = Value::Int(i % 3);
+            PreState::new(&t, Some(&shared)).lookup(&[1], std::slice::from_ref(&a));
+            PreState::new(&t, Some(&other)).lookup(&[1, 2], &[a, Value::str("x")]);
+        }
+        assert_eq!(visits() - v0, 2 * n);
+        drop(other);
+        shared
+            .make_mut()
+            .insert(Key(vec![Value::Int(99)]), NetChange::Deleted { pre: row![99, 1, "x"] });
+        let v1 = visits();
+        for _ in 0..50 {
+            PreState::new(&t, Some(&shared)).lookup(&[1], &[Value::Int(1)]);
+        }
+        assert_eq!(visits() - v1, n + 1);
+    }
+
     #[test]
     fn no_changes_passthrough() {
         let t = table();
-        let pre = PreState::new(&t, None);
+        let pre = PreState::new(&t, None::<&SharedChanges>);
         let mut rows = pre.scan();
         rows.sort();
         assert_eq!(rows, vec![row![1, 11], row![2, 20], row![3, 30]]);

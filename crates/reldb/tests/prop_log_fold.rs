@@ -84,7 +84,7 @@ proptest! {
         let folded = db.fold_log();
 
         // Overlay reconstructs the pre-state.
-        let overlay = PreState::new(db.table("t").unwrap(), folded.get("t").map(|c| &**c));
+        let overlay = PreState::new(db.table("t").unwrap(), folded.get("t"));
         prop_assert_eq!(sorted(overlay.rows_uncounted()), pre_rows.clone());
 
         // Replay the net changes over the pre-state.

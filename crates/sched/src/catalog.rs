@@ -435,6 +435,11 @@ impl ViewCatalog {
         order
     }
 
+    /// Every node's engine.
+    pub(crate) fn engines(&self) -> impl Iterator<Item = &IdIvm> {
+        self.nodes.values().map(|node| &node.engine)
+    }
+
     /// Every node's engine (knobs that apply to all of them).
     pub(crate) fn engines_mut(&mut self) -> impl Iterator<Item = &mut IdIvm> {
         self.nodes.values_mut().map(|node| &mut node.engine)

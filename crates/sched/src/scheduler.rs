@@ -460,6 +460,24 @@ impl MaintenanceScheduler {
         self.round
     }
 
+    /// True when maintaining several rounds' changes in one round ends
+    /// in the state the rounds one by one would: every node refreshes
+    /// `Eager`ly, no cost model decides promotions at round ends, no
+    /// engine has a fault plan or a round budget armed (each acts per
+    /// round), and every engine's tables already carry all their Ī′
+    /// indexes ([`IdIvm::has_every_id_index`](idivm_core::IdIvm::has_every_id_index):
+    /// otherwise which of them exist afterwards depends on which
+    /// rounds' diffs reached APPLY). Recovery folds a WAL tail into one
+    /// round only then.
+    pub fn rounds_fold(&self) -> bool {
+        use idivm_core::EngineConfig;
+        self.config.promotion.is_none()
+            && self.states.values().all(|s| s.policy == RefreshPolicy::Eager)
+            && self.catalog.engines().all(|e| {
+                !e.faults().enabled() && !e.budget().enabled() && e.has_every_id_index(self.db())
+            })
+    }
+
     /// A *view's* state: both roles share the map, and a backing is not
     /// addressable as a view.
     fn state(&self, name: &str) -> Result<&ViewState> {

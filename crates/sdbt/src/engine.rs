@@ -363,7 +363,7 @@ impl Sdbt {
         let aggregates = keys.len()..keys.len() + aggs.len();
         let count_col = aggregates.end;
         let empty_caches: HashMap<PathId, String> = HashMap::new();
-        let empty_changes: HashMap<String, TableChanges> = HashMap::new();
+        let empty_changes = Net::new();
         let ipath: PathId = vec![0];
         let mut acts: Vec<Act> = Vec::new();
         let mut vals = Vec::with_capacity(aggs.len());

@@ -11,7 +11,7 @@ use idivm_core::round::{Engine, Round};
 use idivm_core::trace::{op_label, TracePhase};
 use idivm_core::MaintenanceReport;
 use idivm_exec::{materialize_view, refresh_view};
-use idivm_reldb::{Database, Net, TableChanges};
+use idivm_reldb::{Database, Net};
 use idivm_types::Result;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -123,7 +123,7 @@ impl Engine for TupleIvm {
         // Compute the view-level t-diffs (counted as diff computation).
         let before = db.stats().snapshot();
         let empty_caches: HashMap<PathId, String> = HashMap::new();
-        let empty_changes: HashMap<String, TableChanges> = HashMap::new();
+        let empty_changes = Net::new();
         let rescans = AtomicU64::new(0);
         let view_diffs = {
             let access = AccessCtx {
