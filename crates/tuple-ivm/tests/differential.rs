@@ -4,7 +4,7 @@
 //! paper's headline workload (update diffs on non-conditional
 //! attributes).
 
-use idivm_algebra::{AggFunc, PlanBuilder};
+use idivm_algebra::{AggFunc, JoinKind, PlanBuilder};
 use idivm_core::{IdIvm, IvmOptions};
 use idivm_exec::{executor::sorted, recompute_rows, DbCatalog};
 use idivm_reldb::Database;
@@ -83,6 +83,55 @@ fn spj_plan(db: &Database) -> idivm_algebra::Plan {
         .build()
         .unwrap()
 }
+
+/// The parts used by a phone, as a builder: `devices_parts ⋈ devices`
+/// restricted to phones.
+fn phone_links(cat: &DbCatalog<'_>) -> PlanBuilder {
+    PlanBuilder::scan(cat, "devices_parts")
+        .unwrap()
+        .join(
+            PlanBuilder::scan(cat, "devices").unwrap(),
+            &[("devices_parts.did", "devices.did")],
+        )
+        .unwrap()
+        .select_eq("devices.category", "phone")
+        .unwrap()
+}
+
+/// Every part with its phone links, or NULL-padded when it has none.
+fn outer_plan(db: &Database) -> idivm_algebra::Plan {
+    let cat = DbCatalog(db);
+    PlanBuilder::scan(&cat, "parts")
+        .unwrap()
+        .join_kind(
+            JoinKind::LeftOuter,
+            phone_links(&cat),
+            &[("parts.pid", "devices_parts.pid")],
+            None,
+        )
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// The parts no phone uses.
+fn anti_plan(db: &Database) -> idivm_algebra::Plan {
+    let cat = DbCatalog(db);
+    PlanBuilder::scan(&cat, "parts")
+        .unwrap()
+        .join_kind(
+            JoinKind::Anti,
+            phone_links(&cat),
+            &[("parts.pid", "devices_parts.pid")],
+            None,
+        )
+        .unwrap()
+        .build()
+        .unwrap()
+}
+
+/// The select-project-join plans the oracle property maintains.
+const SPJ_PLANS: [fn(&Database) -> idivm_algebra::Plan; 3] = [spj_plan, outer_plan, anti_plan];
 
 fn agg_plan(db: &Database) -> idivm_algebra::Plan {
     let cat = DbCatalog(db);
@@ -272,15 +321,17 @@ proptest! {
         batches in proptest::collection::vec(
             proptest::collection::vec(mutation(), 1..8), 1..4),
     ) {
-        let mut db = setup_db();
-        let plan = spj_plan(&db);
-        let tivm = TupleIvm::setup(&mut db, "V", plan).unwrap();
-        for batch in &batches {
-            for m in batch {
-                apply_mut(&mut db, m);
+        for plan in SPJ_PLANS {
+            let mut db = setup_db();
+            let plan = plan(&db);
+            let tivm = TupleIvm::setup(&mut db, "V", plan).unwrap();
+            for batch in &batches {
+                for m in batch {
+                    apply_mut(&mut db, m);
+                }
+                tivm.maintain(&mut db).unwrap();
+                check(&db, "V", tivm.plan());
             }
-            tivm.maintain(&mut db).unwrap();
-            check(&db, "V", tivm.plan());
         }
     }
 
