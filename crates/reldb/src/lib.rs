@@ -33,6 +33,6 @@ pub use log::{
     NetChange, SharedChanges, TableChanges, UndoLog,
     UndoOp,
 };
-pub use overlay::{Changes, PreState};
+pub use overlay::PreState;
 pub use stats::{AccessStats, StatsSnapshot};
 pub use table::{Patched, Table, TableSignature};

@@ -17,12 +17,12 @@
 //! row produced, so pre-state reads are never cheaper than post-state
 //! reads.
 //!
-//! An equality probe adds back the pre-images that match it. Over a
-//! [`SharedChanges`] those come from its memoized groups by probe
-//! columns ([`SharedChanges::pre_images`]), built in one pass per
-//! allocation and column set, so a round of probes costs
-//! O(probes + |Δ|) rather than O(probes × |Δ|). The pass is not counted,
-//! as the per-probe filter it replaces was not.
+//! An equality probe adds back the pre-images that match it. Those come
+//! from the [`SharedChanges`]' memoized groups by probe columns
+//! ([`SharedChanges::pre_images`]), built in one pass per allocation and
+//! column set, so a round of probes costs O(probes + |Δ|) rather than
+//! O(probes × |Δ|). The pass is not counted, as the per-probe filter it
+//! replaces was not.
 
 use crate::log::{NetChange, SharedChanges, TableChanges};
 use crate::table::Table;
@@ -33,46 +33,7 @@ use std::borrow::Borrow;
 /// shared with the table or with the change map, never copied.
 pub struct PreState<'a> {
     table: &'a Table,
-    changes: Option<&'a dyn Changes>,
-}
-
-/// The net changes a [`PreState`] reads through: a [`SharedChanges`],
-/// the one net type every layer speaks, or a bare [`TableChanges`] map
-/// built by hand, whose probes filter every entry.
-pub trait Changes {
-    /// The change map.
-    fn map(&self) -> &TableChanges;
-
-    /// Append to `out` the pre-images of deleted and updated entries
-    /// whose `cols` equal `probe`, in any order.
-    fn matching_pre_images(&self, cols: &[usize], probe: &[Value], out: &mut Vec<Row>);
-}
-
-impl Changes for TableChanges {
-    fn map(&self) -> &TableChanges {
-        self
-    }
-
-    fn matching_pre_images(&self, cols: &[usize], probe: &[Value], out: &mut Vec<Row>) {
-        out.extend(self.values().filter_map(|c| match c {
-            NetChange::Deleted { pre } | NetChange::Updated { pre, .. } => {
-                pre.matches(cols, probe).then(|| pre.clone())
-            }
-            NetChange::Inserted { .. } => None,
-        }));
-    }
-}
-
-impl Changes for SharedChanges {
-    fn map(&self) -> &TableChanges {
-        self
-    }
-
-    fn matching_pre_images(&self, cols: &[usize], probe: &[Value], out: &mut Vec<Row>) {
-        if let Some(rows) = self.pre_images(cols).get(probe) {
-            out.extend(rows.iter().cloned());
-        }
-    }
+    changes: Option<&'a SharedChanges>,
 }
 
 /// The net change recorded for `row`'s primary key, if any. The key is
@@ -99,8 +60,7 @@ fn add_back(table: &Table, out: &mut [Row], start: usize) {
 impl<'a> PreState<'a> {
     /// Wrap `table` with the net changes that produced its current
     /// (post-) state. `None` means the table did not change.
-    pub fn new<C: Changes>(table: &'a Table, changes: Option<&'a C>) -> Self {
-        let changes = changes.map(|c| c as &dyn Changes);
+    pub fn new(table: &'a Table, changes: Option<&'a SharedChanges>) -> Self {
         PreState { table, changes }
     }
 
@@ -113,7 +73,7 @@ impl<'a> PreState<'a> {
     pub fn get(&self, key: &(impl Borrow<[Value]> + ?Sized)) -> Option<Row> {
         let key = key.borrow();
         if let Some(changes) = self.changes {
-            match changes.map().get(key) {
+            match changes.get(key) {
                 Some(NetChange::Inserted { .. }) => return None,
                 Some(NetChange::Updated { pre, .. })
                 | Some(NetChange::Deleted { pre }) => {
@@ -131,7 +91,7 @@ impl<'a> PreState<'a> {
 
     /// Full scan of the pre-state.
     pub fn scan(&self) -> Vec<Row> {
-        let Some(changes) = self.changes.map(Changes::map) else {
+        let Some(changes) = self.changes else {
             return self.table.scan();
         };
         let key_cols = self.table.schema().key();
@@ -158,7 +118,7 @@ impl<'a> PreState<'a> {
     /// Uses the post-state access path, then patches with the change map:
     /// post-state hits whose key was inserted are dropped, updated rows
     /// are re-checked against their pre-image, and deleted/updated
-    /// pre-images matching the probe are added (see [`Changes`]).
+    /// pre-images matching the probe are added.
     pub fn lookup(&self, positions: &[usize], probe: &(impl Borrow<[Value]> + ?Sized)) -> Vec<Row> {
         let probe = probe.borrow();
         let Some(changes) = self.changes else {
@@ -171,19 +131,21 @@ impl<'a> PreState<'a> {
         // handled below (it may or may not match).
         out.retain(|row| {
             matches!(
-                change_of(changes.map(), key_cols, row, &mut scratch),
+                change_of(changes, key_cols, row, &mut scratch),
                 Some(NetChange::Deleted { .. }) | None
             )
         });
         let start = out.len();
-        changes.matching_pre_images(positions, probe, &mut out);
+        if let Some(rows) = changes.pre_images(positions).get(probe) {
+            out.extend(rows.iter().cloned());
+        }
         add_back(self.table, &mut out, start);
         out
     }
 
     /// Uncounted pre-state row set — for oracles and tests.
     pub fn rows_uncounted(&self) -> Vec<Row> {
-        let Some(changes) = self.changes.map(Changes::map) else {
+        let Some(changes) = self.changes else {
             return self.table.rows_uncounted();
         };
         let key_cols = self.table.schema().key();
@@ -252,7 +214,7 @@ mod tests {
     #[test]
     fn pre_state_scan_reconstructs() {
         let t = table();
-        let ch = changes();
+        let ch = changes().into();
         let pre = PreState::new(&t, Some(&ch));
         let mut rows = pre.scan();
         rows.sort();
@@ -262,7 +224,7 @@ mod tests {
     #[test]
     fn pre_state_get_patches() {
         let t = table();
-        let ch = changes();
+        let ch = changes().into();
         let pre = PreState::new(&t, Some(&ch));
         assert_eq!(pre.get(&Key(vec![Value::Int(1)])), Some(row![1, 10]));
         assert_eq!(pre.get(&Key(vec![Value::Int(2)])), Some(row![2, 20]));
@@ -273,7 +235,7 @@ mod tests {
     #[test]
     fn pre_state_lookup_on_non_key() {
         let t = table();
-        let ch = changes();
+        let ch = changes().into();
         let pre = PreState::new(&t, Some(&ch));
         // price = 10 existed only in the pre-state of pid 1.
         let hits = pre.lookup(&[1], &Key(vec![Value::Int(10)]));
@@ -296,6 +258,7 @@ mod tests {
             let pre = row![pid, 40];
             ch.insert(Key(vec![Value::Int(pid)]), NetChange::Deleted { pre });
         }
+        let ch = ch.into();
         let pre = PreState::new(&t, Some(&ch));
         let deleted: Vec<Row> = [4, 5, 6, 7, 8, 9].map(|pid| row![pid, 40]).to_vec();
         assert_eq!(pre.lookup(&[1], &[Value::Int(40)]), deleted);
@@ -343,6 +306,29 @@ mod tests {
         (t, ch)
     }
 
+    /// The reference the memoized pre-image groups replace: the
+    /// post-state probe patched by a linear filter over every change,
+    /// counted as [`PreState::lookup`] counts.
+    fn linear_lookup(t: &Table, plain: &TableChanges, cols: &[usize], probe: &[Value]) -> Vec<Row> {
+        let mut scratch = Vec::new();
+        let mut out = t.lookup(cols, probe);
+        out.retain(|row| {
+            matches!(
+                change_of(plain, t.schema().key(), row, &mut scratch),
+                Some(NetChange::Deleted { .. }) | None
+            )
+        });
+        let start = out.len();
+        out.extend(plain.values().filter_map(|c| match c {
+            NetChange::Deleted { pre } | NetChange::Updated { pre, .. } => {
+                pre.matches(cols, probe).then(|| pre.clone())
+            }
+            NetChange::Inserted { .. } => None,
+        }));
+        add_back(t, &mut out, start);
+        out
+    }
+
     /// Every probe on `cols` over the value domain through `shared`
     /// returns what the linear filter over `plain` returns — rows,
     /// order and counted accesses.
@@ -360,7 +346,7 @@ mod tests {
             let s0 = t.stats().snapshot();
             let indexed = PreState::new(t, Some(shared)).lookup(cols, &probe);
             let s1 = t.stats().snapshot();
-            let linear = PreState::new(t, Some(plain)).lookup(cols, &probe);
+            let linear = linear_lookup(t, plain, cols, &probe);
             let s2 = t.stats().snapshot();
             assert_eq!(indexed, linear, "cols {cols:?} probe {probe:?}");
             assert_eq!(s1.since(&s0), s2.since(&s1), "cols {cols:?} probe {probe:?}");
@@ -468,6 +454,7 @@ mod tests {
             ch.insert(k(pid), NetChange::Deleted { pre: row![pid, pid % 5] });
         }
         assert_eq!(ch.len(), 100);
+        let ch = ch.into();
         let pre = PreState::new(&t, Some(&ch));
 
         // grp = 3 in the post-state: 10 untouched + 30 inserted = 40
