@@ -138,8 +138,11 @@ pub fn propagate(
     join.through_left(access, &rows)
 }
 
-/// One join node as its rules see it.
-pub(crate) struct JoinNode<'p> {
+/// One join node as its rules see it — core's i-diff rule above, and
+/// the t-diff rule of the tuple-based baseline, which builds on its
+/// condition columns, [`JoinNode::contributions`] and
+/// [`JoinNode::reached`].
+pub struct JoinNode<'p> {
     kind: JoinKind,
     inputs: [&'p Plan; 2],
     on: &'p [(usize, usize)],
@@ -159,7 +162,7 @@ enum Pick {
 
 impl<'p> JoinNode<'p> {
     /// The join of `kind` at `path`.
-    pub(crate) fn new(
+    pub fn new(
         kind: JoinKind,
         left: &'p Plan,
         right: &'p Plan,
@@ -184,7 +187,7 @@ impl<'p> JoinNode<'p> {
 
     /// The condition columns of input `side` in its own frame: its join
     /// keys and its part of the residual.
-    fn cond_cols(&self, side: usize) -> BTreeSet<usize> {
+    pub fn cond_cols(&self, side: usize) -> BTreeSet<usize> {
         let la = self.inputs[0].arity();
         let mut cols: BTreeSet<usize> = self.keys(side).into_iter().collect();
         if let Some(res) = self.residual {
@@ -251,7 +254,7 @@ impl<'p> JoinNode<'p> {
     /// NULL-padded row when nothing matches (a NULL left key always
     /// pads, per SQL); for ⋉ and ▷ the row itself when it has a match,
     /// or has none. Only inner joins are asked about right rows.
-    pub(crate) fn contributions(
+    pub fn contributions(
         &self,
         access: &AccessCtx<'_>,
         side: usize,
@@ -337,18 +340,10 @@ impl<'p> JoinNode<'p> {
         Ok(DiffInstance::new(out, rows))
     }
 
-    /// A right-side diff of ⟕, ⋉ or ▷, as the full right rows it holds
-    /// (an update's pre images, then its post images). The left rows
-    /// they reach (post-state, each once, in first-seen order) are
-    /// re-derived: ⟕ diffs each one's padded or joined rows before and
-    /// after; ⋉ and ▷ emit each one as a delete or an insert by its
-    /// membership now — inserting a present row or deleting an absent
-    /// one is a dummy, so the membership before is not read.
-    fn through_left(
-        &self,
-        access: &AccessCtx<'_>,
-        right_rows: &[Row],
-    ) -> Result<Vec<DiffInstance>> {
+    /// The reach step: the left rows that the full right rows
+    /// `right_rows` match under the residual, in the post-state — each
+    /// once, in first-seen order.
+    pub fn reached(&self, access: &AccessCtx<'_>, right_rows: &[Row]) -> Result<Vec<Row>> {
         let mut seen = BTreeSet::new();
         let mut reached = Vec::new();
         self.probe(access, 0, State::Post, right_rows, &self.keys(1), |r, l| {
@@ -357,6 +352,22 @@ impl<'p> JoinNode<'p> {
             }
             Ok(())
         })?;
+        Ok(reached)
+    }
+
+    /// A right-side diff of ⟕, ⋉ or ▷, as the full right rows it holds
+    /// (an update's pre images, then its post images). The left rows
+    /// they reach are re-derived: ⟕ diffs each one's padded or joined
+    /// rows before and after; ⋉ and ▷ emit each one as a delete or an
+    /// insert by its membership now — inserting a present row or
+    /// deleting an absent one is a dummy, so the membership before is
+    /// not read.
+    fn through_left(
+        &self,
+        access: &AccessCtx<'_>,
+        right_rows: &[Row],
+    ) -> Result<Vec<DiffInstance>> {
+        let reached = self.reached(access, right_rows)?;
         if self.kind == JoinKind::LeftOuter {
             let (mut pre_out, mut post_out) = (Vec::new(), Vec::new());
             for l in &reached {

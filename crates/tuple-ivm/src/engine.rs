@@ -136,8 +136,8 @@ impl Engine for TupleIvm {
                 access: &access,
                 view_name: &self.view_name,
                 parallel: self.knobs.parallel,
-                faults: Some(round.faults()),
-                rescans: Some(&rescans),
+                faults: round.faults(),
+                rescans: &rescans,
             };
             walk(&ctx, round, &self.plan, &PathId::new(), &base_diffs)?
         };
