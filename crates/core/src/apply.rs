@@ -239,7 +239,7 @@ fn apply_update(
 ) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
     let schema = &diff.schema;
-    ensure_id_index(table, &schema.id_cols);
+    debug_check_id_index(table, diff);
     // Which slot of a diff row carries each assigned column's post
     // value — resolved once per diff, not per tuple.
     let sources: Vec<(usize, usize)> = schema
@@ -320,7 +320,7 @@ fn apply_delete(
 ) -> Result<ApplyOutcome> {
     let mut out = ApplyOutcome::default();
     let schema = &diff.schema;
-    ensure_id_index(table, &schema.id_cols);
+    debug_check_id_index(table, diff);
     for d in &diff.rows {
         let located = table.delete_where(&schema.id_cols, schema.id_slice(d), |pk, pre| {
             record_delete(changes, journal, pk, pre);
@@ -333,12 +333,16 @@ fn apply_delete(
     Ok(out)
 }
 
-/// The paper assumes a view index on the view IDs; ensure one exists
-/// for a diff's Ī′ (creation is a setup cost, not counted).
-fn ensure_id_index(table: &mut Table, id_cols: &[usize]) {
-    if !table.has_index(id_cols) {
-        table.create_index_positions(id_cols.to_vec());
-    }
+/// The paper's APPLY locates its targets through an index on the
+/// i-diff's IDs; set-up creates one for every Ī′ an update or delete
+/// can bring the table (`cache::apply_id_sets`).
+fn debug_check_id_index(table: &Table, diff: &DiffInstance) {
+    let ids = &diff.schema.id_cols;
+    debug_assert!(
+        diff.rows.is_empty() || table.has_index(ids),
+        "`{}` has no index on the i-diff's IDs {ids:?}",
+        table.name()
+    );
 }
 
 /// Probe `changes` for `key` once — the `record_*` functions fold
@@ -456,7 +460,9 @@ mod tests {
     use idivm_types::{row, ColumnType, Schema};
     use std::collections::HashMap;
 
-    /// The running-example view V(did, pid, price) of Figure 2.
+    /// The running-example view V(did, pid, price) of Figure 2, with
+    /// the Ī′ index on `pid` that set-up gives it (the update and
+    /// delete diffs below are keyed by `pid`).
     fn view() -> Table {
         let schema = Schema::from_pairs(
             &[
@@ -471,6 +477,7 @@ mod tests {
         t.load(row!["D1", "P1", 10]).unwrap();
         t.load(row!["D2", "P1", 10]).unwrap();
         t.load(row!["D1", "P2", 20]).unwrap();
+        t.create_index(&["pid"]).unwrap();
         t
     }
 
@@ -567,7 +574,6 @@ mod tests {
     #[test]
     fn failed_insert_batch_is_all_or_nothing() {
         let mut v = view();
-        v.create_index(&["pid"]).unwrap();
         let before = v.signature();
         let d = DiffInstance::new(
             DiffSchema::insert(&[0, 1], 3),
@@ -692,7 +698,6 @@ mod tests {
     #[test]
     fn update_accounting_through_in_place_patch() {
         let mut v = view();
-        v.create_index(&["pid"]).unwrap(); // the Ī′ index APPLY would add
         v.create_index(&["price"]).unwrap();
         let by_price = |v: &Table, p: i64| v.lookup(&[2], &Key(vec![Value::Int(p)])).len();
         let update = |d: Row| DiffInstance::new(DiffSchema::update(&[1], &[2], &[2]), vec![d]);

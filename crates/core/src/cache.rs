@@ -16,7 +16,12 @@
 //! heuristic here flags joins in which neither side joins on a key.
 
 use crate::access::PathId;
-use idivm_algebra::{infer_ids, Expr, Plan};
+use crate::diff::DiffKind::{Delete, Insert, Update};
+use crate::diff::{DiffSchema, State};
+use crate::rules::common::{evaluable, shift_schema, untouched};
+use crate::rules::join::JoinNode;
+use crate::schema_gen::BaseDiffSchemas;
+use idivm_algebra::{infer_ids, Expr, JoinKind, Plan};
 use idivm_types::Result;
 use std::collections::{BTreeSet, HashMap};
 
@@ -129,58 +134,160 @@ fn diff_probe_sets(node: &Plan) -> Result<Vec<Vec<usize>>> {
     Ok(sets)
 }
 
-/// The Ī′ column sets the i-diffs reaching the subview `node` can carry
-/// — what APPLY locates its targets by (paper Section 2). They follow
-/// Pass 1's ID provenance (Table 1): the output IDs of every node of the
-/// subtree, each mapped up through its ancestors to `node`'s output
-/// columns the way the rules map a diff's IDs. A node's set is dropped
-/// where its IDs stop reaching the output: below a grouping (whose
-/// diffs are keyed by the group), a projection that does not copy them,
-/// or the right side of a semi- or antijoin (whose diffs come out keyed
-/// by the left side). Sorted, without duplicates.
+/// The Ī′ column sets by which update and delete i-diffs can reach the
+/// subview `node` — what APPLY locates its targets by (paper Section
+/// 2), so set-up indexes each of them. Inserts go through the primary
+/// key and need none. `base` are the view's base-table i-diff schemas
+/// and `minimize` its Pass-4 switch. Sorted, without duplicates.
 ///
 /// # Errors
 /// ID-inference failures on malformed plans.
-pub fn apply_id_sets(node: &Plan) -> Result<Vec<Vec<usize>>> {
-    let mut sets = BTreeSet::from([infer_ids(node)?]);
+pub fn apply_id_sets(
+    node: &Plan,
+    base: &BaseDiffSchemas,
+    minimize: bool,
+) -> Result<Vec<Vec<usize>>> {
+    let sets: BTreeSet<Vec<usize>> = reach(node, base, minimize)?
+        .into_iter()
+        .filter(|s| s.kind != Insert)
+        .map(|s| s.id_cols)
+        .collect();
+    Ok(sets.into_iter().collect())
+}
+
+/// Every i-diff schema the rules can emit over `node`'s output, each
+/// rule followed from the schemas reaching its inputs (Pass 1's ID
+/// provenance, Table 1). A diff keeps its IDs where a rule passes it
+/// through; where a rule re-derives rows — a condition-touching update,
+/// the general form of a condition-free join update, a right-side diff
+/// of ⟕, ⋉ or ▷, any diff under a grouping — it comes out keyed by the
+/// node's own IDs.
+fn reach(node: &Plan, base: &BaseDiffSchemas, minimize: bool) -> Result<Vec<DiffSchema>> {
+    let mut out: Vec<DiffSchema> = Vec::new();
+    let mut emit = |s: DiffSchema| {
+        if !out.contains(&s) {
+            out.push(s);
+        }
+    };
+    let (ids, arity) = (infer_ids(node)?, node.arity());
+    let rest: Vec<usize> = (0..arity).filter(|c| !ids.contains(c)).collect();
+    // A row re-derived at this node, keyed by its own IDs.
+    let own = |kind| match kind {
+        Insert => DiffSchema::insert(&ids, arity),
+        Delete => DiffSchema::delete(&ids, &rest),
+        Update => DiffSchema::update(&ids, &[], &rest),
+    };
     match node {
-        Plan::Scan { .. } | Plan::GroupBy { .. } => {}
-        Plan::Select { input, .. } => sets.extend(apply_id_sets(input)?),
+        Plan::Scan { table, .. } => {
+            if let Some(t) = base.tables.get(table) {
+                emit(t.insert_schema());
+                emit(t.delete_schema());
+                t.updates.iter().for_each(|g| emit(t.update_schema(g)));
+            }
+        }
+        Plan::Select { input, pred } => {
+            let cond = pred.columns();
+            for s in reach(input, base, minimize)? {
+                if s.kind == Update && !untouched(&s, &cond) {
+                    emit(DiffSchema::update(&ids, &rest, &s.post_cols));
+                    for k in [Insert, Delete] {
+                        emit(own(k));
+                    }
+                } else {
+                    emit(s);
+                }
+            }
+        }
         Plan::Project { input, cols } => {
-            let to_output = |c: usize| {
+            let to_output = |c: &usize| {
                 cols.iter()
-                    .position(|(_, e)| matches!(e, Expr::Col(i) if *i == c))
+                    .position(|(_, e)| matches!(e, Expr::Col(i) if i == c))
             };
-            for set in apply_id_sets(input)? {
-                if let Some(mapped) = set.into_iter().map(to_output).collect() {
-                    sets.insert(mapped);
+            for s in reach(input, base, minimize)? {
+                let Some(out_ids) = s.id_cols.iter().map(to_output).collect::<Option<Vec<_>>>()
+                else {
+                    continue;
+                };
+                let carried =
+                    |o: &usize, state| !out_ids.contains(o) && evaluable(&s, &cols[*o].1, state);
+                let pre: Vec<usize> = (0..arity).filter(|o| carried(o, State::Pre)).collect();
+                let touched: Vec<usize> = (0..arity)
+                    .filter(|&o| {
+                        !out_ids.contains(&o)
+                            && cols[o].1.columns().iter().any(|c| s.post_cols.contains(c))
+                    })
+                    .collect();
+                match s.kind {
+                    Insert => emit(own(Insert)),
+                    Delete => emit(DiffSchema::delete(&out_ids, &pre)),
+                    Update if touched.is_empty() => {}
+                    Update if touched.iter().all(|o| carried(o, State::Post)) => {
+                        emit(DiffSchema::update(&out_ids, &pre, &touched));
+                    }
+                    Update => emit(DiffSchema::update(&ids, &[], &touched)),
                 }
             }
         }
         Plan::Join {
-            kind, left, right, ..
+            kind,
+            left,
+            right,
+            on,
+            residual,
         } => {
-            sets.extend(apply_id_sets(left)?);
-            if kind.keeps_right() {
-                let off = left.arity();
-                for set in apply_id_sets(right)? {
-                    sets.insert(set.into_iter().map(|c| c + off).collect());
+            let join = JoinNode::new(*kind, left, right, on, residual.as_ref(), &[]);
+            for (side, input) in [left, right].into_iter().enumerate() {
+                let offset = if side == 0 { 0 } else { left.arity() };
+                let direct = side == 0 || *kind == JoinKind::Inner;
+                let cond = join.cond_cols(side);
+                for s in reach(input, base, minimize)? {
+                    let touches = s.kind == Update && !untouched(&s, &cond);
+                    match s.kind {
+                        Insert if direct => emit(own(Insert)),
+                        Delete if direct => emit(shift_schema(&s, offset)),
+                        Update if !touches && !direct && !kind.keeps_right() => {}
+                        Update if !touches && (minimize || !direct || !kind.keeps_right()) => {
+                            emit(shift_schema(&s, offset));
+                        }
+                        Update if !touches => {
+                            let post: Vec<usize> = s.post_cols.iter().map(|c| c + offset).collect();
+                            emit(DiffSchema::update(&ids, &[], &post));
+                        }
+                        // `JoinNode::transition` or `through_left`.
+                        _ if direct || *kind == JoinKind::LeftOuter => {
+                            for k in [Delete, Update, Insert] {
+                                emit(own(k));
+                            }
+                        }
+                        _ => {
+                            for k in [Delete, Insert] {
+                                emit(own(k));
+                            }
+                        }
+                    }
                 }
             }
         }
         Plan::UnionAll { left, right } => {
             // A branch's diff gains the branch column after its IDs.
-            let branch = node.arity() - 1;
-            for mut set in apply_id_sets(left)?
+            for mut s in reach(left, base, minimize)?
                 .into_iter()
-                .chain(apply_id_sets(right)?)
+                .chain(reach(right, base, minimize)?)
             {
-                set.push(branch);
-                sets.insert(set);
+                s.id_cols.push(arity - 1);
+                emit(s);
+            }
+        }
+        Plan::GroupBy { input, keys, .. } => {
+            if !reach(input, base, minimize)?.is_empty() {
+                let aggs: Vec<usize> = (keys.len()..arity).collect();
+                emit(DiffSchema::delete(&ids, &[]));
+                emit(DiffSchema::update(&ids, &aggs, &aggs));
+                emit(own(Insert));
             }
         }
     }
-    Ok(sets.into_iter().collect())
+    Ok(out)
 }
 
 /// Does the subtree contain a join in which *neither* side joins on any
@@ -291,12 +398,19 @@ mod tests {
         assert!(defs.is_empty());
     }
 
-    /// Each node's IDs reach the subview's columns or drop out: a
-    /// join keeps both sides' sets and its own, a grouping only its
-    /// keys, a semijoin only the left side's.
+    /// A diff keeps its IDs where a rule passes it through and takes
+    /// the node's own where the rule re-derives rows: an inner join
+    /// passes deletes and (under Pass 4) condition-free updates
+    /// through, a condition-touching update is re-keyed by the join, a
+    /// grouping keys everything by its group, and a semijoin's right
+    /// side re-derives the left rows it reaches.
     #[test]
-    fn id_sets_follow_the_ids_up_to_the_subview() {
+    fn id_sets_follow_the_rules_up_to_the_subview() {
         let cat = catalog();
+        let sets = |plan: &Plan, minimize| {
+            let schemas = crate::schema_gen::generate(plan, &cat).unwrap();
+            apply_id_sets(plan, &schemas, minimize).unwrap()
+        };
         let join = |kind| {
             PlanBuilder::scan(&cat, "parts")
                 .unwrap()
@@ -310,8 +424,9 @@ mod tests {
         };
         let inner = join(JoinKind::Inner).build().unwrap();
         // parts.pid; devices_parts (did, pid) at 2, 3; the join's own.
+        assert_eq!(sets(&inner, true), vec![vec![0], vec![2, 3]]);
         assert_eq!(
-            apply_id_sets(&inner).unwrap(),
+            sets(&inner, false),
             vec![vec![0], vec![0, 2, 3], vec![2, 3]]
         );
         let grouped = join(JoinKind::Inner)
@@ -319,9 +434,19 @@ mod tests {
             .unwrap()
             .build()
             .unwrap();
-        assert_eq!(apply_id_sets(&grouped).unwrap(), vec![vec![0]]);
+        assert_eq!(sets(&grouped, true), vec![vec![0]]);
         let semi = join(JoinKind::Semi).build().unwrap();
-        assert_eq!(apply_id_sets(&semi).unwrap(), vec![vec![0]]);
+        assert_eq!(sets(&semi, true), vec![vec![0]]);
+        let on_price = PlanBuilder::scan_as(&cat, "parts", "a")
+            .unwrap()
+            .join(
+                PlanBuilder::scan_as(&cat, "parts", "b").unwrap(),
+                &[("a.price", "b.price")],
+            )
+            .unwrap()
+            .build()
+            .unwrap();
+        assert_eq!(sets(&on_price, true), vec![vec![0], vec![0, 2], vec![2]]);
     }
 
     #[test]

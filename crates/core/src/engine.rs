@@ -87,8 +87,6 @@ pub struct IdIvm {
     schemas: BaseDiffSchemas,
     cache_defs: Vec<CacheDef>,
     cache_map: HashMap<PathId, String>,
-    /// The view's and each cache's Ī′ sets ([`apply_id_sets`]), by table.
-    id_sets: Vec<(String, Vec<Vec<usize>>)>,
 }
 
 /// How set-up fills a view's table and caches.
@@ -220,12 +218,14 @@ impl IdIvm {
                 t.create_index_positions(set.clone());
             }
         }
-        let mut id_sets = Vec::with_capacity(cache_map.len());
+        // The Ī′ indexes APPLY locates update and delete targets by.
         for (path, name) in &cache_map {
             let node = crate::access::node_at(&plan, path)?;
-            id_sets.push((name.clone(), apply_id_sets(node)?));
+            let t = db.table_mut(name)?;
+            for set in apply_id_sets(node, &schemas, options.minimize)? {
+                t.create_index_positions(set);
+            }
         }
-        id_sets.sort();
         Ok(IdIvm {
             view_name: view_name.to_string(),
             plan,
@@ -239,36 +239,7 @@ impl IdIvm {
             schemas,
             cache_defs,
             cache_map,
-            id_sets,
         })
-    }
-
-    /// True when the view and every cache carry an index on each Ī′ an
-    /// i-diff can bring them ([`apply_id_sets`]). APPLY creates a
-    /// missing one the first time a diff needs it, so until then a
-    /// table's index set — part of its signature — depends on which
-    /// diffs have reached it; from then on it no longer changes.
-    pub fn has_every_id_index(&self, db: &Database) -> bool {
-        self.id_sets.iter().all(|(name, sets)| {
-            db.table(name)
-                .is_ok_and(|t| sets.iter().all(|s| t.has_index(s)))
-        })
-    }
-
-    /// Debug builds check that every diff APPLY receives is keyed by a
-    /// set [`apply_id_sets`] names, so the test suites hold
-    /// [`IdIvm::has_every_id_index`] to the diffs the rules emit.
-    fn debug_check_id_sets(&self, table: &str, diffs: &[DiffInstance]) {
-        if cfg!(debug_assertions) {
-            let sets = self.id_sets.iter().find(|(name, _)| name == table);
-            for diff in diffs {
-                let ids = &diff.schema.id_cols;
-                assert!(
-                    sets.is_some_and(|(_, sets)| sets.contains(ids)) || diff.rows.is_empty(),
-                    "`{table}` receives i-diffs keyed by {ids:?}, outside its Ī′ sets {sets:?}"
-                );
-            }
-        }
     }
 
     /// The maintained view's name.
@@ -405,7 +376,6 @@ impl IdIvm {
             .hit(FaultSite::Apply, format_args!("target `{}`", self.view_name))?;
         let before = db.stats().snapshot();
         let mut view_changes = TableChanges::new();
-        self.debug_check_id_sets(&self.view_name, &root_diffs);
         let outcome = apply_all(db.table_mut(&self.view_name)?, &root_diffs, &mut view_changes)?;
         round.report.view_update = db.stats().snapshot().since(&before);
         round.report.view_outcome = outcome;
@@ -554,7 +524,6 @@ impl IdIvm {
                     .cache_changes
                     .remove(cache_name)
                     .unwrap_or_default();
-                self.debug_check_id_sets(cache_name, &out);
                 let outcome = apply_all(db.table_mut(cache_name)?, &out, changes.make_mut())?;
                 state.cache_changes.insert(cache_name.clone(), changes);
                 let spent = db.stats().snapshot().since(&before);

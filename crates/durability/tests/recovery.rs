@@ -600,15 +600,13 @@ fn a_fault_during_replay_strikes_every_replayed_round() {
 
 // --- Folded replay -------------------------------------------------
 //
-// A store replays its WAL tail as one round only once every view and
-// cache carries all its Ī′ indexes (APPLY creates a missing one the
-// first time a diff needs it). The lifecycles below first warm the
-// store up and checkpoint it, so that the scheduler's configuration is
-// what decides.
+// Whether a store replays its WAL tail as one round is the scheduler's
+// configuration's to decide (the cold pins above fold too). The
+// lifecycles below first warm the store up and checkpoint it, so that
+// replay starts from a checkpoint taken after maintained rounds.
 
 /// Tick batches into `store`, each also deleting a tweet of the one
-/// before with its mentions, drain, and checkpoint: every engine then
-/// carries all its Ī′ indexes, on disk too.
+/// before with its mentions, drain, and checkpoint.
 fn warm_up(store: &mut Durable) {
     let cfg = suite();
     for round in 101..=106u64 {
@@ -623,16 +621,6 @@ fn warm_up(store: &mut Durable) {
     }
     store.drain().unwrap();
     store.checkpoint().unwrap();
-    let sched = store.scheduler();
-    let catalog = sched.catalog();
-    for name in catalog.names() {
-        let engine = catalog.view(name).unwrap().engine();
-        assert!(engine.has_every_id_index(sched.db()), "`{name}` lacks an Ī′ index");
-    }
-    for name in catalog.intermediate_names() {
-        let engine = catalog.intermediate(name).unwrap().engine();
-        assert!(engine.has_every_id_index(sched.db()), "`{name}` lacks an Ī′ index");
-    }
 }
 
 /// Maintenance rounds each view ran since the store was opened.
