@@ -590,7 +590,7 @@ fn round_summary_transcript_is_pinned() {
     }
     assert_eq!(
         (out.len(), fnv1a(out.as_bytes())),
-        (7551, 0x54dc_bd79_8525_d79c),
+        (7551, 0x2562_e81e_f413_2a6b),
         "round-summary transcript moved:\n{out}"
     );
 }
