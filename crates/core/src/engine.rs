@@ -480,8 +480,8 @@ impl IdIvm {
                     access: &access,
                     minimize: self.minimize,
                     parallel: self.knobs.parallel,
-                    faults: Some(round.faults()),
-                    rescans: Some(state.rescans),
+                    faults: round.faults(),
+                    rescans: state.rescans,
                 };
                 propagate(&ctx, node, path, incoming)?
             };

@@ -39,11 +39,10 @@ pub struct RuleCtx<'a> {
     pub parallel: ParallelConfig,
     /// The round's fault hooks, for failpoints *inside* a rule — today
     /// only the mid-rescan failpoint of the aggregate delta strategy.
-    /// `None` in contexts without fault machinery.
-    pub faults: Option<&'a FaultState>,
+    pub faults: &'a FaultState,
     /// Dirty-group rescans performed this round (reported as
-    /// `MaintenanceReport::rescans`). `None` when nobody is counting.
-    pub rescans: Option<&'a AtomicU64>,
+    /// `MaintenanceReport::rescans`).
+    pub rescans: &'a AtomicU64,
 }
 
 impl RuleCtx<'_> {
@@ -59,12 +58,8 @@ impl RuleCtx<'_> {
     /// # Errors
     /// The armed fault, when the sweep lands on this rescan.
     pub fn on_rescan(&self) -> Result<()> {
-        if let Some(f) = self.faults {
-            f.hit(FaultSite::Operator, "`rescan`")?;
-        }
-        if let Some(c) = self.rescans {
-            c.fetch_add(1, Ordering::Relaxed);
-        }
+        self.faults.hit(FaultSite::Operator, "`rescan`")?;
+        self.rescans.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 }

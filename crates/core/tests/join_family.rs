@@ -20,12 +20,13 @@ use idivm_algebra::{Expr, JoinKind, Plan, PlanBuilder};
 use idivm_core::access::{self, AccessCtx};
 use idivm_core::diff::State;
 use idivm_core::rules::{self, IncomingDiff, RuleCtx};
-use idivm_core::{DiffInstance, DiffSchema};
+use idivm_core::{DiffInstance, DiffSchema, FaultPlan, FaultState};
 use idivm_exec::{DbCatalog, ParallelConfig};
 use idivm_types::{Row, Value};
 use inputs::{before, database, int, row, Input, LEFT, RIGHT};
 use std::collections::HashMap;
 use std::fmt::Write as _;
+use std::sync::atomic::AtomicU64;
 
 /// The round's four diffs on `input`, named.
 fn diffs(input: &Input) -> Vec<(&'static str, DiffInstance)> {
@@ -101,6 +102,7 @@ fn join_family_rules_are_pinned() {
         caches: &caches,
         cache_changes: &cache_changes,
     };
+    let (faults, rescans) = (FaultState::new(FaultPlan::disabled()), AtomicU64::new(0));
     let cat = DbCatalog(&db);
     let sides = [(0, diffs(&LEFT)), (1, diffs(&RIGHT))];
     let kinds = [
@@ -135,8 +137,8 @@ fn join_family_rules_are_pinned() {
                     access: &access,
                     minimize,
                     parallel: ParallelConfig::serial(),
-                    faults: None,
-                    rescans: None,
+                    faults: &faults,
+                    rescans: &rescans,
                 };
                 for (side, diffs) in &sides {
                     for (what, diff) in diffs {

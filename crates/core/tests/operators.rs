@@ -408,11 +408,12 @@ mod rule_outputs {
     use idivm_core::access::{self, AccessCtx};
     use idivm_core::diff::State;
     use idivm_core::rules::{join, project, select, RuleCtx};
-    use idivm_core::{DiffInstance, DiffKind, DiffSchema};
+    use idivm_core::{DiffInstance, DiffKind, DiffSchema, FaultPlan, FaultState};
     use idivm_exec::{DbCatalog, ParallelConfig};
     use idivm_reldb::{Database, Net};
     use idivm_types::{row, ColumnType, Key, Row, Schema, Value};
     use std::collections::{BTreeSet, HashMap};
+    use std::sync::atomic::AtomicU64;
 
     /// SplitMix64, one stream per seed.
     struct Mix(u64);
@@ -997,14 +998,15 @@ mod rule_outputs {
             Some(Expr::col(0).add(Expr::col(6)).gt(Expr::lit(4i64))),
         ];
         let path = Vec::new();
+        let (faults, rescans) = (FaultState::new(FaultPlan::disabled()), AtomicU64::new(0));
         for seed in 0..600u64 {
             let mut rng = Mix(seed);
             let ctx = RuleCtx {
                 access: &access,
                 minimize: rng.chance(70),
                 parallel: ParallelConfig::serial(),
-                faults: None,
-                rescans: None,
+                faults: &faults,
+                rescans: &rescans,
             };
 
             let pred = preds()[rng.below(5)].clone();
