@@ -17,11 +17,12 @@
 
 use crate::access::PathId;
 use crate::diff::DiffKind::{Delete, Insert, Update};
-use crate::diff::{DiffSchema, State};
-use crate::rules::common::{evaluable, shift_schema, untouched};
+use crate::diff::DiffSchema;
+use crate::rules::common::{shift_schema, untouched};
 use crate::rules::join::JoinNode;
+use crate::rules::project;
 use crate::schema_gen::BaseDiffSchemas;
-use idivm_algebra::{infer_ids, Expr, JoinKind, Plan};
+use idivm_algebra::{infer_ids, JoinKind, Plan};
 use idivm_types::Result;
 use std::collections::{BTreeSet, HashMap};
 
@@ -32,8 +33,10 @@ pub struct CacheDef {
     pub path: PathId,
     /// Storage table name.
     pub name: String,
-    /// Column sets to index (probe paths the rules will use).
-    pub index_sets: Vec<Vec<usize>>,
+    /// The group keys, which the γ rules probe the cache by (an output
+    /// cache's are its key). Set-up indexes them and the Ī′ sets
+    /// ([`apply_id_sets`]), which the rules' diff probes use too.
+    pub group_keys: Vec<usize>,
 }
 
 /// Decide which subviews to cache for `plan` (already ID-extended).
@@ -72,7 +75,7 @@ fn walk(
             defs.push(CacheDef {
                 path: path.clone(),
                 name,
-                index_sets: vec![(0..keys.len()).collect()],
+                group_keys: (0..keys.len()).collect(),
             });
         }
         // Input cache.
@@ -82,13 +85,11 @@ fn walk(
             && !map.contains_key(&in_path);
         if worth {
             let name = format!("{view_name}#cache{}", suffix(&in_path));
-            let mut index_sets = vec![keys.clone()];
-            index_sets.extend(diff_probe_sets(input)?);
             map.insert(in_path.clone(), name.clone());
             defs.push(CacheDef {
                 path: in_path,
                 name,
-                index_sets,
+                group_keys: keys.clone(),
             });
         }
     }
@@ -96,42 +97,6 @@ fn walk(
         walk(c, &child(path, i), view_name, defs, map)?;
     }
     Ok(())
-}
-
-/// ID column sets with which base-table diffs will probe this subview:
-/// for every scanned alias, the positions its key columns occupy in the
-/// subview output (when they all survive).
-fn diff_probe_sets(node: &Plan) -> Result<Vec<Vec<usize>>> {
-    let cols = node.output_cols();
-    let mut sets = Vec::new();
-    for (alias, _) in node.scans() {
-        let mut set = Vec::new();
-        let mut by_base: Vec<(usize, usize)> = Vec::new(); // (base col, out pos)
-        for (pos, c) in cols.iter().enumerate() {
-            if let Some(o) = &c.origin {
-                if o.alias == alias {
-                    by_base.push((o.column, pos));
-                }
-            }
-        }
-        // We need the alias's key columns; without the base schema here
-        // we approximate with "all surviving columns of the alias that
-        // are part of the subview's IDs".
-        let ids = infer_ids(node)?;
-        for (_, pos) in by_base {
-            if ids.contains(&pos) {
-                set.push(pos);
-            }
-        }
-        set.sort_unstable();
-        set.dedup();
-        if !set.is_empty() {
-            sets.push(set);
-        }
-    }
-    sets.sort();
-    sets.dedup();
-    Ok(sets)
 }
 
 /// The Ī′ column sets by which update and delete i-diffs can reach the
@@ -162,13 +127,7 @@ pub fn apply_id_sets(
 /// the general form of a condition-free join update, a right-side diff
 /// of ⟕, ⋉ or ▷, any diff under a grouping — it comes out keyed by the
 /// node's own IDs.
-fn reach(node: &Plan, base: &BaseDiffSchemas, minimize: bool) -> Result<Vec<DiffSchema>> {
-    let mut out: Vec<DiffSchema> = Vec::new();
-    let mut emit = |s: DiffSchema| {
-        if !out.contains(&s) {
-            out.push(s);
-        }
-    };
+fn reach(node: &Plan, base: &BaseDiffSchemas, minimize: bool) -> Result<BTreeSet<DiffSchema>> {
     let (ids, arity) = (infer_ids(node)?, node.arity());
     let rest: Vec<usize> = (0..arity).filter(|c| !ids.contains(c)).collect();
     // A row re-derived at this node, keyed by its own IDs.
@@ -177,54 +136,31 @@ fn reach(node: &Plan, base: &BaseDiffSchemas, minimize: bool) -> Result<Vec<Diff
         Delete => DiffSchema::delete(&ids, &rest),
         Update => DiffSchema::update(&ids, &[], &rest),
     };
+    let inputs = |plan: &Plan| reach(plan, base, minimize);
+    let mut out = Vec::new();
     match node {
         Plan::Scan { table, .. } => {
             if let Some(t) = base.tables.get(table) {
-                emit(t.insert_schema());
-                emit(t.delete_schema());
-                t.updates.iter().for_each(|g| emit(t.update_schema(g)));
+                out.extend([t.insert_schema(), t.delete_schema()]);
+                out.extend(t.updates.iter().map(|g| t.update_schema(g)));
             }
         }
         Plan::Select { input, pred } => {
             let cond = pred.columns();
-            for s in reach(input, base, minimize)? {
+            for s in inputs(input)? {
                 if s.kind == Update && !untouched(&s, &cond) {
-                    emit(DiffSchema::update(&ids, &rest, &s.post_cols));
-                    for k in [Insert, Delete] {
-                        emit(own(k));
-                    }
+                    let staying = DiffSchema::update(&ids, &rest, &s.post_cols);
+                    out.extend([staying, own(Insert), own(Delete)]);
                 } else {
-                    emit(s);
+                    out.push(s);
                 }
             }
         }
         Plan::Project { input, cols } => {
-            let to_output = |c: &usize| {
-                cols.iter()
-                    .position(|(_, e)| matches!(e, Expr::Col(i) if i == c))
-            };
-            for s in reach(input, base, minimize)? {
-                let Some(out_ids) = s.id_cols.iter().map(to_output).collect::<Option<Vec<_>>>()
-                else {
-                    continue;
-                };
-                let carried =
-                    |o: &usize, state| !out_ids.contains(o) && evaluable(&s, &cols[*o].1, state);
-                let pre: Vec<usize> = (0..arity).filter(|o| carried(o, State::Pre)).collect();
-                let touched: Vec<usize> = (0..arity)
-                    .filter(|&o| {
-                        !out_ids.contains(&o)
-                            && cols[o].1.columns().iter().any(|c| s.post_cols.contains(c))
-                    })
-                    .collect();
-                match s.kind {
-                    Insert => emit(own(Insert)),
-                    Delete => emit(DiffSchema::delete(&out_ids, &pre)),
-                    Update if touched.is_empty() => {}
-                    Update if touched.iter().all(|o| carried(o, State::Post)) => {
-                        emit(DiffSchema::update(&out_ids, &pre, &touched));
-                    }
-                    Update => emit(DiffSchema::update(&ids, &[], &touched)),
+            for s in inputs(input)? {
+                // A diff whose IDs the projection drops never arrives.
+                if let Ok(Some((s, _))) = project::out_schema(cols, &s, || Ok(ids.clone())) {
+                    out.push(s);
                 }
             }
         }
@@ -237,31 +173,27 @@ fn reach(node: &Plan, base: &BaseDiffSchemas, minimize: bool) -> Result<Vec<Diff
         } => {
             let join = JoinNode::new(*kind, left, right, on, residual.as_ref(), &[]);
             for (side, input) in [left, right].into_iter().enumerate() {
-                let offset = if side == 0 { 0 } else { left.arity() };
+                let offset = side * left.arity();
                 let direct = side == 0 || *kind == JoinKind::Inner;
                 let cond = join.cond_cols(side);
-                for s in reach(input, base, minimize)? {
+                for s in inputs(input)? {
                     let touches = s.kind == Update && !untouched(&s, &cond);
                     match s.kind {
-                        Insert if direct => emit(own(Insert)),
-                        Delete if direct => emit(shift_schema(&s, offset)),
+                        Insert if direct => out.push(own(Insert)),
+                        Delete if direct => out.push(shift_schema(&s, offset)),
                         Update if !touches && !direct && !kind.keeps_right() => {}
                         Update if !touches && (minimize || !direct || !kind.keeps_right()) => {
-                            emit(shift_schema(&s, offset));
+                            out.push(shift_schema(&s, offset));
                         }
                         Update if !touches => {
                             let post: Vec<usize> = s.post_cols.iter().map(|c| c + offset).collect();
-                            emit(DiffSchema::update(&ids, &[], &post));
+                            out.push(DiffSchema::update(&ids, &[], &post));
                         }
                         // `JoinNode::transition` or `through_left`.
-                        _ if direct || *kind == JoinKind::LeftOuter => {
-                            for k in [Delete, Update, Insert] {
-                                emit(own(k));
-                            }
-                        }
                         _ => {
-                            for k in [Delete, Insert] {
-                                emit(own(k));
+                            out.extend([own(Delete), own(Insert)]);
+                            if direct || *kind == JoinKind::LeftOuter {
+                                out.push(own(Update));
                             }
                         }
                     }
@@ -270,24 +202,20 @@ fn reach(node: &Plan, base: &BaseDiffSchemas, minimize: bool) -> Result<Vec<Diff
         }
         Plan::UnionAll { left, right } => {
             // A branch's diff gains the branch column after its IDs.
-            for mut s in reach(left, base, minimize)?
-                .into_iter()
-                .chain(reach(right, base, minimize)?)
-            {
+            for mut s in inputs(left)?.into_iter().chain(inputs(right)?) {
                 s.id_cols.push(arity - 1);
-                emit(s);
+                out.push(s);
             }
         }
         Plan::GroupBy { input, keys, .. } => {
-            if !reach(input, base, minimize)?.is_empty() {
+            if !inputs(input)?.is_empty() {
                 let aggs: Vec<usize> = (keys.len()..arity).collect();
-                emit(DiffSchema::delete(&ids, &[]));
-                emit(DiffSchema::update(&ids, &aggs, &aggs));
-                emit(own(Insert));
+                let changed = DiffSchema::update(&ids, &aggs, &aggs);
+                out.extend([DiffSchema::delete(&ids, &[]), changed, own(Insert)]);
             }
         }
     }
-    Ok(out)
+    Ok(out.into_iter().collect())
 }
 
 /// Does the subtree contain a join in which *neither* side joins on any

@@ -15,7 +15,7 @@ use idivm_exec::Batch;
 use idivm_types::{Key, Row, Value};
 
 /// Diff type `t ∈ {+, −, u}`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DiffKind {
     Insert,
     Delete,
@@ -39,7 +39,7 @@ impl DiffKind {
 /// Rows of a matching [`DiffInstance`] are laid out as
 /// `[id values…, pre values…, post values…]` following `id_cols`,
 /// `pre_cols`, `post_cols` order.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct DiffSchema {
     pub kind: DiffKind,
     /// `Ī′`: the ID subset identifying target tuples.

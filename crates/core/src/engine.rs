@@ -213,10 +213,8 @@ impl IdIvm {
                     materialize_view(db, &def.name, &sub)?;
                 }
             }
-            let t = db.table_mut(&def.name)?;
-            for set in &def.index_sets {
-                t.create_index_positions(set.clone());
-            }
+            db.table_mut(&def.name)?
+                .create_index_positions(def.group_keys.clone());
         }
         // The Ī′ indexes APPLY locates update and delete targets by.
         for (path, name) in &cache_map {

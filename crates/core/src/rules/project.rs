@@ -27,25 +27,11 @@ pub fn propagate(
     path: &PathId,
     diff: DiffInstance,
 ) -> Result<Vec<DiffInstance>> {
-    let in_arity = input.arity();
-    let out_arity = cols.len();
-    // Map each input ID column of the diff to its output position.
-    let map_id = |c: usize| -> Result<usize> {
-        cols.iter()
-            .position(|(_, e)| matches!(e, Expr::Col(i) if *i == c))
-            .ok_or_else(|| {
-                Error::Plan(format!(
-                    "projection drops diff ID column #{c}; ensure_ids must run first"
-                ))
-            })
+    let node_ids = || project_ids(&infer_ids(input)?, cols);
+    let Some((schema, general)) = out_schema(cols, &diff.schema, node_ids)? else {
+        // The update is invisible through this projection.
+        return Ok(vec![]);
     };
-    let out_ids: Vec<usize> = diff
-        .schema
-        .id_cols
-        .iter()
-        .map(|&c| map_id(c))
-        .collect::<Result<_>>()?;
-
     // Each output row is one `Row::try_collect` over per-slot
     // expressions, rewritten once per instance onto the diff's slots.
     let emit = |schema: DiffSchema, slots: &[Expr]| -> Result<DiffInstance> {
@@ -66,90 +52,58 @@ pub fn propagate(
             .collect()
     };
 
-    match diff.schema.kind {
+    match schema.kind {
         DiffKind::Insert => {
             // Project the full post rows through every expression.
-            let covered = diff.schema.full_sources(in_arity, State::Post).is_some();
+            let covered = in_schema.full_sources(input.arity(), State::Post).is_some();
             if !covered && !diff.rows.is_empty() {
                 return Err(Error::Internal("insert diff lacks full coverage".into()));
             }
-            let node_ids = project_ids(&infer_ids(input)?, cols)?;
-            let schema = DiffSchema::insert(&node_ids, out_arity);
-            let exprs = slots(&[(&schema.id_cols, State::Post), (&schema.post_cols, State::Post)]);
+            let exprs = slots(&[
+                (&schema.id_cols, State::Post),
+                (&schema.post_cols, State::Post),
+            ]);
             Ok(vec![emit(schema, &exprs)?])
         }
         DiffKind::Delete => {
-            // Carry pre-state for every output column computable from
-            // the diff's pre values (Table 8's blue portion).
-            let pre_outs: Vec<usize> = (0..out_arity)
-                .filter(|&o| {
-                    !out_ids.contains(&o) && evaluable(&diff.schema, &cols[o].1, State::Pre)
-                })
-                .collect();
-            let exprs = slots(&[(&out_ids, State::Pre), (&pre_outs, State::Pre)]);
-            Ok(vec![emit(DiffSchema::delete(&out_ids, &pre_outs), &exprs)?])
+            let exprs = slots(&[
+                (&schema.id_cols, State::Pre),
+                (&schema.pre_cols, State::Pre),
+            ]);
+            Ok(vec![emit(schema, &exprs)?])
+        }
+        DiffKind::Update if general => {
+            // General form: probe Input_post by the diff IDs and emit
+            // one output diff row per affected input row, keyed by the
+            // *projected* input IDs — the probed rows share the diff's
+            // Ī′ values, but their computed outputs may vary.
+            let ipath = child_path(path, 0);
+            let mut fine_rows = Vec::new();
+            for d in &diff.rows {
+                for post in access::lookup(
+                    ctx.access,
+                    input,
+                    &ipath,
+                    State::Post,
+                    &in_schema.id_cols,
+                    in_schema.id_slice(d),
+                )? {
+                    let outs = schema.id_cols.iter().chain(&schema.post_cols);
+                    fine_rows.push(Row::try_collect(outs.map(|&o| cols[o].1.eval(&post)))?);
+                }
+            }
+            Ok(vec![DiffInstance::new(schema, fine_rows)])
         }
         DiffKind::Update => {
-            // Output columns whose expression reads an updated input
-            // column must be re-emitted with new values.
-            let touched: Vec<usize> = (0..out_arity)
-                .filter(|&o| {
-                    !out_ids.contains(&o)
-                        && cols[o]
-                            .1
-                            .columns()
-                            .iter()
-                            .any(|c| diff.schema.post_cols.contains(c))
-                })
-                .collect();
-            if touched.is_empty() {
-                // The update is invisible through this projection.
-                return Ok(vec![]);
-            }
-            let all_evaluable = touched
-                .iter()
-                .all(|&o| evaluable(&diff.schema, &cols[o].1, State::Post));
-            if !all_evaluable {
-                // General form: probe Input_post (and Input_pre for the
-                // carried pre values) by the diff IDs; one output diff
-                // row per affected input row, at full input-ID
-                // granularity is unnecessary — the probed rows share the
-                // diff's Ī′ values, and their computed outputs may vary,
-                // so emit per input row keyed by the *projected* input
-                // IDs.
-                let node_ids = project_ids(&infer_ids(input)?, cols)?;
-                let fine = DiffSchema::update(&node_ids, &[], &touched);
-                let ipath = child_path(path, 0);
-                let mut fine_rows = Vec::new();
-                for d in &diff.rows {
-                    for post in access::lookup(
-                        ctx.access,
-                        input,
-                        &ipath,
-                        State::Post,
-                        &diff.schema.id_cols,
-                        diff.schema.id_slice(d),
-                    )? {
-                        let outs = fine.id_cols.iter().chain(&fine.post_cols);
-                        fine_rows.push(Row::try_collect(outs.map(|&o| cols[o].1.eval(&post)))?);
-                    }
-                }
-                return Ok(vec![DiffInstance::new(fine, fine_rows)]);
-            }
-            let pre_outs: Vec<usize> = (0..out_arity)
-                .filter(|&o| {
-                    !out_ids.contains(&o) && evaluable(&diff.schema, &cols[o].1, State::Pre)
-                })
-                .collect();
-            let schema = DiffSchema::update(&out_ids, &pre_outs, &touched);
             let exprs = slots(&[
-                (&out_ids, State::Pre),
-                (&pre_outs, State::Pre),
-                (&touched, State::Post),
+                (&schema.id_cols, State::Pre),
+                (&schema.pre_cols, State::Pre),
+                (&schema.post_cols, State::Post),
             ]);
             // σ_isupd: drop rows where every touched output column kept
             // its pre value (when the pre value is known).
-            let compared: Vec<(Option<usize>, Option<usize>)> = touched
+            let compared: Vec<(Option<usize>, Option<usize>)> = schema
+                .post_cols
                 .iter()
                 .map(|&o| (schema.pre_source(o), schema.post_source(o)))
                 .collect();
@@ -163,4 +117,58 @@ pub fn propagate(
             Ok(vec![out])
         }
     }
+}
+
+/// The schema a diff of schema `diff` leaves the projection `cols`
+/// with, or `None` for an update that touches no output column (it is
+/// invisible here). The diff's IDs map to their output positions; an
+/// output column carries its pre value where the diff's pre values
+/// compute it (Table 8's blue portion); an update re-emits the output
+/// columns that read an updated column. An insert, and an update
+/// whose new values the diff cannot compute (the general form, which
+/// probes `Input_post`; the `bool` says so), is keyed by the node's
+/// IDs, `node_ids()`.
+///
+/// # Errors
+/// Diff IDs dropped by the projection (a Pass-1 violation).
+pub(crate) fn out_schema(
+    cols: &[(String, Expr)],
+    diff: &DiffSchema,
+    node_ids: impl Fn() -> Result<Vec<usize>>,
+) -> Result<Option<(DiffSchema, bool)>> {
+    let to_output = |&c: &usize| {
+        let pos = cols
+            .iter()
+            .position(|(_, e)| matches!(e, Expr::Col(i) if *i == c));
+        pos.ok_or_else(|| {
+            Error::Plan(format!(
+                "projection drops diff ID column #{c}; ensure_ids must run first"
+            ))
+        })
+    };
+    let out_ids: Vec<usize> = diff.id_cols.iter().map(to_output).collect::<Result<_>>()?;
+    let outs = |keep: &dyn Fn(&Expr) -> bool| -> Vec<usize> {
+        (0..cols.len())
+            .filter(|o| !out_ids.contains(o) && keep(&cols[*o].1))
+            .collect()
+    };
+    let pre = || outs(&|e| evaluable(diff, e, State::Pre));
+    Ok(Some(match diff.kind {
+        DiffKind::Insert => (DiffSchema::insert(&node_ids()?, cols.len()), false),
+        DiffKind::Delete => (DiffSchema::delete(&out_ids, &pre()), false),
+        DiffKind::Update => {
+            let touched = outs(&|e| e.columns().iter().any(|c| diff.post_cols.contains(c)));
+            if touched.is_empty() {
+                return Ok(None);
+            }
+            if touched
+                .iter()
+                .all(|&o| evaluable(diff, &cols[o].1, State::Post))
+            {
+                (DiffSchema::update(&out_ids, &pre(), &touched), false)
+            } else {
+                (DiffSchema::update(&node_ids()?, &[], &touched), true)
+            }
+        }
+    }))
 }
