@@ -565,9 +565,6 @@ pub enum UndoOp {
     /// displaced one. Undo by putting it back in the slot of its
     /// primary key (keys are immutable, so that is the slot it left).
     Update { table: Arc<str>, row: Row },
-    /// A secondary index was created mid-round; undo by dropping it so
-    /// a rolled-back first round leaves the table bit-identical.
-    CreateIndex { table: Arc<str>, cols: Vec<usize> },
 }
 
 impl UndoOp {
@@ -576,8 +573,7 @@ impl UndoOp {
         match self {
             UndoOp::Insert { table, .. }
             | UndoOp::Delete { table, .. }
-            | UndoOp::Update { table, .. }
-            | UndoOp::CreateIndex { table, .. } => table,
+            | UndoOp::Update { table, .. } => table,
         }
     }
 }
@@ -1137,9 +1133,9 @@ mod tests {
         let b = a.clone();
         assert!(a.same_sink(&b));
         a.arm();
-        b.record(UndoOp::CreateIndex {
+        b.record(UndoOp::Delete {
             table: "v".into(),
-            cols: vec![1],
+            row: row![1, 10],
         });
         assert_eq!(a.len(), 1);
         a.disarm();
