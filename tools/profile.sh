@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Profile one benchmark workload with the frame-pointer sampler.
 #
-#   tools/profile.sh [--children] <workload> [seconds=10] [seed=7] [frame]
+#   tools/profile.sh [--children] [--traced] <workload> [seconds=10] [seed=7] [frame]
 #
 # Builds benchmark/ with `-C force-frame-pointers=yes` and line tables
 # into its own target directory ($CARGO_TARGET_DIR, default
@@ -21,19 +21,27 @@
 #
 #   tools/profile.sh --children firehose-multiview 1 7 ViewCatalog::register
 #
+# --traced runs the benchmark with --trace 1 instead, which adds the
+# passes only the per-layer metrics run (tuple-IVM, SDBT, P = 2), e.g.
+#
+#   tools/profile.sh --traced engine-fig12 1 7 idivm_tuple::propagate
+#
 # It exits with the program's own status when the program fails.
 # PROFILE_TOP sets the table length. The program's own output goes to stderr. x86-64 Linux,
 # python3 and nm; the host must allow ptrace of a child process.
 set -euo pipefail
 
 under=--under
-if [ "${1:-}" = --children ]; then
-    under=--children
+trace=0
+while [ "${1:-}" = --children ] || [ "${1:-}" = --traced ]; do
+    case $1 in
+        --children) under=--children ;;
+        --traced) trace=1 ;;
+    esac
     shift
-    [ $# -ge 4 ] || set --  # --children needs the frame
-fi
-if [ $# -lt 1 ]; then
-    sed -n '2,26p' "$0" >&2
+done
+if [ $# -lt 1 ] || { [ $under = --children ] && [ $# -lt 4 ]; }; then
+    sed -n '2,31p' "$0" >&2  # --children needs the frame
     exit 2
 fi
 root=$(cd "$(dirname "$0")/.." && pwd)
@@ -51,4 +59,4 @@ cd "$work"
 python3 "$root/tools/profile.py" --top "${PROFILE_TOP:-25}" \
     ${frame:+$under "$frame"} -- \
     "$CARGO_TARGET_DIR/release/idivm-benchmark" --workload "$workload" \
-    --seed "$seed" --seconds "$seconds" --trace 0
+    --seed "$seed" --seconds "$seconds" --trace "$trace"
