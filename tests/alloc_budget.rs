@@ -22,11 +22,16 @@
 //! reserved table with one secondary index: storing a row must not
 //! build a key for it, for the primary-key map or for the index.
 //!
+//! A fourth brackets [`Durable::open`] of a warm all-`Eager` store of
+//! the same five views, which folds its WAL tail into one round: what
+//! replay spends must grow with the records it reads.
+//!
 //! Counts are deterministic for a given build; the tests take
 //! [`BRACKET`] so no other test thread allocates inside a bracket.
 
 use idivm_repro::catalog::{MaintenanceScheduler, RefreshPolicy, SchedulerConfig};
-use idivm_repro::core::{IdIvm, IvmOptions};
+use idivm_repro::core::{FaultPlan, FaultState, IdIvm, IvmOptions};
+use idivm_repro::durability::{Durable, DurabilityConfig, DurabilityPolicy};
 use idivm_repro::exec::{executor::sorted, recompute_rows};
 use idivm_repro::reldb::{AccessStats, Database, Table};
 use idivm_repro::types::{row, ColumnType, Key, Row, Schema, Value};
@@ -37,8 +42,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::collections::VecDeque;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Heap allocations per base diff tuple inside `IdIvm::maintain` that a
 /// round may spend (the parent of the PR that introduced this test
@@ -52,9 +58,10 @@ const BUDGET_PER_DIFF: f64 = 22.0;
 /// left is the five engines' rounds, which the budget above is about.
 /// Building each i-diff row once per operator — straight into the
 /// output layout, and shared when already in target order — took it
-/// from 35.7 to 28.8 (and the round above from 14.9 to 14.0 per diff);
-/// the budget is that plus 8 %.
-const BUDGET_PER_EVENT: f64 = 31.0;
+/// from 35.7 to 28.8 (and the round above from 14.9 to 14.0 per diff).
+/// Creating every Ī′ index at registration, not inside the first ticks
+/// whose diffs need one, took it to 26.4; the budget is that plus 8 %.
+const BUDGET_PER_EVENT: f64 = 28.5;
 
 /// Heap allocations per row of a bulk [`Table::load`] into a reserved
 /// table with one secondary index. What is left is per indexed value
@@ -62,6 +69,14 @@ const BUDGET_PER_EVENT: f64 = 31.0;
 /// own growth; a key built per row, as the maps keyed by `Key` did
 /// (2.0 per row on this shape, one key for each map), is 20 times this.
 const BUDGET_PER_LOADED_ROW: f64 = 0.1;
+
+/// Heap allocations per WAL record that [`Durable::open`] spends
+/// replaying a warm all-`Eager` store's tail of five-view cuts of 64,
+/// folded into one round: opening the store with its tail less opening
+/// it at its checkpoint alone. The parent of the PR that introduced
+/// this measurement spent 745.1 on ten records; the budget is that
+/// plus 8 %.
+const BUDGET_PER_REPLAYED_RECORD: f64 = 805.0;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
@@ -168,8 +183,8 @@ fn maintain_allocates_per_changed_row_not_per_step() {
     let plan = cfg.agg_plan(&db).unwrap();
     let ivm = IdIvm::setup(&mut db, VIEW, plan, IvmOptions::default()).unwrap();
 
-    // Warm-up: lazily created view/cache ID indexes and first-use
-    // capacity are set-up costs, not the steady state being budgeted.
+    // Warm-up: first-use capacity is a set-up cost, not the steady
+    // state being budgeted.
     dml_round(&mut db, &cfg, &mut rng, &mut window);
     ivm.maintain(&mut db).unwrap();
 
@@ -315,6 +330,112 @@ fn tick_allocates_per_event_not_per_view() {
     assert!(
         per_event <= BUDGET_PER_EVENT,
         "MaintenanceScheduler::tick allocated {per_event:.1} times per event, budget {BUDGET_PER_EVENT}"
+    );
+}
+
+/// Journal every round; checkpoint on demand only.
+const JOURNALED: DurabilityConfig = DurabilityConfig {
+    policy: DurabilityPolicy::Always,
+    checkpoint_every_rounds: 0,
+};
+
+/// The five views of `suite`, registered `Eager` in a new durable
+/// store at `dir`.
+fn durable_suite(dir: &Path, suite: &MultiView) -> Durable {
+    let (sched, options) = (SchedulerConfig::default(), IvmOptions::default());
+    let db = suite.build().unwrap();
+    let mut store = Durable::create(dir, db, sched, options, JOURNALED, no_faults()).unwrap();
+    for name in VIEW_NAMES {
+        let plan = suite.plan(store.db(), name).unwrap();
+        store.register(name, plan, RefreshPolicy::Eager).unwrap();
+    }
+    store
+}
+
+fn no_faults() -> Arc<FaultState> {
+    Arc::new(FaultState::new(FaultPlan::disabled()))
+}
+
+/// A fresh directory under the system's temporary one.
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("idivm_alloc_{tag}_{}", std::process::id()));
+    if dir.exists() {
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Copy every file of `from` into a fresh directory tagged `tag`.
+fn copy_dir(from: &Path, tag: &str) -> PathBuf {
+    let to = temp_dir(tag);
+    for entry in std::fs::read_dir(from).unwrap() {
+        let path = entry.unwrap().path();
+        std::fs::copy(&path, to.join(path.file_name().unwrap())).unwrap();
+    }
+    to
+}
+
+/// Allocations inside [`Durable::open`] of the store at `dir`, and the
+/// store.
+fn counted_open(dir: &Path) -> (u64, Durable) {
+    let (sched, options) = (SchedulerConfig::default(), IvmOptions::default());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let store = Durable::open(dir, sched, options, JOURNALED, no_faults(), None).unwrap();
+    (ALLOCATIONS.load(Ordering::Relaxed) - before, store)
+}
+
+#[test]
+fn folded_replay_allocates_per_record_not_per_round() {
+    let _bracket = BRACKET.lock().unwrap_or_else(|e| e.into_inner());
+    let suite = MultiView {
+        bsma: Bsma {
+            scale: 0.05,
+            seed: 24,
+        },
+    };
+    let dir = temp_dir("live");
+    let mut store = durable_suite(&dir, &suite);
+    let mut rng = StdRng::seed_from_u64(0x616c_6c6f_6325);
+    let (mut next_mid, mut window) = (1_000_000i64, VecDeque::new());
+    // Warm-up, as above, ending on the checkpoint replay starts from.
+    for _ in 0..3 {
+        tweet_cut(store.db_mut(), &mut rng, &mut next_mid, &mut window);
+        store.tick().unwrap();
+    }
+    store.checkpoint().unwrap();
+    let at_checkpoint = copy_dir(&dir, "checkpoint");
+    for _ in 0..CUTS {
+        tweet_cut(store.db_mut(), &mut rng, &mut next_mid, &mut window);
+        store.tick().unwrap();
+    }
+    let live = store.signature();
+    store.close().unwrap();
+
+    let (base, _) = counted_open(&at_checkpoint);
+    let (allocations, recovered) = counted_open(&dir);
+    let note = recovered.recovered_from().unwrap();
+    assert!(note.ends_with(&format!("+ {CUTS} wal record(s)")), "note: {note}");
+    assert!(recovered.signature() == live, "replay must end in the live store's state");
+    for name in VIEW_NAMES {
+        let rounds = recovered.scheduler().stats(name).unwrap().rounds;
+        assert_eq!(rounds, 1, "`{name}` must replay the tail as one round");
+    }
+    drop(recovered);
+    for d in [dir, at_checkpoint] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+
+    let per_record = (allocations - base) as f64 / CUTS as f64;
+    println!(
+        "alloc_budget: {allocations} allocations opening a store with {CUTS} wal records, \
+         {base} at its checkpoint alone = {per_record:.1} per record \
+         (budget {BUDGET_PER_REPLAYED_RECORD})"
+    );
+    assert!(
+        per_record <= BUDGET_PER_REPLAYED_RECORD,
+        "Durable::open allocated {per_record:.1} times per replayed record, \
+         budget {BUDGET_PER_REPLAYED_RECORD}"
     );
 }
 
