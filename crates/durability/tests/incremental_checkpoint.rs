@@ -266,10 +266,10 @@ fn recreated_table_with_a_repeated_version_is_checkpointed_anew() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The engine creates a view's id index the first time an update or
-/// delete diff needs it (`ensure_id_index`) — possibly in a round that
-/// changes no row of the table. The next checkpoint must list it, or a
-/// recovered store would answer id probes by scanning.
+/// Creating an index leaves a table's version alone — registration
+/// creates base-table probe indexes (`ensure_probe_indexes`) on tables
+/// whose rows do not change. The next checkpoint must list it, or a
+/// recovered store would answer those probes by scanning.
 #[test]
 fn index_created_between_two_checkpoints_is_in_the_second() {
     let dir = fresh_dir("late_index");
