@@ -13,6 +13,7 @@
 use crate::aggregate::AggSpec;
 use crate::expr::Expr;
 use idivm_types::{Error, Result, Schema};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Where an output column comes from, when it is a verbatim copy of a
@@ -227,6 +228,48 @@ impl Plan {
         }
         for c in self.children() {
             c.collect_scans(out);
+        }
+    }
+
+    /// Each output column's base attribute as `(alias, table, column)`,
+    /// where the column is a verbatim copy of one ([`PlanCol::origin`]
+    /// resolved through [`Plan::scans`]).
+    pub fn base_cols(&self) -> Vec<Option<(&str, &str, usize)>> {
+        let scans = self.scans();
+        let resolve = |o: ColOrigin| {
+            let &(alias, table) = scans.iter().find(|(a, _)| *a == o.alias)?;
+            Some((alias, table, o.column))
+        };
+        self.output_cols()
+            .into_iter()
+            .map(|c| c.origin.and_then(resolve))
+            .collect()
+    }
+
+    /// The condition columns of input `side`, in its own frame: those
+    /// that decide *which* rows the operator emits, not just their
+    /// values — a selection's predicate columns, a join side's keys and
+    /// its part of the residual, a grouping's keys. None elsewhere.
+    pub fn cond_cols(&self, side: usize) -> BTreeSet<usize> {
+        match self {
+            Plan::Select { pred, .. } => pred.columns(),
+            Plan::Join {
+                left, on, residual, ..
+            } => {
+                let la = left.arity();
+                let mut cols: BTreeSet<usize> = on
+                    .iter()
+                    .map(|&(l, r)| if side == 0 { l } else { r })
+                    .collect();
+                let own = residual.iter().flat_map(Expr::columns);
+                cols.extend(
+                    own.filter(|&c| (c >= la) == (side == 1))
+                        .map(|c| c - side * la),
+                );
+                cols
+            }
+            Plan::GroupBy { keys, .. } => keys.iter().copied().collect(),
+            _ => BTreeSet::new(),
         }
     }
 

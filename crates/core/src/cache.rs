@@ -16,13 +16,10 @@
 //! heuristic here flags joins in which neither side joins on a key.
 
 use crate::access::PathId;
-use crate::diff::DiffKind::{Delete, Insert, Update};
-use crate::diff::DiffSchema;
-use crate::rules::common::{shift_schema, untouched};
-use crate::rules::join::JoinNode;
-use crate::rules::project;
+use crate::diff::{DiffKind, DiffSchema};
+use crate::rules;
 use crate::schema_gen::BaseDiffSchemas;
-use idivm_algebra::{infer_ids, JoinKind, Plan};
+use idivm_algebra::{infer_ids, Plan};
 use idivm_types::Result;
 use std::collections::{BTreeSet, HashMap};
 
@@ -114,108 +111,32 @@ pub fn apply_id_sets(
 ) -> Result<Vec<Vec<usize>>> {
     let sets: BTreeSet<Vec<usize>> = reach(node, base, minimize)?
         .into_iter()
-        .filter(|s| s.kind != Insert)
+        .filter(|s| s.kind != DiffKind::Insert)
         .map(|s| s.id_cols)
         .collect();
     Ok(sets.into_iter().collect())
 }
 
-/// Every i-diff schema the rules can emit over `node`'s output, each
-/// rule followed from the schemas reaching its inputs (Pass 1's ID
-/// provenance, Table 1). A diff keeps its IDs where a rule passes it
-/// through; where a rule re-derives rows — a condition-touching update,
-/// the general form of a condition-free join update, a right-side diff
-/// of ⟕, ⋉ or ▷, any diff under a grouping — it comes out keyed by the
-/// node's own IDs.
+/// Every i-diff schema that can reach `node`'s output: a scan's base
+/// schemas, and each rule's output schemas ([`rules::out_schemas`]) for
+/// every schema reaching its inputs — Pass 2's instantiation of the
+/// rules over the plan, schemas only. Every rule keys its output by IDs
+/// its node has, which Pass 1 makes every projection keep, so a rule's
+/// refusal here is a malformed plan.
 fn reach(node: &Plan, base: &BaseDiffSchemas, minimize: bool) -> Result<BTreeSet<DiffSchema>> {
-    let (ids, arity) = (infer_ids(node)?, node.arity());
-    let rest: Vec<usize> = (0..arity).filter(|c| !ids.contains(c)).collect();
-    // A row re-derived at this node, keyed by its own IDs.
-    let own = |kind| match kind {
-        Insert => DiffSchema::insert(&ids, arity),
-        Delete => DiffSchema::delete(&ids, &rest),
-        Update => DiffSchema::update(&ids, &[], &rest),
-    };
-    let inputs = |plan: &Plan| reach(plan, base, minimize);
-    let mut out = Vec::new();
-    match node {
-        Plan::Scan { table, .. } => {
-            if let Some(t) = base.tables.get(table) {
-                out.extend([t.insert_schema(), t.delete_schema()]);
-                out.extend(t.updates.iter().map(|g| t.update_schema(g)));
-            }
-        }
-        Plan::Select { input, pred } => {
-            let cond = pred.columns();
-            for s in inputs(input)? {
-                if s.kind == Update && !untouched(&s, &cond) {
-                    let staying = DiffSchema::update(&ids, &rest, &s.post_cols);
-                    out.extend([staying, own(Insert), own(Delete)]);
-                } else {
-                    out.push(s);
-                }
-            }
-        }
-        Plan::Project { input, cols } => {
-            for s in inputs(input)? {
-                // A diff whose IDs the projection drops never arrives.
-                if let Ok(Some((s, _))) = project::out_schema(cols, &s, || Ok(ids.clone())) {
-                    out.push(s);
-                }
-            }
-        }
-        Plan::Join {
-            kind,
-            left,
-            right,
-            on,
-            residual,
-        } => {
-            let join = JoinNode::new(*kind, left, right, on, residual.as_ref(), &[]);
-            for (side, input) in [left, right].into_iter().enumerate() {
-                let offset = side * left.arity();
-                let direct = side == 0 || *kind == JoinKind::Inner;
-                let cond = join.cond_cols(side);
-                for s in inputs(input)? {
-                    let touches = s.kind == Update && !untouched(&s, &cond);
-                    match s.kind {
-                        Insert if direct => out.push(own(Insert)),
-                        Delete if direct => out.push(shift_schema(&s, offset)),
-                        Update if !touches && !direct && !kind.keeps_right() => {}
-                        Update if !touches && (minimize || !direct || !kind.keeps_right()) => {
-                            out.push(shift_schema(&s, offset));
-                        }
-                        Update if !touches => {
-                            let post: Vec<usize> = s.post_cols.iter().map(|c| c + offset).collect();
-                            out.push(DiffSchema::update(&ids, &[], &post));
-                        }
-                        // `JoinNode::transition` or `through_left`.
-                        _ => {
-                            out.extend([own(Delete), own(Insert)]);
-                            if direct || *kind == JoinKind::LeftOuter {
-                                out.push(own(Update));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Plan::UnionAll { left, right } => {
-            // A branch's diff gains the branch column after its IDs.
-            for mut s in inputs(left)?.into_iter().chain(inputs(right)?) {
-                s.id_cols.push(arity - 1);
-                out.push(s);
-            }
-        }
-        Plan::GroupBy { input, keys, .. } => {
-            if !inputs(input)?.is_empty() {
-                let aggs: Vec<usize> = (keys.len()..arity).collect();
-                let changed = DiffSchema::update(&ids, &aggs, &aggs);
-                out.extend([DiffSchema::delete(&ids, &[]), changed, own(Insert)]);
-            }
+    let mut out = BTreeSet::new();
+    if let Plan::Scan { table, .. } = node {
+        if let Some(t) = base.tables.get(table) {
+            out.extend([t.insert_schema(), t.delete_schema()]);
+            out.extend(t.updates.iter().map(|g| t.update_schema(g)));
         }
     }
-    Ok(out.into_iter().collect())
+    for (side, input) in node.children().into_iter().enumerate() {
+        for s in reach(input, base, minimize)? {
+            out.extend(rules::out_schemas(node, side, &s, minimize)?);
+        }
+    }
+    Ok(out)
 }
 
 /// Does the subtree contain a join in which *neither* side joins on any

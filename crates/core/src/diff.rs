@@ -287,18 +287,11 @@ impl DiffInstance {
         self.rows.is_empty()
     }
 
-    /// Build an insert-diff instance from full target rows.
-    pub fn insert_from_rows(ids: &[usize], arity: usize, rows: &[Row]) -> Self {
-        let schema = DiffSchema::insert(ids, arity);
-        let rows = Layout::diff_rows(&schema.id_cols, &schema.post_cols, arity).apply_all(rows);
-        DiffInstance { schema, rows }
-    }
-
-    /// Build a delete-diff instance (full pre rows) from target rows.
-    pub fn delete_from_rows(ids: &[usize], arity: usize, rows: &[Row]) -> Self {
-        let pre: Vec<usize> = (0..arity).filter(|c| !ids.contains(c)).collect();
-        let schema = DiffSchema::delete(ids, &pre);
-        let rows = Layout::diff_rows(&schema.id_cols, &schema.pre_cols, arity).apply_all(rows);
+    /// Lay full target rows, `arity` wide, into `schema`: each diff
+    /// row reads its IDs, pre and post columns from the one row.
+    pub fn from_rows(schema: DiffSchema, arity: usize, rows: &[Row]) -> Self {
+        let cols = schema.id_cols.iter().chain(&schema.pre_cols).chain(&schema.post_cols);
+        let rows = Layout::new(cols.copied().collect(), arity).apply_all(rows);
         DiffInstance { schema, rows }
     }
 }
@@ -389,7 +382,7 @@ mod tests {
     #[test]
     fn insert_diff_from_rows_and_full_row() {
         let rows = vec![row!["D3", "P2", 20]];
-        let d = DiffInstance::insert_from_rows(&[0, 1], 3, &rows);
+        let d = DiffInstance::from_rows(DiffSchema::insert(&[0, 1], 3), 3, &rows);
         assert_eq!(d.schema.kind, DiffKind::Insert);
         let full = d.schema.full_row(&d.rows[0], 3, State::Post).unwrap();
         assert_eq!(full, row!["D3", "P2", 20]);
@@ -399,7 +392,7 @@ mod tests {
     #[test]
     fn delete_diff_carries_pre() {
         let rows = vec![row!["D1", "P1", 10]];
-        let d = DiffInstance::delete_from_rows(&[0, 1], 3, &rows);
+        let d = DiffInstance::from_rows(DiffSchema::delete(&[0, 1], &[2]), 3, &rows);
         assert_eq!(d.schema.pre_value(&d.rows[0], 2), Some(Value::Int(10)));
         assert!(d.schema.post_value(&d.rows[0], 2).is_none());
         let full_pre = d.schema.full_row(&d.rows[0], 3, State::Pre).unwrap();
@@ -411,7 +404,7 @@ mod tests {
         let image = row!["D3", "P2", 20];
         let shared = Layout::diff_rows(&[0, 1], &[2], 3).apply(&image);
         assert!(std::sync::Arc::ptr_eq(&shared.0, &image.0));
-        let d = DiffInstance::insert_from_rows(&[0, 1], 3, std::slice::from_ref(&image));
+        let d = DiffInstance::from_rows(DiffSchema::insert(&[0, 1], 3), 3, std::slice::from_ref(&image));
         let full = d.schema.full_row(&d.rows[0], 3, State::Post).unwrap();
         assert!(std::sync::Arc::ptr_eq(&full.0, &image.0));
         // IDs that do not lead: one copy, re-laid.

@@ -14,7 +14,7 @@
 //! Passes 2–4 (rule instantiation, composition, minimization) are
 //! realized structurally: the rule set is instantiated per operator at
 //! propagation time, composed by the bottom-up walk, and minimized by
-//! the per-rule diff-local shortcuts (see [`crate::minimize`]).
+//! the per-rule diff-local shortcuts (see [`crate::rules`]).
 //!
 //! [`IdIvm::maintain`] runs the deferred-maintenance round: fold the
 //! modification log into effective net changes, populate base i-diff
@@ -39,7 +39,7 @@ use idivm_exec::{
 };
 use idivm_reldb::{Database, Net, StatsSnapshot, TableChanges};
 use idivm_types::{Error, Result, Schema};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Tuning knobs of the engine.
@@ -629,25 +629,17 @@ pub fn ensure_probe_indexes(db: &mut Database, plan: &Plan) -> Result<()> {
 
 fn collect_probe_sets(node: &Plan, out: &mut Vec<(String, Vec<usize>)>) {
     let mut add_side = |side: &Plan, cols: &[usize]| {
-        let out_cols = side.output_cols();
-        let scans: HashMap<&str, &str> = side.scans().into_iter().collect();
-        // Group the probed columns per origin table; only usable when
-        // every column maps to the same scan (the push-down case).
-        let mut per_alias: HashMap<String, Vec<usize>> = HashMap::new();
-        for &c in cols {
-            if let Some(o) = &out_cols[c].origin {
-                per_alias
-                    .entry(o.alias.clone())
-                    .or_default()
-                    .push(o.column);
-            }
+        let base = side.base_cols();
+        // Group the probed columns per scan; only usable when every
+        // column maps to the same scan (the push-down case).
+        let mut per_alias: BTreeMap<&str, (&str, Vec<usize>)> = BTreeMap::new();
+        for (alias, table, col) in cols.iter().filter_map(|&c| base[c]) {
+            per_alias.entry(alias).or_insert((table, Vec::new())).1.push(col);
         }
-        for (alias, mut base_cols) in per_alias {
-            if let Some(table) = scans.get(alias.as_str()) {
-                base_cols.sort_unstable();
-                base_cols.dedup();
-                out.push((table.to_string(), base_cols));
-            }
+        for (table, mut base_cols) in per_alias.into_values() {
+            base_cols.sort_unstable();
+            base_cols.dedup();
+            out.push((table.to_string(), base_cols));
         }
     };
     match node {

@@ -18,10 +18,10 @@
 //! * [`diff`] — i-diff schemas and instances (Section 2), including
 //!   effectiveness checking.
 //! * [`rules`] — the per-operator i-diff propagation rules (Tables
-//!   4–13), one module per operator.
-//! * [`minimize`] — the semantic-minimization switch (Pass 4 / Figure
-//!   8): every rule has a *general* form that probes base data and,
-//!   where Figure 8 licenses it, a *minimized* diff-only form.
+//!   4–13), one module per operator, each stating the i-diff schemas it
+//!   emits; with the semantic-minimization switch (Pass 4 / Figure 8):
+//!   every rule has a *general* form that probes base data and, where
+//!   Figure 8 licenses it, a *minimized* diff-only form.
 //! * [`access`] — `RelAccess`, the counted access path to any subview
 //!   (`Input_pre` / `Input_post` / `Output` of Section 4), served from
 //!   base tables, pre-state overlays, or intermediate caches.
@@ -55,7 +55,6 @@ pub mod config;
 pub mod diff;
 pub mod engine;
 pub mod faults;
-pub mod minimize;
 pub mod report;
 pub mod round;
 pub mod rules;

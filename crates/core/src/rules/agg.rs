@@ -216,26 +216,26 @@ fn group_diffs(
     upd_rows: Vec<Row>,
     ins_rows: Vec<Row>,
 ) -> Vec<DiffInstance> {
-    let out_arity = keys.len() + aggs.len();
-    let out_ids: Vec<usize> = (0..keys.len()).collect();
-    let agg_cols: Vec<usize> = (keys.len()..out_arity).collect();
-    let mut out = Vec::new();
-    if !del_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::delete(&out_ids, &[]),
-            del_rows,
-        ));
-    }
-    if !upd_rows.is_empty() {
-        out.push(DiffInstance::new(
-            DiffSchema::update(&out_ids, &agg_cols, &agg_cols),
-            upd_rows,
-        ));
-    }
-    if !ins_rows.is_empty() {
-        out.push(DiffInstance::insert_from_rows(&out_ids, out_arity, &ins_rows));
-    }
-    out
+    let schemas = out_schemas(keys.len(), keys.len() + aggs.len());
+    let sets = schemas.into_iter().zip([del_rows, upd_rows, ins_rows]);
+    sets.filter(|(_, rows)| !rows.is_empty())
+        .map(|(schema, rows)| DiffInstance::new(schema, rows))
+        .collect()
+}
+
+/// The schemas a group-by with `keys` group columns and output arity
+/// `arity` emits, whatever reaches it, all keyed by the group: deletes
+/// of emptied groups (rows `[group…]`), updates of changed aggregates
+/// (rows `[group…, stored aggregates…, new aggregates…]`) and inserts of
+/// created groups (output rows), in APPLY order.
+pub(crate) fn out_schemas(keys: usize, arity: usize) -> [DiffSchema; 3] {
+    let ids: Vec<usize> = (0..keys).collect();
+    let aggs: Vec<usize> = (keys..arity).collect();
+    [
+        DiffSchema::delete(&ids, &[]),
+        DiffSchema::update(&ids, &aggs, &aggs),
+        DiffSchema::insert(&ids, arity),
+    ]
 }
 
 /// An update diff row `[group…, stored aggregates…, new aggregates…]`.

@@ -153,17 +153,6 @@ pub fn delete_rows(
     Ok(out)
 }
 
-/// Rebase a diff schema by shifting every column reference by `offset`
-/// (right input of a join: output positions = input + left arity).
-pub fn shift_schema(schema: &DiffSchema, offset: usize) -> DiffSchema {
-    DiffSchema {
-        kind: schema.kind,
-        id_cols: schema.id_cols.iter().map(|c| c + offset).collect(),
-        pre_cols: schema.pre_cols.iter().map(|c| c + offset).collect(),
-        post_cols: schema.post_cols.iter().map(|c| c + offset).collect(),
-    }
-}
-
 /// Keep at most one diff row per ID key (defensive dedupe; effective
 /// diffs agree on final values, so keeping the first is sound).
 pub fn dedupe_by_id(diff: &mut DiffInstance) {
@@ -219,15 +208,6 @@ mod tests {
     }
 
     #[test]
-    fn shift_schema_offsets_everything() {
-        let s = DiffSchema::update(&[0], &[1], &[1]);
-        let t = shift_schema(&s, 3);
-        assert_eq!(t.id_cols, vec![3]);
-        assert_eq!(t.pre_cols, vec![4]);
-        assert_eq!(t.post_cols, vec![4]);
-    }
-
-    #[test]
     fn dedupe_keeps_first() {
         let mut d = DiffInstance::new(
             DiffSchema::update(&[0], &[], &[1]),
@@ -239,7 +219,7 @@ mod tests {
 
     #[test]
     fn insert_rows_materializes() {
-        let d = DiffInstance::insert_from_rows(&[0], 2, &[row![1, 5]]);
+        let d = DiffInstance::from_rows(DiffSchema::insert(&[0], 2), 2, &[row![1, 5]]);
         assert_eq!(insert_rows(&d, 2), vec![row![1, 5]]);
     }
 }

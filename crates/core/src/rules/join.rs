@@ -23,105 +23,88 @@
 //! re-derives the left rows it reaches instead.
 
 use crate::access::{self, AccessCtx, PathId};
-use crate::diff::{DiffInstance, DiffKind, DiffSchema, Layout, State};
+use crate::diff::{DiffInstance, DiffKind, DiffSchema, State};
 use crate::rules::common::{
-    child_path, delete_rows, insert_rows, on_diff, shift_schema, untouched, update_row_pairs,
+    child_path, delete_rows, insert_rows, on_diff, untouched, update_row_pairs,
 };
 use crate::rules::RuleCtx;
 use idivm_algebra::{infer_ids, opt_pred, Expr, JoinKind, Plan};
-use idivm_types::{Key, Result, Row, Value};
+use idivm_types::{Error, Key, Result, Row, Value};
 use std::collections::BTreeSet;
 
-/// Propagate one diff (from `side`: 0 = left, 1 = right) through a
-/// join of `kind`.
+/// Propagate one diff (from `side`: 0 = left, 1 = right) through the
+/// join `node`, along the route [`out_schemas`] gives it.
 ///
 /// # Errors
 /// Access failures while probing either input.
-#[allow(clippy::too_many_arguments)]
 pub fn propagate(
     ctx: &RuleCtx<'_>,
-    kind: JoinKind,
-    left: &Plan,
-    right: &Plan,
-    on: &[(usize, usize)],
-    residual: Option<&Expr>,
+    node: &Plan,
     path: &PathId,
     side: usize,
     diff: DiffInstance,
 ) -> Result<Vec<DiffInstance>> {
-    let join = JoinNode::new(kind, left, right, on, residual, path);
-    let access = ctx.access;
-    let this = join.inputs[side];
-    let offset = if side == 0 { 0 } else { left.arity() };
+    let (mut schemas, derived) = out_schemas(node, side, &diff.schema, ctx.minimize)?;
+    if !derived {
+        let out = schemas.pop().map(|s| DiffInstance::new(s, diff.rows));
+        return Ok(out.into_iter().collect());
+    }
+    let Plan::Join {
+        kind,
+        left,
+        right,
+        on,
+        residual,
+    } = node
+    else {
+        return Err(Error::Internal("the join rule runs on join nodes".into()));
+    };
+    let join = JoinNode::new(*kind, left, right, on, residual.as_ref(), path);
+    let (access, this, arity) = (ctx.access, join.inputs[side], node.arity());
     // Diffs from the left of every kind, and from either side of an
     // inner join, map row by row onto output rows; the rest go through
     // the left rows they reach.
-    let direct = side == 0 || kind == JoinKind::Inner;
+    let direct = side == 0 || *kind == JoinKind::Inner;
     let rows = match diff.schema.kind {
-        DiffKind::Insert if kind == JoinKind::Inner => {
-            return Ok(vec![join.inserts(access, side, &diff)?]);
+        DiffKind::Insert if *kind == JoinKind::Inner => {
+            let out = join.inserts(access, side, &diff, schemas.remove(0))?;
+            return Ok(vec![out]);
         }
         DiffKind::Insert if direct => {
             let mut rows = Vec::new();
             for l in insert_rows(&diff, left.arity()) {
                 rows.extend(join.contributions(access, 0, &l, State::Post)?);
             }
-            let ids = join.out_ids()?;
-            return Ok(vec![DiffInstance::insert_from_rows(
-                &ids,
-                join.arity(),
-                &rows,
-            )]);
+            let out = DiffInstance::from_rows(schemas.remove(0), arity, &rows);
+            return Ok(vec![out]);
         }
         DiffKind::Insert => insert_rows(&diff, right.arity()),
-        DiffKind::Delete if direct => {
-            let schema = shift_schema(&diff.schema, offset);
-            return Ok(vec![DiffInstance::new(schema, diff.rows)]);
-        }
         DiffKind::Delete => delete_rows(access, right, &join.paths[1], &diff)?,
-        DiffKind::Update if untouched(&diff.schema, &join.cond_cols(side)) => {
-            if !kind.keeps_right() && side == 1 {
-                // The right side contributes no output columns, so a
-                // condition-free right update is invisible.
-                return Ok(Vec::new());
-            }
-            if ctx.minimize || !direct || !kind.keeps_right() {
-                // Matching (and padding) cannot change: pass through in
-                // place. The right IDs of ⟕ address exactly the joined
-                // rows (a padded row's NULL right IDs equal no real one).
-                let schema = shift_schema(&diff.schema, offset);
-                return Ok(vec![DiffInstance::new(schema, diff.rows)]);
-            }
-            // General (unminimized) form: reconstruct the affected output
-            // rows, paying the probes, and emit updates at full
-            // granularity. Same result, more accesses; kept for the
-            // Pass-4 ablation.
-            let pairs =
-                update_row_pairs(access, this, &join.paths[side], &infer_ids(this)?, &diff)?;
-            let mut joined = Vec::new();
-            for p in &pairs {
-                joined.extend(join.contributions(access, side, &p.post, State::Post)?);
-            }
-            let post_cols: Vec<usize> = diff.schema.post_cols.iter().map(|c| c + offset).collect();
-            let schema = DiffSchema::update(&join.out_ids()?, &[], &post_cols);
-            let layout = Layout::diff_rows(&schema.id_cols, &schema.post_cols, join.arity());
-            let rows = layout.apply_all(&joined);
-            return Ok(vec![DiffInstance::new(schema, rows)]);
-        }
         DiffKind::Update => {
-            // Matching may change in both directions: materialize each
-            // changed row's pre and post image (Table 13's "update as
-            // delete + insert").
             let pairs =
                 update_row_pairs(access, this, &join.paths[side], &infer_ids(this)?, &diff)?;
             if !direct {
                 let pre = pairs.iter().map(|p| p.pre.clone());
                 pre.chain(pairs.iter().map(|p| p.post.clone())).collect()
+            } else if schemas.len() == 1 {
+                // General (unminimized) form of a condition-free update:
+                // reconstruct the affected output rows, paying the
+                // probes. Same result, more accesses; kept for the
+                // Pass-4 ablation.
+                let mut joined = Vec::new();
+                for p in &pairs {
+                    joined.extend(join.contributions(access, side, &p.post, State::Post)?);
+                }
+                let out = DiffInstance::from_rows(schemas.remove(0), arity, &joined);
+                return Ok(vec![out]);
             } else {
-                // The inner join reads the other side's post-state for
-                // both images (Table 10's `Input_post`); the others
-                // derive the pre image from the pre-state.
-                let before = if kind == JoinKind::Inner {
+                // Matching may change in both directions: each changed
+                // row's output before and after (Table 13's "update as
+                // delete + insert"). The inner join reads the other
+                // side's post-state for both images (Table 10's
+                // `Input_post`); the others derive the pre image from the
+                // pre-state.
+                let before = if *kind == JoinKind::Inner {
                     State::Post
                 } else {
                     State::Pre
@@ -131,17 +114,82 @@ pub fn propagate(
                     pre_out.extend(join.contributions(access, side, &p.pre, before)?);
                     post_out.extend(join.contributions(access, side, &p.post, State::Post)?);
                 }
-                return join.transition(pre_out, post_out);
+                return Ok(join.transition(pre_out, post_out, schemas));
             }
         }
     };
-    join.through_left(access, &rows)
+    join.through_left(access, &rows, schemas)
+}
+
+/// The schemas a diff of schema `diff` from input `side` leaves the
+/// join `node` with, and whether the rule re-derives its rows by
+/// probing rather than passing them through in place.
+///
+/// A delete from the left of any kind, or from either side of ⋈, passes
+/// through in place, as does an update touching no condition column
+/// ([`Plan::cond_cols`]) from those inputs under Pass 4, from the left of
+/// ⋉ and ▷ and from the right of ⟕: its IDs, shifted into the output,
+/// address every output row derived from its rows, NULL-padded ones
+/// included (a padded row's NULL right IDs equal no real one). Such an
+/// update from the right of ⋉ and ▷ is invisible. Everything else is
+/// re-derived and keyed by the join's own IDs (Table 1): an insert; the
+/// general form of a condition-free update, setting its columns; and a
+/// condition-touching update or a right-side diff of ⟕, ⋉ and ▷, as
+/// deletes, updates (not from the right of ⋉ and ▷) and inserts, in
+/// that order.
+///
+/// # Errors
+/// `node` is no join; ID-inference failures.
+pub(crate) fn out_schemas(
+    node: &Plan,
+    side: usize,
+    diff: &DiffSchema,
+    minimize: bool,
+) -> Result<(Vec<DiffSchema>, bool)> {
+    let Plan::Join { kind, left, .. } = node else {
+        return Err(Error::Internal("the join rule runs on join nodes".into()));
+    };
+    let (direct, keeps) = (side == 0 || *kind == JoinKind::Inner, kind.keeps_right());
+    let touches = diff.kind == DiffKind::Update && !untouched(diff, &node.cond_cols(side));
+    let offset = side * left.arity();
+    let in_place = match diff.kind {
+        DiffKind::Insert => false,
+        DiffKind::Delete => direct,
+        DiffKind::Update => !touches && (minimize || !direct || !keeps),
+    };
+    if in_place {
+        if diff.kind == DiffKind::Update && side == 1 && !keeps {
+            return Ok((Vec::new(), false));
+        }
+        let mut out = diff.clone();
+        for cols in [&mut out.id_cols, &mut out.pre_cols, &mut out.post_cols] {
+            cols.iter_mut().for_each(|c| *c += offset);
+        }
+        return Ok((vec![out], false));
+    }
+    let (ids, arity) = (infer_ids(node)?, node.arity());
+    let schemas = match diff.kind {
+        DiffKind::Insert if direct => vec![DiffSchema::insert(&ids, arity)],
+        DiffKind::Update if !touches => {
+            let post: Vec<usize> = diff.post_cols.iter().map(|c| c + offset).collect();
+            vec![DiffSchema::update(&ids, &[], &post)]
+        }
+        _ => {
+            let rest: Vec<usize> = (0..arity).filter(|c| !ids.contains(c)).collect();
+            let mut out = vec![DiffSchema::delete(&ids, &rest)];
+            if direct || *kind == JoinKind::LeftOuter {
+                out.push(DiffSchema::update(&ids, &[], &rest));
+            }
+            out.push(DiffSchema::insert(&ids, arity));
+            out
+        }
+    };
+    Ok((schemas, true))
 }
 
 /// One join node as its rules see it — core's i-diff rule above, and
-/// the t-diff rule of the tuple-based baseline, which builds on its
-/// condition columns, [`JoinNode::contributions`] and
-/// [`JoinNode::reached`].
+/// the t-diff rule of the tuple-based baseline, which builds on
+/// [`JoinNode::contributions`] and [`JoinNode::reached`].
 pub struct JoinNode<'p> {
     kind: JoinKind,
     inputs: [&'p Plan; 2],
@@ -185,21 +233,6 @@ impl<'p> JoinNode<'p> {
         self.on.iter().map(pick).collect()
     }
 
-    /// The condition columns of input `side` in its own frame: its join
-    /// keys and its part of the residual.
-    pub fn cond_cols(&self, side: usize) -> BTreeSet<usize> {
-        let la = self.inputs[0].arity();
-        let mut cols: BTreeSet<usize> = self.keys(side).into_iter().collect();
-        if let Some(res) = self.residual {
-            let local = |c: usize| match side {
-                0 => (c < la).then_some(c),
-                _ => (c >= la).then(|| c - la),
-            };
-            cols.extend(res.columns().into_iter().filter_map(local));
-        }
-        cols
-    }
-
     fn arity(&self) -> usize {
         let [left, right] = self.inputs;
         left.arity()
@@ -208,16 +241,6 @@ impl<'p> JoinNode<'p> {
             } else {
                 0
             }
-    }
-
-    /// The output IDs (Table 1).
-    fn out_ids(&self) -> Result<Vec<usize>> {
-        let [left, right] = self.inputs;
-        let mut ids = infer_ids(left)?;
-        if self.kind.keeps_right() {
-            ids.extend(infer_ids(right)?.into_iter().map(|i| i + left.arity()));
-        }
-        Ok(ids)
     }
 
     /// Probe input `target` in `state` once per row of `rows`, by the
@@ -290,7 +313,7 @@ impl<'p> JoinNode<'p> {
         })
     }
 
-    /// `∆⁺ ⋈φ Input_post_other` straight into the insert schema's layout:
+    /// `∆⁺ ⋈φ Input_post_other` straight into the insert schema `out`:
     /// the diff side's slots are resolved once, each probe reads its
     /// join key from them, and each output row is picked slot by slot
     /// from the diff row and the matched row — one allocation per
@@ -301,8 +324,8 @@ impl<'p> JoinNode<'p> {
         access: &AccessCtx<'_>,
         side: usize,
         diff: &DiffInstance,
+        out: DiffSchema,
     ) -> Result<DiffInstance> {
-        let out = DiffSchema::insert(&self.out_ids()?, self.arity());
         let Some(sources) = diff
             .schema
             .full_sources(self.inputs[side].arity(), State::Post)
@@ -356,16 +379,17 @@ impl<'p> JoinNode<'p> {
     }
 
     /// A right-side diff of ⟕, ⋉ or ▷, as the full right rows it holds
-    /// (an update's pre images, then its post images). The left rows
-    /// they reach are re-derived: ⟕ diffs each one's padded or joined
-    /// rows before and after; ⋉ and ▷ emit each one as a delete or an
-    /// insert by its membership now — inserting a present row or
-    /// deleting an absent one is a dummy, so the membership before is
-    /// not read.
+    /// (an update's pre images, then its post images), emitted in
+    /// `schemas`. The left rows they reach are re-derived: ⟕ diffs each
+    /// one's padded or joined rows before and after; ⋉ and ▷ emit each
+    /// one as a delete or an insert by its membership now — inserting a
+    /// present row or deleting an absent one is a dummy, so the
+    /// membership before is not read.
     fn through_left(
         &self,
         access: &AccessCtx<'_>,
         right_rows: &[Row],
+        schemas: Vec<DiffSchema>,
     ) -> Result<Vec<DiffInstance>> {
         let reached = self.reached(access, right_rows)?;
         if self.kind == JoinKind::LeftOuter {
@@ -374,7 +398,7 @@ impl<'p> JoinNode<'p> {
                 pre_out.extend(self.contributions(access, 0, l, State::Pre)?);
                 post_out.extend(self.contributions(access, 0, l, State::Post)?);
             }
-            return self.transition(pre_out, post_out);
+            return Ok(self.transition(pre_out, post_out, schemas));
         }
         let (mut now_in, mut now_out) = (Vec::new(), Vec::new());
         for l in reached {
@@ -384,27 +408,25 @@ impl<'p> JoinNode<'p> {
                 now_in.push(l);
             }
         }
-        let (ids, arity) = (self.out_ids()?, self.arity());
-        let mut out = Vec::new();
-        if !now_out.is_empty() {
-            out.push(DiffInstance::delete_from_rows(&ids, arity, &now_out));
-        }
-        if !now_in.is_empty() {
-            out.push(DiffInstance::insert_from_rows(&ids, arity, &now_in));
-        }
-        Ok(out)
+        Ok(self.laid(schemas, [&now_out, &now_in]))
     }
 
     /// Diff the output rows the affected rows contributed before and
-    /// after by output ID: rows whose ID vanished are deleted. ⋈ and ⟕
-    /// re-assert the whole post set as an update (surviving rows get
-    /// their values fixed in place) and an insert (new rows, fresh
-    /// padded rows included; exact duplicates are dummies). ⋉ and ▷,
-    /// one output row per left row, update the rows that stay and insert
-    /// the rows that enter.
-    fn transition(&self, pre_out: Vec<Row>, post_out: Vec<Row>) -> Result<Vec<DiffInstance>> {
-        let (ids, arity) = (self.out_ids()?, self.arity());
-        let keys = |rows: &[Row]| -> BTreeSet<Key> { rows.iter().map(|r| r.key(&ids)).collect() };
+    /// after by output ID, in `schemas` (a delete, an update and an
+    /// insert): rows whose ID vanished are deleted. ⋈ and ⟕ re-assert
+    /// the whole post set as an update (surviving rows get their values
+    /// fixed in place) and an insert (new rows, fresh padded rows
+    /// included; exact duplicates are dummies). ⋉ and ▷, one output row
+    /// per left row, update the rows that stay and insert the rows that
+    /// enter.
+    fn transition(
+        &self,
+        pre_out: Vec<Row>,
+        post_out: Vec<Row>,
+        schemas: Vec<DiffSchema>,
+    ) -> Vec<DiffInstance> {
+        let ids = &schemas[0].id_cols;
+        let keys = |rows: &[Row]| -> BTreeSet<Key> { rows.iter().map(|r| r.key(ids)).collect() };
         let post_keys = keys(&post_out);
         let split: (Vec<Row>, Vec<Row>);
         let (update, insert) = if self.kind.keeps_right() {
@@ -414,27 +436,26 @@ impl<'p> JoinNode<'p> {
             split = post_out
                 .iter()
                 .cloned()
-                .partition(|r| pre_keys.contains(&r.key(&ids)));
+                .partition(|r| pre_keys.contains(&r.key(ids)));
             (&split.0, &split.1)
         };
         let leaving: Vec<Row> = pre_out
             .into_iter()
-            .filter(|r| !post_keys.contains(&r.key(&ids)))
+            .filter(|r| !post_keys.contains(&r.key(ids)))
             .collect();
-        let mut out = Vec::new();
-        if !leaving.is_empty() {
-            out.push(DiffInstance::delete_from_rows(&ids, arity, &leaving));
-        }
-        if !update.is_empty() {
-            let rest: Vec<usize> = (0..arity).filter(|c| !ids.contains(c)).collect();
-            let schema = DiffSchema::update(&ids, &[], &rest);
-            let rows =
-                Layout::diff_rows(&schema.id_cols, &schema.post_cols, arity).apply_all(update);
-            out.push(DiffInstance::new(schema, rows));
-        }
-        if !insert.is_empty() {
-            out.push(DiffInstance::insert_from_rows(&ids, arity, insert));
-        }
-        Ok(out)
+        self.laid(schemas, [&leaving, update, insert])
+    }
+
+    /// Each non-empty row set of `rows`, full output rows, laid into the
+    /// schema at its position in `schemas`.
+    fn laid<const N: usize>(
+        &self,
+        schemas: Vec<DiffSchema>,
+        rows: [&Vec<Row>; N],
+    ) -> Vec<DiffInstance> {
+        let arity = self.arity();
+        let sets = schemas.into_iter().zip(rows).filter(|(_, r)| !r.is_empty());
+        sets.map(|(s, r)| DiffInstance::from_rows(s, arity, r))
+            .collect()
     }
 }

@@ -7,12 +7,32 @@
 //! access paths of [`crate::access`] (`Input_pre`, `Input_post`,
 //! `Output`).
 //!
+//! Each rule states once which i-diff schemas a diff of a given schema
+//! leaves its operator with ([`out_schemas`] dispatches), and emits
+//! every instance in one of them: set-up follows those schemas up the
+//! plan to index each view and cache by the IDs its updates and deletes
+//! arrive with (`cache::apply_id_sets`).
+//!
 //! Two forms per rule, following the paper's Pass 4 (semantic
 //! minimization, Figure 8): a **general** form that probes the input
 //! subview, and — where Figure 8 licenses it — a **minimized** form that
 //! answers from the diff alone. [`RuleCtx::minimize`] selects between
 //! them; results are identical, access counts are not (the paper reports
 //! >50 % improvements from minimization).
+//!
+//! Figure 8's rewrites, justified by the effectiveness constraints
+//! `C1: ∆⁺_R ⊆ R`, `C2: π_Ī∆−_R ∩ π_ĪR = ∅` and
+//! `C3: π_{Ī,Ā″}∆u_R ⋉_Ī R ⊆ π_{Ī,Ā″}R`:
+//!
+//! | composed query              | minimized form     |
+//! |-----------------------------|--------------------|
+//! | `∆⁺ ⋉_Ī σφ R`               | `σφ(X̄_post) ∆⁺`    |
+//! | `∆u ⋉_Ī σφ R` (X̄ ⊆ Ā″)     | `σφ(X̄_post) ∆u`    |
+//! | `∆− ⋉_Ī σφ R`               | `∅`                |
+//! | `∆⁺ ▷_Ī σφ R`               | `σ¬φ(X̄_post) ∆⁺`   |
+//! | `∆− ▷_Ī σφ R`               | `∆−`               |
+//! | `∆⁺ ⋈_Ī R` / `∆u ⋈_Ī R`     | `∆⁺` / `∆u`        |
+//! | `∆− ⋈_Ī R`                  | `∅`                |
 
 pub mod agg;
 pub mod common;
@@ -22,9 +42,9 @@ pub mod select;
 pub mod union;
 
 use crate::access::{AccessCtx, PathId};
-use crate::diff::DiffInstance;
+use crate::diff::{DiffInstance, DiffSchema};
 use crate::faults::{FaultSite, FaultState};
-use idivm_algebra::{JoinKind, Plan};
+use idivm_algebra::{infer_ids, project_ids, JoinKind, Plan};
 use idivm_exec::partition::ParallelConfig;
 use idivm_types::{Error, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -103,12 +123,12 @@ pub fn propagate(
         Plan::Scan { .. } => Err(Error::Internal(
             "scan nodes receive base diffs directly; nothing to propagate".into(),
         )),
-        Plan::Select { input, pred } => {
+        Plan::Select { .. } => {
             let mut out = Vec::new();
             for inc in incoming {
                 out.extend(
                     ctx.parallel
-                        .fan_out(inc.diff, |d| select::propagate(ctx, pred, input, path, d))?,
+                        .fan_out(inc.diff, |d| select::propagate(ctx, node, path, d))?,
                 );
             }
             Ok(out)
@@ -123,29 +143,11 @@ pub fn propagate(
             }
             Ok(out)
         }
-        Plan::Join {
-            kind,
-            left,
-            right,
-            on,
-            residual,
-        } => {
+        Plan::Join { kind, .. } => {
             let mut out = Vec::new();
             for inc in incoming {
                 let side = inc.side;
-                let rule = |d| {
-                    join::propagate(
-                        ctx,
-                        *kind,
-                        left,
-                        right,
-                        on,
-                        residual.as_ref(),
-                        path,
-                        side,
-                        d,
-                    )
-                };
+                let rule = |d| join::propagate(ctx, node, path, side, d);
                 if side == 0 || *kind == JoinKind::Inner {
                     out.extend(ctx.parallel.fan_out(inc.diff, rule)?);
                 } else {
@@ -157,17 +159,44 @@ pub fn propagate(
             }
             Ok(out)
         }
-        Plan::UnionAll { left, right } => {
-            let mut out = Vec::new();
+        Plan::UnionAll { .. } => {
             let arity = node.arity();
-            for inc in incoming {
-                let side_plan = if inc.side == 0 { left } else { right };
-                out.push(union::propagate(side_plan, arity, inc.side, inc.diff)?);
-            }
-            Ok(out)
+            let each = |inc: IncomingDiff| union::propagate(arity, inc.side, inc.diff);
+            Ok(incoming.into_iter().map(each).collect())
         }
         Plan::GroupBy { input, keys, aggs } => {
             agg::propagate(ctx, input, keys, aggs, path, incoming)
         }
     }
+}
+
+/// The schemas a diff of schema `diff` arriving at `node` from input
+/// `side` can leave it with (Pass 4 on or off by `minimize`): each rule's
+/// own statement, [`select::out_schemas`], [`project::out_schema`],
+/// [`join::out_schemas`], [`union::out_schema`] and
+/// [`agg::out_schemas`], which its `propagate` emits by. A scan passes
+/// base diffs on as they are.
+///
+/// # Errors
+/// ID-inference failures, and a diff whose IDs a projection drops.
+pub fn out_schemas(
+    node: &Plan,
+    side: usize,
+    diff: &DiffSchema,
+    minimize: bool,
+) -> Result<Vec<DiffSchema>> {
+    Ok(match node {
+        Plan::Scan { .. } => vec![diff.clone()],
+        Plan::Select { .. } => {
+            select::out_schemas(node, diff)?.map_or_else(|| vec![diff.clone()], Vec::from)
+        }
+        Plan::Project { input, cols } => {
+            let node_ids = || project_ids(&infer_ids(input)?, cols);
+            let out = project::out_schema(cols, diff, node_ids)?;
+            out.into_iter().map(|(s, _)| s).collect()
+        }
+        Plan::Join { .. } => join::out_schemas(node, side, diff, minimize)?.0,
+        Plan::UnionAll { .. } => vec![union::out_schema(node.arity(), diff)],
+        Plan::GroupBy { keys, .. } => agg::out_schemas(keys.len(), node.arity()).into(),
+    })
 }

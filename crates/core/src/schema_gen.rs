@@ -83,8 +83,8 @@ pub struct BaseDiffSchemas {
 pub fn generate(plan: &Plan, catalog: &HashMap<String, Schema>) -> Result<BaseDiffSchemas> {
     // 1. Collect conditional attribute sets per operator, expressed as
     //    (table, base column) pairs via provenance.
-    let mut cond_sets: Vec<BTreeSet<(String, usize)>> = Vec::new();
-    collect_conditions(plan, &mut cond_sets)?;
+    let mut cond_sets = Vec::new();
+    collect_conditions(plan, &mut cond_sets);
 
     // 2. Per table: conditional groups (deduped) + the NC remainder.
     let mut out = BaseDiffSchemas::default();
@@ -101,7 +101,7 @@ pub fn generate(plan: &Plan, catalog: &HashMap<String, Schema>) -> Result<BaseDi
         for set in &cond_sets {
             let local: Vec<usize> = set
                 .iter()
-                .filter(|(t, _)| t == table)
+                .filter(|(t, _)| *t == table)
                 .map(|(_, c)| *c)
                 .filter(|c| !key.contains(c)) // keys are immutable
                 .collect();
@@ -138,82 +138,27 @@ pub fn generate(plan: &Plan, catalog: &HashMap<String, Schema>) -> Result<BaseDi
     Ok(out)
 }
 
-/// Collect the conditional attribute set `C_op` of every operator, as
-/// base-table provenance pairs. Selections, join conditions (keys and
-/// residuals), (anti)semijoin conditions, and grouping columns all
+/// Collect the conditional attribute set `C_op` of every operator, in
+/// preorder, as base-table provenance pairs: the base attributes behind
+/// each input's condition columns ([`Plan::cond_cols`]), one set per
+/// operator over all its inputs. Selections, join conditions (keys and
+/// residuals, semi- and antijoins included) and grouping columns all
 /// count — an update touching any of them can change *which* tuples the
-/// operator emits, not just their values.
-fn collect_conditions(
-    plan: &Plan,
-    out: &mut Vec<BTreeSet<(String, usize)>>,
-) -> Result<()> {
-    match plan {
-        Plan::Scan { .. } => {}
-        Plan::Select { input, pred } => {
-            out.push(origins_of(input, &pred.columns()));
-            collect_conditions(input, out)?;
-        }
-        Plan::Project { input, .. } => {
-            collect_conditions(input, out)?;
-        }
-        Plan::Join {
-            left,
-            right,
-            on,
-            residual,
-            ..
-        } => {
-            let mut set = BTreeSet::new();
-            let la = left.arity();
-            for &(l, r) in on {
-                set.extend(origins_of(left, &[l].into_iter().collect()));
-                set.extend(origins_of(right, &[r].into_iter().collect()));
-            }
-            if let Some(res) = residual {
-                let cols = res.columns();
-                let lcols: BTreeSet<usize> = cols.iter().copied().filter(|&c| c < la).collect();
-                let rcols: BTreeSet<usize> = cols
-                    .iter()
-                    .copied()
-                    .filter(|&c| c >= la)
-                    .map(|c| c - la)
-                    .collect();
-                set.extend(origins_of(left, &lcols));
-                set.extend(origins_of(right, &rcols));
-            }
-            if !set.is_empty() {
-                out.push(set);
-            }
-            collect_conditions(left, out)?;
-            collect_conditions(right, out)?;
-        }
-        Plan::UnionAll { left, right } => {
-            collect_conditions(left, out)?;
-            collect_conditions(right, out)?;
-        }
-        Plan::GroupBy { input, keys, .. } => {
-            out.push(origins_of(input, &keys.iter().copied().collect()));
-            collect_conditions(input, out)?;
-        }
+/// operator emits, not just their values. Computed columns contribute
+/// nothing: they cannot be directly updated.
+fn collect_conditions<'p>(node: &'p Plan, out: &mut Vec<BTreeSet<(&'p str, usize)>>) {
+    let mut set = BTreeSet::new();
+    for (side, input) in node.children().into_iter().enumerate() {
+        let base = input.base_cols();
+        let cond = node.cond_cols(side);
+        set.extend(cond.iter().filter_map(|&c| base[c]).map(|(_, t, c)| (t, c)));
     }
-    Ok(())
-}
-
-/// Resolve output columns of `node` to their base (table, column)
-/// origins (columns without provenance contribute nothing — they are
-/// computed and cannot be directly updated).
-fn origins_of(node: &Plan, cols: &BTreeSet<usize>) -> BTreeSet<(String, usize)> {
-    let out_cols = node.output_cols();
-    let scans: HashMap<&str, &str> = node.scans().into_iter().collect();
-    cols.iter()
-        .filter_map(|&c| {
-            out_cols[c].origin.as_ref().and_then(|o| {
-                scans
-                    .get(o.alias.as_str())
-                    .map(|t| (t.to_string(), o.column))
-            })
-        })
-        .collect()
+    if !set.is_empty() {
+        out.push(set);
+    }
+    for input in node.children() {
+        collect_conditions(input, out);
+    }
 }
 
 /// Populate i-diff instances from the effective net changes of one

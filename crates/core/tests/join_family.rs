@@ -8,6 +8,8 @@
 //! `tests/golden/join_family.txt`, followed by every join node's subview
 //! scans and lookups in both states (`access::scan`, `access::lookup`).
 //! The file is compared byte for byte; `IDIVM_BLESS=1` rewrites it.
+//! Every emitted schema must be among `rules::out_schemas` for the
+//! diff's.
 
 #![allow(clippy::unwrap_used)]
 
@@ -50,7 +52,10 @@ fn diffs(input: &Input) -> Vec<(&'static str, DiffInstance)> {
         ])
     });
     vec![
-        ("insert", DiffInstance::insert_from_rows(&[0], 4, &inserts)),
+        (
+            "insert",
+            DiffInstance::from_rows(DiffSchema::insert(&[0], 4), 4, &inserts),
+        ),
         (
             "delete",
             DiffInstance::new(DiffSchema::delete(&[0], &[1]), deletes.collect()),
@@ -148,6 +153,10 @@ fn join_family_rules_are_pinned() {
                             diff: diff.clone(),
                         }];
                         let out = rules::propagate(&ctx, &plan, &path, incoming).unwrap();
+                        // Each schema emitted is one the rule declares.
+                        let declared =
+                            rules::out_schemas(&plan, *side, &diff.schema, minimize).unwrap();
+                        assert!(out.iter().all(|d| declared.contains(&d.schema)));
                         let at = format!(
                             "{kind:?} residual {has}, minimize {minimize}, side {side}, {what}"
                         );

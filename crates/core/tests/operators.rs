@@ -407,7 +407,7 @@ mod rule_outputs {
     use idivm_algebra::{infer_ids, Expr, Plan, PlanBuilder};
     use idivm_core::access::{self, AccessCtx};
     use idivm_core::diff::State;
-    use idivm_core::rules::{join, project, select, RuleCtx};
+    use idivm_core::rules::{self, join, project, select, RuleCtx};
     use idivm_core::{DiffInstance, DiffKind, DiffSchema, FaultPlan, FaultState};
     use idivm_exec::{DbCatalog, ParallelConfig};
     use idivm_reldb::{Database, Net};
@@ -976,6 +976,27 @@ mod rule_outputs {
         order.into_iter().map(|i| cols[i].clone()).collect()
     }
 
+    /// Every instance a rule emitted for the diff `d` from input `side`
+    /// of `node` has a schema `rules::out_schemas` declares for `d`'s —
+    /// the statement set-up builds the Ī′ indexes from.
+    fn assert_declared(
+        node: &Plan,
+        side: usize,
+        d: &DiffInstance,
+        minimize: bool,
+        got: &[DiffInstance],
+    ) {
+        let declared = rules::out_schemas(node, side, &d.schema, minimize).unwrap();
+        for out in got {
+            assert!(
+                declared.contains(&out.schema),
+                "{node:?} side {side} emitted {:?} for {:?}, declared {declared:?}",
+                out.schema,
+                d.schema
+            );
+        }
+    }
+
     #[test]
     fn rule_outputs_match_a_row_by_row_reference() {
         let db = db();
@@ -1011,7 +1032,12 @@ mod rule_outputs {
 
             let pred = preds()[rng.below(5)].clone();
             let d = gen_diff(&mut rng, 4, &l_rows);
-            let got = select::propagate(&ctx, &pred, &l, &path, d.clone()).unwrap();
+            let node = Plan::Select {
+                input: Box::new(l.clone()),
+                pred: pred.clone(),
+            };
+            let got = select::propagate(&ctx, &node, &path, d.clone()).unwrap();
+            assert_declared(&node, 0, &d, ctx.minimize, &got);
             assert_eq!(
                 got,
                 ref_select(&ctx, &pred, &l, &d),
@@ -1021,6 +1047,11 @@ mod rule_outputs {
             let cols = project_cols(&mut rng);
             let d = gen_diff(&mut rng, 4, &l_rows);
             let got = project::propagate(&ctx, &cols, &l, &path, d.clone()).unwrap();
+            let node = Plan::Project {
+                input: Box::new(l.clone()),
+                cols: cols.clone(),
+            };
+            assert_declared(&node, 0, &d, ctx.minimize, &got);
             assert_eq!(
                 got,
                 ref_project(&ctx, &cols, &l, &d),
@@ -1034,17 +1065,7 @@ mod rule_outputs {
                 left: Box::new(l.clone()),
                 right: Box::new(r.clone()),
                 on: on.to_vec(),
-                residual,
-            };
-            let Plan::Join {
-                kind,
-                left,
-                right,
-                on,
-                residual,
-            } = &join
-            else {
-                unreachable!()
+                residual: residual.clone(),
             };
             for side in 0..2 {
                 let d = if side == 0 {
@@ -1052,19 +1073,9 @@ mod rule_outputs {
                 } else {
                     gen_diff(&mut rng, 3, &r_rows)
                 };
-                let got = join::propagate(
-                    &ctx,
-                    *kind,
-                    left,
-                    right,
-                    on,
-                    residual.as_ref(),
-                    &path,
-                    side,
-                    d.clone(),
-                )
-                .unwrap();
-                let want = ref_join(&ctx, left, right, on, residual.as_ref(), side, &d);
+                let got = join::propagate(&ctx, &join, &path, side, d.clone()).unwrap();
+                assert_declared(&join, side, &d, ctx.minimize, &got);
+                let want = ref_join(&ctx, &l, &r, on, residual.as_ref(), side, &d);
                 assert_eq!(got, want, "join side {side}, seed {seed}, diff {d:?}");
             }
         }

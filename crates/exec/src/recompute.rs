@@ -24,23 +24,14 @@ use idivm_types::{Column, ColumnType, Error, Result, Row, Schema};
 pub fn view_schema(db: &Database, plan: &Plan) -> Result<Schema> {
     let ids = infer_ids(plan)?;
     let cols = plan.output_cols();
-    let scans = plan.scans();
-    let mut columns = Vec::with_capacity(cols.len());
-    for c in &cols {
-        let ty = c
-            .origin
-            .as_ref()
-            .and_then(|o| {
-                let table = scans
-                    .iter()
-                    .find(|(alias, _)| *alias == o.alias)
-                    .map(|(_, t)| *t)?;
-                let schema = db.table(table).ok()?.schema().clone();
-                Some(schema.columns()[o.column].ty)
-            })
-            .unwrap_or(ColumnType::Float);
-        columns.push(Column::new(&c.name, ty));
-    }
+    let columns: Vec<Column> = cols
+        .iter()
+        .zip(plan.base_cols())
+        .map(|(c, base)| {
+            let ty = base.and_then(|(_, t, i)| Some(db.table(t).ok()?.schema().columns()[i].ty));
+            Column::new(&c.name, ty.unwrap_or(ColumnType::Float))
+        })
+        .collect();
     let key_names: Vec<&str> = ids.iter().map(|&i| cols[i].name.as_str()).collect();
     Schema::new(columns, &key_names)
 }

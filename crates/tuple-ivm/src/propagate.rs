@@ -137,6 +137,7 @@ pub fn propagate(
         } => {
             let residual = residual.as_ref();
             let join = Join {
+                plan: node,
                 kind: *kind,
                 inputs: [left, right],
                 residual,
@@ -190,6 +191,7 @@ fn push(r: Row, tag: &Value) -> Row {
 /// the emission — inserts, deletes and `(pre, post)` update pairs — is
 /// this rule's own.
 struct Join<'p> {
+    plan: &'p Plan,
     kind: JoinKind,
     inputs: [&'p Plan; 2],
     residual: Option<&'p Expr>,
@@ -215,7 +217,7 @@ impl Join<'_> {
         let out_of = |row: &Row, state| self.node.contributions(ctx.access, side, row, state);
         let raw = |row: &Row, state| self.keyed.contributions(ctx.access, side, row, state);
         let holds = |row: &Row| idivm_algebra::opt_pred(self.residual, row);
-        let cond = self.node.cond_cols(side);
+        let cond = self.plan.cond_cols(side);
         let other_changed = other_changed(ctx, self.inputs[1 - side]);
         fan_out(ctx, d, |chunk| {
             let mut o = TDiffs::default();
