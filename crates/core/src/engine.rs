@@ -297,11 +297,7 @@ impl IdIvm {
     ///
     /// # Errors
     /// Propagation or application failures, or an injected fault.
-    pub fn maintain_with_changes(
-        &self,
-        db: &mut Database,
-        net: &Net,
-    ) -> Result<MaintenanceReport> {
+    pub fn maintain_with_changes(&self, db: &mut Database, net: &Net) -> Result<MaintenanceReport> {
         Engine::maintain_with_changes(self, db, net)
     }
 
@@ -346,8 +342,7 @@ impl IdIvm {
         for (table, changes) in net {
             if let Some(schemas) = self.schemas.tables.get(table) {
                 let diffs = populate(schemas, changes);
-                round.report.base_diff_tuples +=
-                    diffs.iter().map(DiffInstance::len).sum::<usize>();
+                round.report.base_diff_tuples += diffs.iter().map(DiffInstance::len).sum::<usize>();
                 let scans_left = scans.iter().filter(|(_, t)| t == table).count();
                 base_diffs.insert(table.clone(), BaseDiffs { diffs, scans_left });
             }
@@ -369,12 +364,17 @@ impl IdIvm {
         round.report.rescans = rescans.load(Ordering::Relaxed);
         // Apply the final i-diffs to the view.
         round.report.view_diff_tuples = root_diffs.iter().map(DiffInstance::len).sum();
-        round
-            .faults()
-            .hit(FaultSite::Apply, format_args!("target `{}`", self.view_name))?;
+        round.faults().hit(
+            FaultSite::Apply,
+            format_args!("target `{}`", self.view_name),
+        )?;
         let before = db.stats().snapshot();
         let mut view_changes = TableChanges::new();
-        let outcome = apply_all(db.table_mut(&self.view_name)?, &root_diffs, &mut view_changes)?;
+        let outcome = apply_all(
+            db.table_mut(&self.view_name)?,
+            &root_diffs,
+            &mut view_changes,
+        )?;
         round.report.view_update = db.stats().snapshot().since(&before);
         round.report.view_outcome = outcome;
         round.report.view_changes = view_changes.into();
@@ -501,9 +501,7 @@ impl IdIvm {
                         .prefixes
                         .map
                         .get(path)
-                        .map_or(("prefix", ""), |s| {
-                            (s.label.as_str(), s.structure.as_str())
-                        });
+                        .map_or(("prefix", ""), |s| (s.label.as_str(), s.structure.as_str()));
                     let compute = db.stats().snapshot().since(&sub0);
                     shared.cache.publish(key, label, structure, &out, compute);
                 }
@@ -518,10 +516,7 @@ impl IdIvm {
                     .faults()
                     .hit(FaultSite::Apply, format_args!("target `{cache_name}`"))?;
                 let before = db.stats().snapshot();
-                let mut changes = state
-                    .cache_changes
-                    .remove(cache_name)
-                    .unwrap_or_default();
+                let mut changes = state.cache_changes.remove(cache_name).unwrap_or_default();
                 let outcome = apply_all(db.table_mut(cache_name)?, &out, changes.make_mut())?;
                 state.cache_changes.insert(cache_name.clone(), changes);
                 let spent = db.stats().snapshot().since(&before);
@@ -559,12 +554,7 @@ impl Engine for IdIvm {
         &self.plan
     }
 
-    fn round_body(
-        &self,
-        round: &mut Round<'_>,
-        db: &mut Database,
-        net: &Net,
-    ) -> Result<()> {
+    fn round_body(&self, round: &mut Round<'_>, db: &mut Database, net: &Net) -> Result<()> {
         self.body(round, db, net, None)
     }
 
@@ -634,7 +624,11 @@ fn collect_probe_sets(node: &Plan, out: &mut Vec<(String, Vec<usize>)>) {
         // column maps to the same scan (the push-down case).
         let mut per_alias: BTreeMap<&str, (&str, Vec<usize>)> = BTreeMap::new();
         for (alias, table, col) in cols.iter().filter_map(|&c| base[c]) {
-            per_alias.entry(alias).or_insert((table, Vec::new())).1.push(col);
+            per_alias
+                .entry(alias)
+                .or_insert((table, Vec::new()))
+                .1
+                .push(col);
         }
         for (table, mut base_cols) in per_alias.into_values() {
             base_cols.sort_unstable();

@@ -370,14 +370,8 @@ fn general(
     let groups = ctx.parallel.fan_out(affected, |chunk| {
         let mut out = Vec::with_capacity(chunk.len());
         for gk in chunk {
-            let members = access::lookup(
-                ctx.access,
-                input,
-                &ipath,
-                State::Post,
-                &in_key_cols,
-                &gk.0,
-            )?;
+            let members =
+                access::lookup(ctx.access, input, &ipath, State::Post, &in_key_cols, &gk.0)?;
             out.push((
                 gk,
                 Recomputed {
@@ -417,26 +411,29 @@ fn emit_recomputed(
     let mut upd_rows = Vec::new();
     let mut ins_rows = Vec::new();
     let mut del_rows = Vec::new();
-    for (del, upd, ins) in ctx.parallel.fan_out(groups, |entries: Vec<(Key, Recomputed)>| {
-        let mut del = Vec::new();
-        let mut upd = Vec::new();
-        let mut ins = Vec::new();
-        for (gk, rec) in entries {
-            match (rec.values, output_row(out_table, &out_key_cols, &gk.0)) {
-                (None, Some(_)) => del.push(gk.into_row()),
-                (None, None) => {}
-                (Some(vals), None) => ins.push(gk.0.into_iter().chain(vals).collect()),
-                (Some(vals), Some(old)) => {
-                    // σ_isupd: skip groups whose aggregates did not
-                    // change.
-                    if vals.iter().ne(&old.0[keys.len()..]) {
-                        upd.push(update_row(&gk, &old, vals.into_iter()));
+    for (del, upd, ins) in ctx
+        .parallel
+        .fan_out(groups, |entries: Vec<(Key, Recomputed)>| {
+            let mut del = Vec::new();
+            let mut upd = Vec::new();
+            let mut ins = Vec::new();
+            for (gk, rec) in entries {
+                match (rec.values, output_row(out_table, &out_key_cols, &gk.0)) {
+                    (None, Some(_)) => del.push(gk.into_row()),
+                    (None, None) => {}
+                    (Some(vals), None) => ins.push(gk.0.into_iter().chain(vals).collect()),
+                    (Some(vals), Some(old)) => {
+                        // σ_isupd: skip groups whose aggregates did not
+                        // change.
+                        if vals.iter().ne(&old.0[keys.len()..]) {
+                            upd.push(update_row(&gk, &old, vals.into_iter()));
+                        }
                     }
                 }
             }
-        }
-        Ok(vec![(del, upd, ins)])
-    })? {
+            Ok(vec![(del, upd, ins)])
+        })?
+    {
         del_rows.extend(del);
         upd_rows.extend(upd);
         ins_rows.extend(ins);

@@ -29,7 +29,9 @@ pub fn propagate(
     diff: DiffInstance,
 ) -> Result<Vec<DiffInstance>> {
     let Plan::Select { input, pred } = node else {
-        return Err(Error::Internal("the selection rule runs on selections".into()));
+        return Err(Error::Internal(
+            "the selection rule runs on selections".into(),
+        ));
     };
     let Some([ins, del, upd]) = out_schemas(node, &diff.schema)? else {
         return Ok(vec![match diff.schema.kind {

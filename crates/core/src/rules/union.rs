@@ -42,10 +42,7 @@ mod tests {
 
     #[test]
     fn update_gains_branch_id() {
-        let d = DiffInstance::new(
-            DiffSchema::update(&[0], &[1], &[1]),
-            vec![row![7, 10, 11]],
-        );
+        let d = DiffInstance::new(DiffSchema::update(&[0], &[1], &[1]), vec![row![7, 10, 11]]);
         let out = propagate(3, 1, d);
         assert_eq!(out.schema.id_cols, vec![0, 2]);
         assert_eq!(out.rows, vec![row![7, 1, 10, 11]]);

@@ -164,10 +164,7 @@ fn collect_conditions<'p>(node: &'p Plan, out: &mut Vec<BTreeSet<(&'p str, usize
 /// Populate i-diff instances from the effective net changes of one
 /// table (Section 5's instance generator). Updates are added to every
 /// update schema covering at least one modified attribute.
-pub fn populate(
-    schemas: &TableDiffSchemas,
-    changes: &TableChanges,
-) -> Vec<DiffInstance> {
+pub fn populate(schemas: &TableDiffSchemas, changes: &TableChanges) -> Vec<DiffInstance> {
     // Each list is sized for the whole change set up front: one
     // allocation per list and one per diff row, none to grow.
     let sized = || Vec::<Row>::with_capacity(changes.len());
@@ -367,8 +364,7 @@ mod tests {
         );
         let diffs = populate(parts, &changes);
         assert_eq!(diffs.len(), 2);
-        let kinds: BTreeSet<char> =
-            diffs.iter().map(|d| d.schema.kind.symbol()).collect();
+        let kinds: BTreeSet<char> = diffs.iter().map(|d| d.schema.kind.symbol()).collect();
         assert_eq!(kinds, ['+', '-'].into_iter().collect());
     }
 }
